@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .coloring import dichromatic_bounds, proper_3_coloring
+from .coloring import dichromatic_bounds
 from .constructions import (CertifiedSet, le2_quasi_kernel_obstruction,
                             longest_path_transversal, small_quasi_kernel,
                             seymour_vertex)
@@ -140,22 +140,23 @@ def cmd_classify(args) -> dict:
     strong = is_strong(d)
     levels: dict[str, object] = {}
     max_certified = None
-    blocked = not strong
+    # once a level is decided "none" (or d is not strong) every higher level
+    # is provably none too; after a budget stop every higher one is unknown
+    rest = None if strong else False
     for i in range(1, args.max_level + 1):
-        if blocked:
-            levels[str(i)] = False
+        if rest is not None:
+            levels[str(i)] = rest
             continue
         try:
             found = find_le_decomposition(d, i=i, budget=args.budget or DEFAULT_BUDGET)
         except BudgetExceededError:
-            levels[str(i)] = "unknown"
-            blocked = True
+            levels[str(i)] = rest = "unknown"
             continue
         levels[str(i)] = found is not None
         if found is not None:
             max_certified = i
         else:
-            blocked = True
+            rest = False
     return {"strong": strong, "levels": levels, "max_certified": max_certified}
 
 
@@ -207,8 +208,8 @@ def cmd_kernel(args) -> dict:
 def cmd_color(args) -> dict:
     d = load_digraph(args.input)
     e = _decomposition_for(d, args, 2)
-    mapping = proper_3_coloring(d, e)
     bounds = dichromatic_bounds(d, e, force_exact=args.exact)
+    mapping = bounds.coloring
     return {"coloring": mapping.to_json(), "colors_used": mapping.colors_used(),
             "dichromatic": bounds.to_json()}
 

@@ -111,6 +111,7 @@ class DichromaticBounds:
     lower: int
     upper: int
     exact: int | None
+    coloring: VertexMapping  # proper 3-coloring witnessing the upper bound
 
     def to_json(self) -> dict:
         return {"lower": self.lower, "upper": self.upper, "exact": self.exact}
@@ -120,12 +121,13 @@ def dichromatic_bounds(d: Digraph, e: EarDecomposition,
                        force_exact: bool = False) -> DichromaticBounds:
     """Bounds on the least acyclic-class partition size.
 
-    The constructed proper coloring gives 3 as an upper bound; strongness
-    gives 2 as a lower bound since one class cannot swallow a cycle.  The
-    exact value comes from the oracle at desk scale.
+    The constructed proper coloring gives 3 as an upper bound and is kept
+    as its witness; strongness gives 2 as a lower bound since one class
+    cannot swallow a cycle.  The exact value comes from the oracle at desk
+    scale.
     """
-    proper_3_coloring(d, e)
+    coloring = proper_3_coloring(d, e)
     exact = None
     if force_exact or d.n <= CHROMATIC_CAP:
         exact = chromatic_oracles(d).details["dichromatic"]
-    return DichromaticBounds(lower=2, upper=3, exact=exact)
+    return DichromaticBounds(lower=2, upper=3, exact=exact, coloring=coloring)

@@ -164,30 +164,54 @@ def cycle_quasi_kernel_indices(n: int) -> list[int]:
     return _progression(0, n - 2)
 
 
+def quasi_kernel_failing_stage(e: EarDecomposition,
+                               members: set[int]) -> int | None:
+    """First stage j at which members ∩ V(D_j) is no quasi-kernel of D_j.
+
+    Ear-local and O(n + m); e must be valid.  Stages and members only grow,
+    so a passing stage keeps passing, and stage j can newly fail only by an
+    arc born with it joining two members, or a vertex born with it neither
+    in the set nor reaching it within 2 steps.  absorbed holds every vertex
+    with an out-arc into the set among the arcs born so far.
+    """
+    absorbed: set[int] = set()
+    for j, part in enumerate((e.base,) + e.ears):
+        for u, v in part.arcs:
+            if v in members:
+                if u in members:
+                    return j
+                absorbed.add(u)
+        xs = part.vertices
+        for idx, x in enumerate(xs[:-1]):
+            # the base is checked at every vertex, an ear at its interior
+            if (j == 0 or idx > 0) and x not in members and x not in absorbed:
+                if xs[idx + 1] not in absorbed:
+                    return j
+    return None
+
+
 def small_quasi_kernel(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     """Quasi-kernel of size at most n/2, grown stage by stage.
 
     The base cycle takes every third vertex; each ear contributes the
-    stride-3 pattern matching its endpoint membership.  Each stage result
-    is verified before the next ear is processed.
+    stride-3 pattern matching its endpoint membership.  Every stage result
+    is checked ear-locally (quasi_kernel_failing_stage), then the final set
+    once more against the whole digraph.
     """
     _checked(d, e, 3, "small quasi-kernel")
     cycle = e.base.vertices[:-1]
     q: set[int] = {cycle[i] for i in cycle_quasi_kernel_indices(len(cycle))}
-    stage = e.stage(0)
-    preds = set_predicates(stage, q)
-    if not preds.is_quasi_kernel:
-        raise VerificationError(f"base quasi-kernel {sorted(q)} failed verification")
-    for j, ear in enumerate(e.ears):
+    for ear in e.ears:
         in0 = ear.x0 in q
         inr = in0 if ear.is_cycle else ear.xr in q
         for idx in quasi_kernel_ear_indices(in0, inr, ear.length):
             q.add(ear.vertices[idx])
-        stage = e.stage(j + 1)
-        preds = set_predicates(stage, q)
-        if not preds.is_quasi_kernel:
-            raise VerificationError(
-                f"quasi-kernel {sorted(q)} failed verification at stage {j + 1}")
+    failed = quasi_kernel_failing_stage(e, q)
+    if failed is not None:
+        raise VerificationError(
+            f"quasi-kernel {sorted(q)} failed verification at stage {failed}")
+    if not set_predicates(d, q).is_quasi_kernel:
+        raise VerificationError(f"quasi-kernel {sorted(q)} failed verification")
     if 2 * len(q) > d.n:
         raise VerificationError(
             f"quasi-kernel has {len(q)} members on {d.n} vertices: not small")

@@ -71,7 +71,6 @@ class EarDecomposition:
         self.host = host
         self.base = base
         self.ears = tuple(ears)
-        self._stages: list[Digraph] | None = None
 
     @property
     def stage_count(self) -> int:
@@ -86,17 +85,12 @@ class EarDecomposition:
         return all(e.length >= i for e in self.ears)
 
     def stage(self, j: int) -> Digraph:
-        if self._stages is None:
-            stages = []
-            verts = set(self.base.vertices)
-            arcs = set(self.base.arcs)
-            stages.append(Digraph(verts, arcs))
-            for ear in self.ears:
-                verts |= set(ear.vertices)
-                arcs |= set(ear.arcs)
-                stages.append(Digraph(verts, arcs))
-            self._stages = stages
-        return self._stages[j]
+        """Stage j: the base cycle plus the first j ears, built on demand."""
+        if not 0 <= j < self.stage_count:
+            raise IndexError(f"stage {j} out of range 0..{len(self.ears)}")
+        parts = (self.base,) + self.ears[:j]
+        return Digraph({v for p in parts for v in p.vertices},
+                       {a for p in parts for a in p.arcs})
 
     def stages(self) -> Iterator[Digraph]:
         for j in range(self.stage_count):
@@ -133,7 +127,12 @@ class DecompositionReport:
 
 def validate_decomposition(d: Digraph, e: EarDecomposition,
                            path_ears_only: bool = False) -> DecompositionReport:
-    """Check every decomposition invariant; violations name their stage."""
+    """Check every decomposition invariant; violations name their stage.
+
+    Only the base cycle is tested for strongness: gluing an ear with both
+    ends in a strong stage and a new interior keeps the stage strong, so
+    once the per-ear invariants hold no later stage can fail that test.
+    """
     bad: list[str] = []
     if e.host != d:
         bad.append("stage -: decomposition host differs from d")
@@ -147,25 +146,24 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     arcs = set(base.arcs)
     if not is_strong(Digraph(verts, arcs & d.arcs)):
         bad.append("stage 0: base is not a strong cycle")
+    host_arcs = d.arcs
     for idx, ear in enumerate(e.ears):
-        stage_name = f"stage {idx}"
-        if ear.x0 not in verts or ear.xr not in verts:
-            bad.append(f"{stage_name}: ear endpoint outside the stage")
-        fresh = set(ear.internal)
-        if fresh & verts:
-            bad.append(f"{stage_name}: internal vertex {sorted(fresh & verts)} "
+        vs, ear_arcs = ear.vertices, ear.arcs
+        if vs[0] not in verts or vs[-1] not in verts:
+            bad.append(f"stage {idx}: ear endpoint outside the stage")
+        if not verts.isdisjoint(ear.internal):
+            bad.append(f"stage {idx}: internal vertex "
+                       f"{sorted(verts.intersection(ear.internal))} "
                        "already in the stage")
-        for a in ear.arcs:
-            if a not in d.arcs:
-                bad.append(f"{stage_name}: ear arc {a} not in host")
+        for a in ear_arcs:
+            if a not in host_arcs:
+                bad.append(f"stage {idx}: ear arc {a} not in host")
             if a in arcs:
-                bad.append(f"{stage_name}: ear arc {a} already covered")
+                bad.append(f"stage {idx}: ear arc {a} already covered")
         if path_ears_only and ear.is_cycle:
-            bad.append(f"{stage_name}: cycle ear not allowed in path-ears mode")
-        verts |= set(ear.vertices)
-        arcs |= set(ear.arcs)
-        if not bad and not is_strong(Digraph(verts, arcs)):
-            bad.append(f"{stage_name}: stage digraph not strong")
+            bad.append(f"stage {idx}: cycle ear not allowed in path-ears mode")
+        verts.update(vs)
+        arcs.update(ear_arcs)
     if verts != d.vertices:
         bad.append(f"final: vertices uncovered: {sorted(d.vertices - verts)}")
     if arcs != d.arcs:
@@ -205,9 +203,13 @@ def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...] | None:
 def find_ear_decomposition(d: Digraph) -> EarDecomposition:
     """Constructive decomposition of a strong digraph (ears of any length).
 
-    Deterministic: base is the shortest cycle through the smallest vertex,
-    ears are extracted smallest-start-arc first, walking back to the covered
-    part along a shortest route with smallest-id tie-breaks.
+    Deterministic and O(n + m) up to sorting neighbourhoods.  The base is
+    the shortest cycle through the smallest vertex.  One reverse BFS from it
+    gives every other vertex a parent one step closer to the base.  Covered
+    vertices are scanned once each in the order they were covered (base in
+    cycle order, then each ear's interior in path order); each uncovered
+    out-arc, by increasing head, starts the next ear, which follows parent
+    pointers to the first covered vertex (possibly its own start).
     """
     if not is_strong(d):
         raise PropertyFailedError("digraph is not strong")
@@ -217,60 +219,29 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
     if base_cycle is None:
         raise PropertyFailedError("no cycle through the smallest vertex")
     base = Ear(base_cycle)
-    covered_v = set(base.vertices)
+    queue = list(base.vertices[:-1])
+    covered_v = set(queue)
+    parent: dict[int, int] = {}
+    bfs = list(queue)
+    for w in bfs:  # grows while scanned, like the queue below
+        for y in sorted(d.in_neighbors(w)):
+            if y not in covered_v and y not in parent:
+                parent[y] = w
+                bfs.append(y)
     covered_a = set(base.arcs)
     ears: list[Ear] = []
-    while covered_v != d.vertices or covered_a != d.arcs:
-        start = None
-        for u in sorted(covered_v):
-            for x in sorted(d.out_neighbors(u)):
-                if (u, x) not in covered_a:
-                    start = (u, x)
-                    break
-            if start:
-                break
-        if start is None:
-            raise VerificationError("stuck with uncovered arcs unreachable "
-                                    "from the covered part")
-        u, x = start
-        if x in covered_v:
-            ears.append(Ear((u, x)))
-            covered_a.add((u, x))
-            continue
-        # distance from each uncovered vertex to the covered set
-        dist: dict[int, int] = {}
-        frontier = [v for v in sorted(covered_v)]
-        level = 0
-        seen = set(covered_v)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for y in sorted(d.in_neighbors(w)):
-                    if y not in seen and y not in covered_v:
-                        dist[y] = level + 1
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-            level += 1
-        path = [u, x]
-        cur = x
-        while cur not in covered_v:
-            step = None
-            for w in sorted(d.out_neighbors(cur)):
-                if w in covered_v:
-                    step = w
-                    break
-                if dist.get(w, -1) == dist[cur] - 1:
-                    step = w
-                    break
-            if step is None:
-                raise VerificationError(f"no route back to covered part from {cur}")
-            path.append(step)
-            cur = step
-        ear = Ear(tuple(path))
-        ears.append(ear)
-        covered_v |= set(ear.vertices)
-        covered_a |= set(ear.arcs)
+    for u in queue:  # the queue grows as ears cover new vertices
+        for x in sorted(d.out_neighbors(u)):
+            if (u, x) in covered_a:
+                continue
+            path = [u, x]
+            while path[-1] not in covered_v:
+                path.append(parent[path[-1]])
+            ear = Ear(tuple(path))
+            ears.append(ear)
+            covered_v.update(ear.internal)
+            covered_a.update(ear.arcs)
+            queue.extend(ear.internal)
     deco = EarDecomposition(d, base, ears)
     report = validate_decomposition(d, deco)
     if not report.ok:

@@ -338,14 +338,34 @@ def cycle_homomorphism(n: int) -> VertexMapping:
     return mapping
 
 
-def extend_homomorphism(stage: Digraph, phi: VertexMapping,
-                        ear: Ear) -> VertexMapping:
-    """Extend a tournament homomorphism across one ear of length >= 3.
+def _map_ear(t: Tournament, assignment: dict, ear: Ear) -> None:
+    """Write the images of one ear's interior into assignment, in place.
 
     The ear interior wraps the anchored 3-cycle of the start image for all
     but its last 3, 4, or 5 arcs (by length mod 3), then finishes along the
     catalog walk into the end image; equal endpoint images and cycle ears
     finish along the anchored cycle instead.
+    """
+    cat = _catalog_for(t.code, t.k)
+    i = assignment[ear.x0]
+    j = i if ear.is_cycle else assignment[ear.xr]
+    seg = {0: 3, 1: 4, 2: 5}[ear.length % 3]
+    pre = ear.length - seg
+    g3 = cat.cycles[(i, 3)]
+    finisher = cat.cycles[(i, seg)] if i == j else cat.paths[(i, j, seg)]
+    for m in range(1, pre + 1):
+        assignment[ear.vertices[m]] = g3[m % 3]
+    for s in range(1, seg):
+        assignment[ear.vertices[pre + s]] = finisher[s]
+    if finisher[seg] != j:
+        raise VerificationError("catalog walk does not land on the end image")
+
+
+def extend_homomorphism(stage: Digraph, phi: VertexMapping,
+                        ear: Ear) -> VertexMapping:
+    """Extend a tournament homomorphism across one ear of length >= 3.
+
+    Checks phi on the whole stage and the result on the whole glued stage.
     """
     if ear.length < 3:
         raise InvalidInputError("homomorphism extension needs ear length >= 3")
@@ -356,23 +376,26 @@ def extend_homomorphism(stage: Digraph, phi: VertexMapping,
     glued = stage.union(ear.vertices, ear.arcs)
     if not is_asymmetrical(glued):
         raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
-    cat = _catalog_for(t.code, t.k)
-    i = phi.assignment[ear.x0]
-    j = i if ear.is_cycle else phi.assignment[ear.xr]
-    seg = {0: 3, 1: 4, 2: 5}[ear.length % 3]
-    pre = ear.length - seg
-    g3 = cat.cycles[(i, 3)]
-    finisher = cat.cycles[(i, seg)] if i == j else cat.paths[(i, j, seg)]
     assignment = dict(phi.assignment)
-    for m in range(1, pre + 1):
-        assignment[ear.vertices[m]] = g3[m % 3]
-    for s in range(1, seg):
-        assignment[ear.vertices[pre + s]] = finisher[s]
-    if finisher[seg] != j:
-        raise VerificationError("catalog walk does not land on the end image")
+    _map_ear(t, assignment, ear)
     mapping = VertexMapping(assignment, t, phi.kind)
     verify_homomorphism(glued, mapping)
     return mapping
+
+
+def homomorphism_failing_stage(e: EarDecomposition,
+                               m: VertexMapping) -> int | None:
+    """First stage j on which m is no homomorphism into its tournament.
+
+    Ear-local: each arc is checked once, at the stage its ear (or the base
+    cycle) adds it, which finds the same stage as checking every stage.
+    """
+    masks = m.target.out_masks()
+    img = m.assignment
+    for j, part in enumerate((e.base,) + e.ears):
+        if any(not masks[img[u]] >> img[v] & 1 for u, v in part.arcs):
+            return j
+    return None
 
 
 def oriented_coloring_le3(d: Digraph, e: EarDecomposition) -> VertexMapping:
@@ -380,7 +403,8 @@ def oriented_coloring_le3(d: Digraph, e: EarDecomposition) -> VertexMapping:
 
     Needs an asymmetrical digraph and a decomposition whose ears all have
     length at least 3; the base cycle takes its cycle homomorphism and each
-    ear is folded in by extension.
+    ear is folded into one assignment.  Every stage is checked ear-locally,
+    then the result once more on the whole digraph.
     """
     if not is_asymmetrical(d):
         raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
@@ -392,11 +416,13 @@ def oriented_coloring_le3(d: Digraph, e: EarDecomposition) -> VertexMapping:
     cycle = e.base.vertices[:-1]
     base_map = cycle_homomorphism(len(cycle))
     t = tournament_T()
-    phi = VertexMapping({v: base_map.assignment[m] for m, v in enumerate(cycle)},
-                        t, "homomorphism")
-    for idx, ear in enumerate(e.ears):
-        phi = extend_homomorphism(e.stage(idx), phi, ear)
-    mapping = VertexMapping(phi.assignment, t, "oriented")
+    assignment = {v: base_map.assignment[m] for m, v in enumerate(cycle)}
+    for ear in e.ears:
+        _map_ear(t, assignment, ear)
+    mapping = VertexMapping(assignment, t, "oriented")
+    failed = homomorphism_failing_stage(e, mapping)
+    if failed is not None:
+        raise VerificationError(f"homomorphism fails on stage {failed}")
     verify_homomorphism(d, mapping)
     return mapping
 

@@ -206,3 +206,21 @@ def test_worker_cap_env(monkeypatch):
     assert worker_cap() == 1
     monkeypatch.delenv("EARLAB_THREADS")
     assert worker_cap() == 1
+
+
+def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
+    # an LE_2 instance by construction, so a False at level 2 would be wrong
+    code, doc = run(capsys, "gen", "--le", "--base", "4", "--ears", "8",
+                    "--min-ear-length", "2", "--max-ear-length", "4",
+                    "--seed", "3")
+    path = tmp_path / "le2.json"
+    path.write_text(json.dumps(doc))
+    code, doc = run(capsys, "classify", str(path), "--budget", "1")
+    assert code == 0
+    assert doc["payload"]["levels"] == {"1": "unknown", "2": "unknown",
+                                        "3": "unknown"}
+    assert doc["payload"]["max_certified"] is None
+    code, doc = run(capsys, "classify", str(path), "--budget", "1000")
+    levels = list(doc["payload"]["levels"].values())
+    assert "unknown" in levels
+    assert False not in levels[levels.index("unknown"):]
