@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from .coloring import dichromatic_bounds
-from .constructions import (CertifiedSet, le2_quasi_kernel_obstruction,
-                            longest_path_transversal, small_quasi_kernel,
-                            seymour_vertex)
+from .constructions import (CertifiedSet, longest_path_transversal,
+                            small_quasi_kernel, seymour_vertex)
 from .digraph import Digraph, digraph_from_json, is_strong, parse_digraph, serialize_digraph
 from .ears import EarDecomposition, find_ear_decomposition, find_le_decomposition, generate_random_le
 from .errors import (BudgetExceededError, EarlabError, InvalidInputError,
@@ -30,16 +28,6 @@ from .oriented import (build_G, tournament_T, uniqueness_census,
 from .oriented import oriented_coloring_le3
 
 DEFAULT_BUDGET = 200_000
-
-
-def worker_cap() -> int:
-    """Worker limit from EARLAB_THREADS; every command currently runs on a
-    single worker, so the cap is honored trivially."""
-    raw = os.environ.get("EARLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _jsonable(value):
@@ -109,10 +97,9 @@ def load_vertex_set(source: str) -> tuple[int, ...]:
 
 def _decomposition_for(d: Digraph, args, min_len: int,
                        path_ears_only: bool = False) -> EarDecomposition:
-    if getattr(args, "decomposition", None):
+    if args.decomposition:
         return load_decomposition(args.decomposition, d)
-    budget = getattr(args, "budget", None) or DEFAULT_BUDGET
-    found = find_le_decomposition(d, i=min_len, budget=budget,
+    found = find_le_decomposition(d, i=min_len, budget=args.budget,
                                   allow_cycle_ears=not path_ears_only)
     if found is None:
         raise PropertyFailedError(
@@ -123,8 +110,7 @@ def _decomposition_for(d: Digraph, args, min_len: int,
 def cmd_decompose(args) -> dict:
     d = load_digraph(args.input)
     if args.min_ear_length:
-        e = find_le_decomposition(d, i=args.min_ear_length,
-                                  budget=args.budget or DEFAULT_BUDGET)
+        e = find_le_decomposition(d, i=args.min_ear_length, budget=args.budget)
         if e is None:
             raise PropertyFailedError(
                 "provably none: no decomposition with every ear length "
@@ -148,7 +134,7 @@ def cmd_classify(args) -> dict:
             levels[str(i)] = rest
             continue
         try:
-            found = find_le_decomposition(d, i=i, budget=args.budget or DEFAULT_BUDGET)
+            found = find_le_decomposition(d, i=i, budget=args.budget)
         except BudgetExceededError:
             levels[str(i)] = rest = "unknown"
             continue
@@ -271,6 +257,13 @@ def cmd_oracle(args) -> dict:
             "details": _jsonable(report.details)}
 
 
+def _budget(text: str) -> int:
+    value = int(text) if text.isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="earlab",
@@ -282,20 +275,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="edge list or JSON digraph; '-' for stdin")
         return p
 
-    def with_decomposition(p):
-        p.add_argument("--decomposition", help="decomposition JSON file")
-        p.add_argument("--budget", type=int, default=None,
-                       help="search node budget when no decomposition given")
+    def with_budget(p):
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                       help="node budget of the exact LE_i search (>= 1)")
         return p
 
-    p = with_input(sub.add_parser("decompose", help="find an ear decomposition"))
+    def with_decomposition(p):
+        p.add_argument("--decomposition",
+                       help="decomposition JSON file; searched for if absent")
+        return with_budget(p)
+
+    p = with_budget(with_input(sub.add_parser(
+        "decompose", help="find an ear decomposition")))
     p.add_argument("--min-ear-length", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(handler=cmd_decompose)
 
-    p = with_input(sub.add_parser("classify", help="which minimum ear lengths hold"))
+    p = with_budget(with_input(sub.add_parser(
+        "classify", help="which minimum ear lengths hold")))
     p.add_argument("--max-level", type=int, default=3)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(handler=cmd_classify)
 
     p = with_decomposition(with_input(sub.add_parser(
@@ -376,10 +373,6 @@ def main(argv=None) -> int:
     json.dump(envelope, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return code
-
-
-def run(argv=None) -> int:
-    return main(argv)
 
 
 if __name__ == "__main__":

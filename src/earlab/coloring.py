@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import Digraph
-from .ears import EarDecomposition, validate_decomposition
+from .ears import EarDecomposition, require_decomposition
 from .errors import InvalidInputError, VerificationError
 from .oracles import CHROMATIC_CAP, chromatic_oracles
 
@@ -76,11 +76,7 @@ def proper_3_coloring(d: Digraph, e: EarDecomposition) -> VertexMapping:
     color greedily; longer ears reuse one color at both ends of the ear and
     2-color the bipartite interior.
     """
-    report = validate_decomposition(d, e)
-    if not report.ok:
-        raise InvalidInputError(f"invalid decomposition: {report.violations[0]}")
-    if e.ears and e.min_ear_length < 2:
-        raise InvalidInputError("coloring needs every ear length >= 2")
+    require_decomposition(d, e, 2, "coloring")
     cycle = e.base.vertices[:-1]
     colors = dict(zip(cycle, _cycle_colors(len(cycle))))
     for ear in e.ears:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .digraph import (Digraph, NeighborhoodReport, is_asymmetrical,
                       neighborhoods, set_predicates)
-from .ears import Ear, EarDecomposition, validate_decomposition
+from .ears import Ear, EarDecomposition, require_decomposition
 from .errors import InvalidInputError, VerificationError
 from .oracles import longest_path_oracle, quasi_kernel_oracle
 
@@ -40,15 +40,6 @@ class CertifiedSet:
         return doc
 
 
-def _checked(d: Digraph, e: EarDecomposition, min_len: int, what: str) -> None:
-    report = validate_decomposition(d, e)
-    if not report.ok:
-        raise InvalidInputError(f"invalid decomposition: {report.violations[0]}")
-    if e.ears and e.min_ear_length < min_len:
-        raise InvalidInputError(f"{what} needs every ear length >= {min_len}, "
-                                f"shortest is {e.min_ear_length}")
-
-
 def seymour_vertex(d: Digraph, e: EarDecomposition) -> tuple[int, NeighborhoodReport]:
     """Vertex whose second out-neighborhood is at least as large as its first.
 
@@ -58,12 +49,9 @@ def seymour_vertex(d: Digraph, e: EarDecomposition) -> tuple[int, NeighborhoodRe
     """
     if not is_asymmetrical(d):
         raise InvalidInputError("Seymour vertex needs an asymmetrical digraph")
-    _checked(d, e, 2, "Seymour vertex")
+    require_decomposition(d, e, 2, "Seymour vertex")
     if e.ears:
-        last = e.ears[-1]
-        if last.length < 2:
-            raise InvalidInputError("last ear too short: need length >= 2")
-        v = last.vertices[-2]
+        v = e.ears[-1].vertices[-2]
     else:
         v = min(d.vertices)
     report = neighborhoods(d, v)
@@ -82,7 +70,7 @@ def longest_path_transversal(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     against the exhaustive longest-path oracle, so the digraph must fit
     under its cap.
     """
-    _checked(d, e, 2, "transversal")
+    require_decomposition(d, e, 2, "transversal")
     s: set[int] = {min(v for v in e.base.vertices)}
     for ear in e.ears:
         in0, inr = ear.x0 in s, ear.xr in s
@@ -198,7 +186,7 @@ def small_quasi_kernel(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     is checked ear-locally (quasi_kernel_failing_stage), then the final set
     once more against the whole digraph.
     """
-    _checked(d, e, 3, "small quasi-kernel")
+    require_decomposition(d, e, 3, "small quasi-kernel")
     cycle = e.base.vertices[:-1]
     q: set[int] = {cycle[i] for i in cycle_quasi_kernel_indices(len(cycle))}
     for ear in e.ears:
@@ -270,9 +258,7 @@ def le2_quasi_kernel_obstruction(d: Digraph, e: EarDecomposition,
     whether any stays small; with short ears the answer can be none, which
     is exactly the phenomenon this harness captures.
     """
-    report = validate_decomposition(d, e)
-    if not report.ok:
-        raise InvalidInputError(f"invalid decomposition: {report.violations[0]}")
+    require_decomposition(d, e, 1, "quasi-kernel obstruction harness")
     if not any(ear.length == 2 for ear in e.ears):
         raise InvalidInputError("harness needs a decomposition with a length-2 ear")
     if q.stage is None or not 0 <= q.stage < len(e.ears):
@@ -314,6 +300,7 @@ def find_quasi_kernel_obstruction(max_base: int = 7):
     for base_len in range(3, max_base + 1):
         cycle = Digraph.cycle(base_len)
         stage_qks = quasi_kernel_oracle(cycle, enumerate_all=True)
+        base = Ear(tuple(range(base_len)) + (0,))
         z = base_len
         for x0 in range(base_len):
             for xr in range(base_len):
@@ -321,7 +308,7 @@ def find_quasi_kernel_obstruction(max_base: int = 7):
                     continue
                 host = cycle.union([z], [(x0, z), (z, xr)])
                 ear = Ear((x0, z, xr))
-                decomp = EarDecomposition(host, e_base_cycle(base_len), [ear])
+                decomp = EarDecomposition(host, base, [ear])
                 for members in stage_qks.details["all_quasi_kernels"]:
                     cert = CertifiedSet(tuple(members), "quasi_kernel", stage=0,
                                         size_bound_met=2 * len(members) <= base_len)
@@ -329,7 +316,3 @@ def find_quasi_kernel_obstruction(max_base: int = 7):
                     if not report.any_quasi_kernel:
                         return host, decomp, cert, report
     return None
-
-
-def e_base_cycle(n: int) -> Ear:
-    return Ear(tuple(range(n)) + (0,))

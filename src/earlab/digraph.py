@@ -10,14 +10,17 @@ density.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InvalidInputError, ParseError
+from .errors import CapExceededError, InvalidInputError, ParseError
 
 Arc = tuple[int, int]
+
+# Largest vertex count a parsed digraph may have: numeric ids allocate every
+# id below the largest, so the cap is checked before anything is built.
+MAX_VERTICES = 1_000_000
 
 
 class Digraph:
@@ -36,10 +39,6 @@ class Digraph:
                 raise InvalidInputError(f"loop arc ({u},{u}) is forbidden")
             if u not in self.vertices or v not in self.vertices:
                 raise InvalidInputError(f"arc ({u},{v}) leaves the vertex set")
-
-    @classmethod
-    def dense(cls, n: int, arcs: Iterable[Arc]) -> "Digraph":
-        return cls(range(n), arcs)
 
     @classmethod
     def cycle(cls, n: int) -> "Digraph":
@@ -122,20 +121,20 @@ class SetPredicates:
         return self.independent and self.quasi_absorbent
 
 
-def parse_digraph(text: str, on_duplicate: str = "dedupe") -> Digraph:
-    """Parse an edge-list document or a JSON digraph.
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise CapExceededError(
+            f"{n} vertices exceed the cap of {MAX_VERTICES} (largest id + 1)")
 
-    Edge-list lines are "u v"; "#" starts a comment; blank lines ignored.
-    Identifiers need not be numeric; non-numeric ones are assigned dense ids
-    in order of first appearance and kept in the label table.
+
+def parse_digraph(text: str) -> Digraph:
+    """Parse an edge-list document.
+
+    Lines are "u v"; "#" starts a comment; blank lines are ignored and
+    repeated arcs are merged.  Identifiers need not be numeric; non-numeric
+    ones are assigned dense ids in order of first appearance and kept in
+    the label table.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
-        return digraph_from_json(doc)
     ids: dict[str, int] = {}
     arcs: list[Arc] = []
     seen: set[Arc] = set()
@@ -157,8 +156,6 @@ def parse_digraph(text: str, on_duplicate: str = "dedupe") -> Digraph:
         if u == v:
             raise ParseError(f"loop arc on {parts[0]!r}", line=lineno)
         if (u, v) in seen:
-            if on_duplicate == "error":
-                raise ParseError(f"duplicate arc {parts[0]} {parts[1]}", line=lineno)
             continue
         seen.add((u, v))
         arcs.append((u, v))
@@ -166,21 +163,42 @@ def parse_digraph(text: str, on_duplicate: str = "dedupe") -> Digraph:
         # numeric documents keep their own ids; gaps below the max are allowed
         remap = {ids[t]: int(t) for t in ids}
         n = max((int(t) for t in ids), default=-1) + 1
+        _check_vertex_count(n)
         return Digraph(range(n), [(remap[u], remap[v]) for u, v in arcs])
     labels = {i: tok for tok, i in ids.items()}
     return Digraph(range(len(ids)), arcs, labels=labels)
 
 
 def digraph_from_json(doc: dict) -> Digraph:
+    """Digraph from its JSON form {"n":..., "arcs":..., "labels":...}.
+
+    Ids are JSON integers; n defaults to the largest id + 1 and labels is
+    an optional object mapping ids to names.
+    """
     if not isinstance(doc, dict) or "arcs" not in doc:
         raise ParseError("JSON digraph needs an 'arcs' field")
+    if not isinstance(doc["arcs"], (list, tuple)):
+        raise ParseError("'arcs' must be a list of [u, v] pairs")
     arcs = []
     for pair in doc["arcs"]:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ParseError(f"bad arc entry {pair!r}")
-        arcs.append((int(pair[0]), int(pair[1])))
-    n = int(doc.get("n", max((max(a) for a in arcs), default=-1) + 1))
-    labels = {int(k): str(v) for k, v in (doc.get("labels") or {}).items()}
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            raise ParseError(f"bad arc entry {pair!r}: need two integer ids")
+        arcs.append((pair[0], pair[1]))
+    top = max((max(a) for a in arcs), default=-1) + 1
+    n = doc.get("n")
+    if n is None:
+        n = top
+    elif type(n) is not int:
+        raise ParseError(f"'n' must be an integer, got {n!r}")
+    _check_vertex_count(max(n, top))
+    labels = doc.get("labels") or {}
+    if not isinstance(labels, dict):
+        raise ParseError("'labels' must be an object mapping ids to names")
+    try:
+        labels = {int(k): str(v) for k, v in labels.items()}
+    except (TypeError, ValueError):
+        raise ParseError("label keys must be integer ids") from None
     return Digraph(range(n), arcs, labels=labels)
 
 

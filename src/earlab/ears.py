@@ -122,7 +122,6 @@ class EarDecomposition:
 class DecompositionReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
-    min_ear_length: int | None = None
 
 
 def validate_decomposition(d: Digraph, e: EarDecomposition,
@@ -168,8 +167,31 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
         bad.append(f"final: vertices uncovered: {sorted(d.vertices - verts)}")
     if arcs != d.arcs:
         bad.append(f"final: arcs uncovered: {sorted(d.arcs - arcs)}")
-    return DecompositionReport(ok=not bad, violations=bad,
-                               min_ear_length=e.min_ear_length)
+    return DecompositionReport(ok=not bad, violations=bad)
+
+
+def require_decomposition(d: Digraph, e: EarDecomposition, min_len: int,
+                          what: str, path_ears_only: bool = False) -> None:
+    """Precondition of the constructions, else InvalidInputError: e is a
+    valid decomposition of d (path ears only, if asked) with every ear of
+    length >= min_len."""
+    report = validate_decomposition(d, e, path_ears_only)
+    if not report.ok:
+        raise InvalidInputError(f"invalid decomposition: {report.violations[0]}")
+    if not e.certifies(min_len):
+        raise InvalidInputError(f"{what} needs every ear length >= {min_len}, "
+                                f"shortest is {e.min_ear_length}")
+
+
+def _self_checked(d: Digraph, e: EarDecomposition,
+                  min_len: int = 1) -> EarDecomposition:
+    """Re-verify a decomposition built here before it is returned."""
+    report = validate_decomposition(d, e)
+    if not report.ok:
+        raise VerificationError("; ".join(report.violations))
+    if not e.certifies(min_len):
+        raise VerificationError(f"built an ear shorter than {min_len}")
+    return e
 
 
 def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...] | None:
@@ -242,11 +264,7 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
             covered_v.update(ear.internal)
             covered_a.update(ear.arcs)
             queue.extend(ear.internal)
-    deco = EarDecomposition(d, base, ears)
-    report = validate_decomposition(d, deco)
-    if not report.ok:
-        raise VerificationError("; ".join(report.violations))
-    return deco
+    return _self_checked(d, EarDecomposition(d, base, ears))
 
 
 def _all_cycles(d: Digraph, budget_box: list[int]) -> list[tuple[int, ...]]:
@@ -341,13 +359,7 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
         base = Ear(cyc)
         res = attempt(frozenset(base.vertices), frozenset(base.arcs), ())
         if res is not None:
-            deco = EarDecomposition(d, base, res)
-            report = validate_decomposition(d, deco)
-            if not report.ok:
-                raise VerificationError("; ".join(report.violations))
-            if not deco.certifies(i):
-                raise VerificationError("search returned a short ear")
-            return deco
+            return _self_checked(d, EarDecomposition(d, base, res), i)
     return None
 
 
@@ -396,8 +408,5 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
         vertices.extend(ear.internal)
         arcs.update(ear.arcs)
     host = Digraph(range(next_id), arcs)
-    deco = EarDecomposition(host, base, ears)
-    report = validate_decomposition(host, deco)
-    if not report.ok:
-        raise VerificationError("; ".join(report.violations))
-    return host, deco
+    return host, _self_checked(host, EarDecomposition(host, base, ears),
+                               min_ear_length)

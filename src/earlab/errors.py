@@ -40,7 +40,7 @@ class ParseError(InvalidInputError):
 
 
 class CapExceededError(EarlabError):
-    """Input exceeds a hard size cap of an exact oracle."""
+    """Input exceeds a hard size cap: an exact oracle's, or MAX_VERTICES."""
 
     status = "cap_exceeded"
     exit_code = 3

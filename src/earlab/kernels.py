@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .constructions import CertifiedSet
 from .digraph import Digraph, is_nonseparable, is_strong, set_predicates
-from .ears import Ear, EarDecomposition, validate_decomposition
+from .ears import Ear, EarDecomposition, require_decomposition
 from .errors import InvalidInputError, VerificationError
 from .oracles import kernel_oracle
 
@@ -192,11 +192,7 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError("direction must be forward or backward")
-    report = validate_decomposition(d, e, path_ears_only=True)
-    if not report.ok:
-        raise InvalidInputError(f"invalid decomposition: {report.violations[0]}")
-    if e.ears and e.min_ear_length < 2:
-        raise InvalidInputError("trace needs every ear length >= 2")
+    require_decomposition(d, e, 2, "kernel trace", path_ears_only=True)
     per_stage = []
     for j in range(e.stage_count):
         rep = kernel_oracle(e.stage(j), enumerate_all=True)

@@ -13,15 +13,15 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .coloring import VertexMapping, verify_homomorphism
 from .digraph import Digraph, is_asymmetrical, serialize_digraph
-from .ears import Ear, EarDecomposition, validate_decomposition
+from .ears import Ear, EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
 from .oracles import OracleReport, oriented_chromatic_oracle
-from .tournaments import Tournament, _pairs
+from .tournaments import Tournament, canonical_code, mask_rows
 
 # Walks of lengths 3, 4, 5 for every ordered vertex pair; consecutive pairs
 # of these fix the arc set below.
@@ -106,12 +106,22 @@ def _compose(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _walk_tables(rows: list[int]) -> dict[int, list[int]]:
-    a2 = _compose(rows, rows)
-    a3 = _compose(a2, rows)
-    a4 = _compose(a3, rows)
-    a5 = _compose(a4, rows)
-    return {3: a3, 4: a4, 5: a5}
+def _walk_gap(rows, include_closed: bool = False) -> tuple[int, int, int] | None:
+    """First (length, source, target) with no walk, over out-mask rows.
+
+    Adjacency powers 3, 4, 5 (the consecutive WALK_LENGTHS) are built one
+    at a time, so most codes are rejected after the first.
+    """
+    full = (1 << len(rows)) - 1
+    table = _compose(rows, rows)
+    for length in WALK_LENGTHS:
+        table = _compose(table, rows)
+        for i, row in enumerate(table):
+            need = full if include_closed else full ^ (1 << i)
+            gap = need & ~row
+            if gap:
+                return (length, i, (gap & -gap).bit_length() - 1)
+    return None
 
 
 def verify_walk_property(t: Tournament, include_closed: bool = False) -> bool:
@@ -124,72 +134,7 @@ def verify_walk_property(t: Tournament, include_closed: bool = False) -> bool:
 def missing_walk_witness(t: Tournament,
                          include_closed: bool = False) -> tuple[int, int, int] | None:
     """First (length, source, target) with no walk, or None."""
-    tables = _walk_tables(list(t.out_masks()))
-    for k in WALK_LENGTHS:
-        table = tables[k]
-        for i in range(t.k):
-            need = (1 << t.k) - 1
-            if not include_closed:
-                need ^= 1 << i
-            if table[i] & need != need:
-                for j in range(t.k):
-                    if need >> j & 1 and not table[i] >> j & 1:
-                        return (k, i, j)
-    return None
-
-
-_PAIRS6 = _pairs(6)
-
-
-def _rows_from_code(code: int) -> list[int]:
-    rows = [0] * 6
-    for idx, (i, j) in enumerate(_PAIRS6):
-        if code >> idx & 1:
-            rows[i] |= 1 << j
-        else:
-            rows[j] |= 1 << i
-    return rows
-
-
-def _code_has_walk_property(code: int) -> tuple[bool, bool]:
-    """(ordered-pairs reading, reading that also demands closed walks)."""
-    rows = _rows_from_code(code)
-    tables = _walk_tables(rows)
-    pairs_ok = True
-    closed_ok = True
-    for k in WALK_LENGTHS:
-        for i, row in enumerate(tables[k]):
-            if row | (1 << i) != 63:
-                return False, False
-            if not row >> i & 1:
-                closed_ok = False
-        if not pairs_ok:
-            break
-    return pairs_ok, closed_ok
-
-
-@lru_cache(maxsize=1)
-def _perms6() -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(6)))
-
-
-def _full_canonical(code: int) -> int:
-    """Minimum relabeled code over all 720 permutations."""
-    has = [[False] * 6 for _ in range(6)]
-    for idx, (i, j) in enumerate(_PAIRS6):
-        if code >> idx & 1:
-            has[i][j] = True
-        else:
-            has[j][i] = True
-    best = None
-    for perm in _perms6():
-        c = 0
-        for idx, (i, j) in enumerate(_PAIRS6):
-            if has[perm[i]][perm[j]]:
-                c |= 1 << idx
-        if best is None or c < best:
-            best = c
-    return best
+    return _walk_gap(t.out_masks(), include_closed)
 
 
 @dataclass
@@ -219,21 +164,20 @@ class CensusResult:
 def uniqueness_census() -> CensusResult:
     """Scan all 32768 order-6 codes for the three-length walk property.
 
-    Survivors are grouped into isomorphism classes by brute-force
-    relabeling; the open question of whether closed walks belong in the
-    property is settled empirically by running both readings.
+    Survivors are grouped into isomorphism classes by canonical code; the
+    open question of whether closed walks belong in the property is settled
+    empirically by running both readings, the closed one on the survivors
+    of the open one.  Rows are built uncached, keeping the scan's 32768
+    codes out of the tournament mask cache.
     """
-    survivors: list[int] = []
-    closed_survivors: list[int] = []
-    for code in range(1 << 15):
-        pairs_ok, closed_ok = _code_has_walk_property(code)
-        if pairs_ok:
-            survivors.append(code)
-            if closed_ok:
-                closed_survivors.append(code)
-    classes = sorted({_full_canonical(code) for code in survivors})
-    closed_classes = sorted({_full_canonical(code) for code in closed_survivors})
-    reference = _full_canonical(tournament_T().code)
+    survivors = [code for code in range(1 << 15)
+                 if _walk_gap(mask_rows(6, code)) is None]
+    closed_survivors = [code for code in survivors
+                        if _walk_gap(mask_rows(6, code), True) is None]
+    canon = {code: canonical_code(6, code) for code in survivors}
+    classes = sorted(set(canon.values()))
+    closed_classes = sorted({canon[code] for code in closed_survivors})
+    reference = canonical_code(6, tournament_T().code)
     witness = Tournament(6, classes[0]) if classes else None
     return CensusResult(
         labeled_count=len(survivors),
@@ -408,11 +352,7 @@ def oriented_coloring_le3(d: Digraph, e: EarDecomposition) -> VertexMapping:
     """
     if not is_asymmetrical(d):
         raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
-    report = validate_decomposition(d, e)
-    if not report.ok:
-        raise InvalidInputError(f"invalid decomposition: {report.violations[0]}")
-    if e.ears and e.min_ear_length < 3:
-        raise InvalidInputError("oriented coloring needs every ear length >= 3")
+    require_decomposition(d, e, 3, "oriented coloring")
     cycle = e.base.vertices[:-1]
     base_map = cycle_homomorphism(len(cycle))
     t = tournament_T()
@@ -582,12 +522,11 @@ def find_tight_le3_instance(attempts: int = 2000) -> TightInstance:
         host, decomp = _triangle_plus_ears(pairs)
         used += 1
         report = oriented_chromatic_oracle(host, k_max=5)
-        has_clique = _max_conflict_clique(host, 6) is not None
         if report.value is None:
             mapping = oriented_coloring_le3(host, decomp)
             return TightInstance(host, decomp, mapping, report,
                                  attempts_used=used)
-        if has_clique:
+        if _max_conflict_clique(host, 6) is not None:
             raise VerificationError(
                 "conflict clique of size 6 contradicts an order-5 homomorphism")
     raise PropertyFailedError(

@@ -98,8 +98,9 @@ class Tournament:
         return f"Tournament(k={self.k}, code={self.code_string()!r})"
 
 
-@lru_cache(maxsize=200_000)
-def _out_masks(k: int, code: int) -> tuple[int, ...]:
+def mask_rows(k: int, code: int) -> tuple[int, ...]:
+    """Out-neighborhood bitmask of every vertex; uncached, for scans over
+    many codes such as the order-6 census."""
     masks = [0] * k
     for idx, (i, j) in enumerate(_pairs(k)):
         if code >> idx & 1:
@@ -109,6 +110,11 @@ def _out_masks(k: int, code: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=200_000)
+def _out_masks(k: int, code: int) -> tuple[int, ...]:
+    return mask_rows(k, code)
+
+
 def canonical_code(k: int, code: int) -> int:
     """Canonical form: minimum code over score-sorted relabelings.
 
@@ -116,7 +122,7 @@ def canonical_code(k: int, code: int) -> int:
     (scores are invariant) and prunes the k! search hard in practice.
     """
     t = Tournament(k, code)
-    degs = t.out_degrees()
+    degs = [m.bit_count() for m in mask_rows(k, code)]
     order = sorted(range(k), key=lambda v: (degs[v], v))
     blocks: list[list[int]] = []
     for v in order:

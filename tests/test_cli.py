@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from earlab.cli import main, worker_cap
+from earlab.cli import main
 
 
 def run(capsys, *argv):
@@ -199,15 +199,6 @@ def test_cap_exceeded_exit_code(capsys, tmp_path):
     assert doc["status"] == "cap_exceeded"
 
 
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.setenv("EARLAB_THREADS", "4")
-    assert worker_cap() == 4
-    monkeypatch.setenv("EARLAB_THREADS", "zebra")
-    assert worker_cap() == 1
-    monkeypatch.delenv("EARLAB_THREADS")
-    assert worker_cap() == 1
-
-
 def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
     # an LE_2 instance by construction, so a False at level 2 would be wrong
     code, doc = run(capsys, "gen", "--le", "--base", "4", "--ears", "8",
@@ -224,3 +215,35 @@ def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
     levels = list(doc["payload"]["levels"].values())
     assert "unknown" in levels
     assert False not in levels[levels.index("unknown"):]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_classify_rejects_budget_below_one(capsys, k3_sym_file, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", k3_sym_file, "--budget", budget])
+    assert exc.value.code == 2
+    assert "--budget: must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_huge_vertex_id_hits_the_cap(capsys, tmp_path):
+    # two arcs naming id 10**8 would otherwise allocate 10**8 vertices
+    path = tmp_path / "huge.txt"
+    path.write_text("0 100000000\n100000000 0\n")
+    code, doc = run(capsys, "decompose", str(path))
+    assert code == 3
+    assert doc["status"] == "cap_exceeded"
+    assert "1000000" in doc["error"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "arcs": None},
+    {"arcs": [["a", "b"], ["b", "a"]]},
+    {"arcs": [[0, 1], [1, 0]], "labels": ["x", "y"]},
+    {"arcs": [[0, 1.5], [1, 0]]},
+], ids=["arcs-null", "string-ids", "list-labels", "non-integer-id"])
+def test_malformed_json_digraph_is_invalid_input(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert out["status"] == "invalid_input"

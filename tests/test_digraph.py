@@ -3,19 +3,21 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from earlab import digraph
+from earlab.cli import load_digraph
 from earlab.digraph import (Digraph, digraph_from_json, is_asymmetrical,
                             is_kernel, is_nonseparable, is_quasi_kernel,
                             is_strong, neighborhoods, parse_digraph,
                             serialize_digraph, serialize_edge_list,
                             set_predicates)
-from earlab.errors import InvalidInputError, ParseError
+from earlab.errors import CapExceededError, InvalidInputError, ParseError
 
 
 def test_cycle_and_dense_constructors():
     c = Digraph.cycle(4)
     assert c.n == 4
     assert c.has_arc(3, 0) and not c.has_arc(0, 3)
-    d = Digraph.dense(3, [(0, 1)])
+    d = Digraph(range(3), [(0, 1)])
     assert d.vertices == frozenset({0, 1, 2})
 
 
@@ -61,13 +63,28 @@ def test_parse_errors_carry_line_numbers():
 
 def test_parse_duplicate_modes():
     assert parse_digraph("0 1\n0 1\n1 0\n").arcs == frozenset({(0, 1), (1, 0)})
-    with pytest.raises(ParseError):
-        parse_digraph("0 1\n0 1\n", on_duplicate="error")
 
 
-def test_parse_accepts_json_document():
+def test_parse_accepts_json_document(tmp_path):
+    # JSON text has one path, load_digraph; parse_digraph reads edge lists
     doc = json.dumps({"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]})
-    assert parse_digraph(doc) == Digraph.cycle(3)
+    path = tmp_path / "c3.json"
+    path.write_text(doc)
+    assert load_digraph(str(path)) == Digraph.cycle(3)
+    with pytest.raises(ParseError):
+        parse_digraph(doc)
+
+
+def test_vertex_cap_is_checked_before_allocation(monkeypatch):
+    monkeypatch.setattr(digraph, "MAX_VERTICES", 10)
+    assert parse_digraph("0 9\n9 0\n").n == 10
+    assert digraph_from_json({"n": 10, "arcs": []}).n == 10
+    for build in (lambda: parse_digraph("0 10\n10 0\n"),
+                  lambda: digraph_from_json({"n": 11, "arcs": []}),
+                  lambda: digraph_from_json({"n": 2, "arcs": [[0, 10]]}),
+                  lambda: digraph_from_json({"arcs": [[10, 0], [0, 10]]})):
+        with pytest.raises(CapExceededError):
+            build()
 
 
 def test_json_roundtrip_preserves_labels():

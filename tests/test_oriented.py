@@ -12,7 +12,8 @@ from earlab.oriented import (REFERENCE_WALKS, build_G, cycle_homomorphism,
                              oriented_coloring_le3, tournament_T,
                              uniqueness_census, validate_reference_walks,
                              verify_walk_property, walk_catalog)
-from earlab.tournaments import Tournament, automorphism_count
+from earlab import tournaments
+from earlab.tournaments import Tournament, automorphism_count, canonical_code
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,15 @@ def test_census_finds_a_single_class(census):
     assert census.witness_isomorphic_to_reference
     assert census.closed_reading_agrees
     assert census.closed_labeled_count == 240
+    witness = Tournament.from_code_string(census.witness)
+    assert witness.code == canonical_code(6, tournament_T().code)
+
+
+def test_census_bypasses_the_mask_cache():
+    # the census scans all 32768 codes; cached, they cost about 9 MB of RSS
+    before = tournaments._out_masks.cache_info().currsize
+    uniqueness_census()
+    assert tournaments._out_masks.cache_info().currsize == before
 
 
 def test_census_count_matches_orbit_size(census):

@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from earlab import oracles
+from earlab import digraph, oracles
 from earlab.cli import _build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -25,6 +25,9 @@ def test_readme_oracle_caps_match_constants():
         found = re.search(pattern, text)
         assert found, f"README states no cap for {name}"
         assert int(found.group(1)) == getattr(oracles, name), name
+    found = re.search(r"capped at (\d+) vertices", text)
+    assert found, "README states no cap for MAX_VERTICES"
+    assert int(found.group(1)) == digraph.MAX_VERTICES
 
 
 def test_readme_cli_lines_parse():
