@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def with_budget(p):
         p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                       help="node budget of the exact LE_i search (>= 1)")
+                       help="remainders the exact LE_i search may try (>= 1)")
         return p
 
     def with_decomposition(p):

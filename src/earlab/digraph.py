@@ -131,9 +131,10 @@ def parse_digraph(text: str) -> Digraph:
     """Parse an edge-list document.
 
     Lines are "u v"; "#" starts a comment; blank lines are ignored and
-    repeated arcs are merged.  Identifiers need not be numeric; non-numeric
-    ones are assigned dense ids in order of first appearance and kept in
-    the label table.
+    repeated arcs are merged.  A document whose tokens are all numerals
+    (ASCII digits, no leading zero) keeps them as ids; otherwise every
+    token is a label, assigned a dense id in order of first appearance and
+    kept in the label table.
     """
     ids: dict[str, int] = {}
     arcs: list[Arc] = []
@@ -151,7 +152,8 @@ def parse_digraph(text: str) -> Digraph:
             if tok not in ids:
                 ids[tok] = len(ids)
             tokens.append(ids[tok])
-            numeric = numeric and tok.isdigit()
+            numeric = numeric and (tok.isascii() and tok.isdigit()
+                                   and (tok == "0" or tok[0] != "0"))
         u, v = tokens
         if u == v:
             raise ParseError(f"loop arc on {parts[0]!r}", line=lineno)
@@ -160,10 +162,16 @@ def parse_digraph(text: str) -> Digraph:
         seen.add((u, v))
         arcs.append((u, v))
     if numeric:
-        # numeric documents keep their own ids; gaps below the max are allowed
-        remap = {ids[t]: int(t) for t in ids}
-        n = max((int(t) for t in ids), default=-1) + 1
+        # numeric documents keep their own ids; gaps below the max are
+        # allowed.  Numerals order by value as (length, text), so the largest
+        # is checked against the cap before int() reads any of them.
+        top = max(ids, key=lambda t: (len(t), t), default="")
+        if len(top) > len(str(MAX_VERTICES)):
+            raise CapExceededError(f"a {len(top)}-digit vertex id exceeds "
+                                   f"the cap of {MAX_VERTICES} vertices")
+        n = int(top) + 1 if top else 0
         _check_vertex_count(n)
+        remap = {ids[t]: int(t) for t in ids}
         return Digraph(range(n), [(remap[u], remap[v]) for u, v in arcs])
     labels = {i: tok for tok, i in ids.items()}
     return Digraph(range(len(ids)), arcs, labels=labels)

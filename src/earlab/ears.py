@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .digraph import Arc, Digraph, is_strong
-from .errors import (BudgetExceededError, InvalidInputError,
+from .digraph import Arc, Digraph, is_nonseparable, is_strong
+from .errors import (BudgetExceededError, InvalidInputError, ParseError,
                      PropertyFailedError, VerificationError)
 
 
@@ -62,6 +62,13 @@ class Ear:
         return tuple(zip(self.vertices, self.vertices[1:]))
 
 
+def _ids(value, what: str) -> tuple[int, ...]:
+    if not (isinstance(value, (list, tuple))
+            and all(type(v) is int for v in value)):
+        raise ParseError(f"bad {what} {value!r}: need a list of integer ids")
+    return tuple(value)
+
+
 class EarDecomposition:
     """Base cycle plus ordered ears over a host digraph."""
 
@@ -104,14 +111,16 @@ class EarDecomposition:
     def from_json(cls, doc: dict, host: Digraph) -> "EarDecomposition":
         if not isinstance(doc, dict) or "base" not in doc:
             raise InvalidInputError("decomposition JSON needs a 'base' field")
-        base_list = [int(v) for v in doc["base"]]
+        base_list = _ids(doc["base"], "'base'")
         if len(base_list) >= 2 and base_list[0] == base_list[-1]:
             base_list = base_list[:-1]  # accept the closed form too
         if len(base_list) < 2:
             raise InvalidInputError("base cycle needs at least 2 vertices")
-        base = Ear(tuple(base_list) + (base_list[0],))
-        ears = [Ear(tuple(int(v) for v in e)) for e in doc.get("ears", [])]
-        return cls(host, base, ears)
+        base = Ear(base_list + (base_list[0],))
+        ears = doc.get("ears", [])
+        if not isinstance(ears, (list, tuple)):
+            raise ParseError("'ears' must be a list of vertex lists")
+        return cls(host, base, [Ear(_ids(e, "ear")) for e in ears])
 
     def __repr__(self) -> str:
         return (f"EarDecomposition(base={list(self.base.vertices)}, "
@@ -267,66 +276,57 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
     return _self_checked(d, EarDecomposition(d, base, ears))
 
 
-def _all_cycles(d: Digraph, budget_box: list[int]) -> list[tuple[int, ...]]:
-    """All directed simple cycles, anchored at their smallest vertex."""
-    cycles: list[tuple[int, ...]] = []
-    for v0 in sorted(d.vertices):
-        stack: list[tuple[tuple[int, ...], set[int]]] = [((v0,), {v0})]
-        while stack:
-            path, used = stack.pop()
-            _spend(budget_box)
-            last = path[-1]
-            for w in sorted(d.out_neighbors(last), reverse=True):
-                if w == v0 and len(path) >= 2:
-                    cycles.append(path + (v0,))
-                elif w > v0 and w not in used:
-                    stack.append((path + (w,), used | {w}))
-    cycles.sort(key=lambda c: (len(c), c))
-    return cycles
-
-
 def _spend(budget_box: list[int]) -> None:
     budget_box[0] -= 1
     if budget_box[0] < 0:
         raise BudgetExceededError("search budget exhausted")
 
 
-def _stage_ears(d: Digraph, stage_v: frozenset[int], covered_a: frozenset[Arc],
-                min_len: int, allow_cycle_ears: bool,
-                budget_box: list[int]) -> list[Ear]:
-    """All ears attachable to the stage, longest first."""
+def _threads(d: Digraph, min_len: int, allow_cycle_ears: bool) -> list[Ear]:
+    """The threads of d that may be its last ear, longest first.
+
+    A thread is a maximal path whose inner vertices have in- and out-degree
+    1.  In a strong digraph other than a cycle every arc lies on exactly
+    one, and the last ear of any decomposition is one of them.
+    """
+    def plain(v: int) -> bool:
+        return len(d.in_neighbors(v)) == 1 == len(d.out_neighbors(v))
+
     found: list[Ear] = []
-    for u in sorted(stage_v):
-        if min_len <= 1:
-            for w in sorted(d.out_neighbors(u)):
-                if w in stage_v and w != u and (u, w) not in covered_a:
-                    found.append(Ear((u, w)))
-        stack: list[tuple[int, ...]] = [(u,)]
-        while stack:
-            path = stack.pop()
-            _spend(budget_box)
-            last = path[-1]
-            for w in sorted(d.out_neighbors(last), reverse=True):
-                if w in stage_v:
-                    if len(path) < 2:
-                        continue  # handled by the length-1 scan
-                    if w == u and not allow_cycle_ears:
-                        continue
-                    if len(path) >= min_len:
-                        found.append(Ear(path + (w,)))
-                elif w not in path:
-                    stack.append(path + (w,))
-    found.sort(key=lambda e: (-e.length, e.x0, e.xr, e.vertices))
+    for u in d.vertices:
+        if plain(u):
+            continue
+        for w in d.out_neighbors(u):
+            path = [u, w]
+            while plain(w):
+                (w,) = d.out_neighbors(w)
+                path.append(w)
+            if len(path) > min_len and (allow_cycle_ears or w != u):
+                found.append(Ear(tuple(path)))
+    found.sort(key=lambda e: (-e.length, e.vertices))
     return found
+
+
+def _may_be_stage(d: Digraph, min_len: int, allow_cycle_ears: bool) -> bool:
+    """Necessary for d to be a stage: room for its m - n ears of length >=
+    min_len beside a base of >= 2 arcs, strong, and nonseparable when every
+    ear is a path."""
+    m = len(d.arcs)
+    return (m - 2 >= min_len * (m - d.n) and is_strong(d)
+            and (allow_cycle_ears or is_nonseparable(d)))
 
 
 def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
                           allow_cycle_ears: bool = True) -> EarDecomposition | None:
     """Exact search for a decomposition with every ear of length >= i.
 
-    Backtracks over base-cycle choice and ear order, longest ear first.
-    Returns None only when the whole space was exhausted (provably not in
-    LE_i under the chosen ear convention); a BudgetExceededError means the
+    D is in LE_i iff it is one directed cycle, or peeling some thread of
+    length >= i (open, in path-ears mode) leaves a digraph in LE_i: the
+    peeled thread is the last ear.  The search peels threads depth first,
+    longest first, and skips remainders that cannot be a stage or are
+    known dead; each remainder tried costs one unit of budget.  Returns
+    None only when the whole space was exhausted (provably not in LE_i
+    under the chosen ear convention); a BudgetExceededError means the
     verdict is unknown.
     """
     if i < 1:
@@ -335,31 +335,36 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
         raise PropertyFailedError("digraph is not strong")
     if d.n < 2:
         raise PropertyFailedError("no cycle exists: single vertex")
-    box = [budget]
-    target_v, target_a = d.vertices, d.arcs
-    dead: set[tuple[frozenset[int], frozenset[Arc]]] = set()
-
-    def attempt(verts: frozenset[int], arcs: frozenset[Arc],
-                chosen: tuple[Ear, ...]) -> tuple[Ear, ...] | None:
-        if verts == target_v and arcs == target_a:
-            return chosen
-        key = (verts, arcs)
-        if key in dead:
-            return None
-        _spend(box)
-        for ear in _stage_ears(d, verts, arcs, i, allow_cycle_ears, box):
-            res = attempt(verts | set(ear.vertices), arcs | set(ear.arcs),
-                          chosen + (ear,))
-            if res is not None:
-                return res
-        dead.add(key)
+    if not _may_be_stage(d, i, allow_cycle_ears):
         return None
-
-    for cyc in _all_cycles(d, box):
-        base = Ear(cyc)
-        res = attempt(frozenset(base.vertices), frozenset(base.arcs), ())
-        if res is not None:
-            return _self_checked(d, EarDecomposition(d, base, res), i)
+    box = [budget]
+    bit = {a: 1 << k for k, a in enumerate(d.arcs)}
+    dead: set[int] = set()  # arc masks of remainders not in LE_i
+    # one frame per peeled thread: remainder, its arc mask, the thread
+    # peeled to reach it, and the remainder's threads not yet tried
+    frames = [(d, (1 << len(bit)) - 1, None,
+               iter(_threads(d, i, allow_cycle_ears)))]
+    while frames:
+        rest, mask, _, todo = frames[-1]
+        if len(rest.arcs) == rest.n:  # one directed cycle: the base
+            base = Ear(_shortest_cycle_through(rest, min(rest.vertices)))
+            ears = [frame[2] for frame in reversed(frames[1:])]
+            return _self_checked(d, EarDecomposition(d, base, ears), i)
+        for ear in todo:
+            _spend(box)
+            sub_mask = mask - sum(bit[a] for a in ear.arcs)
+            if sub_mask in dead:
+                continue
+            sub = Digraph(rest.vertices.difference(ear.internal),
+                          rest.arcs.difference(ear.arcs))
+            if _may_be_stage(sub, i, allow_cycle_ears):
+                frames.append((sub, sub_mask, ear,
+                               iter(_threads(sub, i, allow_cycle_ears))))
+                break
+            dead.add(sub_mask)
+        else:
+            dead.add(mask)
+            frames.pop()
     return None
 
 
@@ -399,8 +404,12 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
             x0, xr = rng.choice(sorted(pairs))
             ear = Ear((x0, xr))
         else:
-            x0 = rng.choice(vertices)
-            xr = x0 if as_cycle else rng.choice([v for v in vertices if v != x0])
+            # the same draws as choice(vertices), then choice of the others
+            k = rng.randrange(len(vertices))
+            x0 = xr = vertices[k]
+            if not as_cycle:
+                j = rng.randrange(len(vertices) - 1)
+                xr = vertices[j + (j >= k)]
             interior = tuple(range(next_id, next_id + length - 1))
             next_id += length - 1
             ear = Ear((x0,) + interior + (xr,))

@@ -211,7 +211,7 @@ def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
     assert doc["payload"]["levels"] == {"1": "unknown", "2": "unknown",
                                         "3": "unknown"}
     assert doc["payload"]["max_certified"] is None
-    code, doc = run(capsys, "classify", str(path), "--budget", "1000")
+    code, doc = run(capsys, "classify", str(path), "--budget", "20")
     levels = list(doc["payload"]["levels"].values())
     assert "unknown" in levels
     assert False not in levels[levels.index("unknown"):]
@@ -235,6 +235,15 @@ def test_huge_vertex_id_hits_the_cap(capsys, tmp_path):
     assert "1000000" in doc["error"]
 
 
+def test_many_digit_vertex_id_hits_the_cap(capsys, tmp_path):
+    # int() refuses a 5,000-digit string, so the cap is checked before it
+    path = tmp_path / "long.txt"
+    path.write_text(f"0 {'9' * 5000}\n{'9' * 5000} 0\n")
+    code, doc = run(capsys, "decompose", str(path))
+    assert code == 3
+    assert doc["status"] == "cap_exceeded"
+
+
 @pytest.mark.parametrize("doc", [
     {"n": 2, "arcs": None},
     {"arcs": [["a", "b"], ["b", "a"]]},
@@ -245,5 +254,22 @@ def test_malformed_json_digraph_is_invalid_input(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert out["status"] == "invalid_input"
+
+
+@pytest.mark.parametrize("dec", [
+    {"base": 5},
+    {"base": [0, 1, 2, 3, 4], "ears": 3},
+    {"base": [0, 1, 2, 3, 4], "ears": [5]},
+    {"base": [0, 1.9, 2, 3, 4]},
+    {"base": [0, "1", 2, 3, 4]},
+], ids=["base-not-list", "ears-not-list", "ear-not-list", "float-id",
+        "string-id"])
+def test_malformed_decomposition_json_is_invalid_input(capsys, c5_file,
+                                                       tmp_path, dec):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(dec))
+    code, out = run(capsys, "seymour", c5_file, "--decomposition", str(path))
     assert code == 2
     assert out["status"] == "invalid_input"

@@ -54,6 +54,16 @@ def test_parse_labels_non_numeric_ids():
     assert d.arcs == frozenset({(0, 1), (1, 0)})
 
 
+@pytest.mark.parametrize("text, labels", [
+    ("0 \u00b2\n\u00b2 0\n", {0: "0", 1: "\u00b2"}),
+    ("1 01\n01 1\n", {0: "1", 1: "01"}),
+], ids=["superscript-digit", "leading-zero"])
+def test_parse_non_numerals_are_labels(text, labels):
+    d = parse_digraph(text)
+    assert d.labels == labels
+    assert d.arcs == frozenset({(0, 1), (1, 0)})
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 2"):
         parse_digraph("0 1\n1 2 3\n")
@@ -82,7 +92,8 @@ def test_vertex_cap_is_checked_before_allocation(monkeypatch):
     for build in (lambda: parse_digraph("0 10\n10 0\n"),
                   lambda: digraph_from_json({"n": 11, "arcs": []}),
                   lambda: digraph_from_json({"n": 2, "arcs": [[0, 10]]}),
-                  lambda: digraph_from_json({"arcs": [[10, 0], [0, 10]]})):
+                  lambda: digraph_from_json({"arcs": [[10, 0], [0, 10]]}),
+                  lambda: parse_digraph("0 100\n100 0\n")):
         with pytest.raises(CapExceededError):
             build()
 

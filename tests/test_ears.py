@@ -1,8 +1,12 @@
+import inspect
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from earlab.digraph import Digraph, is_asymmetrical, is_strong
-from earlab.ears import (Ear, EarDecomposition, find_ear_decomposition,
+from earlab.ears import (Ear, EarDecomposition, _spend, find_ear_decomposition,
                          find_le_decomposition, generate_random_le,
                          validate_decomposition)
 from earlab.errors import (BudgetExceededError, InvalidInputError,
@@ -131,6 +135,28 @@ def test_generator_is_deterministic():
                            max_ear_length=4, seed=11)
     assert a[0] == b[0]
     assert a[1].to_json() == b[1].to_json()
+    for seed in range(10):
+        _, e = generate_random_le(base_length=3, ear_count=12, min_ear_length=2,
+                                  max_ear_length=5, cycle_ear_probability=0.3,
+                                  seed=seed)
+        assert e.to_json()["ears"] == list_drawn_ears(3, 12, 2, 5, 0.3, seed)
+
+
+def list_drawn_ears(base_length, ear_count, lo, hi, cycle_p, seed):
+    """The ears generate_random_le must draw (lengths >= 2): each end by
+    random.choice from a list of its candidates."""
+    rng = random.Random(seed)
+    vertices = list(range(base_length))
+    ears = []
+    for _ in range(ear_count):
+        length = rng.randint(lo, hi)
+        as_cycle = length >= 3 and rng.random() < cycle_p
+        x0 = rng.choice(vertices)
+        xr = x0 if as_cycle else rng.choice([v for v in vertices if v != x0])
+        interior = list(range(len(vertices), len(vertices) + length - 1))
+        ears.append([x0, *interior, xr])
+        vertices.extend(interior)
+    return ears
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,3 +192,165 @@ def test_generator_cycle_ears():
                               seed=3)
     assert all(ear.is_cycle for ear in e.ears)
     assert validate_decomposition(d, e).ok
+
+
+# --- reference: a forward LE_i search -----------------------------------------
+#
+# It enumerates every simple cycle as a base, then grows forward over every
+# attachable path, recursing once per ear.  It shares nothing with the
+# thread-peeling search but the budget counter, so the two are compared
+# verdict for verdict below.
+
+def _all_cycles(d, budget_box):
+    """All directed simple cycles, anchored at their smallest vertex."""
+    cycles = []
+    for v0 in sorted(d.vertices):
+        stack = [((v0,), {v0})]
+        while stack:
+            path, used = stack.pop()
+            _spend(budget_box)
+            last = path[-1]
+            for w in sorted(d.out_neighbors(last), reverse=True):
+                if w == v0 and len(path) >= 2:
+                    cycles.append(path + (v0,))
+                elif w > v0 and w not in used:
+                    stack.append((path + (w,), used | {w}))
+    cycles.sort(key=lambda c: (len(c), c))
+    return cycles
+
+
+def _stage_ears(d, stage_v, covered_a, min_len, allow_cycle_ears, budget_box):
+    """All ears attachable to the stage, longest first."""
+    found = []
+    for u in sorted(stage_v):
+        if min_len <= 1:
+            for w in sorted(d.out_neighbors(u)):
+                if w in stage_v and w != u and (u, w) not in covered_a:
+                    found.append(Ear((u, w)))
+        stack = [(u,)]
+        while stack:
+            path = stack.pop()
+            _spend(budget_box)
+            last = path[-1]
+            for w in sorted(d.out_neighbors(last), reverse=True):
+                if w in stage_v:
+                    if len(path) < 2:
+                        continue  # handled by the length-1 scan
+                    if w == u and not allow_cycle_ears:
+                        continue
+                    if len(path) >= min_len:
+                        found.append(Ear(path + (w,)))
+                elif w not in path:
+                    stack.append(path + (w,))
+    found.sort(key=lambda e: (-e.length, e.x0, e.xr, e.vertices))
+    return found
+
+
+def forward_le_search(d, i, budget=200_000, allow_cycle_ears=True):
+    """True/False verdict of the forward search; BudgetExceededError if
+    it stops on its budget."""
+    box = [budget]
+    dead = set()
+
+    def attempt(verts, arcs):
+        if verts == d.vertices and arcs == d.arcs:
+            return True
+        if (verts, arcs) in dead:
+            return False
+        _spend(box)
+        for ear in _stage_ears(d, verts, arcs, i, allow_cycle_ears, box):
+            if attempt(verts | set(ear.vertices), arcs | set(ear.arcs)):
+                return True
+        dead.add((verts, arcs))
+        return False
+
+    return any(attempt(frozenset(c), frozenset(zip(c, c[1:])))
+               for c in _all_cycles(d, box))
+
+
+def strong_digraphs(n):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for mask in range(1 << len(pairs)):
+        d = Digraph(range(n), [p for k, p in enumerate(pairs) if mask >> k & 1])
+        if is_strong(d):
+            yield d
+
+
+def assert_same_verdict(d, i, allow_cycle_ears, reference_budget=200_000):
+    try:
+        expected = forward_le_search(d, i, reference_budget, allow_cycle_ears)
+    except BudgetExceededError:
+        return None
+    found = find_le_decomposition(d, i, allow_cycle_ears=allow_cycle_ears)
+    assert (found is not None) == expected, (sorted(d.arcs), i, allow_cycle_ears)
+    if found is not None:
+        assert validate_decomposition(d, found, not allow_cycle_ears).ok
+        assert found.certifies(i)
+    return expected
+
+
+def test_all_strong_digraphs_up_to_four_vertices_match_reference():
+    digraphs = [d for n in (2, 3, 4) for d in strong_digraphs(n)]
+    assert len(digraphs) == 1 + 18 + 1606
+    verdicts = {(i, cyc): [assert_same_verdict(d, i, cyc) for d in digraphs]
+                for i in (1, 2, 3) for cyc in (True, False)}
+    assert all(v is not None for vs in verdicts.values() for v in vs)
+    # every strong digraph is in LE_1, and the three levels are all reached
+    assert all(verdicts[1, True])
+    assert any(verdicts[3, True]) and not all(verdicts[2, True])
+
+
+def test_random_small_strong_digraphs_match_reference():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 40:
+        n = rng.choice((5, 6))
+        p = rng.uniform(0.2, 0.5)
+        d = Digraph(range(n), [(u, v) for u in range(n) for v in range(n)
+                               if u != v and rng.random() < p])
+        if not is_strong(d):
+            continue
+        checked += 1
+        for i, cyc in ((1, True), (2, True), (3, True), (2, False)):
+            assert_same_verdict(d, i, cyc, reference_budget=20_000)
+
+
+@pytest.mark.parametrize("ears", [6, 8, 10])
+def test_generated_le_instances_match_reference(ears):
+    decided = 0
+    for seed in range(2):
+        d, _ = generate_random_le(base_length=4, ear_count=ears,
+                                  min_ear_length=2, max_ear_length=4,
+                                  seed=seed)
+        for i, cyc in ((1, True), (2, True), (3, True), (2, False)):
+            decided += assert_same_verdict(d, i, cyc,
+                                           reference_budget=50_000) is not None
+    assert decided >= 6  # the reference stops on its budget only at i = 3
+
+
+@pytest.mark.parametrize("ears", [6, 8, 10, 12, 14, 16])
+def test_ladder_is_decided_within_default_budget(ears):
+    for seed in range(10):
+        d, _ = generate_random_le(base_length=4, ear_count=ears,
+                                  min_ear_length=2, max_ear_length=4,
+                                  seed=seed)
+        for i, cyc in ((1, True), (2, True), (3, True), (2, False)):
+            found = find_le_decomposition(d, i, allow_cycle_ears=cyc)
+            if i <= 2 and cyc:
+                assert found is not None  # LE_2 by construction
+            if found is not None:
+                assert validate_decomposition(d, found, not cyc).ok
+                assert found.certifies(i)
+
+
+def test_search_depth_is_not_python_recursion_depth():
+    # 150 ears fit under this limit only if peeling a thread adds no frame
+    d, _ = generate_random_le(base_length=3, ear_count=150, min_ear_length=2,
+                              max_ear_length=2, seed=1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        found = find_le_decomposition(d, i=2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found is not None and len(found.ears) == 150
