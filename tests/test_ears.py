@@ -311,8 +311,20 @@ def test_random_small_strong_digraphs_match_reference():
         if not is_strong(d):
             continue
         checked += 1
-        for i, cyc in ((1, True), (2, True), (3, True), (2, False)):
+        for i, cyc in ((1, True), (2, True), (3, True), (1, False), (2, False)):
             assert_same_verdict(d, i, cyc, reference_budget=20_000)
+
+
+def test_path_ears_search_skips_separable_remainders():
+    # Decided in under 100 units; without the nonseparable prune on
+    # remainders the path-ears search does not finish in 200,000.
+    d = Digraph(range(7), [
+        (0, 3), (0, 6), (1, 0), (1, 2), (1, 4), (2, 3), (2, 6), (3, 1),
+        (3, 4), (3, 6), (4, 2), (4, 3), (4, 5), (4, 6), (5, 1), (5, 3),
+        (5, 4), (5, 6), (6, 0), (6, 1), (6, 2), (6, 3), (6, 4)])
+    found = find_le_decomposition(d, 1, budget=1_000, allow_cycle_ears=False)
+    assert found is not None
+    assert validate_decomposition(d, found, True).ok
 
 
 @pytest.mark.parametrize("ears", [6, 8, 10])
