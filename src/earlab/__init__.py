@@ -29,9 +29,8 @@ from .errors import (BudgetExceededError, CapExceededError, EarlabError,
                      InvalidInputError, ParseError, PropertyFailedError,
                      VerificationError)
 from .kernels import (KernelObstruction, KernelTrace, StageEntry,
-                      extend_case, extend_kernel, extend_obstruction,
-                      restrict_condition, restrict_kernel,
-                      restrict_obstruction, trace_kernels)
+                      extend_case, extend_kernel, restrict_condition,
+                      restrict_kernel, trace_kernels)
 from .oracles import (OracleReport, chromatic_oracles, kernel_oracle,
                       longest_path_oracle, oriented_chromatic_oracle,
                       quasi_kernel_oracle)
@@ -57,7 +56,7 @@ __all__ = [
     "automorphism_count", "build_G", "chromatic_oracles",
     "cycle_homomorphism", "cycle_quasi_kernel_indices",
     "dichromatic_bounds", "digraph_from_json", "extend_case",
-    "extend_homomorphism", "extend_kernel", "extend_obstruction",
+    "extend_homomorphism", "extend_kernel",
     "find_ear_decomposition", "find_homomorphism",
     "find_le_decomposition", "find_quasi_kernel_obstruction",
     "find_tight_le3_instance", "generate_random_le",
@@ -67,7 +66,7 @@ __all__ = [
     "longest_path_oracle", "longest_path_transversal", "neighborhoods",
     "oriented_chromatic_oracle", "oriented_coloring_le3", "parse_digraph",
     "proper_3_coloring", "quasi_kernel_ear_indices", "quasi_kernel_oracle",
-    "restrict_condition", "restrict_kernel", "restrict_obstruction",
+    "restrict_condition", "restrict_kernel",
     "serialize_digraph", "serialize_edge_list", "set_predicates",
     "seymour_vertex", "small_quasi_kernel", "tournament_T",
     "tournament_reps", "trace_kernels", "uniqueness_census",

@@ -17,7 +17,9 @@ from .coloring import dichromatic_bounds
 from .constructions import (CertifiedSet, longest_path_transversal,
                             small_quasi_kernel, seymour_vertex)
 from .digraph import Digraph, digraph_from_json, is_strong, parse_digraph, serialize_digraph
-from .ears import EarDecomposition, find_ear_decomposition, find_le_decomposition, generate_random_le
+from .ears import (EarDecomposition, find_ear_decomposition,
+                   find_le_decomposition, generate_random_le,
+                   require_decomposition)
 from .errors import (BudgetExceededError, EarlabError, InvalidInputError,
                      PropertyFailedError)
 from .kernels import extend_kernel, restrict_kernel, trace_kernels
@@ -52,9 +54,16 @@ def _read_text(source: str) -> str:
         raise InvalidInputError(f"cannot read {source}: {exc.strerror}") from exc
 
 
-def _unwrap(doc):
+def _decode(text: str, key: str):
+    """Parse JSON, then unwrap an envelope's payload and the field key."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"bad JSON: {exc}") from exc
     if isinstance(doc, dict) and "payload" in doc:
         doc = doc["payload"]
+    if isinstance(doc, dict) and key in doc:
+        doc = doc[key]
     return doc
 
 
@@ -63,58 +72,43 @@ def load_digraph(source: str) -> Digraph:
     if not text:
         raise InvalidInputError("empty input")
     if text.startswith("{"):
-        try:
-            doc = _unwrap(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"bad JSON: {exc}") from exc
-        if isinstance(doc, dict) and "digraph" in doc:
-            doc = doc["digraph"]
-        return digraph_from_json(doc)
+        return digraph_from_json(_decode(text, "digraph"))
     return parse_digraph(text)
 
 
 def load_decomposition(source: str, host: Digraph) -> EarDecomposition:
-    try:
-        doc = _unwrap(json.loads(_read_text(source)))
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"bad JSON: {exc}") from exc
-    if isinstance(doc, dict) and "decomposition" in doc:
-        doc = doc["decomposition"]
-    return EarDecomposition.from_json(doc, host)
+    return EarDecomposition.from_json(
+        _decode(_read_text(source), "decomposition"), host)
 
 
 def load_vertex_set(source: str) -> tuple[int, ...]:
-    try:
-        doc = _unwrap(json.loads(_read_text(source)))
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"bad JSON: {exc}") from exc
-    if isinstance(doc, dict) and "members" in doc:
-        doc = doc["members"]
-    if not isinstance(doc, list) or not all(isinstance(v, int) for v in doc):
+    doc = _decode(_read_text(source), "members")
+    if not isinstance(doc, list) or not all(type(v) is int for v in doc):
         raise InvalidInputError("vertex set must be a JSON list of integers")
     return tuple(doc)
+
+
+def _search(d: Digraph, min_len: int, budget: int,
+            path_ears_only: bool = False) -> EarDecomposition:
+    found = find_le_decomposition(d, i=min_len, budget=budget,
+                                  allow_cycle_ears=not path_ears_only)
+    if found is None:
+        raise PropertyFailedError(
+            f"provably none: no decomposition with every ear length >= {min_len}")
+    return found
 
 
 def _decomposition_for(d: Digraph, args, min_len: int,
                        path_ears_only: bool = False) -> EarDecomposition:
     if args.decomposition:
         return load_decomposition(args.decomposition, d)
-    found = find_le_decomposition(d, i=min_len, budget=args.budget,
-                                  allow_cycle_ears=not path_ears_only)
-    if found is None:
-        raise PropertyFailedError(
-            f"no ear decomposition with every ear length >= {min_len} exists")
-    return found
+    return _search(d, min_len, args.budget, path_ears_only)
 
 
 def cmd_decompose(args) -> dict:
     d = load_digraph(args.input)
     if args.min_ear_length:
-        e = find_le_decomposition(d, i=args.min_ear_length, budget=args.budget)
-        if e is None:
-            raise PropertyFailedError(
-                "provably none: no decomposition with every ear length "
-                f">= {args.min_ear_length}")
+        e = _search(d, args.min_ear_length, args.budget)
     else:
         e = find_ear_decomposition(d)
     return {"decomposition": e.to_json(), "ear_count": len(e.ears),
@@ -170,6 +164,7 @@ def cmd_quasi_kernel(args) -> dict:
 
 def _last_stage_parts(d: Digraph, args):
     e = _decomposition_for(d, args, 2, path_ears_only=True)
+    require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
     if not e.ears:
         raise InvalidInputError("decomposition has no ears to propagate across")
     return e.stage(len(e.ears) - 1), e.ears[-1]

@@ -81,8 +81,7 @@ def proper_3_coloring(d: Digraph, e: EarDecomposition) -> VertexMapping:
     colors = dict(zip(cycle, _cycle_colors(len(cycle))))
     for ear in e.ears:
         xs = ear.vertices
-        c0 = colors[ear.x0]
-        cr = c0 if ear.is_cycle else colors[ear.xr]
+        c0, cr = colors[ear.x0], colors[ear.xr]
         if ear.length == 2:
             colors[xs[1]] = _free_color(c0, cr)
         elif ear.length == 3:

@@ -74,8 +74,6 @@ def longest_path_transversal(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     s: set[int] = {min(v for v in e.base.vertices)}
     for ear in e.ears:
         in0, inr = ear.x0 in s, ear.xr in s
-        if ear.is_cycle:
-            inr = in0
         if in0 and inr:
             continue
         if not in0 and not inr:
@@ -190,8 +188,7 @@ def small_quasi_kernel(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     cycle = e.base.vertices[:-1]
     q: set[int] = {cycle[i] for i in cycle_quasi_kernel_indices(len(cycle))}
     for ear in e.ears:
-        in0 = ear.x0 in q
-        inr = in0 if ear.is_cycle else ear.xr in q
+        in0, inr = ear.x0 in q, ear.xr in q
         for idx in quasi_kernel_ear_indices(in0, inr, ear.length):
             q.add(ear.vertices[idx])
     failed = quasi_kernel_failing_stage(e, q)

@@ -11,6 +11,7 @@ which needs endpoints distinct.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -390,18 +391,29 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
     vertices = list(range(base_length))
     arcs = {(i, (i + 1) % base_length) for i in range(base_length)}
     base = Ear(tuple(range(base_length)) + (0,))
+    near = defaultdict(set)  # neighbours in either direction
+    for u, v in arcs:
+        near[u].add(v)
+        near[v].add(u)
     ears: list[Ear] = []
     next_id = base_length
     for _ in range(ear_count):
         length = rng.randint(min_ear_length, max_ear_length)
         as_cycle = length >= 3 and rng.random() < cycle_ear_probability
         if length == 1:
-            pairs = [(u, v) for u in vertices for v in vertices
-                     if u != v and (u, v) not in arcs and (v, u) not in arcs]
-            if not pairs:
+            # the same draw as choice(sorted free pairs), by walking to the
+            # k-th pair (u, v) of distinct vertices not adjacent either way
+            free = {u: len(vertices) - 1 - len(near[u]) for u in vertices}
+            total = sum(free.values())
+            if not total:
                 raise InvalidInputError("no room for a length-1 ear; "
                                         "inconsistent parameters")
-            x0, xr = rng.choice(sorted(pairs))
+            k = rng.randrange(total)
+            for x0 in vertices:
+                if k < free[x0]:
+                    break
+                k -= free[x0]
+            xr = [v for v in vertices if v != x0 and v not in near[x0]][k]
             ear = Ear((x0, xr))
         else:
             # the same draws as choice(vertices), then choice of the others
@@ -416,6 +428,9 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
         ears.append(ear)
         vertices.extend(ear.internal)
         arcs.update(ear.arcs)
+        for u, v in ear.arcs:
+            near[u].add(v)
+            near[v].add(u)
     host = Digraph(range(next_id), arcs)
     return host, _self_checked(host, EarDecomposition(host, base, ears),
                                min_ear_length)

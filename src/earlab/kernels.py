@@ -17,13 +17,23 @@ from .errors import InvalidInputError, VerificationError
 from .oracles import kernel_oracle
 
 
+def _pattern(x0_in: bool, xr_in: bool, length: int) -> str:
+    """Name of an endpoint pattern and ear parity, e.g. both_out_even."""
+    ends = ("both_in" if x0_in and xr_in else "x0_in_xr_out" if x0_in
+            else "x0_out_xr_in" if xr_in else "both_out")
+    return f"{ends}_{'even' if length % 2 == 0 else 'odd'}"
+
+
 @dataclass(frozen=True)
 class KernelObstruction:
     operation: str
-    pattern: str
     x0_in: bool
     xr_in: bool
     length: int
+
+    @property
+    def pattern(self) -> str:
+        return _pattern(self.x0_in, self.xr_in, self.length)
 
     def to_json(self) -> dict:
         return {"operation": self.operation, "pattern": self.pattern,
@@ -31,7 +41,8 @@ class KernelObstruction:
 
 
 def restrict_condition(x0_in: bool, xr_in: bool, length: int) -> int | None:
-    """Which of the four pull-back conditions the endpoint pattern meets."""
+    """Which of the four pull-back conditions the endpoint pattern meets;
+    None when the pattern is a pull-back obstruction."""
     if x0_in and xr_in:
         return 1
     if x0_in:
@@ -41,16 +52,9 @@ def restrict_condition(x0_in: bool, xr_in: bool, length: int) -> int | None:
     return 4 if length % 2 == 1 else None
 
 
-def restrict_obstruction(x0_in: bool, xr_in: bool, length: int) -> str | None:
-    if not x0_in and xr_in and length % 2 == 1:
-        return "x0_out_xr_in_odd"
-    if not x0_in and not xr_in and length % 2 == 0:
-        return "both_out_even"
-    return None
-
-
 def extend_case(x0_in: bool, xr_in: bool, length: int):
-    """Case number and internal-index range (start, stop, stride 2)."""
+    """Case number and internal-index range (start, stop, stride 2); None
+    when the pattern is a push-forward obstruction."""
     even = length % 2 == 0
     if x0_in and xr_in:
         return (1, 2, length - 2) if even else None
@@ -59,14 +63,6 @@ def extend_case(x0_in: bool, xr_in: bool, length: int):
     if xr_in:
         return (3, 2, length - 2) if even else (3, 1, length - 2)
     return (4, 1, length - 1) if even else (4, 2, length - 1)
-
-
-def extend_obstruction(x0_in: bool, xr_in: bool, length: int) -> str | None:
-    if x0_in and xr_in and length % 2 == 1:
-        return "both_in_odd"
-    if x0_in and not xr_in and length % 2 == 0:
-        return "x0_in_xr_out_even"
-    return None
 
 
 def _check_stage_and_ear(h: Digraph, p: Ear) -> Digraph:
@@ -99,9 +95,7 @@ def restrict_kernel(h: Digraph, p: Ear, n_prime) -> CertifiedSet | KernelObstruc
     x0_in, xr_in = p.x0 in n_prime, p.xr in n_prime
     condition = restrict_condition(x0_in, xr_in, p.length)
     if condition is None:
-        return KernelObstruction("restrict",
-                                 restrict_obstruction(x0_in, xr_in, p.length),
-                                 x0_in, xr_in, p.length)
+        return KernelObstruction("restrict", x0_in, xr_in, p.length)
     restricted = n_prime & h.vertices
     if not set_predicates(h, restricted).is_kernel:
         raise VerificationError(
@@ -119,9 +113,7 @@ def extend_kernel(h: Digraph, p: Ear, n) -> CertifiedSet | KernelObstruction:
     x0_in, xr_in = p.x0 in n, p.xr in n
     plan = extend_case(x0_in, xr_in, p.length)
     if plan is None:
-        return KernelObstruction("extend",
-                                 extend_obstruction(x0_in, xr_in, p.length),
-                                 x0_in, xr_in, p.length)
+        return KernelObstruction("extend", x0_in, xr_in, p.length)
     case, start, stop = plan
     extended = n | {p.vertices[i] for i in range(start, stop + 1, 2)}
     if not set_predicates(glued, extended).is_kernel:
@@ -161,22 +153,18 @@ class KernelTrace:
 
 
 def _transition_labels(direction: str, ear: Ear, kernels) -> list[str]:
+    forward = direction == "forward"
+    op, rule = ("extend", extend_case) if forward else ("restrict", restrict_condition)
     labels = set()
     for members in kernels:
         s = set(members)
-        x0_in, xr_in = ear.x0 in s, ear.xr in s
-        if direction == "forward":
-            plan = extend_case(x0_in, xr_in, ear.length)
-            if plan is not None:
-                labels.add(f"extend case {plan[0]}")
-            else:
-                labels.add(f"extend obstruction {extend_obstruction(x0_in, xr_in, ear.length)}")
+        ends = (ear.x0 in s, ear.xr in s, ear.length)
+        found = rule(*ends)
+        if found is None:
+            labels.add(f"{op} obstruction {_pattern(*ends)}")
         else:
-            cond = restrict_condition(x0_in, xr_in, ear.length)
-            if cond is not None:
-                labels.add(f"restrict condition {cond}")
-            else:
-                labels.add(f"restrict obstruction {restrict_obstruction(x0_in, xr_in, ear.length)}")
+            labels.add(f"extend case {found[0]}" if forward
+                       else f"restrict condition {found}")
     return sorted(labels)
 
 
@@ -193,10 +181,7 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     if direction not in ("forward", "backward"):
         raise InvalidInputError("direction must be forward or backward")
     require_decomposition(d, e, 2, "kernel trace", path_ears_only=True)
-    per_stage = []
-    for j in range(e.stage_count):
-        rep = kernel_oracle(e.stage(j), enumerate_all=True)
-        per_stage.append(rep)
+    per_stage = [kernel_oracle(h, enumerate_all=True) for h in e.stages()]
     entries = []
     for j, rep in enumerate(per_stage):
         kernel = None
@@ -214,33 +199,23 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     base_parity = "even" if len(e.base.vertices) % 2 == 1 else "odd"
     # base ear repeats its anchor, so vertex-list length n+1 drives parity
     pattern_check: dict = {"required": None, "holds": True, "kernels_checked": 0}
-    if flags[-1]:
-        if all(flags):
-            dichotomy, flip_stage = "all_stages_have_kernels", None
-        else:
-            flip_stage = max(j for j in range(len(flags)) if not flags[j])
-            ear = e.ears[flip_stage]
-            kernels = per_stage[flip_stage + 1].details["all_kernels"]
-            ok = all(
-                restrict_obstruction(ear.x0 in set(k), ear.xr in set(k), ear.length)
-                for k in kernels)
-            pattern_check = {"required": "pull-back obstruction on every kernel "
-                                         f"of stage {flip_stage + 1}",
-                            "holds": ok, "kernels_checked": len(kernels)}
-            dichotomy = f"flip_at_stage_{flip_stage}" if ok else "mixed"
+    gained = flags[-1]  # a gain is checked after its flip, a loss before it
+    if all(flag == gained for flag in flags):
+        flip_stage = None
+        dichotomy = ("all_stages_have_kernels" if gained
+                     else "all_stages_lack_kernels")
     else:
-        if not any(flags):
-            dichotomy, flip_stage = "all_stages_lack_kernels", None
-        else:
-            flip_stage = max(j for j in range(len(flags)) if flags[j])
-            ear = e.ears[flip_stage]
-            kernels = per_stage[flip_stage].details["all_kernels"]
-            ok = all(
-                extend_obstruction(ear.x0 in set(k), ear.xr in set(k), ear.length)
-                for k in kernels)
-            pattern_check = {"required": "push-forward obstruction on every kernel "
-                                         f"of stage {flip_stage}",
-                            "holds": ok, "kernels_checked": len(kernels)}
-            dichotomy = f"flip_at_stage_{flip_stage}" if ok else "mixed"
+        flip_stage = max(j for j, flag in enumerate(flags) if flag != gained)
+        ear = e.ears[flip_stage]
+        stage, rule, kind = ((flip_stage + 1, restrict_condition, "pull-back")
+                             if gained else
+                             (flip_stage, extend_case, "push-forward"))
+        kernels = per_stage[stage].details["all_kernels"]
+        ok = all(rule(ear.x0 in set(k), ear.xr in set(k), ear.length) is None
+                 for k in kernels)
+        pattern_check = {"required": f"{kind} obstruction on every kernel "
+                                     f"of stage {stage}",
+                         "holds": ok, "kernels_checked": len(kernels)}
+        dichotomy = f"flip_at_stage_{flip_stage}" if ok else "mixed"
     return KernelTrace(entries, dichotomy, flip_stage, flips, base_parity,
                        pattern_check)

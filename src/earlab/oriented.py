@@ -291,8 +291,7 @@ def _map_ear(t: Tournament, assignment: dict, ear: Ear) -> None:
     finish along the anchored cycle instead.
     """
     cat = _catalog_for(t.code, t.k)
-    i = assignment[ear.x0]
-    j = i if ear.is_cycle else assignment[ear.xr]
+    i, j = assignment[ear.x0], assignment[ear.xr]
     seg = {0: 3, 1: 4, 2: 5}[ear.length % 3]
     pre = ear.length - seg
     g3 = cat.cycles[(i, 3)]

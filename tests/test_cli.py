@@ -115,6 +115,37 @@ def test_kernel_extend_and_restrict(capsys, tmp_path):
         assert doc["payload"]["verified"] is True
 
 
+@pytest.mark.parametrize("action", ["extend", "restrict"])
+def test_kernel_propagation_validates_the_decomposition(capsys, tmp_path,
+                                                        action):
+    # vertices 4 and 5 of the ear are not in the input digraph
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+    dec = tmp_path / "d.json"
+    dec.write_text(json.dumps({"base": [0, 1, 2, 3], "ears": [[0, 4, 5, 2]]}))
+    members = tmp_path / "s.json"
+    members.write_text("[1, 3]")
+    code, doc = run(capsys, "kernel", action, str(graph),
+                    "--decomposition", str(dec), "--set", str(members))
+    assert code == 2
+    assert doc["status"] == "invalid_input"
+    assert doc["error"].startswith("invalid decomposition")
+
+
+def test_kernel_set_rejects_boolean_ids(capsys, tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n1 4\n4 3\n")
+    dec = tmp_path / "d.json"
+    dec.write_text(json.dumps({"base": [0, 1, 2, 3], "ears": [[1, 4, 3]]}))
+    members = tmp_path / "s.json"
+    members.write_text("[true, 3]")
+    code, doc = run(capsys, "kernel", "extend", str(graph),
+                    "--decomposition", str(dec), "--set", str(members))
+    assert code == 2
+    assert doc["status"] == "invalid_input"
+    assert doc["payload"] is None
+
+
 def test_kernel_extend_requires_set(capsys, c5_file):
     code, doc = run(capsys, "kernel", "extend", c5_file)
     assert code == 2

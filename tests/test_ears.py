@@ -140,22 +140,43 @@ def test_generator_is_deterministic():
                                   max_ear_length=5, cycle_ear_probability=0.3,
                                   seed=seed)
         assert e.to_json()["ears"] == list_drawn_ears(3, 12, 2, 5, 0.3, seed)
+    for seed in range(40):
+        base, count = 2 + seed % 4, 4 + seed % 9
+        expected = list_drawn_ears(base, count, 1, 3, 0.3, seed)
+        if expected is None:
+            with pytest.raises(InvalidInputError, match="no room"):
+                generate_random_le(base, count, 1, 3, 0.3, seed)
+        else:
+            _, e = generate_random_le(base, count, 1, 3, 0.3, seed)
+            assert e.to_json()["ears"] == expected
 
 
 def list_drawn_ears(base_length, ear_count, lo, hi, cycle_p, seed):
-    """The ears generate_random_le must draw (lengths >= 2): each end by
-    random.choice from a list of its candidates."""
+    """The ears generate_random_le must draw: each end by random.choice
+    from a list of its candidates, and a length-1 ear from the sorted list
+    of vertex pairs adjacent neither way (None when that list is empty)."""
     rng = random.Random(seed)
     vertices = list(range(base_length))
+    arcs = {(i, (i + 1) % base_length) for i in range(base_length)}
     ears = []
     for _ in range(ear_count):
         length = rng.randint(lo, hi)
         as_cycle = length >= 3 and rng.random() < cycle_p
-        x0 = rng.choice(vertices)
-        xr = x0 if as_cycle else rng.choice([v for v in vertices if v != x0])
-        interior = list(range(len(vertices), len(vertices) + length - 1))
-        ears.append([x0, *interior, xr])
-        vertices.extend(interior)
+        if length == 1:
+            pairs = sorted((u, v) for u in vertices for v in vertices
+                           if u != v and (u, v) not in arcs
+                           and (v, u) not in arcs)
+            if not pairs:
+                return None
+            ear = list(rng.choice(pairs))
+        else:
+            x0 = rng.choice(vertices)
+            xr = x0 if as_cycle else rng.choice([v for v in vertices if v != x0])
+            interior = list(range(len(vertices), len(vertices) + length - 1))
+            ear = [x0, *interior, xr]
+        ears.append(ear)
+        vertices.extend(ear[1:-1])
+        arcs.update(zip(ear, ear[1:]))
     return ears
 
 

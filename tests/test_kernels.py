@@ -8,8 +8,7 @@ from earlab.digraph import Digraph, is_kernel
 from earlab.ears import Ear, EarDecomposition
 from earlab.errors import InvalidInputError, VerificationError
 from earlab.kernels import (KernelObstruction, extend_case, extend_kernel,
-                            extend_obstruction, restrict_condition,
-                            restrict_kernel, restrict_obstruction,
+                            restrict_condition, restrict_kernel,
                             trace_kernels)
 from earlab.oracles import kernel_oracle
 
@@ -22,14 +21,14 @@ def glue(h, ear):
     return h.union(ear.vertices, ear.arcs)
 
 
-def test_condition_tables_partition_all_inputs():
-    for x0_in, xr_in, r in product((False, True), (False, True), range(2, 10)):
-        cond = restrict_condition(x0_in, xr_in, r)
-        obs = restrict_obstruction(x0_in, xr_in, r)
-        assert (cond is None) != (obs is None)
-        plan = extend_case(x0_in, xr_in, r)
-        ext_obs = extend_obstruction(x0_in, xr_in, r)
-        assert (plan is None) != (ext_obs is None)
+def test_obstructed_patterns_are_the_two_named_per_rule():
+    named = {restrict_condition: {"x0_out_xr_in_odd", "both_out_even"},
+             extend_case: {"both_in_odd", "x0_in_xr_out_even"}}
+    for rule, names in named.items():
+        obstructed = {KernelObstruction("", *ends).pattern
+                      for ends in product((False, True), (False, True), range(2, 10))
+                      if rule(*ends) is None}
+        assert obstructed == names
 
 
 def test_restrict_condition_values():
@@ -40,8 +39,8 @@ def test_restrict_condition_values():
     assert restrict_condition(False, True, 3) is None
     assert restrict_condition(False, False, 3) == 4
     assert restrict_condition(False, False, 4) is None
-    assert restrict_obstruction(False, True, 3) == "x0_out_xr_in_odd"
-    assert restrict_obstruction(False, False, 4) == "both_out_even"
+    assert KernelObstruction("restrict", False, True, 3).pattern == "x0_out_xr_in_odd"
+    assert KernelObstruction("restrict", False, False, 4).pattern == "both_out_even"
 
 
 def test_extend_case_values():
@@ -53,8 +52,8 @@ def test_extend_case_values():
     assert extend_case(False, True, 3)[0] == 3
     assert extend_case(False, False, 4)[0] == 4
     assert extend_case(False, False, 3)[0] == 4
-    assert extend_obstruction(True, True, 3) == "both_in_odd"
-    assert extend_obstruction(True, False, 4) == "x0_in_xr_out_even"
+    assert KernelObstruction("extend", True, True, 3).pattern == "both_in_odd"
+    assert KernelObstruction("extend", True, False, 4).pattern == "x0_in_xr_out_even"
 
 
 def test_extend_case_one_even_interior():
