@@ -9,6 +9,7 @@ gen payload) are unwrapped, so commands pipe into each other.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -163,8 +164,12 @@ def cmd_quasi_kernel(args) -> dict:
 
 
 def _last_stage_parts(d: Digraph, args):
-    e = _decomposition_for(d, args, 2, path_ears_only=True)
-    require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
+    # a searched decomposition is validated in path-ears mode by the search
+    if args.decomposition:
+        e = load_decomposition(args.decomposition, d)
+        require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
+    else:
+        e = _search(d, 2, args.budget, path_ears_only=True)
     if not e.ears:
         raise InvalidInputError("decomposition has no ears to propagate across")
     return e.stage(len(e.ears) - 1), e.ears[-1]
@@ -259,6 +264,7 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="earlab",

@@ -138,23 +138,21 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
                            path_ears_only: bool = False) -> DecompositionReport:
     """Check every decomposition invariant; violations name their stage.
 
-    Only the base cycle is tested for strongness: gluing an ear with both
-    ends in a strong stage and a new interior keeps the stage strong, so
-    once the per-ear invariants hold no later stage can fail that test.
+    No stage is tested for strongness.  The base is a cycle on distinct
+    vertices (Ear and EarDecomposition enforce that), so it is strong once
+    its arcs are in d; gluing an ear with both ends in a strong stage and a
+    new interior keeps the stage strong, so once the per-ear invariants
+    hold no later stage can fail that test.
     """
     bad: list[str] = []
     if e.host != d:
         bad.append("stage -: decomposition host differs from d")
     base = e.base
-    if len(set(base.vertices[:-1])) != len(base.vertices) - 1:
-        bad.append("stage 0: base cycle repeats a vertex")
     for a in base.arcs:
         if a not in d.arcs:
             bad.append(f"stage 0: base arc {a} not in host")
     verts = set(base.vertices)
     arcs = set(base.arcs)
-    if not is_strong(Digraph(verts, arcs & d.arcs)):
-        bad.append("stage 0: base is not a strong cycle")
     host_arcs = d.arcs
     for idx, ear in enumerate(e.ears):
         vs, ear_arcs = ear.vertices, ear.arcs
@@ -193,10 +191,10 @@ def require_decomposition(d: Digraph, e: EarDecomposition, min_len: int,
                                 f"shortest is {e.min_ear_length}")
 
 
-def _self_checked(d: Digraph, e: EarDecomposition,
-                  min_len: int = 1) -> EarDecomposition:
+def _self_checked(d: Digraph, e: EarDecomposition, min_len: int = 1,
+                  path_ears_only: bool = False) -> EarDecomposition:
     """Re-verify a decomposition built here before it is returned."""
-    report = validate_decomposition(d, e)
+    report = validate_decomposition(d, e, path_ears_only)
     if not report.ok:
         raise VerificationError("; ".join(report.violations))
     if not e.certifies(min_len):
@@ -350,7 +348,8 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
         if len(rest.arcs) == rest.n:  # one directed cycle: the base
             base = Ear(_shortest_cycle_through(rest, min(rest.vertices)))
             ears = [frame[2] for frame in reversed(frames[1:])]
-            return _self_checked(d, EarDecomposition(d, base, ears), i)
+            return _self_checked(d, EarDecomposition(d, base, ears), i,
+                                 not allow_cycle_ears)
         for ear in todo:
             _spend(box)
             sub_mask = mask - sum(bit[a] for a in ear.arcs)

@@ -1,9 +1,10 @@
 """Exhaustive reference checks for small digraphs.
 
-Every oracle enumerates rather than constructs, reports what it searched,
-and refuses inputs past its size cap so a silently-slow call cannot pass
-for a verified answer.  Witnesses are deterministic: the lexicographically
-smallest certificate under sorted-tuple order.
+Every oracle enumerates rather than constructs, reports what it searched
+(chromatic_oracles excepted: it reports 0), and refuses inputs past its
+size cap so a silently-slow call cannot pass for a verified answer.
+Witnesses are deterministic: the lexicographically smallest certificate
+under sorted-tuple order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .digraph import Digraph, is_asymmetrical
 from .errors import CapExceededError, InvalidInputError
-from .tournaments import Tournament, find_homomorphism, tournament_reps
+from .tournaments import compose_rows, find_homomorphism, tournament_reps
 
 KERNEL_CAP = 20
 QUASI_KERNEL_CAP = 16
@@ -45,7 +46,7 @@ def _index_maps(d: Digraph):
         out[pos[u]] |= 1 << pos[v]
         sym[pos[u]] |= 1 << pos[v]
         sym[pos[v]] |= 1 << pos[u]
-    return verts, pos, out, sym
+    return verts, out, sym
 
 
 def _independent_sets(n: int, sym: list[int]):
@@ -61,24 +62,29 @@ def _independent_sets(n: int, sym: list[int]):
             stack.append((idx + 1, mask | 1 << idx, blocked | sym[idx]))
 
 
-def _members(mask: int, verts: list[int]) -> tuple[int, ...]:
-    return tuple(v for i, v in enumerate(verts) if mask >> i & 1)
-
-
-def kernel_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport:
-    """Exhaustive kernel search: independent sets filtered by absorbency."""
-    _check_cap(d, KERNEL_CAP, "kernel")
-    verts, _, out, sym = _index_maps(d)
+def _absorbing_sets(verts: list[int], sym: list[int],
+                    rows: list[int]) -> tuple[list[tuple[int, ...]], int]:
+    """Independent sets S that rows[i] meets for every vertex i outside S,
+    as member tuples in lexicographic order, and the number of independent
+    sets examined."""
     n = len(verts)
     full = (1 << n) - 1
-    kernels: list[tuple[int, ...]] = []
+    found: list[tuple[int, ...]] = []
     examined = 0
     for mask in _independent_sets(n, sym):
         examined += 1
         outside = full & ~mask
-        if all(out[i] & mask for i in range(n) if outside >> i & 1):
-            kernels.append(_members(mask, verts))
-    kernels.sort()
+        if all(rows[i] & mask for i in range(n) if outside >> i & 1):
+            found.append(tuple(v for i, v in enumerate(verts) if mask >> i & 1))
+    found.sort()
+    return found, examined
+
+
+def kernel_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport:
+    """Exhaustive kernel search: independent sets absorbing by one arc."""
+    _check_cap(d, KERNEL_CAP, "kernel")
+    verts, out, sym = _index_maps(d)
+    kernels, examined = _absorbing_sets(verts, sym, out)
     details = {"kernel_count": len(kernels)}
     if enumerate_all:
         details["all_kernels"] = kernels
@@ -92,35 +98,17 @@ def kernel_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport:
 
 
 def quasi_kernel_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport:
-    """Exhaustive quasi-kernel search; value is the minimum size."""
+    """Exhaustive quasi-kernel search: independent sets absorbing within
+    two arcs; value is the minimum size.  Every digraph has a quasi-kernel
+    (Chvatal and Lovasz, 1974), so one is always found."""
     _check_cap(d, QUASI_KERNEL_CAP, "quasi-kernel")
-    verts, _, out, sym = _index_maps(d)
-    n = len(verts)
-    full = (1 << n) - 1
-    reach2 = [out[i] for i in range(n)]
-    for i in range(n):
-        acc = out[i]
-        row = out[i]
-        j = row
-        while j:
-            low = j & -j
-            acc |= out[low.bit_length() - 1]
-            j ^= low
-        reach2[i] = acc
-    found: list[tuple[int, ...]] = []
-    examined = 0
-    for mask in _independent_sets(n, sym):
-        examined += 1
-        outside = full & ~mask
-        if all(reach2[i] & mask for i in range(n) if outside >> i & 1):
-            found.append(_members(mask, verts))
-    found.sort(key=lambda s: (len(s), s))
+    verts, out, sym = _index_maps(d)
+    reach2 = [a | b for a, b in zip(out, compose_rows(out, out))]
+    found, examined = _absorbing_sets(verts, sym, reach2)
     details = {"quasi_kernel_count": len(found)}
     if enumerate_all:
-        details["all_quasi_kernels"] = sorted(found)
-    if not found:
-        return OracleReport("quasi_kernel_min_size", None, None, examined, details)
-    best = found[0]
+        details["all_quasi_kernels"] = found
+    best = min(found, key=len)  # shortest, then lexicographic
     return OracleReport(
         quantity="quasi_kernel_min_size",
         value=len(best),
@@ -130,20 +118,24 @@ def quasi_kernel_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport
     )
 
 
-def _chromatic_number(n: int, sym: list[int]) -> tuple[int, list[int]]:
+def _fewest_classes(n: int, fits) -> tuple[int, list[int]]:
+    """Fewest classes a partition of vertices 0..n-1 needs, by ascending-k
+    backtracking, and the class of each vertex; fits(v, members) decides
+    whether v may join the class whose members (a bitmask) are given."""
     for k in range(1, n + 1):
         colors = [-1] * n
+        classes = [0] * k
 
         def assign(v: int, used: int) -> bool:
             if v == n:
                 return True
-            limit = min(used + 1, k)
-            for c in range(limit):
-                if all(colors[w] != c for w in range(v) if sym[v] >> w & 1):
+            for c in range(min(used + 1, k)):
+                if fits(v, classes[c]):
                     colors[v] = c
+                    classes[c] |= 1 << v
                     if assign(v + 1, max(used, c + 1)):
                         return True
-                    colors[v] = -1
+                    classes[c] ^= 1 << v
             return False
 
         if assign(0, 0):
@@ -151,68 +143,38 @@ def _chromatic_number(n: int, sym: list[int]) -> tuple[int, list[int]]:
     return n, list(range(n))
 
 
-def _class_acyclic(members: list[int], out: list[int]) -> bool:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    indeg = {v: 0 for v in members}
-    for v in members:
-        row = out[v] & mask
-        j = row
-        while j:
-            low = j & -j
-            indeg[low.bit_length() - 1] += 1
-            j ^= low
-    queue = [v for v in members if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        row = out[v] & mask
-        j = row
-        while j:
-            low = j & -j
-            w = low.bit_length() - 1
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-            j ^= low
-    return seen == len(members)
-
-
-def _dichromatic_number(n: int, out: list[int]) -> tuple[int, list[int]]:
-    if n == 0:
-        return 0, []
-    for k in range(1, n + 1):
-        colors = [-1] * n
-
-        def assign(v: int, used: int) -> bool:
-            if v == n:
-                return True
-            limit = min(used + 1, k)
-            for c in range(limit):
-                colors[v] = c
-                members = [w for w in range(v + 1) if colors[w] == c]
-                if _class_acyclic(members, out) and assign(v + 1, max(used, c + 1)):
-                    return True
-                colors[v] = -1
+def _class_acyclic(mask: int, out: list[int]) -> bool:
+    """The vertices of mask induce no directed cycle: peeling the members
+    with no out-neighbour left in the set empties it."""
+    while mask:
+        sinks = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if not out[low.bit_length() - 1] & mask:
+                sinks |= low
+            rest ^= low
+        if not sinks:
             return False
-
-        if assign(0, 0):
-            return k, colors
-    return n, list(range(n))
+        mask ^= sinks
+    return True
 
 
 def chromatic_oracles(d: Digraph) -> OracleReport:
     """Exact chromatic number of the underlying graph plus exact dichromatic
-    number, both by ascending-k backtracking."""
+    number, both by ascending-k backtracking.
+
+    Unlike the other oracles it does not count its search: search_space_size
+    is always 0.
+    """
     _check_cap(d, CHROMATIC_CAP, "chromatic")
-    verts, _, out, sym = _index_maps(d)
+    verts, out, sym = _index_maps(d)
     n = len(verts)
     if n == 0:
         return OracleReport("chromatic_numbers", 0, details={"chromatic": 0, "dichromatic": 0})
-    chi, ccol = _chromatic_number(n, sym)
-    dichi, dcol = _dichromatic_number(n, out)
+    chi, ccol = _fewest_classes(n, lambda v, members: not sym[v] & members)
+    dichi, dcol = _fewest_classes(
+        n, lambda v, members: _class_acyclic(members | 1 << v, out))
     return OracleReport(
         quantity="chromatic_numbers",
         value=chi,

@@ -21,7 +21,7 @@ from .ears import Ear, EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
 from .oracles import OracleReport, oriented_chromatic_oracle
-from .tournaments import Tournament, canonical_code, mask_rows
+from .tournaments import Tournament, canonical_code, compose_rows, mask_rows
 
 # Walks of lengths 3, 4, 5 for every ordered vertex pair; consecutive pairs
 # of these fix the arc set below.
@@ -94,18 +94,6 @@ def validate_reference_walks() -> bool:
     return True
 
 
-def _compose(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    for row in a:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= b[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return out
-
-
 def _walk_gap(rows, include_closed: bool = False) -> tuple[int, int, int] | None:
     """First (length, source, target) with no walk, over out-mask rows.
 
@@ -113,9 +101,9 @@ def _walk_gap(rows, include_closed: bool = False) -> tuple[int, int, int] | None
     at a time, so most codes are rejected after the first.
     """
     full = (1 << len(rows)) - 1
-    table = _compose(rows, rows)
+    table = compose_rows(rows, rows)
     for length in WALK_LENGTHS:
-        table = _compose(table, rows)
+        table = compose_rows(table, rows)
         for i, row in enumerate(table):
             need = full if include_closed else full ^ (1 << i)
             gap = need & ~row

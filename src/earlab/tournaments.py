@@ -110,6 +110,20 @@ def mask_rows(k: int, code: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def compose_rows(a, b) -> list[int]:
+    """Row product of two bitmask relations: row i of the result is the
+    union of the rows of b picked by the bits of a[i]."""
+    out = []
+    for row in a:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= b[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
 @lru_cache(maxsize=200_000)
 def _out_masks(k: int, code: int) -> tuple[int, ...]:
     return mask_rows(k, code)

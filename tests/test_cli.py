@@ -1,8 +1,10 @@
+import argparse
 import io
 import json
 
 import pytest
 
+from earlab import cli, ears
 from earlab.cli import main
 
 
@@ -130,6 +132,47 @@ def test_kernel_propagation_validates_the_decomposition(capsys, tmp_path,
     assert code == 2
     assert doc["status"] == "invalid_input"
     assert doc["error"].startswith("invalid decomposition")
+
+
+@pytest.mark.parametrize("action", ["extend", "restrict"])
+@pytest.mark.parametrize("given", [True, False])
+def test_kernel_propagation_validates_once(capsys, monkeypatch, tmp_path,
+                                           action, given):
+    # a searched decomposition is validated by the search alone, and in
+    # path-ears mode; a given one by the command
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n1 4\n4 3\n")
+    dec = tmp_path / "d.json"
+    dec.write_text(json.dumps({"base": [0, 1, 2, 3], "ears": [[1, 4, 3]]}))
+    members = tmp_path / "s.json"
+    members.write_text("[1, 3]")
+    modes = []
+    validate = ears.validate_decomposition
+
+    def counting(d, e, path_ears_only=False):
+        modes.append(path_ears_only)
+        return validate(d, e, path_ears_only)
+
+    monkeypatch.setattr(ears, "validate_decomposition", counting)
+    argv = ["kernel", action, str(graph), "--set", str(members)]
+    code, _ = run(capsys, *argv, *(["--decomposition", str(dec)] if given else []))
+    assert code == 0
+    assert modes == [True]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, c5_file):
+    getattr(cli._build_parser, "cache_clear", lambda: None)()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert run(capsys, "decompose", c5_file)[0] == 0
+    assert built.count("earlab") == 1
 
 
 def test_kernel_set_rejects_boolean_ids(capsys, tmp_path):

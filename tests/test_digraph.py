@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +136,31 @@ def test_is_nonseparable_rejects_cut_vertex():
     # two triangles sharing vertex 0
     arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
     assert not is_nonseparable(Digraph(range(5), arcs))
+
+
+def test_strong_and_nonseparable_match_networkx():
+    # from 3 vertices on: networkx counts K1 as not biconnected, whereas a
+    # single vertex or edge is nonseparable here by convention
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    digraphs = []
+    for n in (3, 4):
+        pairs = list(permutations(range(n), 2))
+        digraphs += [Digraph(range(n), [p for k, p in enumerate(pairs)
+                                        if mask >> k & 1])
+                     for mask in range(1 << len(pairs))]
+    for _ in range(300):
+        n = rng.randint(5, 9)
+        p = rng.uniform(0.05, 0.4)
+        digraphs.append(Digraph(range(n), [a for a in permutations(range(n), 2)
+                                           if rng.random() < p]))
+    for d in digraphs:
+        g = nx.DiGraph()
+        g.add_nodes_from(d.vertices)
+        g.add_edges_from(d.arcs)
+        assert is_strong(d) == nx.is_strongly_connected(g), sorted(d.arcs)
+        assert is_nonseparable(d) == nx.is_biconnected(g.to_undirected()), \
+            sorted(d.arcs)
 
 
 def test_second_neighborhood_formula():

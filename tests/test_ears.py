@@ -76,6 +76,18 @@ def test_validate_path_ears_only_mode():
     assert not validate_decomposition(d, e, path_ears_only=True).ok
 
 
+def test_base_is_checked_against_the_host_only():
+    # a base on a non-host arc is caught at stage 0 by that arc alone
+    d = Digraph.cycle(4)
+    report = validate_decomposition(d, EarDecomposition(d, Ear((0, 1, 3, 0))))
+    assert [v for v in report.violations if v.startswith("stage 0")] == \
+        ["stage 0: base arc (1, 3) not in host"]
+    # a digon is a valid base
+    d = Digraph(range(3), [(0, 1), (1, 0), (0, 2), (2, 1)])
+    assert validate_decomposition(
+        d, EarDecomposition(d, Ear((0, 1, 0)), [Ear((0, 2, 1))])).ok
+
+
 def test_json_roundtrip():
     d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)])
     e = EarDecomposition(d, Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])

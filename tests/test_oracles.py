@@ -1,3 +1,6 @@
+import random
+from itertools import combinations, permutations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,3 +151,96 @@ def test_chromatic_witnesses_are_proper(n, data):
     # proper coloring separates the ends of every arc
     assert all(coloring[u] != coloring[v] for u, v in d.arcs)
     assert len(set(coloring.values())) == report.value
+
+
+# Differential checks against an independent brute force: every colouring
+# in itertools.product order and every vertex subset through the predicates.
+
+def every_digraph(n):
+    pairs = list(permutations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Digraph(range(n), [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+def random_digraphs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 7)
+        p = rng.uniform(0.1, 0.35)
+        yield Digraph(range(n), [a for a in permutations(range(n), 2)
+                                 if rng.random() < p])
+
+
+def induces_acyclic(d, members):
+    # no member reaches itself along arcs inside the set
+    inside = set(members)
+    for v in inside:
+        seen, stack = set(), [v]
+        while stack:
+            for w in d.out_neighbors(stack.pop()) & inside:
+                if w == v:
+                    return False
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return True
+
+
+def first_colouring(d, fits):
+    """(fewest classes, first valid colouring in product order) where
+    fits(class members) judges each colour class."""
+    verts = sorted(d.vertices)
+    for k in range(1, len(verts) + 1):
+        for colors in product(range(k), repeat=len(verts)):
+            if all(fits([v for v, c in zip(verts, colors) if c == cls])
+                   for cls in range(k)):
+                return k, {v: c + 1 for v, c in zip(verts, colors)}
+    return 0, {}
+
+
+def subsets(d):
+    verts = sorted(d.vertices)
+    return [s for r in range(len(verts) + 1) for s in combinations(verts, r)]
+
+
+def assert_oracles_match_brute_force(d):
+    sets = subsets(d)
+    independent = [s for s in sets
+                   if not any(d.has_arc(u, v) for u in s for v in s)]
+    kernels = sorted(s for s in sets if is_kernel(d, set(s)))
+    report = kernel_oracle(d, enumerate_all=True)
+    assert report.value is bool(kernels)
+    assert report.witness == (kernels[0] if kernels else None)
+    assert report.details == {"kernel_count": len(kernels), "all_kernels": kernels}
+    assert report.search_space_size == len(independent)
+
+    quasi = sorted(s for s in sets if is_quasi_kernel(d, set(s)))
+    best = min(quasi, key=lambda s: (len(s), s))
+    report = quasi_kernel_oracle(d, enumerate_all=True)
+    assert (report.value, report.witness) == (len(best), best)
+    assert report.details == {"quasi_kernel_count": len(quasi),
+                              "all_quasi_kernels": quasi}
+    assert report.search_space_size == len(independent)
+
+    if d.n == 0:
+        return
+    chi, colouring = first_colouring(
+        d, lambda cls: not any(d.has_arc(u, v) for u in cls for v in cls))
+    dichi, acyclic = first_colouring(d, lambda cls: induces_acyclic(d, cls))
+    report = chromatic_oracles(d)
+    assert (report.value, report.witness) == (chi, colouring)
+    assert report.details == {"chromatic": chi, "dichromatic": dichi,
+                              "dichromatic_witness": acyclic}
+    assert report.search_space_size == 0
+
+
+def test_oracles_match_brute_force_on_every_digraph_up_to_four_vertices():
+    digraphs = [d for n in range(5) for d in every_digraph(n)]
+    assert len(digraphs) == 1 + 1 + 4 + 64 + 4096
+    for d in digraphs:
+        assert_oracles_match_brute_force(d)
+
+
+def test_oracles_match_brute_force_on_random_digraphs():
+    for d in random_digraphs(40, seed=6):
+        assert_oracles_match_brute_force(d)
