@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .digraph import Digraph, is_asymmetrical
 from .errors import CapExceededError, InvalidInputError
-from .tournaments import compose_rows, find_homomorphism, tournament_reps
+from .tournaments import HomomorphismSearch, compose_rows, tournament_reps
 
 KERNEL_CAP = 20
 QUASI_KERNEL_CAP = 16
@@ -192,7 +192,8 @@ def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> Ora
     """Smallest tournament order admitting a homomorphism from d.
 
     Tries every isomorphism class representative in ascending order, so the
-    value is exact whenever one is found within k_max.
+    value is exact whenever one is found within k_max.  The digraph side of
+    the search is prepared once for all of them.
     """
     _check_cap(d, ORIENTED_CAP, "oriented chromatic")
     if k_max > ORIENTED_KMAX_CAP:
@@ -200,11 +201,12 @@ def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> Ora
             f"oriented chromatic oracle capped at target order {ORIENTED_KMAX_CAP}")
     if not is_asymmetrical(d):
         raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
+    search = HomomorphismSearch(d)
     tried = 0
     for k in range(1, k_max + 1):
         for t in tournament_reps(k):
             tried += 1
-            phi = find_homomorphism(d, t)
+            phi = search.into(t)
             if phi is not None:
                 return OracleReport(
                     quantity="oriented_chromatic_number",

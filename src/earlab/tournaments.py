@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 
 from .digraph import Digraph
 from .errors import InvalidInputError
@@ -99,8 +99,8 @@ class Tournament:
 
 
 def mask_rows(k: int, code: int) -> tuple[int, ...]:
-    """Out-neighborhood bitmask of every vertex; uncached, for scans over
-    many codes such as the order-6 census."""
+    """Out-neighborhood bitmask of every vertex, uncached: for codes that
+    pass through once, such as the canonical form of a fresh code."""
     masks = [0] * k
     for idx, (i, j) in enumerate(_pairs(k)):
         if code >> idx & 1:
@@ -124,6 +124,35 @@ def compose_rows(a, b) -> list[int]:
     return out
 
 
+def arc_planes(k: int) -> list[list[int]]:
+    """Bit-sliced adjacency of every order-k code at once: bit c of entry
+    [i][j] is set iff the tournament with code c has the arc (i, j)."""
+    full = (1 << (1 << len(_pairs(k)))) - 1
+    planes = [[0] * k for _ in range(k)]
+    for idx, (i, j) in enumerate(_pairs(k)):
+        # codes with pair bit idx clear: the low half of every run of
+        # 2 ** (idx + 1) consecutive codes
+        plane = full ^ full // ((1 << (1 << idx)) + 1)
+        planes[i][j] = plane
+        planes[j][i] = full ^ plane
+    return planes
+
+
+def compose_planes(a, b) -> list[list[int]]:
+    """Boolean matrix product of two bit-sliced relations, entry by entry
+    the OR over m of a[i][m] AND b[m][j], for every code at once."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = 0
+            for m, plane in enumerate(row):
+                acc |= plane & b[m][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
 @lru_cache(maxsize=200_000)
 def _out_masks(k: int, code: int) -> tuple[int, ...]:
     return mask_rows(k, code)
@@ -133,32 +162,47 @@ def canonical_code(k: int, code: int) -> int:
     """Canonical form: minimum code over score-sorted relabelings.
 
     Restricting to orderings with nondecreasing score is isomorphism-safe
-    (scores are invariant) and prunes the k! search hard in practice.
+    (scores are invariant).  The relabeling is built from position k-1 down
+    to 0 by branch and bound: placing a vertex at position p fixes the bits
+    of the pairs (p, j > p), the highest bits not fixed yet, so a branch
+    whose fixed bits already exceed those of the best code found is cut.
     """
-    t = Tournament(k, code)
-    degs = [m.bit_count() for m in mask_rows(k, code)]
-    order = sorted(range(k), key=lambda v: (degs[v], v))
-    blocks: list[list[int]] = []
-    for v in order:
-        if blocks and degs[blocks[-1][0]] == degs[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    best = None
-    for perm in _block_perms(blocks):
-        c = t.relabel(perm).code
-        if best is None or c < best:
-            best = c
+    if not 0 <= code < 1 << len(_pairs(k)):
+        raise InvalidInputError("tournament code out of range")
+    rows = mask_rows(k, code)
+    score = [row.bit_count() for row in rows]
+    order = sorted(range(k), key=lambda v: (score[v], v))
+    # allowed[p]: the vertices whose score puts them at position p
+    allowed: list[int] = []
+    for _, block in groupby(order, key=score.__getitem__):
+        members = list(block)
+        allowed += [sum(1 << v for v in members)] * len(members)
+    # shift[p]: index of the lowest bit that position p fixes, pair (p, p+1)
+    shift = [p * (2 * k - p - 1) // 2 for p in range(k)]
+    perm = [0] * k
+    best = 1 << len(_pairs(k))  # above every code
+
+    def place(p: int, used: int, high: int) -> None:
+        # high: the bits of pairs (i, j) with i > p, shifted down to bit 0
+        nonlocal best
+        if p < 0:
+            best = high
+            return
+        free = allowed[p] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            fixed = high
+            for j in range(k - 1, p, -1):
+                fixed = fixed << 1 | rows[v] >> perm[j] & 1
+            if fixed > best >> shift[p]:
+                continue
+            perm[p] = v
+            place(p - 1, used | low, fixed)
+
+    place(k - 1, 0, 0)
     return best
-
-
-def _block_perms(blocks: list[list[int]]):
-    if len(blocks) == 1:
-        yield from (list(p) for p in permutations(blocks[0]))
-        return
-    for head in permutations(blocks[0]):
-        for tail in _block_perms(blocks[1:]):
-            yield list(head) + tail
 
 
 @lru_cache(maxsize=None)
@@ -189,89 +233,96 @@ def tournament_reps(k: int) -> tuple[Tournament, ...]:
     return tuple(Tournament(k, c) for c in sorted(seen))
 
 
-def find_homomorphism(d: Digraph, t: Tournament) -> dict[int, int] | None:
-    """Backtracking search for an arc-preserving map V(d) -> V(t).
+class HomomorphismSearch:
+    """Backtracking search for arc-preserving maps V(d) -> V(t), with the
+    digraph side prepared once for any number of target tournaments.
 
     Forward checking on bitmask candidate sets: assigning a vertex narrows
     every unassigned neighbor to the image's out- or in-neighborhood, and an
     emptied candidate set prunes the branch immediately.
     """
-    verts = sorted(d.vertices)
-    n = len(verts)
-    if n == 0:
-        return {}
-    pos = {v: idx for idx, v in enumerate(verts)}
-    k = t.k
-    full = (1 << k) - 1
-    out_m = t.out_masks()
-    in_m = [0] * k
-    for a in range(k):
-        row = out_m[a]
-        while row:
-            low = row & -row
-            in_m[low.bit_length() - 1] |= 1 << a
-            row ^= low
-    succ = [[pos[w] for w in sorted(d.out_neighbors(v))] for v in verts]
-    pred = [[pos[w] for w in sorted(d.in_neighbors(v))] for v in verts]
-    # visit order: BFS over the underlying graph so that every vertex after
-    # its component root sees at least one already-assigned neighbor
-    order: list[int] = []
-    placed = [False] * n
-    for root in range(n):
-        if placed[root]:
-            continue
-        placed[root] = True
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(set(succ[v]) | set(pred[v])):
-                if not placed[w]:
-                    placed[w] = True
-                    queue.append(w)
-    assignment = [-1] * n
 
-    def place(idx: int, cand: list[int]) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        options = cand[v]
-        while options:
-            low = options & -options
-            options ^= low
-            img = low.bit_length() - 1
-            narrowed = list(cand)
-            narrowed[v] = low
-            feasible = True
-            for w in succ[v]:
-                if assignment[w] == -1:
-                    narrowed[w] &= out_m[img]
-                    if not narrowed[w]:
-                        feasible = False
-                        break
-                elif not out_m[img] >> assignment[w] & 1:
-                    feasible = False
-                    break
-            if feasible:
-                for w in pred[v]:
+    def __init__(self, d: Digraph):
+        self.verts = sorted(d.vertices)
+        pos = {v: idx for idx, v in enumerate(self.verts)}
+        self.succ = [[pos[w] for w in sorted(d.out_neighbors(v))] for v in self.verts]
+        self.pred = [[pos[w] for w in sorted(d.in_neighbors(v))] for v in self.verts]
+        # visit order: BFS over the underlying graph so that every vertex
+        # after its component root sees at least one already-assigned neighbor
+        n = len(self.verts)
+        self.order: list[int] = []
+        placed = [False] * n
+        for root in range(n):
+            if placed[root]:
+                continue
+            placed[root] = True
+            queue = [root]
+            while queue:
+                v = queue.pop(0)
+                self.order.append(v)
+                for w in sorted(set(self.succ[v]) | set(self.pred[v])):
+                    if not placed[w]:
+                        placed[w] = True
+                        queue.append(w)
+
+    def into(self, t: Tournament) -> dict[int, int] | None:
+        """First homomorphism in visit order and ascending image, or None."""
+        verts, succ, pred, order = self.verts, self.succ, self.pred, self.order
+        n = len(verts)
+        if n == 0:
+            return {}
+        full = (1 << t.k) - 1
+        out_m = t.out_masks()
+        # every other vertex of a tournament is an out- or an in-neighbor
+        in_m = [full ^ row ^ 1 << a for a, row in enumerate(out_m)]
+        assignment = [-1] * n
+
+        def place(idx: int, cand: list[int]) -> bool:
+            if idx == n:
+                return True
+            v = order[idx]
+            options = cand[v]
+            while options:
+                low = options & -options
+                options ^= low
+                img = low.bit_length() - 1
+                narrowed = list(cand)
+                narrowed[v] = low
+                feasible = True
+                for w in succ[v]:
                     if assignment[w] == -1:
-                        narrowed[w] &= in_m[img]
+                        narrowed[w] &= out_m[img]
                         if not narrowed[w]:
                             feasible = False
                             break
-                    elif not in_m[img] >> assignment[w] & 1:
+                    elif not out_m[img] >> assignment[w] & 1:
                         feasible = False
                         break
-            if feasible:
-                assignment[v] = img
-                if place(idx + 1, narrowed):
-                    return True
-                assignment[v] = -1
-        return False
+                if feasible:
+                    for w in pred[v]:
+                        if assignment[w] == -1:
+                            narrowed[w] &= in_m[img]
+                            if not narrowed[w]:
+                                feasible = False
+                                break
+                        elif not in_m[img] >> assignment[w] & 1:
+                            feasible = False
+                            break
+                if feasible:
+                    assignment[v] = img
+                    if place(idx + 1, narrowed):
+                        return True
+                    assignment[v] = -1
+            return False
 
-    if not place(0, [full] * n):
-        return None
-    return {verts[i]: assignment[i] for i in range(n)}
+        if not place(0, [full] * n):
+            return None
+        return {verts[i]: assignment[i] for i in range(n)}
+
+
+def find_homomorphism(d: Digraph, t: Tournament) -> dict[int, int] | None:
+    """An arc-preserving map V(d) -> V(t), or None; see HomomorphismSearch."""
+    return HomomorphismSearch(d).into(t)
 
 
 def is_homomorphism(d: Digraph, assignment: dict[int, int], t: Tournament) -> bool:

@@ -10,6 +10,7 @@ from earlab.oracles import (CHROMATIC_CAP, KERNEL_CAP, LONGEST_PATH_CAP,
                             ORIENTED_CAP, QUASI_KERNEL_CAP, chromatic_oracles,
                             kernel_oracle, longest_path_oracle,
                             oriented_chromatic_oracle, quasi_kernel_oracle)
+from earlab.tournaments import find_homomorphism, is_homomorphism, tournament_reps
 
 
 def k3_symmetric():
@@ -74,6 +75,16 @@ def test_oriented_oracle_frozen_cycle_values():
         report = oriented_chromatic_oracle(Digraph.cycle(n))
         assert report.value == chi, n
         assert len(report.witness["tournament"]) == chi * (chi - 1) // 2
+
+
+def test_oriented_oracle_frozen_witness():
+    # the witness is the first map in BFS visit order and ascending image
+    arcs = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 7), (3, 4), (5, 2), (5, 3), (6, 5)]
+    report = oriented_chromatic_oracle(Digraph(range(8), arcs))
+    assert (report.value, report.search_space_size) == (4, 6)
+    assert report.witness == {
+        "assignment": {0: 3, 1: 0, 2: 0, 3: 0, 4: 2, 5: 1, 6: 2, 7: 2},
+        "tournament": "010000"}
 
 
 def test_oriented_oracle_requires_asymmetry():
@@ -244,3 +255,50 @@ def test_oracles_match_brute_force_on_every_digraph_up_to_four_vertices():
 def test_oracles_match_brute_force_on_random_digraphs():
     for d in random_digraphs(40, seed=6):
         assert_oracles_match_brute_force(d)
+
+
+def reference_oriented_oracle(d, k_max=7):
+    """(value, witness, search space) with the digraph side of the
+    homomorphism search rebuilt for every class tried."""
+    tried = 0
+    for k in range(1, k_max + 1):
+        for t in tournament_reps(k):
+            tried += 1
+            phi = find_homomorphism(d, t)
+            if phi is not None:
+                return k, {"assignment": phi, "tournament": t.code_string()}, tried
+    return None, None, tried
+
+
+def test_oriented_oracle_matches_per_class_search():
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        p = rng.choice((0.2, 0.5, 0.9))
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u, v in combinations(range(n), 2) if rng.random() < p]
+        d = Digraph(range(n), arcs)
+        for k_max in (5, 7):
+            report = oriented_chromatic_oracle(d, k_max=k_max)
+            assert ((report.value, report.witness, report.search_space_size)
+                    == reference_oriented_oracle(d, k_max)), (n, arcs)
+
+
+def test_oriented_oracle_matches_brute_force_maps():
+    # every map V(d) -> V(t) in product order decides each class on its own
+    rng = random.Random(4)
+    for _ in range(15):
+        n = rng.randint(3, 5)
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u, v in combinations(range(n), 2) if rng.random() < 0.7]
+        d = Digraph(range(n), arcs)
+        report = oriented_chromatic_oracle(d)
+        tried = 0
+        for t in (t for k in range(1, n + 1) for t in tournament_reps(k)):
+            tried += 1
+            if any(all(t.has_arc(img[u], img[v]) for u, v in arcs)
+                   for img in product(range(t.k), repeat=n)):
+                break
+        assert (report.value, report.search_space_size) == (t.k, tried)
+        assert report.witness["tournament"] == t.code_string()
+        assert is_homomorphism(d, report.witness["assignment"], t)

@@ -6,14 +6,16 @@ from earlab.digraph import Digraph, is_strong
 from earlab.ears import Ear, EarDecomposition, generate_random_le
 from earlab.errors import (CapExceededError, InvalidInputError,
                            PropertyFailedError)
-from earlab.oriented import (REFERENCE_WALKS, build_G, cycle_homomorphism,
-                             extend_homomorphism, find_tight_le3_instance,
-                             gi_lower_bound_check, missing_walk_witness,
-                             oriented_coloring_le3, tournament_T,
-                             uniqueness_census, validate_reference_walks,
-                             verify_walk_property, walk_catalog)
+from earlab.oriented import (REFERENCE_WALKS, _walk_gap, build_G,
+                             cycle_homomorphism, extend_homomorphism,
+                             find_tight_le3_instance, gi_lower_bound_check,
+                             missing_walk_witness, oriented_coloring_le3,
+                             tournament_T, uniqueness_census,
+                             validate_reference_walks, verify_walk_property,
+                             walk_catalog, walk_survivors)
 from earlab import tournaments
-from earlab.tournaments import Tournament, automorphism_count, canonical_code
+from earlab.tournaments import (Tournament, automorphism_count, canonical_code,
+                                mask_rows)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,25 @@ def test_census_bypasses_the_mask_cache():
     before = tournaments._out_masks.cache_info().currsize
     uniqueness_census()
     assert tournaments._out_masks.cache_info().currsize == before
+
+
+def test_bit_sliced_scan_matches_the_per_code_scan():
+    # the walk-gap function run on one code at a time, both readings
+    open_codes, closed_codes = [], []
+    for code in range(1 << 15):
+        rows = mask_rows(6, code)
+        if _walk_gap(rows) is None:
+            open_codes.append(code)
+            if _walk_gap(rows, include_closed=True) is None:
+                closed_codes.append(code)
+    assert walk_survivors() == (open_codes, closed_codes)
+
+
+def test_census_witness_is_isomorphic_to_t_under_networkx(census):
+    nx = pytest.importorskip("networkx")
+    witness = Tournament.from_code_string(census.witness)
+    assert nx.is_isomorphic(nx.DiGraph(list(witness.arcs)),
+                            nx.DiGraph(list(tournament_T().arcs)))
 
 
 def test_census_count_matches_orbit_size(census):

@@ -1,12 +1,12 @@
 import random
-from functools import lru_cache
+from itertools import chain, combinations, groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from earlab.digraph import Digraph
 from earlab.errors import InvalidInputError
-from earlab.oriented import missing_walk_witness
+from earlab.oriented import walk_survivors
 from earlab.tournaments import (Tournament, automorphism_count, canonical_code,
                                 find_homomorphism, is_homomorphism,
                                 tournament_reps)
@@ -57,7 +57,7 @@ def test_to_digraph():
 
 def test_rep_counts_match_known_sequence():
     # numbers of tournaments up to isomorphism by order
-    assert [len(tournament_reps(k)) for k in range(1, 7)] == [1, 1, 2, 4, 12, 56]
+    assert [len(tournament_reps(k)) for k in range(1, 8)] == [1, 1, 2, 4, 12, 56, 456]
 
 
 def test_reps_are_canonical_and_distinct():
@@ -91,20 +91,13 @@ def test_automorphism_counts():
     assert automorphism_count(transitive_triangle()) == 1
 
 
-@lru_cache(maxsize=1)
-def census_survivors() -> list[int]:
-    """Order-6 codes with the walk property, the codes the census classes."""
-    return [code for code in range(1 << 15)
-            if not missing_walk_witness(Tournament(6, code))]
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10_000))
 def test_canonical_code_is_relabel_invariant(k, seed):
     rng = random.Random(seed)
     codes = [rng.getrandbits(k * (k - 1) // 2)]
     if k == 6:
-        codes.append(rng.choice(census_survivors()))
+        codes.append(rng.choice(walk_survivors()[0]))
     for code in codes:
         perm = list(range(k))
         rng.shuffle(perm)
@@ -122,3 +115,69 @@ def test_found_homomorphisms_verify(k, seed):
     phi = find_homomorphism(d, t)
     if phi is not None:
         assert is_homomorphism(d, phi, t)
+
+
+# Differential checks of the branch-and-bound canonical form against the
+# definition enumerated outright: every relabeling that keeps scores sorted.
+
+def reference_canonical_code(k, code):
+    t = Tournament(k, code)
+    degs = t.out_degrees()
+    order = sorted(range(k), key=lambda v: (degs[v], v))
+    blocks = [list(group) for _, group in groupby(order, key=lambda v: degs[v])]
+    return min(t.relabel(tuple(chain.from_iterable(perms))).code
+               for perms in product(*(permutations(b) for b in blocks)))
+
+
+def test_canonical_code_matches_reference_on_every_small_code():
+    for k in range(6):
+        for code in range(1 << k * (k - 1) // 2):
+            assert canonical_code(k, code) == reference_canonical_code(k, code), (k, code)
+
+
+def test_canonical_code_matches_reference_on_seeded_codes():
+    rng = random.Random(7)
+    for k, count in ((6, 300), (7, 100)):
+        for _ in range(count):
+            code = rng.getrandbits(k * (k - 1) // 2)
+            assert canonical_code(k, code) == reference_canonical_code(k, code), (k, code)
+
+
+def test_canonical_code_matches_reference_on_census_survivors():
+    for code in walk_survivors()[0]:
+        assert canonical_code(6, code) == reference_canonical_code(6, code), code
+
+
+def test_canonical_code_of_the_smallest_orders():
+    assert canonical_code(0, 0) == 0
+    assert canonical_code(1, 0) == 0
+    with pytest.raises(InvalidInputError):
+        canonical_code(3, 8)
+
+
+# Differential checks against networkx's isomorphism test.
+
+def as_networkx(nx, t):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(t.k))
+    g.add_edges_from(t.arcs)
+    return g
+
+
+def test_reps_are_pairwise_non_isomorphic_under_networkx():
+    nx = pytest.importorskip("networkx")
+    for k in range(1, 7):
+        graphs = [as_networkx(nx, t) for t in tournament_reps(k)]
+        for a, b in combinations(graphs, 2):
+            assert not nx.is_isomorphic(a, b)
+
+
+def test_canonical_form_is_isomorphic_under_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    for k in range(1, 8):
+        for _ in range(10):
+            code = rng.getrandbits(k * (k - 1) // 2)
+            assert nx.is_isomorphic(
+                as_networkx(nx, Tournament(k, code)),
+                as_networkx(nx, Tournament(k, canonical_code(k, code))))
