@@ -121,15 +121,18 @@ def cmd_classify(args) -> dict:
     strong = is_strong(d)
     levels: dict[str, object] = {}
     max_certified = None
+    # a digraph on fewer than 2 vertices has no cycle, so no level holds;
     # once a level is decided "none" (or d is not strong) every higher level
     # is provably none too; after a budget stop every higher one is unknown
-    rest = None if strong else False
+    rest = None if strong and d.n >= 2 else False
     for i in range(1, args.max_level + 1):
         if rest is not None:
             levels[str(i)] = rest
             continue
         try:
-            found = find_le_decomposition(d, i=i, budget=args.budget)
+            # every strong digraph on >= 2 vertices has an ear decomposition
+            found = (find_ear_decomposition(d) if i == 1 else
+                     find_le_decomposition(d, i=i, budget=args.budget))
         except BudgetExceededError:
             levels[str(i)] = rest = "unknown"
             continue

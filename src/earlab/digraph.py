@@ -252,14 +252,19 @@ def is_nonseparable(d: Digraph) -> bool:
     K1 and a single edge count as nonseparable: no cut vertex exists.
     Digons collapse to one edge.
     """
-    if d.n == 0:
-        return True
-    verts = sorted(d.vertices)
-    adj: dict[int, set[int]] = {v: set() for v in verts}
+    adj: dict[int, set[int]] = {v: set() for v in d.vertices}
     for u, v in d.arcs:
         adj[u].add(v)
         adj[v].add(u)
-    root = verts[0]
+    return nonseparable(adj)
+
+
+def nonseparable(adj: dict[int, set[int]]) -> bool:
+    """is_nonseparable on an undirected adjacency: adj[v] is the set of
+    neighbours of v, symmetric and loop-free."""
+    if not adj:
+        return True
+    root = min(adj)
     # connectivity first
     seen = {root}
     stack = [root]
@@ -268,9 +273,9 @@ def is_nonseparable(d: Digraph) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) != d.n:
+    if len(seen) != len(adj):
         return False
-    if d.n <= 2:
+    if len(adj) <= 2:
         return True
     # iterative lowpoint DFS for articulation vertices
     disc: dict[int, int] = {}
@@ -278,7 +283,7 @@ def is_nonseparable(d: Digraph) -> bool:
     parent: dict[int, int | None] = {root: None}
     timer = 0
     root_children = 0
-    stack2: list[tuple[int, Iterable[int]]] = [(root, iter(sorted(adj[root])))]
+    stack2: list[tuple[int, Iterable[int]]] = [(root, iter(adj[root]))]
     disc[root] = low[root] = timer
     timer += 1
     while stack2:
@@ -291,7 +296,7 @@ def is_nonseparable(d: Digraph) -> bool:
                     root_children += 1
                 disc[w] = low[w] = timer
                 timer += 1
-                stack2.append((w, iter(sorted(adj[w]))))
+                stack2.append((w, iter(adj[w])))
                 advanced = True
                 break
             elif w != parent[v]:

@@ -11,11 +11,12 @@ which needs endpoints distinct.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .digraph import Arc, Digraph, is_nonseparable, is_strong
+from .digraph import Arc, Digraph, is_strong, nonseparable
 from .errors import (BudgetExceededError, InvalidInputError, ParseError,
                      PropertyFailedError, VerificationError)
 
@@ -281,38 +282,201 @@ def _spend(budget_box: list[int]) -> None:
         raise BudgetExceededError("search budget exhausted")
 
 
-def _threads(d: Digraph, min_len: int, allow_cycle_ears: bool) -> list[Ear]:
-    """The threads of d that may be its last ear, longest first.
+def _grow(frontier: list[int], adj: dict[int, set[int]], mine: set[int],
+          theirs: set[int]) -> list[int] | None:
+    """One breadth-first layer beyond frontier, added to mine; None once it
+    reaches a vertex of theirs."""
+    grown = []
+    for v in frontier:
+        for w in adj[v]:
+            if w not in mine:
+                if w in theirs:
+                    return None
+                mine.add(w)
+                grown.append(w)
+    return grown
 
-    A thread is a maximal path whose inner vertices have in- and out-degree
-    1.  In a strong digraph other than a cycle every arc lies on exactly
-    one, and the last ear of any decomposition is one of them.
+
+class _Remainder:
+    """The remainder of the LE_i search, edited in place by each peel.
+
+    Adjacency sets, the vertex and arc counts and the arc mask describe the
+    remainder; its threads are kept by first and by last arc, and those
+    that may be the last ear (length >= min_len, open in path-ears mode)
+    also in a list sorted longest first, then lexicographically.  A thread
+    is (1 - vertex count, vertices, arc mask): the first field orders
+    longest first.
     """
-    def plain(v: int) -> bool:
-        return len(d.in_neighbors(v)) == 1 == len(d.out_neighbors(v))
 
-    found: list[Ear] = []
-    for u in d.vertices:
-        if plain(u):
-            continue
-        for w in d.out_neighbors(u):
-            path = [u, w]
-            while plain(w):
-                (w,) = d.out_neighbors(w)
-                path.append(w)
-            if len(path) > min_len and (allow_cycle_ears or w != u):
-                found.append(Ear(tuple(path)))
-    found.sort(key=lambda e: (-e.length, e.vertices))
-    return found
+    def __init__(self, d: Digraph, min_len: int, allow_cycle_ears: bool):
+        self.min_len = min_len
+        self.allow_cycle_ears = allow_cycle_ears
+        self.out = {v: set(d.out_neighbors(v)) for v in d.vertices}
+        self.inn = {v: set(d.in_neighbors(v)) for v in d.vertices}
+        self.n, self.m = d.n, len(d.arcs)
+        bit = {a: 1 << k for k, a in enumerate(d.arcs)}
+        self.mask = (1 << self.m) - 1
+        self.first: dict[Arc, tuple] = {}
+        self.last: dict[Arc, tuple] = {}
+        self.order: list[tuple] = []
+        for t in self._scan():
+            self._put((1 - len(t), t, sum(bit[a] for a in zip(t, t[1:]))))
 
+    def _plain(self, v: int) -> bool:
+        return len(self.inn[v]) == 1 == len(self.out[v])
 
-def _may_be_stage(d: Digraph, min_len: int, allow_cycle_ears: bool) -> bool:
-    """Necessary for d to be a stage: room for its m - n ears of length >=
-    min_len beside a base of >= 2 arcs, strong, and nonseparable when every
-    ear is a path."""
-    m = len(d.arcs)
-    return (m - 2 >= min_len * (m - d.n) and is_strong(d)
-            and (allow_cycle_ears or is_nonseparable(d)))
+    def _scan(self) -> Iterator[tuple[int, ...]]:
+        """Every thread: a maximal path whose inner vertices have in- and
+        out-degree 1.  In a strong digraph other than a cycle every arc
+        lies on exactly one, and the last ear of any decomposition is one
+        of them."""
+        for u in self.out:
+            if self._plain(u):
+                continue
+            for w in self.out[u]:
+                path = [u, w]
+                while self._plain(w):
+                    (w,) = self.out[w]
+                    path.append(w)
+                yield tuple(path)
+
+    def _may_be_last(self, t: tuple[int, ...]) -> bool:
+        return len(t) > self.min_len and (self.allow_cycle_ears or t[0] != t[-1])
+
+    def _put(self, thread: tuple) -> None:
+        t = thread[1]
+        self.first[t[0], t[1]] = self.last[t[-2], t[-1]] = thread
+        if self._may_be_last(t):
+            insort(self.order, thread)
+
+    def _drop(self, thread: tuple) -> None:
+        t = thread[1]
+        del self.first[t[0], t[1]], self.last[t[-2], t[-1]]
+        if self._may_be_last(t):
+            del self.order[bisect_left(self.order, thread)]
+
+    def may_be_stage(self) -> bool:
+        """Necessary for the remainder to be a stage, strongness aside."""
+        return (self._room(self.m, self.n)
+                and (self.allow_cycle_ears or self._nonseparable()))
+
+    def _room(self, m: int, n: int) -> bool:
+        """Room for m - n ears of length >= min_len beside a base of >= 2
+        arcs."""
+        return m - 2 >= self.min_len * (m - n)
+
+    def _nonseparable(self) -> bool:
+        """The path-ears test, on the whole remainder: the one step of a
+        try left that costs O(n + m)."""
+        return nonseparable({v: self.out[v] | self.inn[v] for v in self.out})
+
+    def peel(self, thread: tuple) -> list | None:
+        """Peel a thread if a stage may remain; return the undo log of
+        the thread bookkeeping, or None with the remainder unchanged.
+
+        Strongness is one reachability test.  Let D be strong and P a
+        thread from x0 to xr.  Then D - P is strong iff x0 reaches xr in
+        D - P.  Only if is clear.  If: a u-v path of D that uses an arc of
+        P, for u and v outside P's interior, enters P at x0 and leaves it
+        at xr, because each inner vertex of P has its only in-arc and its
+        only out-arc on P.  So an x0-xr path of D - P in place of P turns
+        every u-v path of D into a u-v walk of D - P.  A closed thread
+        (x0 = xr) needs no such path, so peeling it always leaves a strong
+        remainder.
+        """
+        t, bits = thread[1], thread[2]
+        r = len(t) - 1
+        if not self._room(self.m - r, self.n - r + 1):
+            return None
+        if t[0] != t[-1] and not self._reaches_around(t):
+            return None
+        self._cut(t, bits)
+        if self.allow_cycle_ears or self._nonseparable():
+            return self._relink(thread)
+        self._uncut(t, bits)
+        return None
+
+    def unpeel(self, thread: tuple, log: list) -> None:
+        for entry, added in reversed(log):
+            if added:
+                self._drop(entry)
+            else:
+                self._put(entry)
+        self._uncut(thread[1], thread[2])
+
+    def _cut(self, t: tuple[int, ...], bits: int) -> None:
+        self.out[t[0]].remove(t[1])
+        self.inn[t[-1]].remove(t[-2])
+        for v in t[1:-1]:
+            del self.out[v], self.inn[v]
+        self.n -= len(t) - 2
+        self.m -= len(t) - 1
+        self.mask -= bits
+
+    def _uncut(self, t: tuple[int, ...], bits: int) -> None:
+        self.out[t[0]].add(t[1])
+        self.inn[t[-1]].add(t[-2])
+        for a, v, b in zip(t, t[1:], t[2:]):
+            self.out[v] = {b}
+            self.inn[v] = {a}
+        self.n += len(t) - 2
+        self.m += len(t) - 1
+        self.mask += bits
+
+    def _reaches_around(self, t: tuple[int, ...]) -> bool:
+        """x0 reaches xr in the remainder without thread t.  With the first
+        and the last arc of t cut, no search enters its interior.  Grow the
+        smaller of the forward frontier from x0 and the backward frontier
+        from xr until they meet or one dies out, so a failed test costs
+        about the smaller side."""
+        x0, xr = t[0], t[-1]
+        self.out[x0].remove(t[1])
+        self.inn[xr].remove(t[-2])
+        ahead, behind = {x0}, {xr}
+        fwd, bwd = [x0], [xr]
+        while fwd and bwd:
+            if len(fwd) <= len(bwd):
+                fwd = _grow(fwd, self.out, ahead, behind)
+            else:
+                bwd = _grow(bwd, self.inn, behind, ahead)
+            if fwd is None or bwd is None:
+                break
+        self.out[x0].add(t[1])
+        self.inn[xr].add(t[-2])
+        return fwd is None or bwd is None
+
+    def _relink(self, peeled: tuple) -> list:
+        """Update the threads after a peel.  Only the degrees of x0 and xr
+        changed; one that became plain joins the thread ending there and
+        the thread starting there into one."""
+        self._drop(peeled)
+        log = [(peeled, False)]
+        t = peeled[1]
+        for x in {t[0], t[-1]}:
+            if not self._plain(x):
+                continue
+            (y,), (z,) = self.inn[x], self.out[x]
+            before, after = self.last[y, x], self.first[x, z]
+            if before is after:  # a closed plain thread: the remainder is a cycle
+                continue
+            self._drop(before)
+            self._drop(after)
+            joined = before[1] + after[1][1:]
+            merged = (1 - len(joined), joined, before[2] + after[2])
+            self._put(merged)
+            log += [(before, False), (after, False), (merged, True)]
+        return log
+
+    def base(self) -> Ear:
+        """The remainder as a cycle ear from its smallest vertex, when it is
+        one directed cycle."""
+        v0 = min(self.out)
+        cycle = [v0]
+        (v,) = self.out[v0]
+        while v != v0:
+            cycle.append(v)
+            (v,) = self.out[v]
+        return Ear(tuple(cycle) + (v0,))
 
 
 def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
@@ -327,6 +491,10 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     None only when the whole space was exhausted (provably not in LE_i
     under the chosen ear convention); a BudgetExceededError means the
     verdict is unknown.
+
+    One remainder is edited in place and a peel is undone when its frame
+    pops, so a try costs the peeled thread, one reachability test and, on
+    success, the threads through its two ends (see _Remainder).
     """
     if i < 1:
         raise InvalidInputError("minimum ear length must be >= 1")
@@ -334,37 +502,41 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
         raise PropertyFailedError("digraph is not strong")
     if d.n < 2:
         raise PropertyFailedError("no cycle exists: single vertex")
-    if not _may_be_stage(d, i, allow_cycle_ears):
+    rest = _Remainder(d, i, allow_cycle_ears)
+    if not rest.may_be_stage():
         return None
     box = [budget]
-    bit = {a: 1 << k for k, a in enumerate(d.arcs)}
     dead: set[int] = set()  # arc masks of remainders not in LE_i
-    # one frame per peeled thread: remainder, its arc mask, the thread
-    # peeled to reach it, and the remainder's threads not yet tried
-    frames = [(d, (1 << len(bit)) - 1, None,
-               iter(_threads(d, i, allow_cycle_ears)))]
+    # one frame per peeled thread: that thread (None at the root), the undo
+    # log of the peel, and the index of the next thread of the remainder
+    # to try; undoing a peel restores rest.order, so an index stays valid
+    frames: list[list] = [[None, None, 0]]
     while frames:
-        rest, mask, _, todo = frames[-1]
-        if len(rest.arcs) == rest.n:  # one directed cycle: the base
-            base = Ear(_shortest_cycle_through(rest, min(rest.vertices)))
-            ears = [frame[2] for frame in reversed(frames[1:])]
-            return _self_checked(d, EarDecomposition(d, base, ears), i,
+        frame = frames[-1]
+        if rest.m == rest.n:  # one directed cycle: the base
+            ears = [Ear(f[0][1]) for f in reversed(frames[1:])]
+            return _self_checked(d, EarDecomposition(d, rest.base(), ears), i,
                                  not allow_cycle_ears)
-        for ear in todo:
+        order = rest.order
+        k = frame[2]
+        while k < len(order):
+            thread = order[k]
+            k += 1
             _spend(box)
-            sub_mask = mask - sum(bit[a] for a in ear.arcs)
+            sub_mask = rest.mask - thread[2]
             if sub_mask in dead:
                 continue
-            sub = Digraph(rest.vertices.difference(ear.internal),
-                          rest.arcs.difference(ear.arcs))
-            if _may_be_stage(sub, i, allow_cycle_ears):
-                frames.append((sub, sub_mask, ear,
-                               iter(_threads(sub, i, allow_cycle_ears))))
+            log = rest.peel(thread)
+            if log is not None:
+                frame[2] = k
+                frames.append([thread, log, 0])
                 break
             dead.add(sub_mask)
         else:
-            dead.add(mask)
+            dead.add(rest.mask)
             frames.pop()
+            if frame[0] is not None:
+                rest.unpeel(frame[0], frame[1])
     return None
 
 

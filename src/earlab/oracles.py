@@ -49,33 +49,34 @@ def _index_maps(d: Digraph):
     return verts, out, sym
 
 
-def _independent_sets(n: int, sym: list[int]):
-    """Yield every independent set as a bitmask, include-first order."""
-    stack = [(0, 0, 0)]
-    while stack:
-        idx, mask, blocked = stack.pop()
-        if idx == n:
-            yield mask
-            continue
-        stack.append((idx + 1, mask, blocked))
-        if not blocked >> idx & 1:
-            stack.append((idx + 1, mask | 1 << idx, blocked | sym[idx]))
-
-
 def _absorbing_sets(verts: list[int], sym: list[int],
                     rows: list[int]) -> tuple[list[tuple[int, ...]], int]:
     """Independent sets S that rows[i] meets for every vertex i outside S,
     as member tuples in lexicographic order, and the number of independent
-    sets examined."""
+    sets examined.
+
+    The independent sets are enumerated include-first.  Next to the
+    vertices it blocks, each branch carries met, the vertices whose row
+    meets the set so far (hits[j] holds those whose row contains j), so a
+    set is absorbing iff it and met cover every vertex.
+    """
     n = len(verts)
     full = (1 << n) - 1
+    hits = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
     found: list[tuple[int, ...]] = []
     examined = 0
-    for mask in _independent_sets(n, sym):
-        examined += 1
-        outside = full & ~mask
-        if all(rows[i] & mask for i in range(n) if outside >> i & 1):
-            found.append(tuple(v for i, v in enumerate(verts) if mask >> i & 1))
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        idx, mask, blocked, met = stack.pop()
+        if idx == n:
+            examined += 1
+            if mask | met == full:
+                found.append(tuple(v for i, v in enumerate(verts) if mask >> i & 1))
+            continue
+        stack.append((idx + 1, mask, blocked, met))
+        if not blocked >> idx & 1:
+            stack.append((idx + 1, mask | 1 << idx, blocked | sym[idx],
+                          met | hits[idx]))
     found.sort()
     return found, examined
 

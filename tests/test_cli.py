@@ -76,6 +76,18 @@ def test_classify_non_strong(capsys, tmp_path):
     assert doc["payload"]["max_certified"] is None
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_classify_without_a_cycle_holds_no_level(capsys, tmp_path, n):
+    # K1 and the empty digraph are strong but have no cycle, so no LE_i
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"n": n, "arcs": []}))
+    code, doc = run(capsys, "classify", str(path))
+    assert code == 0
+    assert doc["payload"] == {"strong": True,
+                              "levels": {"1": False, "2": False, "3": False},
+                              "max_certified": None}
+
+
 def test_constructions_from_instance(capsys, le3_instance):
     inst, dec = le3_instance
     for argv in (["seymour", inst, "--decomposition", dec],
@@ -282,9 +294,10 @@ def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, doc = run(capsys, "classify", str(path), "--budget", "1")
     assert code == 0
-    assert doc["payload"]["levels"] == {"1": "unknown", "2": "unknown",
+    # level 1 needs no search: every strong digraph has an ear decomposition
+    assert doc["payload"]["levels"] == {"1": True, "2": "unknown",
                                         "3": "unknown"}
-    assert doc["payload"]["max_certified"] is None
+    assert doc["payload"]["max_certified"] == 1
     code, doc = run(capsys, "classify", str(path), "--budget", "20")
     levels = list(doc["payload"]["levels"].values())
     assert "unknown" in levels

@@ -5,10 +5,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlab.digraph import Digraph, is_asymmetrical, is_strong
-from earlab.ears import (Ear, EarDecomposition, _spend, find_ear_decomposition,
-                         find_le_decomposition, generate_random_le,
-                         validate_decomposition)
+import earlab.ears as ears_mod
+from earlab.digraph import Digraph, is_asymmetrical, is_nonseparable, is_strong
+from earlab.ears import (Ear, EarDecomposition, _self_checked,
+                         _shortest_cycle_through, _spend,
+                         find_ear_decomposition, find_le_decomposition,
+                         generate_random_le, validate_decomposition)
 from earlab.errors import (BudgetExceededError, InvalidInputError,
                            PropertyFailedError)
 
@@ -399,3 +401,193 @@ def test_search_depth_is_not_python_recursion_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert found is not None and len(found.ears) == 150
+
+
+# --- reference: thread peeling on rebuilt remainders --------------------------
+#
+# The peeling search as it was before its remainder became incremental: it
+# builds a Digraph for every remainder it tries, tests it with is_strong
+# (and is_nonseparable in path-ears mode) and rescans its threads.  The
+# incremental search must return the same decomposition, or None, and must
+# spend the same number of budget units: both make the same deterministic
+# sequence of tries, so equal units on a finished search mean the same
+# BudgetExceededError at every smaller budget.
+
+def _threads(d: Digraph, min_len: int, allow_cycle_ears: bool) -> list[Ear]:
+    """The threads of d that may be its last ear, longest first.
+
+    A thread is a maximal path whose inner vertices have in- and out-degree
+    1.  In a strong digraph other than a cycle every arc lies on exactly
+    one, and the last ear of any decomposition is one of them.
+    """
+    def plain(v: int) -> bool:
+        return len(d.in_neighbors(v)) == 1 == len(d.out_neighbors(v))
+
+    found: list[Ear] = []
+    for u in d.vertices:
+        if plain(u):
+            continue
+        for w in d.out_neighbors(u):
+            path = [u, w]
+            while plain(w):
+                (w,) = d.out_neighbors(w)
+                path.append(w)
+            if len(path) > min_len and (allow_cycle_ears or w != u):
+                found.append(Ear(tuple(path)))
+    found.sort(key=lambda e: (-e.length, e.vertices))
+    return found
+
+
+def _may_be_stage(d: Digraph, min_len: int, allow_cycle_ears: bool) -> bool:
+    """Necessary for d to be a stage: room for its m - n ears of length >=
+    min_len beside a base of >= 2 arcs, strong, and nonseparable when every
+    ear is a path."""
+    m = len(d.arcs)
+    return (m - 2 >= min_len * (m - d.n) and is_strong(d)
+            and (allow_cycle_ears or is_nonseparable(d)))
+
+
+def rebuilding_le_search(d: Digraph, i: int = 1, budget: int = 200_000,
+                         allow_cycle_ears: bool = True) -> EarDecomposition | None:
+    """Exact search for a decomposition with every ear of length >= i.
+
+    D is in LE_i iff it is one directed cycle, or peeling some thread of
+    length >= i (open, in path-ears mode) leaves a digraph in LE_i: the
+    peeled thread is the last ear.  The search peels threads depth first,
+    longest first, and skips remainders that cannot be a stage or are
+    known dead; each remainder tried costs one unit of budget.  Returns
+    None only when the whole space was exhausted (provably not in LE_i
+    under the chosen ear convention); a BudgetExceededError means the
+    verdict is unknown.
+    """
+    if i < 1:
+        raise InvalidInputError("minimum ear length must be >= 1")
+    if not is_strong(d):
+        raise PropertyFailedError("digraph is not strong")
+    if d.n < 2:
+        raise PropertyFailedError("no cycle exists: single vertex")
+    if not _may_be_stage(d, i, allow_cycle_ears):
+        return None
+    box = [budget]
+    bit = {a: 1 << k for k, a in enumerate(d.arcs)}
+    dead: set[int] = set()  # arc masks of remainders not in LE_i
+    # one frame per peeled thread: remainder, its arc mask, the thread
+    # peeled to reach it, and the remainder's threads not yet tried
+    frames = [(d, (1 << len(bit)) - 1, None,
+               iter(_threads(d, i, allow_cycle_ears)))]
+    while frames:
+        rest, mask, _, todo = frames[-1]
+        if len(rest.arcs) == rest.n:  # one directed cycle: the base
+            base = Ear(_shortest_cycle_through(rest, min(rest.vertices)))
+            ears = [frame[2] for frame in reversed(frames[1:])]
+            return _self_checked(d, EarDecomposition(d, base, ears), i,
+                                 not allow_cycle_ears)
+        for ear in todo:
+            _spend(box)
+            sub_mask = mask - sum(bit[a] for a in ear.arcs)
+            if sub_mask in dead:
+                continue
+            sub = Digraph(rest.vertices.difference(ear.internal),
+                          rest.arcs.difference(ear.arcs))
+            if _may_be_stage(sub, i, allow_cycle_ears):
+                frames.append((sub, sub_mask, ear,
+                               iter(_threads(sub, i, allow_cycle_ears))))
+                break
+            dead.add(sub_mask)
+        else:
+            dead.add(mask)
+            frames.pop()
+    return None
+
+
+@pytest.fixture
+def spent(monkeypatch):
+    """A counter of the budget units both peeling searches spend."""
+    real_spend = ears_mod._spend
+    units = [0]
+
+    def counting_spend(box):
+        units[0] += 1
+        real_spend(box)
+
+    monkeypatch.setattr(ears_mod, "_spend", counting_spend)
+    monkeypatch.setitem(globals(), "_spend", counting_spend)
+    return units
+
+
+def peel_outcome(search, d, i, allow_cycle_ears, units, budget=200_000):
+    """(decomposition JSON, None or "budget", units spent) of one search."""
+    units[0] = 0
+    try:
+        found = search(d, i, budget, allow_cycle_ears)
+    except BudgetExceededError:
+        return "budget", units[0]
+    return (None if found is None else found.to_json()), units[0]
+
+
+def assert_same_peeling(d, i, allow_cycle_ears, units, budget=200_000):
+    new = peel_outcome(find_le_decomposition, d, i, allow_cycle_ears, units,
+                       budget)
+    old = peel_outcome(rebuilding_le_search, d, i, allow_cycle_ears, units,
+                       budget)
+    assert new == old, (sorted(d.arcs), i, allow_cycle_ears, budget)
+    return new
+
+
+def test_incremental_search_matches_rebuilding_reference_up_to_four_vertices(spent):
+    outcomes = [assert_same_peeling(d, i, cyc, spent)
+                for n in (2, 3, 4) for d in strong_digraphs(n)
+                for i in (1, 2, 3) for cyc in (True, False)]
+    assert len(outcomes) == 1625 * 6
+    assert {type(found) for found, _ in outcomes} == {dict, type(None)}
+
+
+def test_incremental_search_matches_rebuilding_reference_on_the_ladder(spent):
+    units = []
+    for ears in (6, 8, 10, 12, 14, 16):
+        for seed in range(10):
+            d, _ = generate_random_le(base_length=4, ear_count=ears,
+                                      min_ear_length=2, max_ear_length=4,
+                                      seed=seed)
+            for i in (1, 2, 3):
+                for cyc in (True, False):
+                    units.append(assert_same_peeling(d, i, cyc, spent)[1])
+                    # equal units already imply equal stops at every
+                    # budget; a few seeds check that directly
+                    for budget in (1, 2, 5, 20, 100) if seed < 3 else ():
+                        assert_same_peeling(d, i, cyc, spent, budget)
+    assert max(units) > 100  # the small budgets stop some searches midway
+
+
+def test_search_work_is_bounded_on_400_ears(monkeypatch):
+    # the input is tested for strongness once; a remainder is tested by one
+    # reachability search on the edited adjacency, never by building it
+    d, _ = generate_random_le(base_length=5, ear_count=400, min_ear_length=3,
+                              max_ear_length=4, seed=1)
+    calls = {"is_strong": 0, "Digraph": 0}
+    real_strong = ears_mod.is_strong
+    real_init = Digraph.__init__
+
+    def counting_strong(g):
+        calls["is_strong"] += 1
+        return real_strong(g)
+
+    def counting_init(self, *args, **kwargs):
+        calls["Digraph"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ears_mod, "is_strong", counting_strong)
+    monkeypatch.setattr(Digraph, "__init__", counting_init)
+    found = find_le_decomposition(d, i=3)
+    assert found is not None and len(found.ears) == 400
+    assert calls == {"is_strong": 1, "Digraph": 0}
+
+
+def test_thousand_ear_scaling_instance_is_decided_within_default_budget():
+    # 2,502 vertices; the search that rebuilt every remainder took about
+    # 37 s here, the incremental one a fraction of a second
+    d, _ = generate_random_le(base_length=5, ear_count=1000, min_ear_length=3,
+                              max_ear_length=4, seed=1)
+    found = find_le_decomposition(d, i=3)
+    assert found is not None and found.certifies(3)
+    assert len(found.ears) == 1000

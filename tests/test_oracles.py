@@ -4,7 +4,9 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earlab import oracles
 from earlab.digraph import Digraph, is_kernel, is_quasi_kernel, set_predicates
+from earlab.ears import generate_random_le
 from earlab.errors import CapExceededError, InvalidInputError
 from earlab.oracles import (CHROMATIC_CAP, KERNEL_CAP, LONGEST_PATH_CAP,
                             ORIENTED_CAP, QUASI_KERNEL_CAP, chromatic_oracles,
@@ -302,3 +304,65 @@ def test_oriented_oracle_matches_brute_force_maps():
         assert (report.value, report.search_space_size) == (t.k, tried)
         assert report.witness["tournament"] == t.code_string()
         assert is_homomorphism(d, report.witness["assignment"], t)
+
+
+# --- reference: the absorbing-set scan before the carried absorption mask ----
+#
+# It re-tests every row outside the set at each independent-set leaf; the
+# oracles' scan carries the rows met down the search instead.  Both must
+# report the same sets, witnesses and search space on every input.
+
+def _independent_sets(n, sym):
+    """Yield every independent set as a bitmask, include-first order."""
+    stack = [(0, 0, 0)]
+    while stack:
+        idx, mask, blocked = stack.pop()
+        if idx == n:
+            yield mask
+            continue
+        stack.append((idx + 1, mask, blocked))
+        if not blocked >> idx & 1:
+            stack.append((idx + 1, mask | 1 << idx, blocked | sym[idx]))
+
+
+def _absorbing_sets(verts, sym, rows):
+    """Independent sets S that rows[i] meets for every vertex i outside S,
+    as member tuples in lexicographic order, and the number of independent
+    sets examined."""
+    n = len(verts)
+    full = (1 << n) - 1
+    found = []
+    examined = 0
+    for mask in _independent_sets(n, sym):
+        examined += 1
+        outside = full & ~mask
+        if all(rows[i] & mask for i in range(n) if outside >> i & 1):
+            found.append(tuple(v for i, v in enumerate(verts) if mask >> i & 1))
+    found.sort()
+    return found, examined
+
+
+def test_absorbing_scan_matches_rescanning_reference(monkeypatch):
+    # every stage of the first 40 seeded instances with 10-20 vertices
+    stages, instances, seed = [], 0, 0
+    while instances < 40:
+        d, e = generate_random_le(base_length=3 + seed % 3, ear_count=3 + seed % 5,
+                                  min_ear_length=2, max_ear_length=4,
+                                  cycle_ear_probability=0.2, seed=seed)
+        seed += 1
+        if 10 <= d.n <= 20:
+            instances += 1
+            stages.extend(e.stages())
+    ran = {"kernel": 0, "quasi": 0}
+    for stage in stages:
+        kernel = kernel_oracle(stage, enumerate_all=True)
+        quasi = (quasi_kernel_oracle(stage, enumerate_all=True)
+                 if stage.n <= QUASI_KERNEL_CAP else None)
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_absorbing_sets", _absorbing_sets)
+            assert kernel_oracle(stage, enumerate_all=True) == kernel
+            ran["kernel"] += 1
+            if quasi is not None:
+                assert quasi_kernel_oracle(stage, enumerate_all=True) == quasi
+                ran["quasi"] += 1
+    assert ran["kernel"] == len(stages) and ran["quasi"] > len(stages) // 2
