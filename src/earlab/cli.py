@@ -355,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     with_input(p)
     p.add_argument("--kmax", type=int, default=7)
     p.add_argument("--all", action="store_true",
-                   help="enumerate every certificate, not just the witness")
+                   help="kernel and quasi-kernel: enumerate every one, not "
+                        "just the witness (longest-path always enumerates)")
     p.set_defaults(handler=cmd_oracle)
 
     return parser

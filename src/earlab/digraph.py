@@ -197,8 +197,8 @@ def digraph_from_json(doc: dict) -> Digraph:
     n = doc.get("n")
     if n is None:
         n = top
-    elif type(n) is not int:
-        raise ParseError(f"'n' must be an integer, got {n!r}")
+    elif type(n) is not int or n < 0:
+        raise ParseError(f"'n' must be a non-negative integer, got {n!r}")
     _check_vertex_count(max(n, top))
     labels = doc.get("labels") or {}
     if not isinstance(labels, dict):

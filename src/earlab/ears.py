@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .digraph import Arc, Digraph, is_strong, nonseparable
+from .digraph import Arc, Digraph, _check_vertex_count, is_strong, nonseparable
 from .errors import (BudgetExceededError, InvalidInputError, ParseError,
                      PropertyFailedError, VerificationError)
 
@@ -548,7 +548,7 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
 
     Digon-free by construction unless base_length = 2: cycle ears are only
     drawn at length >= 3, and length-1 ears never duplicate or reverse an
-    existing arc.  Deterministic per seed.
+    existing arc.  Deterministic per seed; refuses to pass MAX_VERTICES.
     """
     if base_length < 2:
         raise InvalidInputError("base length must be >= 2")
@@ -558,6 +558,8 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
         max_ear_length = min_ear_length
     if max_ear_length < min_ear_length:
         raise InvalidInputError("max ear length below min")
+    # the fewest vertices the drawn lengths can give
+    _check_vertex_count(base_length + ear_count * (min_ear_length - 1))
     rng = random.Random(seed)
     vertices = list(range(base_length))
     arcs = {(i, (i + 1) % base_length) for i in range(base_length)}
@@ -593,6 +595,7 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
             if not as_cycle:
                 j = rng.randrange(len(vertices) - 1)
                 xr = vertices[j + (j >= k)]
+            _check_vertex_count(next_id + length - 1)
             interior = tuple(range(next_id, next_id + length - 1))
             next_id += length - 1
             ear = Ear((x0,) + interior + (xr,))

@@ -225,7 +225,7 @@ def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> Ora
     )
 
 
-def longest_path_oracle(d: Digraph, enumerate_all: bool = True) -> OracleReport:
+def longest_path_oracle(d: Digraph) -> OracleReport:
     """All maximum-length directed paths by exhaustive DFS.
 
     Length counts arcs; an isolated vertex is a path of length 0.
@@ -250,13 +250,10 @@ def longest_path_oracle(d: Digraph, enumerate_all: bool = True) -> OracleReport:
                 if w not in path:
                     stack.append(path + (w,))
     best.sort()
-    details = {"maximum_count": len(best)}
-    if enumerate_all:
-        details["all_longest"] = best
     return OracleReport(
         quantity="longest_path_length",
         value=best_len,
         witness=best[0] if best else None,
         search_space_size=examined,
-        details=details,
+        details={"maximum_count": len(best), "all_longest": best},
     )

@@ -65,22 +65,9 @@ _T_ARCS = ((0, 1), (0, 3), (1, 2), (1, 5), (2, 0), (2, 4), (3, 1), (3, 2),
 WALK_LENGTHS = (3, 4, 5)
 
 
-def reference_arcs() -> frozenset[tuple[int, int]]:
-    """Arc set read off consecutive pairs of every reference walk."""
-    arcs = set()
-    for walks in REFERENCE_WALKS.values():
-        for walk in walks:
-            arcs.update(zip(walk, walk[1:]))
-    return frozenset(arcs)
-
-
 @lru_cache(maxsize=1)
 def tournament_T() -> Tournament:
-    t = Tournament.from_arcs(6, _T_ARCS)
-    extracted = reference_arcs()
-    if not extracted <= t.arcs:
-        raise VerificationError("reference walks contradict the pinned arc set")
-    return t
+    return Tournament.from_arcs(6, _T_ARCS)
 
 
 def validate_reference_walks() -> bool:
@@ -154,22 +141,29 @@ def walk_survivors() -> tuple[list[int], list[int]]:
     """Order-6 codes with the three-length walk property, under the open and
     the closed reading, in ascending order.
 
-    Bit-sliced: bit c of every plane belongs to code c, so adjacency powers
-    3, 4, 5 of all 32768 codes are built at once, and a code survives iff
-    its bit is set in every entry its reading needs (the diagonal, too, for
-    the closed one).
+    Bit-sliced: bit c of every plane belongs to code c, so the cube of the
+    adjacency of all 32768 codes is built at once, and a code survives iff
+    its bit is set in every entry its reading needs.
+
+    Only A^3 is built, as lengths 4 and 5 follow.  Lemma: in a tournament
+    where every ordered pair i != j has a length-3 walk, every vertex j has
+    in-degree at least 2, since with a single in-neighbour i the walk from
+    i to j would end i -> a -> i -> j, a closed 2-walk that needs a digon.
+    A walk of length L + 1 from i to j is a walk of length L from i to an
+    in-neighbour m of j; one m differs from i, so A^4 is full off the
+    diagonal, and any m differs from j, so the diagonal of A^4 is full too.
+    A^5 follows from the full A^4 the same way.  The open reading is thus
+    A^3 off the diagonal, and the closed one adds the diagonal of A^3.
     """
     arcs = arc_planes(6)
-    power = compose_planes(arcs, arcs)
+    cube = compose_planes(compose_planes(arcs, arcs), arcs)
     open_plane = diagonal = -1  # every code
-    for _ in WALK_LENGTHS:
-        power = compose_planes(power, arcs)
-        for i, row in enumerate(power):
-            for j, plane in enumerate(row):
-                if i == j:
-                    diagonal &= plane
-                else:
-                    open_plane &= plane
+    for i, row in enumerate(cube):
+        for j, plane in enumerate(row):
+            if i == j:
+                diagonal &= plane
+            else:
+                open_plane &= plane
     return _set_bits(open_plane), _set_bits(open_plane & diagonal)
 
 
@@ -279,22 +273,18 @@ def _catalog_for(code: int, k: int) -> WalkCatalog:
 def cycle_homomorphism(n: int) -> VertexMapping:
     """Map the directed n-cycle into the pinned tournament.
 
-    Short cycles ride their anchored images directly; longer ones wrap the
-    3-cycle (0,1,2) and finish through 4, or 4 then 5, depending on n mod 3.
+    Short cycles ride the catalog cycle anchored at 0; longer ones are
+    mapped as a cycle ear anchored at 0 -> 0 (see _map_ear).
     """
     if n < 3:
         raise InvalidInputError("cycle homomorphism needs length >= 3")
     t = tournament_T()
-    cat = _catalog_for(t.code, t.k)
     if n <= 6:
-        images = list(cat.cycles[(0, n)][:n])
-    elif n % 3 == 0:
-        images = [i % 3 for i in range(n)]
-    elif n % 3 == 1:
-        images = [i % 3 for i in range(n - 1)] + [4]
+        images = dict(enumerate(_catalog_for(t.code, t.k).cycles[(0, n)][:n]))
     else:
-        images = [i % 3 for i in range(n - 2)] + [4, 5]
-    mapping = VertexMapping({i: images[i] for i in range(n)}, t, "homomorphism")
+        images = {0: 0}
+        _map_ear(t, images, Ear(tuple(range(n)) + (0,)))
+    mapping = VertexMapping(images, t, "homomorphism")
     verify_homomorphism(Digraph.cycle(n), mapping)
     return mapping
 

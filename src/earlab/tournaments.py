@@ -9,7 +9,7 @@ bits as '1'/'0' in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby, permutations
 
 from .digraph import Digraph
@@ -70,15 +70,16 @@ class Tournament:
             out.append((i, j) if self.code >> idx & 1 else (j, i))
         return frozenset(out)
 
+    @cached_property
+    def _rows(self) -> tuple[int, ...]:
+        return mask_rows(self.k, self.code)
+
     def has_arc(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        idx = _pair_index(self.k)[(u, v) if u < v else (v, u)]
-        bit = bool(self.code >> idx & 1)
-        return bit if u < v else not bit
+        """Whether (u, v) is an arc; False for any id outside 0..k-1."""
+        return 0 <= u < self.k and 0 <= v < self.k and bool(self._rows[u] >> v & 1)
 
     def out_masks(self) -> tuple[int, ...]:
-        return _out_masks(self.k, self.code)
+        return self._rows
 
     def out_degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.out_masks())
@@ -99,8 +100,7 @@ class Tournament:
 
 
 def mask_rows(k: int, code: int) -> tuple[int, ...]:
-    """Out-neighborhood bitmask of every vertex, uncached: for codes that
-    pass through once, such as the canonical form of a fresh code."""
+    """Out-neighborhood bitmask of every vertex of the order-k code."""
     masks = [0] * k
     for idx, (i, j) in enumerate(_pairs(k)):
         if code >> idx & 1:
@@ -153,11 +153,6 @@ def compose_planes(a, b) -> list[list[int]]:
     return out
 
 
-@lru_cache(maxsize=200_000)
-def _out_masks(k: int, code: int) -> tuple[int, ...]:
-    return mask_rows(k, code)
-
-
 def canonical_code(k: int, code: int) -> int:
     """Canonical form: minimum code over score-sorted relabelings.
 
@@ -167,9 +162,7 @@ def canonical_code(k: int, code: int) -> int:
     of the pairs (p, j > p), the highest bits not fixed yet, so a branch
     whose fixed bits already exceed those of the best code found is cut.
     """
-    if not 0 <= code < 1 << len(_pairs(k)):
-        raise InvalidInputError("tournament code out of range")
-    rows = mask_rows(k, code)
+    rows = Tournament(k, code).out_masks()
     score = [row.bit_count() for row in rows]
     order = sorted(range(k), key=lambda v: (score[v], v))
     # allowed[p]: the vertices whose score puts them at position p
@@ -237,87 +230,75 @@ class HomomorphismSearch:
     """Backtracking search for arc-preserving maps V(d) -> V(t), with the
     digraph side prepared once for any number of target tournaments.
 
-    Forward checking on bitmask candidate sets: assigning a vertex narrows
-    every unassigned neighbor to the image's out- or in-neighborhood, and an
-    emptied candidate set prunes the branch immediately.
+    Forward checking on bitmask candidate sets (Haralick and Elliott,
+    1980): placing the vertex of a visit slot narrows every neighbour of a
+    later slot to the image's out- or in-neighbourhood, and an emptied
+    candidate set prunes the branch at once.
+
+    No placement is checked against the neighbours placed before it, as no
+    such check can fail.  When a neighbour w of v was placed, it narrowed
+    the candidates of v to the out-row of its image (arc (w, v)) or to the
+    in-row (arc (v, w)), so every image v can still draw already keeps
+    every arc between v and an earlier neighbour.  A digon lists its later
+    end twice, once per direction, and the out- and in-rows of a tournament
+    vertex are disjoint, so the second narrowing empties its candidates.
     """
 
     def __init__(self, d: Digraph):
-        self.verts = sorted(d.vertices)
-        pos = {v: idx for idx, v in enumerate(self.verts)}
-        self.succ = [[pos[w] for w in sorted(d.out_neighbors(v))] for v in self.verts]
-        self.pred = [[pos[w] for w in sorted(d.in_neighbors(v))] for v in self.verts]
-        # visit order: BFS over the underlying graph so that every vertex
-        # after its component root sees at least one already-assigned neighbor
-        n = len(self.verts)
-        self.order: list[int] = []
-        placed = [False] * n
-        for root in range(n):
-            if placed[root]:
+        # visit order: BFS over the underlying graph, roots and neighbours in
+        # ascending order, so each vertex but a root has an earlier neighbour
+        self.visit: list[int] = []
+        slot: dict[int, int] = {}
+        for root in sorted(d.vertices):
+            if root in slot:
                 continue
-            placed[root] = True
+            slot[root] = len(slot)
             queue = [root]
-            while queue:
-                v = queue.pop(0)
-                self.order.append(v)
-                for w in sorted(set(self.succ[v]) | set(self.pred[v])):
-                    if not placed[w]:
-                        placed[w] = True
+            for v in queue:
+                for w in sorted(d.out_neighbors(v) | d.in_neighbors(v)):
+                    if w not in slot:
+                        slot[w] = len(slot)
                         queue.append(w)
+            self.visit += queue
+        # later[s]: (slot, outward) for each neighbour placed after slot s,
+        # outward when the arc runs from the vertex of slot s to it
+        self.later = [
+            [(slot[w], True) for w in d.out_neighbors(v) if slot[w] > slot[v]]
+            + [(slot[w], False) for w in d.in_neighbors(v) if slot[w] > slot[v]]
+            for v in self.visit]
 
     def into(self, t: Tournament) -> dict[int, int] | None:
-        """First homomorphism in visit order and ascending image, or None."""
-        verts, succ, pred, order = self.verts, self.succ, self.pred, self.order
-        n = len(verts)
-        if n == 0:
-            return {}
+        """First homomorphism in visit order and ascending image, keyed in
+        ascending vertex order, or None."""
+        later, n = self.later, len(self.visit)
         full = (1 << t.k) - 1
-        out_m = t.out_masks()
-        # every other vertex of a tournament is an out- or an in-neighbor
-        in_m = [full ^ row ^ 1 << a for a, row in enumerate(out_m)]
-        assignment = [-1] * n
+        # (in-row, out-row) of every image: each other vertex is in one
+        rows = [(full ^ row ^ 1 << a, row) for a, row in enumerate(t.out_masks())]
+        image = [0] * n
 
-        def place(idx: int, cand: list[int]) -> bool:
-            if idx == n:
+        def place(s: int, cand: list[int]) -> bool:
+            if s == n:
                 return True
-            v = order[idx]
-            options = cand[v]
+            options = cand[s]
             while options:
                 low = options & -options
                 options ^= low
                 img = low.bit_length() - 1
+                row = rows[img]
                 narrowed = list(cand)
-                narrowed[v] = low
-                feasible = True
-                for w in succ[v]:
-                    if assignment[w] == -1:
-                        narrowed[w] &= out_m[img]
-                        if not narrowed[w]:
-                            feasible = False
-                            break
-                    elif not out_m[img] >> assignment[w] & 1:
-                        feasible = False
+                for w, outward in later[s]:
+                    narrowed[w] &= row[outward]
+                    if not narrowed[w]:
                         break
-                if feasible:
-                    for w in pred[v]:
-                        if assignment[w] == -1:
-                            narrowed[w] &= in_m[img]
-                            if not narrowed[w]:
-                                feasible = False
-                                break
-                        elif not in_m[img] >> assignment[w] & 1:
-                            feasible = False
-                            break
-                if feasible:
-                    assignment[v] = img
-                    if place(idx + 1, narrowed):
+                else:
+                    image[s] = img
+                    if place(s + 1, narrowed):
                         return True
-                    assignment[v] = -1
             return False
 
         if not place(0, [full] * n):
             return None
-        return {verts[i]: assignment[i] for i in range(n)}
+        return dict(sorted(zip(self.visit, image)))
 
 
 def find_homomorphism(d: Digraph, t: Tournament) -> dict[int, int] | None:

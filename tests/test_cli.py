@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import time
 
 import pytest
 
@@ -324,12 +325,28 @@ def test_huge_vertex_id_hits_the_cap(capsys, tmp_path):
         assert "1000000" in doc["error"]
 
 
+@pytest.mark.parametrize("lengths", [
+    ["--min-ear-length", "1000500"],
+    ["--min-ear-length", "2", "--max-ear-length", "3000000"],
+], ids=["least-size", "drawn-ear"])
+def test_gen_hits_the_cap_before_allocating(capsys, lengths):
+    # the first bound needs no draw; the second stops the drawn ear
+    started = time.perf_counter()
+    code, doc = run(capsys, "gen", "--le", "--ears", "1", *lengths)
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert doc["status"] == "cap_exceeded"
+    assert "1000000" in doc["error"]
+
+
 @pytest.mark.parametrize("doc", [
     {"n": 2, "arcs": None},
     {"arcs": [["a", "b"], ["b", "a"]]},
     {"arcs": [[0, 1], [1, 0]], "labels": ["x", "y"]},
     {"arcs": [[0, 1.5], [1, 0]]},
-], ids=["arcs-null", "string-ids", "list-labels", "non-integer-id"])
+    {"n": -5, "arcs": []},
+], ids=["arcs-null", "string-ids", "list-labels", "non-integer-id",
+        "negative-n"])
 def test_malformed_json_digraph_is_invalid_input(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

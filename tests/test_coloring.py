@@ -3,11 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from earlab.coloring import (DichromaticBounds, VertexMapping,
                              dichromatic_bounds, proper_3_coloring,
-                             verify_proper)
+                             verify_homomorphism, verify_proper)
 from earlab.digraph import Digraph
 from earlab.ears import Ear, EarDecomposition, generate_random_le
 from earlab.errors import InvalidInputError, VerificationError
 from earlab.oracles import chromatic_oracles
+from earlab.tournaments import Tournament
 
 
 def bare_cycle(n):
@@ -71,6 +72,14 @@ def test_verify_proper_flags_bad_assignment():
     bad = VertexMapping({0: 1, 1: 1, 2: 2}, 3, "proper")
     with pytest.raises(VerificationError):
         verify_proper(d, bad)
+
+
+@pytest.mark.parametrize("bad", [9, -1])
+def test_verify_homomorphism_rejects_an_image_outside_the_target(bad):
+    triangle = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    m = VertexMapping({0: 0, 1: bad, 2: 2}, triangle, "homomorphism")
+    with pytest.raises(VerificationError):
+        verify_homomorphism(Digraph.cycle(3), m)
 
 
 def test_mapping_kind_is_validated():

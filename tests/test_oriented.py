@@ -13,7 +13,6 @@ from earlab.oriented import (REFERENCE_WALKS, _walk_gap, build_G,
                              tournament_T, uniqueness_census,
                              validate_reference_walks, verify_walk_property,
                              walk_catalog, walk_survivors)
-from earlab import tournaments
 from earlab.tournaments import (Tournament, automorphism_count, canonical_code,
                                 mask_rows)
 
@@ -69,15 +68,10 @@ def test_census_finds_a_single_class(census):
     assert witness.code == canonical_code(6, tournament_T().code)
 
 
-def test_census_bypasses_the_mask_cache():
-    # the census scans all 32768 codes; cached, they cost about 9 MB of RSS
-    before = tournaments._out_masks.cache_info().currsize
-    uniqueness_census()
-    assert tournaments._out_masks.cache_info().currsize == before
-
-
 def test_bit_sliced_scan_matches_the_per_code_scan():
-    # the walk-gap function run on one code at a time, both readings
+    # the walk-gap function run on one code at a time, both readings; it
+    # builds lengths 3, 4 and 5, the scan A^3 only, so this checks the
+    # lemma of walk_survivors on every order-6 code
     open_codes, closed_codes = [], []
     for code in range(1 << 15):
         rows = mask_rows(6, code)
@@ -157,6 +151,24 @@ def test_cycle_homomorphism_verifies(n):
 def test_cycle_homomorphism_seven_fixture():
     m = cycle_homomorphism(7)
     assert [m.assignment[i] for i in range(7)] == [0, 1, 2, 0, 1, 2, 4]
+
+
+def reference_cycle_images(n):
+    # the closed formula the cycle-ear wrap replaced: the catalog cycle up
+    # to n = 6, then the 3-cycle (0, 1, 2) finished through 4, or 4 then 5
+    if n <= 6:
+        return list(walk_catalog(tournament_T()).cycles[(0, n)][:n])
+    if n % 3 == 0:
+        return [i % 3 for i in range(n)]
+    if n % 3 == 1:
+        return [i % 3 for i in range(n - 1)] + [4]
+    return [i % 3 for i in range(n - 2)] + [4, 5]
+
+
+def test_cycle_homomorphism_matches_the_closed_formula():
+    for n in range(3, 101):
+        m = cycle_homomorphism(n)
+        assert list(m.assignment.items()) == list(enumerate(reference_cycle_images(n))), n
 
 
 def test_cycle_homomorphism_rejects_short():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from earlab.digraph import Digraph
 from earlab.errors import InvalidInputError
 from earlab.oriented import walk_survivors
-from earlab.tournaments import (Tournament, automorphism_count, canonical_code,
+from earlab.tournaments import (HomomorphismSearch, Tournament,
+                                automorphism_count, canonical_code,
                                 find_homomorphism, is_homomorphism,
                                 tournament_reps)
 
@@ -181,3 +182,127 @@ def test_canonical_form_is_isomorphic_under_networkx():
             assert nx.is_isomorphic(
                 as_networkx(nx, Tournament(k, code)),
                 as_networkx(nx, Tournament(k, canonical_code(k, code))))
+
+
+def test_is_homomorphism_rejects_an_image_outside_the_tournament():
+    d = Digraph.cycle(3)
+    for bad in (9, -1):
+        assert not is_homomorphism(d, {0: 0, 1: bad, 2: 2}, cyclic_triangle())
+
+
+# Differential checks of the forward-checking search against the search it
+# replaced, kept verbatim: the same witness, in the same key order, or None.
+
+class ReferenceHomomorphismSearch:
+    def __init__(self, d: Digraph):
+        self.verts = sorted(d.vertices)
+        pos = {v: idx for idx, v in enumerate(self.verts)}
+        self.succ = [[pos[w] for w in sorted(d.out_neighbors(v))] for v in self.verts]
+        self.pred = [[pos[w] for w in sorted(d.in_neighbors(v))] for v in self.verts]
+        # visit order: BFS over the underlying graph so that every vertex
+        # after its component root sees at least one already-assigned neighbor
+        n = len(self.verts)
+        self.order: list[int] = []
+        placed = [False] * n
+        for root in range(n):
+            if placed[root]:
+                continue
+            placed[root] = True
+            queue = [root]
+            while queue:
+                v = queue.pop(0)
+                self.order.append(v)
+                for w in sorted(set(self.succ[v]) | set(self.pred[v])):
+                    if not placed[w]:
+                        placed[w] = True
+                        queue.append(w)
+
+    def into(self, t: Tournament) -> dict[int, int] | None:
+        """First homomorphism in visit order and ascending image, or None."""
+        verts, succ, pred, order = self.verts, self.succ, self.pred, self.order
+        n = len(verts)
+        if n == 0:
+            return {}
+        full = (1 << t.k) - 1
+        out_m = t.out_masks()
+        # every other vertex of a tournament is an out- or an in-neighbor
+        in_m = [full ^ row ^ 1 << a for a, row in enumerate(out_m)]
+        assignment = [-1] * n
+
+        def place(idx: int, cand: list[int]) -> bool:
+            if idx == n:
+                return True
+            v = order[idx]
+            options = cand[v]
+            while options:
+                low = options & -options
+                options ^= low
+                img = low.bit_length() - 1
+                narrowed = list(cand)
+                narrowed[v] = low
+                feasible = True
+                for w in succ[v]:
+                    if assignment[w] == -1:
+                        narrowed[w] &= out_m[img]
+                        if not narrowed[w]:
+                            feasible = False
+                            break
+                    elif not out_m[img] >> assignment[w] & 1:
+                        feasible = False
+                        break
+                if feasible:
+                    for w in pred[v]:
+                        if assignment[w] == -1:
+                            narrowed[w] &= in_m[img]
+                            if not narrowed[w]:
+                                feasible = False
+                                break
+                        elif not in_m[img] >> assignment[w] & 1:
+                            feasible = False
+                            break
+                if feasible:
+                    assignment[v] = img
+                    if place(idx + 1, narrowed):
+                        return True
+                    assignment[v] = -1
+            return False
+
+        if not place(0, [full] * n):
+            return None
+        return {verts[i]: assignment[i] for i in range(n)}
+
+
+def assert_searches_agree(digraphs, targets):
+    for d in digraphs:
+        search, reference = HomomorphismSearch(d), ReferenceHomomorphismSearch(d)
+        for t in targets:
+            found, expected = search.into(t), reference.into(t)
+            # compared as item lists: the key order is part of the payload
+            assert (found is None) == (expected is None), (sorted(d.arcs), t)
+            if found is not None:
+                assert list(found.items()) == list(expected.items()), (sorted(d.arcs), t)
+
+
+def test_search_matches_reference_on_every_digraph_up_to_four_vertices():
+    # every arc set on 0-4 vertices, digons included
+    digraphs = []
+    for n in range(5):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for mask in range(1 << len(arcs)):
+            digraphs.append(Digraph(range(n), [a for b, a in enumerate(arcs)
+                                                if mask >> b & 1]))
+    targets = [t for k in range(1, 5) for t in tournament_reps(k)]
+    assert_searches_agree(digraphs, targets)
+
+
+def test_search_matches_reference_on_seeded_asymmetric_digraphs():
+    rng = random.Random(11)
+    digraphs = []
+    for _ in range(60):
+        n = rng.randint(3, 12)
+        p = rng.uniform(0.1, 0.5)
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+                for u, v in combinations(range(n), 2) if rng.random() < p]
+        digraphs.append(Digraph(range(n), arcs))
+    targets = [t for k in range(1, 8) for t in tournament_reps(k)]
+    assert_searches_agree(digraphs, targets)
