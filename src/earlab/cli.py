@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -31,18 +32,6 @@ from .oriented import (build_G, tournament_T, uniqueness_census,
 from .oriented import oriented_coloring_le3
 
 DEFAULT_BUDGET = 200_000
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    return value
 
 
 def _read_text(source: str) -> str:
@@ -77,9 +66,9 @@ def load_digraph(source: str) -> Digraph:
     return parse_digraph(text)
 
 
-def load_decomposition(source: str, host: Digraph) -> EarDecomposition:
+def load_decomposition(source: str) -> EarDecomposition:
     return EarDecomposition.from_json(
-        _decode(_read_text(source), "decomposition"), host)
+        _decode(_read_text(source), "decomposition"))
 
 
 def load_vertex_set(source: str) -> tuple[int, ...]:
@@ -102,7 +91,7 @@ def _search(d: Digraph, min_len: int, budget: int,
 def _decomposition_for(d: Digraph, args, min_len: int,
                        path_ears_only: bool = False) -> EarDecomposition:
     if args.decomposition:
-        return load_decomposition(args.decomposition, d)
+        return load_decomposition(args.decomposition)
     return _search(d, min_len, args.budget, path_ears_only)
 
 
@@ -169,7 +158,7 @@ def cmd_quasi_kernel(args) -> dict:
 def _last_stage_parts(d: Digraph, args):
     # a searched decomposition is validated in path-ears mode by the search
     if args.decomposition:
-        e = load_decomposition(args.decomposition, d)
+        e = load_decomposition(args.decomposition)
         require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
     else:
         e = _search(d, 2, args.budget, path_ears_only=True)
@@ -254,10 +243,10 @@ def cmd_oracle(args) -> dict:
         report = oriented_chromatic_oracle(d, k_max=args.kmax)
     else:
         report = longest_path_oracle(d)
-    return {"quantity": report.quantity, "value": _jsonable(report.value),
-            "witness": _jsonable(report.witness),
+    return {"quantity": report.quantity, "value": report.value,
+            "witness": report.witness,
             "search_space_size": report.search_space_size,
-            "details": _jsonable(report.details)}
+            "details": report.details}
 
 
 def _budget(text: str) -> int:
@@ -375,8 +364,14 @@ def main(argv=None) -> int:
                 "timing_ms": int((time.perf_counter() - started) * 1000)}
     if error is not None:
         envelope["error"] = error
-    json.dump(envelope, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(envelope, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); the rest of the output goes
+        # to the null device, so the flush at interpreter exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

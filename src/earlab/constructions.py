@@ -16,7 +16,7 @@ from .ears import Ear, EarDecomposition, require_decomposition
 from .errors import InvalidInputError, VerificationError
 from .oracles import longest_path_oracle, quasi_kernel_oracle
 
-ROLES = ("kernel", "quasi_kernel", "transversal", "independent")
+ROLES = ("kernel", "quasi_kernel", "transversal")
 
 
 @dataclass(frozen=True)
@@ -287,14 +287,14 @@ def le2_quasi_kernel_obstruction(d: Digraph, e: EarDecomposition,
     return result
 
 
-def find_quasi_kernel_obstruction(max_base: int = 7):
+def find_quasi_kernel_obstruction():
     """Search small one-ear instances for a total extension failure.
 
-    Scans cycles plus a single length-2 ear over all endpoint pairs and all
-    stage quasi-kernels; returns the first instance where no candidate
-    survives, or None if the scan is exhausted.
+    Scans cycles of length 3..7 plus a single length-2 ear over all
+    endpoint pairs and all stage quasi-kernels; returns the first instance
+    where no candidate survives, or None if the scan is exhausted.
     """
-    for base_len in range(3, max_base + 1):
+    for base_len in range(3, 8):
         cycle = Digraph.cycle(base_len)
         stage_qks = quasi_kernel_oracle(cycle, enumerate_all=True)
         base = Ear(tuple(range(base_len)) + (0,))
@@ -305,7 +305,7 @@ def find_quasi_kernel_obstruction(max_base: int = 7):
                     continue
                 host = cycle.union([z], [(x0, z), (z, xr)])
                 ear = Ear((x0, z, xr))
-                decomp = EarDecomposition(host, base, [ear])
+                decomp = EarDecomposition(base, [ear])
                 for members in stage_qks.details["all_quasi_kernels"]:
                     cert = CertifiedSet(tuple(members), "quasi_kernel", stage=0,
                                         size_bound_met=2 * len(members) <= base_len)

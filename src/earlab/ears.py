@@ -1,7 +1,7 @@
 """Ear decompositions: validation, search, classification, generation.
 
 A decomposition is a nested sequence of strong subdigraphs D_0 .. D_k of a
-host D: D_0 a directed cycle, each D_{j+1} = D_j plus one ear, D_k = D.
+digraph D: D_0 a directed cycle, each D_{j+1} = D_j plus one ear, D_k = D.
 An ear's endpoints lie in the current stage, its internal vertices and all
 its arcs are new.  Ears may themselves be cycles (both endpoints equal);
 the search ops expose a strict path-ears mode for the kernel machinery,
@@ -72,12 +72,13 @@ def _ids(value, what: str) -> tuple[int, ...]:
 
 
 class EarDecomposition:
-    """Base cycle plus ordered ears over a host digraph."""
+    """Base cycle plus ordered ears.  It names no digraph: it decomposes
+    every digraph whose vertices and arcs its parts cover exactly, once each
+    (validate_decomposition)."""
 
-    def __init__(self, host: Digraph, base: Ear, ears: Iterable[Ear] = ()):
+    def __init__(self, base: Ear, ears: Iterable[Ear] = ()):
         if not base.is_cycle:
             raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
-        self.host = host
         self.base = base
         self.ears = tuple(ears)
 
@@ -110,7 +111,7 @@ class EarDecomposition:
                 "ears": [list(e.vertices) for e in self.ears]}
 
     @classmethod
-    def from_json(cls, doc: dict, host: Digraph) -> "EarDecomposition":
+    def from_json(cls, doc: dict) -> "EarDecomposition":
         if not isinstance(doc, dict) or "base" not in doc:
             raise InvalidInputError("decomposition JSON needs a 'base' field")
         base_list = _ids(doc["base"], "'base'")
@@ -122,7 +123,7 @@ class EarDecomposition:
         ears = doc.get("ears", [])
         if not isinstance(ears, (list, tuple)):
             raise ParseError("'ears' must be a list of vertex lists")
-        return cls(host, base, [Ear(_ids(e, "ear")) for e in ears])
+        return cls(base, [Ear(_ids(e, "ear")) for e in ears])
 
     def __repr__(self) -> str:
         return (f"EarDecomposition(base={list(self.base.vertices)}, "
@@ -146,8 +147,6 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     hold no later stage can fail that test.
     """
     bad: list[str] = []
-    if e.host != d:
-        bad.append("stage -: decomposition host differs from d")
     base = e.base
     for a in base.arcs:
         if a not in d.arcs:
@@ -273,7 +272,7 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
             covered_v.update(ear.internal)
             covered_a.update(ear.arcs)
             queue.extend(ear.internal)
-    return _self_checked(d, EarDecomposition(d, base, ears))
+    return _self_checked(d, EarDecomposition(base, ears))
 
 
 def _spend(budget_box: list[int]) -> None:
@@ -515,7 +514,7 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
         frame = frames[-1]
         if rest.m == rest.n:  # one directed cycle: the base
             ears = [Ear(f[0][1]) for f in reversed(frames[1:])]
-            return _self_checked(d, EarDecomposition(d, rest.base(), ears), i,
+            return _self_checked(d, EarDecomposition(rest.base(), ears), i,
                                  not allow_cycle_ears)
         order = rest.order
         k = frame[2]
@@ -606,5 +605,5 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
             near[u].add(v)
             near[v].add(u)
     host = Digraph(range(next_id), arcs)
-    return host, _self_checked(host, EarDecomposition(host, base, ears),
+    return host, _self_checked(host, EarDecomposition(base, ears),
                                min_ear_length)

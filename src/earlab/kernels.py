@@ -73,11 +73,10 @@ def _check_stage_and_ear(h: Digraph, p: Ear) -> Digraph:
         raise InvalidInputError("kernel propagation needs ear length >= 2")
     if p.x0 not in h.vertices or p.xr not in h.vertices:
         raise InvalidInputError("ear endpoints must lie in the stage digraph")
-    fresh = set(p.internal)
-    if fresh & h.vertices:
+    # every arc of a path ear of length >= 2 has an internal end, so new
+    # internal vertices also make every ear arc new
+    if not h.vertices.isdisjoint(p.internal):
         raise InvalidInputError("ear internal vertices must be new")
-    if any(a in h.arcs for a in p.arcs):
-        raise InvalidInputError("ear arcs must be absent from the stage digraph")
     if not is_strong(h):
         raise InvalidInputError("stage digraph must be strong")
     if not is_nonseparable(h):

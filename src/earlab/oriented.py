@@ -10,10 +10,8 @@ oriented chromatic number of digraphs whose ears all have length at least
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 from .coloring import VertexMapping, verify_homomorphism
 from .digraph import Digraph, is_asymmetrical, serialize_digraph
@@ -154,6 +152,14 @@ def walk_survivors() -> tuple[list[int], list[int]]:
     diagonal, and any m differs from j, so the diagonal of A^4 is full too.
     A^5 follows from the full A^4 the same way.  The open reading is thus
     A^3 off the diagonal, and the closed one adds the diagonal of A^3.
+
+    The open reading implies that diagonal too.  Take an out-neighbour a of
+    i (walks leave i, so one exists) and a length-3 walk a -> x -> y -> i;
+    x != i, as a -> i would close a digon.  If i -> x, then i -> x -> y -> i
+    is a closed 3-walk; if x -> i, then i -> a -> x -> i is.  So both
+    readings keep the same codes.  The diagonal is still computed: the
+    census and verify-T payloads report the closed reading, and computing
+    it checks this lemma on every code.
     """
     arcs = arc_planes(6)
     cube = compose_planes(compose_planes(arcs, arcs), arcs)
@@ -416,35 +422,12 @@ def gi_lower_bound_check(i: int) -> bool:
     return True
 
 
-def _conflict_pairs(d: Digraph) -> set[frozenset[int]]:
-    """Pairs forced to distinct images by an arc or a directed 2-path."""
-    conflicts: set[frozenset[int]] = set()
-    for u, v in d.arcs:
-        conflicts.add(frozenset((u, v)))
-    for u in sorted(d.vertices):
-        for w in d.out_neighbors(u):
-            for v in d.out_neighbors(w):
-                if v != u:
-                    conflicts.add(frozenset((u, v)))
-    return conflicts
-
-
-def _max_conflict_clique(d: Digraph, floor: int) -> tuple[int, ...] | None:
-    conflicts = _conflict_pairs(d)
-    verts = sorted(d.vertices)
-    for group in combinations(verts, floor):
-        if all(frozenset(p) in conflicts for p in combinations(group, 2)):
-            return group
-    return None
-
-
 @dataclass
 class TightInstance:
     digraph: Digraph
     decomposition: EarDecomposition
     mapping: VertexMapping
     below_report: OracleReport
-    attempts_used: int
 
     def to_json(self) -> dict:
         return {
@@ -452,88 +435,32 @@ class TightInstance:
             "decomposition": self.decomposition.to_json(),
             "oriented_chromatic_number": 6,
             "order_5_search_space": self.below_report.search_space_size,
-            "attempts_used": self.attempts_used,
         }
 
 
-def _triangle_plus_ears(pairs: Sequence[tuple[int, int]]) -> tuple[Digraph, EarDecomposition]:
-    """Glue one length-3 ear per endpoint pair onto a directed triangle."""
+# Four length-3 ears, each glued parallel to the middle arc of the one before
+# it (the first parallels the base arc 0 -> 1).
+_TIGHT_EARS = ((0, 3, 4, 1), (3, 5, 6, 4), (5, 7, 8, 6), (7, 9, 10, 8))
+
+
+def find_tight_le3_instance() -> TightInstance:
+    """The triangle 0 -> 1 -> 2 -> 0 plus the chained ears of _TIGHT_EARS:
+    an 11-vertex LE_3 digraph whose oriented chromatic number is 6.
+
+    A length-3 ear parallel to an arc (u, v) forces the image pair of u and
+    v to carry both an arc and a walk of exactly length 3, and each such
+    ear leaves a fresh interior arc the next ear parallels in turn, so the
+    chain piles these constraints onto ever more image pairs.  Tightness is
+    confirmed the hard way: the exhaustive oracle must show that no order-5
+    tournament admits a homomorphism, and the constructive coloring shows
+    that order 6 does.
+    """
     base = Ear((0, 1, 2, 0))
-    arcs = [(0, 1), (1, 2), (2, 0)]
-    ears = []
-    nxt = 3
-    for x0, xr in pairs:
-        if not (0 <= x0 < nxt and 0 <= xr < nxt):
-            raise InvalidInputError(f"ear endpoint out of range: {(x0, xr)}")
-        ear = Ear((x0, nxt, nxt + 1, xr))
-        nxt += 2
-        ears.append(ear)
-        arcs.extend(ear.arcs)
-    host = Digraph(range(nxt), arcs)
-    return host, EarDecomposition(host, base, ears)
-
-
-def _ear_endpoint_order(count: int, prev_internal: tuple[int, int] | None) -> list[tuple[int, int]]:
-    """Endpoint pairs for the next ear, most constraining first.
-
-    A length-3 ear parallel to an existing arc (u, v) forces the image pair
-    to carry both an arc and a walk of exactly length 3, and each such ear
-    leaves a fresh interior arc the next ear can parallel in turn, so the
-    chained pairs lead.  Cycle pairs (x, x) force a directed triangle
-    through the image of x and come next; arbitrary pairs close the list.
-    """
-    ordered: list[tuple[int, int]] = []
-    if prev_internal is not None:
-        ordered.append(prev_internal)
-    ordered.extend([(0, 1), (1, 2), (2, 0)])
-    ordered.extend((x, x) for x in range(count))
-    ordered.extend((u, v) for u in range(count) for v in range(count))
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for p in ordered:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
-def _endpoint_sequences(ear_count: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All ways to glue ear_count length-3 ears, most constrained first."""
-    def walk(prefix: tuple[tuple[int, int], ...], count: int,
-             prev: tuple[int, int] | None) -> Iterator[tuple[tuple[int, int], ...]]:
-        if len(prefix) == ear_count:
-            yield prefix
-            return
-        for pair in _ear_endpoint_order(count, prev):
-            yield from walk(prefix + (pair,), count + 2, (count, count + 1))
-    yield from walk((), 3, None)
-
-
-def find_tight_le3_instance(attempts: int = 2000) -> TightInstance:
-    """Search triangle-plus-four-length-3-ears digraphs for one that needs
-    all six images.
-
-    The search enumerates gluing sequences deterministically, most
-    constraining shapes first, then confirms each candidate the hard way:
-    the exhaustive oracle must show no order-5 tournament admits a
-    homomorphism, and the constructive coloring shows order 6 does.  A
-    conflict clique of size 6 (pairs forced distinct by arcs or directed
-    2-paths) would certify tightness directly, so finding one alongside an
-    order-5 homomorphism is flagged as an internal contradiction.
-    """
-    used = 0
-    for pairs in _endpoint_sequences(4):
-        if used >= attempts:
-            break
-        host, decomp = _triangle_plus_ears(pairs)
-        used += 1
-        report = oriented_chromatic_oracle(host, k_max=5)
-        if report.value is None:
-            mapping = oriented_coloring_le3(host, decomp)
-            return TightInstance(host, decomp, mapping, report,
-                                 attempts_used=used)
-        if _max_conflict_clique(host, 6) is not None:
-            raise VerificationError(
-                "conflict clique of size 6 contradicts an order-5 homomorphism")
-    raise PropertyFailedError(
-        f"no tight instance found among {used} candidates")
+    ears = [Ear(vs) for vs in _TIGHT_EARS]
+    host = Digraph(range(11), [a for part in [base, *ears] for a in part.arcs])
+    decomp = EarDecomposition(base, ears)
+    report = oriented_chromatic_oracle(host, k_max=5)
+    if report.value is not None:
+        raise VerificationError(
+            f"the chained instance maps into an order-{report.value} tournament")
+    return TightInstance(host, decomp, oriented_coloring_le3(host, decomp), report)

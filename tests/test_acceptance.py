@@ -108,7 +108,7 @@ def test_criterion_05_small_quasi_kernels():
 
 
 def test_criterion_06_le2_obstruction_exists():
-    found = find_quasi_kernel_obstruction(max_base=7)
+    found = find_quasi_kernel_obstruction()
     ok = found is not None
     detail = "no obstruction instance found"
     if ok:

@@ -226,7 +226,7 @@ def test_ten_thousand_vertex_smoke(tmp_path, capsys):
     dec.write_text(json.dumps(e.to_json()))
     assert main(["decompose", str(graph)]) == 0
     found = json.loads(capsys.readouterr().out)["payload"]["decomposition"]
-    assert validate_decomposition(d, EarDecomposition.from_json(found, d)).ok
+    assert validate_decomposition(d, EarDecomposition.from_json(found)).ok
     for command in ("seymour", "quasi-kernel", "color", "oriented"):
         assert main([command, str(graph), "--decomposition", str(dec)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "ok"

@@ -1,6 +1,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -370,3 +373,50 @@ def test_malformed_decomposition_json_is_invalid_input(capsys, c5_file,
     code, out = run(capsys, "seymour", c5_file, "--decomposition", str(path))
     assert code == 2
     assert out["status"] == "invalid_input"
+
+
+C4 = "0 1\n1 2\n2 3\n3 0\n"
+
+
+@pytest.mark.parametrize("argv, files, status, code, expect", [
+    (["decompose", "{g}"], {"g": '{"n": 3, "arcs": [[0, 1]'},
+     "invalid_input", 2, "bad JSON"),
+    (["decompose", "{g}"], {"g": " \n\n"}, "invalid_input", 2, "empty input"),
+    (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "{s}"],
+     {"g": C4, "d": '{"base": [0, 1, 2, 3]}', "s": "[0, 2]"},
+     "invalid_input", 2, "no ears"),
+    (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "{s}"],
+     {"g": C4 + "0 4\n4 5\n5 2\n", "d": '{"base": [0, 1, 2, 3], '
+      '"ears": [[0, 4, 5, 2]]}', "s": "[0, 2]"}, "ok", 0, "both_in_odd"),
+    (["kernel", "restrict", "{g}", "--decomposition", "{d}", "--set", "{s}"],
+     {"g": C4 + "0 4\n4 5\n5 3\n", "d": '{"base": [0, 1, 2, 3], '
+      '"ears": [[0, 4, 5, 3]]}', "s": "[1, 3, 4]"}, "ok", 0, "x0_out_xr_in_odd"),
+], ids=["truncated-json", "blank-input", "kernel-without-ears",
+        "extend-obstruction", "restrict-obstruction"])
+def test_envelope_paths(capsys, tmp_path, argv, files, status, code, expect):
+    paths = {}
+    for key, text in files.items():
+        paths[key] = str(tmp_path / key)
+        (tmp_path / key).write_text(text)
+    got, doc = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, doc["status"]) == (code, status)
+    if status == "ok":
+        assert doc["payload"]["obstruction"] is True
+        assert doc["payload"]["pattern"] == expect
+    else:
+        assert expect in doc["error"]
+
+
+def test_closed_pipe_is_silent():
+    # about 332 KB of output, far more than a pipe buffers, so the write
+    # that follows the reader's close fails with EPIPE
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "earlab.cli", "gen", "--le", "--ears", "2000",
+         "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "statu'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")

@@ -26,7 +26,7 @@ def decomposition(base_len, ears, extra_arcs=()):
         verts |= set(ear.vertices)
         arcs += list(ear.arcs)
     d = Digraph(verts, arcs)
-    return d, EarDecomposition(d, base, ear_objs)
+    return d, EarDecomposition(base, ear_objs)
 
 
 def test_certified_set_sorts_members():
@@ -201,7 +201,7 @@ def test_obstruction_fixture_has_no_usable_extension():
 
 
 def test_obstruction_search_finds_small_instance():
-    found = find_quasi_kernel_obstruction(max_base=7)
+    found = find_quasi_kernel_obstruction()
     assert found is not None
     host, decomp, cert, report = found
     assert host.n <= 8

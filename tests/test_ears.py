@@ -40,7 +40,7 @@ def test_ear_needs_two_vertices():
 
 def test_decomposition_stages_grow():
     d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)])
-    e = EarDecomposition(d, Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
+    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
     assert e.stage_count == 2
     assert e.stage(0) == Digraph.cycle(3)
     assert e.stage(1) == d
@@ -50,7 +50,7 @@ def test_decomposition_stages_grow():
 
 def test_bare_cycle_certifies_everything():
     d = Digraph.cycle(4)
-    e = EarDecomposition(d, Ear((0, 1, 2, 3, 0)), [])
+    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
     assert e.min_ear_length is None
     assert e.certifies(10)
     assert validate_decomposition(d, e).ok
@@ -58,7 +58,7 @@ def test_bare_cycle_certifies_everything():
 
 def test_validate_catches_missing_arcs():
     d = Digraph.cycle(4)
-    e = EarDecomposition(d, Ear((0, 1, 2, 3, 0)), [Ear((0, 9, 2))])
+    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 9, 2))])
     report = validate_decomposition(d, e)
     assert not report.ok and report.violations
 
@@ -66,14 +66,14 @@ def test_validate_catches_missing_arcs():
 def test_validate_catches_stale_internal_vertex():
     # ear interior vertices must be new at their stage
     d = Digraph(range(4), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (1, 0)])
-    e = EarDecomposition(d, Ear((0, 1, 2, 0)),
+    e = EarDecomposition(Ear((0, 1, 2, 0)),
                          [Ear((0, 3, 1)), Ear((1, 3, 0))])
     assert not validate_decomposition(d, e).ok
 
 
 def test_validate_path_ears_only_mode():
     d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)])
-    e = EarDecomposition(d, Ear((0, 1, 2, 0)), [Ear((1, 3, 4, 1))])
+    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((1, 3, 4, 1))])
     assert validate_decomposition(d, e).ok
     assert not validate_decomposition(d, e, path_ears_only=True).ok
 
@@ -81,27 +81,25 @@ def test_validate_path_ears_only_mode():
 def test_base_is_checked_against_the_host_only():
     # a base on a non-host arc is caught at stage 0 by that arc alone
     d = Digraph.cycle(4)
-    report = validate_decomposition(d, EarDecomposition(d, Ear((0, 1, 3, 0))))
+    report = validate_decomposition(d, EarDecomposition(Ear((0, 1, 3, 0))))
     assert [v for v in report.violations if v.startswith("stage 0")] == \
         ["stage 0: base arc (1, 3) not in host"]
     # a digon is a valid base
     d = Digraph(range(3), [(0, 1), (1, 0), (0, 2), (2, 1)])
     assert validate_decomposition(
-        d, EarDecomposition(d, Ear((0, 1, 0)), [Ear((0, 2, 1))])).ok
+        d, EarDecomposition(Ear((0, 1, 0)), [Ear((0, 2, 1))])).ok
 
 
 def test_json_roundtrip():
-    d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)])
-    e = EarDecomposition(d, Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
+    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
     doc = e.to_json()
     assert doc == {"base": [0, 1, 2], "ears": [[0, 3, 4, 1]]}
-    again = EarDecomposition.from_json(doc, d)
+    again = EarDecomposition.from_json(doc)
     assert again.base == e.base and again.ears == e.ears
 
 
 def test_from_json_accepts_closed_base():
-    d = Digraph.cycle(3)
-    e = EarDecomposition.from_json({"base": [0, 1, 2, 0], "ears": []}, d)
+    e = EarDecomposition.from_json({"base": [0, 1, 2, 0], "ears": []})
     assert e.base.vertices == (0, 1, 2, 0)
 
 
@@ -480,7 +478,7 @@ def rebuilding_le_search(d: Digraph, i: int = 1, budget: int = 200_000,
         if len(rest.arcs) == rest.n:  # one directed cycle: the base
             base = Ear(_shortest_cycle_through(rest, min(rest.vertices)))
             ears = [frame[2] for frame in reversed(frames[1:])]
-            return _self_checked(d, EarDecomposition(d, base, ears), i,
+            return _self_checked(d, EarDecomposition(base, ears), i,
                                  not allow_cycle_ears)
         for ear in todo:
             _spend(box)

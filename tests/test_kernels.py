@@ -154,9 +154,29 @@ def test_extend_rejects_separable_host():
         extend_kernel(host, Ear((1, 5, 3)), (2, 4))
 
 
+@pytest.mark.parametrize("op", [extend_kernel, restrict_kernel])
+@pytest.mark.parametrize("stage, ear, message", [
+    (c4(), Ear((0, 2)), "ear length >= 2"),
+    (c4(), Ear((0, 4, 7)), "endpoints must lie in the stage"),
+    # the arc (0, 1) is already in the stage; its internal end 1 is caught
+    (c4(), Ear((0, 1, 2)), "internal vertices must be new"),
+    (Digraph(range(3), [(0, 1), (1, 2)]), Ear((2, 3, 0)),
+     "stage digraph must be strong"),
+], ids=["length-1", "endpoint-outside", "arc-in-stage", "not-strong"])
+def test_propagation_rejects_bad_stage_or_ear(op, stage, ear, message):
+    with pytest.raises(InvalidInputError, match=message):
+        op(stage, ear, (0, 2))
+
+
+def test_trace_rejects_unknown_direction():
+    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
+    with pytest.raises(InvalidInputError, match="forward or backward"):
+        trace_kernels(c4(), e, direction="sideways")
+
+
 def test_trace_even_base_all_stages():
     d = Digraph.cycle(4)
-    e = EarDecomposition(d, Ear((0, 1, 2, 3, 0)), [])
+    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
     tr = trace_kernels(d, e)
     assert tr.dichotomy == "all_stages_have_kernels"
     assert tr.base_parity == "even"
@@ -165,7 +185,7 @@ def test_trace_even_base_all_stages():
 
 def test_trace_odd_base_all_stages_lack():
     d = Digraph.cycle(5)
-    e = EarDecomposition(d, Ear((0, 1, 2, 3, 4, 0)), [])
+    e = EarDecomposition(Ear((0, 1, 2, 3, 4, 0)), [])
     tr = trace_kernels(d, e)
     assert tr.dichotomy == "all_stages_lack_kernels"
     assert tr.base_parity == "odd"
@@ -174,7 +194,7 @@ def test_trace_odd_base_all_stages_lack():
 def test_trace_gain_flip():
     arcs = [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (5, 6), (6, 2)]
     d = Digraph(range(7), arcs)
-    e = EarDecomposition(d, Ear((0, 1, 2, 3, 4, 0)), [Ear((0, 5, 6, 2))])
+    e = EarDecomposition(Ear((0, 1, 2, 3, 4, 0)), [Ear((0, 5, 6, 2))])
     tr = trace_kernels(d, e)
     assert tr.dichotomy == "flip_at_stage_0"
     assert tr.flips == [0]
@@ -186,7 +206,7 @@ def test_trace_loss_flip():
     arcs = ([(i, (i + 1) % 4) for i in range(4)]
             + [(0, 4), (4, 1), (1, 5), (5, 4)])
     d = Digraph(range(6), arcs)
-    e = EarDecomposition(d, Ear((0, 1, 2, 3, 0)),
+    e = EarDecomposition(Ear((0, 1, 2, 3, 0)),
                          [Ear((0, 4, 1)), Ear((1, 5, 4))])
     tr = trace_kernels(d, e)
     assert not kernel_oracle(d).value
@@ -198,7 +218,7 @@ def test_trace_loss_flip():
 def test_trace_transitions_label_every_kernel():
     arcs = [(i, (i + 1) % 4) for i in range(4)] + [(0, 4), (4, 5), (5, 6), (6, 2)]
     d = Digraph(range(7), arcs)
-    e = EarDecomposition(d, Ear((0, 1, 2, 3, 0)), [Ear((0, 4, 5, 6, 2))])
+    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 4, 5, 6, 2))])
     forward = trace_kernels(d, e, direction="forward")
     assert any("extend" in t for t in forward.entries[1].transitions)
     backward = trace_kernels(d, e, direction="backward")
@@ -208,21 +228,21 @@ def test_trace_transitions_label_every_kernel():
 def test_trace_rejects_cycle_ears():
     arcs = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)]
     d = Digraph(range(5), arcs)
-    e = EarDecomposition(d, Ear((0, 1, 2, 0)), [Ear((1, 3, 4, 1))])
+    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((1, 3, 4, 1))])
     with pytest.raises(InvalidInputError):
         trace_kernels(d, e)
 
 
 def test_trace_rejects_short_ears():
     d = Digraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 2)])
-    e = EarDecomposition(d, Ear((0, 1, 2, 0)), [Ear((0, 2))])
+    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 2))])
     with pytest.raises(InvalidInputError):
         trace_kernels(d, e)
 
 
 def test_trace_json_shape():
     d = Digraph.cycle(4)
-    e = EarDecomposition(d, Ear((0, 1, 2, 3, 0)), [])
+    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
     doc = trace_kernels(d, e).to_json()
     assert doc["dichotomy"] == "all_stages_have_kernels"
     assert doc["stages"][0]["has_kernel"] is True

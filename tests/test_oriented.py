@@ -206,7 +206,7 @@ def test_extend_homomorphism_rejects_short_ears():
 def test_oriented_coloring_small_fixture():
     arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)]
     d = Digraph(range(5), arcs)
-    e = EarDecomposition(d, Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
+    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
     m = oriented_coloring_le3(d, e)
     verify_homomorphism(d, m)
     assert m.kind == "oriented"
@@ -216,14 +216,14 @@ def test_oriented_coloring_small_fixture():
 def test_oriented_coloring_rejects_short_ears():
     arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1)]
     d = Digraph(range(4), arcs)
-    e = EarDecomposition(d, Ear((0, 1, 2, 0)), [Ear((0, 3, 1))])
+    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 1))])
     with pytest.raises(InvalidInputError):
         oriented_coloring_le3(d, e)
 
 
 def test_oriented_coloring_rejects_symmetric_digraphs():
     d = Digraph.cycle(2)
-    e = EarDecomposition(d, Ear((0, 1, 0)), [])
+    e = EarDecomposition(Ear((0, 1, 0)), [])
     with pytest.raises(InvalidInputError):
         oriented_coloring_le3(d, e)
 
@@ -271,11 +271,15 @@ def test_lower_bound_check():
         gi_lower_bound_check(1)
 
 
-def test_tight_instance_search_is_deterministic():
+def test_tight_instance_is_the_chained_triangle():
     a = find_tight_le3_instance()
     b = find_tight_le3_instance()
     assert a.digraph == b.digraph
-    assert a.attempts_used == b.attempts_used == 1
+    assert a.decomposition.to_json() == {
+        "base": [0, 1, 2],
+        "ears": [[0, 3, 4, 1], [3, 5, 6, 4], [5, 7, 8, 6], [7, 9, 10, 8]]}
+    assert a.below_report.search_space_size == 20
+    assert a.mapping.colors_used() == 6
 
 
 def test_tight_instance_shape():
