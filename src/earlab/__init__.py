@@ -34,7 +34,7 @@ from .kernels import (KernelObstruction, KernelTrace, StageEntry,
 from .oracles import (OracleReport, chromatic_oracles, kernel_oracle,
                       longest_path_oracle, oriented_chromatic_oracle,
                       quasi_kernel_oracle)
-from .oriented import (CensusResult, TightInstance, WalkCatalog, build_G,
+from .oriented import (CensusResult, TightInstance, build_G,
                        cycle_homomorphism, extend_homomorphism,
                        find_tight_le3_instance, gi_lower_bound_check,
                        oriented_coloring_le3, tournament_T,
@@ -52,7 +52,7 @@ __all__ = [
     "ExtensionReport", "InvalidInputError", "KernelObstruction",
     "KernelTrace", "NeighborhoodReport", "OracleReport", "ParseError",
     "PropertyFailedError", "SetPredicates", "StageEntry", "TightInstance",
-    "Tournament", "VerificationError", "VertexMapping", "WalkCatalog",
+    "Tournament", "VerificationError", "VertexMapping",
     "automorphism_count", "build_G", "chromatic_oracles",
     "cycle_homomorphism", "cycle_quasi_kernel_indices",
     "dichromatic_bounds", "digraph_from_json", "extend_case",

@@ -191,6 +191,15 @@ def require_decomposition(d: Digraph, e: EarDecomposition, min_len: int,
                                 f"shortest is {e.min_ear_length}")
 
 
+def require_ear_fits(stage: Digraph, ear: Ear) -> None:
+    """InvalidInputError unless ear can be glued onto stage: both endpoints
+    in the stage and every internal vertex new."""
+    if ear.x0 not in stage.vertices or ear.xr not in stage.vertices:
+        raise InvalidInputError("ear endpoints must lie in the stage digraph")
+    if not stage.vertices.isdisjoint(ear.internal):
+        raise InvalidInputError("ear internal vertices must be new")
+
+
 def _self_checked(d: Digraph, e: EarDecomposition, min_len: int = 1,
                   path_ears_only: bool = False) -> EarDecomposition:
     """Re-verify a decomposition built here before it is returned."""

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from .constructions import CertifiedSet
 from .digraph import Digraph, is_nonseparable, is_strong, set_predicates
-from .ears import Ear, EarDecomposition, require_decomposition
+from .ears import (Ear, EarDecomposition, require_decomposition,
+                   require_ear_fits)
 from .errors import InvalidInputError, VerificationError
 from .oracles import kernel_oracle
 
@@ -71,12 +72,9 @@ def _check_stage_and_ear(h: Digraph, p: Ear) -> Digraph:
             "kernel propagation needs a path ear: endpoints must differ")
     if p.length < 2:
         raise InvalidInputError("kernel propagation needs ear length >= 2")
-    if p.x0 not in h.vertices or p.xr not in h.vertices:
-        raise InvalidInputError("ear endpoints must lie in the stage digraph")
     # every arc of a path ear of length >= 2 has an internal end, so new
     # internal vertices also make every ear arc new
-    if not h.vertices.isdisjoint(p.internal):
-        raise InvalidInputError("ear internal vertices must be new")
+    require_ear_fits(h, p)
     if not is_strong(h):
         raise InvalidInputError("stage digraph must be strong")
     if not is_nonseparable(h):

@@ -3,19 +3,24 @@
 The tournament is pinned by 90 reference walks (three lengths for each
 ordered vertex pair); a census over all 32768 order-6 codes shows it is the
 only one, up to isomorphism, in which every pair is joined by walks of
-lengths 3, 4, and 5.  Cycle and ear homomorphisms into it bound the
-oriented chromatic number of digraphs whose ears all have length at least
-3, and the quadratic-blowup family shows length-2 ears admit no such bound.
+lengths 3, 4, and 5.  Homomorphisms into it bound the oriented chromatic
+number of digraphs whose ears all have length at least 3, and the
+quadratic-blowup family shows length-2 ears admit no such bound.
+
+One wrap rule folds every ear and the base cycle alike (see _map_ear), and
+one walk table serves both, since in an oriented graph a closed walk of
+length at most 5 is a cycle (see walk_catalog).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .coloring import VertexMapping, verify_homomorphism
 from .digraph import Digraph, is_asymmetrical, serialize_digraph
-from .ears import Ear, EarDecomposition, require_decomposition
+from .ears import (Ear, EarDecomposition, require_decomposition,
+                   require_ear_fits)
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
 from .oracles import OracleReport, oriented_chromatic_oracle
@@ -207,89 +212,54 @@ def uniqueness_census() -> CensusResult:
     )
 
 
-@dataclass
-class WalkCatalog:
-    cycles: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    paths: dict[tuple[int, int, int], tuple[int, ...]] = field(default_factory=dict)
+def walk_catalog(t: Tournament) -> dict[tuple[int, int, int], tuple[int, ...]]:
+    """Lexicographically smallest walk of each length k in WALK_LENGTHS from
+    every vertex i to every vertex j, i = j included, keyed (i, j, k); a key
+    is absent where t has no such walk.  One backward-reach table per j:
+    reach[r] masks the vertices with a length-r walk to j.
 
-
-def _lex_min_cycle(t: Tournament, anchor: int, k: int) -> tuple[int, ...] | None:
-    """Smallest simple k-cycle through anchor, by DFS in label order."""
-    def search(path: tuple[int, ...]) -> tuple[int, ...] | None:
-        if len(path) == k:
-            return path + (anchor,) if t.has_arc(path[-1], anchor) else None
-        for v in range(t.k):
-            if v != anchor and v not in path and t.has_arc(path[-1], v):
-                found = search(path + (v,))
-                if found:
-                    return found
-        return None
-
-    return search((anchor,))
-
-
-def _lex_min_walk(t: Tournament, i: int, j: int, k: int) -> tuple[int, ...] | None:
-    """Smallest walk of exact length k from i to j; repeats allowed."""
-    reach = [1 << j]
+    Closed-walk lemma: in an oriented graph a closed walk of length at most
+    5 is a cycle, as any two of its positions are one or two steps apart
+    around it, and a repeat one step apart is a loop, two apart a digon.
+    So the entry (i, i, k) is the smallest k-cycle through i.
+    """
     masks = t.out_masks()
-    for _ in range(k):
-        prev = reach[-1]
-        reach.append(sum(1 << v for v in range(t.k) if masks[v] & prev))
-    if not reach[k] >> i & 1:
-        return None
-    walk = [i]
-    for step in range(k):
-        here = walk[-1]
-        remaining = k - step - 1
-        nxt = min(v for v in range(t.k)
-                  if masks[here] >> v & 1 and reach[remaining] >> v & 1)
-        walk.append(nxt)
-    return tuple(walk)
-
-
-def walk_catalog(t: Tournament) -> WalkCatalog:
-    """Anchored short cycles and fixed-length pair walks, lexicographically
-    smallest first.  Raises when any required entry is missing."""
-    catalog = WalkCatalog()
-    for anchor in range(t.k):
-        for k in range(3, min(t.k, 6) + 1):
-            cycle = _lex_min_cycle(t, anchor, k)
-            if cycle is None:
-                raise PropertyFailedError(
-                    f"catalog incomplete: no {k}-cycle through {anchor}")
-            catalog.cycles[(anchor, k)] = cycle
-    for i in range(t.k):
-        for j in range(t.k):
-            if i == j:
-                continue
+    catalog = {}
+    for j in range(t.k):
+        reach = [1 << j]
+        for _ in range(WALK_LENGTHS[-1]):
+            reach.append(sum(1 << v for v, row in enumerate(masks)
+                             if row & reach[-1]))
+        for i in range(t.k):
             for k in WALK_LENGTHS:
-                walk = _lex_min_walk(t, i, j, k)
-                if walk is None:
-                    raise PropertyFailedError(
-                        f"catalog incomplete: no length-{k} walk {i} to {j}")
-                catalog.paths[(i, j, k)] = walk
+                if reach[k] >> i & 1:
+                    walk = [i]
+                    for left in range(k - 1, -1, -1):
+                        step = masks[walk[-1]] & reach[left]
+                        walk.append((step & -step).bit_length() - 1)
+                    catalog[(i, j, k)] = tuple(walk)
     return catalog
 
 
 @lru_cache(maxsize=8)
-def _catalog_for(code: int, k: int) -> WalkCatalog:
-    return walk_catalog(Tournament(k, code))
+def _catalog_for(code: int, k: int) -> dict:
+    """The walk catalog of a tournament that has every entry, else raise."""
+    t = Tournament(k, code)
+    gap = _walk_gap(t.out_masks(), include_closed=True)
+    if gap is not None:
+        raise PropertyFailedError(
+            "catalog incomplete: no length-%d walk %d to %d" % gap)
+    return walk_catalog(t)
 
 
 def cycle_homomorphism(n: int) -> VertexMapping:
-    """Map the directed n-cycle into the pinned tournament.
-
-    Short cycles ride the catalog cycle anchored at 0; longer ones are
-    mapped as a cycle ear anchored at 0 -> 0 (see _map_ear).
-    """
+    """Map the directed n-cycle into the pinned tournament: the cycle ear
+    (0, 1, ..., n - 1, 0) anchored 0 -> 0, folded by _map_ear."""
     if n < 3:
         raise InvalidInputError("cycle homomorphism needs length >= 3")
     t = tournament_T()
-    if n <= 6:
-        images = dict(enumerate(_catalog_for(t.code, t.k).cycles[(0, n)][:n]))
-    else:
-        images = {0: 0}
-        _map_ear(t, images, Ear(tuple(range(n)) + (0,)))
+    images = {0: 0}
+    _map_ear(t, images, Ear(tuple(range(n)) + (0,)))
     mapping = VertexMapping(images, t, "homomorphism")
     verify_homomorphism(Digraph.cycle(n), mapping)
     return mapping
@@ -298,21 +268,19 @@ def cycle_homomorphism(n: int) -> VertexMapping:
 def _map_ear(t: Tournament, assignment: dict, ear: Ear) -> None:
     """Write the images of one ear's interior into assignment, in place.
 
-    The ear interior wraps the anchored 3-cycle of the start image for all
-    but its last 3, 4, or 5 arcs (by length mod 3), then finishes along the
-    catalog walk into the end image; equal endpoint images and cycle ears
-    finish along the anchored cycle instead.
+    The one wrap rule, for path ears, cycle ears and base cycles alike: from
+    start image i to end image j, the interior wraps the catalog 3-cycle
+    (i, i, 3) for all but its last 3, 4 or 5 arcs (by length mod 3), then
+    finishes along the catalog walk (i, j, 3|4|5).  When i = j that walk is
+    closed, so by the closed-walk lemma of walk_catalog it is a cycle.
     """
     cat = _catalog_for(t.code, t.k)
     i, j = assignment[ear.x0], assignment[ear.xr]
-    seg = {0: 3, 1: 4, 2: 5}[ear.length % 3]
+    seg = 3 + ear.length % 3
     pre = ear.length - seg
-    g3 = cat.cycles[(i, 3)]
-    finisher = cat.cycles[(i, seg)] if i == j else cat.paths[(i, j, seg)]
-    for m in range(1, pre + 1):
-        assignment[ear.vertices[m]] = g3[m % 3]
-    for s in range(1, seg):
-        assignment[ear.vertices[pre + s]] = finisher[s]
+    g3, finisher = cat[(i, i, 3)], cat[(i, j, seg)]
+    for m, v in enumerate(ear.internal, 1):
+        assignment[v] = g3[m % 3] if m <= pre else finisher[m - pre]
     if finisher[seg] != j:
         raise VerificationError("catalog walk does not land on the end image")
 
@@ -325,6 +293,7 @@ def extend_homomorphism(stage: Digraph, phi: VertexMapping,
     """
     if ear.length < 3:
         raise InvalidInputError("homomorphism extension needs ear length >= 3")
+    require_ear_fits(stage, ear)
     t = phi.target
     if not isinstance(t, Tournament):
         raise InvalidInputError("mapping target must be a tournament")
@@ -358,18 +327,17 @@ def oriented_coloring_le3(d: Digraph, e: EarDecomposition) -> VertexMapping:
     """Homomorphism of d into the pinned order-6 tournament.
 
     Needs an asymmetrical digraph and a decomposition whose ears all have
-    length at least 3; the base cycle takes its cycle homomorphism and each
-    ear is folded into one assignment.  Every stage is checked ear-locally,
-    then the result once more on the whole digraph.
+    length at least 3.  The base cycle is folded like a cycle ear anchored
+    at image 0, then each ear, all into one assignment (see _map_ear).
+    Every stage is checked ear-locally, then the result once more on the
+    whole digraph.
     """
     if not is_asymmetrical(d):
         raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
     require_decomposition(d, e, 3, "oriented coloring")
-    cycle = e.base.vertices[:-1]
-    base_map = cycle_homomorphism(len(cycle))
     t = tournament_T()
-    assignment = {v: base_map.assignment[m] for m, v in enumerate(cycle)}
-    for ear in e.ears:
+    assignment = {e.base.x0: 0}
+    for ear in (e.base,) + e.ears:
         _map_ear(t, assignment, ear)
     mapping = VertexMapping(assignment, t, "oriented")
     failed = homomorphism_failing_stage(e, mapping)
@@ -397,8 +365,7 @@ def build_G(i: int) -> Digraph:
         for u in verts:
             for v in verts:
                 if u != v:
-                    arcs.add((u, nxt))
-                    arcs.add((nxt, v))
+                    arcs.update(((u, nxt), (nxt, v)))
                     nxt += 1
         d = Digraph(range(nxt), arcs)
     return d
@@ -413,9 +380,7 @@ def gi_lower_bound_check(i: int) -> bool:
     prev_n = build_G(i - 1).n
     for u in range(prev_n):
         for v in range(prev_n):
-            if u == v:
-                continue
-            if g.has_arc(u, v):
+            if u == v or g.has_arc(u, v):
                 continue
             if not any(g.has_arc(w, v) for w in g.out_neighbors(u)):
                 return False

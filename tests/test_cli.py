@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earlab import cli, ears
 from earlab.cli import main
@@ -420,3 +422,117 @@ def test_closed_pipe_is_silent():
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+# The 14 command forms.  "{g}" is the input digraph; forms that read a
+# decomposition or a vertex set get "--decomposition {d}" or "--set {s}"
+# appended at random.
+FUZZ_FORMS = (
+    ("decompose", "{g}"), ("classify", "{g}"), ("seymour", "{g}"),
+    ("transversal", "{g}"), ("quasi-kernel", "{g}"),
+    ("kernel", "extend", "{g}"), ("kernel", "restrict", "{g}"),
+    ("kernel", "trace", "{g}"), ("color", "{g}"), ("oriented", "{g}"),
+    ("verify-T",), ("census",), ("gen",), ("oracle",),
+)
+TAKES_DECOMPOSITION = {"seymour", "transversal", "quasi-kernel", "kernel",
+                       "color", "oriented"}
+STATUS_OF_CODE = {0: "ok", 1: "property_failed", 2: "invalid_input",
+                  3: "cap_exceeded"}
+# ids 0-11 only: a numeric edge list means vertices 0..max, so a sparse
+# large id costs time and memory that the fuzz would spend for nothing
+FUZZ_IDS = st.integers(min_value=0, max_value=11)
+SMALL_INTS = st.integers(min_value=-1, max_value=5)
+
+
+def _mutate_text(draw, text: str) -> str:
+    """Keep the text, or cut it short, or splice in a stray character."""
+    how = draw(st.sampled_from(["keep", "keep", "keep", "cut", "splice"]))
+    if how == "keep" or not text:
+        return text
+    at = draw(st.integers(min_value=0, max_value=len(text) - 1))
+    if how == "cut":
+        return text[:at]
+    return text[:at] + draw(st.sampled_from('{}[],:"-x 0 1\n#')) + text[at:]
+
+
+@st.composite
+def fuzz_calls(draw):
+    """argv plus the files it names: a seeded LE instance (ids 0-10) with
+    arcs dropped and added, written as an edge list, a JSON digraph or an
+    envelope, next to a mutated decomposition and vertex set."""
+    d, e = ears.generate_random_le(
+        base_length=draw(st.integers(min_value=3, max_value=5)),
+        ear_count=draw(st.integers(min_value=0, max_value=3)),
+        min_ear_length=draw(st.sampled_from([2, 3])), max_ear_length=3,
+        cycle_ear_probability=draw(st.sampled_from([0.0, 0.5])),
+        seed=draw(st.integers(min_value=0, max_value=1000)))
+    arcs = sorted(d.arcs)
+    dropped = draw(st.sets(st.sampled_from(arcs), max_size=1))
+    arcs = [a for a in arcs if a not in dropped]
+    arcs += draw(st.lists(st.tuples(FUZZ_IDS, FUZZ_IDS), max_size=2))
+    dec = e.to_json()
+    if dec["ears"] and draw(st.booleans()):
+        dec["ears"] = dec["ears"][:-1]
+    fmt = draw(st.sampled_from(["edges", "json", "envelope"]))
+    if fmt == "edges":
+        graph = "".join(f"{u} {v}\n" for u, v in arcs)
+    else:
+        doc = {"arcs": [list(a) for a in arcs]}
+        if arcs and draw(st.booleans()):
+            doc["n"] = max(map(max, arcs)) + draw(
+                st.integers(min_value=0, max_value=2))
+        if fmt == "envelope":
+            doc = {"status": "ok", "timing_ms": 1,
+                   "payload": {"digraph": doc, "decomposition": dec}}
+        graph = json.dumps(doc)
+    members = draw(st.lists(FUZZ_IDS, max_size=4))
+    files = {"g": _mutate_text(draw, graph),
+             "d": _mutate_text(draw, json.dumps(dec)),
+             "s": _mutate_text(draw, json.dumps(members))}
+
+    argv = list(draw(st.sampled_from(FUZZ_FORMS)))
+    if argv[0] == "gen":
+        if draw(st.booleans()):
+            argv += ["--gi", str(draw(st.integers(min_value=-1, max_value=3)))]
+        else:
+            argv += ["--le"]
+            for flag in ("--base", "--ears", "--min-ear-length",
+                         "--max-ear-length", "--seed"):
+                argv += [flag, str(draw(SMALL_INTS))]
+    elif argv[0] == "oracle":
+        argv += [draw(st.sampled_from(["kernel", "quasi-kernel", "chromatic",
+                                       "oriented", "longest-path"])), "{g}",
+                 "--kmax", str(draw(st.sampled_from([-1, 0, 3, 4, 8])))]
+    elif argv[0] not in ("verify-T", "census"):
+        argv += ["--budget", str(draw(st.integers(min_value=1, max_value=40)))]
+        if argv[0] == "decompose" and draw(st.booleans()):
+            argv += ["--min-ear-length", str(draw(SMALL_INTS))]
+        if argv[0] in TAKES_DECOMPOSITION and draw(st.booleans()):
+            argv += ["--decomposition", "{d}"]
+        if argv[:2] in (["kernel", "extend"], ["kernel", "restrict"]) \
+                and draw(st.integers(min_value=0, max_value=3)):
+            argv += ["--set", "{s}"]
+    return argv, files
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fuzz_calls())
+def test_fuzzed_calls_end_in_one_envelope(fuzz_dir, call):
+    argv, files = call
+    paths = {}
+    for key, text in files.items():
+        paths[key] = str(fuzz_dir / key)
+        (fuzz_dir / key).write_text(text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([arg.format(**paths) for arg in argv])
+    assert code in STATUS_OF_CODE, argv
+    doc = json.loads(out.getvalue())
+    assert doc["status"] == STATUS_OF_CODE[code], (argv, doc)
+    assert set(doc) == ({"status", "payload", "timing_ms"}
+                        | ({"error"} if code else set())), (argv, doc)

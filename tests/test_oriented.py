@@ -14,7 +14,7 @@ from earlab.oriented import (REFERENCE_WALKS, _walk_gap, build_G,
                              validate_reference_walks, verify_walk_property,
                              walk_catalog, walk_survivors)
 from earlab.tournaments import (Tournament, automorphism_count, canonical_code,
-                                mask_rows)
+                                mask_rows, tournament_reps)
 
 
 @pytest.fixture(scope="module")
@@ -101,31 +101,31 @@ def test_census_json(census):
 
 
 def test_catalog_anchored_cycles():
+    # closed entries are the anchored cycles; lengths stop at 5
     cat = walk_catalog(tournament_T())
-    assert cat.cycles[(0, 3)] == (0, 1, 2, 0)
-    assert cat.cycles[(0, 4)] == (0, 1, 2, 4, 0)
-    assert cat.cycles[(0, 5)] == (0, 1, 2, 4, 5, 0)
-    assert cat.cycles[(0, 6)] == (0, 1, 5, 3, 2, 4, 0)
+    assert cat[(0, 0, 3)] == (0, 1, 2, 0)
+    assert cat[(0, 0, 4)] == (0, 1, 2, 4, 0)
+    assert cat[(0, 0, 5)] == (0, 1, 2, 4, 5, 0)
+    assert (0, 0, 6) not in cat
 
 
 def test_catalog_pair_walks():
     cat = walk_catalog(tournament_T())
-    assert cat.paths[(0, 1, 3)] == (0, 3, 4, 1)
-    assert cat.paths[(5, 4, 5)] == (5, 0, 1, 5, 2, 4)
+    assert cat[(0, 1, 3)] == (0, 3, 4, 1)
+    assert cat[(5, 4, 5)] == (5, 0, 1, 5, 2, 4)
 
 
 def test_catalog_is_complete_and_valid():
     t = tournament_T()
     cat = walk_catalog(t)
-    assert len(cat.cycles) == 6 * 4
-    assert len(cat.paths) == 30 * 3
-    for (anchor, k), cyc in cat.cycles.items():
-        assert cyc[0] == cyc[-1] == anchor and len(cyc) == k + 1
-        assert len(set(cyc[:-1])) == k
-        assert all(t.has_arc(a, b) for a, b in zip(cyc, cyc[1:]))
-    for (i, j, k), walk in cat.paths.items():
+    assert isinstance(cat, dict) and len(cat) == 108
+    assert sorted(cat) == [(i, j, k) for i in range(6) for j in range(6)
+                           for k in (3, 4, 5)]
+    for (i, j, k), walk in cat.items():
         assert walk[0] == i and walk[-1] == j and len(walk) == k + 1
         assert all(t.has_arc(a, b) for a, b in zip(walk, walk[1:]))
+        if i == j:
+            assert len(set(walk[:-1])) == k
 
 
 def test_reference_walks_are_admissible_but_not_forced():
@@ -133,13 +133,45 @@ def test_reference_walks_are_admissible_but_not_forced():
     t = tournament_T()
     cat = walk_catalog(t)
     agreements = sum(
-        cat.paths[(i, j, 3 + pos)] == walk
+        cat[(i, j, 3 + pos)] == walk
         for (i, j), walks in REFERENCE_WALKS.items()
         for pos, walk in enumerate(walks))
     assert agreements >= 45
-    for (i, j, k), walk in cat.paths.items():
-        ref = REFERENCE_WALKS[(i, j)][k - 3]
-        assert walk <= ref
+    for (i, j, k), walk in cat.items():
+        if i != j:
+            assert walk <= REFERENCE_WALKS[(i, j)][k - 3]
+
+
+def lex_min_cycle(t, anchor, k):
+    # reference: smallest simple k-cycle through anchor, by DFS in label order
+    def search(path):
+        if len(path) == k:
+            return path + (anchor,) if t.has_arc(path[-1], anchor) else None
+        for v in range(t.k):
+            if v != anchor and v not in path and t.has_arc(path[-1], v):
+                found = search(path + (v,))
+                if found:
+                    return found
+        return None
+
+    return search((anchor,))
+
+
+def test_closed_entries_are_the_smallest_cycles_on_every_class():
+    # the closed-walk lemma of walk_catalog, on every tournament class of
+    # orders 3-7: each closed entry is the DFS-found smallest simple cycle,
+    # and an entry is absent exactly when no such cycle exists
+    compared = 0
+    for order in range(3, 8):
+        for t in tournament_reps(order):
+            cat = walk_catalog(t)
+            for anchor in range(order):
+                for k in (3, 4, 5):
+                    closed = cat.get((anchor, anchor, k))
+                    assert closed == lex_min_cycle(t, anchor, k)
+                    assert closed is None or len(set(closed[:-1])) == k
+                    compared += 1
+    assert compared == 10_830
 
 
 @pytest.mark.parametrize("n", list(range(3, 21)))
@@ -154,10 +186,8 @@ def test_cycle_homomorphism_seven_fixture():
 
 
 def reference_cycle_images(n):
-    # the closed formula the cycle-ear wrap replaced: the catalog cycle up
-    # to n = 6, then the 3-cycle (0, 1, 2) finished through 4, or 4 then 5
-    if n <= 6:
-        return list(walk_catalog(tournament_T()).cycles[(0, n)][:n])
+    # the closed formula the cycle-ear wrap replaced: the 3-cycle (0, 1, 2)
+    # wrapped, finished through 4, or 4 then 5
     if n % 3 == 0:
         return [i % 3 for i in range(n)]
     if n % 3 == 1:
@@ -166,6 +196,7 @@ def reference_cycle_images(n):
 
 
 def test_cycle_homomorphism_matches_the_closed_formula():
+    assert list(cycle_homomorphism(6).assignment.values()) == [0, 1, 2, 0, 1, 2]
     for n in range(3, 101):
         m = cycle_homomorphism(n)
         assert list(m.assignment.items()) == list(enumerate(reference_cycle_images(n))), n
@@ -194,6 +225,30 @@ def test_extend_homomorphism_cycle_ear_rides_anchored_cycle():
     # interior follows the anchored 4-cycle at image 0
     assert [out.assignment[v] for v in (3, 4, 5)] == [1, 2, 4]
     verify_homomorphism(stage.union(ear.vertices, ear.arcs), out)
+
+
+@pytest.mark.parametrize("ear, message", [
+    ((2, 0, 1, 3), "internal vertices must be new"),
+    ((0, 4, 1, 2), "internal vertices must be new"),
+    ((0, 5, 6, 9), "endpoints must lie in the stage"),
+    ((9, 5, 6, 0), "endpoints must lie in the stage"),
+])
+def test_extend_homomorphism_rejects_ears_that_do_not_fit(ear, message):
+    # an interior meeting the stage would re-map a stage vertex, and an
+    # endpoint outside it has no image to start or end from
+    stage = Digraph.cycle(4)
+    phi = cycle_homomorphism(4)
+    with pytest.raises(InvalidInputError, match=message):
+        extend_homomorphism(stage, phi, Ear(ear))
+
+
+def test_extend_homomorphism_needs_a_complete_catalog():
+    # the directed triangle has no length-3 walk from 0 to 1
+    t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    phi = VertexMapping({0: 0, 1: 1, 2: 2}, t, "homomorphism")
+    assert (0, 1, 3) not in walk_catalog(t)
+    with pytest.raises(PropertyFailedError, match="no length-3 walk 0 to 1"):
+        extend_homomorphism(Digraph.cycle(3), phi, Ear((0, 3, 4, 1)))
 
 
 def test_extend_homomorphism_rejects_short_ears():

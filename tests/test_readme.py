@@ -1,10 +1,11 @@
-"""The README's CLI examples and oracle caps match the code."""
+"""The README's CLI examples, quick tour and oracle caps match the code."""
 
 import re
 import shlex
 from pathlib import Path
 
 from earlab import digraph, oracles
+from earlab.coloring import verify_homomorphism
 from earlab.cli import _build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -38,3 +39,12 @@ def test_readme_cli_lines_parse():
     assert len(commands) >= 12
     for line in commands:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_quick_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
+    assert len(blocks) == 1
+    assert "oriented_coloring_le3" in blocks[0]
+    scope: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    verify_homomorphism(scope["d"], scope["m"])
