@@ -2,7 +2,8 @@
 
 Restriction pulls a kernel back from a glued stage to its predecessor;
 extension pushes one forward with an explicit alternating pattern on the
-new ear.  Tracing runs the stage-by-stage oracle along a decomposition and
+new ear.  Tracing lists every kernel of every stage, each stage below the
+last scanned once and each next stage's kernels forced along its ear, and
 classifies the result against the two parity dichotomies.
 """
 
@@ -15,7 +16,8 @@ from .digraph import Digraph, is_nonseparable, is_strong, set_predicates
 from .ears import (Ear, EarDecomposition, require_decomposition,
                    require_ear_fits)
 from .errors import InvalidInputError, VerificationError
-from .oracles import kernel_oracle
+from .oracles import (KERNEL_CAP, _absorbing_sets, _check_cap, _index_maps,
+                      kernel_oracle)
 
 
 def _pattern(x0_in: bool, xr_in: bool, length: int) -> str:
@@ -43,7 +45,15 @@ class KernelObstruction:
 
 def restrict_condition(x0_in: bool, xr_in: bool, length: int) -> int | None:
     """Which of the four pull-back conditions the endpoint pattern meets;
-    None when the pattern is a pull-back obstruction."""
+    None when the pattern is a pull-back obstruction.
+
+    This is the trace_kernels lemma read backward on one kernel K of the
+    glued stage: S = K minus the interior is a kernel of the stage iff S
+    absorbs x0, which K forces unless x0 is out and p1 in.  The interior
+    alternates back from xr, so p1 is in iff xr is in and the length odd,
+    or xr is out and the length even; with x0 out those are the two
+    obstructions.
+    """
     if x0_in and xr_in:
         return 1
     if x0_in:
@@ -55,7 +65,14 @@ def restrict_condition(x0_in: bool, xr_in: bool, length: int) -> int | None:
 
 def extend_case(x0_in: bool, xr_in: bool, length: int):
     """Case number and internal-index range (start, stop, stride 2); None
-    when the pattern is a push-forward obstruction."""
+    when the pattern is a push-forward obstruction.
+
+    This is the trace_kernels lemma applied to one kernel N of the stage:
+    N absorbs x0, so its forced extension is a kernel unless x0 and p1 are
+    both in.  Interior vertex t is in iff length - t is even with xr in, or
+    odd with xr out; so p1 is in for both_in_odd and x0_in_xr_out_even,
+    the two obstructions, and the ranges below are exactly those t.
+    """
     even = length % 2 == 0
     if x0_in and xr_in:
         return (1, 2, length - 2) if even else None
@@ -165,32 +182,102 @@ def _transition_labels(direction: str, ear: Ear, kernels) -> list[str]:
     return sorted(labels)
 
 
+def _forced_extension(ear: Ear, members: tuple[int, ...],
+                      x0_absorbed: bool) -> tuple[int, ...] | None:
+    """The kernel of the stage glued with ear whose part in the stage is
+    members (per the trace_kernels lemma), or None when there is none."""
+    inside = ear.xr in members
+    interior = []
+    for p in reversed(ear.internal):
+        inside = not inside
+        if inside:
+            interior.append(p)
+    # inside now tells whether p1 is in
+    if inside and ear.x0 in members:
+        return None
+    if not (inside or x0_absorbed):
+        return None
+    return tuple(sorted(members + tuple(interior)))
+
+
+def _stage_kernels(e: EarDecomposition):
+    """Every stage digraph and its kernels in lexicographic order; one
+    absorbing-set scan per stage below the last (see trace_kernels)."""
+    h = Digraph(e.base.vertices, e.base.arcs)
+    if not e.ears:
+        return [h], [kernel_oracle(h, enumerate_all=True).details["all_kernels"]]
+    stages, lists = [h], []
+    for j, ear in enumerate(e.ears):
+        verts, out, sym = _index_maps(h)
+        out[verts.index(ear.x0)] = (1 << len(verts)) - 1  # x0 is exempt
+        candidates, _ = _absorbing_sets(verts, sym, out)
+        x0_out = h.out_neighbors(ear.x0)
+        kernels, glued = [], []
+        for s in candidates:
+            absorbed = ear.x0 in s or not x0_out.isdisjoint(s)
+            if absorbed:
+                kernels.append(s)
+            k = _forced_extension(ear, s, absorbed)
+            if k is not None:
+                glued.append(k)
+        if j == 0:
+            lists.append(kernels)
+        lists.append(sorted(glued))
+        h = h.union(ear.vertices, ear.arcs)
+        stages.append(h)
+    return stages, lists
+
+
 def trace_kernels(d: Digraph, e: EarDecomposition,
                   direction: str = "forward") -> KernelTrace:
-    """Oracle kernel existence per stage, classified against the parity laws.
+    """Kernel existence per stage, classified against the parity laws.
 
     A digraph with a kernel either has one at every stage (even base cycle)
     or gains one for good at some flip stage whose kernels all show a
     pull-back obstruction pattern.  A digraph without a kernel either never
     has one (odd base cycle) or loses it for good at a flip stage whose
     kernels all show a push-forward obstruction pattern.
+
+    Every stage's kernels come from one scan per ear, by this lemma.  Let
+    P = x0 p1 ... p(r-1) xr (r >= 2) be the ear glued onto D_j.  K is a
+    kernel of D_{j+1} iff
+      (a) S = K minus the interior is independent in D_j and absorbs every
+          vertex of D_j except possibly x0,
+      (b) each interior vertex p_t is in K iff p_{t+1} is not (p_r = xr),
+      (c) x0 and p1 are not both in K, and x0 is in S, or some
+          out-neighbour of x0 in D_j is in S, or p1 is in K.
+    Proof: the interior is new, so gluing P adds the out-arc x0 p1 and the
+    out-arcs of the interior and leaves every other out-neighbourhood of
+    D_j as it was.  Independence on the arcs of D_j and absorption of the
+    vertices of D_j other than x0 are therefore (a).  The only out-arc of
+    p_t goes to p_{t+1}: independence on it says not both in, absorption
+    of p_t says one of them in, together (b).  Independence on x0 p1 and
+    absorption of x0, whose out-neighbours are its old ones and p1, are
+    (c).
+    So one scan of D_j with x0's row set to every vertex lists the S of
+    (a); those absorbing x0 are D_j's kernels, and (b) fixes the interior
+    from xr, so the S meeting (c) extended by it are D_{j+1}'s.  The last
+    stage is never scanned; a bare cycle gets its oracle scan.  Each
+    stage's reported kernel is re-checked before it is returned.
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError("direction must be forward or backward")
+    _check_cap(d, KERNEL_CAP, "kernel")
     require_decomposition(d, e, 2, "kernel trace", path_ears_only=True)
-    per_stage = [kernel_oracle(h, enumerate_all=True) for h in e.stages()]
+    stages, per_stage = _stage_kernels(e)
     entries = []
-    for j, rep in enumerate(per_stage):
+    for j, kernels in enumerate(per_stage):
         kernel = None
-        if rep.value:
-            kernel = CertifiedSet(rep.witness, "kernel", stage=j)
+        if kernels:
+            if not set_predicates(stages[j], kernels[0]).is_kernel:
+                raise VerificationError(
+                    f"{list(kernels[0])} is not a kernel of stage {j}")
+            kernel = CertifiedSet(kernels[0], "kernel", stage=j)
         transitions: list[str] = []
         if j > 0:
-            ear = e.ears[j - 1]
-            source = per_stage[j - 1] if direction == "forward" else rep
-            transitions = _transition_labels(
-                direction, ear, source.details.get("all_kernels", []))
-        entries.append(StageEntry(j, bool(rep.value), kernel, transitions))
+            source = per_stage[j - 1] if direction == "forward" else kernels
+            transitions = _transition_labels(direction, e.ears[j - 1], source)
+        entries.append(StageEntry(j, bool(kernels), kernel, transitions))
     flags = [entry.has_kernel for entry in entries]
     flips = [j for j in range(len(flags) - 1) if flags[j] != flags[j + 1]]
     base_parity = "even" if len(e.base.vertices) % 2 == 1 else "odd"
@@ -207,7 +294,7 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
         stage, rule, kind = ((flip_stage + 1, restrict_condition, "pull-back")
                              if gained else
                              (flip_stage, extend_case, "push-forward"))
-        kernels = per_stage[stage].details["all_kernels"]
+        kernels = per_stage[stage]
         ok = all(rule(ear.x0 in set(k), ear.xr in set(k), ear.length) is None
                  for k in kernels)
         pattern_check = {"required": f"{kind} obstruction on every kernel "

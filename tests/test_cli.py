@@ -291,6 +291,19 @@ def test_cap_exceeded_exit_code(capsys, tmp_path):
     assert doc["status"] == "cap_exceeded"
 
 
+def test_kernel_trace_cap_names_the_input_size(capsys, tmp_path):
+    code, doc = run(capsys, "gen", "--le", "--base", "5", "--ears", "8",
+                    "--min-ear-length", "3", "--max-ear-length", "4",
+                    "--seed", "1")
+    assert doc["payload"]["digraph"]["n"] == 24
+    path = tmp_path / "n24.json"
+    path.write_text(json.dumps(doc))
+    code, doc = run(capsys, "kernel", "trace", str(path))
+    assert code == 3
+    assert doc["status"] == "cap_exceeded"
+    assert "capped at 20 vertices, got 24" in doc["error"]
+
+
 def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
     # an LE_2 instance by construction, so a False at level 2 would be wrong
     code, doc = run(capsys, "gen", "--le", "--base", "4", "--ears", "8",

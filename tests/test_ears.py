@@ -71,6 +71,16 @@ def test_validate_catches_stale_internal_vertex():
     assert not validate_decomposition(d, e).ok
 
 
+def test_validate_names_the_ear_fit_rule_per_stage():
+    d = Digraph.cycle(4).union(range(4, 7), [(0, 4), (4, 1), (1, 5), (5, 6)])
+    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 4, 1)), Ear((0, 1, 2)),
+                                                Ear((1, 5, 6))])
+    violations = validate_decomposition(d, e).violations
+    assert "stage 1: ear internal vertices must be new, [1] already in the " \
+        "stage" in violations
+    assert "stage 2: ear endpoints must lie in the stage digraph" in violations
+
+
 def test_validate_path_ears_only_mode():
     d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)])
     e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((1, 3, 4, 1))])

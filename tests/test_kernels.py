@@ -3,9 +3,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earlab import kernels
 from earlab.constructions import CertifiedSet
 from earlab.digraph import Digraph, is_kernel
-from earlab.ears import Ear, EarDecomposition
+from earlab.ears import Ear, EarDecomposition, generate_random_le
 from earlab.errors import InvalidInputError, VerificationError
 from earlab.kernels import (KernelObstruction, extend_case, extend_kernel,
                             restrict_condition, restrict_kernel,
@@ -54,6 +55,25 @@ def test_extend_case_values():
     assert extend_case(False, False, 3)[0] == 4
     assert KernelObstruction("extend", True, True, 3).pattern == "both_in_odd"
     assert KernelObstruction("extend", True, False, 4).pattern == "x0_in_xr_out_even"
+
+
+def test_rules_are_the_lemma_on_one_kernel():
+    # a kernel N of the stage absorbs x0; its forced extension is the rule's
+    for x0_in, xr_in, length in product((False, True), (False, True), range(2, 7)):
+        ear = Ear((0, *range(10, 9 + length), 1))
+        n = tuple(v for v, inside in ((0, x0_in), (1, xr_in)) if inside)
+        plan = extend_case(x0_in, xr_in, length)
+        forced = kernels._forced_extension(ear, n, True)
+        if plan is None:
+            assert forced is None
+        else:
+            _, start, stop = plan
+            added = tuple(ear.vertices[i] for i in range(start, stop + 1, 2))
+            assert forced == tuple(sorted(n + added))
+        # a pull-back is unforced iff x0 is out and p1 in, which is when the
+        # extension needs no absorption of x0 in the stage
+        unforced = not x0_in and kernels._forced_extension(ear, n, False) is not None
+        assert (restrict_condition(x0_in, xr_in, length) is None) == unforced
 
 
 def test_extend_case_one_even_interior():
@@ -237,6 +257,66 @@ def test_trace_rejects_short_ears():
     d = Digraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 2)])
     e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 2))])
     with pytest.raises(InvalidInputError):
+        trace_kernels(d, e)
+
+
+def oracle_stage_kernels(e):
+    """Reference for kernels._stage_kernels: the oracle on every stage."""
+    stages = list(e.stages())
+    return stages, [kernel_oracle(h, enumerate_all=True).details["all_kernels"]
+                    for h in stages]
+
+
+def one_ear_instances():
+    """Every path-ears LE_2 decomposition of C_2..C_5 plus one ear of
+    length 2..5."""
+    for n in range(2, 6):
+        base = Ear(tuple(range(n)) + (0,))
+        for x0, xr in product(range(n), repeat=2):
+            if x0 == xr:
+                continue
+            for r in range(2, 6):
+                ear = Ear((x0, *range(n, n + r - 1), xr))
+                d = Digraph.cycle(n).union(ear.vertices, ear.arcs)
+                yield d, EarDecomposition(base, [ear])
+
+
+def seeded_instances():
+    for seed in range(150):
+        d, e = generate_random_le(base_length=2 + seed % 4,
+                                  ear_count=seed % 7, min_ear_length=2,
+                                  max_ear_length=2 + seed % 3, seed=seed)
+        if d.n <= 16:
+            yield d, e
+
+
+def test_trace_matches_the_per_stage_oracle():
+    cases = [*one_ear_instances(), *seeded_instances()]
+    assert len(cases) > 250
+    for d, e in cases:
+        _, got = kernels._stage_kernels(e)
+        assert got == oracle_stage_kernels(e)[1], e
+        for direction in ("forward", "backward"):
+            doc = trace_kernels(d, e, direction).to_json()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_stage_kernels", oracle_stage_kernels)
+                assert doc == trace_kernels(d, e, direction).to_json(), e
+
+
+def test_trace_calls_no_oracle_once_there_are_ears(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_oracle called")
+
+    monkeypatch.setattr(kernels, "kernel_oracle", refuse)
+    d, e = next(one_ear_instances())
+    assert trace_kernels(d, e).entries[1].has_kernel
+
+
+def test_trace_rechecks_each_reported_kernel(monkeypatch):
+    d, e = next(one_ear_instances())
+    monkeypatch.setattr(kernels, "_stage_kernels",
+                        lambda e: (list(e.stages()), [[(0, 1)], [(0, 2)]]))
+    with pytest.raises(VerificationError, match="not a kernel of stage 0"):
         trace_kernels(d, e)
 
 
