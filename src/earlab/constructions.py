@@ -93,61 +93,64 @@ def longest_path_transversal(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     return CertifiedSet(tuple(s), "transversal", stage=len(e.ears))
 
 
-def _progression(start: int, stop: int, step: int = 3) -> list[int]:
-    # empty when start exceeds stop, per the table's open-ended rows
-    if start > stop:
-        return []
-    return list(range(start, stop + 1, step))
+def _stride_back(length: int, xr_in: bool, stride: int) -> list[int]:
+    """Interior indices 1 <= t < length taken every stride-th vertex back
+    from the ear's end xr, ascending: the one rule by which a kernel
+    (stride 2) and a small quasi-kernel (stride 3) fill an ear.
+
+    The first pick is stride steps before an in-set xr, else right before
+    xr.  An ear shorter than the stride is outside the rule's domain.
+    """
+    if length < stride:
+        raise InvalidInputError(
+            f"stride-{stride} ear rule needs ear length >= {stride}, got {length}")
+    return sorted(range(length - (stride if xr_in else 1), 0, -stride))
 
 
 def quasi_kernel_ear_indices(x0_in: bool, xr_in: bool, r: int) -> list[int]:
     """Internal-vertex indices added for one ear of length r >= 3.
 
-    Keyed by endpoint membership and r mod 3.  The (in, out, r = 3t) row
-    starts at index 2: starting at 1 would sit next to the in-set endpoint
-    and step past r-1, so index 2 is the only stride-3 start that reaches
-    r-1 while keeping independence.
+    Every third interior vertex back from xr (_stride_back), except that a
+    pick at index 1 next to an in-set x0 moves to index 2: the seam at p1.
+
+    Claim: if Q is a quasi-kernel of D_j and P = x0 p1 ... p(r-1) xr is
+    the ear glued onto it, then Q plus these picks is a quasi-kernel of
+    D_{j+1}.  Proof: the interior is new, so the only out-neighbourhood of
+    D_j that changes is x0's, which gains p1; every arc of D_j and every
+    path of length at most 2 in it survives, so Q stays independent on the
+    old arcs and every old vertex outside Q still reaches Q within two
+    arcs.  The new arcs are x0 p1, p_t p_(t+1) and p(r-1) xr.
+      (a) Picks are at least 2 apart (stride 3, or 2 -> 4 after the move),
+          none is p1 when x0 is in, and none is p(r-1) when xr is in (the
+          first pick is then r - 3), so no new arc joins two members.
+      (b) Call the picks plus r (when xr is in) anchors.  Consecutive
+          anchors are at most 3 apart, the highest is at least r - 1 and
+          the lowest at most 3 (the range stops within one stride of 0,
+          or is empty with r = 3 and xr in, and the move keeps it at 2).
+          Each interior p_t moves forward along the ear only, so every
+          unpicked one reaches a pick, or an in-set xr, within two arcs.
+    At most ceil((r - 1) / 3) <= (r - 1) / 2 picks join r - 1 new
+    vertices, so a small quasi-kernel stays small.
     """
-    m = r % 3
-    if x0_in and xr_in:
-        if m == 0:
-            return _progression(3, r - 3)
-        if m == 1:
-            return [2] + _progression(4, r - 3)
-        return _progression(2, r - 3)
-    if not x0_in and xr_in:
-        if m == 0:
-            return _progression(3, r - 3)
-        if m == 1:
-            return _progression(1, r - 3)
-        return _progression(2, r - 3)
-    if x0_in and not xr_in:
-        if m == 0:
-            return _progression(2, r - 1)
-        if m == 1:
-            return _progression(3, r - 1)
-        return [2] + _progression(4, r - 1)
-    if m == 0:
-        return _progression(2, r - 1)
-    if m == 1:
-        return _progression(3, r - 1)
-    return _progression(1, r - 1)
+    picks = _stride_back(r, xr_in, 3)
+    if x0_in and 1 in picks:
+        picks[0] = 2
+    return picks
 
 
 def cycle_quasi_kernel_indices(n: int) -> list[int]:
     """Positions of a small quasi-kernel on a cycle of length n >= 2.
 
-    Every third position, with the seam adjusted so the last chosen vertex
-    still quasi-absorbs the wrap-around stretch.
+    Every third position from 0, with position n - 1 moved to n - 2: the
+    ear's seam read forward from the in-set anchor, since n - 1 would sit
+    next to 0 while n - 2 still reaches 0 within two steps.
     """
     if n < 2:
         raise InvalidInputError("cycle length must be >= 2")
-    m = n % 3
-    if m == 0:
-        return _progression(0, n - 3)
-    if m == 1:
-        return _progression(0, n - 4) + [n - 2]
-    return _progression(0, n - 2)
+    picks = list(range(0, n, 3))
+    if picks[-1] == n - 1:
+        picks[-1] = n - 2
+    return picks
 
 
 def quasi_kernel_failing_stage(e: EarDecomposition,

@@ -1,17 +1,20 @@
 """Kernel propagation across path ears.
 
-Restriction pulls a kernel back from a glued stage to its predecessor;
-extension pushes one forward with an explicit alternating pattern on the
-new ear.  Tracing lists every kernel of every stage, each stage below the
-last scanned once and each next stage's kernels forced along its ear, and
-classifies the result against the two parity dichotomies.
+One rule carries a kernel across an ear in both directions: its interior
+alternates back from the ear's end xr, every second vertex, and p1 decides
+the rest (see trace_kernels).  Extension pushes a stage kernel forward
+unless x0 and p1 are both in; restriction pulls a glued-stage kernel back
+unless x0 is out and p1 in.  Tracing lists every kernel of every stage,
+each stage below the last scanned once and each next stage's kernels
+forced along its ear, and classifies the result against the two parity
+dichotomies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constructions import CertifiedSet
+from .constructions import CertifiedSet, _stride_back
 from .digraph import Digraph, is_nonseparable, is_strong, set_predicates
 from .ears import (Ear, EarDecomposition, require_decomposition,
                    require_ear_fits)
@@ -43,6 +46,12 @@ class KernelObstruction:
                 "x0_in": self.x0_in, "xr_in": self.xr_in, "length": self.length}
 
 
+def _case(x0_in: bool, xr_in: bool) -> int:
+    """Endpoint pattern as a case number: 1 both in, 2 x0 only, 3 xr only,
+    4 both out."""
+    return 4 - 2 * x0_in - xr_in
+
+
 def restrict_condition(x0_in: bool, xr_in: bool, length: int) -> int | None:
     """Which of the four pull-back conditions the endpoint pattern meets;
     None when the pattern is a pull-back obstruction.
@@ -50,17 +59,11 @@ def restrict_condition(x0_in: bool, xr_in: bool, length: int) -> int | None:
     This is the trace_kernels lemma read backward on one kernel K of the
     glued stage: S = K minus the interior is a kernel of the stage iff S
     absorbs x0, which K forces unless x0 is out and p1 in.  The interior
-    alternates back from xr, so p1 is in iff xr is in and the length odd,
-    or xr is out and the length even; with x0 out those are the two
-    obstructions.
+    alternates back from xr, so with x0 out the two obstructions are xr in
+    with the length odd, and xr out with the length even.
     """
-    if x0_in and xr_in:
-        return 1
-    if x0_in:
-        return 2
-    if xr_in:
-        return 3 if length % 2 == 0 else None
-    return 4 if length % 2 == 1 else None
+    p1_in = 1 in _stride_back(length, xr_in, 2)
+    return None if p1_in and not x0_in else _case(x0_in, xr_in)
 
 
 def extend_case(x0_in: bool, xr_in: bool, length: int):
@@ -69,18 +72,15 @@ def extend_case(x0_in: bool, xr_in: bool, length: int):
 
     This is the trace_kernels lemma applied to one kernel N of the stage:
     N absorbs x0, so its forced extension is a kernel unless x0 and p1 are
-    both in.  Interior vertex t is in iff length - t is even with xr in, or
-    odd with xr out; so p1 is in for both_in_odd and x0_in_xr_out_even,
-    the two obstructions, and the ranges below are exactly those t.
+    both in.  The interior alternates back from xr, so p1 is in for
+    both_in_odd and x0_in_xr_out_even, the two obstructions, and the range
+    below is exactly the interior the extension takes.
     """
-    even = length % 2 == 0
-    if x0_in and xr_in:
-        return (1, 2, length - 2) if even else None
-    if x0_in:
-        return None if even else (2, 2, length - 1)
-    if xr_in:
-        return (3, 2, length - 2) if even else (3, 1, length - 2)
-    return (4, 1, length - 1) if even else (4, 2, length - 1)
+    p1_in = 1 in _stride_back(length, xr_in, 2)
+    if p1_in and x0_in:
+        return None
+    stop = length - (2 if xr_in else 1)
+    return _case(x0_in, xr_in), 2 - stop % 2, stop
 
 
 def _check_stage_and_ear(h: Digraph, p: Ear) -> Digraph:
@@ -128,11 +128,10 @@ def extend_kernel(h: Digraph, p: Ear, n) -> CertifiedSet | KernelObstruction:
     plan = extend_case(x0_in, xr_in, p.length)
     if plan is None:
         return KernelObstruction("extend", x0_in, xr_in, p.length)
-    case, start, stop = plan
-    extended = n | {p.vertices[i] for i in range(start, stop + 1, 2)}
+    extended = n | {p.vertices[t] for t in _stride_back(p.length, xr_in, 2)}
     if not set_predicates(glued, extended).is_kernel:
         raise VerificationError(
-            f"extension {sorted(extended)} under case {case} "
+            f"extension {sorted(extended)} under case {plan[0]} "
             f"is not a kernel of the glued digraph")
     return CertifiedSet(tuple(extended), "kernel")
 
@@ -186,17 +185,13 @@ def _forced_extension(ear: Ear, members: tuple[int, ...],
                       x0_absorbed: bool) -> tuple[int, ...] | None:
     """The kernel of the stage glued with ear whose part in the stage is
     members (per the trace_kernels lemma), or None when there is none."""
-    inside = ear.xr in members
-    interior = []
-    for p in reversed(ear.internal):
-        inside = not inside
-        if inside:
-            interior.append(p)
-    # inside now tells whether p1 is in
-    if inside and ear.x0 in members:
+    picks = _stride_back(ear.length, ear.xr in members, 2)
+    p1_in = 1 in picks
+    if p1_in and ear.x0 in members:
         return None
-    if not (inside or x0_absorbed):
+    if not (p1_in or x0_absorbed):
         return None
+    interior = [ear.vertices[t] for t in picks]
     return tuple(sorted(members + tuple(interior)))
 
 
