@@ -342,7 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["kernel", "quasi-kernel", "chromatic",
                                     "oriented", "longest-path"])
     with_input(p)
-    p.add_argument("--kmax", type=int, default=7)
+    p.add_argument("--kmax", type=int, default=7,
+                   help="oriented: largest tournament order tried (1-7)")
     p.add_argument("--all", action="store_true",
                    help="kernel and quasi-kernel: enumerate every one, not "
                         "just the witness (longest-path always enumerates)")

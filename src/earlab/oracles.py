@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .digraph import Digraph, is_asymmetrical
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, VerificationError
 from .tournaments import HomomorphismSearch, compose_rows, tournament_reps
 
 KERNEL_CAP = 20
@@ -192,20 +192,31 @@ def chromatic_oracles(d: Digraph) -> OracleReport:
 def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> OracleReport:
     """Smallest tournament order admitting a homomorphism from d.
 
-    Tries every isomorphism class representative in ascending order, so the
-    value is exact whenever one is found within k_max.  The digraph side of
-    the search is prepared once for all of them.
+    Each order k from 1 up is first decided by one search for an oriented
+    k-colouring (`HomomorphismSearch.fits_order`).  Only at the first order
+    it accepts are the isomorphism class representatives tried one by one,
+    in ascending order, for the witness, so the value is exact whenever one
+    is found within k_max.  search_space_size counts the classes tried or
+    ruled out: every class of each lower order plus the witness's position
+    among its own, or every class up to k_max when none fits.  An accepted
+    order that no class admits raises VerificationError.
     """
     _check_cap(d, ORIENTED_CAP, "oriented chromatic")
     if k_max > ORIENTED_KMAX_CAP:
         raise CapExceededError(
             f"oriented chromatic oracle capped at target order {ORIENTED_KMAX_CAP}")
+    if k_max < 1:
+        raise InvalidInputError(f"target order must be >= 1, got {k_max}")
     if not is_asymmetrical(d):
         raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
     search = HomomorphismSearch(d)
     tried = 0
     for k in range(1, k_max + 1):
-        for t in tournament_reps(k):
+        reps = tournament_reps(k)
+        if not search.fits_order(k):
+            tried += len(reps)
+            continue
+        for t in reps:
             tried += 1
             phi = search.into(t)
             if phi is not None:
@@ -216,6 +227,8 @@ def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> Ora
                     search_space_size=tried,
                     details={"target_order": k},
                 )
+        raise VerificationError(
+            f"an oriented {k}-colouring exists but no order-{k} tournament admits it")
     return OracleReport(
         quantity="oriented_chromatic_number",
         value=None,

@@ -300,6 +300,71 @@ class HomomorphismSearch:
             return None
         return dict(sorted(zip(self.visit, image)))
 
+    def fits_order(self, k: int) -> bool:
+        """Whether some tournament of order k admits a homomorphism, decided
+        by one backtracking search for an oriented k-colouring: every colour
+        class independent, all arcs between two classes running the same
+        way, colours opened in first-use order (their names are
+        interchangeable).
+
+        D maps into a tournament of order k iff it has such a colouring.
+        The preimages of a homomorphism form one: a class maps to a single
+        vertex, which has no loop, and the arcs between two classes map to
+        the one arc between their images.  Conversely a colouring fixes the
+        direction between any two colours it joins, and any completion of
+        the other directions is a tournament of order k that admits the
+        colouring as a homomorphism.
+
+        Slots are coloured in visit order.  A slot's colour is ruled out by
+        each earlier neighbour w: w's own colour, and every colour whose
+        direction to w's colour is already fixed against the arc.  No colour
+        fits a slot whose arcs run both to and from one class.
+        """
+        later, n = self.later, len(self.visit)
+        # earlier[s]: (slot, outward) for each neighbour placed before slot
+        # s, outward when the arc runs from the vertex of slot s to it
+        earlier: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+        for s, nbrs in enumerate(later):
+            for w, outward in nbrs:
+                earlier[w].append((s, not outward))
+        colour = [0] * n
+        # heads[a] / tails[a]: colours b whose arcs with a run a -> b / b -> a
+        heads, tails = [0] * k, [0] * k
+
+        def place(s: int, opened: int) -> bool:
+            if s == n:
+                return True
+            # the colours the slot's arcs must run to and from
+            to, fro = 0, 0
+            options = (1 << min(opened + 1, k)) - 1
+            for w, outward in earlier[s]:
+                c = colour[w]
+                if outward:
+                    to |= 1 << c
+                    options &= ~heads[c]
+                else:
+                    fro |= 1 << c
+                    options &= ~tails[c]
+            if to & fro:
+                return False
+            options &= ~(to | fro)
+            while options:
+                low = options & -options
+                options ^= low
+                c = low.bit_length() - 1
+                saved = heads[:], tails[:]
+                heads[c] |= to
+                tails[c] |= fro
+                for w, outward in earlier[s]:
+                    (tails if outward else heads)[colour[w]] |= low
+                colour[s] = c
+                if place(s + 1, max(opened, c + 1)):
+                    return True
+                heads[:], tails[:] = saved
+            return False
+
+        return place(0, 0)
+
 
 def find_homomorphism(d: Digraph, t: Tournament) -> dict[int, int] | None:
     """An arc-preserving map V(d) -> V(t), or None; see HomomorphismSearch."""

@@ -263,6 +263,15 @@ def test_oracle_kinds(capsys, c5_file):
         assert doc["payload"]["value"] == value, kind
 
 
+@pytest.mark.parametrize("kmax, code, status", [
+    ("0", 2, "invalid_input"), ("-3", 2, "invalid_input"),
+    ("8", 3, "cap_exceeded")])
+def test_oracle_oriented_refuses_kmax_outside_one_to_seven(capsys, c5_file,
+                                                           kmax, code, status):
+    got, doc = run(capsys, "oracle", "oriented", c5_file, "--kmax", kmax)
+    assert (got, doc["status"], doc["payload"]) == (code, status, None)
+
+
 def test_oracle_all_flag(capsys, c5_file):
     code, doc = run(capsys, "oracle", "quasi-kernel", c5_file, "--all")
     assert code == 0

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from earlab import oracles
 from earlab.digraph import Digraph, is_kernel, is_quasi_kernel, set_predicates
 from earlab.ears import generate_random_le
-from earlab.errors import CapExceededError, InvalidInputError
+from earlab.errors import CapExceededError, InvalidInputError, VerificationError
 from earlab.oracles import (CHROMATIC_CAP, KERNEL_CAP, LONGEST_PATH_CAP,
                             ORIENTED_CAP, QUASI_KERNEL_CAP, chromatic_oracles,
                             kernel_oracle, longest_path_oracle,
                             oriented_chromatic_oracle, quasi_kernel_oracle)
-from earlab.tournaments import find_homomorphism, is_homomorphism, tournament_reps
+from earlab.tournaments import (HomomorphismSearch, find_homomorphism,
+                                is_homomorphism, tournament_reps)
 
 
 def k3_symmetric():
@@ -284,6 +285,55 @@ def test_oriented_oracle_matches_per_class_search():
             report = oriented_chromatic_oracle(d, k_max=k_max)
             assert ((report.value, report.witness, report.search_space_size)
                     == reference_oriented_oracle(d, k_max)), (n, arcs)
+
+
+def random_asymmetric(rng, n, p):
+    return Digraph(range(n), [(u, v) if rng.random() < 0.5 else (v, u)
+                              for u, v in combinations(range(n), 2)
+                              if rng.random() < p])
+
+
+def test_fits_order_matches_per_class_search():
+    # the one colouring search per order against a homomorphism search into
+    # every class of that order; the dense 9-12-vertex inputs exceed order 7
+    rng = random.Random(14)
+    shapes = [(rng.randint(3, 8), rng.choice((0.2, 0.5, 0.9))) for _ in range(24)]
+    shapes += [(rng.randint(9, 12), rng.choice((0.3, 0.6))) for _ in range(6)]
+    shapes += [(10, 0.6)] * 2
+    for n, p in shapes:
+        d = random_asymmetric(rng, n, p)
+        search = HomomorphismSearch(d)
+        for k in range(1, 8):
+            assert search.fits_order(k) == any(
+                find_homomorphism(d, t) is not None for t in tournament_reps(k)), \
+                (k, sorted(d.arcs))
+
+
+def rotational_tournament_8():
+    """i -> i+1, i+2, i+3 (mod 8), and i -> i+4 for i < 4."""
+    return Digraph(range(8), [(i, (i + s) % 8) for i in range(8) for s in (1, 2, 3)]
+                   + [(i, i + 4) for i in range(4)])
+
+
+def test_oriented_oracle_counts_every_class_when_none_fits():
+    report = oriented_chromatic_oracle(rotational_tournament_8())
+    assert (report.value, report.witness) == (None, None)
+    assert report.search_space_size == 532 == sum(
+        len(tournament_reps(k)) for k in range(1, 8))
+    assert report.details == {"exceeds": 7}
+
+
+def test_oriented_oracle_cross_checks_an_accepted_order(monkeypatch):
+    # a decision that accepts an order no class admits is caught, not absorbed
+    monkeypatch.setattr(HomomorphismSearch, "fits_order", lambda self, k: True)
+    with pytest.raises(VerificationError):
+        oriented_chromatic_oracle(Digraph.cycle(5))
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_oriented_oracle_rejects_kmax_below_one(k_max):
+    with pytest.raises(InvalidInputError):
+        oriented_chromatic_oracle(Digraph.cycle(5), k_max=k_max)
 
 
 def test_oriented_oracle_matches_brute_force_maps():
