@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -555,6 +554,63 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     return None
 
 
+class _FreePairs:
+    """The ordered pairs (u, v) of distinct vertices 0..n-1 adjacent
+    neither way, for drawing length-1 ears.  Vertex u has n - 1 - deg(u)
+    partners, so a Fenwick tree over the neighbour counts finds the k-th
+    pair in sorted order without a scan of the vertices."""
+
+    def __init__(self):
+        self.near: dict[int, set[int]] = {}  # neighbours either way
+        self.tree = [0]  # slot i sums deg over vertices i - (i & -i) .. i - 1
+        self.degree_sum = 0
+
+    def _prefix(self, i: int) -> int:
+        total = 0
+        while i:
+            total += self.tree[i]
+            i -= i & -i
+        return total
+
+    def add(self, vertex_count: int, arcs: Iterable[Arc]) -> None:
+        """Grow to vertices 0..vertex_count-1, then add arcs among them."""
+        while len(self.tree) <= vertex_count:
+            i = len(self.tree)
+            self.near[i - 1] = set()
+            self.tree.append(self._prefix(i - 1) - self._prefix(i - (i & -i)))
+        for u, v in arcs:
+            if v in self.near[u]:
+                continue
+            self.near[u].add(v)
+            self.near[v].add(u)
+            self.degree_sum += 2
+            for i in (u + 1, v + 1):
+                while i < len(self.tree):
+                    self.tree[i] += 1
+                    i += i & -i
+
+    def count(self) -> int:
+        n = len(self.tree) - 1
+        return n * (n - 1) - self.degree_sum
+
+    def pick(self, k: int) -> tuple[int, int]:
+        """The k-th pair in sorted order."""
+        n = len(self.tree) - 1
+        u, below = 0, 0  # the vertices before u, and their degree sum
+        step = 1 << n.bit_length()
+        while step:
+            probe = u + step
+            if probe <= n and probe * (n - 1) - below - self.tree[probe] <= k:
+                u, below = probe, below + self.tree[probe]
+            step >>= 1
+        v = k - (u * (n - 1) - below)
+        for w in sorted(self.near[u] | {u}):  # the v-th vertex not among them
+            if w > v:
+                break
+            v += 1
+        return u, v
+
+
 def generate_random_le(base_length: int = 3, ear_count: int = 3,
                        min_ear_length: int = 2, max_ear_length: int | None = None,
                        cycle_ear_probability: float = 0.0,
@@ -576,50 +632,37 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
     # the fewest vertices the drawn lengths can give
     _check_vertex_count(base_length + ear_count * (min_ear_length - 1))
     rng = random.Random(seed)
-    vertices = list(range(base_length))
     arcs = {(i, (i + 1) % base_length) for i in range(base_length)}
     base = Ear(tuple(range(base_length)) + (0,))
-    near = defaultdict(set)  # neighbours in either direction
-    for u, v in arcs:
-        near[u].add(v)
-        near[v].add(u)
+    free = _FreePairs() if min_ear_length == 1 else None
+    if free is not None:
+        free.add(base_length, arcs)
     ears: list[Ear] = []
     next_id = base_length
     for _ in range(ear_count):
         length = rng.randint(min_ear_length, max_ear_length)
         as_cycle = length >= 3 and rng.random() < cycle_ear_probability
         if length == 1:
-            # the same draw as choice(sorted free pairs), by walking to the
-            # k-th pair (u, v) of distinct vertices not adjacent either way
-            free = {u: len(vertices) - 1 - len(near[u]) for u in vertices}
-            total = sum(free.values())
-            if not total:
+            # the same draw as choice(sorted free pairs)
+            if not free.count():
                 raise InvalidInputError("no room for a length-1 ear; "
                                         "inconsistent parameters")
-            k = rng.randrange(total)
-            for x0 in vertices:
-                if k < free[x0]:
-                    break
-                k -= free[x0]
-            xr = [v for v in vertices if v != x0 and v not in near[x0]][k]
-            ear = Ear((x0, xr))
+            ear = Ear(free.pick(rng.randrange(free.count())))
         else:
-            # the same draws as choice(vertices), then choice of the others
-            k = rng.randrange(len(vertices))
-            x0 = xr = vertices[k]
+            # the same draws as choice(vertices), then choice of the others;
+            # the vertices are 0..next_id-1
+            x0 = xr = rng.randrange(next_id)
             if not as_cycle:
-                j = rng.randrange(len(vertices) - 1)
-                xr = vertices[j + (j >= k)]
+                j = rng.randrange(next_id - 1)
+                xr = j + (j >= x0)
             _check_vertex_count(next_id + length - 1)
             interior = tuple(range(next_id, next_id + length - 1))
             next_id += length - 1
             ear = Ear((x0,) + interior + (xr,))
         ears.append(ear)
-        vertices.extend(ear.internal)
         arcs.update(ear.arcs)
-        for u, v in ear.arcs:
-            near[u].add(v)
-            near[v].add(u)
+        if free is not None:
+            free.add(next_id, ear.arcs)
     host = Digraph(range(next_id), arcs)
     return host, _self_checked(host, EarDecomposition(base, ears),
                                min_ear_length)

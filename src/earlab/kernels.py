@@ -4,10 +4,11 @@ One rule carries a kernel across an ear in both directions: its interior
 alternates back from the ear's end xr, every second vertex, and p1 decides
 the rest (see trace_kernels).  Extension pushes a stage kernel forward
 unless x0 and p1 are both in; restriction pulls a glued-stage kernel back
-unless x0 is out and p1 in.  Tracing lists every kernel of every stage,
-each stage below the last scanned once and each next stage's kernels
-forced along its ear, and classifies the result against the two parity
-dichotomies.
+unless x0 is out and p1 in.  Tracing lists every kernel of every stage
+and classifies the result against the two parity dichotomies.  Each stage
+below the last is scanned once, branching only on its vertices whose
+out-degree is not 1, and each next stage's kernels are forced along its
+ear.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from .constructions import CertifiedSet, _stride_back
 from .digraph import Digraph, is_nonseparable, is_strong, set_predicates
 from .ears import (Ear, EarDecomposition, require_decomposition,
                    require_ear_fits)
-from .errors import InvalidInputError, VerificationError
-from .oracles import (KERNEL_CAP, _absorbing_sets, _check_cap, _index_maps,
-                      kernel_oracle)
+from .errors import CapExceededError, InvalidInputError, VerificationError
+from .oracles import _forced_absorbing_sets, _index_maps
+
+TRACE_VERTEX_CAP = 500
+TRACE_BRANCH_CAP = 80
 
 
 def _pattern(x0_in: bool, xr_in: bool, length: int) -> str:
@@ -195,17 +198,29 @@ def _forced_extension(ear: Ear, members: tuple[int, ...],
     return tuple(sorted(members + tuple(interior)))
 
 
+def _check_trace_caps(d: Digraph) -> None:
+    if d.n > TRACE_VERTEX_CAP:
+        raise CapExceededError(
+            f"kernel trace capped at {TRACE_VERTEX_CAP} vertices, got {d.n}")
+    branch = sum(len(d.out_neighbors(v)) != 1 for v in d.vertices)
+    if branch > TRACE_BRANCH_CAP:
+        raise CapExceededError(
+            f"kernel trace capped at {TRACE_BRANCH_CAP} branch vertices "
+            f"(out-degree other than 1), got {branch}")
+
+
 def _stage_kernels(e: EarDecomposition):
     """Every stage digraph and its kernels in lexicographic order; one
-    absorbing-set scan per stage below the last (see trace_kernels)."""
+    forced scan per stage below the last (see trace_kernels)."""
     h = Digraph(e.base.vertices, e.base.arcs)
     if not e.ears:
-        return [h], [kernel_oracle(h, enumerate_all=True).details["all_kernels"]]
+        verts, out, sym = _index_maps(h)
+        return [h], [_forced_absorbing_sets(verts, sym, out)]
     stages, lists = [h], []
     for j, ear in enumerate(e.ears):
         verts, out, sym = _index_maps(h)
         out[verts.index(ear.x0)] = (1 << len(verts)) - 1  # x0 is exempt
-        candidates, _ = _absorbing_sets(verts, sym, out)
+        candidates = _forced_absorbing_sets(verts, sym, out)
         x0_out = h.out_neighbors(ear.x0)
         kernels, glued = [], []
         for s in candidates:
@@ -252,12 +267,31 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     So one scan of D_j with x0's row set to every vertex lists the S of
     (a); those absorbing x0 are D_j's kernels, and (b) fixes the interior
     from xr, so the S meeting (c) extended by it are D_{j+1}'s.  The last
-    stage is never scanned; a bare cycle gets its oracle scan.  Each
-    stage's reported kernel is re-checked before it is returned.
+    stage is never scanned; a bare cycle is scanned with its own rows.
+    Each stage's reported kernel is re-checked before it is returned.
+
+    A scan branches only where there is a choice, by a second lemma.  Let
+    v be a vertex whose row has one vertex w (so v is not x0 and v w is an
+    arc).  Then every S of the scan holds v iff it does not hold w.
+    Proof: if v is in S, independence on the arc v w keeps w out; if v is
+    out, S absorbs v, and only w can.  So the scan
+    (oracles._forced_absorbing_sets) chooses only for the branch vertices,
+    x0 and the vertices of out-degree other than 1, and fills each other
+    vertex from its successor.  A cycle of forced vertices has no arc
+    leaving it, so in a strong stage it is the whole stage and occurs only
+    in a bare cycle; the scan then branches on one of its vertices.
+
+    Two caps bound the work.  A stage's branch vertices are among the
+    input's: a strong stage keeps each out-degree-1 vertex's one arc, and
+    x0 has out-degree at least 2 in D.  So the choices are capped at
+    TRACE_BRANCH_CAP branch vertices of the input.  Every stage is still
+    built and scanned whole, so the rest grows with the number of ears
+    times the vertices, and the input is capped at TRACE_VERTEX_CAP
+    vertices.  Both caps are where one trace costs about a second.
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError("direction must be forward or backward")
-    _check_cap(d, KERNEL_CAP, "kernel")
+    _check_trace_caps(d)
     require_decomposition(d, e, 2, "kernel trace", path_ears_only=True)
     stages, per_stage = _stage_kernels(e)
     entries = []

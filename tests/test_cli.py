@@ -300,17 +300,30 @@ def test_cap_exceeded_exit_code(capsys, tmp_path):
     assert doc["status"] == "cap_exceeded"
 
 
-def test_kernel_trace_cap_names_the_input_size(capsys, tmp_path):
-    code, doc = run(capsys, "gen", "--le", "--base", "5", "--ears", "8",
-                    "--min-ear-length", "3", "--max-ear-length", "4",
-                    "--seed", "1")
-    assert doc["payload"]["digraph"]["n"] == 24
-    path = tmp_path / "n24.json"
-    path.write_text(json.dumps(doc))
-    code, doc = run(capsys, "kernel", "trace", str(path))
+def test_kernel_trace_caps_name_the_cap(capsys, tmp_path):
+    def trace(*gen_args):
+        code, doc = run(capsys, "gen", "--le", *gen_args)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, "kernel", "trace", str(path),
+                   "--decomposition", str(path))
+
+    # 180 vertices, 15 of them branch vertices: well inside both caps
+    code, doc = trace("--base", "4", "--ears", "16", "--min-ear-length", "10",
+                      "--max-ear-length", "14", "--seed", "0")
+    assert code == 0 and len(doc["payload"]["stages"]) == 17
+    # 302 vertices, 118 branch vertices
+    code, doc = trace("--base", "4", "--ears", "200", "--min-ear-length", "2",
+                      "--max-ear-length", "3", "--seed", "0")
     assert code == 3
     assert doc["status"] == "cap_exceeded"
-    assert "capped at 20 vertices, got 24" in doc["error"]
+    assert "capped at 80 branch vertices (out-degree other than 1), got 118" \
+        in doc["error"]
+    # one ear: 2 branch vertices, 504 vertices
+    code, doc = trace("--base", "4", "--ears", "1", "--min-ear-length", "501",
+                      "--seed", "0")
+    assert code == 3
+    assert "kernel trace capped at 500 vertices, got 504" in doc["error"]
 
 
 def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):

@@ -173,6 +173,13 @@ def test_generator_is_deterministic():
             assert e.to_json()["ears"] == expected
 
 
+def test_generator_draws_length_1_ears_in_the_reference_order():
+    # a deeper tree of free-pair counts than the small cases above reach
+    for seed in range(3):
+        _, e = generate_random_le(5, 60, 1, 3, 0.0, seed)
+        assert e.to_json()["ears"] == list_drawn_ears(5, 60, 1, 3, 0.0, seed)
+
+
 def list_drawn_ears(base_length, ear_count, lo, hi, cycle_p, seed):
     """The ears generate_random_le must draw: each end by random.choice
     from a list of its candidates, and a length-1 ear from the sorted list

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlab import kernels
+from earlab import kernels, oracles
 from earlab.constructions import CertifiedSet
 from earlab.digraph import Digraph, is_kernel
 from earlab.ears import Ear, EarDecomposition, generate_random_le
@@ -11,7 +11,8 @@ from earlab.errors import InvalidInputError, VerificationError
 from earlab.kernels import (KernelObstruction, extend_case, extend_kernel,
                             restrict_condition, restrict_kernel,
                             trace_kernels)
-from earlab.oracles import kernel_oracle
+from earlab.oracles import (_absorbing_sets, _forced_absorbing_sets,
+                            _index_maps, kernel_oracle)
 
 
 def c4():
@@ -303,13 +304,49 @@ def test_trace_matches_the_per_stage_oracle():
                 assert doc == trace_kernels(d, e, direction).to_json(), e
 
 
-def test_trace_calls_no_oracle_once_there_are_ears(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("kernel_oracle called")
+def stage_scans(e):
+    """Each stage's own out-rows, as the kernel oracle scans them, and
+    below the last stage its rows as the trace scans them, x0's row set
+    to every vertex."""
+    for j in range(len(e.ears) + 1):
+        verts, out, sym = _index_maps(e.stage(j))
+        yield verts, sym, out
+        if j < len(e.ears):
+            rows = list(out)
+            rows[verts.index(e.ears[j].x0)] = (1 << len(verts)) - 1
+            yield verts, sym, rows
 
-    monkeypatch.setattr(kernels, "kernel_oracle", refuse)
+
+def larger_stages():
+    """One sampled stage of each of 21, 23, 25, 27 and 30 or more
+    vertices, rows as the trace scans them."""
+    for seed, size in enumerate((21, 23, 25, 27, 30)):
+        _, e = generate_random_le(base_length=3, ear_count=40,
+                                  min_ear_length=2, seed=seed)
+        j = next(j for j in range(len(e.ears)) if e.stage(j).n >= size)
+        verts, out, sym = _index_maps(e.stage(j))
+        out[verts.index(e.ears[j].x0)] = (1 << len(verts)) - 1
+        yield verts, sym, out
+
+
+def test_forced_scan_matches_the_oracle_scan():
+    cases = [e for _, e in [*one_ear_instances(), *seeded_instances()]]
+    scans = [scan for e in cases for scan in stage_scans(e)]
+    assert len(scans) > 1000
+    for verts, sym, rows in [*scans, *larger_stages()]:
+        assert (_forced_absorbing_sets(verts, sym, rows)
+                == _absorbing_sets(verts, sym, rows)[0]), verts
+
+
+def test_trace_never_runs_the_oracle_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle scan called")
+
+    monkeypatch.setattr(oracles, "_absorbing_sets", refuse)
     d, e = next(one_ear_instances())
     assert trace_kernels(d, e).entries[1].has_kernel
+    cycle = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
+    assert trace_kernels(Digraph.cycle(4), cycle).entries[0].has_kernel
 
 
 def test_trace_rechecks_each_reported_kernel(monkeypatch):

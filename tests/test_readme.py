@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from earlab import digraph, oracles
+from earlab import digraph, kernels, oracles
 from earlab.coloring import verify_homomorphism
 from earlab.cli import _build_parser
 
@@ -26,6 +26,14 @@ def test_readme_oracle_caps_match_constants():
         found = re.search(pattern, text)
         assert found, f"README states no cap for {name}"
         assert int(found.group(1)) == getattr(oracles, name), name
+    trace_caps = {
+        "TRACE_VERTEX_CAP": r"`kernel trace` takes inputs of up to (\d+)",
+        "TRACE_BRANCH_CAP": r"at most (\d+) of them branch vertices",
+    }
+    for name, pattern in trace_caps.items():
+        found = re.search(pattern, text)
+        assert found, f"README states no cap for {name}"
+        assert int(found.group(1)) == getattr(kernels, name), name
     found = re.search(r"capped at (\d+) vertices", text)
     assert found, "README states no cap for MAX_VERTICES"
     assert int(found.group(1)) == digraph.MAX_VERTICES
