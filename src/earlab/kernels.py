@@ -284,10 +284,10 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     Two caps bound the work.  A stage's branch vertices are among the
     input's: a strong stage keeps each out-degree-1 vertex's one arc, and
     x0 has out-degree at least 2 in D.  So the choices are capped at
-    TRACE_BRANCH_CAP branch vertices of the input.  Every stage is still
-    built and scanned whole, so the rest grows with the number of ears
-    times the vertices, and the input is capped at TRACE_VERTEX_CAP
-    vertices.  Both caps are where one trace costs about a second.
+    TRACE_BRANCH_CAP branch vertices of the input.  Every stage is built
+    and scanned whole, so the rest grows with the number of ears times the
+    vertices, and the input is capped at TRACE_VERTEX_CAP vertices.  Both
+    caps are where one trace costs about a second.
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError("direction must be forward or backward")
