@@ -21,19 +21,14 @@ def test_readme_oracle_caps_match_constants():
         "ORIENTED_CAP": r"oriented chromatic numbers up to (\d+)",
         "ORIENTED_KMAX_CAP": r"order up to (\d+)",
         "LONGEST_PATH_CAP": r"longest paths up to (\d+)",
-    }
-    for name, pattern in caps.items():
-        found = re.search(pattern, text)
-        assert found, f"README states no cap for {name}"
-        assert int(found.group(1)) == getattr(oracles, name), name
-    trace_caps = {
         "TRACE_VERTEX_CAP": r"`kernel trace` takes inputs of up to (\d+)",
         "TRACE_BRANCH_CAP": r"at most (\d+) of them branch vertices",
     }
-    for name, pattern in trace_caps.items():
+    constants = {**vars(oracles), **vars(kernels)}
+    for name, pattern in caps.items():
         found = re.search(pattern, text)
         assert found, f"README states no cap for {name}"
-        assert int(found.group(1)) == getattr(kernels, name), name
+        assert int(found.group(1)) == constants[name], name
     found = re.search(r"capped at (\d+) vertices", text)
     assert found, "README states no cap for MAX_VERTICES"
     assert int(found.group(1)) == digraph.MAX_VERTICES
