@@ -554,63 +554,6 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     return None
 
 
-class _FreePairs:
-    """The ordered pairs (u, v) of distinct vertices 0..n-1 adjacent
-    neither way, for drawing length-1 ears.  Vertex u has n - 1 - deg(u)
-    partners, so a Fenwick tree over the neighbour counts finds the k-th
-    pair in sorted order without a scan of the vertices."""
-
-    def __init__(self):
-        self.near: dict[int, set[int]] = {}  # neighbours either way
-        self.tree = [0]  # slot i sums deg over vertices i - (i & -i) .. i - 1
-        self.degree_sum = 0
-
-    def _prefix(self, i: int) -> int:
-        total = 0
-        while i:
-            total += self.tree[i]
-            i -= i & -i
-        return total
-
-    def add(self, vertex_count: int, arcs: Iterable[Arc]) -> None:
-        """Grow to vertices 0..vertex_count-1, then add arcs among them."""
-        while len(self.tree) <= vertex_count:
-            i = len(self.tree)
-            self.near[i - 1] = set()
-            self.tree.append(self._prefix(i - 1) - self._prefix(i - (i & -i)))
-        for u, v in arcs:
-            if v in self.near[u]:
-                continue
-            self.near[u].add(v)
-            self.near[v].add(u)
-            self.degree_sum += 2
-            for i in (u + 1, v + 1):
-                while i < len(self.tree):
-                    self.tree[i] += 1
-                    i += i & -i
-
-    def count(self) -> int:
-        n = len(self.tree) - 1
-        return n * (n - 1) - self.degree_sum
-
-    def pick(self, k: int) -> tuple[int, int]:
-        """The k-th pair in sorted order."""
-        n = len(self.tree) - 1
-        u, below = 0, 0  # the vertices before u, and their degree sum
-        step = 1 << n.bit_length()
-        while step:
-            probe = u + step
-            if probe <= n and probe * (n - 1) - below - self.tree[probe] <= k:
-                u, below = probe, below + self.tree[probe]
-            step >>= 1
-        v = k - (u * (n - 1) - below)
-        for w in sorted(self.near[u] | {u}):  # the v-th vertex not among them
-            if w > v:
-                break
-            v += 1
-        return u, v
-
-
 def generate_random_le(base_length: int = 3, ear_count: int = 3,
                        min_ear_length: int = 2, max_ear_length: int | None = None,
                        cycle_ear_probability: float = 0.0,
@@ -634,23 +577,36 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
     rng = random.Random(seed)
     arcs = {(i, (i + 1) % base_length) for i in range(base_length)}
     base = Ear(tuple(range(base_length)) + (0,))
-    free = _FreePairs() if min_ear_length == 1 else None
-    if free is not None:
-        free.add(base_length, arcs)
+    near = [set() for _ in range(base_length)]  # neighbours either way
+    for u, v in arcs:
+        near[u].add(v)
+        near[v].add(u)
     ears: list[Ear] = []
-    next_id = base_length
+    next_id = base_length  # the vertices are 0..next_id-1
     for _ in range(ear_count):
         length = rng.randint(min_ear_length, max_ear_length)
         as_cycle = length >= 3 and rng.random() < cycle_ear_probability
         if length == 1:
-            # the same draw as choice(sorted free pairs)
-            if not free.count():
+            # the same draw as choice(sorted free pairs), by walking to the
+            # k-th pair (u, v) of distinct vertices not adjacent either way;
+            # vertex u has next_id - 1 - len(near[u]) of them
+            total = next_id * (next_id - 1) - sum(map(len, near))
+            if not total:
                 raise InvalidInputError("no room for a length-1 ear; "
                                         "inconsistent parameters")
-            ear = Ear(free.pick(rng.randrange(free.count())))
+            k = rng.randrange(total)
+            for x0 in range(next_id):
+                free = next_id - 1 - len(near[x0])
+                if k < free:
+                    break
+                k -= free
+            for v in sorted(near[x0] | {x0}):  # skip to the k-th free partner
+                if v > k:
+                    break
+                k += 1
+            ear = Ear((x0, k))
         else:
-            # the same draws as choice(vertices), then choice of the others;
-            # the vertices are 0..next_id-1
+            # the same draws as choice(vertices), then choice of the others
             x0 = xr = rng.randrange(next_id)
             if not as_cycle:
                 j = rng.randrange(next_id - 1)
@@ -658,11 +614,13 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
             _check_vertex_count(next_id + length - 1)
             interior = tuple(range(next_id, next_id + length - 1))
             next_id += length - 1
+            near.extend(set() for _ in interior)
             ear = Ear((x0,) + interior + (xr,))
         ears.append(ear)
         arcs.update(ear.arcs)
-        if free is not None:
-            free.add(next_id, ear.arcs)
+        for u, v in ear.arcs:
+            near[u].add(v)
+            near[v].add(u)
     host = Digraph(range(next_id), arcs)
     return host, _self_checked(host, EarDecomposition(base, ears),
                                min_ear_length)

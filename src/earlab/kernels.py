@@ -23,7 +23,7 @@ from .errors import CapExceededError, InvalidInputError, VerificationError
 from .oracles import _forced_absorbing_sets, _index_maps
 
 TRACE_VERTEX_CAP = 500
-TRACE_BRANCH_CAP = 80
+TRACE_BRANCH_CAP = 20
 
 
 def _pattern(x0_in: bool, xr_in: bool, length: int) -> str:
@@ -283,11 +283,14 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
 
     Two caps bound the work.  A stage's branch vertices are among the
     input's: a strong stage keeps each out-degree-1 vertex's one arc, and
-    x0 has out-degree at least 2 in D.  So the choices are capped at
-    TRACE_BRANCH_CAP branch vertices of the input.  Every stage is built
-    and scanned whole, so the rest grows with the number of ears times the
-    vertices, and the input is capped at TRACE_VERTEX_CAP vertices.  Both
-    caps are where one trace costs about a second.
+    x0 has out-degree at least 2 in D.  So capping the input at
+    TRACE_BRANCH_CAP branch vertices caps each scan at 2^TRACE_BRANCH_CAP
+    choices, the bound the kernel oracle's 20 vertices give.  The number
+    of absorbing sets is not bounded otherwise: a subdivided symmetric
+    cycle has as many kernels as the cycle, exponentially many in its
+    length.  Every stage is built and scanned whole, so the rest grows
+    with the number of ears times the vertices, and the input is capped at
+    TRACE_VERTEX_CAP vertices.
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError("direction must be forward or backward")

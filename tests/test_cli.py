@@ -300,6 +300,19 @@ def test_cap_exceeded_exit_code(capsys, tmp_path):
     assert doc["status"] == "cap_exceeded"
 
 
+def subdivided_symmetric_cycle(k):
+    """The symmetric k-cycle with every arc replaced by a 3-path, and a
+    path-ear decomposition of it: 5k vertices, k of them branch vertices.
+    It has as many kernels as the k-cycle, exponentially many in k."""
+    ears = [(0, 1, 0), tuple(range(1, k)) + (0,)]
+    ears += [(i + 1, i) for i in range(1, k - 1)] + [(0, k - 1)]
+    fresh = iter(range(k, 5 * k))
+    paths = [[p[0]] + [w for v in p[1:] for w in (next(fresh), next(fresh), v)]
+             for p in ears]
+    arcs = [arc for path in paths for arc in zip(path, path[1:])]
+    return arcs, {"base": paths[0][:-1], "ears": paths[1:]}
+
+
 def test_kernel_trace_caps_name_the_cap(capsys, tmp_path):
     def trace(*gen_args):
         code, doc = run(capsys, "gen", "--le", *gen_args)
@@ -308,7 +321,7 @@ def test_kernel_trace_caps_name_the_cap(capsys, tmp_path):
         return run(capsys, "kernel", "trace", str(path),
                    "--decomposition", str(path))
 
-    # 180 vertices, 15 of them branch vertices: well inside both caps
+    # 180 vertices, 15 of them branch vertices: inside both caps
     code, doc = trace("--base", "4", "--ears", "16", "--min-ear-length", "10",
                       "--max-ear-length", "14", "--seed", "0")
     assert code == 0 and len(doc["payload"]["stages"]) == 17
@@ -317,13 +330,31 @@ def test_kernel_trace_caps_name_the_cap(capsys, tmp_path):
                       "--max-ear-length", "3", "--seed", "0")
     assert code == 3
     assert doc["status"] == "cap_exceeded"
-    assert "capped at 80 branch vertices (out-degree other than 1), got 118" \
+    assert "capped at 20 branch vertices (out-degree other than 1), got 118" \
         in doc["error"]
     # one ear: 2 branch vertices, 504 vertices
     code, doc = trace("--base", "4", "--ears", "1", "--min-ear-length", "501",
                       "--seed", "0")
     assert code == 3
     assert "kernel trace capped at 500 vertices, got 504" in doc["error"]
+
+
+@pytest.mark.parametrize("k, code", [(20, 0), (80, 3)])
+def test_kernel_trace_caps_the_branch_vertices_not_the_kernels(
+        capsys, tmp_path, k, code):
+    # at k = 80 the last stages would have about 6e9 kernels
+    arcs, dec = subdivided_symmetric_cycle(k)
+    graph, dec_path = tmp_path / "g.txt", tmp_path / "dec.json"
+    graph.write_text("".join(f"{u} {v}\n" for u, v in arcs))
+    dec_path.write_text(json.dumps(dec))
+    got, doc = run(capsys, "kernel", "trace", str(graph),
+                   "--decomposition", str(dec_path))
+    assert got == code
+    if code == 3:
+        assert f"capped at 20 branch vertices (out-degree other than 1), " \
+            f"got {k}" in doc["error"]
+    else:
+        assert all(stage["has_kernel"] for stage in doc["payload"]["stages"])
 
 
 def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
