@@ -6,9 +6,9 @@ the rest (see trace_kernels).  Extension pushes a stage kernel forward
 unless x0 and p1 are both in; restriction pulls a glued-stage kernel back
 unless x0 is out and p1 in.  Tracing lists every kernel of every stage
 and classifies the result against the two parity dichotomies.  Each stage
-below the last is scanned once, branching only on its vertices whose
-out-degree is not 1, and each next stage's kernels are forced along its
-ear.
+below the last is scanned once, branching only on the ear's start x0 and
+the vertices whose out-degree is not 1, and each next stage's kernels are
+forced along its ear.
 """
 
 from __future__ import annotations
