@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -32,6 +33,7 @@ from .oriented import (build_G, tournament_T, uniqueness_census,
 from .oriented import oriented_coloring_le3
 
 DEFAULT_BUDGET = 200_000
+_ESCAPE = json.encoder.encode_basestring_ascii
 
 
 def _read_text(source: str) -> str:
@@ -44,12 +46,15 @@ def _read_text(source: str) -> str:
         raise InvalidInputError(f"cannot read {source}: {exc.strerror}") from exc
 
 
-def _decode(text: str, key: str):
-    """Parse JSON, then unwrap an envelope's payload and the field key."""
+def _parse(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"bad JSON: {exc}") from exc
+
+
+def _unwrap(doc, key: str):
+    """An envelope's payload, then its field key, when present."""
     if isinstance(doc, dict) and "payload" in doc:
         doc = doc["payload"]
     if isinstance(doc, dict) and key in doc:
@@ -57,22 +62,31 @@ def _decode(text: str, key: str):
     return doc
 
 
-def load_digraph(source: str) -> Digraph:
+def _read_document(source: str) -> str | dict:
+    """The stripped text of source, decoded when it is a JSON object."""
     text = _read_text(source).strip()
     if not text:
         raise InvalidInputError("empty input")
-    if text.startswith("{"):
-        return digraph_from_json(_decode(text, "digraph"))
-    return parse_digraph(text)
+    return _parse(text) if text.startswith("{") else text
+
+
+def _digraph_of(document: str | dict) -> Digraph:
+    if isinstance(document, str):
+        return parse_digraph(document)
+    return digraph_from_json(_unwrap(document, "digraph"))
+
+
+def load_digraph(source: str) -> Digraph:
+    return _digraph_of(_read_document(source))
 
 
 def load_decomposition(source: str) -> EarDecomposition:
     return EarDecomposition.from_json(
-        _decode(_read_text(source), "decomposition"))
+        _unwrap(_parse(_read_text(source)), "decomposition"))
 
 
 def load_vertex_set(source: str) -> tuple[int, ...]:
-    doc = _decode(_read_text(source), "members")
+    doc = _unwrap(_parse(_read_text(source)), "members")
     if not isinstance(doc, list) or not all(type(v) is int for v in doc):
         raise InvalidInputError("vertex set must be a JSON list of integers")
     return tuple(doc)
@@ -88,8 +102,22 @@ def _search(d: Digraph, min_len: int, budget: int,
     return found
 
 
-def _decomposition_for(d: Digraph, args, min_len: int,
+def _load_input(args) -> tuple[Digraph, str | dict | None]:
+    """The input digraph and, when --decomposition names the same source
+    (a gen document, or stdin), that source's document: it is read and
+    decoded once."""
+    if args.decomposition != args.input:
+        return load_digraph(args.input), None
+    document = _read_document(args.input)
+    return _digraph_of(document), document
+
+
+def _decomposition_for(d: Digraph, document, args, min_len: int,
                        path_ears_only: bool = False) -> EarDecomposition:
+    """The decomposition --decomposition names, taken from the input's
+    document when that is its source, or else one searched for."""
+    if isinstance(document, dict):
+        return EarDecomposition.from_json(_unwrap(document, "decomposition"))
     if args.decomposition:
         return load_decomposition(args.decomposition)
     return _search(d, min_len, args.budget, path_ears_only)
@@ -134,8 +162,8 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_seymour(args) -> dict:
-    d = load_digraph(args.input)
-    e = _decomposition_for(d, args, 2)
+    d, document = _load_input(args)
+    e = _decomposition_for(d, document, args, 2)
     v, report = seymour_vertex(d, e)
     return {"vertex": v, "first_out": sorted(report.first_out),
             "second_out": sorted(report.second_out),
@@ -144,38 +172,36 @@ def cmd_seymour(args) -> dict:
 
 
 def cmd_transversal(args) -> dict:
-    d = load_digraph(args.input)
-    e = _decomposition_for(d, args, 2)
+    d, document = _load_input(args)
+    e = _decomposition_for(d, document, args, 2)
     return longest_path_transversal(d, e).to_json()
 
 
 def cmd_quasi_kernel(args) -> dict:
-    d = load_digraph(args.input)
-    e = _decomposition_for(d, args, 3)
+    d, document = _load_input(args)
+    e = _decomposition_for(d, document, args, 3)
     return small_quasi_kernel(d, e).to_json()
 
 
-def _last_stage_parts(d: Digraph, args):
+def _last_stage_parts(d: Digraph, document, args):
+    e = _decomposition_for(d, document, args, 2, path_ears_only=True)
     # a searched decomposition is validated in path-ears mode by the search
     if args.decomposition:
-        e = load_decomposition(args.decomposition)
         require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
-    else:
-        e = _search(d, 2, args.budget, path_ears_only=True)
     if not e.ears:
         raise InvalidInputError("decomposition has no ears to propagate across")
     return e.stage(len(e.ears) - 1), e.ears[-1]
 
 
 def cmd_kernel(args) -> dict:
-    d = load_digraph(args.input)
+    d, document = _load_input(args)
     if args.action == "trace":
-        e = _decomposition_for(d, args, 2, path_ears_only=True)
+        e = _decomposition_for(d, document, args, 2, path_ears_only=True)
         return trace_kernels(d, e, direction=args.direction).to_json()
     if not args.set:
         raise InvalidInputError(f"kernel {args.action} needs --set")
     members = load_vertex_set(args.set)
-    stage, ear = _last_stage_parts(d, args)
+    stage, ear = _last_stage_parts(d, document, args)
     op = extend_kernel if args.action == "extend" else restrict_kernel
     result = op(stage, ear, members)
     if isinstance(result, CertifiedSet):
@@ -184,8 +210,8 @@ def cmd_kernel(args) -> dict:
 
 
 def cmd_color(args) -> dict:
-    d = load_digraph(args.input)
-    e = _decomposition_for(d, args, 2)
+    d, document = _load_input(args)
+    e = _decomposition_for(d, document, args, 2)
     bounds = dichromatic_bounds(d, e, force_exact=args.exact)
     mapping = bounds.coloring
     return {"coloring": mapping.to_json(), "colors_used": mapping.colors_used(),
@@ -193,8 +219,8 @@ def cmd_color(args) -> dict:
 
 
 def cmd_oriented(args) -> dict:
-    d = load_digraph(args.input)
-    e = _decomposition_for(d, args, 3)
+    d, document = _load_input(args)
+    e = _decomposition_for(d, document, args, 3)
     mapping = oriented_coloring_le3(d, e)
     return {"mapping": mapping.to_json(),
             "colors_used": mapping.colors_used(),
@@ -247,6 +273,76 @@ def cmd_oracle(args) -> dict:
             "witness": report.witness,
             "search_space_size": report.search_space_size,
             "details": report.details}
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _ESCAPE(key)
+    if isinstance(key, float):
+        return _ESCAPE(_json_float(key))
+    if key is True or key is False or key is None:
+        return _ESCAPE(_json_text(key))
+    if isinstance(key, int):
+        return _ESCAPE(int.__repr__(key))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_items(values, newline: str):
+    """The JSON text of each value; all ints take one C pass."""
+    if set(map(type, values)) == {int}:
+        return map(int.__repr__, values)
+    return [_json_text(v, newline) for v in values]
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for a value nested at the
+    indent that follows newline.
+
+    The stdlib writes indented JSON through a Python generator per
+    container, so every int of a payload costs a frame; this joins whole
+    lists of ints, and dicts from ints to ints, at C speed.  Floats, bools, None and dict keys
+    follow json's rules; there is no circular-reference check.
+    """
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = _json_items(value, inner)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if set(map(type, value)) == {int} == set(map(type, value.values())):
+            items = map('"%d": %d'.__mod__, value.items())
+        else:
+            items = map("{}: {}".format, map(_json_key, value),
+                        _json_items(value.values(), inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    "is not JSON serializable")
 
 
 def _budget(text: str) -> int:
@@ -366,8 +462,7 @@ def main(argv=None) -> int:
     if error is not None:
         envelope["error"] = error
     try:
-        json.dump(envelope, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(envelope) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early (`| head`); the rest of the output goes

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import eq
 from typing import Iterable
 
 from .errors import CapExceededError, InvalidInputError, ParseError
@@ -31,9 +33,17 @@ class Digraph:
 
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc],
                  labels: dict[int, str] | None = None):
-        self.vertices: frozenset[int] = frozenset(int(v) for v in vertices)
-        self.arcs: frozenset[Arc] = frozenset((int(u), int(v)) for u, v in arcs)
         self.labels: dict[int, str] = dict(labels) if labels else {}
+        if type(vertices) is range and vertices.step == 1 and vertices.start >= 0:
+            # the common case, checked by C-level passes: int pairs on 0..n-1
+            arcs = arcs if type(arcs) in (list, tuple) else list(arcs)
+            if (set(map(type, arcs)) <= {tuple} and set(map(len, arcs)) <= {2}
+                    and _in_range(list(chain.from_iterable(arcs)), vertices)):
+                self.vertices: frozenset[int] = frozenset(vertices)
+                self.arcs: frozenset[Arc] = frozenset(arcs)
+                return
+        self.vertices = frozenset(int(v) for v in vertices)
+        self.arcs = frozenset((int(u), int(v)) for u, v in arcs)
         for v in self.vertices:
             if v < 0:
                 raise InvalidInputError(f"negative vertex id {v}")
@@ -92,6 +102,13 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={len(self.arcs)})"
+
+
+def _in_range(ids: list, vertices: range) -> bool:
+    """ids, read as (tail, head) pairs, are ints in vertices with no loop."""
+    return (set(map(type, ids)) <= {int}
+            and (not ids or vertices.start <= min(ids) <= max(ids) < vertices.stop)
+            and not any(map(eq, ids[::2], ids[1::2])))
 
 
 @dataclass(frozen=True)
@@ -184,19 +201,25 @@ def digraph_from_json(doc: dict) -> Digraph:
     """Digraph from its JSON form {"n":..., "arcs":..., "labels":...}.
 
     Ids are JSON integers; n defaults to the largest id + 1 and labels is
-    an optional object mapping ids to names.
+    an optional object mapping ids 0..n-1 to names.
     """
     if not isinstance(doc, dict) or "arcs" not in doc:
         raise ParseError("JSON digraph needs an 'arcs' field")
-    if not isinstance(doc["arcs"], (list, tuple)):
+    entries = doc["arcs"]
+    if not isinstance(entries, (list, tuple)):
         raise ParseError("'arcs' must be a list of [u, v] pairs")
-    arcs = []
-    for pair in doc["arcs"]:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and type(pair[0]) is int and type(pair[1]) is int):
-            raise ParseError(f"bad arc entry {pair!r}: need two integer ids")
-        arcs.append((pair[0], pair[1]))
-    top = max((max(a) for a in arcs), default=-1) + 1
+    # C-level passes check the entries; the loop names the first bad one
+    ids = (list(chain.from_iterable(entries))
+           if set(map(type, entries)) <= {list, tuple}
+           and set(map(len, entries)) <= {2} else None)
+    if ids is None or not set(map(type, ids)) <= {int}:
+        for pair in entries:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
+                raise ParseError(f"bad arc entry {pair!r}: need two integer ids")
+        ids = list(chain.from_iterable(entries))
+    arcs = list(zip(ids[::2], ids[1::2]))
+    top = max(ids, default=-1) + 1
     n = doc.get("n")
     if n is None:
         n = top
@@ -210,6 +233,10 @@ def digraph_from_json(doc: dict) -> Digraph:
         labels = {int(k): str(v) for k, v in labels.items()}
     except (TypeError, ValueError):
         raise ParseError("label keys must be integer ids") from None
+    missing = sorted(k for k in labels if not 0 <= k < n)
+    if missing:
+        raise ParseError(f"labels name ids {missing} that are not vertices "
+                         f"(n = {n})")
     return Digraph(range(n), arcs, labels=labels)
 
 

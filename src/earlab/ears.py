@@ -65,7 +65,7 @@ class Ear:
 
 def _ids(value, what: str) -> tuple[int, ...]:
     if not (isinstance(value, (list, tuple))
-            and all(type(v) is int for v in value)):
+            and set(map(type, value)) <= {int}):
         raise ParseError(f"bad {what} {value!r}: need a list of integer ids")
     return tuple(value)
 
@@ -566,6 +566,11 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
     """
     if base_length < 2:
         raise InvalidInputError("base length must be >= 2")
+    if ear_count < 0:
+        raise InvalidInputError("ear count must be >= 0")
+    if not 0 <= cycle_ear_probability <= 1:  # NaN fails this too
+        raise InvalidInputError("cycle ear probability must lie in [0, 1], "
+                                f"got {cycle_ear_probability}")
     if min_ear_length < 1:
         raise InvalidInputError("min ear length must be >= 1")
     if max_ear_length is None:

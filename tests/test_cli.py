@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +105,27 @@ def test_constructions_from_instance(capsys, le3_instance):
         code, doc = run(capsys, *argv)
         assert code == 0, argv
         assert doc["status"] == "ok"
+
+
+def test_one_source_for_both_parts_is_read_once(capsys, monkeypatch,
+                                               le3_instance):
+    # a gen document on stdin names the input and --decomposition at once
+    inst, dec = le3_instance
+    reads, read = [], cli._read_text
+
+    def counted(source):
+        reads.append(source)
+        return read(source)
+
+    monkeypatch.setattr(cli, "_read_text", counted)
+    for argv in (["seymour"], ["quasi-kernel"], ["kernel", "trace"]):
+        _, two_files = run(capsys, *argv, inst, "--decomposition", dec)
+        with open(inst) as handle:
+            monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
+        reads.clear()
+        code, doc = run(capsys, *argv, "-", "--decomposition", "-")
+        assert (code, reads) == (0, ["-"]), argv
+        assert doc["payload"] == two_files["payload"]
 
 
 def test_color_reports_bounds(capsys, c5_file):
@@ -483,6 +505,37 @@ def test_closed_pipe_is_silent():
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
+# big ints, all floats (NaN and both infinities too), non-ASCII and control
+# characters; lists of ints and int-to-int dicts take the writer's fast
+# paths
+TEXTS = st.text(max_size=4)
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+JSON_KEYS = TEXTS | st.integers() | FLOATS | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | TEXTS
+    | st.lists(st.integers(), max_size=4) | st.lists(TEXTS, max_size=4)
+    | st.dictionaries(st.integers(), st.integers(), max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_writer_refuses_what_json_refuses():
+    for value in ({1, 2}, {"k": [object()]}, {(1,): 2}):
+        with pytest.raises(TypeError) as ours:
+            cli._json_text(value)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(value, indent=2)
+        assert str(ours.value) == str(theirs.value)
+
+
 # The 14 command forms.  "{g}" is the input digraph; forms that read a
 # decomposition or a vertex set get "--decomposition {d}" or "--set {s}"
 # appended at random.
@@ -558,6 +611,8 @@ def fuzz_calls(draw):
             for flag in ("--base", "--ears", "--min-ear-length",
                          "--max-ear-length", "--seed"):
                 argv += [flag, str(draw(SMALL_INTS))]
+            argv += ["--cycle-ear-prob",
+                     draw(st.sampled_from(["0", "0.5", "1", "2", "-0.5", "nan"]))]
     elif argv[0] == "oracle":
         argv += [draw(st.sampled_from(["kernel", "quasi-kernel", "chromatic",
                                        "oriented", "longest-path"])), "{g}",
@@ -591,6 +646,11 @@ def test_fuzzed_calls_end_in_one_envelope(fuzz_dir, call):
     with redirect_stdout(out):
         code = main([arg.format(**paths) for arg in argv])
     assert code in STATUS_OF_CODE, argv
+    if "--le" in argv:
+        ears = int(argv[argv.index("--ears") + 1])
+        chance = float(argv[argv.index("--cycle-ear-prob") + 1])
+        if ears < 0 or not 0 <= chance <= 1:
+            assert code == 2, argv
     doc = json.loads(out.getvalue())
     assert doc["status"] == STATUS_OF_CODE[code], (argv, doc)
     assert set(doc) == ({"status", "payload", "timing_ms"}

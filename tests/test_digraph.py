@@ -100,6 +100,132 @@ def test_vertex_cap_is_checked_before_allocation(monkeypatch):
             build()
 
 
+def test_labels_must_name_vertices():
+    doc = {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]], "labels": {"7": "x", "-2": "y"}}
+    with pytest.raises(ParseError, match=r"\[-2, 7\]"):
+        digraph_from_json(doc)
+    doc["labels"] = {"2": "z"}
+    assert digraph_from_json(doc).labels == {2: "z"}
+
+
+# --- reference: the loaders' per-element checks --------------------------------
+#
+# digraph_from_json and Digraph check their input by C-level passes and fall
+# back on these loops only to name the first bad entry.  The loops stay here
+# as the reference: every input must give the same digraph, down to the
+# iteration order of its arc set, or the same error.
+
+def reference_digraph(vertices, arcs):
+    vertices = frozenset(int(v) for v in vertices)
+    arcs = frozenset((int(u), int(v)) for u, v in arcs)
+    for v in vertices:
+        if v < 0:
+            raise InvalidInputError(f"negative vertex id {v}")
+    for u, v in arcs:
+        if u == v:
+            raise InvalidInputError(f"loop arc ({u},{u}) is forbidden")
+        if u not in vertices or v not in vertices:
+            raise InvalidInputError(f"arc ({u},{v}) leaves the vertex set")
+    return vertices, arcs
+
+
+def reference_from_json(doc):
+    arcs = []
+    for pair in doc["arcs"]:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            raise ParseError(f"bad arc entry {pair!r}: need two integer ids")
+        arcs.append((pair[0], pair[1]))
+    top = max((max(a) for a in arcs), default=-1) + 1
+    n = doc.get("n", top)
+    return reference_digraph(range(n), arcs)
+
+
+def _outcome(build):
+    try:
+        got = build()
+    except (InvalidInputError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Digraph):
+        got = got.vertices, got.arcs
+    return list(got[0]), list(got[1])
+
+
+DIGRAPH_CASES = {
+    "int-pairs": (range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1)]),
+    "list-pairs": (range(3), [[0, 1], [1, 2]]),
+    "length-1": (range(3), [(0,)]),
+    "length-3": (range(3), [(0, 1, 2)]),
+    "bool-id": (range(3), [(True, 2)]),
+    "str-numerals": (range(3), [("0", "1")]),
+    "str-ids": (range(3), [("a", "b")]),
+    "float-ids": (range(3), [(0, 1.0), (1.5, 2)]),
+    "int-entry": (range(3), [0]),
+    "loop": (range(3), [(0, 1), (1, 1)]),
+    "negative-id": (range(3), [(0, -1)]),
+    "id-n": (range(3), [(0, 3)]),
+    "several-bad": (range(3), [(0, 1), (2, 2), (5, 0), (-1, 0)]),
+    "negative-range": (range(-2, 2), [(0, 1)]),
+    "empty-negative-range": (range(-2), [(0, 1)]),
+    "step-2": (range(0, 6, 2), [(0, 2), (2, 4), (4, 0)]),
+    "step-2-leaves": (range(0, 6, 2), [(0, 1)]),
+    "vertex-set": ({0, 1, 5}, [(0, 5), (5, 1)]),
+    "vertex-list": ([2, 1, 0], [(0, 1), (1, 2)]),
+    "arc-set": (range(40), {(u, (7 * u + 3) % 40) for u in range(40)}),
+}
+
+
+@pytest.mark.parametrize("key", DIGRAPH_CASES)
+def test_constructor_matches_the_reference_loops(key):
+    vertices, arcs = DIGRAPH_CASES[key]
+    assert (_outcome(lambda: Digraph(vertices, arcs))
+            == _outcome(lambda: reference_digraph(vertices, arcs)))
+    # an iterator of arcs is read once
+    assert (_outcome(lambda: Digraph(vertices, iter(list(arcs))))
+            == _outcome(lambda: reference_digraph(vertices, arcs)))
+
+
+JSON_CASES = {
+    "pairs": {"arcs": [[0, 1], [1, 0], [0, 1]]},
+    "tuple-entries": {"arcs": [(0, 1), [1, 0]]},
+    "length-1": {"arcs": [[0, 1], [1]]},
+    "length-3": {"arcs": [[0, 1, 2]]},
+    "bool-id": {"arcs": [[0, True]]},
+    "str-id": {"arcs": [["0", 1]]},
+    "float-id": {"arcs": [[0, 1.0]]},
+    "int-entry": {"arcs": [0, [1, 0]]},
+    "str-entry": {"arcs": [[0, 1], "ab"]},
+    "dict-entry": {"arcs": [{"0": 1, "1": 0}]},
+    "loop": {"arcs": [[1, 1]]},
+    "negative-id": {"arcs": [[0, -1]]},
+    "all-negative": {"arcs": [[-3, -1]]},
+    "id-n": {"n": 2, "arcs": [[0, 2]]},
+    "several-bad": {"n": 4, "arcs": [[0, 1], [2, 2], [3, 5], [1, -1]]},
+    "no-arcs": {"arcs": []},
+    "isolated": {"n": 3, "arcs": [[2, 0]]},
+}
+
+
+@pytest.mark.parametrize("key", JSON_CASES)
+def test_json_loader_matches_the_reference_loops(key):
+    doc = JSON_CASES[key]
+    assert (_outcome(lambda: digraph_from_json(doc))
+            == _outcome(lambda: reference_from_json(doc)))
+
+
+def test_loaders_match_the_reference_on_random_digraphs():
+    # ids past the table size collide in the arc set, so its order shows
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+        arcs = [a for a in arcs if a[0] != a[1]]
+        doc = {"n": n, "arcs": [list(a) for a in arcs]}
+        expected = _outcome(lambda: reference_digraph(range(n), arcs))
+        assert _outcome(lambda: Digraph(range(n), arcs)) == expected
+        assert _outcome(lambda: digraph_from_json(doc)) == expected
+
+
 def test_json_roundtrip_preserves_labels():
     d = parse_digraph("a b\nb c\nc a\n")
     again = digraph_from_json(serialize_digraph(d))

@@ -175,6 +175,10 @@ def test_generator_is_deterministic():
     for seed in range(3):
         _, e = generate_random_le(5, 60, 1, 3, 0.0, seed)
         assert e.to_json()["ears"] == list_drawn_ears(5, 60, 1, 3, 0.0, seed)
+    # parameters no draw can honour are refused
+    for ears, chance in ((-1, 0.0), (3, 2.0), (3, -0.5), (3, float("nan"))):
+        with pytest.raises(InvalidInputError):
+            generate_random_le(3, ears, 2, 3, chance, 0)
 
 
 def list_drawn_ears(base_length, ear_count, lo, hi, cycle_p, seed):
