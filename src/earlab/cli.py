@@ -112,8 +112,9 @@ def _load_input(args) -> tuple[Digraph, str | dict | None]:
     return _digraph_of(document), document
 
 
-def _decomposition_for(d: Digraph, document, args, min_len: int,
-                       path_ears_only: bool = False) -> EarDecomposition:
+def _decomposition_for(d: Digraph, document: str | dict | None, args,
+                       min_len: int, path_ears_only: bool = False
+                       ) -> EarDecomposition:
     """The decomposition --decomposition names, taken from the input's
     document when that is its source, or else one searched for."""
     if isinstance(document, dict):
@@ -183,7 +184,7 @@ def cmd_quasi_kernel(args) -> dict:
     return small_quasi_kernel(d, e).to_json()
 
 
-def _last_stage_parts(d: Digraph, document, args):
+def _last_stage_parts(d: Digraph, document: str | dict | None, args):
     e = _decomposition_for(d, document, args, 2, path_ears_only=True)
     # a searched decomposition is validated in path-ears mode by the search
     if args.decomposition:
