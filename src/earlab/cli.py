@@ -23,8 +23,8 @@ from .digraph import Digraph, digraph_from_json, is_strong, parse_digraph, seria
 from .ears import (EarDecomposition, find_ear_decomposition,
                    find_le_decomposition, generate_random_le,
                    require_decomposition)
-from .errors import (BudgetExceededError, EarlabError, InvalidInputError,
-                     PropertyFailedError)
+from .errors import (BudgetExceededError, CapExceededError, EarlabError,
+                     InvalidInputError, PropertyFailedError)
 from .kernels import extend_kernel, restrict_kernel, trace_kernels
 from .oracles import (chromatic_oracles, kernel_oracle, longest_path_oracle,
                       oriented_chromatic_oracle, quasi_kernel_oracle)
@@ -33,6 +33,7 @@ from .oriented import (build_G, tournament_T, uniqueness_census,
 from .oriented import oriented_coloring_le3
 
 DEFAULT_BUDGET = 200_000
+MAX_LEVEL_CAP = 100  # highest classify level: one search per level
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
@@ -135,6 +136,9 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
+    if not 1 <= args.max_level <= MAX_LEVEL_CAP:
+        refuse = InvalidInputError if args.max_level < 1 else CapExceededError
+        raise refuse(f"--max-level must lie in 1..{MAX_LEVEL_CAP}, got {args.max_level}")
     d = load_digraph(args.input)
     strong = is_strong(d)
     levels: dict[str, object] = {}
@@ -253,7 +257,7 @@ def cmd_gen(args) -> dict:
     d, e = generate_random_le(
         base_length=args.base, ear_count=args.ears,
         min_ear_length=args.min_ear_length,
-        max_ear_length=args.max_ear_length or max(args.min_ear_length, 1),
+        max_ear_length=args.max_ear_length,
         cycle_ear_probability=args.cycle_ear_prob, seed=args.seed)
     return {"digraph": serialize_digraph(d), "decomposition": e.to_json()}
 

@@ -40,7 +40,7 @@ class ParseError(InvalidInputError):
 
 
 class CapExceededError(EarlabError):
-    """Input exceeds a hard size cap: an exact oracle's, or MAX_VERTICES."""
+    """Input exceeds a hard size cap; README "Oracle caps" lists them."""
 
     status = "cap_exceeded"
     exit_code = 3

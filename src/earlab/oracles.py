@@ -81,85 +81,6 @@ def _absorbing_sets(verts: list[int], sym: list[int],
     return found, examined
 
 
-def _forced_absorbing_sets(verts: list[int], sym: list[int],
-                           rows: list[int]) -> list[tuple[int, ...]]:
-    """The sets _absorbing_sets finds, branching only where there is a
-    choice.
-
-    A vertex is forced when its row is one vertex w that sym also holds,
-    as a one-vertex out-row does: it is in every found set iff w is not
-    (the lemma in kernels.trace_kernels).  Every other vertex branches, and
-    so does the first vertex met on each closed chain of forced vertices.
-    Following successors, each forced vertex reaches one branch vertex, its
-    root, and is in the set iff the root is, at even distance, or is not,
-    at odd.  So each choice of a branch vertex, in or out, decides a whole
-    block of vertices.  The scan enumerates the choices whose blocks are
-    independent, pairwise and inside, and checks that each branch vertex
-    left out is absorbed as soon as the choices deciding its row are made;
-    a forced vertex left out is absorbed by its successor, which is in.
-    """
-    n = len(verts)
-    succ = [row.bit_length() - 1
-            if row and not row & (row - 1) and row & sym[i] else -1
-            for i, row in enumerate(rows)]
-    order: list[int] = []  # forced vertices, each after its successor
-    placed = [s < 0 for s in succ]
-    for v in range(n):
-        path = []
-        while not placed[v]:
-            placed[v] = True
-            path.append(v)
-            v = succ[v]
-        if v in path:  # a closed chain: its first vertex branches instead
-            succ[v] = -1
-            path.remove(v)
-        order.extend(reversed(path))
-    # blocks[r][c] holds what root r's choice c (1 in, 0 out) puts in the
-    # set, and reach[r][c] the vertices adjacent to them
-    root = list(range(n))
-    when = [1] * n
-    blocks = [[0, 1 << i] for i in range(n)]
-    reach = [[0, sym[i]] for i in range(n)]
-    for v in order:
-        r = root[v] = root[succ[v]]
-        c = when[v] = 1 - when[succ[v]]
-        blocks[r][c] |= 1 << v
-        reach[r][c] |= sym[v]
-    branch = [i for i in range(n) if succ[i] < 0]
-    options = [[(blk, adj) for blk, adj in zip(blocks[r], reach[r])
-                if not blk & adj] for r in branch]
-    # a branch vertex left out is checked once the choices deciding it and
-    # every vertex of its row are made
-    checks: list[list[tuple[int, int]]] = [[] for _ in branch]
-    decided, prefix = 0, []
-    for r in branch:
-        decided |= blocks[r][0] | blocks[r][1]
-        prefix.append(decided)
-    for k, b in enumerate(branch):
-        last = k
-        while rows[b] & ~prefix[last]:
-            last += 1
-        checks[last].append((1 << b, rows[b]))
-    found: list[tuple[int, ...]] = []
-    stack = [(0, 0, 0)]
-    while stack:
-        idx, mask, blocked = stack.pop()
-        if idx == len(branch):
-            found.append(tuple(v for i, v in enumerate(verts) if mask >> i & 1))
-            continue
-        for blk, adj in options[idx]:
-            if blk & blocked:
-                continue
-            grown = mask | blk
-            for bit, row in checks[idx]:
-                if not (grown & bit or row & grown):
-                    break
-            else:
-                stack.append((idx + 1, grown, blocked | adj))
-    found.sort()
-    return found
-
-
 def kernel_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport:
     """Exhaustive kernel search: independent sets absorbing by one arc."""
     _check_cap(d, KERNEL_CAP, "kernel")

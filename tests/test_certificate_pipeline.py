@@ -8,6 +8,7 @@ stage, on sound certificates and on corrupted ones.
 
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -21,8 +22,8 @@ from earlab.digraph import Digraph, is_strong, serialize_digraph, set_predicates
 from earlab.ears import (EarDecomposition, find_ear_decomposition,
                          generate_random_le, validate_decomposition)
 from earlab.errors import InvalidInputError, VerificationError
-from earlab.oriented import (build_G, homomorphism_failing_stage,
-                             oriented_coloring_le3)
+from earlab.oriented import (build_G, extend_homomorphism,
+                             homomorphism_failing_stage, oriented_coloring_le3)
 
 
 def reference_qk_stage(e, members):
@@ -141,6 +142,51 @@ def test_builders_report_the_reference_stage(monkeypatch):
     assert str(info.value).endswith(f"stage {reference_hom_stage(e, bad)}")
 
 
+def test_extension_rejects_a_wrong_ear_image(monkeypatch):
+    d, e = generate_random_le(base_length=5, ear_count=12, min_ear_length=3,
+                              max_ear_length=6, seed=4)
+    m = oriented_coloring_le3(d, e)
+    stage, ear = e.stage(7), e.ears[7]
+    glued = e.stage(8)
+    phi = VertexMapping({v: m.assignment[v] for v in stage.vertices},
+                        m.target, "homomorphism")
+    real_verify = oriented_mod.verify_homomorphism
+    checked = []
+
+    def counting(g, mapping):
+        checked.append(g)
+        real_verify(g, mapping)
+
+    monkeypatch.setattr(oriented_mod, "verify_homomorphism", counting)
+    out = extend_homomorphism(stage, phi, ear)
+    assert out.assignment == {v: m.assignment[v] for v in glued.vertices}
+    assert checked == [stage]  # phi's input check; the ear is checked in place
+
+    real_map = oriented_mod._map_ear
+    rejected = 0
+    for v, shift in product(ear.internal, range(1, 6)):
+        bad = VertexMapping({**out.assignment, v: (out.assignment[v] + shift) % 6},
+                            m.target, "homomorphism")
+        try:
+            real_verify(glued, bad)
+            sound = True
+        except VerificationError:
+            sound = False
+
+        def flipping(t, assignment, ear_, v=v, shift=shift):
+            real_map(t, assignment, ear_)
+            assignment[v] = (assignment[v] + shift) % 6
+
+        monkeypatch.setattr(oriented_mod, "_map_ear", flipping)
+        if sound:
+            assert extend_homomorphism(stage, phi, ear).assignment == bad.assignment
+        else:
+            with pytest.raises(VerificationError, match="ear arc .* maps to non-arc"):
+                extend_homomorphism(stage, phi, ear)
+            rejected += 1
+    assert rejected > 0
+
+
 def random_strong_digraph(rng):
     """Dense or sparse, with or without digons."""
     if rng.random() < 0.5:
@@ -204,15 +250,31 @@ def test_stage_work_is_bounded_on_400_ears(monkeypatch):
         calls["stage"] += 1
         return real_stage(self, j)
 
+    def counting_whole(name, module):
+        real = getattr(module, name)
+
+        def whole_digraph_check(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, whole_digraph_check)
+
     monkeypatch.setattr(ears_mod, "is_strong", counting_strong)
     monkeypatch.setattr(EarDecomposition, "stage", counting_stage)
+    counting_whole("set_predicates", constructions_mod)
+    counting_whole("verify_homomorphism", oriented_mod)
     assert validate_decomposition(d, e).ok
     assert calls["is_strong"] <= 1
     for build in (small_quasi_kernel, oriented_coloring_le3):
-        calls.update(is_strong=0, stage=0)
-        build(d, e)
+        calls.update(is_strong=0, stage=0, set_predicates=0,
+                     verify_homomorphism=0)
+        fresh = Digraph(d.vertices, d.arcs)
+        build(fresh, e)
         assert calls["is_strong"] <= 1  # one validate_decomposition call
         assert calls["stage"] <= 1
+        # the ear-local pass is the only check: no whole-digraph repeat
+        assert calls["set_predicates"] == calls["verify_homomorphism"] == 0
+        assert not {"_out", "_in"} & set(vars(fresh))
 
 
 def test_ten_thousand_vertex_smoke(tmp_path, capsys):

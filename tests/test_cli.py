@@ -391,6 +391,31 @@ def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
     assert False not in levels[levels.index("unknown"):]
 
 
+@pytest.mark.parametrize("level, code, status", [
+    ("0", 2, "invalid_input"), ("-1", 2, "invalid_input"),
+    (str(cli.MAX_LEVEL_CAP + 1), 3, "cap_exceeded"),
+], ids=["zero", "negative", "past-cap"])
+def test_classify_refuses_max_level_outside_its_range(capsys, c5_file, level,
+                                                      code, status):
+    got, doc = run(capsys, "classify", c5_file, "--max-level", level)
+    assert (got, doc["status"], doc["payload"]) == (code, status, None)
+    assert level in doc["error"] and str(cli.MAX_LEVEL_CAP) in doc["error"]
+    if code == 3:
+        # a cycle is in every LE_i, so each level up to the cap runs a search
+        got, doc = run(capsys, "classify", c5_file,
+                       "--max-level", str(cli.MAX_LEVEL_CAP))
+        assert got == 0
+        assert list(doc["payload"]["levels"].values()) == [True] * cli.MAX_LEVEL_CAP
+
+
+@pytest.mark.parametrize("lengths", [("2", "0"), ("3", "2"), ("1", "-1")])
+def test_gen_refuses_max_ear_length_below_min(capsys, lengths):
+    code, doc = run(capsys, "gen", "--le", "--min-ear-length", lengths[0],
+                    "--max-ear-length", lengths[1])
+    assert (code, doc["status"]) == (2, "invalid_input")
+    assert doc["error"] == "max ear length below min"
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_classify_rejects_budget_below_one(capsys, k3_sym_file, budget):
     with pytest.raises(SystemExit) as exc:
@@ -619,6 +644,9 @@ def fuzz_calls(draw):
                  "--kmax", str(draw(st.sampled_from([-1, 0, 3, 4, 8])))]
     elif argv[0] not in ("verify-T", "census"):
         argv += ["--budget", str(draw(st.integers(min_value=1, max_value=40)))]
+        if argv[0] == "classify" and draw(st.booleans()):
+            argv += ["--max-level", str(draw(st.sampled_from(
+                [-1, 0, 3, cli.MAX_LEVEL_CAP + 1])))]
         if argv[0] == "decompose" and draw(st.booleans()):
             argv += ["--min-ear-length", str(draw(SMALL_INTS))]
         if argv[0] in TAKES_DECOMPOSITION and draw(st.booleans()):
@@ -649,8 +677,14 @@ def test_fuzzed_calls_end_in_one_envelope(fuzz_dir, call):
     if "--le" in argv:
         ears = int(argv[argv.index("--ears") + 1])
         chance = float(argv[argv.index("--cycle-ear-prob") + 1])
-        if ears < 0 or not 0 <= chance <= 1:
+        shortest = int(argv[argv.index("--min-ear-length") + 1])
+        longest = int(argv[argv.index("--max-ear-length") + 1])
+        if ears < 0 or not 0 <= chance <= 1 or longest < shortest:
             assert code == 2, argv
+    if "--max-level" in argv:
+        level = int(argv[argv.index("--max-level") + 1])
+        if level < 1 or level > cli.MAX_LEVEL_CAP:
+            assert code == (2 if level < 1 else 3), argv
     doc = json.loads(out.getvalue())
     assert doc["status"] == STATUS_OF_CODE[code], (argv, doc)
     assert set(doc) == ({"status", "payload", "timing_ms"}

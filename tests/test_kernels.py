@@ -8,11 +8,10 @@ from earlab.constructions import CertifiedSet
 from earlab.digraph import Digraph, is_kernel
 from earlab.ears import Ear, EarDecomposition, generate_random_le
 from earlab.errors import InvalidInputError, VerificationError
-from earlab.kernels import (KernelObstruction, extend_case, extend_kernel,
-                            restrict_condition, restrict_kernel,
-                            trace_kernels)
-from earlab.oracles import (_absorbing_sets, _forced_absorbing_sets,
-                            _index_maps, kernel_oracle)
+from earlab.kernels import (KernelObstruction, _forced_absorbing_sets,
+                            extend_case, extend_kernel, restrict_condition,
+                            restrict_kernel, trace_kernels)
+from earlab.oracles import _absorbing_sets, _index_maps, kernel_oracle
 
 
 def c4():

@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from earlab import digraph, kernels, oracles
+from earlab import cli, digraph, kernels, oracles
 from earlab.coloring import verify_homomorphism
 from earlab.cli import _build_parser
 
@@ -23,8 +23,9 @@ def test_readme_oracle_caps_match_constants():
         "LONGEST_PATH_CAP": r"longest paths up to (\d+)",
         "TRACE_VERTEX_CAP": r"`kernel trace` takes inputs of up to (\d+)",
         "TRACE_BRANCH_CAP": r"at most (\d+) of them branch vertices",
+        "MAX_LEVEL_CAP": r"`classify` checks levels up to (\d+)",
     }
-    constants = {**vars(oracles), **vars(kernels)}
+    constants = {**vars(oracles), **vars(kernels), **vars(cli)}
     for name, pattern in caps.items():
         found = re.search(pattern, text)
         assert found, f"README states no cap for {name}"
