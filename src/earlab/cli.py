@@ -33,7 +33,7 @@ from .oriented import (build_G, tournament_T, uniqueness_census,
 from .oriented import oriented_coloring_le3
 
 DEFAULT_BUDGET = 200_000
-MAX_LEVEL_CAP = 100  # highest classify level: one search per level
+MAX_LEVEL_CAP = 100  # highest classify level: at most one search per level
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
@@ -142,27 +142,26 @@ def cmd_classify(args) -> dict:
     d = load_digraph(args.input)
     strong = is_strong(d)
     levels: dict[str, object] = {}
-    max_certified = None
     # a digraph on fewer than 2 vertices has no cycle, so no level holds;
     # once a level is decided "none" (or d is not strong) every higher level
     # is provably none too; after a budget stop every higher one is unknown
     rest = None if strong and d.n >= 2 else False
+    certified = 0  # every level up to this one holds
     for i in range(1, args.max_level + 1):
-        if rest is not None:
-            levels[str(i)] = rest
-            continue
-        try:
-            # every strong digraph on >= 2 vertices has an ear decomposition
-            found = (find_ear_decomposition(d) if i == 1 else
-                     find_le_decomposition(d, i=i, budget=args.budget))
-        except BudgetExceededError:
-            levels[str(i)] = rest = "unknown"
-            continue
-        levels[str(i)] = found is not None
-        if found is not None:
-            max_certified = i
-        else:
-            rest = False
+        if rest is None and i > certified:
+            try:
+                # every strong digraph on >= 2 vertices has an ear decomposition
+                found = (find_ear_decomposition(d) if i == 1 else
+                         find_le_decomposition(d, i=i, budget=args.budget))
+            except BudgetExceededError:
+                rest = "unknown"
+            else:
+                if found is None:
+                    rest = False
+                else:  # up to its shortest ear, every level for a bare cycle
+                    certified = found.min_ear_length or args.max_level
+        levels[str(i)] = True if i <= certified else rest
+    max_certified = min(certified, args.max_level) or None
     return {"strong": strong, "levels": levels, "max_certified": max_certified}
 
 

@@ -217,32 +217,28 @@ def _self_checked(d: Digraph, e: EarDecomposition, min_len: int = 1,
     return e
 
 
-def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...] | None:
-    """Deterministic shortest directed cycle through v0, as (v0,...,v0)."""
-    parent: dict[int, int] = {}
-    dist = {v0: 0}
+def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...]:
+    """Deterministic shortest directed cycle through v0, as (v0,...,v0),
+    in a strong digraph on two or more vertices: there every in-neighbour
+    of v0 is reached from it, and none is v0, since d has no loop."""
+    parent = {v0: v0}
     frontier = [v0]
     while frontier:
         nxt = []
         for u in frontier:
             for w in sorted(d.out_neighbors(u)):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
+                if w not in parent:
                     parent[w] = u
                     nxt.append(w)
         frontier = nxt
-    best: tuple[int, tuple[int, ...]] | None = None
-    for u in sorted(d.in_neighbors(v0)):
-        if u == v0 or u not in dist:
-            continue
+
+    def closed_at(u: int) -> tuple[int, ...]:
         path = [u]
         while path[-1] != v0:
             path.append(parent[path[-1]])
-        cycle = tuple(reversed(path)) + (v0,)
-        key = (len(cycle), cycle)
-        if best is None or key < best:
-            best = key
-    return best[1] if best else None
+        return tuple(reversed(path)) + (v0,)
+
+    return min(map(closed_at, d.in_neighbors(v0)), key=lambda c: (len(c), c))
 
 
 def find_ear_decomposition(d: Digraph) -> EarDecomposition:
@@ -260,10 +256,7 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
         raise PropertyFailedError("digraph is not strong")
     if d.n < 2:
         raise PropertyFailedError("no cycle exists: single vertex")
-    base_cycle = _shortest_cycle_through(d, min(d.vertices))
-    if base_cycle is None:
-        raise PropertyFailedError("no cycle through the smallest vertex")
-    base = Ear(base_cycle)
+    base = Ear(_shortest_cycle_through(d, min(d.vertices)))
     queue = list(base.vertices[:-1])
     covered_v = set(queue)
     parent: dict[int, int] = {}

@@ -5,10 +5,10 @@ alternates back from the ear's end xr, every second vertex, and p1 decides
 the rest (see trace_kernels).  Extension pushes a stage kernel forward
 unless x0 and p1 are both in; restriction pulls a glued-stage kernel back
 unless x0 is out and p1 in.  Tracing lists every kernel of every stage
-and classifies the result against the two parity dichotomies.  Each stage
-below the last is scanned once, branching only on the ear's start x0 and
-the vertices whose out-degree is not 1, and each next stage's kernels are
-forced along its ear.
+and classifies the result against the two parity dichotomies.  The input
+is indexed once, in the order the parts add vertices, so each stage is a
+prefix of that index; every stage is scanned whole, with its own rows,
+branching only on the vertices whose out-degree is not 1.
 """
 
 from __future__ import annotations
@@ -74,10 +74,11 @@ def extend_case(x0_in: bool, xr_in: bool, length: int):
     when the pattern is a push-forward obstruction.
 
     This is the trace_kernels lemma applied to one kernel N of the stage:
-    N absorbs x0, so its forced extension is a kernel unless x0 and p1 are
-    both in.  The interior alternates back from xr, so p1 is in for
-    both_in_odd and x0_in_xr_out_even, the two obstructions, and the range
-    below is exactly the interior the extension takes.
+    N absorbs x0, so N with the interior that (b) fixes from xr is a
+    kernel unless x0 and p1 are both in.  The interior alternates back
+    from xr, so p1 is in for both_in_odd and x0_in_xr_out_even, the two
+    obstructions, and the range below is exactly the interior the
+    extension takes.
     """
     p1_in = 1 in _stride_back(length, xr_in, 2)
     if p1_in and x0_in:
@@ -184,20 +185,6 @@ def _transition_labels(direction: str, ear: Ear, kernels) -> list[str]:
     return sorted(labels)
 
 
-def _forced_extension(ear: Ear, members: tuple[int, ...],
-                      x0_absorbed: bool) -> tuple[int, ...] | None:
-    """The kernel of the stage glued with ear whose part in the stage is
-    members (per the trace_kernels lemma), or None when there is none."""
-    picks = _stride_back(ear.length, ear.xr in members, 2)
-    p1_in = 1 in picks
-    if p1_in and ear.x0 in members:
-        return None
-    if not (p1_in or x0_absorbed):
-        return None
-    interior = [ear.vertices[t] for t in picks]
-    return tuple(sorted(members + tuple(interior)))
-
-
 def _check_trace_caps(d: Digraph) -> None:
     if d.n > TRACE_VERTEX_CAP:
         raise CapExceededError(
@@ -211,13 +198,14 @@ def _check_trace_caps(d: Digraph) -> None:
 
 def _forced_absorbing_sets(verts: list[int], sym: list[int],
                            rows: list[int]) -> list[tuple[int, ...]]:
-    """The sets oracles._absorbing_sets finds, branching only where there
-    is a choice.
+    """The kernels oracles._absorbing_sets finds for these out-rows, as
+    sorted member tuples in lexicographic order, branching only where
+    there is a choice.
 
-    A vertex is forced when its row is one vertex w that sym also holds,
-    as a one-vertex out-row does: it is in every found set iff w is not
-    (the second lemma in trace_kernels).  Every other vertex branches, and
-    so does the first vertex met on each closed chain of forced vertices.
+    A vertex is forced when its out-row is one vertex w: it is in every
+    kernel iff w is not (the second lemma in trace_kernels).  Every other
+    vertex branches, and so does the first vertex met on each closed chain
+    of forced vertices.
     Following successors, each forced vertex reaches one branch vertex, its
     root, and is in the set iff the root is, at even distance, or is not,
     at odd.  So each choice of a branch vertex, in or out, decides a whole
@@ -227,9 +215,8 @@ def _forced_absorbing_sets(verts: list[int], sym: list[int],
     a forced vertex left out is absorbed by its successor, which is in.
     """
     n = len(verts)
-    succ = [row.bit_length() - 1
-            if row and not row & (row - 1) and row & sym[i] else -1
-            for i, row in enumerate(rows)]
+    succ = [row.bit_length() - 1 if row and not row & (row - 1) else -1
+            for row in rows]
     order: list[int] = []  # forced vertices, each after its successor
     placed = [s < 0 for s in succ]
     for v in range(n):
@@ -273,7 +260,8 @@ def _forced_absorbing_sets(verts: list[int], sym: list[int],
     while stack:
         idx, mask, blocked = stack.pop()
         if idx == len(branch):
-            found.append(tuple(v for i, v in enumerate(verts) if mask >> i & 1))
+            found.append(tuple(sorted(v for i, v in enumerate(verts)
+                                      if mask >> i & 1)))
             continue
         for blk, adj in options[idx]:
             if blk & blocked:
@@ -288,33 +276,38 @@ def _forced_absorbing_sets(verts: list[int], sym: list[int],
     return found
 
 
-def _stage_kernels(e: EarDecomposition):
-    """Every stage digraph and its kernels in lexicographic order; one
-    forced scan per stage below the last (see trace_kernels)."""
-    h = Digraph(e.base.vertices, e.base.arcs)
-    if not e.ears:
-        verts, out, sym = _index_maps(h)
-        return [h], [_forced_absorbing_sets(verts, sym, out)]
-    stages, lists = [h], []
-    for j, ear in enumerate(e.ears):
-        verts, out, sym = _index_maps(h)
-        out[verts.index(ear.x0)] = (1 << len(verts)) - 1  # x0 is exempt
-        candidates = _forced_absorbing_sets(verts, sym, out)
-        x0_out = h.out_neighbors(ear.x0)
-        kernels, glued = [], []
-        for s in candidates:
-            absorbed = ear.x0 in s or not x0_out.isdisjoint(s)
-            if absorbed:
-                kernels.append(s)
-            k = _forced_extension(ear, s, absorbed)
-            if k is not None:
-                glued.append(k)
-        if j == 0:
-            lists.append(kernels)
-        lists.append(sorted(glued))
-        h = h.union(ear.vertices, ear.arcs)
-        stages.append(h)
-    return stages, lists
+def _stage_kernels(d: Digraph, e: EarDecomposition):
+    """d indexed once in the order the parts add vertices (verts and
+    out-rows), each stage's vertex count, and each stage's kernels in
+    lexicographic order: stage j is d on the first sizes[j] vertices (see
+    trace_kernels), scanned with its out-rows cut to them."""
+    order = list(e.base.vertices[:-1])
+    sizes = [len(order)]
+    for ear in e.ears:
+        order += ear.internal
+        sizes.append(len(order))
+    verts, out, sym = _index_maps(d, order)
+    lists = []
+    for n in sizes:  # a set never holds a vertex past n, so sym needs no cut
+        cut = (1 << n) - 1
+        lists.append(_forced_absorbing_sets(verts[:n], sym,
+                                            [row & cut for row in out[:n]]))
+    return verts, out, sizes, lists
+
+
+def _is_prefix_kernel(pos: dict[int, int], out: list[int], n: int,
+                      members) -> bool:
+    """members is a kernel of the digraph on the first n indexed vertices:
+    each lies among them, no member's out-row meets the set, and every
+    other vertex's does."""
+    mask = 0
+    for v in members:
+        i = pos.get(v, n)
+        if i >= n:
+            return False
+        mask |= 1 << i
+    return all(not out[i] & mask if mask >> i & 1 else out[i] & mask
+               for i in range(n))
 
 
 def trace_kernels(d: Digraph, e: EarDecomposition,
@@ -327,7 +320,19 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     has one (odd base cycle) or loses it for good at a flip stage whose
     kernels all show a push-forward obstruction pattern.
 
-    Every stage's kernels come from one scan per ear, by this lemma.  Let
+    The input is indexed once, in the order the parts add vertices: the
+    base cycle, then each ear's interior.  Let n_j count the vertices of
+    D_j.  Then D_j is D on the first n_j vertices of that order.  Proof:
+    those are D_j's vertices.  Each arc of D lies on exactly one part
+    (require_decomposition), and each arc of a later ear, a path of
+    length >= 2, has an end in that ear's interior, which comes after the
+    first n_j.  So an arc of D joining two of them is an arc of D_j, and
+    D_j's out-rows are D's first n_j out-rows cut to the first n_j
+    vertices.  Every stage, the last included, is scanned whole with
+    those rows, and its reported kernel is re-checked on them
+    (_is_prefix_kernel) before it is returned.
+
+    The rules read one kernel across one ear by this lemma.  Let
     P = x0 p1 ... p(r-1) xr (r >= 2) be the ear glued onto D_j.  K is a
     kernel of D_{j+1} iff
       (a) S = K minus the interior is independent in D_j and absorbs every
@@ -343,44 +348,45 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     of p_t says one of them in, together (b).  Independence on x0 p1 and
     absorption of x0, whose out-neighbours are its old ones and p1, are
     (c).
-    So one scan of D_j with x0's row set to every vertex lists the S of
-    (a); those absorbing x0 are D_j's kernels, and (b) fixes the interior
-    from xr, so the S meeting (c) extended by it are D_{j+1}'s.  The last
-    stage is never scanned; a bare cycle is scanned with its own rows.
-    Each stage's reported kernel is re-checked before it is returned.
+    So a kernel of D_j, which absorbs x0, extends to a kernel of D_{j+1},
+    its interior fixed from xr by (b), unless x0 and p1 are both in
+    (extend_case).  A kernel K of D_{j+1} restricts to S, which by (a) is
+    a kernel of D_j iff it absorbs x0; (c) forces that unless x0 is out
+    and p1 in (restrict_condition).
 
     A scan branches only where there is a choice, by a second lemma.  Let
-    v be a vertex whose row has one vertex w (so v is not x0 and v w is an
-    arc).  Then every S of the scan holds v iff it does not hold w.
-    Proof: if v is in S, independence on the arc v w keeps w out; if v is
-    out, S absorbs v, and only w can.  So the scan
-    (_forced_absorbing_sets) chooses only for the branch vertices,
-    x0 and the vertices of out-degree other than 1, and fills each other
-    vertex from its successor.  A cycle of forced vertices has no arc
-    leaving it, so in a strong stage it is the whole stage and occurs only
-    in a bare cycle; the scan then branches on one of its vertices.
+    v be a vertex whose out-row has one vertex w.  Then every kernel holds
+    v iff it does not hold w.  Proof: if v is in the kernel, independence
+    on the arc v w keeps w out; if v is out, the kernel absorbs v, and
+    only w can.  So the scan (_forced_absorbing_sets) chooses only for the
+    branch vertices, those of out-degree other than 1, in index order, and
+    fills each other vertex from its successor.  A cycle of forced
+    vertices has no arc leaving it, so in a strong stage it is the whole
+    stage: it occurs only in D_0, the base cycle, and the scan then
+    branches on one of its vertices.
 
-    Two caps bound the work.  A stage's branch vertices are among the
-    input's: a strong stage keeps each out-degree-1 vertex's one arc, and
-    x0 has out-degree at least 2 in D.  So capping the input at
+    Two caps bound the work.  A stage's other branch vertices are among
+    the input's: a strong stage on two or more vertices keeps each
+    out-degree-1 vertex's one arc.  So capping the input at
     TRACE_BRANCH_CAP branch vertices caps each scan at 2^TRACE_BRANCH_CAP
     choices, the bound the kernel oracle's 20 vertices give.  The number
-    of absorbing sets is not bounded otherwise: a subdivided symmetric
-    cycle has as many kernels as the cycle, exponentially many in its
-    length.  Every stage is built and scanned whole, so the rest grows
-    with the number of ears times the vertices, and the input is capped at
-    TRACE_VERTEX_CAP vertices.
+    of kernels is not bounded otherwise: a subdivided symmetric cycle has
+    as many kernels as the cycle, exponentially many in its length.
+    Every stage is scanned whole, so the rest grows with the number of
+    ears times the vertices, and the input is capped at TRACE_VERTEX_CAP
+    vertices.
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError("direction must be forward or backward")
     _check_trace_caps(d)
     require_decomposition(d, e, 2, "kernel trace", path_ears_only=True)
-    stages, per_stage = _stage_kernels(e)
+    verts, out, sizes, per_stage = _stage_kernels(d, e)
+    pos = {v: i for i, v in enumerate(verts)}
     entries = []
     for j, kernels in enumerate(per_stage):
         kernel = None
         if kernels:
-            if not set_predicates(stages[j], kernels[0]).is_kernel:
+            if not _is_prefix_kernel(pos, out, sizes[j], kernels[0]):
                 raise VerificationError(
                     f"{list(kernels[0])} is not a kernel of stage {j}")
             kernel = CertifiedSet(kernels[0], "kernel", stage=j)

@@ -37,8 +37,8 @@ def _check_cap(d: Digraph, cap: int, what: str) -> None:
         raise CapExceededError(f"{what} oracle capped at {cap} vertices, got {d.n}")
 
 
-def _index_maps(d: Digraph):
-    verts = sorted(d.vertices)
+def _index_maps(d: Digraph, verts: list[int]):
+    """d's out-rows and symmetric rows as bitmasks, verts[i] at bit i."""
     pos = {v: i for i, v in enumerate(verts)}
     out = [0] * len(verts)
     sym = [0] * len(verts)
@@ -84,7 +84,7 @@ def _absorbing_sets(verts: list[int], sym: list[int],
 def kernel_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport:
     """Exhaustive kernel search: independent sets absorbing by one arc."""
     _check_cap(d, KERNEL_CAP, "kernel")
-    verts, out, sym = _index_maps(d)
+    verts, out, sym = _index_maps(d, sorted(d.vertices))
     kernels, examined = _absorbing_sets(verts, sym, out)
     details = {"kernel_count": len(kernels)}
     if enumerate_all:
@@ -103,7 +103,7 @@ def quasi_kernel_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport
     two arcs; value is the minimum size.  Every digraph has a quasi-kernel
     (Chvatal and Lovasz, 1974), so one is always found."""
     _check_cap(d, QUASI_KERNEL_CAP, "quasi-kernel")
-    verts, out, sym = _index_maps(d)
+    verts, out, sym = _index_maps(d, sorted(d.vertices))
     reach2 = [a | b for a, b in zip(out, compose_rows(out, out))]
     found, examined = _absorbing_sets(verts, sym, reach2)
     details = {"quasi_kernel_count": len(found)}
@@ -169,7 +169,7 @@ def chromatic_oracles(d: Digraph) -> OracleReport:
     is always 0.
     """
     _check_cap(d, CHROMATIC_CAP, "chromatic")
-    verts, out, sym = _index_maps(d)
+    verts, out, sym = _index_maps(d, sorted(d.vertices))
     n = len(verts)
     if n == 0:
         return OracleReport("chromatic_numbers", 0, details={"chromatic": 0, "dichromatic": 0})

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from earlab import cli, ears
 from earlab.cli import main
+from earlab.errors import BudgetExceededError
 
 
 def run(capsys, *argv):
@@ -215,6 +216,16 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, c5_file):
     assert built.count("earlab") == 1
 
 
+def test_seymour_refuses_a_repeated_interior_vertex(capsys, tmp_path,
+                                                   c5_file):
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps({"base": [0, 1, 2, 3, 4],
+                               "ears": [[0, 5, 6, 5, 2]]}))
+    code, doc = run(capsys, "seymour", c5_file, "--decomposition", str(dec))
+    assert (code, doc["status"], doc["payload"]) == (2, "invalid_input", None)
+    assert "repeated internal vertex" in doc["error"]
+
+
 def test_kernel_set_rejects_boolean_ids(capsys, tmp_path):
     graph = tmp_path / "g.txt"
     graph.write_text("0 1\n1 2\n2 3\n3 0\n1 4\n4 3\n")
@@ -381,10 +392,11 @@ def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, doc = run(capsys, "classify", str(path), "--budget", "1")
     assert code == 0
-    # level 1 needs no search: every strong digraph has an ear decomposition
-    assert doc["payload"]["levels"] == {"1": True, "2": "unknown",
-                                        "3": "unknown"}
-    assert doc["payload"]["max_certified"] == 1
+    # level 1 needs no search: every strong digraph has an ear decomposition,
+    # and the one found here has no ear shorter than 2, so it answers level
+    # 2 too; level 3 runs the search, which stops on the budget
+    assert doc["payload"]["levels"] == {"1": True, "2": True, "3": "unknown"}
+    assert doc["payload"]["max_certified"] == 2
     code, doc = run(capsys, "classify", str(path), "--budget", "20")
     levels = list(doc["payload"]["levels"].values())
     assert "unknown" in levels
@@ -401,11 +413,59 @@ def test_classify_refuses_max_level_outside_its_range(capsys, c5_file, level,
     assert (got, doc["status"], doc["payload"]) == (code, status, None)
     assert level in doc["error"] and str(cli.MAX_LEVEL_CAP) in doc["error"]
     if code == 3:
-        # a cycle is in every LE_i, so each level up to the cap runs a search
+        # a cycle is in every LE_i, so every level up to the cap holds
         got, doc = run(capsys, "classify", c5_file,
                        "--max-level", str(cli.MAX_LEVEL_CAP))
         assert got == 0
         assert list(doc["payload"]["levels"].values()) == [True] * cli.MAX_LEVEL_CAP
+
+
+def test_classify_answers_every_level_of_a_cycle_without_search(
+        capsys, monkeypatch, tmp_path):
+    path = tmp_path / "c50.txt"
+    path.write_text("".join(f"{i} {(i + 1) % 50}\n" for i in range(50)))
+    calls = []
+    search = cli.find_le_decomposition
+    monkeypatch.setattr(cli, "find_le_decomposition",
+                        lambda *a, **k: calls.append(a) or search(*a, **k))
+    code, doc = run(capsys, "classify", str(path), "--max-level", "30")
+    assert code == 0
+    assert list(doc["payload"]["levels"].values()) == [True] * 30
+    assert doc["payload"]["max_certified"] == 30
+    assert calls == []
+
+
+def per_level_search(d, max_level, budget):
+    """Reference for classify: one search per level until one fails."""
+    levels, rest = {}, None
+    for i in range(1, max_level + 1):
+        if rest is None:
+            try:
+                found = (ears.find_ear_decomposition(d) if i == 1 else
+                         ears.find_le_decomposition(d, i=i, budget=budget))
+            except BudgetExceededError:
+                rest = "unknown"
+            else:
+                rest = None if found is not None else False
+        levels[str(i)] = True if rest is None else rest
+    return levels
+
+
+def test_classify_matches_one_search_per_level(capsys, tmp_path):
+    seen = set()
+    for seed in range(30):
+        d, _ = ears.generate_random_le(
+            base_length=3 + seed % 3, ear_count=3 + seed % 5,
+            min_ear_length=2, max_ear_length=2 + seed % 4,
+            cycle_ear_probability=0.2, seed=seed)
+        path = tmp_path / f"le2-{seed}.json"
+        path.write_text(json.dumps({"n": d.n, "arcs": sorted(d.arcs)}))
+        expected = per_level_search(d, 5, cli.DEFAULT_BUDGET)
+        code, doc = run(capsys, "classify", str(path), "--max-level", "5")
+        assert code == 0
+        assert doc["payload"]["levels"] == expected, seed
+        seen.add(tuple(expected.values()))
+    assert len(seen) > 1
 
 
 @pytest.mark.parametrize("lengths", [("2", "0"), ("3", "2"), ("1", "-1")])

@@ -38,6 +38,36 @@ def test_ear_needs_two_vertices():
         Ear((3,))
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Ear((3,)), InvalidInputError, "at least one arc"),
+    (lambda: Ear((3, 3)), InvalidInputError, "length-1 cycle"),
+    (lambda: Ear((0, 4, 5, 4, 1)), InvalidInputError, "repeated internal"),
+    (lambda: Ear((0, 4, 0, 1)), InvalidInputError, "endpoint reused"),
+    (lambda: EarDecomposition(Ear((0, 1, 2))), InvalidInputError,
+     "base must be a cycle"),
+    (lambda: EarDecomposition.from_json({"ears": []}), InvalidInputError,
+     "needs a 'base' field"),
+    (lambda: EarDecomposition.from_json({"base": [0]}), InvalidInputError,
+     "at least 2 vertices"),
+    (lambda: EarDecomposition(Ear((0, 1, 0))).stage(1), IndexError,
+     "out of range"),
+    (lambda: find_le_decomposition(Digraph.cycle(3), i=0), InvalidInputError,
+     "must be >= 1"),
+    (lambda: generate_random_le(min_ear_length=0), InvalidInputError,
+     "must be >= 1"),
+    (lambda: find_ear_decomposition(Digraph([0], [])), PropertyFailedError,
+     "single vertex"),
+    (lambda: find_le_decomposition(Digraph([0], [])), PropertyFailedError,
+     "single vertex"),
+], ids=["one-vertex-ear", "length-1-cycle", "repeated-interior",
+        "endpoint-inside", "base-not-cycle", "json-no-base",
+        "json-one-vertex-base", "stage-out-of-range", "search-level-0",
+        "gen-min-length-0", "decompose-one-vertex", "search-one-vertex"])
+def test_input_checks_refuse(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_decomposition_stages_grow():
     d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)])
     e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -58,22 +59,30 @@ def test_extend_case_values():
 
 
 def test_rules_are_the_lemma_on_one_kernel():
-    # a kernel N of the stage absorbs x0; its forced extension is the rule's
-    for x0_in, xr_in, length in product((False, True), (False, True), range(2, 7)):
-        ear = Ear((0, *range(10, 9 + length), 1))
-        n = tuple(v for v, inside in ((0, x0_in), (1, xr_in)) if inside)
-        plan = extend_case(x0_in, xr_in, length)
-        forced = kernels._forced_extension(ear, n, True)
-        if plan is None:
-            assert forced is None
-        else:
-            _, start, stop = plan
-            added = tuple(ear.vertices[i] for i in range(start, stop + 1, 2))
-            assert forced == tuple(sorted(n + added))
-        # a pull-back is unforced iff x0 is out and p1 in, which is when the
-        # extension needs no absorption of x0 in the stage
-        unforced = not x0_in and kernels._forced_extension(ear, n, False) is not None
-        assert (restrict_condition(x0_in, xr_in, length) is None) == unforced
+    # each rule against the oracle's kernels of the stage and of the glued
+    # stage, over every one-ear instance
+    for d, e in one_ear_instances():
+        stage, (ear,) = e.stage(0), e.ears
+        interior = set(ear.internal)
+        stage_kernels = kernel_oracle(stage, enumerate_all=True).details["all_kernels"]
+        glued_kernels = kernel_oracle(d, enumerate_all=True).details["all_kernels"]
+        for n in stage_kernels:
+            glued = [k for k in glued_kernels if set(k) - interior == set(n)]
+            plan = extend_case(ear.x0 in n, ear.xr in n, ear.length)
+            assert (plan is None) == (not glued), (e, n)
+            if plan is not None:
+                _, start, stop = plan
+                added = {ear.vertices[t] for t in range(start, stop + 1, 2)}
+                assert glued == [tuple(sorted({*n, *added}))], (e, n)
+        for k in glued_kernels:
+            restricted = tuple(sorted(set(k) - interior))
+            condition = restrict_condition(ear.x0 in k, ear.xr in k, ear.length)
+            # an obstruction pattern is x0 out and p1 in: then the
+            # restriction is a stage kernel iff an old out-neighbour of x0
+            # is in it
+            absorbed = not stage.out_neighbors(ear.x0).isdisjoint(k)
+            assert ((restricted in stage_kernels)
+                    == (condition is not None or absorbed)), (e, k)
 
 
 def test_extend_case_one_even_interior():
@@ -260,11 +269,24 @@ def test_trace_rejects_short_ears():
         trace_kernels(d, e)
 
 
-def oracle_stage_kernels(e):
+def ear_order(e):
+    """The vertices in the order the parts add them, and each stage's
+    count of them."""
+    order = list(e.base.vertices[:-1])
+    sizes = [len(order)]
+    for ear in e.ears:
+        order += ear.internal
+        sizes.append(len(order))
+    return order, sizes
+
+
+def oracle_stage_kernels(d, e):
     """Reference for kernels._stage_kernels: the oracle on every stage."""
-    stages = list(e.stages())
-    return stages, [kernel_oracle(h, enumerate_all=True).details["all_kernels"]
-                    for h in stages]
+    order, sizes = ear_order(e)
+    verts, out, _ = _index_maps(d, order)
+    return verts, out, sizes, [
+        kernel_oracle(h, enumerate_all=True).details["all_kernels"]
+        for h in e.stages()]
 
 
 def one_ear_instances():
@@ -294,8 +316,8 @@ def test_trace_matches_the_per_stage_oracle():
     cases = [*one_ear_instances(), *seeded_instances()]
     assert len(cases) > 250
     for d, e in cases:
-        _, got = kernels._stage_kernels(e)
-        assert got == oracle_stage_kernels(e)[1], e
+        got = kernels._stage_kernels(d, e)
+        assert got == oracle_stage_kernels(d, e), e
         for direction in ("forward", "backward"):
             doc = trace_kernels(d, e, direction).to_json()
             with pytest.MonkeyPatch.context() as mp:
@@ -304,37 +326,32 @@ def test_trace_matches_the_per_stage_oracle():
 
 
 def stage_scans(e):
-    """Each stage's own out-rows, as the kernel oracle scans them, and
-    below the last stage its rows as the trace scans them, x0's row set
-    to every vertex."""
-    for j in range(len(e.ears) + 1):
-        verts, out, sym = _index_maps(e.stage(j))
-        yield verts, sym, out
-        if j < len(e.ears):
-            rows = list(out)
-            rows[verts.index(e.ears[j].x0)] = (1 << len(verts)) - 1
-            yield verts, sym, rows
+    """Each stage's own out-rows, on its vertices in sorted order and in
+    the order the parts add them."""
+    order, sizes = ear_order(e)
+    for h, n in zip(e.stages(), sizes):
+        yield _index_maps(h, sorted(h.vertices))
+        yield _index_maps(h, order[:n])
 
 
 def larger_stages():
     """One sampled stage of each of 21, 23, 25, 27 and 30 or more
-    vertices, rows as the trace scans them."""
+    vertices, with its own out-rows."""
     for seed, size in enumerate((21, 23, 25, 27, 30)):
         _, e = generate_random_le(base_length=3, ear_count=40,
                                   min_ear_length=2, seed=seed)
-        j = next(j for j in range(len(e.ears)) if e.stage(j).n >= size)
-        verts, out, sym = _index_maps(e.stage(j))
-        out[verts.index(e.ears[j].x0)] = (1 << len(verts)) - 1
-        yield verts, sym, out
+        h = next(h for h in e.stages() if h.n >= size)
+        yield _index_maps(h, sorted(h.vertices))
 
 
 def test_forced_scan_matches_the_oracle_scan():
     cases = [e for _, e in [*one_ear_instances(), *seeded_instances()]]
     scans = [scan for e in cases for scan in stage_scans(e)]
     assert len(scans) > 1000
-    for verts, sym, rows in [*scans, *larger_stages()]:
-        assert (_forced_absorbing_sets(verts, sym, rows)
-                == _absorbing_sets(verts, sym, rows)[0]), verts
+    for verts, rows, sym in [*scans, *larger_stages()]:
+        expected = sorted(tuple(sorted(s))
+                          for s in _absorbing_sets(verts, sym, rows)[0])
+        assert _forced_absorbing_sets(verts, sym, rows) == expected, verts
 
 
 def test_trace_never_runs_the_oracle_scan(monkeypatch):
@@ -350,10 +367,51 @@ def test_trace_never_runs_the_oracle_scan(monkeypatch):
 
 def test_trace_rechecks_each_reported_kernel(monkeypatch):
     d, e = next(one_ear_instances())
-    monkeypatch.setattr(kernels, "_stage_kernels",
-                        lambda e: (list(e.stages()), [[(0, 1)], [(0, 2)]]))
-    with pytest.raises(VerificationError, match="not a kernel of stage 0"):
-        trace_kernels(d, e)
+    verts, out, sizes, _ = kernels._stage_kernels(d, e)
+    # (0, 1) is no independent set; (1, 2) meets the rows of stage 0 as a
+    # kernel would, but 2 lies outside it
+    for bad in [(0, 1)], [(1, 2)]:
+        monkeypatch.setattr(kernels, "_stage_kernels",
+                            lambda d, e: (verts, out, sizes, [bad, [(0, 2)]]))
+        with pytest.raises(VerificationError, match="not a kernel of stage 0"):
+            trace_kernels(d, e)
+
+
+def fan(k):
+    """C3 plus k length-2 ears from 0 to 1, with its decomposition: one
+    branch vertex, 0."""
+    parts = [Ear((0, v, 1)) for v in range(3, 3 + k)]
+    d = Digraph(range(3 + k),
+                [(0, 1), (1, 2), (2, 0), *(a for p in parts for a in p.arcs)])
+    return d, EarDecomposition(Ear((0, 1, 2, 0)), parts)
+
+
+def test_trace_indexes_the_input_once(monkeypatch):
+    d, e = fan(200)
+    tracemalloc.start()
+    try:
+        doc = trace_kernels(d, e).to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(doc["stages"]) == 201
+    assert peak < 4 * 2**20, peak
+    built, indexed = [], []
+    init, index_maps = Digraph.__init__, kernels._index_maps
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("set_predicates called")
+
+    monkeypatch.setattr(Digraph, "__init__", counted_init)
+    monkeypatch.setattr(kernels, "_index_maps",
+                        lambda *args: indexed.append(args) or index_maps(*args))
+    monkeypatch.setattr(kernels, "set_predicates", refuse)
+    assert trace_kernels(d, e).to_json() == doc
+    assert (len(built), len(indexed)) == (0, 1)
 
 
 def test_trace_json_shape():
