@@ -21,8 +21,7 @@ from .constructions import (CertifiedSet, longest_path_transversal,
                             small_quasi_kernel, seymour_vertex)
 from .digraph import Digraph, digraph_from_json, is_strong, parse_digraph, serialize_digraph
 from .ears import (EarDecomposition, find_ear_decomposition,
-                   find_le_decomposition, generate_random_le,
-                   require_decomposition)
+                   find_le_decomposition, generate_random_le)
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
                      InvalidInputError, PropertyFailedError)
 from .kernels import extend_kernel, restrict_kernel, trace_kernels
@@ -187,27 +186,17 @@ def cmd_quasi_kernel(args) -> dict:
     return small_quasi_kernel(d, e).to_json()
 
 
-def _last_stage_parts(d: Digraph, document: str | dict | None, args):
-    e = _decomposition_for(d, document, args, 2, path_ears_only=True)
-    # a searched decomposition is validated in path-ears mode by the search
-    if args.decomposition:
-        require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
-    if not e.ears:
-        raise InvalidInputError("decomposition has no ears to propagate across")
-    return e.stage(len(e.ears) - 1), e.ears[-1]
-
-
 def cmd_kernel(args) -> dict:
     d, document = _load_input(args)
+    if args.action != "trace":
+        if not args.set:
+            raise InvalidInputError(f"kernel {args.action} needs --set")
+        members = load_vertex_set(args.set)
+    e = _decomposition_for(d, document, args, 2, path_ears_only=True)
     if args.action == "trace":
-        e = _decomposition_for(d, document, args, 2, path_ears_only=True)
         return trace_kernels(d, e, direction=args.direction).to_json()
-    if not args.set:
-        raise InvalidInputError(f"kernel {args.action} needs --set")
-    members = load_vertex_set(args.set)
-    stage, ear = _last_stage_parts(d, document, args)
     op = extend_kernel if args.action == "extend" else restrict_kernel
-    result = op(stage, ear, members)
+    result = op(d, e, members)
     if isinstance(result, CertifiedSet):
         return result.to_json()
     return {"obstruction": True, **result.to_json()}

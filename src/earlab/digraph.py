@@ -2,10 +2,10 @@
 
 Digraphs are finite and simple: no loops, no parallel arcs.  A digon (arcs
 both ways between two vertices) is allowed; "asymmetrical" rules it out.
-Parsed digraphs always live on the dense id range 0..n-1.  Stage digraphs
-carved out of a host keep the host's ids, so the vertex set of a Digraph is
-an arbitrary finite set of nonnegative ints; only serialization insists on
-density.
+Parsed digraphs always live on the dense id range 0..n-1.  Stage digraphs,
+built only by EarDecomposition.stage, keep the host's ids, so the vertex set
+of a Digraph is an arbitrary finite set of nonnegative ints; only
+serialization insists on density.
 """
 
 from __future__ import annotations

@@ -155,9 +155,11 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     host_arcs = d.arcs
     for idx, ear in enumerate(e.ears):
         vs, ear_arcs = ear.vertices, ear.arcs
-        misfit = _ear_fit_violation(verts, ear)
-        if misfit:
-            bad.append(f"stage {idx}: {misfit}")
+        if ear.x0 not in verts or ear.xr not in verts:
+            bad.append(f"stage {idx}: ear endpoints must lie in the stage digraph")
+        elif not verts.isdisjoint(ear.internal):
+            bad.append(f"stage {idx}: ear internal vertices must be new, "
+                       f"{sorted(verts.intersection(ear.internal))} already in the stage")
         for a in ear_arcs:
             if a not in host_arcs:
                 bad.append(f"stage {idx}: ear arc {a} not in host")
@@ -185,25 +187,6 @@ def require_decomposition(d: Digraph, e: EarDecomposition, min_len: int,
     if not e.certifies(min_len):
         raise InvalidInputError(f"{what} needs every ear length >= {min_len}, "
                                 f"shortest is {e.min_ear_length}")
-
-
-def _ear_fit_violation(stage_vertices: set[int] | frozenset[int],
-                       ear: Ear) -> str | None:
-    """Why ear cannot be glued onto a stage with these vertices, or None
-    when it can: both endpoints in the stage and every internal vertex new."""
-    if ear.x0 not in stage_vertices or ear.xr not in stage_vertices:
-        return "ear endpoints must lie in the stage digraph"
-    if not stage_vertices.isdisjoint(ear.internal):
-        stale = sorted(stage_vertices.intersection(ear.internal))
-        return f"ear internal vertices must be new, {stale} already in the stage"
-    return None
-
-
-def require_ear_fits(stage: Digraph, ear: Ear) -> None:
-    """InvalidInputError unless ear can be glued onto stage."""
-    misfit = _ear_fit_violation(stage.vertices, ear)
-    if misfit:
-        raise InvalidInputError(misfit)
 
 
 def _self_checked(d: Digraph, e: EarDecomposition, min_len: int = 1,

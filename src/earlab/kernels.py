@@ -2,11 +2,12 @@
 
 One rule carries a kernel across an ear in both directions: its interior
 alternates back from the ear's end xr, every second vertex, and p1 decides
-the rest (see trace_kernels).  Extension pushes a stage kernel forward
-unless x0 and p1 are both in; restriction pulls a glued-stage kernel back
-unless x0 is out and p1 in.  Tracing lists every kernel of every stage
-and classifies the result against the two parity dichotomies.  The input
-is indexed once, in the order the parts add vertices, so each stage is a
+the rest (see trace_kernels).  Across the last ear of a decomposition of
+the input, extension pushes a kernel of the stage before it forward unless
+x0 and p1 are both in; restriction pulls a kernel of the input back unless
+x0 is out and p1 in.  Tracing lists every kernel of every stage and
+classifies the result against the two parity dichotomies.  The input is
+indexed once, in the order the parts add vertices, so each stage is a
 prefix of that index; every stage is scanned whole, with its own rows,
 branching only on the vertices whose out-degree is not 1.
 """
@@ -16,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constructions import CertifiedSet, _stride_back
-from .digraph import Digraph, is_nonseparable, is_strong, set_predicates
-from .ears import (Ear, EarDecomposition, require_decomposition,
-                   require_ear_fits)
-from .errors import CapExceededError, InvalidInputError, VerificationError
+from .digraph import Digraph
+from .ears import Ear, EarDecomposition, require_decomposition
+from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
+                     VerificationError)
 from .oracles import _index_maps
 
 TRACE_VERTEX_CAP = 500
@@ -87,53 +88,68 @@ def extend_case(x0_in: bool, xr_in: bool, length: int):
     return _case(x0_in, xr_in), 2 - stop % 2, stop
 
 
-def _check_stage_and_ear(h: Digraph, p: Ear) -> Digraph:
-    if p.is_cycle:
-        raise InvalidInputError(
-            "kernel propagation needs a path ear: endpoints must differ")
-    if p.length < 2:
-        raise InvalidInputError("kernel propagation needs ear length >= 2")
-    # every arc of a path ear of length >= 2 has an internal end, so new
-    # internal vertices also make every ear arc new
-    require_ear_fits(h, p)
-    if not is_strong(h):
-        raise InvalidInputError("stage digraph must be strong")
-    if not is_nonseparable(h):
-        raise InvalidInputError("stage digraph must be nonseparable")
-    return h.union(p.vertices, p.arcs)
+def _last_ear(d: Digraph, e: EarDecomposition) -> Ear:
+    """The last ear of e, once e is a path-ears decomposition of d with
+    every ear of length >= 2.  The stage before it is d minus its interior,
+    as each arc of the ear has an interior end.
+
+    Every stage is then strong and nonseparable, as the rules assume: the
+    base cycle is (a digon is one edge), and gluing a path with ends
+    x0 != xr and a new interior keeps both.  Each new vertex is reached
+    from x0 and reaches xr; deleting one vertex leaves the old stage, or it
+    minus that vertex, connected, with the rest of the path hanging from
+    an end still there (an open ear decomposition is 2-connected, Whitney).
+    """
+    require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
+    if not e.ears:
+        raise InvalidInputError("decomposition has no ears to propagate across")
+    return e.ears[-1]
 
 
-def restrict_kernel(h: Digraph, p: Ear, n_prime) -> CertifiedSet | KernelObstruction:
-    """Pull a kernel of the glued digraph back to the stage digraph."""
-    glued = _check_stage_and_ear(h, p)
-    n_prime = set(n_prime)
-    if not set_predicates(glued, n_prime).is_kernel:
-        raise VerificationError(
-            f"{sorted(n_prime)} is not a kernel of the glued digraph")
+def _is_kernel_on(d: Digraph, vertices: frozenset[int], s: frozenset[int]) -> bool:
+    """s is a kernel of d on these vertices (InvalidInputError if it leaves
+    them): d's out-neighbourhoods serve, as s holds no other vertex."""
+    if not s <= vertices:
+        raise InvalidInputError(f"set {sorted(s - vertices)} not in digraph")
+    return all((v in s) == d.out_neighbors(v).isdisjoint(s) for v in vertices)
+
+
+def restrict_kernel(d: Digraph, e: EarDecomposition,
+                    n_prime) -> CertifiedSet | KernelObstruction:
+    """Pull a kernel of d back across the last ear of e (see _last_ear);
+    PropertyFailedError if n_prime is no kernel of d."""
+    p = _last_ear(d, e)
+    n_prime = frozenset(n_prime)
+    if not _is_kernel_on(d, d.vertices, n_prime):
+        raise PropertyFailedError(f"{sorted(n_prime)} is not a kernel of the glued digraph")
     x0_in, xr_in = p.x0 in n_prime, p.xr in n_prime
     condition = restrict_condition(x0_in, xr_in, p.length)
     if condition is None:
         return KernelObstruction("restrict", x0_in, xr_in, p.length)
-    restricted = n_prime & h.vertices
-    if not set_predicates(h, restricted).is_kernel:
+    stage = d.vertices.difference(p.internal)
+    restricted = n_prime & stage
+    if not _is_kernel_on(d, stage, restricted):
         raise VerificationError(
             f"restriction {sorted(restricted)} under condition {condition} "
             f"is not a kernel of the stage digraph")
     return CertifiedSet(tuple(restricted), "kernel")
 
 
-def extend_kernel(h: Digraph, p: Ear, n) -> CertifiedSet | KernelObstruction:
-    """Push a kernel of the stage digraph forward across a path ear."""
-    glued = _check_stage_and_ear(h, p)
-    n = set(n)
-    if not set_predicates(h, n).is_kernel:
-        raise VerificationError(f"{sorted(n)} is not a kernel of the stage digraph")
+def extend_kernel(d: Digraph, e: EarDecomposition,
+                  n) -> CertifiedSet | KernelObstruction:
+    """Push a kernel of the stage before the last ear of e forward to d
+    (see _last_ear); PropertyFailedError if n is no kernel of the stage."""
+    p = _last_ear(d, e)
+    stage = d.vertices.difference(p.internal)
+    n = frozenset(n)
+    if not _is_kernel_on(d, stage, n):
+        raise PropertyFailedError(f"{sorted(n)} is not a kernel of the stage digraph")
     x0_in, xr_in = p.x0 in n, p.xr in n
     plan = extend_case(x0_in, xr_in, p.length)
     if plan is None:
         return KernelObstruction("extend", x0_in, xr_in, p.length)
     extended = n | {p.vertices[t] for t in _stride_back(p.length, xr_in, 2)}
-    if not set_predicates(glued, extended).is_kernel:
+    if not _is_kernel_on(d, d.vertices, extended):
         raise VerificationError(
             f"extension {sorted(extended)} under case {plan[0]} "
             f"is not a kernel of the glued digraph")

@@ -19,8 +19,7 @@ from functools import lru_cache
 
 from .coloring import VertexMapping, verify_homomorphism
 from .digraph import Digraph, is_asymmetrical, serialize_digraph
-from .ears import (Ear, EarDecomposition, require_decomposition,
-                   require_ear_fits)
+from .ears import Ear, EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
 from .oracles import OracleReport, oriented_chromatic_oracle
@@ -284,21 +283,32 @@ def _map_ear(t: Tournament, assignment: dict, ear: Ear) -> None:
         assignment[v] = g3[m % 3] if m <= pre else finisher[m - pre]
 
 
-def extend_homomorphism(stage: Digraph, phi: VertexMapping,
-                        ear: Ear) -> VertexMapping:
-    """Extend a tournament homomorphism across one ear of length >= 3.
+def extend_homomorphism(d: Digraph, e: EarDecomposition,
+                        phi: VertexMapping) -> VertexMapping:
+    """Extend a tournament homomorphism phi of the stage before the last ear
+    of e (length >= 3, a cycle ear too) to all of d.
 
-    Checks phi on the stage, then the ear's arcs.  No digon needs a test:
-    the stage maps into a tournament, and each ear arc has a new interior end.
+    The stage is d without that ear's interior.  PropertyFailedError unless
+    phi maps exactly its vertices into the target and every arc of the parts
+    before the ear, which cover the stage's arcs once each, to an arc.  The
+    result is re-checked on the ear's arcs; no digon needs a test, as the
+    stage maps into a tournament and each ear arc has a new interior end.
     """
-    if ear.length < 3:
-        raise InvalidInputError("homomorphism extension needs ear length >= 3")
-    require_ear_fits(stage, ear)
-    t = phi.target
+    require_decomposition(d, e, 1, "homomorphism extension")
+    if not e.ears or e.ears[-1].length < 3:
+        raise InvalidInputError("homomorphism extension needs a last ear of length >= 3")
+    ear, t = e.ears[-1], phi.target
     if not isinstance(t, Tournament):
         raise InvalidInputError("mapping target must be a tournament")
-    verify_homomorphism(stage, phi)
     img = dict(phi.assignment)
+    if (img.keys() != d.vertices.difference(ear.internal)
+            or not set(img.values()) <= set(range(t.k))):
+        raise PropertyFailedError("mapping does not take the stage's vertices "
+                                  "into the target's")
+    failed = homomorphism_failing_stage(EarDecomposition(e.base, e.ears[:-1]),
+                                        phi)
+    if failed is not None:
+        raise PropertyFailedError(f"mapping fails on stage {failed}")
     _map_ear(t, img, ear)
     for u, v in ear.arcs:
         if not t.has_arc(img[u], img[v]):

@@ -15,7 +15,7 @@ from earlab.coloring import proper_3_coloring, verify_proper
 from earlab.digraph import (Digraph, is_asymmetrical, is_kernel,
                             is_nonseparable, is_quasi_kernel, is_strong,
                             neighborhoods, set_predicates)
-from earlab.ears import Ear, generate_random_le
+from earlab.ears import Ear, EarDecomposition, generate_random_le
 from earlab.kernels import (extend_kernel, restrict_condition,
                             restrict_kernel, trace_kernels)
 from earlab.constructions import CertifiedSet
@@ -160,34 +160,38 @@ def test_criterion_08_longest_path_transversals():
 
 def test_criterion_09_kernel_lemma_sweep():
     started = time.perf_counter()
-    hosts = {Digraph.cycle(n) for n in range(2, 9)}
+    # each host with the base and ears it is the last stage of
+    hosts = {Digraph.cycle(n): (Ear((*range(n), 0)), ()) for n in range(2, 9)}
     for seed in range(30):
         d, e = generate_random_le(base_length=3 + seed % 4,
                                   ear_count=1 + seed % 2,
                                   min_ear_length=2, max_ear_length=3,
                                   seed=seed)
-        for stage in e.stages():
-            if stage.n <= 8 and is_strong(stage) and is_nonseparable(stage):
-                hosts.add(stage)
+        for j, stage in enumerate(e.stages()):
+            # a path-ears LE_2 stage is strong and nonseparable
+            assert is_strong(stage) and is_nonseparable(stage)
+            if stage.n <= 8:
+                hosts.setdefault(stage, (e.base, e.ears[:j]))
     extends = recoveries = counterexamples = 0
     for h in sorted(hosts, key=lambda g: (g.n, sorted(g.arcs))):
         kernels = kernel_oracle(h, enumerate_all=True).details["all_kernels"]
-        base = h.n
+        base, ears = hosts[h]
         for r in range(2, 6):
             for x0, xr in product(sorted(h.vertices), repeat=2):
                 if x0 == xr:
                     continue
-                ear = Ear((x0, *range(base, base + r - 1), xr))
+                ear = Ear((x0, *range(h.n, h.n + r - 1), xr))
                 glued = h.union(ear.vertices, ear.arcs)
+                dec = EarDecomposition(base, (*ears, ear))
                 for members in kernels:
-                    result = extend_kernel(h, ear, members)
+                    result = extend_kernel(glued, dec, members)
                     if not isinstance(result, CertifiedSet):
                         continue
                     extends += 1
                     if not is_kernel(glued, set(result.members)):
                         counterexamples += 1
                         continue
-                    back = restrict_kernel(h, ear, result.members)
+                    back = restrict_kernel(glued, dec, result.members)
                     in0 = x0 in set(result.members)
                     inr = xr in set(result.members)
                     if restrict_condition(in0, inr, r) is not None:

@@ -12,16 +12,17 @@ from itertools import product
 
 import pytest
 
+import earlab
 import earlab.constructions as constructions_mod
-import earlab.ears as ears_mod
 import earlab.oriented as oriented_mod
 from earlab.cli import main
 from earlab.coloring import VertexMapping, verify_homomorphism
 from earlab.constructions import quasi_kernel_failing_stage, small_quasi_kernel
 from earlab.digraph import Digraph, is_strong, serialize_digraph, set_predicates
-from earlab.ears import (EarDecomposition, find_ear_decomposition,
+from earlab.ears import (Ear, EarDecomposition, find_ear_decomposition,
                          generate_random_le, validate_decomposition)
 from earlab.errors import InvalidInputError, VerificationError
+from earlab.kernels import extend_kernel, restrict_kernel
 from earlab.oriented import (build_G, extend_homomorphism,
                              homomorphism_failing_stage, oriented_coloring_le3)
 
@@ -147,7 +148,7 @@ def test_extension_rejects_a_wrong_ear_image(monkeypatch):
                               max_ear_length=6, seed=4)
     m = oriented_coloring_le3(d, e)
     stage, ear = e.stage(7), e.ears[7]
-    glued = e.stage(8)
+    glued, upto = e.stage(8), EarDecomposition(e.base, e.ears[:8])
     phi = VertexMapping({v: m.assignment[v] for v in stage.vertices},
                         m.target, "homomorphism")
     real_verify = oriented_mod.verify_homomorphism
@@ -158,9 +159,9 @@ def test_extension_rejects_a_wrong_ear_image(monkeypatch):
         real_verify(g, mapping)
 
     monkeypatch.setattr(oriented_mod, "verify_homomorphism", counting)
-    out = extend_homomorphism(stage, phi, ear)
+    out = extend_homomorphism(glued, upto, phi)
     assert out.assignment == {v: m.assignment[v] for v in glued.vertices}
-    assert checked == [stage]  # phi's input check; the ear is checked in place
+    assert checked == []  # phi is checked along the parts, the ear in place
 
     real_map = oriented_mod._map_ear
     rejected = 0
@@ -179,10 +180,10 @@ def test_extension_rejects_a_wrong_ear_image(monkeypatch):
 
         monkeypatch.setattr(oriented_mod, "_map_ear", flipping)
         if sound:
-            assert extend_homomorphism(stage, phi, ear).assignment == bad.assignment
+            assert extend_homomorphism(glued, upto, phi).assignment == bad.assignment
         else:
             with pytest.raises(VerificationError, match="ear arc .* maps to non-arc"):
-                extend_homomorphism(stage, phi, ear)
+                extend_homomorphism(glued, upto, phi)
             rejected += 1
     assert rejected > 0
 
@@ -234,47 +235,82 @@ def test_find_ear_decomposition_on_blowup_family(gen):
     assert find_ear_decomposition(d).to_json() == e.to_json()
 
 
+WHOLE_STAGE_CHECKS = ("is_strong", "is_nonseparable", "set_predicates",
+                      "verify_homomorphism")
+
+
+def count_stage_work(monkeypatch) -> dict:
+    """Count calls of the whole-digraph checks, through every earlab module
+    that imports them, of EarDecomposition.stage and of Digraph.__init__."""
+    calls = dict.fromkeys(WHOLE_STAGE_CHECKS + ("stage", "Digraph"), 0)
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for module in vars(earlab).values():
+        if getattr(module, "__name__", "").startswith("earlab."):
+            for name in WHOLE_STAGE_CHECKS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counting(name, getattr(module, name)))
+    monkeypatch.setattr(EarDecomposition, "stage",
+                        counting("stage", EarDecomposition.stage))
+    monkeypatch.setattr(Digraph, "__init__",
+                        counting("Digraph", Digraph.__init__))
+    return calls
+
+
 def test_stage_work_is_bounded_on_400_ears(monkeypatch):
     d, e = generate_random_le(base_length=5, ear_count=400, min_ear_length=3,
                               max_ear_length=6, cycle_ear_probability=0.15,
                               seed=1)
-    calls = {"is_strong": 0, "stage": 0}
-    real_strong = ears_mod.is_strong
-    real_stage = EarDecomposition.stage
-
-    def counting_strong(g):
-        calls["is_strong"] += 1
-        return real_strong(g)
-
-    def counting_stage(self, j):
-        calls["stage"] += 1
-        return real_stage(self, j)
-
-    def counting_whole(name, module):
-        real = getattr(module, name)
-
-        def whole_digraph_check(*args):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, whole_digraph_check)
-
-    monkeypatch.setattr(ears_mod, "is_strong", counting_strong)
-    monkeypatch.setattr(EarDecomposition, "stage", counting_stage)
-    counting_whole("set_predicates", constructions_mod)
-    counting_whole("verify_homomorphism", oriented_mod)
+    calls = count_stage_work(monkeypatch)
     assert validate_decomposition(d, e).ok
-    assert calls["is_strong"] <= 1
+    assert calls["is_strong"] == 0
     for build in (small_quasi_kernel, oriented_coloring_le3):
-        calls.update(is_strong=0, stage=0, set_predicates=0,
-                     verify_homomorphism=0)
         fresh = Digraph(d.vertices, d.arcs)
+        calls.update(dict.fromkeys(calls, 0))
         build(fresh, e)
-        assert calls["is_strong"] <= 1  # one validate_decomposition call
-        assert calls["stage"] <= 1
+        assert calls["is_strong"] == 0 and calls["stage"] <= 1
         # the ear-local pass is the only check: no whole-digraph repeat
         assert calls["set_predicates"] == calls["verify_homomorphism"] == 0
         assert not {"_out", "_in"} & set(vars(fresh))
+
+
+def test_ear_extensions_do_no_stage_work(monkeypatch):
+    # C4 plus 400 path ears from 0 to 2, of lengths 2 and 4: each stage
+    # has the kernel {0, 2} plus the middle of every length-4 ear
+    ears, nxt = [], 4
+    for k in range(400):
+        ears.append(Ear((0, *range(nxt, nxt + 1 + 2 * (k % 2)), 2)))
+        nxt += 1 + 2 * (k % 2)
+    base = Ear((0, 1, 2, 3, 0))
+    d = Digraph(range(nxt), [a for part in (base, *ears) for a in part.arcs])
+    e = EarDecomposition(base, ears)
+    middles = {ear.vertices[2] for ear in ears if ear.length == 4}
+    glued_kernel = {0, 2} | middles
+    stage_kernel = glued_kernel - set(ears[-1].internal)
+    # an LE_3 instance with cycle ears for the homomorphism
+    h, f = generate_random_le(base_length=5, ear_count=400, min_ear_length=3,
+                              max_ear_length=6, cycle_ear_probability=0.15,
+                              seed=1)
+    m = oriented_coloring_le3(h, f)
+    phi = VertexMapping({v: m.assignment[v]
+                         for v in h.vertices - set(f.ears[-1].internal)},
+                        m.target, "homomorphism")
+    calls = count_stage_work(monkeypatch)
+    runs = [(extend_kernel, d, e, stage_kernel, glued_kernel),
+            (restrict_kernel, d, e, glued_kernel, stage_kernel),
+            (extend_homomorphism, h, f, phi, m.assignment)]
+    for op, g, dec, given, expected in runs:
+        calls.update(dict.fromkeys(calls, 0))
+        out = op(g, dec, given)
+        assert (out.assignment if op is extend_homomorphism
+                else set(out.members)) == expected
+        assert calls == dict.fromkeys(calls, 0), op.__name__
 
 
 def test_ten_thousand_vertex_smoke(tmp_path, capsys):

@@ -1,14 +1,18 @@
+import random
 import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlab import kernels, oracles
+from earlab import kernels, oracles, oriented
+from earlab.coloring import VertexMapping, verify_homomorphism
 from earlab.constructions import CertifiedSet
-from earlab.digraph import Digraph, is_kernel
-from earlab.ears import Ear, EarDecomposition, generate_random_le
-from earlab.errors import InvalidInputError, VerificationError
+from earlab.digraph import Digraph, is_kernel, set_predicates
+from earlab.ears import (Ear, EarDecomposition, generate_random_le,
+                         require_decomposition)
+from earlab.errors import (InvalidInputError, PropertyFailedError,
+                           VerificationError)
 from earlab.kernels import (KernelObstruction, _forced_absorbing_sets,
                             extend_case, extend_kernel, restrict_condition,
                             restrict_kernel, trace_kernels)
@@ -21,6 +25,11 @@ def c4():
 
 def glue(h, ear):
     return h.union(ear.vertices, ear.arcs)
+
+
+def c4_plus(ear):
+    """C4 with ear glued on, and that decomposition."""
+    return glue(c4(), ear), EarDecomposition(Ear((0, 1, 2, 3, 0)), [ear])
 
 
 def test_obstructed_patterns_are_the_two_named_per_rule():
@@ -88,7 +97,7 @@ def test_rules_are_the_lemma_on_one_kernel():
 def test_extend_case_one_even_interior():
     # both endpoints kept, even ear: every second interior vertex joins
     ear = Ear((0, 4, 5, 6, 2))
-    result = extend_kernel(c4(), ear, (0, 2))
+    result = extend_kernel(*c4_plus(ear), (0, 2))
     assert isinstance(result, CertifiedSet)
     assert result.members == (0, 2, 5)
     assert is_kernel(glue(c4(), ear), set(result.members))
@@ -96,40 +105,40 @@ def test_extend_case_one_even_interior():
 
 def test_extend_length_two_adds_nothing():
     ear = Ear((0, 4, 2))
-    result = extend_kernel(c4(), ear, (0, 2))
+    result = extend_kernel(*c4_plus(ear), (0, 2))
     assert result.members == (0, 2)
     assert is_kernel(glue(c4(), ear), {0, 2})
 
 
 def test_extend_case_two_odd():
     ear = Ear((0, 4, 5, 3))
-    result = extend_kernel(c4(), ear, (0, 2))
+    result = extend_kernel(*c4_plus(ear), (0, 2))
     assert result.members == (0, 2, 5)
     assert is_kernel(glue(c4(), ear), {0, 2, 5})
 
 
 def test_extend_case_three_both_parities():
     even_ear = Ear((1, 4, 5, 6, 0))
-    result = extend_kernel(c4(), even_ear, (0, 2))
+    result = extend_kernel(*c4_plus(even_ear), (0, 2))
     assert result.members == (0, 2, 5)
     odd_ear = Ear((1, 4, 5, 0))
-    result = extend_kernel(c4(), odd_ear, (0, 2))
+    result = extend_kernel(*c4_plus(odd_ear), (0, 2))
     assert result.members == (0, 2, 4)
     assert is_kernel(glue(c4(), odd_ear), {0, 2, 4})
 
 
 def test_extend_case_four_both_parities():
     even_ear = Ear((1, 4, 5, 6, 3))
-    result = extend_kernel(c4(), even_ear, (0, 2))
+    result = extend_kernel(*c4_plus(even_ear), (0, 2))
     assert result.members == (0, 2, 4, 6)
     odd_ear = Ear((1, 4, 5, 3))
-    result = extend_kernel(c4(), odd_ear, (0, 2))
+    result = extend_kernel(*c4_plus(odd_ear), (0, 2))
     assert result.members == (0, 2, 5)
 
 
 def test_extend_obstruction_reported():
     ear = Ear((0, 4, 5, 2))
-    result = extend_kernel(c4(), ear, (0, 2))
+    result = extend_kernel(*c4_plus(ear), (0, 2))
     assert isinstance(result, KernelObstruction)
     assert result.operation == "extend"
     assert result.pattern == "both_in_odd"
@@ -139,8 +148,8 @@ def test_extend_obstruction_reported():
 
 def test_restrict_recovers_from_extend_results():
     ear = Ear((0, 4, 5, 6, 2))
-    extended = extend_kernel(c4(), ear, (0, 2))
-    back = restrict_kernel(c4(), ear, extended.members)
+    extended = extend_kernel(*c4_plus(ear), (0, 2))
+    back = restrict_kernel(*c4_plus(ear), extended.members)
     assert isinstance(back, CertifiedSet)
     assert back.members == (0, 2)
 
@@ -148,53 +157,76 @@ def test_restrict_recovers_from_extend_results():
 def test_restrict_obstruction_reported():
     # kernel of the glued digraph missing x0, containing xr, odd ear
     arcs = [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (5, 6), (6, 2)]
-    h = Digraph.cycle(5)
     ear = Ear((0, 5, 6, 2))
     glued = Digraph(range(7), arcs)
     assert is_kernel(glued, {2, 4, 5})
-    result = restrict_kernel(h, ear, (2, 4, 5))
+    e = EarDecomposition(Ear((0, 1, 2, 3, 4, 0)), [ear])
+    result = restrict_kernel(glued, e, (2, 4, 5))
     assert isinstance(result, KernelObstruction)
     assert result.operation == "restrict"
     assert result.pattern == "x0_out_xr_in_odd"
 
 
 def test_cycle_ears_are_rejected():
-    ear = Ear((0, 4, 5, 0))
-    with pytest.raises(InvalidInputError, match="endpoints must differ"):
-        extend_kernel(c4(), ear, (0, 2))
-    with pytest.raises(InvalidInputError, match="endpoints must differ"):
-        restrict_kernel(c4(), ear, (0, 2))
+    for op in (extend_kernel, restrict_kernel):
+        with pytest.raises(InvalidInputError, match="invalid decomposition: "
+                           "stage 0: cycle ear not allowed in path-ears mode"):
+            op(*c4_plus(Ear((0, 4, 5, 0))), (0, 2))
 
 
 def test_extend_checks_input_is_kernel():
-    with pytest.raises(VerificationError):
-        extend_kernel(c4(), Ear((0, 4, 2)), (0, 1))
+    # a caller's set, not a built certificate: PropertyFailedError itself
+    d, e = c4_plus(Ear((0, 4, 2)))
+    for op, digraph in ((extend_kernel, "stage"), (restrict_kernel, "glued")):
+        with pytest.raises(PropertyFailedError) as info:
+            op(d, e, (0, 1))
+        assert type(info.value) is PropertyFailedError
+        assert str(info.value) == f"[0, 1] is not a kernel of the {digraph} digraph"
+
+
+def test_extend_refuses_a_set_outside_the_stage():
+    # 4 is the ear's interior: in d, but not in the stage
+    d, e = c4_plus(Ear((0, 4, 2)))
+    with pytest.raises(InvalidInputError, match=r"set \[4\] not in digraph"):
+        extend_kernel(d, e, (0, 4))
+    with pytest.raises(InvalidInputError, match=r"set \[9\] not in digraph"):
+        restrict_kernel(d, e, (0, 9))
 
 
 def test_extend_rejects_stale_interior():
-    with pytest.raises(InvalidInputError):
-        extend_kernel(c4(), Ear((0, 3, 2)), (0, 2))
+    with pytest.raises(InvalidInputError, match="invalid decomposition: stage 0: "
+                       r"ear internal vertices must be new, \[3\] already"):
+        extend_kernel(*c4_plus(Ear((0, 3, 2))), (0, 2))
 
 
 def test_extend_rejects_separable_host():
-    arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
-    host = Digraph(range(5), arcs)
-    with pytest.raises(InvalidInputError):
-        extend_kernel(host, Ear((1, 5, 3)), (2, 4))
+    # two triangles sharing 0 take a cycle ear, so no path-ears
+    # decomposition gives this stage
+    arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (1, 5), (5, 3)]
+    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 0)), Ear((1, 5, 3))])
+    with pytest.raises(InvalidInputError, match="invalid decomposition: "
+                       "stage 0: cycle ear not allowed"):
+        extend_kernel(Digraph(range(6), arcs), e, (2, 4))
 
 
 @pytest.mark.parametrize("op", [extend_kernel, restrict_kernel])
-@pytest.mark.parametrize("stage, ear, message", [
-    (c4(), Ear((0, 2)), "ear length >= 2"),
-    (c4(), Ear((0, 4, 7)), "endpoints must lie in the stage"),
+@pytest.mark.parametrize("d, e, message", [
+    (*c4_plus(Ear((0, 2))), "kernel propagation needs every ear length >= 2"),
+    (*c4_plus(Ear((0, 4, 7))), "invalid decomposition: stage 0: "
+     "ear endpoints must lie in the stage"),
     # the arc (0, 1) is already in the stage; its internal end 1 is caught
-    (c4(), Ear((0, 1, 2)), "internal vertices must be new"),
-    (Digraph(range(3), [(0, 1), (1, 2)]), Ear((2, 3, 0)),
-     "stage digraph must be strong"),
-], ids=["length-1", "endpoint-outside", "arc-in-stage", "not-strong"])
-def test_propagation_rejects_bad_stage_or_ear(op, stage, ear, message):
+    (*c4_plus(Ear((0, 1, 2))), "invalid decomposition: stage 0: "
+     "ear internal vertices must be new"),
+    # the stage 0 -> 1 -> 2 is no cycle
+    (c4(), EarDecomposition(Ear((0, 1, 2, 0)), [Ear((2, 3, 0))]),
+     r"invalid decomposition: stage 0: base arc \(2, 0\) not in host"),
+    (c4(), EarDecomposition(Ear((0, 1, 2, 3, 0))),
+     "decomposition has no ears to propagate across"),
+], ids=["length-1", "endpoint-outside", "arc-in-stage", "not-strong",
+        "no-ears"])
+def test_propagation_rejects_bad_stage_or_ear(op, d, e, message):
     with pytest.raises(InvalidInputError, match=message):
-        op(stage, ear, (0, 2))
+        op(d, e, (0, 2))
 
 
 def test_trace_rejects_unknown_direction():
@@ -404,12 +436,12 @@ def test_trace_indexes_the_input_once(monkeypatch):
         init(self, *args, **kwargs)
 
     def refuse(*args):
-        raise AssertionError("set_predicates called")
+        raise AssertionError("digraph kernel test called")
 
     monkeypatch.setattr(Digraph, "__init__", counted_init)
     monkeypatch.setattr(kernels, "_index_maps",
                         lambda *args: indexed.append(args) or index_maps(*args))
-    monkeypatch.setattr(kernels, "set_predicates", refuse)
+    monkeypatch.setattr(kernels, "_is_kernel_on", refuse)
     assert trace_kernels(d, e).to_json() == doc
     assert (len(built), len(indexed)) == (0, 1)
 
@@ -438,9 +470,131 @@ def test_extension_soundness_on_cycles(n, r, data):
     if x0 == xr:
         return
     ear = Ear((x0, *range(n, n + r - 1), xr))
+    d, e = glue(h, ear), EarDecomposition(Ear((*range(n), 0)), [ear])
     for members in kernels:
-        result = extend_kernel(h, ear, members)
+        result = extend_kernel(d, e, members)
         if isinstance(result, CertifiedSet):
-            assert is_kernel(glue(h, ear), set(result.members))
+            assert is_kernel(d, set(result.members))
         else:
             assert result.pattern in ("both_in_odd", "x0_in_xr_out_even")
+
+
+def reference_propagation(op, d, e, members):
+    """extend_kernel or restrict_kernel the earlier way: the stage built by
+    e.stage, the glued digraph by union, both tested by set_predicates."""
+    require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
+    if not e.ears:
+        raise InvalidInputError("decomposition has no ears to propagate across")
+    stage, ear = e.stage(len(e.ears) - 1), e.ears[-1]
+    glued = stage.union(ear.vertices, ear.arcs)
+    assert glued == d
+    members = set(members)
+    x0_in, xr_in = ear.x0 in members, ear.xr in members
+    if op is extend_kernel:
+        if not set_predicates(stage, members).is_kernel:
+            raise PropertyFailedError(
+                f"{sorted(members)} is not a kernel of the stage digraph")
+        plan = extend_case(x0_in, xr_in, ear.length)
+        if plan is None:
+            return KernelObstruction("extend", x0_in, xr_in, ear.length)
+        _, start, stop = plan
+        out = members | {ear.vertices[t] for t in range(start, stop + 1, 2)}
+        assert set_predicates(glued, out).is_kernel
+    else:
+        if not set_predicates(glued, members).is_kernel:
+            raise PropertyFailedError(
+                f"{sorted(members)} is not a kernel of the glued digraph")
+        if restrict_condition(x0_in, xr_in, ear.length) is None:
+            return KernelObstruction("restrict", x0_in, xr_in, ear.length)
+        out = members & stage.vertices
+        assert set_predicates(stage, out).is_kernel
+    return CertifiedSet(tuple(out), "kernel")
+
+
+def reference_homomorphism(d, e, phi):
+    """extend_homomorphism the earlier way: phi checked on e.stage by
+    verify_homomorphism, the result on the glued digraph.  A failure
+    gives the first stage whose arcs phi does not map to arcs, if any."""
+    stage, ear = e.stage(len(e.ears) - 1), e.ears[-1]
+    try:
+        verify_homomorphism(stage, phi)
+    except VerificationError:
+        for j in range(len(e.ears)):
+            part = e.stage(j)
+            if any(not phi.target.has_arc(phi.assignment.get(u, -1),
+                                          phi.assignment.get(v, -1))
+                   for u, v in part.arcs):
+                return PropertyFailedError, j
+        return PropertyFailedError, None
+    img = dict(phi.assignment)
+    oriented._map_ear(phi.target, img, ear)
+    verify_homomorphism(stage.union(ear.vertices, ear.arcs),
+                        VertexMapping(img, phi.target, phi.kind))
+    return "ok", img
+
+
+def outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except (InvalidInputError, PropertyFailedError) as exc:
+        return type(exc), str(exc)
+
+
+def small_le_instances():
+    """Seeded LE_2 (path ears) and LE_3 (cycle ears too) instances of at
+    most 14 vertices."""
+    for seed in range(120):
+        le3 = seed % 2
+        d, e = generate_random_le(base_length=2 + le3 + seed % 4,
+                                  ear_count=1 + seed % 5,
+                                  min_ear_length=2 + le3,
+                                  max_ear_length=3 + le3 + seed % 2,
+                                  cycle_ear_probability=0.3 * le3, seed=seed)
+        if d.n <= 14:
+            yield d, e
+
+
+def test_ear_extensions_match_the_stage_reference():
+    rng = random.Random(20)
+    cases = [*one_ear_instances(), *small_le_instances()]
+    assert len(cases) > 200
+    compared = homs = 0
+    for d, e in cases:
+        stage = e.stage(len(e.ears) - 1)
+        interior = e.ears[-1].internal
+        sets = [*kernel_oracle(stage, enumerate_all=True).details["all_kernels"],
+                *kernel_oracle(d, enumerate_all=True).details["all_kernels"]]
+        for _ in range(3):  # random sets: in the interior, in the stage
+            sets.append({rng.choice(interior),
+                         *rng.sample(sorted(d.vertices), rng.randint(0, 3))})
+            sets.append(rng.sample(sorted(stage.vertices), rng.randint(0, 2)))
+        sets.append([0, max(d.vertices) + 1])  # an id outside d
+        for members in sets:
+            for op in (extend_kernel, restrict_kernel):
+                expected = outcome(reference_propagation, op, d, e, members)
+                assert outcome(op, d, e, members) == expected, (e, op, members)
+                compared += 1
+        if not e.certifies(3) or len(e.base.vertices) < 4:
+            continue  # no oriented colouring, or a digon base
+        # a sound phi of the stage, then phis with one image moved, one
+        # vertex left out, an interior vertex added or an image off the target
+        le3 = oriented.oriented_coloring_le3(d, e).assignment
+        sound = {v: le3[v] for v in stage.vertices}
+        vs = sorted(sound)
+        moved = [{**sound, v: (sound[v] + rng.randint(1, 5)) % 6}
+                 for v in rng.sample(vs, min(3, len(vs)))]
+        for assignment in [sound, *moved,
+                           {v: sound[v] for v in vs[1:]},
+                           {**sound, interior[0]: 0}, {**sound, vs[0]: 6}]:
+            phi = VertexMapping(assignment, oriented.tournament_T(),
+                                "homomorphism")
+            got = outcome(oriented.extend_homomorphism, d, e, phi)
+            kind, value = reference_homomorphism(d, e, phi)
+            if kind == "ok":
+                assert got[0] == "ok" and got[1].assignment == value, e
+            else:
+                assert got[0] is kind, (e, assignment, got)
+                if got[1].startswith("mapping fails on stage"):
+                    assert got[1] == f"mapping fails on stage {value}", e
+            homs += 1
+    assert compared > 2500 and homs > 1000, (compared, homs)

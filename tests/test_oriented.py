@@ -207,24 +207,27 @@ def test_cycle_homomorphism_rejects_short():
         cycle_homomorphism(2)
 
 
+def glued_onto(n, ear):
+    """C_n with ear glued on, and that decomposition."""
+    d = Digraph.cycle(n).union(ear.vertices, ear.arcs)
+    return d, EarDecomposition(Ear((*range(n), 0)), [ear])
+
+
 def test_extend_homomorphism_path_ear():
-    stage = Digraph.cycle(3)
     phi = VertexMapping({0: 0, 1: 1, 2: 2}, tournament_T(), "homomorphism")
-    ear = Ear((0, 3, 4, 1))
-    out = extend_homomorphism(stage, phi, ear)
-    glued = stage.union(ear.vertices, ear.arcs)
-    verify_homomorphism(glued, out)
+    d, e = glued_onto(3, Ear((0, 3, 4, 1)))
+    out = extend_homomorphism(d, e, phi)
+    verify_homomorphism(d, out)
     assert out.assignment[0] == 0 and out.assignment[1] == 1
 
 
 def test_extend_homomorphism_cycle_ear_rides_anchored_cycle():
-    stage = Digraph.cycle(3)
     phi = VertexMapping({0: 0, 1: 1, 2: 2}, tournament_T(), "homomorphism")
-    ear = Ear((0, 3, 4, 5, 0))
-    out = extend_homomorphism(stage, phi, ear)
+    d, e = glued_onto(3, Ear((0, 3, 4, 5, 0)))
+    out = extend_homomorphism(d, e, phi)
     # interior follows the anchored 4-cycle at image 0
     assert [out.assignment[v] for v in (3, 4, 5)] == [1, 2, 4]
-    verify_homomorphism(stage.union(ear.vertices, ear.arcs), out)
+    verify_homomorphism(d, out)
 
 
 @pytest.mark.parametrize("ear, message", [
@@ -236,10 +239,10 @@ def test_extend_homomorphism_cycle_ear_rides_anchored_cycle():
 def test_extend_homomorphism_rejects_ears_that_do_not_fit(ear, message):
     # an interior meeting the stage would re-map a stage vertex, and an
     # endpoint outside it has no image to start or end from
-    stage = Digraph.cycle(4)
     phi = cycle_homomorphism(4)
-    with pytest.raises(InvalidInputError, match=message):
-        extend_homomorphism(stage, phi, Ear(ear))
+    with pytest.raises(InvalidInputError,
+                       match=f"invalid decomposition: stage 0: ear {message}"):
+        extend_homomorphism(*glued_onto(4, Ear(ear)), phi)
 
 
 def test_extend_homomorphism_needs_a_complete_catalog():
@@ -248,14 +251,31 @@ def test_extend_homomorphism_needs_a_complete_catalog():
     phi = VertexMapping({0: 0, 1: 1, 2: 2}, t, "homomorphism")
     assert (0, 1, 3) not in walk_catalog(t)
     with pytest.raises(PropertyFailedError, match="no length-3 walk 0 to 1"):
-        extend_homomorphism(Digraph.cycle(3), phi, Ear((0, 3, 4, 1)))
+        extend_homomorphism(*glued_onto(3, Ear((0, 3, 4, 1))), phi)
 
 
 def test_extend_homomorphism_rejects_short_ears():
-    stage = Digraph.cycle(3)
     phi = VertexMapping({0: 0, 1: 1, 2: 2}, tournament_T(), "homomorphism")
-    with pytest.raises(InvalidInputError):
-        extend_homomorphism(stage, phi, Ear((0, 3, 1)))
+    with pytest.raises(InvalidInputError, match="last ear of length >= 3"):
+        extend_homomorphism(*glued_onto(3, Ear((0, 3, 1))), phi)
+    with pytest.raises(InvalidInputError, match="last ear of length >= 3"):
+        extend_homomorphism(Digraph.cycle(3),
+                            EarDecomposition(Ear((0, 1, 2, 0))), phi)
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ({0: 0, 1: 1, 2: 0}, "mapping fails on stage 0"),
+    ({0: 0, 1: 1}, "does not take the stage's vertices"),
+    ({0: 0, 1: 1, 2: 2, 3: 1}, "does not take the stage's vertices"),
+    ({0: 0, 1: 1, 2: 6}, "into the target's"),
+    ({0: 0, 1: 1, 2: -1}, "into the target's"),
+], ids=["non-arc", "uncovered", "interior", "past-target", "negative"])
+def test_extend_homomorphism_refuses_a_mapping_of_no_stage(assignment, message):
+    # a caller's mapping, not a built certificate: PropertyFailedError itself
+    phi = VertexMapping(assignment, tournament_T(), "homomorphism")
+    with pytest.raises(PropertyFailedError, match=message) as info:
+        extend_homomorphism(*glued_onto(3, Ear((0, 3, 4, 1))), phi)
+    assert type(info.value) is PropertyFailedError
 
 
 def test_oriented_coloring_small_fixture():
