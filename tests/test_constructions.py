@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import earlab.constructions as constructions_mod
 from earlab.constructions import (CertifiedSet, cycle_quasi_kernel_indices,
                                   find_quasi_kernel_obstruction,
                                   le2_quasi_kernel_obstruction,
@@ -9,8 +10,9 @@ from earlab.constructions import (CertifiedSet, cycle_quasi_kernel_indices,
                                   small_quasi_kernel)
 from earlab.digraph import (Digraph, is_quasi_kernel, neighborhoods,
                             set_predicates)
-from earlab.ears import Ear, EarDecomposition, generate_random_le
-from earlab.errors import InvalidInputError
+from earlab.ears import (Ear, EarDecomposition, find_le_decomposition,
+                         generate_random_le)
+from earlab.errors import InvalidInputError, VerificationError
 from earlab.oracles import longest_path_oracle, quasi_kernel_oracle
 
 
@@ -108,6 +110,66 @@ def test_transversal_meets_every_longest_path(base, ears, seed):
     assert set_predicates(d, set(s.members)).independent
     for path in longest_path_oracle(d).details["all_longest"]:
         assert set(s.members) & set(path)
+
+
+def le2_instance(seed, ears, max_ear_length):
+    """Seeded LE_2 instance, every third one with cycle ears."""
+    return generate_random_le(base_length=3 + seed % 4, ear_count=ears,
+                              min_ear_length=2, max_ear_length=max_ear_length,
+                              cycle_ear_probability=0.3 * (seed % 3 == 0),
+                              seed=seed)
+
+
+def test_transversal_check_agrees_with_the_oracle():
+    # the ear-local check against its references: the oracle's longest
+    # paths up to 12 vertices, and networkx's acyclicity of d - S above
+    checked = 0
+    for seed in range(240):
+        d, e = le2_instance(seed, seed % 5, 3 + seed % 2)
+        if d.n > 12:
+            continue
+        paths = longest_path_oracle(d).details["all_longest"]
+        for dec in (e, find_le_decomposition(d, 2)):
+            s = set(longest_path_transversal(d, dec).members)
+            assert all(s & set(path) for path in paths)
+            checked += 1
+    assert checked > 400
+    nx = pytest.importorskip("networkx")
+    for seed in range(16):
+        d, e = le2_instance(seed, 25 * (seed + 1), 2 + seed % 4)
+        s = set(longest_path_transversal(d, e).members)
+        rest = nx.DiGraph([(u, v) for u, v in d.arcs
+                           if u not in s and v not in s])
+        assert nx.is_directed_acyclic_graph(rest)
+    assert d.n > 900  # the last and largest instance
+
+
+def test_transversal_check_rejects_a_set_missing_a_part(monkeypatch):
+    # the independence check is handed the built set; the mutants drop
+    # members from it there, before the part check runs
+    real = constructions_mod.set_predicates
+    drop = set()
+
+    def dropping(d, s):
+        s -= drop
+        return real(d, s)
+
+    monkeypatch.setattr(constructions_mod, "set_predicates", dropping)
+    skipped_ears = 0
+    for seed in range(20):
+        d, e = le2_instance(seed, 10, 4)
+        members = set(longest_path_transversal(d, e).members)
+        drop = members & set(e.base.vertices)
+        with pytest.raises(VerificationError, match="misses part 0$"):
+            longest_path_transversal(d, e)
+        for j, ear in enumerate(e.ears, 1):
+            if ear.x0 not in members and ear.xr not in members:
+                drop = members & set(ear.vertices)
+                with pytest.raises(VerificationError, match=f"misses part {j}$"):
+                    longest_path_transversal(d, e)
+                skipped_ears += 1
+        drop = set()
+    assert skipped_ears > 20
 
 
 def test_ear_indices_all_twelve_rows():
