@@ -10,10 +10,7 @@ orders.
 
 from .coloring import (DichromaticBounds, VertexMapping, dichromatic_bounds,
                        proper_3_coloring, verify_homomorphism, verify_proper)
-from .constructions import (CertifiedSet, ExtensionCandidate, ExtensionReport,
-                            cycle_quasi_kernel_indices,
-                            find_quasi_kernel_obstruction,
-                            le2_quasi_kernel_obstruction,
+from .constructions import (CertifiedSet, cycle_quasi_kernel_indices,
                             longest_path_transversal,
                             quasi_kernel_ear_indices, seymour_vertex,
                             small_quasi_kernel)
@@ -21,7 +18,7 @@ from .digraph import (Digraph, NeighborhoodReport, SetPredicates,
                       digraph_from_json, is_asymmetrical, is_kernel,
                       is_nonseparable, is_quasi_kernel, is_strong,
                       neighborhoods, parse_digraph, serialize_digraph,
-                      serialize_edge_list, set_predicates)
+                      set_predicates)
 from .ears import (DecompositionReport, Ear, EarDecomposition,
                    find_ear_decomposition, find_le_decomposition,
                    generate_random_le, validate_decomposition)
@@ -48,8 +45,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError", "CapExceededError", "CensusResult",
     "CertifiedSet", "DecompositionReport", "DichromaticBounds", "Digraph",
-    "Ear", "EarDecomposition", "EarlabError", "ExtensionCandidate",
-    "ExtensionReport", "InvalidInputError", "KernelObstruction",
+    "Ear", "EarDecomposition", "EarlabError", "InvalidInputError",
+    "KernelObstruction",
     "KernelTrace", "NeighborhoodReport", "OracleReport", "ParseError",
     "PropertyFailedError", "SetPredicates", "StageEntry", "TightInstance",
     "Tournament", "VerificationError", "VertexMapping",
@@ -58,16 +55,16 @@ __all__ = [
     "dichromatic_bounds", "digraph_from_json", "extend_case",
     "extend_homomorphism", "extend_kernel",
     "find_ear_decomposition", "find_homomorphism",
-    "find_le_decomposition", "find_quasi_kernel_obstruction",
+    "find_le_decomposition",
     "find_tight_le3_instance", "generate_random_le",
     "gi_lower_bound_check", "is_asymmetrical", "is_homomorphism",
     "is_kernel", "is_nonseparable", "is_quasi_kernel", "is_strong",
-    "kernel_oracle", "le2_quasi_kernel_obstruction",
+    "kernel_oracle",
     "longest_path_oracle", "longest_path_transversal", "neighborhoods",
     "oriented_chromatic_oracle", "oriented_coloring_le3", "parse_digraph",
     "proper_3_coloring", "quasi_kernel_ear_indices", "quasi_kernel_oracle",
     "restrict_condition", "restrict_kernel",
-    "serialize_digraph", "serialize_edge_list", "set_predicates",
+    "serialize_digraph", "set_predicates",
     "seymour_vertex", "small_quasi_kernel", "tournament_T",
     "tournament_reps", "trace_kernels", "uniqueness_census",
     "validate_decomposition", "validate_reference_walks",

@@ -2,8 +2,10 @@
 
 Every command prints a single JSON envelope {status, payload, timing_ms} on
 stdout and exits 0/1/2/3 for ok / property failed / invalid input / cap
-exceeded.  "-" reads stdin, and inputs wrapped in an envelope (or in a
-gen payload) are unwrapped, so commands pipe into each other.
+exceeded.  Usage errors are argparse's, not envelopes: an unknown command,
+an option value of the wrong type or --budget below 1 print usage text on
+stderr and exit 2.  "-" reads stdin, and inputs wrapped in an envelope (or
+in a gen payload) are unwrapped, so commands pipe into each other.
 """
 
 from __future__ import annotations

@@ -1,21 +1,19 @@
 """Constructive certificates along an ear decomposition.
 
-Three builders (Seymour vertex, longest-path transversal, small
-quasi-kernel) plus a regression harness for the quasi-kernel extension
-failure on length-2 ears.  Every construction re-verifies its output and
-raises rather than returning an unchecked certificate; the transversal and
-the quasi-kernel are checked in one ear-local O(n + m) pass, with no oracle.
+Three builders: Seymour vertex, longest-path transversal and small
+quasi-kernel.  Every construction re-verifies its output and raises rather
+than returning an unchecked certificate; the transversal and the
+quasi-kernel are checked in one ear-local O(n + m) pass, with no oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .digraph import (Digraph, NeighborhoodReport, is_asymmetrical,
                       neighborhoods, set_predicates)
-from .ears import Ear, EarDecomposition, require_decomposition
+from .ears import EarDecomposition, require_decomposition
 from .errors import InvalidInputError, VerificationError
-from .oracles import quasi_kernel_oracle
 
 ROLES = ("kernel", "quasi_kernel", "transversal")
 
@@ -208,114 +206,3 @@ def small_quasi_kernel(d: Digraph, e: EarDecomposition) -> CertifiedSet:
             f"quasi-kernel has {len(q)} members on {d.n} vertices: not small")
     return CertifiedSet(tuple(q), "quasi_kernel", stage=len(e.ears),
                         size_bound_met=True)
-
-
-@dataclass
-class ExtensionCandidate:
-    added: int | None
-    members: tuple[int, ...]
-    independent: bool
-    quasi_absorbent: bool
-    small: bool
-
-    @property
-    def is_quasi_kernel(self) -> bool:
-        return self.independent and self.quasi_absorbent
-
-
-@dataclass
-class ExtensionReport:
-    stage: int
-    ear: Ear
-    candidates: list[ExtensionCandidate] = field(default_factory=list)
-
-    @property
-    def any_quasi_kernel(self) -> bool:
-        return any(c.is_quasi_kernel for c in self.candidates)
-
-    @property
-    def any_small_quasi_kernel(self) -> bool:
-        return any(c.is_quasi_kernel and c.small for c in self.candidates)
-
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "ear": list(self.ear.vertices),
-            "any_quasi_kernel": self.any_quasi_kernel,
-            "any_small_quasi_kernel": self.any_small_quasi_kernel,
-            "candidates": [
-                {"added": c.added, "members": list(c.members),
-                 "independent": c.independent,
-                 "quasi_absorbent": c.quasi_absorbent,
-                 "is_quasi_kernel": c.is_quasi_kernel, "small": c.small}
-                for c in self.candidates
-            ],
-        }
-
-
-def le2_quasi_kernel_obstruction(d: Digraph, e: EarDecomposition,
-                                 q: CertifiedSet) -> ExtensionReport:
-    """Try every one-vertex ear extension of a stage quasi-kernel.
-
-    Reports which candidates survive as quasi-kernels of the next stage and
-    whether any stays small; with short ears the answer can be none, which
-    is exactly the phenomenon this harness captures.
-    """
-    require_decomposition(d, e, 1, "quasi-kernel obstruction harness")
-    if not any(ear.length == 2 for ear in e.ears):
-        raise InvalidInputError("harness needs a decomposition with a length-2 ear")
-    if q.stage is None or not 0 <= q.stage < len(e.ears):
-        raise InvalidInputError("certified set must name a stage with a next ear")
-    here = e.stage(q.stage)
-    if not set_predicates(here, set(q.members)).is_quasi_kernel:
-        raise VerificationError(
-            f"{list(q.members)} is not a quasi-kernel of stage {q.stage}")
-    ear = e.ears[q.stage]
-    nxt = e.stage(q.stage + 1)
-    base = set(q.members)
-    candidates: list[tuple[int | None, frozenset[int]]] = [(None, frozenset(base))]
-    seen = {frozenset(base)}
-    for v in ear.vertices:
-        trial = frozenset(base | {v})
-        if trial not in seen:
-            seen.add(trial)
-            candidates.append((v, trial))
-    result = ExtensionReport(stage=q.stage, ear=ear)
-    for added, members in candidates:
-        preds = set_predicates(nxt, set(members))
-        result.candidates.append(ExtensionCandidate(
-            added=added,
-            members=tuple(sorted(members)),
-            independent=preds.independent,
-            quasi_absorbent=preds.quasi_absorbent,
-            small=2 * len(members) <= nxt.n,
-        ))
-    return result
-
-
-def find_quasi_kernel_obstruction():
-    """Search small one-ear instances for a total extension failure.
-
-    Scans cycles of length 3..7 plus a single length-2 ear over all
-    endpoint pairs and all stage quasi-kernels; returns the first instance
-    where no candidate survives, or None if the scan is exhausted.
-    """
-    for base_len in range(3, 8):
-        cycle = Digraph.cycle(base_len)
-        stage_qks = quasi_kernel_oracle(cycle, enumerate_all=True)
-        base = Ear(tuple(range(base_len)) + (0,))
-        z = base_len
-        for x0 in range(base_len):
-            for xr in range(base_len):
-                if x0 == xr:
-                    continue
-                host = cycle.union([z], [(x0, z), (z, xr)])
-                ear = Ear((x0, z, xr))
-                decomp = EarDecomposition(base, [ear])
-                for members in stage_qks.details["all_quasi_kernels"]:
-                    cert = CertifiedSet(tuple(members), "quasi_kernel", stage=0,
-                                        size_bound_met=2 * len(members) <= base_len)
-                    report = le2_quasi_kernel_obstruction(host, decomp, cert)
-                    if not report.any_quasi_kernel:
-                        return host, decomp, cert, report
-    return None

@@ -249,10 +249,6 @@ def serialize_digraph(d: Digraph) -> dict:
             "labels": {str(k): v for k, v in sorted(d.labels.items())}}
 
 
-def serialize_edge_list(d: Digraph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in sorted(d.arcs)) + "\n"
-
-
 def is_strong(d: Digraph) -> bool:
     """True iff d is strongly connected (single-vertex digraphs are)."""
     if d.n <= 1:

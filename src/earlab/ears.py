@@ -101,10 +101,6 @@ class EarDecomposition:
         return Digraph({v for p in parts for v in p.vertices},
                        {a for p in parts for a in p.arcs})
 
-    def stages(self) -> Iterator[Digraph]:
-        for j in range(self.stage_count):
-            yield self.stage(j)
-
     def to_json(self) -> dict:
         return {"base": list(self.base.vertices[:-1]),
                 "ears": [list(e.vertices) for e in self.ears]}
@@ -200,6 +196,15 @@ def _self_checked(d: Digraph, e: EarDecomposition, min_len: int = 1,
     return e
 
 
+def _require_cycle(d: Digraph) -> None:
+    """Precondition of both searches: d is strong and holds a cycle."""
+    if not is_strong(d):
+        raise PropertyFailedError("digraph is not strong")
+    if d.n < 2:
+        raise PropertyFailedError(
+            f"no cycle exists: {'single vertex' if d.n else 'no vertices'}")
+
+
 def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...]:
     """Deterministic shortest directed cycle through v0, as (v0,...,v0),
     in a strong digraph on two or more vertices: there every in-neighbour
@@ -235,10 +240,7 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
     out-arc, by increasing head, starts the next ear, which follows parent
     pointers to the first covered vertex (possibly its own start).
     """
-    if not is_strong(d):
-        raise PropertyFailedError("digraph is not strong")
-    if d.n < 2:
-        raise PropertyFailedError("no cycle exists: single vertex")
+    _require_cycle(d)
     base = Ear(_shortest_cycle_through(d, min(d.vertices)))
     queue = list(base.vertices[:-1])
     covered_v = set(queue)
@@ -488,10 +490,7 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     """
     if i < 1:
         raise InvalidInputError("minimum ear length must be >= 1")
-    if not is_strong(d):
-        raise PropertyFailedError("digraph is not strong")
-    if d.n < 2:
-        raise PropertyFailedError("no cycle exists: single vertex")
+    _require_cycle(d)
     rest = _Remainder(d, i, allow_cycle_ears)
     if not rest.may_be_stage():
         return None

@@ -102,17 +102,16 @@ def _walk_gap(rows, include_closed: bool = False) -> tuple[int, int, int] | None
     return None
 
 
-def verify_walk_property(t: Tournament, include_closed: bool = False) -> bool:
+def verify_walk_property(t: Tournament) -> bool:
     """Every ordered pair joined by walks of lengths 3, 4, and 5."""
     if t.k != 6:
         raise InvalidInputError("walk property is defined for order 6")
-    return missing_walk_witness(t, include_closed) is None
+    return missing_walk_witness(t) is None
 
 
-def missing_walk_witness(t: Tournament,
-                         include_closed: bool = False) -> tuple[int, int, int] | None:
+def missing_walk_witness(t: Tournament) -> tuple[int, int, int] | None:
     """First (length, source, target) with no walk, or None."""
-    return _walk_gap(t.out_masks(), include_closed)
+    return _walk_gap(t.out_masks())
 
 
 @dataclass

@@ -6,10 +6,9 @@ without an independent check.
 """
 
 import time
-from itertools import product
+from itertools import permutations, product
 
-from earlab.constructions import (find_quasi_kernel_obstruction,
-                                  longest_path_transversal,
+from earlab.constructions import (longest_path_transversal,
                                   small_quasi_kernel, seymour_vertex)
 from earlab.coloring import proper_3_coloring, verify_proper
 from earlab.digraph import (Digraph, is_asymmetrical, is_kernel,
@@ -108,15 +107,26 @@ def test_criterion_05_small_quasi_kernels():
 
 
 def test_criterion_06_le2_obstruction_exists():
-    found = find_quasi_kernel_obstruction()
+    # q of C_b is kept only if no q or q + v is a quasi-kernel of C_b + ear
+    def scan():
+        for b in range(3, 8):
+            cycle = Digraph.cycle(b)
+            every = quasi_kernel_oracle(cycle, enumerate_all=True)
+            for x0, xr in permutations(range(b), 2):
+                glued = cycle.union([b], [(x0, b), (b, xr)])
+                for q in map(frozenset, every.details["all_quasi_kernels"]):
+                    tries = {q} | {q | {v} for v in (x0, b, xr)}
+                    if not any(is_quasi_kernel(glued, t) for t in tries):
+                        yield cycle, glued, (x0, b, xr), q, tries
+    found = next(scan(), None)
     ok = found is not None
     detail = "no obstruction instance found"
     if ok:
-        host, decomp, cert, report = found
-        ok = (host.n <= 8 and not report.any_quasi_kernel
-              and is_quasi_kernel(decomp.stage(cert.stage), set(cert.members)))
-        detail = (f"n={host.n} instance where no extension of quasi-kernel "
-                  f"{set(cert.members)} survives the length-2 ear")
+        cycle, glued, ear, q, tries = found
+        ok = (glued.n <= 8 and is_quasi_kernel(cycle, q)
+              and (cycle.n, ear, set(q), len(tries)) == (3, (0, 3, 1), {0}, 3))
+        detail = (f"n={glued.n} instance where no extension of quasi-kernel "
+                  f"{set(q)} survives the length-2 ear {ear}")
     _report(6, ok, detail)
 
 
@@ -167,7 +177,7 @@ def test_criterion_09_kernel_lemma_sweep():
                                   ear_count=1 + seed % 2,
                                   min_ear_length=2, max_ear_length=3,
                                   seed=seed)
-        for j, stage in enumerate(e.stages()):
+        for j, stage in enumerate(map(e.stage, range(e.stage_count))):
             # a path-ears LE_2 stage is strong and nonseparable
             assert is_strong(stage) and is_nonseparable(stage)
             if stage.n <= 8:

@@ -3,8 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 import earlab.constructions as constructions_mod
 from earlab.constructions import (CertifiedSet, cycle_quasi_kernel_indices,
-                                  find_quasi_kernel_obstruction,
-                                  le2_quasi_kernel_obstruction,
                                   longest_path_transversal,
                                   quasi_kernel_ear_indices, seymour_vertex,
                                   small_quasi_kernel)
@@ -250,22 +248,3 @@ def test_small_quasi_kernel_volume(base, ears, seed):
         every = quasi_kernel_oracle(d, enumerate_all=True)
         assert q.members in every.details["all_quasi_kernels"]
 
-
-def test_obstruction_fixture_has_no_usable_extension():
-    d, e = decomposition(3, [(0, 3, 1)])
-    q = CertifiedSet((0,), "quasi_kernel", stage=0)
-    report = le2_quasi_kernel_obstruction(d, e, q)
-    assert not report.any_quasi_kernel
-    assert not report.any_small_quasi_kernel
-    doc = report.to_json()
-    assert doc["stage"] == 0
-    assert len(doc["candidates"]) == 3
-
-
-def test_obstruction_search_finds_small_instance():
-    found = find_quasi_kernel_obstruction()
-    assert found is not None
-    host, decomp, cert, report = found
-    assert host.n <= 8
-    assert not report.any_quasi_kernel
-    assert is_quasi_kernel(decomp.stage(cert.stage), set(cert.members))

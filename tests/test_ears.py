@@ -59,10 +59,15 @@ def test_ear_needs_two_vertices():
      "single vertex"),
     (lambda: find_le_decomposition(Digraph([0], [])), PropertyFailedError,
      "single vertex"),
+    (lambda: find_ear_decomposition(Digraph([], [])), PropertyFailedError,
+     "no vertices"),
+    (lambda: find_le_decomposition(Digraph([], [])), PropertyFailedError,
+     "no vertices"),
 ], ids=["one-vertex-ear", "length-1-cycle", "repeated-interior",
         "endpoint-inside", "base-not-cycle", "json-no-base",
         "json-one-vertex-base", "stage-out-of-range", "search-level-0",
-        "gen-min-length-0", "decompose-one-vertex", "search-one-vertex"])
+        "gen-min-length-0", "decompose-one-vertex", "search-one-vertex",
+        "decompose-no-vertex", "search-no-vertex"])
 def test_input_checks_refuse(make, error, message):
     with pytest.raises(error, match=message):
         make()

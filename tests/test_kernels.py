@@ -318,7 +318,7 @@ def oracle_stage_kernels(d, e):
     verts, out, _ = _index_maps(d, order)
     return verts, out, sizes, [
         kernel_oracle(h, enumerate_all=True).details["all_kernels"]
-        for h in e.stages()]
+        for h in map(e.stage, range(e.stage_count))]
 
 
 def one_ear_instances():
@@ -361,7 +361,7 @@ def stage_scans(e):
     """Each stage's own out-rows, on its vertices in sorted order and in
     the order the parts add them."""
     order, sizes = ear_order(e)
-    for h, n in zip(e.stages(), sizes):
+    for h, n in zip(map(e.stage, range(e.stage_count)), sizes):
         yield _index_maps(h, sorted(h.vertices))
         yield _index_maps(h, order[:n])
 
@@ -372,7 +372,7 @@ def larger_stages():
     for seed, size in enumerate((21, 23, 25, 27, 30)):
         _, e = generate_random_le(base_length=3, ear_count=40,
                                   min_ear_length=2, seed=seed)
-        h = next(h for h in e.stages() if h.n >= size)
+        h = next(h for h in map(e.stage, range(e.stage_count)) if h.n >= size)
         yield _index_maps(h, sorted(h.vertices))
 
 

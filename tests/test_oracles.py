@@ -402,7 +402,7 @@ def test_absorbing_scan_matches_rescanning_reference(monkeypatch):
         seed += 1
         if 10 <= d.n <= 20:
             instances += 1
-            stages.extend(e.stages())
+            stages.extend(map(e.stage, range(e.stage_count)))
     ran = {"kernel": 0, "quasi": 0}
     for stage in stages:
         kernel = kernel_oracle(stage, enumerate_all=True)

@@ -41,7 +41,7 @@ def test_reference_walks_cover_every_pair():
 def test_walk_property_holds_for_t():
     t = tournament_T()
     assert verify_walk_property(t)
-    assert verify_walk_property(t, include_closed=True)
+    assert _walk_gap(t.out_masks(), include_closed=True) is None
     assert missing_walk_witness(t) is None
 
 

@@ -6,7 +6,14 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(earlab, name)]
     assert missing == []
-    # obstruction names are KernelObstruction.pattern, not tables of their own
-    for gone in ("extend_obstruction", "restrict_obstruction"):
+    # removed tables and test-only helpers stay out of the package
+    for gone in ("extend_obstruction", "restrict_obstruction",
+                 "le2_quasi_kernel_obstruction", "ExtensionCandidate",
+                 "find_quasi_kernel_obstruction", "ExtensionReport",
+                 "serialize_edge_list"):
         assert gone not in names
         assert not hasattr(earlab, gone)
+    # constructions certify without an oracle: none is bound in the module
+    assert not [name for name, value in vars(earlab.constructions).items()
+                if value is earlab.oracles
+                or getattr(value, "__module__", None) == "earlab.oracles"]
