@@ -38,7 +38,7 @@ from .oriented import (CensusResult, TightInstance, build_G,
                        uniqueness_census, validate_reference_walks,
                        verify_walk_property, walk_catalog)
 from .tournaments import (Tournament, automorphism_count, find_homomorphism,
-                          is_homomorphism, tournament_reps)
+                          tournament_reps)
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,7 @@ __all__ = [
     "find_ear_decomposition", "find_homomorphism",
     "find_le_decomposition",
     "find_tight_le3_instance", "generate_random_le",
-    "gi_lower_bound_check", "is_asymmetrical", "is_homomorphism",
+    "gi_lower_bound_check", "is_asymmetrical",
     "is_kernel", "is_nonseparable", "is_quasi_kernel", "is_strong",
     "kernel_oracle",
     "longest_path_oracle", "longest_path_transversal", "neighborhoods",

@@ -39,23 +39,24 @@ class VertexMapping:
 
 
 def verify_proper(d: Digraph, m: VertexMapping) -> None:
-    if set(m.assignment) != d.vertices:
+    a = m.assignment
+    if set(a) != d.vertices:
         raise VerificationError("coloring does not cover the vertex set")
-    for u, v in sorted(d.arcs):
-        if m.assignment[u] == m.assignment[v]:
-            raise VerificationError(
-                f"arc ({u},{v}) joins two vertices of color {m.assignment[u]}")
+    bad = [(u, v) for u, v in d.arcs if a[u] == a[v]]
+    if bad:  # the smallest bad arc, as a sorted scan would name it
+        u, v = min(bad)
+        raise VerificationError(f"arc ({u},{v}) joins two vertices of color {a[u]}")
 
 
 def verify_homomorphism(d: Digraph, m: VertexMapping) -> None:
-    if set(m.assignment) != d.vertices:
+    a, t = m.assignment, m.target
+    if set(a) != d.vertices:
         raise VerificationError("mapping does not cover the vertex set")
-    t = m.target
-    for u, v in sorted(d.arcs):
-        if not t.has_arc(m.assignment[u], m.assignment[v]):
-            raise VerificationError(
-                f"arc ({u},{v}) maps to non-arc "
-                f"({m.assignment[u]},{m.assignment[v]}) of the target")
+    bad = [(u, v) for u, v in d.arcs if not t.has_arc(a[u], a[v])]
+    if bad:  # the smallest bad arc, as a sorted scan would name it
+        u, v = min(bad)
+        raise VerificationError(
+            f"arc ({u},{v}) maps to non-arc ({a[u]},{a[v]}) of the target")
 
 
 def _cycle_colors(n: int) -> list[int]:

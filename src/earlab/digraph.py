@@ -2,10 +2,12 @@
 
 Digraphs are finite and simple: no loops, no parallel arcs.  A digon (arcs
 both ways between two vertices) is allowed; "asymmetrical" rules it out.
+A Digraph is its vertex ids, a frozenset of nonnegative ints, and its arc
+set, a frozenset of (tail, head) pairs; the out- and in-index (each vertex's
+neighbours as a sorted tuple) are built from the arc set on first use.
 Parsed digraphs always live on the dense id range 0..n-1.  Stage digraphs,
 built only by EarDecomposition.stage, keep the host's ids, so the vertex set
-of a Digraph is an arbitrary finite set of nonnegative ints; only
-serialization insists on density.
+is an arbitrary finite set; only serialization insists on density.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterable
 
 from .errors import CapExceededError, InvalidInputError, ParseError
@@ -37,10 +39,10 @@ class Digraph:
         if type(vertices) is range and vertices.step == 1 and vertices.start >= 0:
             # the common case, checked by C-level passes: int pairs on 0..n-1
             arcs = arcs if type(arcs) in (list, tuple) else list(arcs)
-            if (set(map(type, arcs)) <= {tuple} and set(map(len, arcs)) <= {2}
+            if (set(map(type, arcs)) <= {list, tuple} and set(map(len, arcs)) <= {2}
                     and _in_range(list(chain.from_iterable(arcs)), vertices)):
                 self.vertices: frozenset[int] = frozenset(vertices)
-                self.arcs: frozenset[Arc] = frozenset(arcs)
+                self.arcs: frozenset[Arc] = frozenset(map(tuple, arcs))
                 return
         self.vertices = frozenset(int(v) for v in vertices)
         self.arcs = frozenset((int(u), int(v)) for u, v in arcs)
@@ -65,23 +67,17 @@ class Digraph:
         return len(self.vertices)
 
     @cached_property
-    def _out(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.arcs:
-            adj[u].add(v)
-        return {v: frozenset(s) for v, s in adj.items()}
+    def _out(self) -> dict[int, tuple[int, ...]]:
+        return _index(self.vertices, self.arcs)
 
     @cached_property
-    def _in(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.arcs:
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
+    def _in(self) -> dict[int, tuple[int, ...]]:
+        return _index(self.vertices, map(reversed, self.arcs))
 
-    def out_neighbors(self, v: int) -> frozenset[int]:
+    def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
-    def in_neighbors(self, v: int) -> frozenset[int]:
+    def in_neighbors(self, v: int) -> tuple[int, ...]:
         return self._in[v]
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -102,6 +98,14 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={len(self.arcs)})"
+
+
+def _index(vertices: frozenset[int], pairs: Iterable) -> dict[int, tuple[int, ...]]:
+    """Each vertex's partners in pairs (tail first), as a sorted tuple."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in pairs:
+        adj[u].append(v)
+    return {v: tuple(sorted(partners)) for v, partners in adj.items()}
 
 
 def _in_range(ids: list, vertices: range) -> bool:
@@ -218,7 +222,6 @@ def digraph_from_json(doc: dict) -> Digraph:
                     and type(pair[0]) is int and type(pair[1]) is int):
                 raise ParseError(f"bad arc entry {pair!r}: need two integer ids")
         ids = list(chain.from_iterable(entries))
-    arcs = list(zip(ids[::2], ids[1::2]))
     top = max(ids, default=-1) + 1
     n = doc.get("n")
     if n is None:
@@ -237,7 +240,7 @@ def digraph_from_json(doc: dict) -> Digraph:
     if missing:
         raise ParseError(f"labels name ids {missing} that are not vertices "
                          f"(n = {n})")
-    return Digraph(range(n), arcs, labels=labels)
+    return Digraph(range(n), entries, labels=labels)
 
 
 def serialize_digraph(d: Digraph) -> dict:
@@ -278,11 +281,8 @@ def is_nonseparable(d: Digraph) -> bool:
     K1 and a single edge count as nonseparable: no cut vertex exists.
     Digons collapse to one edge.
     """
-    adj: dict[int, set[int]] = {v: set() for v in d.vertices}
-    for u, v in d.arcs:
-        adj[u].add(v)
-        adj[v].add(u)
-    return nonseparable(adj)
+    return nonseparable({v: {*d.out_neighbors(v), *d.in_neighbors(v)}
+                         for v in d.vertices})
 
 
 def nonseparable(adj: dict[int, set[int]]) -> bool:
@@ -339,7 +339,8 @@ def nonseparable(adj: dict[int, set[int]]) -> bool:
 
 def is_asymmetrical(d: Digraph) -> bool:
     """No digons: at most one arc per vertex pair (an oriented graph)."""
-    return all((v, u) not in d.arcs for u, v in d.arcs)
+    return d.arcs.isdisjoint(zip(map(itemgetter(1), d.arcs),
+                                 map(itemgetter(0), d.arcs)))
 
 
 def neighborhoods(d: Digraph, v: int) -> NeighborhoodReport:
@@ -351,8 +352,8 @@ def neighborhoods(d: Digraph, v: int) -> NeighborhoodReport:
     """
     if v not in d.vertices:
         raise InvalidInputError(f"vertex {v} not in digraph")
-    first = d.out_neighbors(v)
-    second = frozenset().union(*(d.out_neighbors(u) for u in first)) if first else frozenset()
+    first = frozenset(d.out_neighbors(v))
+    second = frozenset().union(*map(d.out_neighbors, first))
     return NeighborhoodReport(vertex=v, first_out=first, second_out=second - first)
 
 
@@ -363,13 +364,13 @@ def set_predicates(d: Digraph, s: Iterable[int]) -> SetPredicates:
         raise InvalidInputError(f"set {sorted(ss - d.vertices)} not in digraph")
     independent = all(v not in ss or u not in ss for u, v in d.arcs)
     outside = d.vertices - ss
-    absorbent = all(d.out_neighbors(x) & ss for x in outside)
+    absorbent = not any(map(ss.isdisjoint, map(d.out_neighbors, outside)))
     quasi = True
     for x in outside:
         first = d.out_neighbors(x)
-        if first & ss:
+        if not ss.isdisjoint(first):
             continue
-        if any(d.out_neighbors(w) & ss for w in first):
+        if not all(map(ss.isdisjoint, map(d.out_neighbors, first))):
             continue
         quasi = False
         break

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, eq, itemgetter, lt
 from typing import Iterable, Iterator
 
 from .digraph import Arc, Digraph, _check_vertex_count, is_strong, nonseparable
@@ -73,13 +75,19 @@ def _ids(value, what: str) -> tuple[int, ...]:
 class EarDecomposition:
     """Base cycle plus ordered ears.  It names no digraph: it decomposes
     every digraph whose vertices and arcs its parts cover exactly, once each
-    (validate_decomposition)."""
+    (validate_decomposition).  Its index, built with it: order, the base's
+    vertices then each ear's interior as the parts add them; ends, stage j
+    having the vertices order[:ends[j]]; lengths, each ear's arc count."""
 
     def __init__(self, base: Ear, ears: Iterable[Ear] = ()):
         if not base.is_cycle:
             raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
         self.base = base
         self.ears = tuple(ears)
+        inner = tuple(map(attrgetter("internal"), self.ears))
+        self.order = base.vertices[:-1] + tuple(chain.from_iterable(inner))
+        self.ends = tuple(accumulate(map(len, inner), initial=len(base.vertices) - 1))
+        self.lengths = tuple(map(attrgetter("length"), self.ears))
 
     @property
     def stage_count(self) -> int:
@@ -87,11 +95,11 @@ class EarDecomposition:
 
     @property
     def min_ear_length(self) -> int | None:
-        return min((e.length for e in self.ears), default=None)
+        return min(self.lengths, default=None)
 
     def certifies(self, i: int) -> bool:
         """Every ear has length >= i (vacuously true for a bare cycle)."""
-        return all(e.length >= i for e in self.ears)
+        return min(self.lengths, default=i) >= i
 
     def stage(self, j: int) -> Digraph:
         """Stage j: the base cycle plus the first j ears, built on demand."""
@@ -140,7 +148,26 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     its arcs are in d; gluing an ear with both ends in a strong stage and a
     new interior keeps the stage strong, so once the per-ear invariants
     hold no later stage can fail that test.
+
+    C-level passes over e's index accept; only a failing decomposition is
+    walked ear by ear, to name each violation.
     """
+    n, pos = d.n, dict(zip(e.order, range(d.n)))
+    paths = tuple(map(attrgetter("vertices"), e.ears))
+    x0s, xrs = tuple(map(itemgetter(0), paths)), tuple(map(itemgetter(-1), paths))
+    # order covers d once, each ear's ends precede its block, d's arc count
+    if (len(e.order) == len(pos) == n and d.vertices.issuperset(pos)
+            and all(map(lt, map(pos.get, x0s, repeat(n)), e.ends))
+            and all(map(lt, map(pos.get, xrs, repeat(n)), e.ends))
+            and not (path_ears_only and any(map(eq, x0s, xrs)))
+            and len(d.arcs) == e.ends[0] + sum(e.lengths)):
+        paths += (e.base.vertices,)
+        arcs = chain.from_iterable(
+            map(zip, paths, map(itemgetter(slice(1, None)), paths)))
+        # each arc of an ear with an interior ends there: only length-1 ears repeat
+        if (d.arcs == set(arcs) if 1 in e.lengths
+                else all(map(d.arcs.__contains__, arcs))):
+            return DecompositionReport(ok=True)
     bad: list[str] = []
     base = e.base
     for a in base.arcs:
@@ -208,13 +235,14 @@ def _require_cycle(d: Digraph) -> None:
 def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...]:
     """Deterministic shortest directed cycle through v0, as (v0,...,v0),
     in a strong digraph on two or more vertices: there every in-neighbour
-    of v0 is reached from it, and none is v0, since d has no loop."""
+    of v0 is reached from it, and none is v0, since d has no loop.  The
+    search stops at the first layer reaching one: shortest cycles close there."""
     parent = {v0: v0}
     frontier = [v0]
-    while frontier:
+    while frontier and parent.keys().isdisjoint(d.in_neighbors(v0)):
         nxt = []
         for u in frontier:
-            for w in sorted(d.out_neighbors(u)):
+            for w in d.out_neighbors(u):
                 if w not in parent:
                     parent[w] = u
                     nxt.append(w)
@@ -226,13 +254,14 @@ def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...]:
             path.append(parent[path[-1]])
         return tuple(reversed(path)) + (v0,)
 
-    return min(map(closed_at, d.in_neighbors(v0)), key=lambda c: (len(c), c))
+    return min(map(closed_at, filter(parent.__contains__, d.in_neighbors(v0))),
+               key=lambda c: (len(c), c))
 
 
 def find_ear_decomposition(d: Digraph) -> EarDecomposition:
     """Constructive decomposition of a strong digraph (ears of any length).
 
-    Deterministic and O(n + m) up to sorting neighbourhoods.  The base is
+    Deterministic and O(n + m) once d's sorted index is built.  The base is
     the shortest cycle through the smallest vertex.  One reverse BFS from it
     gives every other vertex a parent one step closer to the base.  Covered
     vertices are scanned once each in the order they were covered (base in
@@ -247,14 +276,14 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
     parent: dict[int, int] = {}
     bfs = list(queue)
     for w in bfs:  # grows while scanned, like the queue below
-        for y in sorted(d.in_neighbors(w)):
+        for y in d.in_neighbors(w):
             if y not in covered_v and y not in parent:
                 parent[y] = w
                 bfs.append(y)
     covered_a = set(base.arcs)
     ears: list[Ear] = []
     for u in queue:  # the queue grows as ears cover new vertices
-        for x in sorted(d.out_neighbors(u)):
+        for x in d.out_neighbors(u):
             if (u, x) in covered_a:
                 continue
             path = [u, x]

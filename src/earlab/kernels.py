@@ -111,7 +111,7 @@ def _is_kernel_on(d: Digraph, vertices: frozenset[int], s: frozenset[int]) -> bo
     them): d's out-neighbourhoods serve, as s holds no other vertex."""
     if not s <= vertices:
         raise InvalidInputError(f"set {sorted(s - vertices)} not in digraph")
-    return all((v in s) == d.out_neighbors(v).isdisjoint(s) for v in vertices)
+    return all((v in s) == s.isdisjoint(d.out_neighbors(v)) for v in vertices)
 
 
 def restrict_kernel(d: Digraph, e: EarDecomposition,
@@ -293,22 +293,17 @@ def _forced_absorbing_sets(verts: list[int], sym: list[int],
 
 
 def _stage_kernels(d: Digraph, e: EarDecomposition):
-    """d indexed once in the order the parts add vertices (verts and
-    out-rows), each stage's vertex count, and each stage's kernels in
-    lexicographic order: stage j is d on the first sizes[j] vertices (see
+    """d indexed once in e's vertex order (verts and out-rows), each
+    stage's vertex count (e.ends), and each stage's kernels in
+    lexicographic order: stage j is d on the first e.ends[j] vertices (see
     trace_kernels), scanned with its out-rows cut to them."""
-    order = list(e.base.vertices[:-1])
-    sizes = [len(order)]
-    for ear in e.ears:
-        order += ear.internal
-        sizes.append(len(order))
-    verts, out, sym = _index_maps(d, order)
+    verts, out, sym = _index_maps(d, list(e.order))
     lists = []
-    for n in sizes:  # a set never holds a vertex past n, so sym needs no cut
+    for n in e.ends:  # a set never holds a vertex past n, so sym needs no cut
         cut = (1 << n) - 1
         lists.append(_forced_absorbing_sets(verts[:n], sym,
                                             [row & cut for row in out[:n]]))
-    return verts, out, sizes, lists
+    return verts, out, list(e.ends), lists
 
 
 def _is_prefix_kernel(pos: dict[int, int], out: list[int], n: int,

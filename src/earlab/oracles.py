@@ -259,7 +259,7 @@ def longest_path_oracle(d: Digraph) -> OracleReport:
             elif length == best_len:
                 best.append(path)
             tail = path[-1]
-            for w in sorted(d.out_neighbors(tail), reverse=True):
+            for w in reversed(d.out_neighbors(tail)):
                 if w not in path:
                     stack.append(path + (w,))
     best.sort()

@@ -255,7 +255,7 @@ class HomomorphismSearch:
             slot[root] = len(slot)
             queue = [root]
             for v in queue:
-                for w in sorted(d.out_neighbors(v) | d.in_neighbors(v)):
+                for w in sorted({*d.out_neighbors(v), *d.in_neighbors(v)}):
                     if w not in slot:
                         slot[w] = len(slot)
                         queue.append(w)
@@ -369,12 +369,6 @@ class HomomorphismSearch:
 def find_homomorphism(d: Digraph, t: Tournament) -> dict[int, int] | None:
     """An arc-preserving map V(d) -> V(t), or None; see HomomorphismSearch."""
     return HomomorphismSearch(d).into(t)
-
-
-def is_homomorphism(d: Digraph, assignment: dict[int, int], t: Tournament) -> bool:
-    if set(assignment) != set(d.vertices):
-        return False
-    return all(t.has_arc(assignment[u], assignment[v]) for u, v in d.arcs)
 
 
 def automorphism_count(t: Tournament) -> int:

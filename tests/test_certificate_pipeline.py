@@ -83,7 +83,7 @@ def test_added_adjacent_member_rejected_at_reference_stage():
     for d, e in le3_instances():
         q = set(small_quasi_kernel(d, e).members)
         for v in sorted(q):
-            for w in sorted(d.out_neighbors(v) | d.in_neighbors(v)):
+            for w in sorted({*d.out_neighbors(v), *d.in_neighbors(v)}):
                 bad = q | {w}
                 want = reference_qk_stage(e, bad)
                 assert want is not None

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlab.coloring import (DichromaticBounds, VertexMapping,
-                             dichromatic_bounds, proper_3_coloring,
+from earlab.coloring import (VertexMapping, dichromatic_bounds,
+                             proper_3_coloring,
                              verify_homomorphism, verify_proper)
 from earlab.digraph import Digraph
 from earlab.ears import Ear, EarDecomposition, generate_random_le

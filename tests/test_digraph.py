@@ -1,5 +1,6 @@
 import json
 import random
+from collections import namedtuple
 from itertools import permutations
 
 import pytest
@@ -150,9 +151,17 @@ def _outcome(build):
     return list(got[0]), list(got[1])
 
 
+Pair = namedtuple("Pair", "tail head")
+
+
+class PairList(list):
+    pass
+
+
 DIGRAPH_CASES = {
     "int-pairs": (range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1)]),
     "list-pairs": (range(3), [[0, 1], [1, 2]]),
+    "subclass-pairs": (range(3), [Pair(0, 1), PairList([1, 2])]),
     "length-1": (range(3), [(0,)]),
     "length-3": (range(3), [(0, 1, 2)]),
     "bool-id": (range(3), [(True, 2)]),
@@ -187,6 +196,7 @@ def test_constructor_matches_the_reference_loops(key):
 JSON_CASES = {
     "pairs": {"arcs": [[0, 1], [1, 0], [0, 1]]},
     "tuple-entries": {"arcs": [(0, 1), [1, 0]]},
+    "subclass-entries": {"arcs": [Pair(0, 1), PairList([1, 0])]},
     "length-1": {"arcs": [[0, 1], [1]]},
     "length-3": {"arcs": [[0, 1, 2]]},
     "bool-id": {"arcs": [[0, True]]},

@@ -89,7 +89,7 @@ def test_rules_are_the_lemma_on_one_kernel():
             # an obstruction pattern is x0 out and p1 in: then the
             # restriction is a stage kernel iff an old out-neighbour of x0
             # is in it
-            absorbed = not stage.out_neighbors(ear.x0).isdisjoint(k)
+            absorbed = not set(stage.out_neighbors(ear.x0)).isdisjoint(k)
             assert ((restricted in stage_kernels)
                     == (condition is not None or absorbed)), (e, k)
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earlab import oracles
-from earlab.digraph import Digraph, is_kernel, is_quasi_kernel, set_predicates
+from earlab.coloring import VertexMapping, verify_homomorphism
+from earlab.digraph import Digraph, is_kernel, is_quasi_kernel
 from earlab.ears import generate_random_le
 from earlab.errors import CapExceededError, InvalidInputError, VerificationError
 from earlab.oracles import (CHROMATIC_CAP, KERNEL_CAP, LONGEST_PATH_CAP,
@@ -13,7 +14,7 @@ from earlab.oracles import (CHROMATIC_CAP, KERNEL_CAP, LONGEST_PATH_CAP,
                             kernel_oracle, longest_path_oracle,
                             oriented_chromatic_oracle, quasi_kernel_oracle)
 from earlab.tournaments import (HomomorphismSearch, find_homomorphism,
-                                is_homomorphism, tournament_reps)
+                                tournament_reps)
 
 
 def k3_symmetric():
@@ -191,7 +192,7 @@ def induces_acyclic(d, members):
     for v in inside:
         seen, stack = set(), [v]
         while stack:
-            for w in d.out_neighbors(stack.pop()) & inside:
+            for w in inside.intersection(d.out_neighbors(stack.pop())):
                 if w == v:
                     return False
                 if w not in seen:
@@ -353,7 +354,8 @@ def test_oriented_oracle_matches_brute_force_maps():
                 break
         assert (report.value, report.search_space_size) == (t.k, tried)
         assert report.witness["tournament"] == t.code_string()
-        assert is_homomorphism(d, report.witness["assignment"], t)
+        verify_homomorphism(d, VertexMapping(report.witness["assignment"], t,
+                                             "homomorphism"))
 
 
 # --- reference: the absorbing-set scan before the carried absorption mask ----

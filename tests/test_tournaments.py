@@ -4,13 +4,13 @@ from itertools import chain, combinations, groupby, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earlab.coloring import VertexMapping, verify_homomorphism
 from earlab.digraph import Digraph
-from earlab.errors import InvalidInputError
+from earlab.errors import InvalidInputError, VerificationError
 from earlab.oriented import walk_survivors
 from earlab.tournaments import (HomomorphismSearch, Tournament,
                                 automorphism_count, canonical_code,
-                                find_homomorphism, is_homomorphism,
-                                tournament_reps)
+                                find_homomorphism, tournament_reps)
 
 
 def cyclic_triangle():
@@ -73,7 +73,8 @@ def test_reps_are_canonical_and_distinct():
 def test_homomorphism_c3_into_cyclic_triangle():
     phi = find_homomorphism(Digraph.cycle(3), cyclic_triangle())
     assert phi is not None
-    assert is_homomorphism(Digraph.cycle(3), phi, cyclic_triangle())
+    verify_homomorphism(Digraph.cycle(3),
+                        VertexMapping(phi, cyclic_triangle(), "homomorphism"))
 
 
 def test_no_homomorphism_c4_into_any_triangle():
@@ -84,7 +85,9 @@ def test_no_homomorphism_c4_into_any_triangle():
 
 def test_is_homomorphism_rejects_broken_assignment():
     d = Digraph.cycle(3)
-    assert not is_homomorphism(d, {0: 0, 1: 1, 2: 1}, cyclic_triangle())
+    phi = VertexMapping({0: 0, 1: 1, 2: 1}, cyclic_triangle(), "homomorphism")
+    with pytest.raises(VerificationError, match=r"arc \(1,2\) maps to non-arc"):
+        verify_homomorphism(d, phi)
 
 
 def test_automorphism_counts():
@@ -115,7 +118,7 @@ def test_found_homomorphisms_verify(k, seed):
     d = Digraph.cycle(rng.randrange(3, 8))
     phi = find_homomorphism(d, t)
     if phi is not None:
-        assert is_homomorphism(d, phi, t)
+        verify_homomorphism(d, VertexMapping(phi, t, "homomorphism"))
 
 
 # Differential checks of the branch-and-bound canonical form against the
@@ -187,7 +190,9 @@ def test_canonical_form_is_isomorphic_under_networkx():
 def test_is_homomorphism_rejects_an_image_outside_the_tournament():
     d = Digraph.cycle(3)
     for bad in (9, -1):
-        assert not is_homomorphism(d, {0: 0, 1: bad, 2: 2}, cyclic_triangle())
+        phi = VertexMapping({0: 0, 1: bad, 2: 2}, cyclic_triangle(), "homomorphism")
+        with pytest.raises(VerificationError, match=f"non-arc \\(0,{bad}\\)"):
+            verify_homomorphism(d, phi)
 
 
 # Differential checks of the forward-checking search against the search it
