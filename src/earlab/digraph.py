@@ -36,16 +36,20 @@ class Digraph:
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc],
                  labels: dict[int, str] | None = None):
         self.labels: dict[int, str] = dict(labels) if labels else {}
-        if type(vertices) is range and vertices.step == 1 and vertices.start >= 0:
-            # the common case, checked by C-level passes: int pairs on 0..n-1
-            arcs = arcs if type(arcs) in (list, tuple) else list(arcs)
-            if (set(map(type, arcs)) <= {list, tuple} and set(map(len, arcs)) <= {2}
-                    and _in_range(list(chain.from_iterable(arcs)), vertices)):
-                self.vertices: frozenset[int] = frozenset(vertices)
-                self.arcs: frozenset[Arc] = frozenset(map(tuple, arcs))
-                return
-        self.vertices = frozenset(int(v) for v in vertices)
-        self.arcs = frozenset((int(u), int(v)) for u, v in arcs)
+        arcs = arcs if type(arcs) in (list, tuple) else list(arcs)
+        ids = _arc_ids(arcs, InvalidInputError)
+        if (type(vertices) is range and vertices.step == 1 and vertices.start >= 0
+                and _in_range(ids, vertices)):
+            # the common case, checked by C-level passes: pairs on 0..n-1
+            self.vertices: frozenset[int] = frozenset(vertices)
+            self.arcs: frozenset[Arc] = frozenset(map(tuple, arcs))
+            return
+        vertices = list(vertices)
+        if not set(map(type, vertices)) <= {int}:
+            bad = next(v for v in vertices if type(v) is not int)
+            raise InvalidInputError(f"vertex id {bad!r} is not an integer")
+        self.vertices = frozenset(vertices)
+        self.arcs = frozenset(map(tuple, arcs))
         for v in self.vertices:
             if v < 0:
                 raise InvalidInputError(f"negative vertex id {v}")
@@ -108,10 +112,24 @@ def _index(vertices: frozenset[int], pairs: Iterable) -> dict[int, tuple[int, ..
     return {v: tuple(sorted(partners)) for v, partners in adj.items()}
 
 
-def _in_range(ids: list, vertices: range) -> bool:
-    """ids, read as (tail, head) pairs, are ints in vertices with no loop."""
-    return (set(map(type, ids)) <= {int}
-            and (not ids or vertices.start <= min(ids) <= max(ids) < vertices.stop)
+def _arc_ids(entries: list | tuple, error: type[InvalidInputError]) -> list[int]:
+    """The ids of arc entries, each a list or tuple of two ints, flattened
+    tail first.  C-level passes check them; a loop names the first bad
+    entry in an error of the given class."""
+    if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2}:
+        ids = list(chain.from_iterable(entries))
+        if set(map(type, ids)) <= {int}:
+            return ids
+    for pair in entries:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            raise error(f"bad arc entry {pair!r}: need two integer ids")
+    return list(chain.from_iterable(entries))
+
+
+def _in_range(ids: list[int], vertices: range) -> bool:
+    """ids, read as (tail, head) pairs, lie in vertices with no loop."""
+    return ((not ids or vertices.start <= min(ids) <= max(ids) < vertices.stop)
             and not any(map(eq, ids[::2], ids[1::2])))
 
 
@@ -212,17 +230,7 @@ def digraph_from_json(doc: dict) -> Digraph:
     entries = doc["arcs"]
     if not isinstance(entries, (list, tuple)):
         raise ParseError("'arcs' must be a list of [u, v] pairs")
-    # C-level passes check the entries; the loop names the first bad one
-    ids = (list(chain.from_iterable(entries))
-           if set(map(type, entries)) <= {list, tuple}
-           and set(map(len, entries)) <= {2} else None)
-    if ids is None or not set(map(type, ids)) <= {int}:
-        for pair in entries:
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and type(pair[0]) is int and type(pair[1]) is int):
-                raise ParseError(f"bad arc entry {pair!r}: need two integer ids")
-        ids = list(chain.from_iterable(entries))
-    top = max(ids, default=-1) + 1
+    top = max(_arc_ids(entries, ParseError), default=-1) + 1
     n = doc.get("n")
     if n is None:
         n = top
@@ -281,60 +289,46 @@ def is_nonseparable(d: Digraph) -> bool:
     K1 and a single edge count as nonseparable: no cut vertex exists.
     Digons collapse to one edge.
     """
-    return nonseparable({v: {*d.out_neighbors(v), *d.in_neighbors(v)}
-                         for v in d.vertices})
+    return nonseparable(d._out, d._in)
 
 
-def nonseparable(adj: dict[int, set[int]]) -> bool:
-    """is_nonseparable on an undirected adjacency: adj[v] is the set of
-    neighbours of v, symmetric and loop-free."""
-    if not adj:
+def nonseparable(out: dict, inn: dict) -> bool:
+    """is_nonseparable on a digraph given by its rows: out[v] and inn[v]
+    hold the out- and in-neighbours of each vertex v, and out has no
+    other keys.
+
+    One iterative lowpoint DFS (Hopcroft & Tarjan 1973) over the
+    underlying graph, from the smallest vertex.  Each stack entry holds a
+    vertex, its DFS parent and the rest of its rows.  True iff the DFS
+    reaches every vertex, the root has at most one child, and no other
+    vertex p has a child whose subtree reaches no higher than p.
+    """
+    if not out:
         return True
-    root = min(adj)
-    # connectivity first
-    seen = {root}
-    stack = [root]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(adj):
-        return False
-    if len(adj) <= 2:
-        return True
-    # iterative lowpoint DFS for articulation vertices
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {root: None}
-    timer = 0
+    root = min(out)
+    disc = {root: 0}
+    low = {root: 0}
     root_children = 0
-    stack2: list[tuple[int, Iterable[int]]] = [(root, iter(adj[root]))]
-    disc[root] = low[root] = timer
-    timer += 1
-    while stack2:
-        v, it = stack2[-1]
-        advanced = False
-        for w in it:
+    stack = [(root, None, chain(out[root], inn[root]))]
+    while stack:
+        v, p, rows = stack[-1]
+        for w in rows:
             if w not in disc:
-                parent[w] = v
-                if v == root:
-                    root_children += 1
-                disc[w] = low[w] = timer
-                timer += 1
-                stack2.append((w, iter(adj[w])))
-                advanced = True
+                disc[w] = low[w] = len(disc)
+                stack.append((w, v, chain(out[w], inn[w])))
                 break
-            elif w != parent[v]:
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack2.pop()
-            p = parent[v]
-            if p is not None:
-                low[p] = min(low[p], low[v])
-                if p != root and low[v] >= disc[p]:
+            if w != p and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if p == root:
+                root_children += 1
+            elif p is not None:
+                if low[v] >= disc[p]:
                     return False
-    return root_children <= 1
+                if low[v] < low[p]:
+                    low[p] = low[v]
+    return len(disc) == len(out) and root_children <= 1
 
 
 def is_asymmetrical(d: Digraph) -> bool:

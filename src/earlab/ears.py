@@ -379,17 +379,12 @@ class _Remainder:
     def may_be_stage(self) -> bool:
         """Necessary for the remainder to be a stage, strongness aside."""
         return (self._room(self.m, self.n)
-                and (self.allow_cycle_ears or self._nonseparable()))
+                and (self.allow_cycle_ears or nonseparable(self.out, self.inn)))
 
     def _room(self, m: int, n: int) -> bool:
         """Room for m - n ears of length >= min_len beside a base of >= 2
         arcs."""
         return m - 2 >= self.min_len * (m - n)
-
-    def _nonseparable(self) -> bool:
-        """The path-ears test, on the whole remainder: the one step of a
-        try left that costs O(n + m)."""
-        return nonseparable({v: self.out[v] | self.inn[v] for v in self.out})
 
     def peel(self, thread: tuple) -> list | None:
         """Peel a thread if a stage may remain; return the undo log of
@@ -403,7 +398,9 @@ class _Remainder:
         only out-arc on P.  So an x0-xr path of D - P in place of P turns
         every u-v path of D into a u-v walk of D - P.  A closed thread
         (x0 = xr) needs no such path, so peeling it always leaves a strong
-        remainder.
+        remainder.  In path-ears mode the remainder must also be
+        nonseparable: one lowpoint DFS over its own rows, the one step of
+        a try that costs O(n + m).
         """
         t, bits = thread[1], thread[2]
         r = len(t) - 1
@@ -412,7 +409,7 @@ class _Remainder:
         if t[0] != t[-1] and not self._reaches_around(t):
             return None
         self._cut(t, bits)
-        if self.allow_cycle_ears or self._nonseparable():
+        if self.allow_cycle_ears or nonseparable(self.out, self.inn):
             return self._relink(thread)
         self._uncut(t, bits)
         return None

@@ -290,8 +290,10 @@ def extend_homomorphism(d: Digraph, e: EarDecomposition,
     The stage is d without that ear's interior.  PropertyFailedError unless
     phi maps exactly its vertices into the target and every arc of the parts
     before the ear, which cover the stage's arcs once each, to an arc.  The
-    result is re-checked on the ear's arcs; no digon needs a test, as the
-    stage maps into a tournament and each ear arc has a new interior end.
+    ear is mapped first, then one ear-local pass checks every part: a
+    failure on the ear is this function's own, a VerificationError naming
+    the first bad ear arc.  No digon needs a test, as the stage maps into a
+    tournament and each ear arc has a new interior end.
     """
     require_decomposition(d, e, 1, "homomorphism extension")
     if not e.ears or e.ears[-1].length < 3:
@@ -304,15 +306,15 @@ def extend_homomorphism(d: Digraph, e: EarDecomposition,
             or not set(img.values()) <= set(range(t.k))):
         raise PropertyFailedError("mapping does not take the stage's vertices "
                                   "into the target's")
-    failed = homomorphism_failing_stage(EarDecomposition(e.base, e.ears[:-1]),
-                                        phi)
+    _map_ear(t, img, ear)
+    result = VertexMapping(img, t, phi.kind)
+    failed = homomorphism_failing_stage(e, result)
+    if failed == len(e.ears):
+        u, v = next((u, v) for u, v in ear.arcs if not t.has_arc(img[u], img[v]))
+        raise VerificationError(f"ear arc ({u},{v}) maps to non-arc ({img[u]},{img[v]})")
     if failed is not None:
         raise PropertyFailedError(f"mapping fails on stage {failed}")
-    _map_ear(t, img, ear)
-    for u, v in ear.arcs:
-        if not t.has_arc(img[u], img[v]):
-            raise VerificationError(f"ear arc ({u},{v}) maps to non-arc ({img[u]},{img[v]})")
-    return VertexMapping(img, t, phi.kind)
+    return result
 
 
 def homomorphism_failing_stage(e: EarDecomposition,

@@ -116,8 +116,17 @@ def test_labels_must_name_vertices():
 # iteration order of its arc set, or the same error.
 
 def reference_digraph(vertices, arcs):
-    vertices = frozenset(int(v) for v in vertices)
-    arcs = frozenset((int(u), int(v)) for u, v in arcs)
+    arcs = list(arcs)
+    for pair in arcs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            raise InvalidInputError(f"bad arc entry {pair!r}: need two integer ids")
+    vertices = list(vertices)
+    for v in vertices:
+        if type(v) is not int:
+            raise InvalidInputError(f"vertex id {v!r} is not an integer")
+    vertices = frozenset(vertices)
+    arcs = frozenset((u, v) for u, v in arcs)
     for v in vertices:
         if v < 0:
             raise InvalidInputError(f"negative vertex id {v}")
@@ -168,6 +177,8 @@ DIGRAPH_CASES = {
     "str-numerals": (range(3), [("0", "1")]),
     "str-ids": (range(3), [("a", "b")]),
     "float-ids": (range(3), [(0, 1.0), (1.5, 2)]),
+    "float-vertex-set": ({0, 1.5, 2}, [(0, 2)]),
+    "bool-vertex": ([0, True, 2], [(0, 2)]),
     "int-entry": (range(3), [0]),
     "loop": (range(3), [(0, 1), (1, 1)]),
     "negative-id": (range(3), [(0, -1)]),
@@ -274,6 +285,13 @@ def test_is_nonseparable_rejects_cut_vertex():
 
 
 def test_strong_and_nonseparable_match_networkx():
+    # deep DFS trees first: a 100,000-cycle, and two 50,000-cycles sharing
+    # a vertex far from the root, which only the lowpoint test finds
+    assert is_nonseparable(Digraph.cycle(100_000))
+    ring = list(range(50_000)) + [0]
+    loop = [25_000, *range(50_000, 99_999), 25_000]
+    assert not is_nonseparable(Digraph(range(99_999), [*zip(ring, ring[1:]),
+                                                       *zip(loop, loop[1:])]))
     # from 3 vertices on: networkx counts K1 as not biconnected, whereas a
     # single vertex or edge is nonseparable here by convention
     nx = pytest.importorskip("networkx")
@@ -289,6 +307,15 @@ def test_strong_and_nonseparable_match_networkx():
         p = rng.uniform(0.05, 0.4)
         digraphs.append(Digraph(range(n), [a for a in permutations(range(n), 2)
                                            if rng.random() < p]))
+    # disconnected, with a 2-connected component holding the smallest vertex
+    c4, c3 = [(0, 1), (1, 2), (2, 3), (3, 0)], [(4, 5), (5, 6), (6, 4)]
+    digraphs += [Digraph(range(7), c4 + c3), Digraph(range(5), c4),
+                 Digraph(range(7), c4 + [(1, 3), (4, 5), (5, 4)]),
+                 Digraph(range(8), c4 + c3 + [(7, 4)])]
+    # ids off 0..n-1, as stages and search remainders keep the host's ids
+    for d in digraphs[-320:]:
+        ids = rng.sample(range(3, 60), d.n)
+        digraphs.append(Digraph(set(ids), [(ids[u], ids[v]) for u, v in d.arcs]))
     for d in digraphs:
         g = nx.DiGraph()
         g.add_nodes_from(d.vertices)
