@@ -104,26 +104,21 @@ def _search(d: Digraph, min_len: int, budget: int,
     return found
 
 
-def _load_input(args) -> tuple[Digraph, str | dict | None]:
-    """The input digraph and, when --decomposition names the same source
-    (a gen document, or stdin), that source's document: it is read and
-    decoded once."""
-    if args.decomposition != args.input:
-        return load_digraph(args.input), None
-    document = _read_document(args.input)
-    return _digraph_of(document), document
-
-
-def _decomposition_for(d: Digraph, document: str | dict | None, args,
-                       min_len: int, path_ears_only: bool = False
-                       ) -> EarDecomposition:
-    """The decomposition --decomposition names, taken from the input's
-    document when that is its source, or else one searched for."""
-    if isinstance(document, dict):
-        return EarDecomposition.from_json(_unwrap(document, "decomposition"))
+def _input_and_decomposition(args, min_len: int, path_ears_only: bool = False
+                             ) -> tuple[Digraph, EarDecomposition]:
+    """The input digraph and the decomposition --decomposition names, or
+    else one searched for.  When both name one source (a gen document, or
+    stdin), it is read and decoded once."""
+    if args.decomposition == args.input:
+        document = _read_document(args.input)
+        d = _digraph_of(document)
+        if isinstance(document, dict):
+            return d, EarDecomposition.from_json(_unwrap(document, "decomposition"))
+    else:
+        d = load_digraph(args.input)
     if args.decomposition:
-        return load_decomposition(args.decomposition)
-    return _search(d, min_len, args.budget, path_ears_only)
+        return d, load_decomposition(args.decomposition)
+    return d, _search(d, min_len, args.budget, path_ears_only)
 
 
 def cmd_decompose(args) -> dict:
@@ -167,8 +162,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_seymour(args) -> dict:
-    d, document = _load_input(args)
-    e = _decomposition_for(d, document, args, 2)
+    d, e = _input_and_decomposition(args, 2)
     v, report = seymour_vertex(d, e)
     return {"vertex": v, "first_out": sorted(report.first_out),
             "second_out": sorted(report.second_out),
@@ -177,24 +171,21 @@ def cmd_seymour(args) -> dict:
 
 
 def cmd_transversal(args) -> dict:
-    d, document = _load_input(args)
-    e = _decomposition_for(d, document, args, 2)
+    d, e = _input_and_decomposition(args, 2)
     return longest_path_transversal(d, e).to_json()
 
 
 def cmd_quasi_kernel(args) -> dict:
-    d, document = _load_input(args)
-    e = _decomposition_for(d, document, args, 3)
+    d, e = _input_and_decomposition(args, 3)
     return small_quasi_kernel(d, e).to_json()
 
 
 def cmd_kernel(args) -> dict:
-    d, document = _load_input(args)
     if args.action != "trace":
         if not args.set:
             raise InvalidInputError(f"kernel {args.action} needs --set")
         members = load_vertex_set(args.set)
-    e = _decomposition_for(d, document, args, 2, path_ears_only=True)
+    d, e = _input_and_decomposition(args, 2, path_ears_only=True)
     if args.action == "trace":
         return trace_kernels(d, e, direction=args.direction).to_json()
     op = extend_kernel if args.action == "extend" else restrict_kernel
@@ -205,8 +196,7 @@ def cmd_kernel(args) -> dict:
 
 
 def cmd_color(args) -> dict:
-    d, document = _load_input(args)
-    e = _decomposition_for(d, document, args, 2)
+    d, e = _input_and_decomposition(args, 2)
     bounds = dichromatic_bounds(d, e, force_exact=args.exact)
     mapping = bounds.coloring
     return {"coloring": mapping.to_json(), "colors_used": mapping.colors_used(),
@@ -214,8 +204,7 @@ def cmd_color(args) -> dict:
 
 
 def cmd_oriented(args) -> dict:
-    d, document = _load_input(args)
-    e = _decomposition_for(d, document, args, 3)
+    d, e = _input_and_decomposition(args, 3)
     mapping = oriented_coloring_le3(d, e)
     return {"mapping": mapping.to_json(),
             "colors_used": mapping.colors_used(),

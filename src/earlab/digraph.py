@@ -5,16 +5,18 @@ both ways between two vertices) is allowed; "asymmetrical" rules it out.
 A Digraph is its vertex ids, a frozenset of nonnegative ints, and its arc
 set, a frozenset of (tail, head) pairs; the out- and in-index (each vertex's
 neighbours as a sorted tuple) are built from the arc set on first use.
-Parsed digraphs always live on the dense id range 0..n-1.  Stage digraphs,
-built only by EarDecomposition.stage, keep the host's ids, so the vertex set
-is an arbitrary finite set; only serialization insists on density.
+Parsed digraphs always live on the dense id range 0..n-1.  Stage digraphs
+(EarDecomposition.stage) and Digraph.union keep the ids they are given, so
+the vertex set is an arbitrary finite set; the constructor checks every
+vertex set the same way, and only serialization insists on density.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import eq, itemgetter
 from typing import Iterable
 
@@ -29,6 +31,9 @@ Arc = tuple[int, int]
 # about 630 MB of peak RSS on it (CPython 3.11, one core of a 2-core Xeon).
 MAX_VERTICES = 1_000_000
 
+# A JSON label key: an id as str(id) writes it, so no two keys name one id.
+_DECIMAL_ID = re.compile(r"-?[1-9][0-9]*|0")
+
 
 class Digraph:
     """Immutable simple digraph on integer vertex ids."""
@@ -38,18 +43,16 @@ class Digraph:
         self.labels: dict[int, str] = dict(labels) if labels else {}
         arcs = arcs if type(arcs) in (list, tuple) else list(arcs)
         ids = _arc_ids(arcs, InvalidInputError)
-        if (type(vertices) is range and vertices.step == 1 and vertices.start >= 0
-                and _in_range(ids, vertices)):
-            # the common case, checked by C-level passes: pairs on 0..n-1
-            self.vertices: frozenset[int] = frozenset(vertices)
-            self.arcs: frozenset[Arc] = frozenset(map(tuple, arcs))
-            return
         vertices = list(vertices)
         if not set(map(type, vertices)) <= {int}:
             bad = next(v for v in vertices if type(v) is not int)
             raise InvalidInputError(f"vertex id {bad!r} is not an integer")
-        self.vertices = frozenset(vertices)
-        self.arcs = frozenset(map(tuple, arcs))
+        self.vertices: frozenset[int] = frozenset(vertices)
+        self.arcs: frozenset[Arc] = frozenset(map(tuple, arcs))
+        if (min(self.vertices, default=0) >= 0 and self.vertices.issuperset(ids)
+                and not any(map(eq, ids[::2], ids[1::2]))):
+            return
+        # C-level passes found a bad id; these loops name the first one
         for v in self.vertices:
             if v < 0:
                 raise InvalidInputError(f"negative vertex id {v}")
@@ -116,21 +119,15 @@ def _arc_ids(entries: list | tuple, error: type[InvalidInputError]) -> list[int]
     """The ids of arc entries, each a list or tuple of two ints, flattened
     tail first.  C-level passes check them; a loop names the first bad
     entry in an error of the given class."""
-    if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2}:
-        ids = list(chain.from_iterable(entries))
-        if set(map(type, ids)) <= {int}:
-            return ids
-    for pair in entries:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and type(pair[0]) is int and type(pair[1]) is int):
-            raise error(f"bad arc entry {pair!r}: need two integer ids")
-    return list(chain.from_iterable(entries))
-
-
-def _in_range(ids: list[int], vertices: range) -> bool:
-    """ids, read as (tail, head) pairs, lie in vertices with no loop."""
-    return ((not ids or vertices.start <= min(ids) <= max(ids) < vertices.stop)
-            and not any(map(eq, ids[::2], ids[1::2])))
+    pairs = (all(map(isinstance, entries, repeat((list, tuple))))
+             and set(map(len, entries)) <= {2})
+    ids = list(chain.from_iterable(entries)) if pairs else []
+    if not (pairs and set(map(type, ids)) <= {int}):
+        for pair in entries:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
+                raise error(f"bad arc entry {pair!r}: need two integer ids")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,8 @@ def digraph_from_json(doc: dict) -> Digraph:
     """Digraph from its JSON form {"n":..., "arcs":..., "labels":...}.
 
     Ids are JSON integers; n defaults to the largest id + 1 and labels is
-    an optional object mapping ids 0..n-1 to names.
+    an optional object (or null) mapping ids 0..n-1, as str(id) writes
+    them, to string names.
     """
     if not isinstance(doc, dict) or "arcs" not in doc:
         raise ParseError("JSON digraph needs an 'arcs' field")
@@ -237,13 +235,18 @@ def digraph_from_json(doc: dict) -> Digraph:
     elif type(n) is not int or n < 0:
         raise ParseError(f"'n' must be a non-negative integer, got {n!r}")
     _check_vertex_count(max(n, top))
-    labels = doc.get("labels") or {}
-    if not isinstance(labels, dict):
-        raise ParseError("'labels' must be an object mapping ids to names")
-    try:
-        labels = {int(k): str(v) for k, v in labels.items()}
-    except (TypeError, ValueError):
-        raise ParseError("label keys must be integer ids") from None
+    labels = doc.get("labels")
+    if labels is None:
+        labels = {}
+    elif not isinstance(labels, dict):
+        raise ParseError(f"'labels' must be an object mapping ids to names, "
+                         f"got {labels!r:.40}")
+    for key, name in labels.items():
+        if not (isinstance(key, str) and _DECIMAL_ID.fullmatch(key)):
+            raise ParseError(f"label key {key!r} is not an id as str(id) writes it")
+        if not isinstance(name, str):
+            raise ParseError(f"label {key!r} names its vertex {name!r}, not a string")
+    labels = {int(k): v for k, v in labels.items()}
     missing = sorted(k for k in labels if not 0 <= k < n)
     if missing:
         raise ParseError(f"labels name ids {missing} that are not vertices "

@@ -70,22 +70,18 @@ def restrict_condition(x0_in: bool, xr_in: bool, length: int) -> int | None:
     return None if p1_in and not x0_in else _case(x0_in, xr_in)
 
 
-def extend_case(x0_in: bool, xr_in: bool, length: int):
-    """Case number and internal-index range (start, stop, stride 2); None
-    when the pattern is a push-forward obstruction.
+def extend_case(x0_in: bool, xr_in: bool, length: int) -> int | None:
+    """Which of the four push-forward cases the endpoint pattern meets;
+    None when the pattern is a push-forward obstruction.
 
     This is the trace_kernels lemma applied to one kernel N of the stage:
-    N absorbs x0, so N with the interior that (b) fixes from xr is a
-    kernel unless x0 and p1 are both in.  The interior alternates back
-    from xr, so p1 is in for both_in_odd and x0_in_xr_out_even, the two
-    obstructions, and the range below is exactly the interior the
-    extension takes.
+    N absorbs x0, so N with the interior that (b) fixes from xr (every
+    second vertex back from xr, _stride_back) is a kernel unless x0 and p1
+    are both in.  The interior alternates back from xr, so p1 is in for
+    both_in_odd and x0_in_xr_out_even, the two obstructions.
     """
     p1_in = 1 in _stride_back(length, xr_in, 2)
-    if p1_in and x0_in:
-        return None
-    stop = length - (2 if xr_in else 1)
-    return _case(x0_in, xr_in), 2 - stop % 2, stop
+    return None if p1_in and x0_in else _case(x0_in, xr_in)
 
 
 def _last_ear(d: Digraph, e: EarDecomposition) -> Ear:
@@ -145,13 +141,13 @@ def extend_kernel(d: Digraph, e: EarDecomposition,
     if not _is_kernel_on(d, stage, n):
         raise PropertyFailedError(f"{sorted(n)} is not a kernel of the stage digraph")
     x0_in, xr_in = p.x0 in n, p.xr in n
-    plan = extend_case(x0_in, xr_in, p.length)
-    if plan is None:
+    case = extend_case(x0_in, xr_in, p.length)
+    if case is None:
         return KernelObstruction("extend", x0_in, xr_in, p.length)
     extended = n | {p.vertices[t] for t in _stride_back(p.length, xr_in, 2)}
     if not _is_kernel_on(d, d.vertices, extended):
         raise VerificationError(
-            f"extension {sorted(extended)} under case {plan[0]} "
+            f"extension {sorted(extended)} under case {case} "
             f"is not a kernel of the glued digraph")
     return CertifiedSet(tuple(extended), "kernel")
 
@@ -186,8 +182,8 @@ class KernelTrace:
 
 
 def _transition_labels(direction: str, ear: Ear, kernels) -> list[str]:
-    forward = direction == "forward"
-    op, rule = ("extend", extend_case) if forward else ("restrict", restrict_condition)
+    op, rule, rule_name = (("extend", extend_case, "case") if direction == "forward"
+                           else ("restrict", restrict_condition, "condition"))
     labels = set()
     for members in kernels:
         s = set(members)
@@ -196,8 +192,7 @@ def _transition_labels(direction: str, ear: Ear, kernels) -> list[str]:
         if found is None:
             labels.add(f"{op} obstruction {_pattern(*ends)}")
         else:
-            labels.add(f"extend case {found[0]}" if forward
-                       else f"restrict condition {found}")
+            labels.add(f"{op} {rule_name} {found}")
     return sorted(labels)
 
 

@@ -171,8 +171,6 @@ def chromatic_oracles(d: Digraph) -> OracleReport:
     _check_cap(d, CHROMATIC_CAP, "chromatic")
     verts, out, sym = _index_maps(d, sorted(d.vertices))
     n = len(verts)
-    if n == 0:
-        return OracleReport("chromatic_numbers", 0, details={"chromatic": 0, "dichromatic": 0})
     chi, ccol = _fewest_classes(n, lambda v, members: not sym[v] & members)
     dichi, dcol = _fewest_classes(
         n, lambda v, members: _class_acyclic(members | 1 << v, out))

@@ -574,8 +574,14 @@ C4 = "0 1\n1 2\n2 3\n3 0\n"
     (["kernel", "restrict", "{g}", "--decomposition", "{d}", "--set", "{s}"],
      {"g": C4 + "0 4\n4 5\n5 3\n", "d": '{"base": [0, 1, 2, 3], '
       '"ears": [[0, 4, 5, 3]]}', "s": "[1, 3, 4]"}, "ok", 0, "x0_out_xr_in_odd"),
+    # --set is checked and read before the input
+    (["kernel", "extend", "{g}"], {"g": '{"n": 3'}, "invalid_input", 2,
+     "kernel extend needs --set"),
+    (["kernel", "restrict", "{g}", "--set", "{s}"], {"g": '{"n": 3', "s": "[1.5]"},
+     "invalid_input", 2, "vertex set must be a JSON list of integers"),
 ], ids=["truncated-json", "blank-input", "kernel-without-ears",
-        "extend-obstruction", "restrict-obstruction"])
+        "extend-obstruction", "restrict-obstruction", "extend-without-set",
+        "restrict-bad-set"])
 def test_envelope_paths(capsys, tmp_path, argv, files, status, code, expect):
     paths = {}
     for key, text in files.items():

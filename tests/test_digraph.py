@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import namedtuple
 from itertools import permutations
 
@@ -106,6 +107,40 @@ def test_labels_must_name_vertices():
         digraph_from_json(doc)
     doc["labels"] = {"2": "z"}
     assert digraph_from_json(doc).labels == {2: "z"}
+
+
+@pytest.mark.parametrize("labels, error", [
+    ([], "got []"),
+    (0, "got 0"),
+    ("", "got ''"),
+    (False, "got False"),
+    (["x"], "got ['x']"),
+    ({" 1": "a"}, "label key ' 1'"),
+    ({"+1": "a"}, "label key '+1'"),
+    ({"1_0": "a"}, "label key '1_0'"),
+    ({"0": "a", "00": "b"}, "label key '00'"),
+    ({"-0": "a"}, "label key '-0'"),
+    ({"\u0661": "a"}, "label key '\u0661'"),
+    ({"0": None}, "label '0' names its vertex None"),
+    ({"0": 7}, "label '0' names its vertex 7"),
+    ({"-2": "a"}, "labels name ids [-2]"),
+], ids=["list", "zero", "empty-string", "false", "list-of-names",
+        "leading-space", "plus-sign", "underscore", "two-keys-for-0",
+        "minus-zero", "arabic-digit", "null-name", "int-name", "negative"])
+def test_labels_are_read_strictly(labels, error):
+    doc = {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]], "labels": labels}
+    with pytest.raises(ParseError, match=re.escape(error)):
+        digraph_from_json(doc)
+
+
+@pytest.mark.parametrize("labels, expected", [
+    (None, {}), ({}, {}), ({"0": "a", "10": ""}, {0: "a", 10: ""}),
+], ids=["null", "empty", "names"])
+def test_labels_read_back_as_written(labels, expected):
+    doc = {"arcs": [[0, 10], [10, 0]], "labels": labels}
+    assert digraph_from_json(doc).labels == expected
+    del doc["labels"]
+    assert digraph_from_json(doc).labels == {}
 
 
 # --- reference: the loaders' per-element checks --------------------------------

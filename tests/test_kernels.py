@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from earlab import kernels, oracles, oriented
 from earlab.coloring import VertexMapping, verify_homomorphism
-from earlab.constructions import CertifiedSet
+from earlab.constructions import CertifiedSet, _stride_back
 from earlab.digraph import Digraph, is_kernel, set_predicates
 from earlab.ears import (Ear, EarDecomposition, generate_random_le,
                          require_decomposition)
@@ -55,14 +55,14 @@ def test_restrict_condition_values():
 
 
 def test_extend_case_values():
-    assert extend_case(True, True, 4)[0] == 1
+    assert extend_case(True, True, 4) == 1
     assert extend_case(True, True, 3) is None
-    assert extend_case(True, False, 3)[0] == 2
+    assert extend_case(True, False, 3) == 2
     assert extend_case(True, False, 4) is None
-    assert extend_case(False, True, 4)[0] == 3
-    assert extend_case(False, True, 3)[0] == 3
-    assert extend_case(False, False, 4)[0] == 4
-    assert extend_case(False, False, 3)[0] == 4
+    assert extend_case(False, True, 4) == 3
+    assert extend_case(False, True, 3) == 3
+    assert extend_case(False, False, 4) == 4
+    assert extend_case(False, False, 3) == 4
     assert KernelObstruction("extend", True, True, 3).pattern == "both_in_odd"
     assert KernelObstruction("extend", True, False, 4).pattern == "x0_in_xr_out_even"
 
@@ -77,11 +77,11 @@ def test_rules_are_the_lemma_on_one_kernel():
         glued_kernels = kernel_oracle(d, enumerate_all=True).details["all_kernels"]
         for n in stage_kernels:
             glued = [k for k in glued_kernels if set(k) - interior == set(n)]
-            plan = extend_case(ear.x0 in n, ear.xr in n, ear.length)
-            assert (plan is None) == (not glued), (e, n)
-            if plan is not None:
-                _, start, stop = plan
-                added = {ear.vertices[t] for t in range(start, stop + 1, 2)}
+            case = extend_case(ear.x0 in n, ear.xr in n, ear.length)
+            assert (case is None) == (not glued), (e, n)
+            if case is not None:
+                added = {ear.vertices[t]
+                         for t in _stride_back(ear.length, ear.xr in n, 2)}
                 assert glued == [tuple(sorted({*n, *added}))], (e, n)
         for k in glued_kernels:
             restricted = tuple(sorted(set(k) - interior))
@@ -494,11 +494,9 @@ def reference_propagation(op, d, e, members):
         if not set_predicates(stage, members).is_kernel:
             raise PropertyFailedError(
                 f"{sorted(members)} is not a kernel of the stage digraph")
-        plan = extend_case(x0_in, xr_in, ear.length)
-        if plan is None:
+        if extend_case(x0_in, xr_in, ear.length) is None:
             return KernelObstruction("extend", x0_in, xr_in, ear.length)
-        _, start, stop = plan
-        out = members | {ear.vertices[t] for t in range(start, stop + 1, 2)}
+        out = members | {ear.vertices[t] for t in _stride_back(ear.length, xr_in, 2)}
         assert set_predicates(glued, out).is_kernel
     else:
         if not set_predicates(glued, members).is_kernel:

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, permutations, product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from earlab import oracles
+from earlab.cli import main
 from earlab.coloring import VertexMapping, verify_homomorphism
 from earlab.digraph import Digraph, is_kernel, is_quasi_kernel
 from earlab.ears import generate_random_le
@@ -62,6 +64,17 @@ def test_chromatic_oracle_cycles():
     # deleting any vertex of a single cycle leaves an acyclic digraph
     assert even.details["dichromatic"] == 2
     assert odd.details["dichromatic"] == 2
+
+
+def test_chromatic_oracle_on_the_empty_digraph(tmp_path, capsys):
+    # no special case: the empty witnesses are {} like every other oracle's
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "arcs": []}')
+    assert main(["oracle", "chromatic", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"] == {
+        "quantity": "chromatic_numbers", "value": 0, "witness": {},
+        "search_space_size": 0,
+        "details": {"chromatic": 0, "dichromatic": 0, "dichromatic_witness": {}}}
 
 
 def test_chromatic_oracle_symmetric_triangle():
@@ -237,8 +250,6 @@ def assert_oracles_match_brute_force(d):
                               "all_quasi_kernels": quasi}
     assert report.search_space_size == len(independent)
 
-    if d.n == 0:
-        return
     chi, colouring = first_colouring(
         d, lambda cls: not any(d.has_arc(u, v) for u in cls for v in cls))
     dichi, acyclic = first_colouring(d, lambda cls: induces_acyclic(d, cls))

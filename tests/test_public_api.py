@@ -1,4 +1,14 @@
+import pytest
+
 import earlab
+from earlab.coloring import VertexMapping
+from earlab.constructions import cycle_quasi_kernel_indices
+from earlab.digraph import (Digraph, is_nonseparable, neighborhoods,
+                            serialize_digraph)
+from earlab.ears import Ear, EarDecomposition
+from earlab.errors import InvalidInputError
+from earlab.oriented import extend_homomorphism
+from earlab.tournaments import Tournament, tournament_reps
 
 
 def test_every_export_resolves_once():
@@ -17,3 +27,44 @@ def test_every_export_resolves_once():
     assert not [name for name, value in vars(earlab.constructions).items()
                 if value is earlab.oracles
                 or getattr(value, "__module__", None) == "earlab.oracles"]
+
+
+def _homomorphism_into_a_cycle():
+    """extend_homomorphism on C4 plus a 3-ear, phi aimed at a digraph."""
+    base, ear = Ear((0, 1, 2, 3, 0)), Ear((0, 4, 5, 2))
+    d = Digraph.cycle(4).union(ear.vertices, ear.arcs)
+    phi = VertexMapping({0: 0, 1: 1, 2: 2, 3: 0}, Digraph.cycle(3), "homomorphism")
+    return extend_homomorphism(d, EarDecomposition(base, [ear]), phi)
+
+
+# (build, exception class or None for a result, message or the result)
+EDGE_CASES = {
+    "cycle-of-one": (lambda: Digraph.cycle(1), InvalidInputError,
+                     "a cycle needs at least 2 vertices"),
+    "serialize-sparse": (lambda: serialize_digraph(Digraph({0, 2}, [(0, 2)])),
+                         InvalidInputError,
+                         "only dense digraphs serialize; relabel first"),
+    "neighborhoods-foreign": (lambda: neighborhoods(Digraph.cycle(3), 7),
+                              InvalidInputError, "vertex 7 not in digraph"),
+    "quasi-kernel-cycle-of-one": (lambda: cycle_quasi_kernel_indices(1),
+                                  InvalidInputError, "cycle length must be >= 2"),
+    "code-string-012": (lambda: Tournament.from_code_string("012"),
+                        InvalidInputError, "bad tournament code string '012'"),
+    "reps-of-order-0": (lambda: tournament_reps(0), InvalidInputError,
+                        "order must be >= 1"),
+    "homomorphism-into-digraph": (_homomorphism_into_a_cycle, InvalidInputError,
+                                  "mapping target must be a tournament"),
+    "nonseparable-empty": (lambda: is_nonseparable(Digraph((), ())), None, True),
+}
+
+
+@pytest.mark.parametrize("key", EDGE_CASES)
+def test_refusals_and_edge_cases(key):
+    build, error, expected = EDGE_CASES[key]
+    if error is None:
+        assert build() is expected
+        return
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error
+    assert str(caught.value) == expected
