@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -108,14 +107,14 @@ def _input_and_decomposition(args, min_len: int, path_ears_only: bool = False
                              ) -> tuple[Digraph, EarDecomposition]:
     """The input digraph and the decomposition --decomposition names, or
     else one searched for.  When both name one source (a gen document, or
-    stdin), it is read and decoded once."""
+    stdin), it is read and decoded once; an edge list there is refused."""
     if args.decomposition == args.input:
         document = _read_document(args.input)
-        d = _digraph_of(document)
-        if isinstance(document, dict):
-            return d, EarDecomposition.from_json(_unwrap(document, "decomposition"))
-    else:
-        d = load_digraph(args.input)
+        if not isinstance(document, dict):
+            raise InvalidInputError("an edge list carries no decomposition")
+        return _digraph_of(document), EarDecomposition.from_json(
+            _unwrap(document, "decomposition"))
+    d = load_digraph(args.input)
     if args.decomposition:
         return d, load_decomposition(args.decomposition)
     return d, _search(d, min_len, args.budget, path_ears_only)
@@ -184,6 +183,9 @@ def cmd_kernel(args) -> dict:
     if args.action != "trace":
         if not args.set:
             raise InvalidInputError(f"kernel {args.action} needs --set")
+        if args.set == "-" and "-" in (args.input, args.decomposition):
+            other = "the input" if args.input == "-" else "--decomposition"
+            raise InvalidInputError(f"stdin is named by both {other} and --set")
         members = load_vertex_set(args.set)
     d, e = _input_and_decomposition(args, 2, path_ears_only=True)
     if args.action == "trace":
@@ -259,29 +261,6 @@ def cmd_oracle(args) -> dict:
             "details": report.details}
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _ESCAPE(key)
-    if isinstance(key, float):
-        return _ESCAPE(_json_float(key))
-    if key is True or key is False or key is None:
-        return _ESCAPE(_json_text(key))
-    if isinstance(key, int):
-        return _ESCAPE(int.__repr__(key))
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def _json_items(values, newline: str):
     """The JSON text of each value; all ints take one C pass."""
     if set(map(type, values)) == {int}:
@@ -294,9 +273,11 @@ def _json_text(value, newline: str = "\n") -> str:
     indent that follows newline.
 
     The stdlib writes indented JSON through a Python generator per
-    container, so every int of a payload costs a frame; this joins whole
-    lists of ints, and dicts from ints to ints, at C speed.  Floats, bools, None and dict keys
-    follow json's rules; there is no circular-reference check.
+    container, so every int of a payload costs a frame.  This writes the
+    shapes payloads hold itself: str, int, bool, None, lists and tuples
+    (whole lists of ints at C speed), empty containers, dicts keyed by str
+    and dicts from ints to ints.  json.dumps writes every other value and
+    raises its own TypeError; there is no circular-reference check.
     """
     if isinstance(value, str):
         return _ESCAPE(value)
@@ -308,8 +289,6 @@ def _json_text(value, newline: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -319,14 +298,16 @@ def _json_text(value, newline: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        if set(map(type, value)) == {int} == set(map(type, value.values())):
-            items = map('"%d": %d'.__mod__, value.items())
-        else:
-            items = map("{}: {}".format, map(_json_key, value),
+        keys = set(map(type, value))
+        if keys == {str}:
+            items = map("{}: {}".format, map(_ESCAPE, value),
                         _json_items(value.values(), inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} "
-                    "is not JSON serializable")
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        if keys == {int} == set(map(type, value.values())):
+            items = map('"%d": %d'.__mod__, value.items())
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # json escapes newlines inside strings, so each one it writes is structure
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _budget(text: str) -> int:

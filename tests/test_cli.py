@@ -579,12 +579,29 @@ C4 = "0 1\n1 2\n2 3\n3 0\n"
      "kernel extend needs --set"),
     (["kernel", "restrict", "{g}", "--set", "{s}"], {"g": '{"n": 3', "s": "[1.5]"},
      "invalid_input", 2, "vertex set must be a JSON list of integers"),
+    # an edge list named as the input and --decomposition, as one file or
+    # on stdin, carries no decomposition; stdin serves --set alone
+    (["seymour", "{g}", "--decomposition", "{g}"], {"g": C4}, "invalid_input",
+     2, "an edge list carries no decomposition"),
+    (["seymour", "-", "--decomposition", "-"], {"stdin": C4}, "invalid_input",
+     2, "an edge list carries no decomposition"),
+    (["kernel", "extend", "-", "--set", "-"], {"stdin": "[0]"},
+     "invalid_input", 2, "stdin is named by both the input and --set"),
+    (["kernel", "restrict", "{g}", "--decomposition", "-", "--set", "-"],
+     {"g": C4, "stdin": "[0]"}, "invalid_input", 2,
+     "stdin is named by both --decomposition and --set"),
 ], ids=["truncated-json", "blank-input", "kernel-without-ears",
         "extend-obstruction", "restrict-obstruction", "extend-without-set",
-        "restrict-bad-set"])
-def test_envelope_paths(capsys, tmp_path, argv, files, status, code, expect):
+        "restrict-bad-set", "edge-list-as-decomposition",
+        "stdin-edge-list-as-decomposition", "stdin-for-input-and-set",
+        "stdin-for-decomposition-and-set"])
+def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
+                        code, expect):
     paths = {}
     for key, text in files.items():
+        if key == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            continue
         paths[key] = str(tmp_path / key)
         (tmp_path / key).write_text(text)
     got, doc = run(capsys, *(arg.format(**paths) for arg in argv))
@@ -640,6 +657,39 @@ def test_writer_refuses_what_json_refuses():
         with pytest.raises(TypeError) as theirs:
             json.dumps(value, indent=2)
         assert str(ours.value) == str(theirs.value)
+
+
+def test_payload_containers_stay_on_the_writers_path(capsys, monkeypatch,
+                                                     tmp_path, le3_instance,
+                                                     c5_file):
+    # json.dumps(indent=2) writes containers through a Python generator; a
+    # payload container that fell back to it would slow every envelope
+    inst, _ = le3_instance
+    graph, dec, members = (tmp_path / name
+                           for name in ("g.txt", "d.json", "s.json"))
+    graph.write_text(C4 + "1 4\n4 3\n")
+    dec.write_text('{"base": [0, 1, 2, 3], "ears": [[1, 4, 3]]}')
+    members.write_text("[1, 3]")
+    kernel = [str(graph), "--decomposition", str(dec), "--set", str(members)]
+    dumps = json.dumps
+
+    def scalars_only(value, *args, **kwargs):
+        assert not isinstance(value, (list, tuple, dict)), value
+        return dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", scalars_only)
+    for argv in (["decompose", c5_file], ["classify", inst],
+                 ["seymour", inst, "--decomposition", inst],
+                 ["transversal", inst], ["quasi-kernel", inst],
+                 ["kernel", "extend", *kernel], ["kernel", "restrict", *kernel],
+                 ["kernel", "trace", c5_file], ["color", c5_file, "--exact"],
+                 ["oriented", inst], ["verify-T"], ["census"],
+                 ["gen", "--le", "--seed", "1"], ["gen", "--gi", "1"],
+                 *(["oracle", kind, c5_file] for kind in (
+                     "kernel", "quasi-kernel", "chromatic", "oriented",
+                     "longest-path"))):
+        code, doc = run(capsys, *argv)
+        assert code == 0, (argv, doc)
 
 
 # The 14 command forms.  "{g}" is the input digraph; forms that read a
