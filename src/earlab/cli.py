@@ -38,19 +38,22 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 
 
 def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
     try:
+        if source == "-":
+            return sys.stdin.read()
         with open(source, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {source}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"cannot read {source}: not UTF-8 at byte {exc.start}") from exc
 
 
 def _parse(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, digit limit, depth
         raise InvalidInputError(f"bad JSON: {exc}") from exc
 
 
@@ -106,17 +109,24 @@ def _search(d: Digraph, min_len: int, budget: int,
 def _input_and_decomposition(args, min_len: int, path_ears_only: bool = False
                              ) -> tuple[Digraph, EarDecomposition]:
     """The input digraph and the decomposition --decomposition names, or
-    else one searched for.  When both name one source (a gen document, or
-    stdin), it is read and decoded once; an edge list there is refused."""
-    if args.decomposition == args.input:
+    else one searched for.  When both name one source (stdin, or one file
+    however spelled), it is read and decoded once; an edge list there is
+    refused."""
+    dec = args.decomposition
+    try:  # a name that cannot be opened is refused when it is read
+        shared = (dec and "-" not in (dec, args.input)
+                  and os.path.samefile(dec, args.input))
+    except OSError:
+        shared = False
+    if dec == args.input or shared:
         document = _read_document(args.input)
         if not isinstance(document, dict):
             raise InvalidInputError("an edge list carries no decomposition")
         return _digraph_of(document), EarDecomposition.from_json(
             _unwrap(document, "decomposition"))
     d = load_digraph(args.input)
-    if args.decomposition:
-        return d, load_decomposition(args.decomposition)
+    if dec:
+        return d, load_decomposition(dec)
     return d, _search(d, min_len, args.budget, path_ears_only)
 
 

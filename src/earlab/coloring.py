@@ -80,12 +80,12 @@ def proper_3_coloring(d: Digraph, e: EarDecomposition) -> VertexMapping:
     require_decomposition(d, e, 2, "coloring")
     cycle = e.base.vertices[:-1]
     colors = dict(zip(cycle, _cycle_colors(len(cycle))))
-    for ear in e.ears:
+    for ear, r in zip(e.ears, e.lengths):
         xs = ear.vertices
-        c0, cr = colors[ear.x0], colors[ear.xr]
-        if ear.length == 2:
+        c0, cr = colors[xs[0]], colors[xs[-1]]
+        if r == 2:
             colors[xs[1]] = _free_color(c0, cr)
-        elif ear.length == 3:
+        elif r == 3:
             i = _free_color(c0, cr)
             colors[xs[1]] = i
             colors[xs[2]] = _free_color(i, cr)
@@ -93,7 +93,7 @@ def proper_3_coloring(d: Digraph, e: EarDecomposition) -> VertexMapping:
             i = _free_color(c0, cr)
             colors[xs[1]] = colors[xs[-2]] = i
             a, b = sorted(c for c in (1, 2, 3) if c != i)
-            for offset, idx in enumerate(range(2, ear.length - 1)):
+            for offset, idx in enumerate(range(2, r - 1)):
                 colors[xs[idx]] = a if offset % 2 == 0 else b
     mapping = VertexMapping(colors, 3, "proper")
     verify_proper(d, mapping)

@@ -9,9 +9,9 @@ quasi-kernel are checked in one ear-local O(n + m) pass, with no oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 
-from .digraph import (Digraph, NeighborhoodReport, is_asymmetrical,
-                      neighborhoods, set_predicates)
+from .digraph import Digraph, NeighborhoodReport, is_asymmetrical, neighborhoods
 from .ears import EarDecomposition, require_decomposition
 from .errors import InvalidInputError, VerificationError
 
@@ -61,13 +61,32 @@ def seymour_vertex(d: Digraph, e: EarDecomposition) -> tuple[int, NeighborhoodRe
     return v, report
 
 
+def _transversal_members(e: EarDecomposition) -> set[int]:
+    """The set longest_path_transversal builds, before its check."""
+    s = {min(e.base.vertices)}
+    for ear, r in zip(e.ears, e.lengths):
+        xs = ear.vertices
+        in0, inr = xs[0] in s, xs[-1] in s
+        if in0 and inr:
+            continue
+        if not in0 and not inr:
+            s.add(xs[1])
+        elif in0 and r >= 3:
+            s.add(xs[2])
+        elif inr and r >= 3:
+            s.add(xs[1])
+        # length-2 ears with exactly one endpoint inside need no addition
+    return s
+
+
 def longest_path_transversal(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     """Independent set meeting every maximum-length path.
 
     Builds inductively: a single base vertex, then per ear at most one
     internal vertex chosen by endpoint membership.  One O(n + m) pass checks
-    that S is independent and meets every part: the base, and each ear with
-    its ends.  (a) So S meets every cycle C.  Let P be the last ear whose
+    that S meets every part (the base, and each ear with its ends) and
+    spans no arc of one; as the parts cover d's arcs, S is independent.
+    (a) So S meets every cycle C.  Let P be the last ear whose
     interior C touches.  Ears have length >= 2, so every arc of a later ear
     has a new interior end; C lies in P's stage, where P's interior has in-
     and out-degree 1, so C runs along P, ends included.  With no such P, C
@@ -76,23 +95,13 @@ def longest_path_transversal(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     off the path (in S, or else closing a cycle avoiding S): it extends.
     """
     require_decomposition(d, e, 2, "transversal")
-    s: set[int] = {min(v for v in e.base.vertices)}
-    for ear in e.ears:
-        in0, inr = ear.x0 in s, ear.xr in s
-        if in0 and inr:
-            continue
-        if not in0 and not inr:
-            s.add(ear.vertices[1])
-        elif in0 and ear.length >= 3:
-            s.add(ear.vertices[2])
-        elif inr and ear.length >= 3:
-            s.add(ear.vertices[1])
-        # length-2 ears with exactly one endpoint inside need no addition
-    if not set_predicates(d, s).independent:
-        raise VerificationError(f"constructed transversal {sorted(s)} is not independent")
+    s = _transversal_members(e)
     for j, part in enumerate((e.base,) + e.ears):
-        if s.isdisjoint(part.vertices):
+        hits = list(map(s.__contains__, part.vertices))
+        if not any(hits):
             raise VerificationError(f"constructed transversal {sorted(s)} misses part {j}")
+        if any(map(and_, hits, hits[1:])):
+            raise VerificationError(f"constructed transversal {sorted(s)} is not independent")
     return CertifiedSet(tuple(s), "transversal", stage=len(e.ears))
 
 
@@ -168,12 +177,12 @@ def quasi_kernel_failing_stage(e: EarDecomposition,
     """
     absorbed: set[int] = set()
     for j, part in enumerate((e.base,) + e.ears):
-        for u, v in part.arcs:
+        xs = part.vertices
+        for u, v in zip(xs, xs[1:]):
             if v in members:
                 if u in members:
                     return j
                 absorbed.add(u)
-        xs = part.vertices
         for idx, x in enumerate(xs[:-1]):
             # the base is checked at every vertex, an ear at its interior
             if (j == 0 or idx > 0) and x not in members and x not in absorbed:
@@ -193,10 +202,10 @@ def small_quasi_kernel(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     require_decomposition(d, e, 3, "small quasi-kernel")
     cycle = e.base.vertices[:-1]
     q: set[int] = {cycle[i] for i in cycle_quasi_kernel_indices(len(cycle))}
-    for ear in e.ears:
-        in0, inr = ear.x0 in q, ear.xr in q
-        for idx in quasi_kernel_ear_indices(in0, inr, ear.length):
-            q.add(ear.vertices[idx])
+    for ear, r in zip(e.ears, e.lengths):
+        xs = ear.vertices
+        for idx in quasi_kernel_ear_indices(xs[0] in q, xs[-1] in q, r):
+            q.add(xs[idx])
     failed = quasi_kernel_failing_stage(e, q)
     if failed is not None:
         raise VerificationError(

@@ -40,30 +40,6 @@ class Ear:
         if vs[0] in interior or vs[-1] in interior:
             raise InvalidInputError(f"endpoint reused internally in ear {vs}")
 
-    @property
-    def x0(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def xr(self) -> int:
-        return self.vertices[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def is_cycle(self) -> bool:
-        return self.x0 == self.xr
-
-    @property
-    def internal(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        return tuple(zip(self.vertices, self.vertices[1:]))
-
 
 def _ids(value, what: str) -> tuple[int, ...]:
     if not (isinstance(value, (list, tuple))
@@ -80,14 +56,15 @@ class EarDecomposition:
     having the vertices order[:ends[j]]; lengths, each ear's arc count."""
 
     def __init__(self, base: Ear, ears: Iterable[Ear] = ()):
-        if not base.is_cycle:
+        cycle = base.vertices
+        if cycle[0] != cycle[-1]:
             raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
         self.base = base
         self.ears = tuple(ears)
-        inner = tuple(map(attrgetter("internal"), self.ears))
-        self.order = base.vertices[:-1] + tuple(chain.from_iterable(inner))
-        self.ends = tuple(accumulate(map(len, inner), initial=len(base.vertices) - 1))
-        self.lengths = tuple(map(attrgetter("length"), self.ears))
+        inner = [p.vertices[1:-1] for p in self.ears]
+        self.order = cycle[:-1] + tuple(chain.from_iterable(inner))
+        self.ends = tuple(accumulate(map(len, inner), initial=len(cycle) - 1))
+        self.lengths = tuple(len(p) + 1 for p in inner)
 
     @property
     def stage_count(self) -> int:
@@ -105,9 +82,9 @@ class EarDecomposition:
         """Stage j: the base cycle plus the first j ears, built on demand."""
         if not 0 <= j < self.stage_count:
             raise IndexError(f"stage {j} out of range 0..{len(self.ears)}")
-        parts = (self.base,) + self.ears[:j]
-        return Digraph({v for p in parts for v in p.vertices},
-                       {a for p in parts for a in p.arcs})
+        parts = [p.vertices for p in (self.base,) + self.ears[:j]]
+        return Digraph(set(chain.from_iterable(parts)),
+                       {a for p in parts for a in zip(p, p[1:])})
 
     def to_json(self) -> dict:
         return {"base": list(self.base.vertices[:-1]),
@@ -161,36 +138,36 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
             and all(map(lt, map(pos.get, xrs, repeat(n)), e.ends))
             and not (path_ears_only and any(map(eq, x0s, xrs)))
             and len(d.arcs) == e.ends[0] + sum(e.lengths)):
-        paths += (e.base.vertices,)
+        parts = paths + (e.base.vertices,)
         arcs = chain.from_iterable(
-            map(zip, paths, map(itemgetter(slice(1, None)), paths)))
+            map(zip, parts, map(itemgetter(slice(1, None)), parts)))
         # each arc of an ear with an interior ends there: only length-1 ears repeat
         if (d.arcs == set(arcs) if 1 in e.lengths
                 else all(map(d.arcs.__contains__, arcs))):
             return DecompositionReport(ok=True)
     bad: list[str] = []
-    base = e.base
-    for a in base.arcs:
+    cycle = e.base.vertices
+    base_arcs = tuple(zip(cycle, cycle[1:]))
+    for a in base_arcs:
         if a not in d.arcs:
             bad.append(f"stage 0: base arc {a} not in host")
-    verts = set(base.vertices)
-    arcs = set(base.arcs)
+    verts, arcs = set(cycle), set(base_arcs)
     host_arcs = d.arcs
-    for idx, ear in enumerate(e.ears):
-        vs, ear_arcs = ear.vertices, ear.arcs
-        if ear.x0 not in verts or ear.xr not in verts:
+    for idx, p in enumerate(paths):
+        inner, ear_arcs = p[1:-1], tuple(zip(p, p[1:]))
+        if p[0] not in verts or p[-1] not in verts:
             bad.append(f"stage {idx}: ear endpoints must lie in the stage digraph")
-        elif not verts.isdisjoint(ear.internal):
+        elif not verts.isdisjoint(inner):
             bad.append(f"stage {idx}: ear internal vertices must be new, "
-                       f"{sorted(verts.intersection(ear.internal))} already in the stage")
+                       f"{sorted(verts.intersection(inner))} already in the stage")
         for a in ear_arcs:
             if a not in host_arcs:
                 bad.append(f"stage {idx}: ear arc {a} not in host")
             if a in arcs:
                 bad.append(f"stage {idx}: ear arc {a} already covered")
-        if path_ears_only and ear.is_cycle:
+        if path_ears_only and p[0] == p[-1]:
             bad.append(f"stage {idx}: cycle ear not allowed in path-ears mode")
-        verts.update(vs)
+        verts.update(p)
         arcs.update(ear_arcs)
     if verts != d.vertices:
         bad.append(f"final: vertices uncovered: {sorted(d.vertices - verts)}")
@@ -270,8 +247,8 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
     pointers to the first covered vertex (possibly its own start).
     """
     _require_cycle(d)
-    base = Ear(_shortest_cycle_through(d, min(d.vertices)))
-    queue = list(base.vertices[:-1])
+    cycle = _shortest_cycle_through(d, min(d.vertices))
+    queue = list(cycle[:-1])
     covered_v = set(queue)
     parent: dict[int, int] = {}
     bfs = list(queue)
@@ -280,7 +257,7 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
             if y not in covered_v and y not in parent:
                 parent[y] = w
                 bfs.append(y)
-    covered_a = set(base.arcs)
+    covered_a = set(zip(cycle, cycle[1:]))
     ears: list[Ear] = []
     for u in queue:  # the queue grows as ears cover new vertices
         for x in d.out_neighbors(u):
@@ -289,12 +266,12 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
             path = [u, x]
             while path[-1] not in covered_v:
                 path.append(parent[path[-1]])
-            ear = Ear(tuple(path))
-            ears.append(ear)
-            covered_v.update(ear.internal)
-            covered_a.update(ear.arcs)
-            queue.extend(ear.internal)
-    return _self_checked(d, EarDecomposition(base, ears))
+            ears.append(Ear(tuple(path)))
+            inner = path[1:-1]
+            covered_v.update(inner)
+            covered_a.update(zip(path, path[1:]))
+            queue.extend(inner)
+    return _self_checked(d, EarDecomposition(Ear(cycle), ears))
 
 
 def _spend(budget_box: list[int]) -> None:
@@ -610,7 +587,7 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
                 if v > k:
                     break
                 k += 1
-            ear = Ear((x0, k))
+            vs = (x0, k)
         else:
             # the same draws as choice(vertices), then choice of the others
             x0 = xr = rng.randrange(next_id)
@@ -621,10 +598,10 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
             interior = tuple(range(next_id, next_id + length - 1))
             next_id += length - 1
             near.extend(set() for _ in interior)
-            ear = Ear((x0,) + interior + (xr,))
-        ears.append(ear)
-        arcs.update(ear.arcs)
-        for u, v in ear.arcs:
+            vs = (x0,) + interior + (xr,)
+        ears.append(Ear(vs))
+        for u, v in zip(vs, vs[1:]):
+            arcs.add((u, v))
             near[u].add(v)
             near[v].add(u)
     host = Digraph(range(next_id), arcs)

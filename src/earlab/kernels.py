@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .constructions import CertifiedSet, _stride_back
 from .digraph import Digraph
-from .ears import Ear, EarDecomposition, require_decomposition
+from .ears import EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
 from .oracles import _index_maps
@@ -84,10 +84,10 @@ def extend_case(x0_in: bool, xr_in: bool, length: int) -> int | None:
     return None if p1_in and x0_in else _case(x0_in, xr_in)
 
 
-def _last_ear(d: Digraph, e: EarDecomposition) -> Ear:
-    """The last ear of e, once e is a path-ears decomposition of d with
-    every ear of length >= 2.  The stage before it is d minus its interior,
-    as each arc of the ear has an interior end.
+def _last_ear(d: Digraph, e: EarDecomposition) -> tuple[int, ...]:
+    """The vertices of the last ear of e, once e is a path-ears
+    decomposition of d with every ear of length >= 2.  The stage before it
+    is d minus its interior, as each arc of the ear has an interior end.
 
     Every stage is then strong and nonseparable, as the rules assume: the
     base cycle is (a digon is one edge), and gluing a path with ends
@@ -99,7 +99,7 @@ def _last_ear(d: Digraph, e: EarDecomposition) -> Ear:
     require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
     if not e.ears:
         raise InvalidInputError("decomposition has no ears to propagate across")
-    return e.ears[-1]
+    return e.ears[-1].vertices
 
 
 def _is_kernel_on(d: Digraph, vertices: frozenset[int], s: frozenset[int]) -> bool:
@@ -118,11 +118,11 @@ def restrict_kernel(d: Digraph, e: EarDecomposition,
     n_prime = frozenset(n_prime)
     if not _is_kernel_on(d, d.vertices, n_prime):
         raise PropertyFailedError(f"{sorted(n_prime)} is not a kernel of the glued digraph")
-    x0_in, xr_in = p.x0 in n_prime, p.xr in n_prime
-    condition = restrict_condition(x0_in, xr_in, p.length)
+    x0_in, xr_in, r = p[0] in n_prime, p[-1] in n_prime, len(p) - 1
+    condition = restrict_condition(x0_in, xr_in, r)
     if condition is None:
-        return KernelObstruction("restrict", x0_in, xr_in, p.length)
-    stage = d.vertices.difference(p.internal)
+        return KernelObstruction("restrict", x0_in, xr_in, r)
+    stage = d.vertices.difference(p[1:-1])
     restricted = n_prime & stage
     if not _is_kernel_on(d, stage, restricted):
         raise VerificationError(
@@ -136,15 +136,15 @@ def extend_kernel(d: Digraph, e: EarDecomposition,
     """Push a kernel of the stage before the last ear of e forward to d
     (see _last_ear); PropertyFailedError if n is no kernel of the stage."""
     p = _last_ear(d, e)
-    stage = d.vertices.difference(p.internal)
+    stage = d.vertices.difference(p[1:-1])
     n = frozenset(n)
     if not _is_kernel_on(d, stage, n):
         raise PropertyFailedError(f"{sorted(n)} is not a kernel of the stage digraph")
-    x0_in, xr_in = p.x0 in n, p.xr in n
-    case = extend_case(x0_in, xr_in, p.length)
+    x0_in, xr_in, r = p[0] in n, p[-1] in n, len(p) - 1
+    case = extend_case(x0_in, xr_in, r)
     if case is None:
-        return KernelObstruction("extend", x0_in, xr_in, p.length)
-    extended = n | {p.vertices[t] for t in _stride_back(p.length, xr_in, 2)}
+        return KernelObstruction("extend", x0_in, xr_in, r)
+    extended = n | {p[t] for t in _stride_back(r, xr_in, 2)}
     if not _is_kernel_on(d, d.vertices, extended):
         raise VerificationError(
             f"extension {sorted(extended)} under case {case} "
@@ -181,13 +181,13 @@ class KernelTrace:
                 "pattern_check": self.pattern_check}
 
 
-def _transition_labels(direction: str, ear: Ear, kernels) -> list[str]:
+def _transition_labels(direction: str, p: tuple[int, ...], kernels) -> list[str]:
     op, rule, rule_name = (("extend", extend_case, "case") if direction == "forward"
                            else ("restrict", restrict_condition, "condition"))
     labels = set()
     for members in kernels:
         s = set(members)
-        ends = (ear.x0 in s, ear.xr in s, ear.length)
+        ends = (p[0] in s, p[-1] in s, len(p) - 1)
         found = rule(*ends)
         if found is None:
             labels.add(f"{op} obstruction {_pattern(*ends)}")
@@ -399,7 +399,8 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
         transitions: list[str] = []
         if j > 0:
             source = per_stage[j - 1] if direction == "forward" else kernels
-            transitions = _transition_labels(direction, e.ears[j - 1], source)
+            transitions = _transition_labels(direction, e.ears[j - 1].vertices,
+                                             source)
         entries.append(StageEntry(j, bool(kernels), kernel, transitions))
     flags = [entry.has_kernel for entry in entries]
     flips = [j for j in range(len(flags) - 1) if flags[j] != flags[j + 1]]
@@ -413,12 +414,12 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
                      else "all_stages_lack_kernels")
     else:
         flip_stage = max(j for j, flag in enumerate(flags) if flag != gained)
-        ear = e.ears[flip_stage]
+        p = e.ears[flip_stage].vertices
         stage, rule, kind = ((flip_stage + 1, restrict_condition, "pull-back")
                              if gained else
                              (flip_stage, extend_case, "push-forward"))
         kernels = per_stage[stage]
-        ok = all(rule(ear.x0 in set(k), ear.xr in set(k), ear.length) is None
+        ok = all(rule(p[0] in set(k), p[-1] in set(k), len(p) - 1) is None
                  for k in kernels)
         pattern_check = {"required": f"{kind} obstruction on every kernel "
                                      f"of stage {stage}",

@@ -257,14 +257,14 @@ def cycle_homomorphism(n: int) -> VertexMapping:
         raise InvalidInputError("cycle homomorphism needs length >= 3")
     t = tournament_T()
     images = {0: 0}
-    _map_ear(t, images, Ear(tuple(range(n)) + (0,)))
+    _map_ear(t, images, tuple(range(n)) + (0,))
     mapping = VertexMapping(images, t, "homomorphism")
     verify_homomorphism(Digraph.cycle(n), mapping)
     return mapping
 
 
-def _map_ear(t: Tournament, assignment: dict, ear: Ear) -> None:
-    """Write the images of one ear's interior into assignment, in place.
+def _map_ear(t: Tournament, assignment: dict, p: tuple[int, ...]) -> None:
+    """Write the images of the interior of ear p into assignment, in place.
 
     The one wrap rule, for path ears, cycle ears and base cycles alike: from
     start image i to end image j, the interior wraps the catalog 3-cycle
@@ -274,11 +274,12 @@ def _map_ear(t: Tournament, assignment: dict, ear: Ear) -> None:
     it is a cycle.
     """
     cat = _catalog_for(t.code, t.k)
-    i, j = assignment[ear.x0], assignment[ear.xr]
-    seg = 3 + ear.length % 3
-    pre = ear.length - seg
+    i, j = assignment[p[0]], assignment[p[-1]]
+    r = len(p) - 1
+    seg = 3 + r % 3
+    pre = r - seg
     g3, finisher = cat[(i, i, 3)], cat[(i, j, seg)]
-    for m, v in enumerate(ear.internal, 1):
+    for m, v in enumerate(p[1:-1], 1):
         assignment[v] = g3[m % 3] if m <= pre else finisher[m - pre]
 
 
@@ -296,21 +297,22 @@ def extend_homomorphism(d: Digraph, e: EarDecomposition,
     tournament and each ear arc has a new interior end.
     """
     require_decomposition(d, e, 1, "homomorphism extension")
-    if not e.ears or e.ears[-1].length < 3:
+    if not e.ears or e.lengths[-1] < 3:
         raise InvalidInputError("homomorphism extension needs a last ear of length >= 3")
-    ear, t = e.ears[-1], phi.target
+    p, t = e.ears[-1].vertices, phi.target
     if not isinstance(t, Tournament):
         raise InvalidInputError("mapping target must be a tournament")
     img = dict(phi.assignment)
-    if (img.keys() != d.vertices.difference(ear.internal)
+    if (img.keys() != d.vertices.difference(p[1:-1])
             or not set(img.values()) <= set(range(t.k))):
         raise PropertyFailedError("mapping does not take the stage's vertices "
                                   "into the target's")
-    _map_ear(t, img, ear)
+    _map_ear(t, img, p)
     result = VertexMapping(img, t, phi.kind)
     failed = homomorphism_failing_stage(e, result)
     if failed == len(e.ears):
-        u, v = next((u, v) for u, v in ear.arcs if not t.has_arc(img[u], img[v]))
+        u, v = next((u, v) for u, v in zip(p, p[1:])
+                    if not t.has_arc(img[u], img[v]))
         raise VerificationError(f"ear arc ({u},{v}) maps to non-arc ({img[u]},{img[v]})")
     if failed is not None:
         raise PropertyFailedError(f"mapping fails on stage {failed}")
@@ -326,8 +328,8 @@ def homomorphism_failing_stage(e: EarDecomposition,
     """
     masks = m.target.out_masks()
     img = m.assignment
-    for j, part in enumerate((e.base,) + e.ears):
-        if any(not masks[img[u]] >> img[v] & 1 for u, v in part.arcs):
+    for j, p in enumerate(part.vertices for part in (e.base,) + e.ears):
+        if any(not masks[img[u]] >> img[v] & 1 for u, v in zip(p, p[1:])):
             return j
     return None
 
@@ -345,9 +347,9 @@ def oriented_coloring_le3(d: Digraph, e: EarDecomposition) -> VertexMapping:
         raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
     require_decomposition(d, e, 3, "oriented coloring")
     t = tournament_T()
-    assignment = {e.base.x0: 0}
-    for ear in (e.base,) + e.ears:
-        _map_ear(t, assignment, ear)
+    assignment = {e.base.vertices[0]: 0}
+    for part in (e.base,) + e.ears:
+        _map_ear(t, assignment, part.vertices)
     mapping = VertexMapping(assignment, t, "oriented")
     failed = homomorphism_failing_stage(e, mapping)
     if failed is not None:
@@ -428,10 +430,9 @@ def find_tight_le3_instance() -> TightInstance:
     tournament admits a homomorphism, and the constructive coloring shows
     that order 6 does.
     """
-    base = Ear((0, 1, 2, 0))
-    ears = [Ear(vs) for vs in _TIGHT_EARS]
-    host = Digraph(range(11), [a for part in [base, *ears] for a in part.arcs])
-    decomp = EarDecomposition(base, ears)
+    parts = ((0, 1, 2, 0),) + _TIGHT_EARS
+    host = Digraph(range(11), [a for p in parts for a in zip(p, p[1:])])
+    decomp = EarDecomposition(Ear(parts[0]), map(Ear, _TIGHT_EARS))
     report = oriented_chromatic_oracle(host, k_max=5)
     if report.value is not None:
         raise VerificationError(

@@ -190,8 +190,9 @@ def test_criterion_09_kernel_lemma_sweep():
             for x0, xr in product(sorted(h.vertices), repeat=2):
                 if x0 == xr:
                     continue
-                ear = Ear((x0, *range(h.n, h.n + r - 1), xr))
-                glued = h.union(ear.vertices, ear.arcs)
+                p = (x0, *range(h.n, h.n + r - 1), xr)
+                ear = Ear(p)
+                glued = h.union(p, zip(p, p[1:]))
                 dec = EarDecomposition(base, (*ears, ear))
                 for members in kernels:
                     result = extend_kernel(glued, dec, members)

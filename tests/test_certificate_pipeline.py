@@ -17,7 +17,8 @@ import earlab.constructions as constructions_mod
 import earlab.oriented as oriented_mod
 from earlab.cli import main
 from earlab.coloring import VertexMapping, verify_homomorphism
-from earlab.constructions import quasi_kernel_failing_stage, small_quasi_kernel
+from earlab.constructions import (longest_path_transversal,
+                                  quasi_kernel_failing_stage, small_quasi_kernel)
 from earlab.digraph import Digraph, is_strong, serialize_digraph, set_predicates
 from earlab.ears import (Ear, EarDecomposition, find_ear_decomposition,
                          generate_random_le, validate_decomposition)
@@ -110,7 +111,7 @@ def test_flipped_image_rejected_at_reference_stage():
 def test_builders_report_the_reference_stage(monkeypatch):
     d, e = generate_random_le(base_length=5, ear_count=12, min_ear_length=3,
                               max_ear_length=6, seed=4)
-    victim = e.ears[7]  # the ear whose interior gets a corrupted certificate
+    victim = e.ears[7].vertices  # the ear whose interior gets a corrupted certificate
     real_indices = constructions_mod.quasi_kernel_ear_indices
     seen = []
 
@@ -129,10 +130,10 @@ def test_builders_report_the_reference_stage(monkeypatch):
     real_map = oriented_mod._map_ear
     images = {}
 
-    def flipping(t, assignment, ear):
-        real_map(t, assignment, ear)
-        if ear is victim:
-            v = ear.vertices[1]
+    def flipping(t, assignment, p):
+        real_map(t, assignment, p)
+        if p is victim:
+            v = p[1]
             assignment[v] = (assignment[v] + 1) % 6
         images.update(assignment)
 
@@ -165,7 +166,7 @@ def test_extension_rejects_a_wrong_ear_image(monkeypatch):
 
     real_map = oriented_mod._map_ear
     rejected = 0
-    for v, shift in product(ear.internal, range(1, 6)):
+    for v, shift in product(ear.vertices[1:-1], range(1, 6)):
         bad = VertexMapping({**out.assignment, v: (out.assignment[v] + shift) % 6},
                             m.target, "homomorphism")
         try:
@@ -174,8 +175,8 @@ def test_extension_rejects_a_wrong_ear_image(monkeypatch):
         except VerificationError:
             sound = False
 
-        def flipping(t, assignment, ear_, v=v, shift=shift):
-            real_map(t, assignment, ear_)
+        def flipping(t, assignment, p, v=v, shift=shift):
+            real_map(t, assignment, p)
             assignment[v] = (assignment[v] + shift) % 6
 
         monkeypatch.setattr(oriented_mod, "_map_ear", flipping)
@@ -270,7 +271,8 @@ def test_stage_work_is_bounded_on_400_ears(monkeypatch):
     calls = count_stage_work(monkeypatch)
     assert validate_decomposition(d, e).ok
     assert calls["is_strong"] == 0
-    for build in (small_quasi_kernel, oriented_coloring_le3):
+    for build in (small_quasi_kernel, oriented_coloring_le3,
+                  longest_path_transversal):
         fresh = Digraph(d.vertices, d.arcs)
         calls.update(dict.fromkeys(calls, 0))
         build(fresh, e)
@@ -288,18 +290,19 @@ def test_ear_extensions_do_no_stage_work(monkeypatch):
         ears.append(Ear((0, *range(nxt, nxt + 1 + 2 * (k % 2)), 2)))
         nxt += 1 + 2 * (k % 2)
     base = Ear((0, 1, 2, 3, 0))
-    d = Digraph(range(nxt), [a for part in (base, *ears) for a in part.arcs])
+    d = Digraph(range(nxt), [a for part in (base, *ears)
+                             for a in zip(part.vertices, part.vertices[1:])])
     e = EarDecomposition(base, ears)
-    middles = {ear.vertices[2] for ear in ears if ear.length == 4}
+    middles = {ear.vertices[2] for ear in ears if len(ear.vertices) == 5}
     glued_kernel = {0, 2} | middles
-    stage_kernel = glued_kernel - set(ears[-1].internal)
+    stage_kernel = glued_kernel - set(ears[-1].vertices[1:-1])
     # an LE_3 instance with cycle ears for the homomorphism
     h, f = generate_random_le(base_length=5, ear_count=400, min_ear_length=3,
                               max_ear_length=6, cycle_ear_probability=0.15,
                               seed=1)
     m = oriented_coloring_le3(h, f)
     phi = VertexMapping({v: m.assignment[v]
-                         for v in h.vertices - set(f.ears[-1].internal)},
+                         for v in h.vertices - set(f.ears[-1].vertices[1:-1])},
                         m.target, "homomorphism")
     calls = count_stage_work(monkeypatch)
     runs = [(extend_kernel, d, e, stage_kernel, glued_kernel),

@@ -590,27 +590,47 @@ C4 = "0 1\n1 2\n2 3\n3 0\n"
     (["kernel", "restrict", "{g}", "--decomposition", "-", "--set", "-"],
      {"g": C4, "stdin": "[0]"}, "invalid_input", 2,
      "stdin is named by both --decomposition and --set"),
+    # one file spelled two ways is one source, read once
+    (["seymour", "g", "--decomposition", "./g"], {"g": C4}, "invalid_input",
+     2, "an edge list carries no decomposition"),
+    # bytes that are not UTF-8, from a file or from a strict stdin
+    (["decompose", "{g}"], {"g": b"0 1\n1 \xff\n"}, "invalid_input", 2,
+     "cannot read {g}: not UTF-8 at byte 6"),
+    (["decompose", "-"], {"stdin": b"0 1\n1 \xff\n"}, "invalid_input", 2,
+     "cannot read -: not UTF-8 at byte 6"),
+    (["decompose", "{g}"], {"g": '{"arcs": ' + "[" * 200_000},
+     "invalid_input", 2, "bad JSON: maximum recursion depth exceeded"),
+    pytest.param(["decompose", "{g}"], {"g": '{"n": ' + "9" * 5000 + "}"},
+                 "invalid_input", 2, "bad JSON: Exceeds the limit",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no integer digit limit: n hits the vertex cap")),
 ], ids=["truncated-json", "blank-input", "kernel-without-ears",
         "extend-obstruction", "restrict-obstruction", "extend-without-set",
         "restrict-bad-set", "edge-list-as-decomposition",
         "stdin-edge-list-as-decomposition", "stdin-for-input-and-set",
-        "stdin-for-decomposition-and-set"])
+        "stdin-for-decomposition-and-set", "edge-list-spelled-two-ways",
+        "file-not-utf8", "stdin-not-utf8", "json-nested-too-deep",
+        "json-integer-too-long"])
 def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
                         code, expect):
+    monkeypatch.chdir(tmp_path)
     paths = {}
-    for key, text in files.items():
-        if key == "stdin":
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for key, data in files.items():
+        data = data.encode() if isinstance(data, str) else data
+        if key == "stdin":  # decoded strictly, as under PYTHONIOENCODING=utf-8
+            monkeypatch.setattr("sys.stdin",
+                                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
             continue
         paths[key] = str(tmp_path / key)
-        (tmp_path / key).write_text(text)
+        (tmp_path / key).write_bytes(data)
     got, doc = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (got, doc["status"]) == (code, status)
     if status == "ok":
         assert doc["payload"]["obstruction"] is True
         assert doc["payload"]["pattern"] == expect
     else:
-        assert expect in doc["error"]
+        assert expect.format(**paths) in doc["error"]
 
 
 def test_closed_pipe_is_silent():

@@ -14,17 +14,21 @@ from earlab.errors import InvalidInputError, VerificationError
 from earlab.oracles import longest_path_oracle, quasi_kernel_oracle
 
 
+def arcs_of(p):
+    return list(zip(p, p[1:]))
+
+
 def decomposition(base_len, ears, extra_arcs=()):
     """Assemble a digraph and decomposition from explicit ear tuples."""
     base = Ear(tuple(range(base_len)) + (0,))
-    arcs = list(base.arcs) + list(extra_arcs)
+    arcs = arcs_of(base.vertices) + list(extra_arcs)
     verts = set(range(base_len))
     ear_objs = []
     for shape in ears:
         ear = Ear(tuple(shape))
         ear_objs.append(ear)
         verts |= set(ear.vertices)
-        arcs += list(ear.arcs)
+        arcs += arcs_of(ear.vertices)
     d = Digraph(verts, arcs)
     return d, EarDecomposition(base, ear_objs)
 
@@ -143,16 +147,15 @@ def test_transversal_check_agrees_with_the_oracle():
 
 
 def test_transversal_check_rejects_a_set_missing_a_part(monkeypatch):
-    # the independence check is handed the built set; the mutants drop
-    # members from it there, before the part check runs
-    real = constructions_mod.set_predicates
+    # the check is handed the built set; the mutants drop members from it
+    # there, before the part check runs
+    real = constructions_mod._transversal_members
     drop = set()
 
-    def dropping(d, s):
-        s -= drop
-        return real(d, s)
+    def dropping(e):
+        return real(e) - drop
 
-    monkeypatch.setattr(constructions_mod, "set_predicates", dropping)
+    monkeypatch.setattr(constructions_mod, "_transversal_members", dropping)
     skipped_ears = 0
     for seed in range(20):
         d, e = le2_instance(seed, 10, 4)
@@ -161,7 +164,7 @@ def test_transversal_check_rejects_a_set_missing_a_part(monkeypatch):
         with pytest.raises(VerificationError, match="misses part 0$"):
             longest_path_transversal(d, e)
         for j, ear in enumerate(e.ears, 1):
-            if ear.x0 not in members and ear.xr not in members:
+            if ear.vertices[0] not in members and ear.vertices[-1] not in members:
                 drop = members & set(ear.vertices)
                 with pytest.raises(VerificationError, match=f"misses part {j}$"):
                     longest_path_transversal(d, e)

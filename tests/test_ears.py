@@ -19,18 +19,24 @@ def k3_symmetric():
     return Digraph(range(3), [(u, v) for u in range(3) for v in range(3) if u != v])
 
 
+def arcs_of(p):
+    return tuple(zip(p, p[1:]))
+
+
 def test_ear_fields():
     e = Ear((0, 5, 6, 1))
-    assert e.x0 == 0 and e.xr == 1
-    assert e.length == 3 and not e.is_cycle
-    assert e.internal == (5, 6)
-    assert e.arcs == ((0, 5), (5, 6), (6, 1))
+    p = e.vertices
+    assert p[0] == 0 and p[-1] == 1
+    assert len(p) - 1 == 3 and p[0] != p[-1]
+    assert p[1:-1] == (5, 6)
+    assert arcs_of(p) == ((0, 5), (5, 6), (6, 1))
 
 
 def test_cycle_ear():
     e = Ear((2, 7, 8, 2))
-    assert e.is_cycle and e.length == 3
-    assert e.internal == (7, 8)
+    p = e.vertices
+    assert p[0] == p[-1] and len(p) - 1 == 3
+    assert p[1:-1] == (7, 8)
 
 
 def test_ear_needs_two_vertices():
@@ -258,7 +264,7 @@ def test_generated_instances_validate(base, ears, min_len, seed):
     assert report.ok, report.violations
     assert is_strong(d)
     assert e.certifies(min_len)
-    assert d.n == base + sum(ear.length - 1 for ear in e.ears)
+    assert d.n == base + sum(len(ear.vertices) - 2 for ear in e.ears)
 
 
 @settings(max_examples=25, deadline=None)
@@ -276,7 +282,7 @@ def test_generator_cycle_ears():
     d, e = generate_random_le(base_length=3, ear_count=4, min_ear_length=3,
                               max_ear_length=4, cycle_ear_probability=1.0,
                               seed=3)
-    assert all(ear.is_cycle for ear in e.ears)
+    assert all(ear.vertices[0] == ear.vertices[-1] for ear in e.ears)
     assert validate_decomposition(d, e).ok
 
 
@@ -328,7 +334,8 @@ def _stage_ears(d, stage_v, covered_a, min_len, allow_cycle_ears, budget_box):
                         found.append(Ear(path + (w,)))
                 elif w not in path:
                     stack.append(path + (w,))
-    found.sort(key=lambda e: (-e.length, e.x0, e.xr, e.vertices))
+    found.sort(key=lambda e: (-len(e.vertices), e.vertices[0], e.vertices[-1],
+                              e.vertices))
     return found
 
 
@@ -345,7 +352,7 @@ def forward_le_search(d, i, budget=200_000, allow_cycle_ears=True):
             return False
         _spend(box)
         for ear in _stage_ears(d, verts, arcs, i, allow_cycle_ears, box):
-            if attempt(verts | set(ear.vertices), arcs | set(ear.arcs)):
+            if attempt(verts | set(ear.vertices), arcs | set(arcs_of(ear.vertices))):
                 return True
         dead.add((verts, arcs))
         return False
@@ -485,7 +492,7 @@ def _threads(d: Digraph, min_len: int, allow_cycle_ears: bool) -> list[Ear]:
                 path.append(w)
             if len(path) > min_len and (allow_cycle_ears or w != u):
                 found.append(Ear(tuple(path)))
-    found.sort(key=lambda e: (-e.length, e.vertices))
+    found.sort(key=lambda e: (-len(e.vertices), e.vertices))
     return found
 
 
@@ -535,11 +542,12 @@ def rebuilding_le_search(d: Digraph, i: int = 1, budget: int = 200_000,
                                  not allow_cycle_ears)
         for ear in todo:
             _spend(box)
-            sub_mask = mask - sum(bit[a] for a in ear.arcs)
+            p = ear.vertices
+            sub_mask = mask - sum(bit[a] for a in arcs_of(p))
             if sub_mask in dead:
                 continue
-            sub = Digraph(rest.vertices.difference(ear.internal),
-                          rest.arcs.difference(ear.arcs))
+            sub = Digraph(rest.vertices.difference(p[1:-1]),
+                          rest.arcs.difference(arcs_of(p)))
             if _may_be_stage(sub, i, allow_cycle_ears):
                 frames.append((sub, sub_mask, ear,
                                iter(_threads(sub, i, allow_cycle_ears))))

@@ -23,8 +23,12 @@ def c4():
     return Digraph.cycle(4)
 
 
+def arcs(p):
+    return tuple(zip(p, p[1:]))
+
+
 def glue(h, ear):
-    return h.union(ear.vertices, ear.arcs)
+    return h.union(ear.vertices, arcs(ear.vertices))
 
 
 def c4_plus(ear):
@@ -72,24 +76,24 @@ def test_rules_are_the_lemma_on_one_kernel():
     # stage, over every one-ear instance
     for d, e in one_ear_instances():
         stage, (ear,) = e.stage(0), e.ears
-        interior = set(ear.internal)
+        p, r = ear.vertices, len(ear.vertices) - 1
+        interior = set(p[1:-1])
         stage_kernels = kernel_oracle(stage, enumerate_all=True).details["all_kernels"]
         glued_kernels = kernel_oracle(d, enumerate_all=True).details["all_kernels"]
         for n in stage_kernels:
             glued = [k for k in glued_kernels if set(k) - interior == set(n)]
-            case = extend_case(ear.x0 in n, ear.xr in n, ear.length)
+            case = extend_case(p[0] in n, p[-1] in n, r)
             assert (case is None) == (not glued), (e, n)
             if case is not None:
-                added = {ear.vertices[t]
-                         for t in _stride_back(ear.length, ear.xr in n, 2)}
+                added = {p[t] for t in _stride_back(r, p[-1] in n, 2)}
                 assert glued == [tuple(sorted({*n, *added}))], (e, n)
         for k in glued_kernels:
             restricted = tuple(sorted(set(k) - interior))
-            condition = restrict_condition(ear.x0 in k, ear.xr in k, ear.length)
+            condition = restrict_condition(p[0] in k, p[-1] in k, r)
             # an obstruction pattern is x0 out and p1 in: then the
             # restriction is a stage kernel iff an old out-neighbour of x0
             # is in it
-            absorbed = not set(stage.out_neighbors(ear.x0)).isdisjoint(k)
+            absorbed = not set(stage.out_neighbors(p[0])).isdisjoint(k)
             assert ((restricted in stage_kernels)
                     == (condition is not None or absorbed)), (e, k)
 
@@ -307,7 +311,7 @@ def ear_order(e):
     order = list(e.base.vertices[:-1])
     sizes = [len(order)]
     for ear in e.ears:
-        order += ear.internal
+        order += ear.vertices[1:-1]
         sizes.append(len(order))
     return order, sizes
 
@@ -331,7 +335,7 @@ def one_ear_instances():
                 continue
             for r in range(2, 6):
                 ear = Ear((x0, *range(n, n + r - 1), xr))
-                d = Digraph.cycle(n).union(ear.vertices, ear.arcs)
+                d = glue(Digraph.cycle(n), ear)
                 yield d, EarDecomposition(base, [ear])
 
 
@@ -414,7 +418,7 @@ def fan(k):
     branch vertex, 0."""
     parts = [Ear((0, v, 1)) for v in range(3, 3 + k)]
     d = Digraph(range(3 + k),
-                [(0, 1), (1, 2), (2, 0), *(a for p in parts for a in p.arcs)])
+                [(0, 1), (1, 2), (2, 0), *(a for p in parts for a in arcs(p.vertices))])
     return d, EarDecomposition(Ear((0, 1, 2, 0)), parts)
 
 
@@ -485,25 +489,26 @@ def reference_propagation(op, d, e, members):
     require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
     if not e.ears:
         raise InvalidInputError("decomposition has no ears to propagate across")
-    stage, ear = e.stage(len(e.ears) - 1), e.ears[-1]
-    glued = stage.union(ear.vertices, ear.arcs)
+    stage, p = e.stage(len(e.ears) - 1), e.ears[-1].vertices
+    r = len(p) - 1
+    glued = stage.union(p, arcs(p))
     assert glued == d
     members = set(members)
-    x0_in, xr_in = ear.x0 in members, ear.xr in members
+    x0_in, xr_in = p[0] in members, p[-1] in members
     if op is extend_kernel:
         if not set_predicates(stage, members).is_kernel:
             raise PropertyFailedError(
                 f"{sorted(members)} is not a kernel of the stage digraph")
-        if extend_case(x0_in, xr_in, ear.length) is None:
-            return KernelObstruction("extend", x0_in, xr_in, ear.length)
-        out = members | {ear.vertices[t] for t in _stride_back(ear.length, xr_in, 2)}
+        if extend_case(x0_in, xr_in, r) is None:
+            return KernelObstruction("extend", x0_in, xr_in, r)
+        out = members | {p[t] for t in _stride_back(r, xr_in, 2)}
         assert set_predicates(glued, out).is_kernel
     else:
         if not set_predicates(glued, members).is_kernel:
             raise PropertyFailedError(
                 f"{sorted(members)} is not a kernel of the glued digraph")
-        if restrict_condition(x0_in, xr_in, ear.length) is None:
-            return KernelObstruction("restrict", x0_in, xr_in, ear.length)
+        if restrict_condition(x0_in, xr_in, r) is None:
+            return KernelObstruction("restrict", x0_in, xr_in, r)
         out = members & stage.vertices
         assert set_predicates(stage, out).is_kernel
     return CertifiedSet(tuple(out), "kernel")
@@ -513,7 +518,7 @@ def reference_homomorphism(d, e, phi):
     """extend_homomorphism the earlier way: phi checked on e.stage by
     verify_homomorphism, the result on the glued digraph.  A failure
     gives the first stage whose arcs phi does not map to arcs, if any."""
-    stage, ear = e.stage(len(e.ears) - 1), e.ears[-1]
+    stage, p = e.stage(len(e.ears) - 1), e.ears[-1].vertices
     try:
         verify_homomorphism(stage, phi)
     except VerificationError:
@@ -525,8 +530,8 @@ def reference_homomorphism(d, e, phi):
                 return PropertyFailedError, j
         return PropertyFailedError, None
     img = dict(phi.assignment)
-    oriented._map_ear(phi.target, img, ear)
-    verify_homomorphism(stage.union(ear.vertices, ear.arcs),
+    oriented._map_ear(phi.target, img, p)
+    verify_homomorphism(stage.union(p, arcs(p)),
                         VertexMapping(img, phi.target, phi.kind))
     return "ok", img
 
@@ -559,7 +564,7 @@ def test_ear_extensions_match_the_stage_reference():
     compared = homs = 0
     for d, e in cases:
         stage = e.stage(len(e.ears) - 1)
-        interior = e.ears[-1].internal
+        interior = e.ears[-1].vertices[1:-1]
         sets = [*kernel_oracle(stage, enumerate_all=True).details["all_kernels"],
                 *kernel_oracle(d, enumerate_all=True).details["all_kernels"]]
         for _ in range(3):  # random sets: in the interior, in the stage

@@ -209,7 +209,8 @@ def test_cycle_homomorphism_rejects_short():
 
 def glued_onto(n, ear):
     """C_n with ear glued on, and that decomposition."""
-    d = Digraph.cycle(n).union(ear.vertices, ear.arcs)
+    p = ear.vertices
+    d = Digraph.cycle(n).union(p, zip(p, p[1:]))
     return d, EarDecomposition(Ear((*range(n), 0)), [ear])
 
 
@@ -361,7 +362,7 @@ def test_tight_instance_shape():
     inst = find_tight_le3_instance()
     assert inst.digraph.n == 11
     assert len(inst.decomposition.ears) == 4
-    assert all(ear.length == 3 for ear in inst.decomposition.ears)
+    assert all(len(ear.vertices) - 1 == 3 for ear in inst.decomposition.ears)
     assert inst.below_report.value is None
     assert inst.below_report.details == {"exceeds": 5}
     verify_homomorphism(inst.digraph, inst.mapping)

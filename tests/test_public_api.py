@@ -23,6 +23,9 @@ def test_every_export_resolves_once():
                  "serialize_edge_list", "is_homomorphism"):
         assert gone not in names
         assert not hasattr(earlab, gone)
+    # an ear is its vertex tuple: the decomposition's index holds the rest
+    for gone in ("x0", "xr", "length", "is_cycle", "internal", "arcs"):
+        assert not hasattr(earlab.Ear, gone)
     # constructions certify without an oracle: none is bound in the module
     assert not [name for name, value in vars(earlab.constructions).items()
                 if value is earlab.oracles
@@ -32,7 +35,8 @@ def test_every_export_resolves_once():
 def _homomorphism_into_a_cycle():
     """extend_homomorphism on C4 plus a 3-ear, phi aimed at a digraph."""
     base, ear = Ear((0, 1, 2, 3, 0)), Ear((0, 4, 5, 2))
-    d = Digraph.cycle(4).union(ear.vertices, ear.arcs)
+    p = ear.vertices
+    d = Digraph.cycle(4).union(p, zip(p, p[1:]))
     phi = VertexMapping({0: 0, 1: 1, 2: 2, 3: 0}, Digraph.cycle(3), "homomorphism")
     return extend_homomorphism(d, EarDecomposition(base, [ear]), phi)
 
