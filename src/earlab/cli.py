@@ -5,12 +5,15 @@ stdout and exits 0/1/2/3 for ok / property failed / invalid input / cap
 exceeded.  Usage errors are argparse's, not envelopes: an unknown command,
 an option value of the wrong type or --budget below 1 print usage text on
 stderr and exit 2.  "-" reads stdin, and inputs wrapped in an envelope (or
-in a gen payload) are unwrapped, so commands pipe into each other.
+in a gen payload) are unwrapped, so commands pipe into each other.  Files
+and stdin are strict UTF-8, a decomposition is JSON from any source, a
+source named twice is read once, and --set never shares stdin.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -37,19 +40,6 @@ MAX_LEVEL_CAP = 100  # highest classify level: at most one search per level
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
-def _read_text(source: str) -> str:
-    try:
-        if source == "-":
-            return sys.stdin.read()
-        with open(source, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {source}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(
-            f"cannot read {source}: not UTF-8 at byte {exc.start}") from exc
-
-
 def _parse(text: str):
     try:
         return json.loads(text)
@@ -67,30 +57,55 @@ def _unwrap(doc, key: str):
 
 
 def _read_document(source: str) -> str | dict:
-    """The stripped text of source, decoded when it is a JSON object."""
-    text = _read_text(source).strip()
+    """The stripped text of source as strict UTF-8, parsed if a JSON object."""
+    try:
+        if source == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(source, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8").strip()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {source}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"cannot read {source}: not UTF-8 at byte {exc.start}") from exc
     if not text:
         raise InvalidInputError("empty input")
     return _parse(text) if text.startswith("{") else text
 
 
-def _digraph_of(document: str | dict) -> Digraph:
-    if isinstance(document, str):
-        return parse_digraph(document)
-    return digraph_from_json(_unwrap(document, "digraph"))
+def _reader(args):
+    """A reader of the input, --decomposition and --set, by the module's rule."""
+    named = {"the input": args.input, "--decomposition": args.decomposition,
+             "--set": getattr(args, "set", None)}
+    stdin = [option for option, source in named.items() if source == "-"]
+    if len(stdin) > 1 and stdin[-1] == "--set":
+        raise InvalidInputError(f"stdin is named by both {stdin[0]} and --set")
+    files = dict.fromkeys(n for n in named.values() if n not in (None, "-"))
+    seen = {}  # (st_ino, st_dev) of a file to the first name of it
+    for name in files if len(files) > 1 else ():
+        with contextlib.suppress(OSError):  # such a name fails its own read
+            files[name] = seen.setdefault(os.stat(name)[1:3], name)
+    read = functools.cache(_read_document)
+    return lambda source: read(files.get(source) or source)
 
 
-def load_digraph(source: str) -> Digraph:
-    return _digraph_of(_read_document(source))
+def load_digraph(source: str, read=_read_document) -> Digraph:
+    document = read(source)
+    return (parse_digraph(document) if isinstance(document, str)
+            else digraph_from_json(_unwrap(document, "digraph")))
 
 
-def load_decomposition(source: str) -> EarDecomposition:
-    return EarDecomposition.from_json(
-        _unwrap(_parse(_read_text(source)), "decomposition"))
+def load_decomposition(document: str | dict) -> EarDecomposition:
+    if not isinstance(document, dict):
+        raise InvalidInputError("an edge list carries no decomposition")
+    return EarDecomposition.from_json(_unwrap(document, "decomposition"))
 
 
-def load_vertex_set(source: str) -> tuple[int, ...]:
-    doc = _unwrap(_parse(_read_text(source)), "members")
+def load_vertex_set(document: str | dict) -> tuple[int, ...]:
+    doc = _unwrap(_parse(document) if isinstance(document, str) else document,
+                  "members")
     if not isinstance(doc, list) or not all(type(v) is int for v in doc):
         raise InvalidInputError("vertex set must be a JSON list of integers")
     return tuple(doc)
@@ -106,27 +121,13 @@ def _search(d: Digraph, min_len: int, budget: int,
     return found
 
 
-def _input_and_decomposition(args, min_len: int, path_ears_only: bool = False
-                             ) -> tuple[Digraph, EarDecomposition]:
-    """The input digraph and the decomposition --decomposition names, or
-    else one searched for.  When both name one source (stdin, or one file
-    however spelled), it is read and decoded once; an edge list there is
-    refused."""
-    dec = args.decomposition
-    try:  # a name that cannot be opened is refused when it is read
-        shared = (dec and "-" not in (dec, args.input)
-                  and os.path.samefile(dec, args.input))
-    except OSError:
-        shared = False
-    if dec == args.input or shared:
-        document = _read_document(args.input)
-        if not isinstance(document, dict):
-            raise InvalidInputError("an edge list carries no decomposition")
-        return _digraph_of(document), EarDecomposition.from_json(
-            _unwrap(document, "decomposition"))
-    d = load_digraph(args.input)
-    if dec:
-        return d, load_decomposition(dec)
+def _input_and_decomposition(args, min_len: int, path_ears_only: bool = False,
+                             read=None) -> tuple[Digraph, EarDecomposition]:
+    """The input digraph and the decomposition given, or one searched for."""
+    read = read or _reader(args)
+    d = load_digraph(args.input, read)
+    if args.decomposition:
+        return d, load_decomposition(read(args.decomposition))
     return d, _search(d, min_len, args.budget, path_ears_only)
 
 
@@ -190,14 +191,12 @@ def cmd_quasi_kernel(args) -> dict:
 
 
 def cmd_kernel(args) -> dict:
+    if args.action != "trace" and not args.set:
+        raise InvalidInputError(f"kernel {args.action} needs --set")
+    read = _reader(args)
     if args.action != "trace":
-        if not args.set:
-            raise InvalidInputError(f"kernel {args.action} needs --set")
-        if args.set == "-" and "-" in (args.input, args.decomposition):
-            other = "the input" if args.input == "-" else "--decomposition"
-            raise InvalidInputError(f"stdin is named by both {other} and --set")
-        members = load_vertex_set(args.set)
-    d, e = _input_and_decomposition(args, 2, path_ears_only=True)
+        members = load_vertex_set(read(args.set))
+    d, e = _input_and_decomposition(args, 2, path_ears_only=True, read=read)
     if args.action == "trace":
         return trace_kernels(d, e, direction=args.direction).to_json()
     op = extend_kernel if args.action == "extend" else restrict_kernel

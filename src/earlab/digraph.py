@@ -46,7 +46,7 @@ class Digraph:
         vertices = list(vertices)
         if not set(map(type, vertices)) <= {int}:
             bad = next(v for v in vertices if type(v) is not int)
-            raise InvalidInputError(f"vertex id {bad!r} is not an integer")
+            raise InvalidInputError(f"vertex id {bad!r:.40} is not an integer")
         self.vertices: frozenset[int] = frozenset(vertices)
         self.arcs: frozenset[Arc] = frozenset(map(tuple, arcs))
         if (min(self.vertices, default=0) >= 0 and self.vertices.issuperset(ids)
@@ -126,7 +126,7 @@ def _arc_ids(entries: list | tuple, error: type[InvalidInputError]) -> list[int]
         for pair in entries:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and type(pair[0]) is int and type(pair[1]) is int):
-                raise error(f"bad arc entry {pair!r}: need two integer ids")
+                raise error(f"bad arc entry {pair!r:.40}: need two integer ids")
     return ids
 
 
@@ -185,7 +185,7 @@ def parse_digraph(text: str) -> Digraph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"expected 'u v', got {raw.strip()!r}", line=lineno)
+            raise ParseError(f"expected 'u v', got {raw.strip()!r:.40}", line=lineno)
         tokens = []
         for tok in parts:
             if tok not in ids:
@@ -195,7 +195,7 @@ def parse_digraph(text: str) -> Digraph:
                                    and (tok == "0" or tok[0] != "0"))
         u, v = tokens
         if u == v:
-            raise ParseError(f"loop arc on {parts[0]!r}", line=lineno)
+            raise ParseError(f"loop arc on {parts[0]!r:.40}", line=lineno)
         if (u, v) in seen:
             continue
         seen.add((u, v))
@@ -233,7 +233,7 @@ def digraph_from_json(doc: dict) -> Digraph:
     if n is None:
         n = top
     elif type(n) is not int or n < 0:
-        raise ParseError(f"'n' must be a non-negative integer, got {n!r}")
+        raise ParseError(f"'n' must be a non-negative integer, got {n!r:.40}")
     _check_vertex_count(max(n, top))
     labels = doc.get("labels")
     if labels is None:
@@ -243,13 +243,15 @@ def digraph_from_json(doc: dict) -> Digraph:
                          f"got {labels!r:.40}")
     for key, name in labels.items():
         if not (isinstance(key, str) and _DECIMAL_ID.fullmatch(key)):
-            raise ParseError(f"label key {key!r} is not an id as str(id) writes it")
+            raise ParseError(f"label key {key!r:.40} is not an id as str(id) "
+                             "writes it")
         if not isinstance(name, str):
-            raise ParseError(f"label {key!r} names its vertex {name!r}, not a string")
+            raise ParseError(f"label {key!r:.40} names its vertex {name!r:.40}, "
+                             "not a string")
     labels = {int(k): v for k, v in labels.items()}
     missing = sorted(k for k in labels if not 0 <= k < n)
     if missing:
-        raise ParseError(f"labels name ids {missing} that are not vertices "
+        raise ParseError(f"labels name ids {missing!s:.40} that are not vertices "
                          f"(n = {n})")
     return Digraph(range(n), entries, labels=labels)
 

@@ -36,15 +36,15 @@ class Ear:
             raise InvalidInputError("length-1 cycle ear would be a loop")
         interior = vs[1:-1]
         if len(set(interior)) != len(interior):
-            raise InvalidInputError(f"repeated internal vertex in ear {vs}")
+            raise InvalidInputError(f"repeated internal vertex in ear {vs!r:.40}")
         if vs[0] in interior or vs[-1] in interior:
-            raise InvalidInputError(f"endpoint reused internally in ear {vs}")
+            raise InvalidInputError(f"endpoint reused internally in ear {vs!r:.40}")
 
 
 def _ids(value, what: str) -> tuple[int, ...]:
     if not (isinstance(value, (list, tuple))
             and set(map(type, value)) <= {int}):
-        raise ParseError(f"bad {what} {value!r}: need a list of integer ids")
+        raise ParseError(f"bad {what} {value!r:.40}: need a list of integer ids")
     return tuple(value)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     doc = json.loads(capsys.readouterr().out)
     return code, doc
+
+
+def byte_stdin(data: bytes, errors: str = "strict") -> io.TextIOWrapper:
+    """A text stdin over bytes, as Python builds sys.stdin."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
 
 
 @pytest.fixture
@@ -126,17 +132,17 @@ def test_one_source_for_both_parts_is_read_once(capsys, monkeypatch,
                                                le3_instance):
     # a gen document on stdin names the input and --decomposition at once
     inst, dec = le3_instance
-    reads, read = [], cli._read_text
+    reads, read = [], cli._read_document
 
     def counted(source):
         reads.append(source)
         return read(source)
 
-    monkeypatch.setattr(cli, "_read_text", counted)
+    monkeypatch.setattr(cli, "_read_document", counted)
     for argv in (["seymour"], ["quasi-kernel"], ["kernel", "trace"]):
         _, two_files = run(capsys, *argv, inst, "--decomposition", dec)
-        with open(inst) as handle:
-            monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
+        with open(inst, "rb") as handle:
+            monkeypatch.setattr("sys.stdin", byte_stdin(handle.read()))
         reads.clear()
         code, doc = run(capsys, *argv, "-", "--decomposition", "-")
         assert (code, reads) == (0, ["-"]), argv
@@ -295,7 +301,7 @@ def test_gen_le_is_deterministic(capsys):
 def test_gen_pipes_into_oracle(capsys, monkeypatch):
     code, doc = run(capsys, "gen", "--gi", "2")
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    monkeypatch.setattr("sys.stdin", byte_stdin(json.dumps(doc).encode()))
     code, doc = run(capsys, "oracle", "kernel", "-")
     assert code == 0
     assert doc["payload"]["value"] is True
@@ -559,6 +565,17 @@ def test_malformed_decomposition_json_is_invalid_input(capsys, c5_file,
 
 
 C4 = "0 1\n1 2\n2 3\n3 0\n"
+# C4 with the ear 0 4 5 2, and the kernel [0, 2] of C4: extending it across
+# the ear meets an obstruction.  KERNEL_DOC holds all three parts.
+EAR_G = C4 + "0 4\n4 5\n5 2\n"
+EAR_D = {"base": [0, 1, 2, 3], "ears": [[0, 4, 5, 2]]}
+EAR_ARCS = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4], [4, 5], [5, 2]]
+KERNEL_DOC = {"digraph": {"arcs": EAR_ARCS}, "decomposition": EAR_D,
+              "members": [0, 2]}
+
+
+def _doc(*keys):
+    return json.dumps({key: KERNEL_DOC[key] for key in keys})
 
 
 @pytest.mark.parametrize("argv, files, status, code, expect", [
@@ -598,6 +615,47 @@ C4 = "0 1\n1 2\n2 3\n3 0\n"
      "cannot read {g}: not UTF-8 at byte 6"),
     (["decompose", "-"], {"stdin": b"0 1\n1 \xff\n"}, "invalid_input", 2,
      "cannot read -: not UTF-8 at byte 6"),
+    # a stdin decoded with surrogateescape, as Python's under the C locale
+    (["decompose", "-"], {"c-stdin": b"0 1\n1 \xff\n"}, "invalid_input", 2,
+     "cannot read -: not UTF-8 at byte 6"),
+    # an edge list named by --decomposition alone carries no decomposition
+    (["seymour", "-", "--decomposition", "{g}"], {"g": C4, "stdin": C4},
+     "invalid_input", 2, "an edge list carries no decomposition"),
+    (["seymour", "{g}", "--decomposition", "{d}"], {"g": C4, "d": C4},
+     "invalid_input", 2, "an edge list carries no decomposition"),
+    # stdin serves one of the input, --decomposition and --set, and files
+    # serve the others
+    (["kernel", "extend", "-", "--decomposition", "{d}", "--set", "{s}"],
+     {"stdin": EAR_G, "d": json.dumps(EAR_D), "s": "[0, 2]"}, "ok", 0,
+     "both_in_odd"),
+    (["kernel", "extend", "{g}", "--decomposition", "-", "--set", "{s}"],
+     {"g": EAR_G, "stdin": json.dumps(EAR_D), "s": "[0, 2]"}, "ok", 0,
+     "both_in_odd"),
+    (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "-"],
+     {"g": EAR_G, "d": json.dumps(EAR_D), "stdin": "[0, 2]"}, "ok", 0,
+     "both_in_odd"),
+    # stdin or one file serves two of them, or all three
+    (["kernel", "extend", "-", "--decomposition", "-", "--set", "{s}"],
+     {"stdin": _doc("digraph", "decomposition"), "s": "[0, 2]"}, "ok", 0,
+     "both_in_odd"),
+    (["kernel", "extend", "-", "--decomposition", "-", "--set", "-"],
+     {"stdin": _doc("digraph", "decomposition", "members")}, "invalid_input",
+     2, "stdin is named by both the input and --set"),
+    (["kernel", "trace", "-", "--set", "-"], {"stdin": C4}, "invalid_input",
+     2, "stdin is named by both the input and --set"),
+    (["kernel", "extend", "g", "--decomposition", "./g", "--set", "{s}"],
+     {"g": _doc("digraph", "decomposition"), "s": "[0, 2]"}, "ok", 0,
+     "both_in_odd"),
+    (["kernel", "extend", "g", "--decomposition", "{d}", "--set", "./g"],
+     {"g": _doc("digraph", "members"), "d": json.dumps(EAR_D)}, "ok", 0,
+     "both_in_odd"),
+    (["kernel", "restrict", "{g}", "--decomposition", "d", "--set", "./d"],
+     {"g": C4 + "0 4\n4 5\n5 3\n", "d": '{"decomposition": {"base": '
+      '[0, 1, 2, 3], "ears": [[0, 4, 5, 3]]}, "members": [1, 3, 4]}'}, "ok",
+     0, "x0_out_xr_in_odd"),
+    (["kernel", "extend", "g", "--decomposition", "./g", "--set", "{g}"],
+     {"g": _doc("digraph", "decomposition", "members")}, "ok", 0,
+     "both_in_odd"),
     (["decompose", "{g}"], {"g": '{"arcs": ' + "[" * 200_000},
      "invalid_input", 2, "bad JSON: maximum recursion depth exceeded"),
     pytest.param(["decompose", "{g}"], {"g": '{"n": ' + "9" * 5000 + "}"},
@@ -610,7 +668,14 @@ C4 = "0 1\n1 2\n2 3\n3 0\n"
         "restrict-bad-set", "edge-list-as-decomposition",
         "stdin-edge-list-as-decomposition", "stdin-for-input-and-set",
         "stdin-for-decomposition-and-set", "edge-list-spelled-two-ways",
-        "file-not-utf8", "stdin-not-utf8", "json-nested-too-deep",
+        "file-not-utf8", "stdin-not-utf8", "c-locale-stdin-not-utf8",
+        "stdin-edge-list-as-decomposition-only",
+        "edge-list-as-decomposition-only", "stdin-for-input",
+        "stdin-for-decomposition", "stdin-for-set",
+        "stdin-for-input-and-decomposition", "stdin-for-all-three",
+        "stdin-for-input-and-set-in-trace", "file-for-input-and-decomposition",
+        "file-for-input-and-set", "file-for-decomposition-and-set",
+        "file-for-all-three", "json-nested-too-deep",
         "json-integer-too-long"])
 def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
                         code, expect):
@@ -618,19 +683,83 @@ def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
     paths = {}
     for key, data in files.items():
         data = data.encode() if isinstance(data, str) else data
-        if key == "stdin":  # decoded strictly, as under PYTHONIOENCODING=utf-8
-            monkeypatch.setattr("sys.stdin",
-                                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        if key in ("stdin", "c-stdin"):
+            # strict as under PYTHONIOENCODING=utf-8, or as under the C locale
+            errors = "strict" if key == "stdin" else "surrogateescape"
+            monkeypatch.setattr("sys.stdin", byte_stdin(data, errors))
             continue
         paths[key] = str(tmp_path / key)
         (tmp_path / key).write_bytes(data)
+    reads, read = [], cli._read_document
+    monkeypatch.setattr(cli, "_read_document",
+                        lambda source: reads.append(source) or read(source))
     got, doc = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (got, doc["status"]) == (code, status)
+    # a source is read once, however often and however spelled it is named
+    sources = [os.stat(s)[1:3] if os.path.isfile(s) else s for s in reads]
+    assert len(sources) == len(set(sources)), reads
     if status == "ok":
         assert doc["payload"]["obstruction"] is True
         assert doc["payload"]["pattern"] == expect
     else:
         assert expect.format(**paths) in doc["error"]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_crlf_edge_list_reads_as_its_lf_form(capsys, monkeypatch, tmp_path,
+                                            source):
+    # sources are read as bytes, so "\r\n" reaches the edge-list parser
+    lf = "# C4 and one ear\n" + EAR_G.replace("4 5\n", "4 5  # inner\n")
+    path = tmp_path / "lf.txt"
+    path.write_text(lf)
+    _, want = run(capsys, "kernel", "trace", str(path))
+    crlf = lf.replace("\n", "\r\n").encode()
+    path.write_bytes(crlf)
+    monkeypatch.setattr("sys.stdin", byte_stdin(crlf))
+    code, got = run(capsys, "kernel", "trace",
+                    str(path) if source == "file" else "-")
+    assert code == 0 and got["payload"] == want["payload"]
+
+
+BIG_IDS = list(range(3, 100_003))
+
+
+@pytest.mark.parametrize("argv, files, expect", [
+    (["seymour", "{g}", "--decomposition", "{d}"],
+     {"g": C4, "d": {"base": ["x"] * 200_000}}, "bad 'base' ['x', "),
+    (["decompose", "{g}"], {"g": {"arcs": [[0, 1], BIG_IDS]}},
+     "bad arc entry [3, 4, "),
+    (["seymour", "{g}", "--decomposition", "{d}"],
+     {"g": C4, "d": {"base": [0, 1, 2, 3], "ears": [[0, *BIG_IDS, 3, 2]]}},
+     "repeated internal vertex in ear (0, 3, "),
+    (["decompose", "{g}"], {"g": {"n": "9" * 100_000, "arcs": []}},
+     "'n' must be a non-negative integer, got '999"),
+    (["decompose", "{g}"], {"g": {"arcs": [[0, 1], [1, 0]],
+                                  "labels": {"0": BIG_IDS}}},
+     "label '0' names its vertex [3, 4, "),
+    (["decompose", "{g}"], {"g": {"arcs": [[0, 1], [1, 0]],
+                                  "labels": {"x" * 100_000: "a"}}},
+     "label key 'xxx"),
+    (["decompose", "{g}"],
+     {"g": {"arcs": [[0, 1], [1, 0]],
+            "labels": dict.fromkeys(map(str, BIG_IDS), "a")}},
+     "labels name ids [3, 4, "),
+    (["decompose", "{g}"], {"g": "0 1 " + "2 " * 100_000}, "expected 'u v'"),
+    (["decompose", "{g}"], {"g": ("x" * 100_000 + " ") * 2}, "loop arc on 'xxx"),
+], ids=["decomposition-base", "arc-entry", "ear-repeat", "n", "label-name",
+        "label-key", "labels-past-n", "edge-list-line", "edge-list-loop"])
+def test_refusals_echo_a_bounded_value(capsys, tmp_path, argv, files, expect):
+    # the message names the offending value; it does not copy the input
+    paths = {}
+    for key, data in files.items():
+        paths[key] = str(tmp_path / key)
+        (tmp_path / key).write_text(
+            data if isinstance(data, str) else json.dumps(data))
+    code = main([arg.format(**paths) for arg in argv])
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert (code, doc["status"]) == (2, "invalid_input")
+    assert expect in doc["error"] and len(out) < 1024, doc["error"][:100]
 
 
 def test_closed_pipe_is_silent():
@@ -714,7 +843,7 @@ def test_payload_containers_stay_on_the_writers_path(capsys, monkeypatch,
 
 # The 14 command forms.  "{g}" is the input digraph; forms that read a
 # decomposition or a vertex set get "--decomposition {d}" or "--set {s}"
-# appended at random.
+# appended at random.  Any of the three may be "-" instead.
 FUZZ_FORMS = (
     ("decompose", "{g}"), ("classify", "{g}"), ("seymour", "{g}"),
     ("transversal", "{g}"), ("quasi-kernel", "{g}"),
@@ -745,9 +874,10 @@ def _mutate_text(draw, text: str) -> str:
 
 @st.composite
 def fuzz_calls(draw):
-    """argv plus the files it names: a seeded LE instance (ids 0-10) with
-    arcs dropped and added, written as an edge list, a JSON digraph or an
-    envelope, next to a mutated decomposition and vertex set."""
+    """argv, the files it names and stdin: a seeded LE instance (ids 0-10)
+    with arcs dropped and added, written as an edge list, a JSON digraph or
+    an envelope, next to a mutated decomposition and vertex set.  stdin
+    holds the text of the first source that argv names as "-"."""
     d, e = ears.generate_random_le(
         base_length=draw(st.integers(min_value=3, max_value=5)),
         ear_count=draw(st.integers(min_value=0, max_value=3)),
@@ -805,7 +935,12 @@ def fuzz_calls(draw):
         if argv[:2] in (["kernel", "extend"], ["kernel", "restrict"]) \
                 and draw(st.integers(min_value=0, max_value=3)):
             argv += ["--set", "{s}"]
-    return argv, files
+    stdin = ""
+    for at, arg in enumerate(argv):
+        if arg in ("{g}", "{d}", "{s}") and draw(st.integers(0, 2)) == 0:
+            stdin = stdin if "-" in argv else files[arg[1]]
+            argv[at] = "-"
+    return argv, files, stdin
 
 
 @pytest.fixture(scope="module")
@@ -816,13 +951,14 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(fuzz_calls())
 def test_fuzzed_calls_end_in_one_envelope(fuzz_dir, call):
-    argv, files = call
+    argv, files, stdin = call
     paths = {}
     for key, text in files.items():
         paths[key] = str(fuzz_dir / key)
         (fuzz_dir / key).write_text(text)
     out = io.StringIO()
-    with redirect_stdout(out):
+    with mock.patch("sys.stdin", byte_stdin(stdin.encode())), \
+            redirect_stdout(out):
         code = main([arg.format(**paths) for arg in argv])
     assert code in STATUS_OF_CODE, argv
     if "--le" in argv:
@@ -838,5 +974,8 @@ def test_fuzzed_calls_end_in_one_envelope(fuzz_dir, call):
             assert code == (2 if level < 1 else 3), argv
     doc = json.loads(out.getvalue())
     assert doc["status"] == STATUS_OF_CODE[code], (argv, doc)
+    if argv.count("-") > 1 and "--set" in argv \
+            and argv[argv.index("--set") + 1] == "-":
+        assert "stdin is named by both" in doc["error"], (argv, doc)
     assert set(doc) == ({"status", "payload", "timing_ms"}
                         | ({"error"} if code else set())), (argv, doc)
