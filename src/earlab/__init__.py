@@ -25,30 +25,28 @@ from .ears import (DecompositionReport, Ear, EarDecomposition,
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
                      InvalidInputError, ParseError, PropertyFailedError,
                      VerificationError)
-from .kernels import (KernelObstruction, KernelTrace, StageEntry,
-                      extend_case, extend_kernel, restrict_condition,
-                      restrict_kernel, trace_kernels)
+from .kernels import (KernelObstruction, extend_case, extend_kernel,
+                      restrict_condition, restrict_kernel, trace_kernels)
 from .oracles import (OracleReport, chromatic_oracles, kernel_oracle,
                       longest_path_oracle, oriented_chromatic_oracle,
                       quasi_kernel_oracle)
-from .oriented import (CensusResult, TightInstance, build_G,
-                       cycle_homomorphism, extend_homomorphism,
-                       find_tight_le3_instance, gi_lower_bound_check,
-                       oriented_coloring_le3, tournament_T,
-                       uniqueness_census, validate_reference_walks,
-                       verify_walk_property, walk_catalog)
+from .oriented import (TightInstance, build_G, cycle_homomorphism,
+                       extend_homomorphism, find_tight_le3_instance,
+                       gi_lower_bound_check, oriented_coloring_le3,
+                       tournament_T, uniqueness_census,
+                       validate_reference_walks, verify_walk_property,
+                       walk_catalog)
 from .tournaments import (Tournament, automorphism_count, find_homomorphism,
                           tournament_reps)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError", "CapExceededError", "CensusResult",
-    "CertifiedSet", "DecompositionReport", "DichromaticBounds", "Digraph",
+    "BudgetExceededError", "CapExceededError", "CertifiedSet",
+    "DecompositionReport", "DichromaticBounds", "Digraph",
     "Ear", "EarDecomposition", "EarlabError", "InvalidInputError",
-    "KernelObstruction",
-    "KernelTrace", "NeighborhoodReport", "OracleReport", "ParseError",
-    "PropertyFailedError", "SetPredicates", "StageEntry", "TightInstance",
+    "KernelObstruction", "NeighborhoodReport", "OracleReport", "ParseError",
+    "PropertyFailedError", "SetPredicates", "TightInstance",
     "Tournament", "VerificationError", "VertexMapping",
     "automorphism_count", "build_G", "chromatic_oracles",
     "cycle_homomorphism", "cycle_quasi_kernel_indices",

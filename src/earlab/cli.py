@@ -29,8 +29,9 @@ from .ears import (EarDecomposition, find_ear_decomposition,
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
                      InvalidInputError, PropertyFailedError)
 from .kernels import extend_kernel, restrict_kernel, trace_kernels
-from .oracles import (chromatic_oracles, kernel_oracle, longest_path_oracle,
-                      oriented_chromatic_oracle, quasi_kernel_oracle)
+from .oracles import (CHROMATIC_CAP, chromatic_oracles, kernel_oracle,
+                      longest_path_oracle, oriented_chromatic_oracle,
+                      quasi_kernel_oracle)
 from .oriented import (build_G, tournament_T, uniqueness_census,
                        validate_reference_walks, verify_walk_property)
 from .oriented import oriented_coloring_le3
@@ -60,6 +61,8 @@ def _read_document(source: str) -> str | dict:
     """The stripped text of source as strict UTF-8, parsed if a JSON object."""
     try:
         if source == "-":
+            if sys.stdin is None:  # as Python leaves it when fd 0 is closed
+                raise InvalidInputError("cannot read -: stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(source, "rb") as handle:
@@ -198,7 +201,7 @@ def cmd_kernel(args) -> dict:
         members = load_vertex_set(read(args.set))
     d, e = _input_and_decomposition(args, 2, path_ears_only=True, read=read)
     if args.action == "trace":
-        return trace_kernels(d, e, direction=args.direction).to_json()
+        return trace_kernels(d, e, direction=args.direction)
     op = extend_kernel if args.action == "extend" else restrict_kernel
     result = op(d, e, members)
     if isinstance(result, CertifiedSet):
@@ -229,16 +232,15 @@ def cmd_verify_t(args) -> dict:
     census = uniqueness_census()
     payload = {"code": t.code_string(), "out_degrees": list(t.out_degrees()),
                "reference_walks_valid": walks_ok, "walk_property": property_ok,
-               "iso_class_count": census.iso_class_count,
-               "census": census.to_json()}
-    if not (walks_ok and property_ok and census.iso_class_count == 1
-            and census.witness_isomorphic_to_reference):
+               "iso_class_count": census["iso_class_count"], "census": census}
+    if not (walks_ok and property_ok and census["iso_class_count"] == 1
+            and census["witness_isomorphic_to_reference"]):
         raise PropertyFailedError(f"verification failed: {json.dumps(payload)}")
     return payload
 
 
 def cmd_census(args) -> dict:
-    return uniqueness_census().to_json()
+    return uniqueness_census()
 
 
 def cmd_gen(args) -> dict:
@@ -380,8 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_decomposition(with_input(sub.add_parser(
         "color", help="proper 3-coloring and dichromatic bounds")))
-    p.add_argument("--exact", action="store_true",
-                   help="force the exact dichromatic oracle")
+    p.add_argument("--exact", action="store_true", help=(
+        f"exit 3 past {CHROMATIC_CAP} vertices, not exact: null; the exact "
+        f"dichromatic number is computed up to {CHROMATIC_CAP} either way"))
     p.set_defaults(handler=cmd_color)
 
     p = with_decomposition(with_input(sub.add_parser(

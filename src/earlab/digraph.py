@@ -360,7 +360,7 @@ def set_predicates(d: Digraph, s: Iterable[int]) -> SetPredicates:
     """Independence, absorbency, and quasi-absorbency of s in d."""
     ss = frozenset(s)
     if not ss <= d.vertices:
-        raise InvalidInputError(f"set {sorted(ss - d.vertices)} not in digraph")
+        raise InvalidInputError(f"set {sorted(ss - d.vertices)!s:.40} not in digraph")
     independent = all(v not in ss or u not in ss for u, v in d.arcs)
     outside = d.vertices - ss
     absorbent = not any(map(ss.isdisjoint, map(d.out_neighbors, outside)))

@@ -127,7 +127,8 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     hold no later stage can fail that test.
 
     C-level passes over e's index accept; only a failing decomposition is
-    walked ear by ear, to name each violation.
+    walked ear by ear, to name each violation, Ear's refusals among them
+    (no arc, a repeated vertex) for parts made without Ear's checks.
     """
     n, pos = d.n, dict(zip(e.order, range(d.n)))
     paths = tuple(map(attrgetter("vertices"), e.ears))
@@ -147,6 +148,8 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
             return DecompositionReport(ok=True)
     bad: list[str] = []
     cycle = e.base.vertices
+    if len(set(cycle)) < len(cycle) - 1:
+        bad.append("stage 0: repeated vertex in base cycle")
     base_arcs = tuple(zip(cycle, cycle[1:]))
     for a in base_arcs:
         if a not in d.arcs:
@@ -155,6 +158,10 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     host_arcs = d.arcs
     for idx, p in enumerate(paths):
         inner, ear_arcs = p[1:-1], tuple(zip(p, p[1:]))
+        if len(p) < 2:
+            bad.append(f"stage {idx}: ear has no arc")
+        if len(set(inner)) != len(inner):
+            bad.append(f"stage {idx}: repeated internal vertex in ear")
         if p[0] not in verts or p[-1] not in verts:
             bad.append(f"stage {idx}: ear endpoints must lie in the stage digraph")
         elif not verts.isdisjoint(inner):

@@ -14,7 +14,7 @@ branching only on the vertices whose out-degree is not 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constructions import CertifiedSet, _stride_back
 from .digraph import Digraph
@@ -106,7 +106,7 @@ def _is_kernel_on(d: Digraph, vertices: frozenset[int], s: frozenset[int]) -> bo
     """s is a kernel of d on these vertices (InvalidInputError if it leaves
     them): d's out-neighbourhoods serve, as s holds no other vertex."""
     if not s <= vertices:
-        raise InvalidInputError(f"set {sorted(s - vertices)} not in digraph")
+        raise InvalidInputError(f"set {sorted(s - vertices)!s:.40} not in digraph")
     return all((v in s) == s.isdisjoint(d.out_neighbors(v)) for v in vertices)
 
 
@@ -117,7 +117,8 @@ def restrict_kernel(d: Digraph, e: EarDecomposition,
     p = _last_ear(d, e)
     n_prime = frozenset(n_prime)
     if not _is_kernel_on(d, d.vertices, n_prime):
-        raise PropertyFailedError(f"{sorted(n_prime)} is not a kernel of the glued digraph")
+        raise PropertyFailedError(
+            f"{sorted(n_prime)!s:.40} is not a kernel of the glued digraph")
     x0_in, xr_in, r = p[0] in n_prime, p[-1] in n_prime, len(p) - 1
     condition = restrict_condition(x0_in, xr_in, r)
     if condition is None:
@@ -139,7 +140,8 @@ def extend_kernel(d: Digraph, e: EarDecomposition,
     stage = d.vertices.difference(p[1:-1])
     n = frozenset(n)
     if not _is_kernel_on(d, stage, n):
-        raise PropertyFailedError(f"{sorted(n)} is not a kernel of the stage digraph")
+        raise PropertyFailedError(
+            f"{sorted(n)!s:.40} is not a kernel of the stage digraph")
     x0_in, xr_in, r = p[0] in n, p[-1] in n, len(p) - 1
     case = extend_case(x0_in, xr_in, r)
     if case is None:
@@ -150,35 +152,6 @@ def extend_kernel(d: Digraph, e: EarDecomposition,
             f"extension {sorted(extended)} under case {case} "
             f"is not a kernel of the glued digraph")
     return CertifiedSet(tuple(extended), "kernel")
-
-
-@dataclass
-class StageEntry:
-    stage: int
-    has_kernel: bool
-    kernel: CertifiedSet | None
-    transitions: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"stage": self.stage, "has_kernel": self.has_kernel,
-                "kernel": self.kernel.to_json() if self.kernel else None,
-                "transitions": self.transitions}
-
-
-@dataclass
-class KernelTrace:
-    entries: list[StageEntry]
-    dichotomy: str
-    flip_stage: int | None
-    flips: list[int]
-    base_parity: str
-    pattern_check: dict
-
-    def to_json(self) -> dict:
-        return {"stages": [s.to_json() for s in self.entries],
-                "dichotomy": self.dichotomy, "flip_stage": self.flip_stage,
-                "flips": self.flips, "base_parity": self.base_parity,
-                "pattern_check": self.pattern_check}
 
 
 def _transition_labels(direction: str, p: tuple[int, ...], kernels) -> list[str]:
@@ -317,8 +290,9 @@ def _is_prefix_kernel(pos: dict[int, int], out: list[int], n: int,
 
 
 def trace_kernels(d: Digraph, e: EarDecomposition,
-                  direction: str = "forward") -> KernelTrace:
-    """Kernel existence per stage, classified against the parity laws.
+                  direction: str = "forward") -> dict:
+    """Kernel existence per stage, classified against the parity laws: the
+    payload of `kernel trace`, one entry per stage under "stages".
 
     A digraph with a kernel either has one at every stage (even base cycle)
     or gains one for good at some flip stage whose kernels all show a
@@ -388,21 +362,22 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     require_decomposition(d, e, 2, "kernel trace", path_ears_only=True)
     verts, out, sizes, per_stage = _stage_kernels(d, e)
     pos = {v: i for i, v in enumerate(verts)}
-    entries = []
+    flags = [bool(kernels) for kernels in per_stage]
+    stages = []
     for j, kernels in enumerate(per_stage):
         kernel = None
         if kernels:
             if not _is_prefix_kernel(pos, out, sizes[j], kernels[0]):
                 raise VerificationError(
                     f"{list(kernels[0])} is not a kernel of stage {j}")
-            kernel = CertifiedSet(kernels[0], "kernel", stage=j)
+            kernel = CertifiedSet(kernels[0], "kernel", stage=j).to_json()
         transitions: list[str] = []
         if j > 0:
             source = per_stage[j - 1] if direction == "forward" else kernels
             transitions = _transition_labels(direction, e.ears[j - 1].vertices,
                                              source)
-        entries.append(StageEntry(j, bool(kernels), kernel, transitions))
-    flags = [entry.has_kernel for entry in entries]
+        stages.append({"stage": j, "has_kernel": flags[j], "kernel": kernel,
+                       "transitions": transitions})
     flips = [j for j in range(len(flags) - 1) if flags[j] != flags[j + 1]]
     base_parity = "even" if len(e.base.vertices) % 2 == 1 else "odd"
     # base ear repeats its anchor, so vertex-list length n+1 drives parity
@@ -425,5 +400,6 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
                                      f"of stage {stage}",
                          "holds": ok, "kernels_checked": len(kernels)}
         dichotomy = f"flip_at_stage_{flip_stage}" if ok else "mixed"
-    return KernelTrace(entries, dichotomy, flip_stage, flips, base_parity,
-                       pattern_check)
+    return {"stages": stages, "dichotomy": dichotomy, "flip_stage": flip_stage,
+            "flips": flips, "base_parity": base_parity,
+            "pattern_check": pattern_check}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coloring import VertexMapping, verify_homomorphism
-from .digraph import Digraph, is_asymmetrical, serialize_digraph
+from .digraph import Digraph, is_asymmetrical
 from .ears import Ear, EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
@@ -114,30 +114,6 @@ def missing_walk_witness(t: Tournament) -> tuple[int, int, int] | None:
     return _walk_gap(t.out_masks())
 
 
-@dataclass
-class CensusResult:
-    labeled_count: int
-    iso_class_count: int
-    witness: str
-    witness_isomorphic_to_reference: bool
-    closed_labeled_count: int
-    closed_iso_class_count: int
-    closed_reading_agrees: bool
-
-    def to_json(self) -> dict:
-        return {
-            "labeled_count": self.labeled_count,
-            "iso_class_count": self.iso_class_count,
-            "witness": self.witness,
-            "witness_isomorphic_to_reference": self.witness_isomorphic_to_reference,
-            "closed_reading": {
-                "labeled_count": self.closed_labeled_count,
-                "iso_class_count": self.closed_iso_class_count,
-                "agrees": self.closed_reading_agrees,
-            },
-        }
-
-
 def walk_survivors() -> tuple[list[int], list[int]]:
     """Order-6 codes with the three-length walk property, under the open and
     the closed reading, in ascending order.
@@ -185,8 +161,9 @@ def _set_bits(plane: int) -> list[int]:
     return out
 
 
-def uniqueness_census() -> CensusResult:
-    """Test all 32768 order-6 codes for the three-length walk property.
+def uniqueness_census() -> dict:
+    """Test all 32768 order-6 codes for the three-length walk property: the
+    payload of `census`.
 
     Every labelled code is tested and counted, by the bit-sliced scan of
     walk_survivors.  Survivors are grouped into isomorphism classes by
@@ -198,16 +175,15 @@ def uniqueness_census() -> CensusResult:
     classes = sorted(set(canon.values()))
     closed_classes = sorted({canon[code] for code in closed_survivors})
     reference = canonical_code(6, tournament_T().code)
-    witness = Tournament(6, classes[0]) if classes else None
-    return CensusResult(
-        labeled_count=len(survivors),
-        iso_class_count=len(classes),
-        witness=witness.code_string() if witness else "",
-        witness_isomorphic_to_reference=bool(classes) and classes[0] == reference,
-        closed_labeled_count=len(closed_survivors),
-        closed_iso_class_count=len(closed_classes),
-        closed_reading_agrees=survivors == closed_survivors,
-    )
+    return {
+        "labeled_count": len(survivors),
+        "iso_class_count": len(classes),
+        "witness": Tournament(6, classes[0]).code_string() if classes else "",
+        "witness_isomorphic_to_reference": bool(classes) and classes[0] == reference,
+        "closed_reading": {"labeled_count": len(closed_survivors),
+                           "iso_class_count": len(closed_classes),
+                           "agrees": survivors == closed_survivors},
+    }
 
 
 def walk_catalog(t: Tournament) -> dict[tuple[int, int, int], tuple[int, ...]]:
@@ -403,14 +379,6 @@ class TightInstance:
     decomposition: EarDecomposition
     mapping: VertexMapping
     below_report: OracleReport
-
-    def to_json(self) -> dict:
-        return {
-            "digraph": serialize_digraph(self.digraph),
-            "decomposition": self.decomposition.to_json(),
-            "oriented_chromatic_number": 6,
-            "order_5_search_space": self.below_report.search_space_size,
-        }
 
 
 # Four length-3 ears, each glued parallel to the middle arc of the one before

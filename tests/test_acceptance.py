@@ -37,10 +37,10 @@ def test_criterion_01_unique_walk_tournament():
     started = time.perf_counter()
     census = uniqueness_census()
     elapsed = time.perf_counter() - started
-    ok = (census.labeled_count == 240 and census.iso_class_count == 1
-          and census.witness_isomorphic_to_reference and elapsed < 10.0)
-    _report(1, ok, f"census of 32768 codes: {census.labeled_count} labeled, "
-                   f"{census.iso_class_count} class, isomorphic to the pinned "
+    ok = (census["labeled_count"] == 240 and census["iso_class_count"] == 1
+          and census["witness_isomorphic_to_reference"] and elapsed < 10.0)
+    _report(1, ok, f"census of 32768 codes: {census['labeled_count']} labeled, "
+                   f"{census['iso_class_count']} class, isomorphic to the pinned "
                    f"tournament, {elapsed:.1f}s")
 
 
@@ -229,17 +229,17 @@ def test_criterion_10_dichotomy_traces():
         if d.n > 20:
             continue
         trace = trace_kernels(d, e)
-        named = trace.dichotomy
+        named = trace["dichotomy"]
         assert (named in ("all_stages_have_kernels", "all_stages_lack_kernels")
                 or named.startswith("flip_at_stage_"))
         base_even = len(e.base.vertices) % 2 == 1
         if named == "all_stages_have_kernels":
-            assert base_even and trace.base_parity == "even"
+            assert base_even and trace["base_parity"] == "even"
             branches[named] += 1
         elif named == "all_stages_lack_kernels":
-            assert not base_even and trace.base_parity == "odd"
+            assert not base_even and trace["base_parity"] == "odd"
             branches[named] += 1
-        assert trace.pattern_check["holds"]
+        assert trace["pattern_check"]["holds"]
         passed += 1
     ok = passed > 0 and all(branches.values())
     _report(10, ok, f"{passed} traces each classify into exactly one branch; "

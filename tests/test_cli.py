@@ -14,7 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from earlab import cli, ears
 from earlab.cli import main
+from earlab.digraph import serialize_digraph
 from earlab.errors import BudgetExceededError
+from earlab.kernels import trace_kernels
+from earlab.oriented import uniqueness_census
 
 
 def run(capsys, *argv):
@@ -283,6 +286,21 @@ def test_census(capsys):
     assert code == 0
     assert doc["payload"]["labeled_count"] == 240
     assert doc["payload"]["closed_reading"]["agrees"] is True
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_reports_are_the_payloads_they_print(capsys, tmp_path, direction):
+    # one shape: the library returns what the command prints, key for key
+    d, e = ears.generate_random_le(base_length=4, ear_count=4,
+                                   min_ear_length=2, max_ear_length=3, seed=3)
+    path = tmp_path / "le.json"
+    path.write_text(json.dumps({"digraph": serialize_digraph(d),
+                                "decomposition": e.to_json()}))
+    code, doc = run(capsys, "kernel", "trace", str(path), "--decomposition",
+                    str(path), "--direction", direction)
+    assert code == 0 and doc["payload"] == trace_kernels(d, e, direction)
+    code, doc = run(capsys, "census")
+    assert code == 0 and doc["payload"] == uniqueness_census()
 
 
 def test_gen_gi_payload_is_a_digraph(capsys):
@@ -658,6 +676,8 @@ def _doc(*keys):
      "both_in_odd"),
     (["decompose", "{g}"], {"g": '{"arcs": ' + "[" * 200_000},
      "invalid_input", 2, "bad JSON: maximum recursion depth exceeded"),
+    (["decompose", "-"], {"stdin": None}, "invalid_input", 2,
+     "cannot read -: stdin is closed"),
     pytest.param(["decompose", "{g}"], {"g": '{"n": ' + "9" * 5000 + "}"},
                  "invalid_input", 2, "bad JSON: Exceeds the limit",
                  marks=pytest.mark.skipif(
@@ -675,7 +695,7 @@ def _doc(*keys):
         "stdin-for-input-and-decomposition", "stdin-for-all-three",
         "stdin-for-input-and-set-in-trace", "file-for-input-and-decomposition",
         "file-for-input-and-set", "file-for-decomposition-and-set",
-        "file-for-all-three", "json-nested-too-deep",
+        "file-for-all-three", "json-nested-too-deep", "closed-stdin",
         "json-integer-too-long"])
 def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
                         code, expect):
@@ -684,9 +704,11 @@ def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
     for key, data in files.items():
         data = data.encode() if isinstance(data, str) else data
         if key in ("stdin", "c-stdin"):
-            # strict as under PYTHONIOENCODING=utf-8, or as under the C locale
+            # strict as under PYTHONIOENCODING=utf-8, or as under the C locale;
+            # None, as Python sets it when fd 0 is closed
             errors = "strict" if key == "stdin" else "surrogateescape"
-            monkeypatch.setattr("sys.stdin", byte_stdin(data, errors))
+            monkeypatch.setattr("sys.stdin", None if data is None
+                                else byte_stdin(data, errors))
             continue
         paths[key] = str(tmp_path / key)
         (tmp_path / key).write_bytes(data)
@@ -746,8 +768,11 @@ BIG_IDS = list(range(3, 100_003))
      "labels name ids [3, 4, "),
     (["decompose", "{g}"], {"g": "0 1 " + "2 " * 100_000}, "expected 'u v'"),
     (["decompose", "{g}"], {"g": ("x" * 100_000 + " ") * 2}, "loop arc on 'xxx"),
+    (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "{s}"],
+     {"g": EAR_G, "d": EAR_D, "s": BIG_IDS}, "set [4, 5, "),
 ], ids=["decomposition-base", "arc-entry", "ear-repeat", "n", "label-name",
-        "label-key", "labels-past-n", "edge-list-line", "edge-list-loop"])
+        "label-key", "labels-past-n", "edge-list-line", "edge-list-loop",
+        "kernel-set-off-stage"])
 def test_refusals_echo_a_bounded_value(capsys, tmp_path, argv, files, expect):
     # the message names the offending value; it does not copy the input
     paths = {}
@@ -760,6 +785,29 @@ def test_refusals_echo_a_bounded_value(capsys, tmp_path, argv, files, expect):
     doc = json.loads(out)
     assert (code, doc["status"]) == (2, "invalid_input")
     assert expect in doc["error"] and len(out) < 1024, doc["error"][:100]
+
+
+@pytest.mark.parametrize("action, members, where", [
+    ("extend", range(6000), "stage"), ("restrict", range(6001), "glued")])
+def test_kernel_refusals_echo_a_bounded_set(capsys, tmp_path, action, members,
+                                            where):
+    # every vertex of a 6,000-cycle, or of it with one length-2 ear: no
+    # independent set, so no kernel of the stage or of the glued digraph
+    base = list(range(6000))
+    arcs = [[v, (v + 1) % 6000] for v in base] + [[0, 6000], [6000, 2]]
+    doc = {"digraph": {"arcs": arcs},
+           "decomposition": {"base": base, "ears": [[0, 6000, 2]]},
+           "members": list(members)}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["kernel", action, str(path), "--decomposition", str(path),
+                 "--set", str(path)])
+    out = capsys.readouterr().out
+    error = json.loads(out)["error"]
+    assert code == 1
+    assert error.startswith("[0, 1, 2, ")
+    assert error.endswith(f" is not a kernel of the {where} digraph")
+    assert len(out) < 1024, error[:100]
 
 
 def test_closed_pipe_is_silent():

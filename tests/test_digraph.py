@@ -382,8 +382,13 @@ def test_set_predicates_on_c4():
 
 
 def test_set_predicates_rejects_foreign_vertices():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"^set \[7\] not in digraph$"):
         set_predicates(Digraph.cycle(3), {7})
+    # the message names the first foreign ids; it does not copy the set
+    with pytest.raises(InvalidInputError) as caught:
+        set_predicates(Digraph.cycle(3), range(100_003))
+    assert str(caught.value).startswith("set [3, 4, ")
+    assert len(str(caught.value)) < 100
 
 
 def test_kernel_and_quasi_kernel_helpers():

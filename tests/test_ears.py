@@ -141,6 +141,26 @@ def test_base_is_checked_against_the_host_only():
         d, EarDecomposition(Ear((0, 1, 0)), [Ear((0, 2, 1))])).ok
 
 
+def unchecked(vertices):
+    """A part built without Ear's checks, as a builder might make one."""
+    part = object.__new__(Ear)
+    object.__setattr__(part, "vertices", vertices)
+    return part
+
+
+@pytest.mark.parametrize("parts, violation", [
+    (((0, 1, 2, 0), (1,)), "stage 0: ear has no arc"),
+    (((0, 1, 2, 0), (0, 5, 6, 5, 1)), "stage 0: repeated internal vertex in ear"),
+    (((0, 1, 2, 0, 1, 2, 0),), "stage 0: repeated vertex in base cycle"),
+], ids=["no-arc", "repeated-internal-vertex", "repeated-base-vertex"])
+def test_validate_names_a_part_built_without_ear_checks(parts, violation):
+    # C3 plus each part's arcs: the index passes reject it, the walk names why
+    d = Digraph({v for p in parts for v in p}, {a for p in parts for a in arcs_of(p)})
+    base, *rest = map(unchecked, parts)
+    assert validate_decomposition(d, EarDecomposition(base, rest)).violations == \
+        [violation]
+
+
 def test_json_roundtrip():
     e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
     doc = e.to_json()

@@ -243,17 +243,17 @@ def test_trace_even_base_all_stages():
     d = Digraph.cycle(4)
     e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
     tr = trace_kernels(d, e)
-    assert tr.dichotomy == "all_stages_have_kernels"
-    assert tr.base_parity == "even"
-    assert tr.flip_stage is None and tr.flips == []
+    assert tr["dichotomy"] == "all_stages_have_kernels"
+    assert tr["base_parity"] == "even"
+    assert tr["flip_stage"] is None and tr["flips"] == []
 
 
 def test_trace_odd_base_all_stages_lack():
     d = Digraph.cycle(5)
     e = EarDecomposition(Ear((0, 1, 2, 3, 4, 0)), [])
     tr = trace_kernels(d, e)
-    assert tr.dichotomy == "all_stages_lack_kernels"
-    assert tr.base_parity == "odd"
+    assert tr["dichotomy"] == "all_stages_lack_kernels"
+    assert tr["base_parity"] == "odd"
 
 
 def test_trace_gain_flip():
@@ -261,10 +261,10 @@ def test_trace_gain_flip():
     d = Digraph(range(7), arcs)
     e = EarDecomposition(Ear((0, 1, 2, 3, 4, 0)), [Ear((0, 5, 6, 2))])
     tr = trace_kernels(d, e)
-    assert tr.dichotomy == "flip_at_stage_0"
-    assert tr.flips == [0]
-    assert tr.pattern_check["holds"]
-    assert tr.entries[1].kernel.members == (2, 4, 5)
+    assert tr["dichotomy"] == "flip_at_stage_0"
+    assert tr["flips"] == [0]
+    assert tr["pattern_check"]["holds"]
+    assert tr["stages"][1]["kernel"]["members"] == [2, 4, 5]
 
 
 def test_trace_loss_flip():
@@ -275,9 +275,9 @@ def test_trace_loss_flip():
                          [Ear((0, 4, 1)), Ear((1, 5, 4))])
     tr = trace_kernels(d, e)
     assert not kernel_oracle(d).value
-    assert tr.dichotomy == "flip_at_stage_1"
-    assert tr.pattern_check["holds"]
-    assert "push-forward" in tr.pattern_check["required"]
+    assert tr["dichotomy"] == "flip_at_stage_1"
+    assert tr["pattern_check"]["holds"]
+    assert "push-forward" in tr["pattern_check"]["required"]
 
 
 def test_trace_transitions_label_every_kernel():
@@ -285,9 +285,9 @@ def test_trace_transitions_label_every_kernel():
     d = Digraph(range(7), arcs)
     e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 4, 5, 6, 2))])
     forward = trace_kernels(d, e, direction="forward")
-    assert any("extend" in t for t in forward.entries[1].transitions)
+    assert any("extend" in t for t in forward["stages"][1]["transitions"])
     backward = trace_kernels(d, e, direction="backward")
-    assert any("restrict" in t for t in backward.entries[1].transitions)
+    assert any("restrict" in t for t in backward["stages"][1]["transitions"])
 
 
 def test_trace_rejects_cycle_ears():
@@ -355,10 +355,10 @@ def test_trace_matches_the_per_stage_oracle():
         got = kernels._stage_kernels(d, e)
         assert got == oracle_stage_kernels(d, e), e
         for direction in ("forward", "backward"):
-            doc = trace_kernels(d, e, direction).to_json()
+            doc = trace_kernels(d, e, direction)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(kernels, "_stage_kernels", oracle_stage_kernels)
-                assert doc == trace_kernels(d, e, direction).to_json(), e
+                assert doc == trace_kernels(d, e, direction), e
 
 
 def stage_scans(e):
@@ -396,9 +396,9 @@ def test_trace_never_runs_the_oracle_scan(monkeypatch):
 
     monkeypatch.setattr(oracles, "_absorbing_sets", refuse)
     d, e = next(one_ear_instances())
-    assert trace_kernels(d, e).entries[1].has_kernel
+    assert trace_kernels(d, e)["stages"][1]["has_kernel"]
     cycle = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
-    assert trace_kernels(Digraph.cycle(4), cycle).entries[0].has_kernel
+    assert trace_kernels(Digraph.cycle(4), cycle)["stages"][0]["has_kernel"]
 
 
 def test_trace_rechecks_each_reported_kernel(monkeypatch):
@@ -426,7 +426,7 @@ def test_trace_indexes_the_input_once(monkeypatch):
     d, e = fan(200)
     tracemalloc.start()
     try:
-        doc = trace_kernels(d, e).to_json()
+        doc = trace_kernels(d, e)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,14 +446,14 @@ def test_trace_indexes_the_input_once(monkeypatch):
     monkeypatch.setattr(kernels, "_index_maps",
                         lambda *args: indexed.append(args) or index_maps(*args))
     monkeypatch.setattr(kernels, "_is_kernel_on", refuse)
-    assert trace_kernels(d, e).to_json() == doc
+    assert trace_kernels(d, e) == doc
     assert (len(built), len(indexed)) == (0, 1)
 
 
 def test_trace_json_shape():
     d = Digraph.cycle(4)
     e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
-    doc = trace_kernels(d, e).to_json()
+    doc = trace_kernels(d, e)
     assert doc["dichotomy"] == "all_stages_have_kernels"
     assert doc["stages"][0]["has_kernel"] is True
     assert doc["base_parity"] == "even"

@@ -59,12 +59,12 @@ def test_walk_property_needs_order_six():
 
 
 def test_census_finds_a_single_class(census):
-    assert census.labeled_count == 240
-    assert census.iso_class_count == 1
-    assert census.witness_isomorphic_to_reference
-    assert census.closed_reading_agrees
-    assert census.closed_labeled_count == 240
-    witness = Tournament.from_code_string(census.witness)
+    assert census["labeled_count"] == 240
+    assert census["iso_class_count"] == 1
+    assert census["witness_isomorphic_to_reference"]
+    assert census["closed_reading"]["agrees"]
+    assert census["closed_reading"]["labeled_count"] == 240
+    witness = Tournament.from_code_string(census["witness"])
     assert witness.code == canonical_code(6, tournament_T().code)
 
 
@@ -84,20 +84,19 @@ def test_bit_sliced_scan_matches_the_per_code_scan():
 
 def test_census_witness_is_isomorphic_to_t_under_networkx(census):
     nx = pytest.importorskip("networkx")
-    witness = Tournament.from_code_string(census.witness)
+    witness = Tournament.from_code_string(census["witness"])
     assert nx.is_isomorphic(nx.DiGraph(list(witness.arcs)),
                             nx.DiGraph(list(tournament_T().arcs)))
 
 
 def test_census_count_matches_orbit_size(census):
     # 720 labelings divided by the 3 automorphisms
-    assert census.labeled_count * automorphism_count(tournament_T()) == 720
+    assert census["labeled_count"] * automorphism_count(tournament_T()) == 720
 
 
 def test_census_json(census):
-    doc = census.to_json()
-    assert doc["iso_class_count"] == 1
-    assert doc["closed_reading"]["agrees"] is True
+    assert census["iso_class_count"] == 1
+    assert census["closed_reading"]["agrees"] is True
 
 
 def test_catalog_anchored_cycles():
@@ -366,5 +365,3 @@ def test_tight_instance_shape():
     assert inst.below_report.value is None
     assert inst.below_report.details == {"exceeds": 5}
     verify_homomorphism(inst.digraph, inst.mapping)
-    doc = inst.to_json()
-    assert doc["oriented_chromatic_number"] == 6

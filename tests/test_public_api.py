@@ -20,9 +20,12 @@ def test_every_export_resolves_once():
     for gone in ("extend_obstruction", "restrict_obstruction",
                  "le2_quasi_kernel_obstruction", "ExtensionCandidate",
                  "find_quasi_kernel_obstruction", "ExtensionReport",
-                 "serialize_edge_list", "is_homomorphism"):
+                 "serialize_edge_list", "is_homomorphism", "KernelTrace",
+                 "StageEntry", "CensusResult"):
         assert gone not in names
         assert not hasattr(earlab, gone)
+    # a report is the payload it prints; the tight instance prints nothing
+    assert not hasattr(earlab.TightInstance, "to_json")
     # an ear is its vertex tuple: the decomposition's index holds the rest
     for gone in ("x0", "xr", "length", "is_cycle", "internal", "arcs"):
         assert not hasattr(earlab.Ear, gone)
