@@ -19,7 +19,7 @@ from .digraph import (Digraph, NeighborhoodReport, SetPredicates,
                       is_nonseparable, is_quasi_kernel, is_strong,
                       neighborhoods, parse_digraph, serialize_digraph,
                       set_predicates)
-from .ears import (DecompositionReport, Ear, EarDecomposition,
+from .ears import (DecompositionReport, EarDecomposition,
                    find_ear_decomposition, find_le_decomposition,
                    generate_random_le, validate_decomposition)
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError", "CapExceededError", "CertifiedSet",
     "DecompositionReport", "DichromaticBounds", "Digraph",
-    "Ear", "EarDecomposition", "EarlabError", "InvalidInputError",
+    "EarDecomposition", "EarlabError", "InvalidInputError",
     "KernelObstruction", "NeighborhoodReport", "OracleReport", "ParseError",
     "PropertyFailedError", "SetPredicates", "TightInstance",
     "Tournament", "VerificationError", "VertexMapping",

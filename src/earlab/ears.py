@@ -24,21 +24,24 @@ from .errors import (BudgetExceededError, InvalidInputError, ParseError,
 
 @dataclass(frozen=True)
 class Ear:
-    """Path or cycle (x_0, ..., x_r) glued onto a stage; length = r arcs."""
+    """A part (x_0, ..., x_r) as EarDecomposition checked it; r arcs."""
 
     vertices: tuple[int, ...]
 
-    def __post_init__(self):
-        vs = self.vertices
-        if len(vs) < 2:
-            raise InvalidInputError("an ear needs at least one arc")
-        if len(vs) == 2 and vs[0] == vs[1]:
-            raise InvalidInputError("length-1 cycle ear would be a loop")
-        interior = vs[1:-1]
-        if len(set(interior)) != len(interior):
-            raise InvalidInputError(f"repeated internal vertex in ear {vs!r:.40}")
-        if vs[0] in interior or vs[-1] in interior:
-            raise InvalidInputError(f"endpoint reused internally in ear {vs!r:.40}")
+
+def _part(vs: Iterable[int]) -> tuple[int, ...]:
+    """vs as a part: >= 1 arc, no interior vertex repeated or an end."""
+    vs = tuple(vs)
+    if len(vs) < 2:
+        raise InvalidInputError("an ear needs at least one arc")
+    if len(vs) == 2 and vs[0] == vs[1]:
+        raise InvalidInputError("length-1 cycle ear would be a loop")
+    interior = vs[1:-1]
+    if len(set(interior)) != len(interior):
+        raise InvalidInputError(f"repeated internal vertex in ear {vs!r:.40}")
+    if vs[0] in interior or vs[-1] in interior:
+        raise InvalidInputError(f"endpoint reused internally in ear {vs!r:.40}")
+    return vs
 
 
 def _ids(value, what: str) -> tuple[int, ...]:
@@ -53,15 +56,18 @@ class EarDecomposition:
     every digraph whose vertices and arcs its parts cover exactly, once each
     (validate_decomposition).  Its index, built with it: order, the base's
     vertices then each ear's interior as the parts add them; ends, stage j
-    having the vertices order[:ends[j]]; lengths, each ear's arc count."""
+    having the vertices order[:ends[j]]; lengths, each ear's arc count.
+    The one way in: the base (x_0, ..., x_0) and each ear, vertex sequences
+    checked by _part in that order, the base's cycle test between."""
 
-    def __init__(self, base: Ear, ears: Iterable[Ear] = ()):
-        cycle = base.vertices
+    def __init__(self, base: Iterable[int], ears: Iterable[Iterable[int]] = ()):
+        cycle = _part(base)
         if cycle[0] != cycle[-1]:
             raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
-        self.base = base
-        self.ears = tuple(ears)
-        inner = [p.vertices[1:-1] for p in self.ears]
+        parts = tuple(map(_part, ears))
+        self.base = Ear(cycle)
+        self.ears = tuple(map(Ear, parts))
+        inner = [p[1:-1] for p in parts]
         self.order = cycle[:-1] + tuple(chain.from_iterable(inner))
         self.ends = tuple(accumulate(map(len, inner), initial=len(cycle) - 1))
         self.lengths = tuple(len(p) + 1 for p in inner)
@@ -94,16 +100,17 @@ class EarDecomposition:
     def from_json(cls, doc: dict) -> "EarDecomposition":
         if not isinstance(doc, dict) or "base" not in doc:
             raise InvalidInputError("decomposition JSON needs a 'base' field")
-        base_list = _ids(doc["base"], "'base'")
-        if len(base_list) >= 2 and base_list[0] == base_list[-1]:
-            base_list = base_list[:-1]  # accept the closed form too
-        if len(base_list) < 2:
+        base = _ids(doc["base"], "'base'")
+        if len(base) >= 2 and base[0] == base[-1]:
+            base = base[:-1]  # accept the closed form too
+        if len(base) < 2:
             raise InvalidInputError("base cycle needs at least 2 vertices")
-        base = Ear(base_list + (base_list[0],))
         ears = doc.get("ears", [])
         if not isinstance(ears, (list, tuple)):
+            _part(base + base[:1])  # a malformed base is named first
             raise ParseError("'ears' must be a list of vertex lists")
-        return cls(base, [Ear(_ids(e, "ear")) for e in ears])
+        # drawn one at a time: each ear's ids are checked before its shape
+        return cls(base + base[:1], map(_ids, ears, repeat("ear")))
 
     def __repr__(self) -> str:
         return (f"EarDecomposition(base={list(self.base.vertices)}, "
@@ -121,14 +128,14 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     """Check every decomposition invariant; violations name their stage.
 
     No stage is tested for strongness.  The base is a cycle on distinct
-    vertices (Ear and EarDecomposition enforce that), so it is strong once
+    vertices (EarDecomposition checks every part), so it is strong once
     its arcs are in d; gluing an ear with both ends in a strong stage and a
     new interior keeps the stage strong, so once the per-ear invariants
     hold no later stage can fail that test.
 
     C-level passes over e's index accept; only a failing decomposition is
-    walked ear by ear, to name each violation, Ear's refusals among them
-    (no arc, a repeated vertex) for parts made without Ear's checks.
+    walked ear by ear, to name each violation but a part's own shape, which
+    the constructor refuses.  A text echoes at most 40 characters of a set.
     """
     n, pos = d.n, dict(zip(e.order, range(d.n)))
     paths = tuple(map(attrgetter("vertices"), e.ears))
@@ -148,8 +155,6 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
             return DecompositionReport(ok=True)
     bad: list[str] = []
     cycle = e.base.vertices
-    if len(set(cycle)) < len(cycle) - 1:
-        bad.append("stage 0: repeated vertex in base cycle")
     base_arcs = tuple(zip(cycle, cycle[1:]))
     for a in base_arcs:
         if a not in d.arcs:
@@ -158,15 +163,11 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     host_arcs = d.arcs
     for idx, p in enumerate(paths):
         inner, ear_arcs = p[1:-1], tuple(zip(p, p[1:]))
-        if len(p) < 2:
-            bad.append(f"stage {idx}: ear has no arc")
-        if len(set(inner)) != len(inner):
-            bad.append(f"stage {idx}: repeated internal vertex in ear")
         if p[0] not in verts or p[-1] not in verts:
             bad.append(f"stage {idx}: ear endpoints must lie in the stage digraph")
         elif not verts.isdisjoint(inner):
             bad.append(f"stage {idx}: ear internal vertices must be new, "
-                       f"{sorted(verts.intersection(inner))} already in the stage")
+                       f"{sorted(verts.intersection(inner))!s:.40} already in the stage")
         for a in ear_arcs:
             if a not in host_arcs:
                 bad.append(f"stage {idx}: ear arc {a} not in host")
@@ -177,9 +178,9 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
         verts.update(p)
         arcs.update(ear_arcs)
     if verts != d.vertices:
-        bad.append(f"final: vertices uncovered: {sorted(d.vertices - verts)}")
+        bad.append(f"final: vertices uncovered: {sorted(d.vertices - verts)!s:.40}")
     if arcs != d.arcs:
-        bad.append(f"final: arcs uncovered: {sorted(d.arcs - arcs)}")
+        bad.append(f"final: arcs uncovered: {sorted(d.arcs - arcs)!s:.40}")
     return DecompositionReport(ok=not bad, violations=bad)
 
 
@@ -265,7 +266,7 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
                 parent[y] = w
                 bfs.append(y)
     covered_a = set(zip(cycle, cycle[1:]))
-    ears: list[Ear] = []
+    ears: list[tuple[int, ...]] = []
     for u in queue:  # the queue grows as ears cover new vertices
         for x in d.out_neighbors(u):
             if (u, x) in covered_a:
@@ -273,12 +274,12 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
             path = [u, x]
             while path[-1] not in covered_v:
                 path.append(parent[path[-1]])
-            ears.append(Ear(tuple(path)))
+            ears.append(tuple(path))
             inner = path[1:-1]
             covered_v.update(inner)
             covered_a.update(zip(path, path[1:]))
             queue.extend(inner)
-    return _self_checked(d, EarDecomposition(Ear(cycle), ears))
+    return _self_checked(d, EarDecomposition(cycle, ears))
 
 
 def _spend(budget_box: list[int]) -> None:
@@ -469,7 +470,7 @@ class _Remainder:
             log += [(before, False), (after, False), (merged, True)]
         return log
 
-    def base(self) -> Ear:
+    def base(self) -> tuple[int, ...]:
         """The remainder as a cycle ear from its smallest vertex, when it is
         one directed cycle."""
         v0 = min(self.out)
@@ -478,7 +479,7 @@ class _Remainder:
         while v != v0:
             cycle.append(v)
             (v,) = self.out[v]
-        return Ear(tuple(cycle) + (v0,))
+        return tuple(cycle) + (v0,)
 
 
 def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
@@ -513,7 +514,7 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     while frames:
         frame = frames[-1]
         if rest.m == rest.n:  # one directed cycle: the base
-            ears = [Ear(f[0][1]) for f in reversed(frames[1:])]
+            ears = [f[0][1] for f in reversed(frames[1:])]
             return _self_checked(d, EarDecomposition(rest.base(), ears), i,
                                  not allow_cycle_ears)
         order = rest.order
@@ -566,12 +567,12 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
     _check_vertex_count(base_length + ear_count * (min_ear_length - 1))
     rng = random.Random(seed)
     arcs = {(i, (i + 1) % base_length) for i in range(base_length)}
-    base = Ear(tuple(range(base_length)) + (0,))
+    base = tuple(range(base_length)) + (0,)
     near = [set() for _ in range(base_length)]  # neighbours either way
     for u, v in arcs:
         near[u].add(v)
         near[v].add(u)
-    ears: list[Ear] = []
+    ears: list[tuple[int, ...]] = []
     next_id = base_length  # the vertices are 0..next_id-1
     for _ in range(ear_count):
         length = rng.randint(min_ear_length, max_ear_length)
@@ -606,7 +607,7 @@ def generate_random_le(base_length: int = 3, ear_count: int = 3,
             next_id += length - 1
             near.extend(set() for _ in interior)
             vs = (x0,) + interior + (xr,)
-        ears.append(Ear(vs))
+        ears.append(vs)
         for u, v in zip(vs, vs[1:]):
             arcs.add((u, v))
             near[u].add(v)

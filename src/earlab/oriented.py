@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .coloring import VertexMapping, verify_homomorphism
 from .digraph import Digraph, is_asymmetrical
-from .ears import Ear, EarDecomposition, require_decomposition
+from .ears import EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
 from .oracles import OracleReport, oriented_chromatic_oracle
@@ -400,7 +400,7 @@ def find_tight_le3_instance() -> TightInstance:
     """
     parts = ((0, 1, 2, 0),) + _TIGHT_EARS
     host = Digraph(range(11), [a for p in parts for a in zip(p, p[1:])])
-    decomp = EarDecomposition(Ear(parts[0]), map(Ear, _TIGHT_EARS))
+    decomp = EarDecomposition(parts[0], _TIGHT_EARS)
     report = oriented_chromatic_oracle(host, k_max=5)
     if report.value is not None:
         raise VerificationError(

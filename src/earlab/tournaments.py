@@ -47,18 +47,6 @@ class Tournament:
                 code |= 1 << idx
         return cls(k, code)
 
-    @classmethod
-    def from_code_string(cls, s: str) -> "Tournament":
-        m = len(s)
-        k = next((kk for kk in range(1, 16) if kk * (kk - 1) // 2 == m), None)
-        if k is None or any(c not in "01" for c in s):
-            raise InvalidInputError(f"bad tournament code string {s!r}")
-        code = 0
-        for idx, c in enumerate(s):
-            if c == "1":
-                code |= 1 << idx
-        return cls(k, code)
-
     def code_string(self) -> str:
         return "".join("1" if self.code >> i & 1 else "0"
                        for i in range(len(_pairs(self.k))))
@@ -91,9 +79,6 @@ class Tournament:
             if self.has_arc(perm[i], perm[j]):
                 code |= 1 << idx
         return Tournament(self.k, code)
-
-    def to_digraph(self) -> Digraph:
-        return Digraph(range(self.k), self.arcs)
 
     def __repr__(self) -> str:
         return f"Tournament(k={self.k}, code={self.code_string()!r})"

@@ -14,7 +14,7 @@ from earlab.coloring import proper_3_coloring, verify_proper
 from earlab.digraph import (Digraph, is_asymmetrical, is_kernel,
                             is_nonseparable, is_quasi_kernel, is_strong,
                             neighborhoods, set_predicates)
-from earlab.ears import Ear, EarDecomposition, generate_random_le
+from earlab.ears import EarDecomposition, generate_random_le
 from earlab.kernels import (extend_kernel, restrict_condition,
                             restrict_kernel, trace_kernels)
 from earlab.constructions import CertifiedSet
@@ -171,7 +171,7 @@ def test_criterion_08_longest_path_transversals():
 def test_criterion_09_kernel_lemma_sweep():
     started = time.perf_counter()
     # each host with the base and ears it is the last stage of
-    hosts = {Digraph.cycle(n): (Ear((*range(n), 0)), ()) for n in range(2, 9)}
+    hosts = {Digraph.cycle(n): ((*range(n), 0), ()) for n in range(2, 9)}
     for seed in range(30):
         d, e = generate_random_le(base_length=3 + seed % 4,
                                   ear_count=1 + seed % 2,
@@ -181,7 +181,8 @@ def test_criterion_09_kernel_lemma_sweep():
             # a path-ears LE_2 stage is strong and nonseparable
             assert is_strong(stage) and is_nonseparable(stage)
             if stage.n <= 8:
-                hosts.setdefault(stage, (e.base, e.ears[:j]))
+                hosts.setdefault(stage, (e.base.vertices,
+                                         [p.vertices for p in e.ears[:j]]))
     extends = recoveries = counterexamples = 0
     for h in sorted(hosts, key=lambda g: (g.n, sorted(g.arcs))):
         kernels = kernel_oracle(h, enumerate_all=True).details["all_kernels"]
@@ -191,9 +192,8 @@ def test_criterion_09_kernel_lemma_sweep():
                 if x0 == xr:
                     continue
                 p = (x0, *range(h.n, h.n + r - 1), xr)
-                ear = Ear(p)
                 glued = h.union(p, zip(p, p[1:]))
-                dec = EarDecomposition(base, (*ears, ear))
+                dec = EarDecomposition(base, (*ears, p))
                 for members in kernels:
                     result = extend_kernel(glued, dec, members)
                     if not isinstance(result, CertifiedSet):

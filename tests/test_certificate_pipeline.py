@@ -20,7 +20,7 @@ from earlab.coloring import VertexMapping, verify_homomorphism
 from earlab.constructions import (longest_path_transversal,
                                   quasi_kernel_failing_stage, small_quasi_kernel)
 from earlab.digraph import Digraph, is_strong, serialize_digraph, set_predicates
-from earlab.ears import (Ear, EarDecomposition, find_ear_decomposition,
+from earlab.ears import (EarDecomposition, find_ear_decomposition,
                          generate_random_le, validate_decomposition)
 from earlab.errors import InvalidInputError, VerificationError
 from earlab.kernels import extend_kernel, restrict_kernel
@@ -149,7 +149,8 @@ def test_extension_rejects_a_wrong_ear_image(monkeypatch):
                               max_ear_length=6, seed=4)
     m = oriented_coloring_le3(d, e)
     stage, ear = e.stage(7), e.ears[7]
-    glued, upto = e.stage(8), EarDecomposition(e.base, e.ears[:8])
+    glued, upto = e.stage(8), EarDecomposition(e.base.vertices,
+                                               [p.vertices for p in e.ears[:8]])
     phi = VertexMapping({v: m.assignment[v] for v in stage.vertices},
                         m.target, "homomorphism")
     real_verify = oriented_mod.verify_homomorphism
@@ -287,15 +288,15 @@ def test_ear_extensions_do_no_stage_work(monkeypatch):
     # has the kernel {0, 2} plus the middle of every length-4 ear
     ears, nxt = [], 4
     for k in range(400):
-        ears.append(Ear((0, *range(nxt, nxt + 1 + 2 * (k % 2)), 2)))
+        ears.append((0, *range(nxt, nxt + 1 + 2 * (k % 2)), 2))
         nxt += 1 + 2 * (k % 2)
-    base = Ear((0, 1, 2, 3, 0))
+    base = (0, 1, 2, 3, 0)
     d = Digraph(range(nxt), [a for part in (base, *ears)
-                             for a in zip(part.vertices, part.vertices[1:])])
+                             for a in zip(part, part[1:])])
     e = EarDecomposition(base, ears)
-    middles = {ear.vertices[2] for ear in ears if len(ear.vertices) == 5}
+    middles = {ear[2] for ear in ears if len(ear) == 5}
     glued_kernel = {0, 2} | middles
-    stage_kernel = glued_kernel - set(ears[-1].vertices[1:-1])
+    stage_kernel = glued_kernel - set(ears[-1][1:-1])
     # an LE_3 instance with cycle ears for the homomorphism
     h, f = generate_random_le(base_length=5, ear_count=400, min_ear_length=3,
                               max_ear_length=6, cycle_ear_probability=0.15,

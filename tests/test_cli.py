@@ -744,6 +744,8 @@ def test_crlf_edge_list_reads_as_its_lf_form(capsys, monkeypatch, tmp_path,
 
 
 BIG_IDS = list(range(3, 100_003))
+# C4 plus the cycle 0 -> 4 -> ... -> 19999 -> 0, which {"base": [0, 1, 2, 3]} leaves out
+AROUND = [0, *range(4, 20_000), 0]
 
 
 @pytest.mark.parametrize("argv, files, expect", [
@@ -770,9 +772,13 @@ BIG_IDS = list(range(3, 100_003))
     (["decompose", "{g}"], {"g": ("x" * 100_000 + " ") * 2}, "loop arc on 'xxx"),
     (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "{s}"],
      {"g": EAR_G, "d": EAR_D, "s": BIG_IDS}, "set [4, 5, "),
+    (["color", "{g}", "--decomposition", "{d}"],
+     {"g": {"arcs": [[0, 1], [1, 2], [2, 3], [3, 0], *zip(AROUND, AROUND[1:])]},
+      "d": {"base": [0, 1, 2, 3]}},
+     "invalid decomposition: final: vertices uncovered: [4, 5, "),
 ], ids=["decomposition-base", "arc-entry", "ear-repeat", "n", "label-name",
         "label-key", "labels-past-n", "edge-list-line", "edge-list-loop",
-        "kernel-set-off-stage"])
+        "kernel-set-off-stage", "uncovered-vertices"])
 def test_refusals_echo_a_bounded_value(capsys, tmp_path, argv, files, expect):
     # the message names the offending value; it does not copy the input
     paths = {}

@@ -5,7 +5,7 @@ from earlab.coloring import (VertexMapping, dichromatic_bounds,
                              proper_3_coloring,
                              verify_homomorphism, verify_proper)
 from earlab.digraph import Digraph
-from earlab.ears import Ear, EarDecomposition, generate_random_le
+from earlab.ears import EarDecomposition, generate_random_le
 from earlab.errors import InvalidInputError, VerificationError
 from earlab.oracles import chromatic_oracles
 from earlab.tournaments import Tournament
@@ -13,7 +13,7 @@ from earlab.tournaments import Tournament
 
 def bare_cycle(n):
     d = Digraph.cycle(n)
-    return d, EarDecomposition(Ear(tuple(range(n)) + (0,)), [])
+    return d, EarDecomposition(tuple(range(n)) + (0,), [])
 
 
 def test_even_cycle_uses_two_colors():
@@ -33,7 +33,7 @@ def test_odd_cycle_needs_the_third_color():
 def test_length_two_ear_takes_a_free_color():
     arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 2)]
     d = Digraph(range(5), arcs)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 4, 2))])
+    e = EarDecomposition((0, 1, 2, 3, 0), [(0, 4, 2)])
     m = proper_3_coloring(d, e)
     # both ear neighbours are colored 1, so the middle avoids only that
     assert m.assignment[4] != m.assignment[0]
@@ -43,7 +43,7 @@ def test_length_two_ear_takes_a_free_color():
 def test_length_three_ear():
     arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 1)]
     d = Digraph(range(6), arcs)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 4, 5, 1))])
+    e = EarDecomposition((0, 1, 2, 3, 0), [(0, 4, 5, 1)])
     m = proper_3_coloring(d, e)
     assert m.assignment[4] not in (m.assignment[0], m.assignment[5])
     assert m.assignment[5] not in (m.assignment[4], m.assignment[1])
@@ -52,7 +52,7 @@ def test_length_three_ear():
 def test_long_ear_alternates_interior():
     arcs = [(0, 1), (1, 2), (2, 0)] + [(0, 3), (3, 4), (4, 5), (5, 6), (6, 1)]
     d = Digraph(range(7), arcs)
-    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 5, 6, 1))])
+    e = EarDecomposition((0, 1, 2, 0), [(0, 3, 4, 5, 6, 1)])
     m = proper_3_coloring(d, e)
     assert m.colors_used() <= 3
     verify_proper(d, m)
@@ -61,7 +61,7 @@ def test_long_ear_alternates_interior():
 def test_cycle_ear_coloring():
     arcs = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)]
     d = Digraph(range(5), arcs)
-    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((1, 3, 4, 1))])
+    e = EarDecomposition((0, 1, 2, 0), [(1, 3, 4, 1)])
     m = proper_3_coloring(d, e)
     verify_proper(d, m)
     assert m.colors_used() <= 3

@@ -8,7 +8,7 @@ from earlab.constructions import (CertifiedSet, cycle_quasi_kernel_indices,
                                   small_quasi_kernel)
 from earlab.digraph import (Digraph, is_quasi_kernel, neighborhoods,
                             set_predicates)
-from earlab.ears import (Ear, EarDecomposition, find_le_decomposition,
+from earlab.ears import (EarDecomposition, find_le_decomposition,
                          generate_random_le)
 from earlab.errors import InvalidInputError, VerificationError
 from earlab.oracles import longest_path_oracle, quasi_kernel_oracle
@@ -20,17 +20,10 @@ def arcs_of(p):
 
 def decomposition(base_len, ears, extra_arcs=()):
     """Assemble a digraph and decomposition from explicit ear tuples."""
-    base = Ear(tuple(range(base_len)) + (0,))
-    arcs = arcs_of(base.vertices) + list(extra_arcs)
-    verts = set(range(base_len))
-    ear_objs = []
-    for shape in ears:
-        ear = Ear(tuple(shape))
-        ear_objs.append(ear)
-        verts |= set(ear.vertices)
-        arcs += arcs_of(ear.vertices)
-    d = Digraph(verts, arcs)
-    return d, EarDecomposition(base, ear_objs)
+    base = tuple(range(base_len)) + (0,)
+    arcs = [a for p in (base, *ears) for a in arcs_of(p)] + list(extra_arcs)
+    d = Digraph(set(base).union(*ears), arcs)
+    return d, EarDecomposition(base, ears)
 
 
 def test_certified_set_sorts_members():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import earlab.ears as ears_mod
 from earlab.digraph import Digraph, is_asymmetrical, is_nonseparable, is_strong
-from earlab.ears import (Ear, EarDecomposition, _self_checked,
+from earlab.ears import (EarDecomposition, _self_checked,
                          _shortest_cycle_through, _spend,
                          find_ear_decomposition, find_le_decomposition,
                          generate_random_le, validate_decomposition)
@@ -24,8 +24,8 @@ def arcs_of(p):
 
 
 def test_ear_fields():
-    e = Ear((0, 5, 6, 1))
-    p = e.vertices
+    (ear,) = EarDecomposition((0, 1, 0), [(0, 5, 6, 1)]).ears
+    p = ear.vertices
     assert p[0] == 0 and p[-1] == 1
     assert len(p) - 1 == 3 and p[0] != p[-1]
     assert p[1:-1] == (5, 6)
@@ -33,29 +33,35 @@ def test_ear_fields():
 
 
 def test_cycle_ear():
-    e = Ear((2, 7, 8, 2))
-    p = e.vertices
+    (ear,) = EarDecomposition((2, 3, 2), [(2, 7, 8, 2)]).ears
+    p = ear.vertices
     assert p[0] == p[-1] and len(p) - 1 == 3
     assert p[1:-1] == (7, 8)
 
 
 def test_ear_needs_two_vertices():
     with pytest.raises(InvalidInputError):
-        Ear((3,))
+        EarDecomposition((3,))
 
 
 @pytest.mark.parametrize("make, error, message", [
-    (lambda: Ear((3,)), InvalidInputError, "at least one arc"),
-    (lambda: Ear((3, 3)), InvalidInputError, "length-1 cycle"),
-    (lambda: Ear((0, 4, 5, 4, 1)), InvalidInputError, "repeated internal"),
-    (lambda: Ear((0, 4, 0, 1)), InvalidInputError, "endpoint reused"),
-    (lambda: EarDecomposition(Ear((0, 1, 2))), InvalidInputError,
+    (lambda: EarDecomposition((0, 1, 0), [(3,)]), InvalidInputError,
+     "at least one arc"),
+    (lambda: EarDecomposition((0, 1, 0), [(3, 3)]), InvalidInputError,
+     "length-1 cycle"),
+    (lambda: EarDecomposition((0, 1, 0), [(0, 4, 5, 4, 1)]),
+     InvalidInputError, "repeated internal"),
+    (lambda: EarDecomposition((0, 1, 0), [(0, 4, 0, 1)]), InvalidInputError,
+     "endpoint reused"),
+    (lambda: EarDecomposition((0, 1, 2)), InvalidInputError,
      "base must be a cycle"),
     (lambda: EarDecomposition.from_json({"ears": []}), InvalidInputError,
      "needs a 'base' field"),
     (lambda: EarDecomposition.from_json({"base": [0]}), InvalidInputError,
      "at least 2 vertices"),
-    (lambda: EarDecomposition(Ear((0, 1, 0))).stage(1), IndexError,
+    (lambda: EarDecomposition.from_json({"base": [0, 1, 1], "ears": 5}),
+     InvalidInputError, r"repeated internal vertex in ear \(0, 1, 1, 0\)"),
+    (lambda: EarDecomposition((0, 1, 0)).stage(1), IndexError,
      "out of range"),
     (lambda: find_le_decomposition(Digraph.cycle(3), i=0), InvalidInputError,
      "must be >= 1"),
@@ -71,9 +77,10 @@ def test_ear_needs_two_vertices():
      "no vertices"),
 ], ids=["one-vertex-ear", "length-1-cycle", "repeated-interior",
         "endpoint-inside", "base-not-cycle", "json-no-base",
-        "json-one-vertex-base", "stage-out-of-range", "search-level-0",
-        "gen-min-length-0", "decompose-one-vertex", "search-one-vertex",
-        "decompose-no-vertex", "search-no-vertex"])
+        "json-one-vertex-base", "json-bad-base-beside-bad-ears",
+        "stage-out-of-range", "search-level-0", "gen-min-length-0",
+        "decompose-one-vertex", "search-one-vertex", "decompose-no-vertex",
+        "search-no-vertex"])
 def test_input_checks_refuse(make, error, message):
     with pytest.raises(error, match=message):
         make()
@@ -81,7 +88,7 @@ def test_input_checks_refuse(make, error, message):
 
 def test_decomposition_stages_grow():
     d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)])
-    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
+    e = EarDecomposition((0, 1, 2, 0), [(0, 3, 4, 1)])
     assert e.stage_count == 2
     assert e.stage(0) == Digraph.cycle(3)
     assert e.stage(1) == d
@@ -91,7 +98,7 @@ def test_decomposition_stages_grow():
 
 def test_bare_cycle_certifies_everything():
     d = Digraph.cycle(4)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
+    e = EarDecomposition((0, 1, 2, 3, 0), [])
     assert e.min_ear_length is None
     assert e.certifies(10)
     assert validate_decomposition(d, e).ok
@@ -99,7 +106,7 @@ def test_bare_cycle_certifies_everything():
 
 def test_validate_catches_missing_arcs():
     d = Digraph.cycle(4)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 9, 2))])
+    e = EarDecomposition((0, 1, 2, 3, 0), [(0, 9, 2)])
     report = validate_decomposition(d, e)
     assert not report.ok and report.violations
 
@@ -107,15 +114,15 @@ def test_validate_catches_missing_arcs():
 def test_validate_catches_stale_internal_vertex():
     # ear interior vertices must be new at their stage
     d = Digraph(range(4), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (1, 0)])
-    e = EarDecomposition(Ear((0, 1, 2, 0)),
-                         [Ear((0, 3, 1)), Ear((1, 3, 0))])
+    e = EarDecomposition((0, 1, 2, 0),
+                         [(0, 3, 1), (1, 3, 0)])
     assert not validate_decomposition(d, e).ok
 
 
 def test_validate_names_the_ear_fit_rule_per_stage():
     d = Digraph.cycle(4).union(range(4, 7), [(0, 4), (4, 1), (1, 5), (5, 6)])
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 4, 1)), Ear((0, 1, 2)),
-                                                Ear((1, 5, 6))])
+    e = EarDecomposition((0, 1, 2, 3, 0), [(0, 4, 1), (0, 1, 2),
+                                                (1, 5, 6)])
     violations = validate_decomposition(d, e).violations
     assert "stage 1: ear internal vertices must be new, [1] already in the " \
         "stage" in violations
@@ -124,7 +131,7 @@ def test_validate_names_the_ear_fit_rule_per_stage():
 
 def test_validate_path_ears_only_mode():
     d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)])
-    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((1, 3, 4, 1))])
+    e = EarDecomposition((0, 1, 2, 0), [(1, 3, 4, 1)])
     assert validate_decomposition(d, e).ok
     assert not validate_decomposition(d, e, path_ears_only=True).ok
 
@@ -132,37 +139,34 @@ def test_validate_path_ears_only_mode():
 def test_base_is_checked_against_the_host_only():
     # a base on a non-host arc is caught at stage 0 by that arc alone
     d = Digraph.cycle(4)
-    report = validate_decomposition(d, EarDecomposition(Ear((0, 1, 3, 0))))
+    report = validate_decomposition(d, EarDecomposition((0, 1, 3, 0)))
     assert [v for v in report.violations if v.startswith("stage 0")] == \
         ["stage 0: base arc (1, 3) not in host"]
     # a digon is a valid base
     d = Digraph(range(3), [(0, 1), (1, 0), (0, 2), (2, 1)])
     assert validate_decomposition(
-        d, EarDecomposition(Ear((0, 1, 0)), [Ear((0, 2, 1))])).ok
+        d, EarDecomposition((0, 1, 0), [(0, 2, 1)])).ok
 
 
-def unchecked(vertices):
-    """A part built without Ear's checks, as a builder might make one."""
-    part = object.__new__(Ear)
-    object.__setattr__(part, "vertices", vertices)
-    return part
-
-
-@pytest.mark.parametrize("parts, violation", [
-    (((0, 1, 2, 0), (1,)), "stage 0: ear has no arc"),
-    (((0, 1, 2, 0), (0, 5, 6, 5, 1)), "stage 0: repeated internal vertex in ear"),
-    (((0, 1, 2, 0, 1, 2, 0),), "stage 0: repeated vertex in base cycle"),
-], ids=["no-arc", "repeated-internal-vertex", "repeated-base-vertex"])
-def test_validate_names_a_part_built_without_ear_checks(parts, violation):
-    # C3 plus each part's arcs: the index passes reject it, the walk names why
-    d = Digraph({v for p in parts for v in p}, {a for p in parts for a in arcs_of(p)})
-    base, *rest = map(unchecked, parts)
-    assert validate_decomposition(d, EarDecomposition(base, rest)).violations == \
-        [violation]
+@pytest.mark.parametrize("parts, refusal", [
+    (((0, 1, 2, 0), (1,)), "an ear needs at least one arc"),
+    (((0, 1, 2, 0), (0, 5, 6, 5, 1)),
+     "repeated internal vertex in ear (0, 5, 6, 5, 1)"),
+    (((0, 1, 2, 0, 1, 2, 0),),
+     "repeated internal vertex in ear (0, 1, 2, 0, 1, 2, 0)"),
+    (((3,),), "an ear needs at least one arc"),
+    (((3, 3),), "length-1 cycle ear would be a loop"),
+], ids=["no-arc", "repeated-internal-vertex", "repeated-base-vertex",
+        "one-vertex-base", "loop-base"])
+def test_constructor_refuses_a_malformed_part(parts, refusal):
+    # each part is checked as it enters, so no decomposition holds one
+    with pytest.raises(InvalidInputError) as caught:
+        EarDecomposition(parts[0], parts[1:])
+    assert (type(caught.value), str(caught.value)) == (InvalidInputError, refusal)
 
 
 def test_json_roundtrip():
-    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 1))])
+    e = EarDecomposition((0, 1, 2, 0), [(0, 3, 4, 1)])
     doc = e.to_json()
     assert doc == {"base": [0, 1, 2], "ears": [[0, 3, 4, 1]]}
     again = EarDecomposition.from_json(doc)
@@ -338,7 +342,7 @@ def _stage_ears(d, stage_v, covered_a, min_len, allow_cycle_ears, budget_box):
         if min_len <= 1:
             for w in sorted(d.out_neighbors(u)):
                 if w in stage_v and w != u and (u, w) not in covered_a:
-                    found.append(Ear((u, w)))
+                    found.append((u, w))
         stack = [(u,)]
         while stack:
             path = stack.pop()
@@ -351,11 +355,10 @@ def _stage_ears(d, stage_v, covered_a, min_len, allow_cycle_ears, budget_box):
                     if w == u and not allow_cycle_ears:
                         continue
                     if len(path) >= min_len:
-                        found.append(Ear(path + (w,)))
+                        found.append(path + (w,))
                 elif w not in path:
                     stack.append(path + (w,))
-    found.sort(key=lambda e: (-len(e.vertices), e.vertices[0], e.vertices[-1],
-                              e.vertices))
+    found.sort(key=lambda e: (-len(e), e[0], e[-1], e))
     return found
 
 
@@ -372,7 +375,7 @@ def forward_le_search(d, i, budget=200_000, allow_cycle_ears=True):
             return False
         _spend(box)
         for ear in _stage_ears(d, verts, arcs, i, allow_cycle_ears, box):
-            if attempt(verts | set(ear.vertices), arcs | set(arcs_of(ear.vertices))):
+            if attempt(verts | set(ear), arcs | set(arcs_of(ear))):
                 return True
         dead.add((verts, arcs))
         return False
@@ -491,7 +494,7 @@ def test_search_depth_is_not_python_recursion_depth():
 # sequence of tries, so equal units on a finished search mean the same
 # BudgetExceededError at every smaller budget.
 
-def _threads(d: Digraph, min_len: int, allow_cycle_ears: bool) -> list[Ear]:
+def _threads(d: Digraph, min_len: int, allow_cycle_ears: bool) -> list[tuple]:
     """The threads of d that may be its last ear, longest first.
 
     A thread is a maximal path whose inner vertices have in- and out-degree
@@ -501,7 +504,7 @@ def _threads(d: Digraph, min_len: int, allow_cycle_ears: bool) -> list[Ear]:
     def plain(v: int) -> bool:
         return len(d.in_neighbors(v)) == 1 == len(d.out_neighbors(v))
 
-    found: list[Ear] = []
+    found: list[tuple] = []
     for u in d.vertices:
         if plain(u):
             continue
@@ -511,8 +514,8 @@ def _threads(d: Digraph, min_len: int, allow_cycle_ears: bool) -> list[Ear]:
                 (w,) = d.out_neighbors(w)
                 path.append(w)
             if len(path) > min_len and (allow_cycle_ears or w != u):
-                found.append(Ear(tuple(path)))
-    found.sort(key=lambda e: (-len(e.vertices), e.vertices))
+                found.append(tuple(path))
+    found.sort(key=lambda e: (-len(e), e))
     return found
 
 
@@ -556,20 +559,19 @@ def rebuilding_le_search(d: Digraph, i: int = 1, budget: int = 200_000,
     while frames:
         rest, mask, _, todo = frames[-1]
         if len(rest.arcs) == rest.n:  # one directed cycle: the base
-            base = Ear(_shortest_cycle_through(rest, min(rest.vertices)))
+            base = _shortest_cycle_through(rest, min(rest.vertices))
             ears = [frame[2] for frame in reversed(frames[1:])]
             return _self_checked(d, EarDecomposition(base, ears), i,
                                  not allow_cycle_ears)
-        for ear in todo:
+        for p in todo:
             _spend(box)
-            p = ear.vertices
             sub_mask = mask - sum(bit[a] for a in arcs_of(p))
             if sub_mask in dead:
                 continue
             sub = Digraph(rest.vertices.difference(p[1:-1]),
                           rest.arcs.difference(arcs_of(p)))
             if _may_be_stage(sub, i, allow_cycle_ears):
-                frames.append((sub, sub_mask, ear,
+                frames.append((sub, sub_mask, p,
                                iter(_threads(sub, i, allow_cycle_ears))))
                 break
             dead.add(sub_mask)

@@ -9,7 +9,7 @@ from earlab import kernels, oracles, oriented
 from earlab.coloring import VertexMapping, verify_homomorphism
 from earlab.constructions import CertifiedSet, _stride_back
 from earlab.digraph import Digraph, is_kernel, set_predicates
-from earlab.ears import (Ear, EarDecomposition, generate_random_le,
+from earlab.ears import (EarDecomposition, generate_random_le,
                          require_decomposition)
 from earlab.errors import (InvalidInputError, PropertyFailedError,
                            VerificationError)
@@ -28,12 +28,12 @@ def arcs(p):
 
 
 def glue(h, ear):
-    return h.union(ear.vertices, arcs(ear.vertices))
+    return h.union(ear, arcs(ear))
 
 
 def c4_plus(ear):
     """C4 with ear glued on, and that decomposition."""
-    return glue(c4(), ear), EarDecomposition(Ear((0, 1, 2, 3, 0)), [ear])
+    return glue(c4(), ear), EarDecomposition((0, 1, 2, 3, 0), [ear])
 
 
 def test_obstructed_patterns_are_the_two_named_per_rule():
@@ -100,7 +100,7 @@ def test_rules_are_the_lemma_on_one_kernel():
 
 def test_extend_case_one_even_interior():
     # both endpoints kept, even ear: every second interior vertex joins
-    ear = Ear((0, 4, 5, 6, 2))
+    ear = (0, 4, 5, 6, 2)
     result = extend_kernel(*c4_plus(ear), (0, 2))
     assert isinstance(result, CertifiedSet)
     assert result.members == (0, 2, 5)
@@ -108,40 +108,40 @@ def test_extend_case_one_even_interior():
 
 
 def test_extend_length_two_adds_nothing():
-    ear = Ear((0, 4, 2))
+    ear = (0, 4, 2)
     result = extend_kernel(*c4_plus(ear), (0, 2))
     assert result.members == (0, 2)
     assert is_kernel(glue(c4(), ear), {0, 2})
 
 
 def test_extend_case_two_odd():
-    ear = Ear((0, 4, 5, 3))
+    ear = (0, 4, 5, 3)
     result = extend_kernel(*c4_plus(ear), (0, 2))
     assert result.members == (0, 2, 5)
     assert is_kernel(glue(c4(), ear), {0, 2, 5})
 
 
 def test_extend_case_three_both_parities():
-    even_ear = Ear((1, 4, 5, 6, 0))
+    even_ear = (1, 4, 5, 6, 0)
     result = extend_kernel(*c4_plus(even_ear), (0, 2))
     assert result.members == (0, 2, 5)
-    odd_ear = Ear((1, 4, 5, 0))
+    odd_ear = (1, 4, 5, 0)
     result = extend_kernel(*c4_plus(odd_ear), (0, 2))
     assert result.members == (0, 2, 4)
     assert is_kernel(glue(c4(), odd_ear), {0, 2, 4})
 
 
 def test_extend_case_four_both_parities():
-    even_ear = Ear((1, 4, 5, 6, 3))
+    even_ear = (1, 4, 5, 6, 3)
     result = extend_kernel(*c4_plus(even_ear), (0, 2))
     assert result.members == (0, 2, 4, 6)
-    odd_ear = Ear((1, 4, 5, 3))
+    odd_ear = (1, 4, 5, 3)
     result = extend_kernel(*c4_plus(odd_ear), (0, 2))
     assert result.members == (0, 2, 5)
 
 
 def test_extend_obstruction_reported():
-    ear = Ear((0, 4, 5, 2))
+    ear = (0, 4, 5, 2)
     result = extend_kernel(*c4_plus(ear), (0, 2))
     assert isinstance(result, KernelObstruction)
     assert result.operation == "extend"
@@ -151,7 +151,7 @@ def test_extend_obstruction_reported():
 
 
 def test_restrict_recovers_from_extend_results():
-    ear = Ear((0, 4, 5, 6, 2))
+    ear = (0, 4, 5, 6, 2)
     extended = extend_kernel(*c4_plus(ear), (0, 2))
     back = restrict_kernel(*c4_plus(ear), extended.members)
     assert isinstance(back, CertifiedSet)
@@ -161,10 +161,10 @@ def test_restrict_recovers_from_extend_results():
 def test_restrict_obstruction_reported():
     # kernel of the glued digraph missing x0, containing xr, odd ear
     arcs = [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (5, 6), (6, 2)]
-    ear = Ear((0, 5, 6, 2))
+    ear = (0, 5, 6, 2)
     glued = Digraph(range(7), arcs)
     assert is_kernel(glued, {2, 4, 5})
-    e = EarDecomposition(Ear((0, 1, 2, 3, 4, 0)), [ear])
+    e = EarDecomposition((0, 1, 2, 3, 4, 0), [ear])
     result = restrict_kernel(glued, e, (2, 4, 5))
     assert isinstance(result, KernelObstruction)
     assert result.operation == "restrict"
@@ -175,12 +175,12 @@ def test_cycle_ears_are_rejected():
     for op in (extend_kernel, restrict_kernel):
         with pytest.raises(InvalidInputError, match="invalid decomposition: "
                            "stage 0: cycle ear not allowed in path-ears mode"):
-            op(*c4_plus(Ear((0, 4, 5, 0))), (0, 2))
+            op(*c4_plus((0, 4, 5, 0)), (0, 2))
 
 
 def test_extend_checks_input_is_kernel():
     # a caller's set, not a built certificate: PropertyFailedError itself
-    d, e = c4_plus(Ear((0, 4, 2)))
+    d, e = c4_plus((0, 4, 2))
     for op, digraph in ((extend_kernel, "stage"), (restrict_kernel, "glued")):
         with pytest.raises(PropertyFailedError) as info:
             op(d, e, (0, 1))
@@ -190,7 +190,7 @@ def test_extend_checks_input_is_kernel():
 
 def test_extend_refuses_a_set_outside_the_stage():
     # 4 is the ear's interior: in d, but not in the stage
-    d, e = c4_plus(Ear((0, 4, 2)))
+    d, e = c4_plus((0, 4, 2))
     with pytest.raises(InvalidInputError, match=r"set \[4\] not in digraph"):
         extend_kernel(d, e, (0, 4))
     with pytest.raises(InvalidInputError, match=r"set \[9\] not in digraph"):
@@ -200,14 +200,14 @@ def test_extend_refuses_a_set_outside_the_stage():
 def test_extend_rejects_stale_interior():
     with pytest.raises(InvalidInputError, match="invalid decomposition: stage 0: "
                        r"ear internal vertices must be new, \[3\] already"):
-        extend_kernel(*c4_plus(Ear((0, 3, 2))), (0, 2))
+        extend_kernel(*c4_plus((0, 3, 2)), (0, 2))
 
 
 def test_extend_rejects_separable_host():
     # two triangles sharing 0 take a cycle ear, so no path-ears
     # decomposition gives this stage
     arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (1, 5), (5, 3)]
-    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 3, 4, 0)), Ear((1, 5, 3))])
+    e = EarDecomposition((0, 1, 2, 0), [(0, 3, 4, 0), (1, 5, 3)])
     with pytest.raises(InvalidInputError, match="invalid decomposition: "
                        "stage 0: cycle ear not allowed"):
         extend_kernel(Digraph(range(6), arcs), e, (2, 4))
@@ -215,16 +215,16 @@ def test_extend_rejects_separable_host():
 
 @pytest.mark.parametrize("op", [extend_kernel, restrict_kernel])
 @pytest.mark.parametrize("d, e, message", [
-    (*c4_plus(Ear((0, 2))), "kernel propagation needs every ear length >= 2"),
-    (*c4_plus(Ear((0, 4, 7))), "invalid decomposition: stage 0: "
+    (*c4_plus((0, 2)), "kernel propagation needs every ear length >= 2"),
+    (*c4_plus((0, 4, 7)), "invalid decomposition: stage 0: "
      "ear endpoints must lie in the stage"),
     # the arc (0, 1) is already in the stage; its internal end 1 is caught
-    (*c4_plus(Ear((0, 1, 2))), "invalid decomposition: stage 0: "
+    (*c4_plus((0, 1, 2)), "invalid decomposition: stage 0: "
      "ear internal vertices must be new"),
     # the stage 0 -> 1 -> 2 is no cycle
-    (c4(), EarDecomposition(Ear((0, 1, 2, 0)), [Ear((2, 3, 0))]),
+    (c4(), EarDecomposition((0, 1, 2, 0), [(2, 3, 0)]),
      r"invalid decomposition: stage 0: base arc \(2, 0\) not in host"),
-    (c4(), EarDecomposition(Ear((0, 1, 2, 3, 0))),
+    (c4(), EarDecomposition((0, 1, 2, 3, 0)),
      "decomposition has no ears to propagate across"),
 ], ids=["length-1", "endpoint-outside", "arc-in-stage", "not-strong",
         "no-ears"])
@@ -234,14 +234,14 @@ def test_propagation_rejects_bad_stage_or_ear(op, d, e, message):
 
 
 def test_trace_rejects_unknown_direction():
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
+    e = EarDecomposition((0, 1, 2, 3, 0), [])
     with pytest.raises(InvalidInputError, match="forward or backward"):
         trace_kernels(c4(), e, direction="sideways")
 
 
 def test_trace_even_base_all_stages():
     d = Digraph.cycle(4)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
+    e = EarDecomposition((0, 1, 2, 3, 0), [])
     tr = trace_kernels(d, e)
     assert tr["dichotomy"] == "all_stages_have_kernels"
     assert tr["base_parity"] == "even"
@@ -250,7 +250,7 @@ def test_trace_even_base_all_stages():
 
 def test_trace_odd_base_all_stages_lack():
     d = Digraph.cycle(5)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 4, 0)), [])
+    e = EarDecomposition((0, 1, 2, 3, 4, 0), [])
     tr = trace_kernels(d, e)
     assert tr["dichotomy"] == "all_stages_lack_kernels"
     assert tr["base_parity"] == "odd"
@@ -259,7 +259,7 @@ def test_trace_odd_base_all_stages_lack():
 def test_trace_gain_flip():
     arcs = [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (5, 6), (6, 2)]
     d = Digraph(range(7), arcs)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 4, 0)), [Ear((0, 5, 6, 2))])
+    e = EarDecomposition((0, 1, 2, 3, 4, 0), [(0, 5, 6, 2)])
     tr = trace_kernels(d, e)
     assert tr["dichotomy"] == "flip_at_stage_0"
     assert tr["flips"] == [0]
@@ -271,8 +271,8 @@ def test_trace_loss_flip():
     arcs = ([(i, (i + 1) % 4) for i in range(4)]
             + [(0, 4), (4, 1), (1, 5), (5, 4)])
     d = Digraph(range(6), arcs)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)),
-                         [Ear((0, 4, 1)), Ear((1, 5, 4))])
+    e = EarDecomposition((0, 1, 2, 3, 0),
+                         [(0, 4, 1), (1, 5, 4)])
     tr = trace_kernels(d, e)
     assert not kernel_oracle(d).value
     assert tr["dichotomy"] == "flip_at_stage_1"
@@ -283,7 +283,7 @@ def test_trace_loss_flip():
 def test_trace_transitions_label_every_kernel():
     arcs = [(i, (i + 1) % 4) for i in range(4)] + [(0, 4), (4, 5), (5, 6), (6, 2)]
     d = Digraph(range(7), arcs)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [Ear((0, 4, 5, 6, 2))])
+    e = EarDecomposition((0, 1, 2, 3, 0), [(0, 4, 5, 6, 2)])
     forward = trace_kernels(d, e, direction="forward")
     assert any("extend" in t for t in forward["stages"][1]["transitions"])
     backward = trace_kernels(d, e, direction="backward")
@@ -293,14 +293,14 @@ def test_trace_transitions_label_every_kernel():
 def test_trace_rejects_cycle_ears():
     arcs = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1)]
     d = Digraph(range(5), arcs)
-    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((1, 3, 4, 1))])
+    e = EarDecomposition((0, 1, 2, 0), [(1, 3, 4, 1)])
     with pytest.raises(InvalidInputError):
         trace_kernels(d, e)
 
 
 def test_trace_rejects_short_ears():
     d = Digraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 2)])
-    e = EarDecomposition(Ear((0, 1, 2, 0)), [Ear((0, 2))])
+    e = EarDecomposition((0, 1, 2, 0), [(0, 2)])
     with pytest.raises(InvalidInputError):
         trace_kernels(d, e)
 
@@ -329,12 +329,12 @@ def one_ear_instances():
     """Every path-ears LE_2 decomposition of C_2..C_5 plus one ear of
     length 2..5."""
     for n in range(2, 6):
-        base = Ear(tuple(range(n)) + (0,))
+        base = tuple(range(n)) + (0,)
         for x0, xr in product(range(n), repeat=2):
             if x0 == xr:
                 continue
             for r in range(2, 6):
-                ear = Ear((x0, *range(n, n + r - 1), xr))
+                ear = (x0, *range(n, n + r - 1), xr)
                 d = glue(Digraph.cycle(n), ear)
                 yield d, EarDecomposition(base, [ear])
 
@@ -397,7 +397,7 @@ def test_trace_never_runs_the_oracle_scan(monkeypatch):
     monkeypatch.setattr(oracles, "_absorbing_sets", refuse)
     d, e = next(one_ear_instances())
     assert trace_kernels(d, e)["stages"][1]["has_kernel"]
-    cycle = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
+    cycle = EarDecomposition((0, 1, 2, 3, 0), [])
     assert trace_kernels(Digraph.cycle(4), cycle)["stages"][0]["has_kernel"]
 
 
@@ -416,10 +416,10 @@ def test_trace_rechecks_each_reported_kernel(monkeypatch):
 def fan(k):
     """C3 plus k length-2 ears from 0 to 1, with its decomposition: one
     branch vertex, 0."""
-    parts = [Ear((0, v, 1)) for v in range(3, 3 + k)]
+    parts = [(0, v, 1) for v in range(3, 3 + k)]
     d = Digraph(range(3 + k),
-                [(0, 1), (1, 2), (2, 0), *(a for p in parts for a in arcs(p.vertices))])
-    return d, EarDecomposition(Ear((0, 1, 2, 0)), parts)
+                [(0, 1), (1, 2), (2, 0), *(a for p in parts for a in arcs(p))])
+    return d, EarDecomposition((0, 1, 2, 0), parts)
 
 
 def test_trace_indexes_the_input_once(monkeypatch):
@@ -452,7 +452,7 @@ def test_trace_indexes_the_input_once(monkeypatch):
 
 def test_trace_json_shape():
     d = Digraph.cycle(4)
-    e = EarDecomposition(Ear((0, 1, 2, 3, 0)), [])
+    e = EarDecomposition((0, 1, 2, 3, 0), [])
     doc = trace_kernels(d, e)
     assert doc["dichotomy"] == "all_stages_have_kernels"
     assert doc["stages"][0]["has_kernel"] is True
@@ -473,8 +473,8 @@ def test_extension_soundness_on_cycles(n, r, data):
     xr = data.draw(st.integers(min_value=0, max_value=n - 1))
     if x0 == xr:
         return
-    ear = Ear((x0, *range(n, n + r - 1), xr))
-    d, e = glue(h, ear), EarDecomposition(Ear((*range(n), 0)), [ear])
+    ear = (x0, *range(n, n + r - 1), xr)
+    d, e = glue(h, ear), EarDecomposition((*range(n), 0), [ear])
     for members in kernels:
         result = extend_kernel(d, e, members)
         if isinstance(result, CertifiedSet):

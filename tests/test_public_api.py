@@ -8,7 +8,7 @@ from earlab.digraph import (Digraph, is_nonseparable, neighborhoods,
 from earlab.ears import Ear, EarDecomposition
 from earlab.errors import InvalidInputError
 from earlab.oriented import extend_homomorphism
-from earlab.tournaments import Tournament, tournament_reps
+from earlab.tournaments import tournament_reps
 
 
 def test_every_export_resolves_once():
@@ -21,14 +21,15 @@ def test_every_export_resolves_once():
                  "le2_quasi_kernel_obstruction", "ExtensionCandidate",
                  "find_quasi_kernel_obstruction", "ExtensionReport",
                  "serialize_edge_list", "is_homomorphism", "KernelTrace",
-                 "StageEntry", "CensusResult"):
+                 "StageEntry", "CensusResult", "Ear"):
         assert gone not in names
         assert not hasattr(earlab, gone)
     # a report is the payload it prints; the tight instance prints nothing
     assert not hasattr(earlab.TightInstance, "to_json")
-    # an ear is its vertex tuple: the decomposition's index holds the rest
-    for gone in ("x0", "xr", "length", "is_cycle", "internal", "arcs"):
-        assert not hasattr(earlab.Ear, gone)
+    # a part is its vertex tuple, checked by the decomposition's constructor
+    for gone in ("x0", "xr", "length", "is_cycle", "internal", "arcs",
+                 "__post_init__"):
+        assert not hasattr(Ear, gone)
     # constructions certify without an oracle: none is bound in the module
     assert not [name for name, value in vars(earlab.constructions).items()
                 if value is earlab.oracles
@@ -37,11 +38,10 @@ def test_every_export_resolves_once():
 
 def _homomorphism_into_a_cycle():
     """extend_homomorphism on C4 plus a 3-ear, phi aimed at a digraph."""
-    base, ear = Ear((0, 1, 2, 3, 0)), Ear((0, 4, 5, 2))
-    p = ear.vertices
+    p = (0, 4, 5, 2)
     d = Digraph.cycle(4).union(p, zip(p, p[1:]))
     phi = VertexMapping({0: 0, 1: 1, 2: 2, 3: 0}, Digraph.cycle(3), "homomorphism")
-    return extend_homomorphism(d, EarDecomposition(base, [ear]), phi)
+    return extend_homomorphism(d, EarDecomposition((0, 1, 2, 3, 0), [p]), phi)
 
 
 # (build, exception class or None for a result, message or the result)
@@ -55,8 +55,6 @@ EDGE_CASES = {
                               InvalidInputError, "vertex 7 not in digraph"),
     "quasi-kernel-cycle-of-one": (lambda: cycle_quasi_kernel_indices(1),
                                   InvalidInputError, "cycle length must be >= 2"),
-    "code-string-012": (lambda: Tournament.from_code_string("012"),
-                        InvalidInputError, "bad tournament code string '012'"),
     "reps-of-order-0": (lambda: tournament_reps(0), InvalidInputError,
                         "order must be >= 1"),
     "homomorphism-into-digraph": (_homomorphism_into_a_cycle, InvalidInputError,

@@ -21,11 +21,6 @@ def transitive_triangle():
     return Tournament.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
 
 
-def test_code_string_roundtrip():
-    t = cyclic_triangle()
-    assert Tournament.from_code_string(t.code_string()) == t
-
-
 def test_arcs_cover_every_pair_once():
     t = cyclic_triangle()
     assert sorted(t.arcs) == [(0, 1), (1, 2), (2, 0)]
@@ -49,11 +44,6 @@ def test_relabel_keeps_canonical_code():
     t = transitive_triangle()
     rot = t.relabel((2, 0, 1))
     assert canonical_code(3, rot.code) == canonical_code(3, t.code)
-
-
-def test_to_digraph():
-    d = cyclic_triangle().to_digraph()
-    assert d == Digraph.cycle(3)
 
 
 def test_rep_counts_match_known_sequence():
