@@ -29,9 +29,9 @@ from .ears import (EarDecomposition, find_ear_decomposition,
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
                      InvalidInputError, PropertyFailedError)
 from .kernels import extend_kernel, restrict_kernel, trace_kernels
-from .oracles import (CHROMATIC_CAP, chromatic_oracles, kernel_oracle,
-                      longest_path_oracle, oriented_chromatic_oracle,
-                      quasi_kernel_oracle)
+from .oracles import (CHROMATIC_CAP, LONGEST_LIST_CAP, chromatic_oracles,
+                      kernel_oracle, longest_path_oracle,
+                      oriented_chromatic_oracle, quasi_kernel_oracle)
 from .oriented import (build_G, tournament_T, uniqueness_census,
                        validate_reference_walks, verify_walk_property)
 from .oriented import oriented_coloring_le3
@@ -265,7 +265,7 @@ def cmd_oracle(args) -> dict:
     elif args.kind == "oriented":
         report = oriented_chromatic_oracle(d, k_max=args.kmax)
     else:
-        report = longest_path_oracle(d)
+        report = longest_path_oracle(d, enumerate_all=args.all)
     return {"quantity": report.quantity, "value": report.value,
             "witness": report.witness,
             "search_space_size": report.search_space_size,
@@ -418,8 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=7,
                    help="oriented: largest tournament order tried (1-7)")
     p.add_argument("--all", action="store_true",
-                   help="kernel and quasi-kernel: enumerate every one, not "
-                        "just the witness (longest-path always enumerates)")
+                   help="kernel, quasi-kernel and longest-path: list every "
+                        "one, not just the witness and the count (longest-path "
+                        f"refuses more than {LONGEST_LIST_CAP} paths)")
     p.set_defaults(handler=cmd_oracle)
 
     return parser

@@ -1,6 +1,9 @@
 """Exhaustive reference checks for small digraphs.
 
-Every oracle enumerates rather than constructs, reports what it searched
+Every oracle searches exhaustively rather than constructs: the kernel,
+quasi-kernel and chromatic oracles enumerate, the oriented oracle tries
+every tournament class in turn, and the longest-path oracle counts paths
+by a subset DP instead of listing them.  Each reports what it searched
 (chromatic_oracles excepted: it reports 0), and refuses inputs past its
 size cap so a silently-slow call cannot pass for a verified answer.
 Witnesses are deterministic: the lexicographically smallest certificate
@@ -21,6 +24,9 @@ CHROMATIC_CAP = 12
 ORIENTED_CAP = 14
 ORIENTED_KMAX_CAP = 7
 LONGEST_PATH_CAP = 15
+# Longest paths listed at most: a 15-vertex path takes 220 bytes of the
+# `oracle longest-path --all` envelope, so 19.8 MB at this count.
+LONGEST_LIST_CAP = 90_000
 
 
 @dataclass
@@ -236,35 +242,102 @@ def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> Ora
     )
 
 
-def longest_path_oracle(d: Digraph) -> OracleReport:
-    """All maximum-length directed paths by exhaustive DFS.
+def _longest_path_layers(out: list[int]) -> list[dict]:
+    """The DP's layers, up to the last non-empty one (the invariant is in
+    longest_path_oracle's docstring)."""
+    layers = [{(1 << v, v): 1 for v in range(len(out))}]
+    for _ in range(1, len(out)):  # a simple path has at most n - 1 arcs
+        layer: dict[tuple[int, int], int] = {}
+        for (mask, v), count in layers[-1].items():
+            free = out[v] & ~mask  # the out-neighbours off the path
+            while free:
+                bit = free & -free
+                free ^= bit
+                key = (mask | bit, bit.bit_length() - 1)
+                layer[key] = layer.get(key, 0) + count
+        if not layer:
+            break
+        layers.append(layer)
+    return layers
 
-    Length counts arcs; an isolated vertex is a path of length 0.
+
+def _ahead(out: list[int], layers: list[dict]) -> tuple[list[int], list[dict]]:
+    """The first vertices of the longest paths, and per layer k below the
+    last, ahead[k][mask]: the vertices w (a bitmask) for which
+    (mask | 1 << w, w) is a kept state of layers[k + 1].
+
+    A kept state is one that some longest path passes through: every state
+    of the last layer, and a state (mask, v) of an earlier layer iff
+    out[v] & ahead[k][mask] is not empty, that is, an arc leads from it to
+    a kept state.  Each layer is passed once, one dict lookup a state."""
+    ahead = []
+    kept = list(layers[-1])
+    for layer in reversed(layers[:-1]):
+        nxt: dict[int, int] = {}
+        for mask, w in kept:
+            prev = mask ^ 1 << w
+            nxt[prev] = nxt.get(prev, 0) | 1 << w
+        ahead.append(nxt)
+        kept = [(mask, v) for mask, v in layer if out[v] & nxt.get(mask, 0)]
+    ahead.reverse()
+    return sorted(v for _, v in kept), ahead
+
+
+def _longest_paths(out: list[int], starts: list[int], ahead: list[dict]):
+    """Every longest path, in lexicographic order, through kept states
+    only.  Each kept state below the last layer has a kept successor, so
+    no branch is dead and the first path is the greedy walk: the smallest
+    start, then each time the smallest out-neighbour whose state is kept."""
+    stack = [((v,), 1 << v) for v in reversed(starts)]
+    while stack:
+        path, mask = stack.pop()
+        if len(path) > len(ahead):
+            yield path
+            continue
+        nxt = out[path[-1]] & ahead[len(path) - 1][mask]
+        while nxt:  # largest first, so the smallest is popped first
+            w = nxt.bit_length() - 1
+            nxt ^= 1 << w
+            stack.append((path + (w,), mask | 1 << w))
+
+
+def longest_path_oracle(d: Digraph, enumerate_all: bool = False) -> OracleReport:
+    """Longest directed paths by a forward subset DP over the reachable
+    states (Bellman 1962; Held and Karp 1962), counted, not listed.
+
+    Length counts arcs; an isolated vertex is a path of length 0.  A state
+    is a vertex set (a bitmask, the i-th smallest vertex at bit i) and the
+    vertex where a path ends.  Invariant: layers[k] maps each state that a
+    simple path with exactly k arcs reaches to the number of such paths
+    with exactly that set that end there, and holds no other state.
+    layers[k + 1] extends every path of layers[k] by each arc to a vertex
+    outside its set, so it counts each path with k + 1 arcs once.  The
+    value is the index of the last non-empty layer and maximum_count the
+    sum of its counts; search_space_size counts the states reached.
+
+    The witness is the lexicographically smallest longest path, walked
+    greedily through the states that can still reach the last layer.
+    With enumerate_all, details["all_longest"] lists every longest path
+    in lexicographic order; a count past LONGEST_LIST_CAP is refused
+    before any path is listed.
     """
     _check_cap(d, LONGEST_PATH_CAP, "longest path")
-    verts = sorted(d.vertices)
-    best_len = 0
-    best: list[tuple[int, ...]] = []
-    examined = 0
-    for start in verts:
-        stack = [(start,)]
-        while stack:
-            path = stack.pop()
-            examined += 1
-            length = len(path) - 1
-            if length > best_len:
-                best_len, best = length, [path]
-            elif length == best_len:
-                best.append(path)
-            tail = path[-1]
-            for w in reversed(d.out_neighbors(tail)):
-                if w not in path:
-                    stack.append(path + (w,))
-    best.sort()
+    verts, out, _ = _index_maps(d, sorted(d.vertices))
+    layers = _longest_path_layers(out)
+    count = sum(layers[-1].values())
+    if enumerate_all and count > LONGEST_LIST_CAP:
+        raise CapExceededError(f"longest path oracle lists at most "
+                               f"{LONGEST_LIST_CAP} paths, found {count}")
+    paths = (tuple(verts[i] for i in p)
+             for p in _longest_paths(out, *_ahead(out, layers)))
+    witness = next(paths, None)
+    details = {"maximum_count": count}
+    if enumerate_all:
+        details["all_longest"] = [witness, *paths] if witness else []
     return OracleReport(
         quantity="longest_path_length",
-        value=best_len,
-        witness=best[0] if best else None,
-        search_space_size=examined,
-        details={"maximum_count": len(best), "all_longest": best},
+        value=len(layers) - 1,
+        witness=witness,
+        search_space_size=sum(map(len, layers)),
+        details=details,
     )

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from earlab import cli, ears
 from earlab.cli import main
-from earlab.digraph import serialize_digraph
+from earlab.digraph import parse_digraph, serialize_digraph
 from earlab.errors import BudgetExceededError
 from earlab.kernels import trace_kernels
 from earlab.oriented import uniqueness_census
+from test_oracles import longest_paths_by_dfs
 
 
 def run(capsys, *argv):
@@ -596,6 +598,26 @@ def _doc(*keys):
     return json.dumps({key: KERNEL_DOC[key] for key in keys})
 
 
+def tournament(n):
+    """The fair-coin tournament on 0..n-1 that random.Random(0) draws, as
+    an edge list."""
+    rng = random.Random(0)
+    return "".join(f"{u} {v}\n" if rng.random() < 0.5 else f"{v} {u}\n"
+                   for u in range(n) for v in range(u + 1, n))
+
+
+def longest_path_counted(payload, size):
+    # 85,002,437 longest paths: the envelope holds their count alone
+    assert payload["value"] == 14 and "all_longest" not in payload["details"]
+    assert size < 1024
+
+
+def longest_path_as_the_reference(payload, size):
+    value, paths, _ = longest_paths_by_dfs(parse_digraph(tournament(11)))
+    assert (payload["value"], payload["witness"], payload["details"]) \
+        == (value, list(paths[0]), {"maximum_count": len(paths)})
+
+
 @pytest.mark.parametrize("argv, files, status, code, expect", [
     (["decompose", "{g}"], {"g": '{"n": 3, "arcs": [[0, 1]'},
      "invalid_input", 2, "bad JSON"),
@@ -683,6 +705,11 @@ def _doc(*keys):
                  marks=pytest.mark.skipif(
                      not hasattr(sys, "get_int_max_str_digits"),
                      reason="no integer digit limit: n hits the vertex cap")),
+    # the paths are counted, not listed, and listed only under --all
+    (["oracle", "longest-path", "-"], {"stdin": tournament(15)}, "ok", 0,
+     longest_path_counted),
+    (["oracle", "longest-path", "{g}"], {"g": tournament(11)}, "ok", 0,
+     longest_path_as_the_reference),
 ], ids=["truncated-json", "blank-input", "kernel-without-ears",
         "extend-obstruction", "restrict-obstruction", "extend-without-set",
         "restrict-bad-set", "edge-list-as-decomposition",
@@ -696,7 +723,8 @@ def _doc(*keys):
         "stdin-for-input-and-set-in-trace", "file-for-input-and-decomposition",
         "file-for-input-and-set", "file-for-decomposition-and-set",
         "file-for-all-three", "json-nested-too-deep", "closed-stdin",
-        "json-integer-too-long"])
+        "json-integer-too-long", "longest-path-tournament-15",
+        "longest-path-tournament-11"])
 def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
                         code, expect):
     monkeypatch.chdir(tmp_path)
@@ -715,12 +743,16 @@ def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
     reads, read = [], cli._read_document
     monkeypatch.setattr(cli, "_read_document",
                         lambda source: reads.append(source) or read(source))
-    got, doc = run(capsys, *(arg.format(**paths) for arg in argv))
+    got = main([arg.format(**paths) for arg in argv])
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert (got, doc["status"]) == (code, status)
     # a source is read once, however often and however spelled it is named
     sources = [os.stat(s)[1:3] if os.path.isfile(s) else s for s in reads]
     assert len(sources) == len(set(sources)), reads
-    if status == "ok":
+    if callable(expect):
+        expect(doc["payload"], len(out))
+    elif status == "ok":
         assert doc["payload"]["obstruction"] is True
         assert doc["payload"]["pattern"] == expect
     else:

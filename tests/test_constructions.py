@@ -86,7 +86,7 @@ def test_transversal_endpoint_cases():
     d, e = decomposition(4, [(1, 4, 5, 3)])
     s = longest_path_transversal(d, e)
     assert 0 in s.members
-    report = longest_path_oracle(d)
+    report = longest_path_oracle(d, enumerate_all=True)
     members = set(s.members)
     for path in report.details["all_longest"]:
         assert members & set(path)
@@ -103,7 +103,7 @@ def test_transversal_meets_every_longest_path(base, ears, seed):
         return
     s = longest_path_transversal(d, e)
     assert set_predicates(d, set(s.members)).independent
-    for path in longest_path_oracle(d).details["all_longest"]:
+    for path in longest_path_oracle(d, enumerate_all=True).details["all_longest"]:
         assert set(s.members) & set(path)
 
 
@@ -123,7 +123,7 @@ def test_transversal_check_agrees_with_the_oracle():
         d, e = le2_instance(seed, seed % 5, 3 + seed % 2)
         if d.n > 12:
             continue
-        paths = longest_path_oracle(d).details["all_longest"]
+        paths = longest_path_oracle(d, enumerate_all=True).details["all_longest"]
         for dec in (e, find_le_decomposition(d, 2)):
             s = set(longest_path_transversal(d, dec).members)
             assert all(s & set(path) for path in paths)

@@ -123,9 +123,34 @@ def test_longest_path_oracle_on_c5():
 
 
 def test_longest_path_oracle_on_path():
-    report = longest_path_oracle(Digraph(range(3), [(0, 1), (1, 2)]))
+    d = Digraph(range(3), [(0, 1), (1, 2)])
+    report = longest_path_oracle(d)
     assert report.value == 2
-    assert report.details["all_longest"] == [(0, 1, 2)]
+    assert report.details == {"maximum_count": 1}
+    assert longest_path_oracle(d, enumerate_all=True).details["all_longest"] \
+        == [(0, 1, 2)]
+
+
+def test_longest_path_listing_cap_is_checked_before_listing(monkeypatch, capsys,
+                                                            tmp_path):
+    # C5 has five longest paths: listed at a cap of 5, refused below it
+    monkeypatch.setattr(oracles, "LONGEST_LIST_CAP", 5)
+    assert len(longest_path_oracle(Digraph.cycle(5), enumerate_all=True)
+               .details["all_longest"]) == 5
+    monkeypatch.setattr(oracles, "LONGEST_LIST_CAP", 4)
+    listed = []
+    monkeypatch.setattr(oracles, "_longest_paths",
+                        lambda *args: listed.append(args) or iter(()))
+    with pytest.raises(CapExceededError, match="lists at most 4 paths, found 5"):
+        longest_path_oracle(Digraph.cycle(5), enumerate_all=True)
+    assert listed == []
+    path = tmp_path / "c5.txt"
+    path.write_text("".join(f"{i} {(i + 1) % 5}\n" for i in range(5)))
+    assert main(["oracle", "longest-path", str(path), "--all"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "cap_exceeded" and doc["payload"] is None
+    assert doc["error"] == "longest path oracle lists at most 4 paths, found 5"
+    assert listed == []
 
 
 def test_every_oracle_enforces_its_cap():
@@ -367,6 +392,64 @@ def test_oriented_oracle_matches_brute_force_maps():
         assert report.witness["tournament"] == t.code_string()
         verify_homomorphism(d, VertexMapping(report.witness["assignment"], t,
                                              "homomorphism"))
+
+
+# --- reference: longest paths by listing every simple path ------------------
+
+def longest_paths_by_dfs(d):
+    """(length, every longest path in lexicographic order, the number of
+    distinct (vertex set, end) states) from a DFS that lists every simple
+    path from every vertex."""
+    best_len, best, states = 0, [], set()
+    for start in sorted(d.vertices):
+        stack = [((start,), 1 << start)]
+        while stack:
+            path, members = stack.pop()
+            states.add((members, path[-1]))
+            length = len(path) - 1
+            if length > best_len:
+                best_len, best = length, [path]
+            elif length == best_len:
+                best.append(path)
+            for w in reversed(d.out_neighbors(path[-1])):
+                if w not in path:
+                    stack.append((path + (w,), members | 1 << w))
+    best.sort()
+    return best_len, best, len(states)
+
+
+def assert_longest_path_oracle_matches_dfs(d):
+    value, paths, states = longest_paths_by_dfs(d)
+    report = longest_path_oracle(d, enumerate_all=True)
+    assert (report.value, report.witness, report.search_space_size) \
+        == (value, paths[0] if paths else None, states), sorted(d.arcs)
+    assert report.details == {"maximum_count": len(paths),
+                              "all_longest": paths}, sorted(d.arcs)
+    assert longest_path_oracle(d).details == {"maximum_count": len(paths)}
+
+
+def seeded_digraph(rng, n, p):
+    """n vertices with ids that leave gaps; each pair joined with chance p,
+    in a random direction, and a fifth of the arcs doubled into digons."""
+    ids = sorted(rng.sample(range(3 * n), n))
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+            for u, v in combinations(ids, 2) if rng.random() < p]
+    arcs += [(v, u) for u, v in arcs if rng.random() < 0.2]
+    return Digraph(ids, arcs)
+
+
+def test_longest_path_oracle_matches_dfs_reference():
+    # every digraph on 0-4 vertices, then seeded sparse to dense ones on
+    # 5-10 vertices and tournaments with digons on 5-8
+    for n in range(5):
+        for d in every_digraph(n):
+            assert_longest_path_oracle_matches_dfs(d)
+    rng = random.Random(31)
+    shapes = [(rng.randint(5, 10), rng.choice((0.15, 0.3, 0.5)))
+              for _ in range(120)]
+    shapes += [(n, 1.0) for n in range(5, 9) for _ in range(3)]
+    for n, p in shapes:
+        assert_longest_path_oracle_matches_dfs(seeded_digraph(rng, n, p))
 
 
 # --- reference: the absorbing-set scan before the carried absorption mask ----

@@ -21,6 +21,7 @@ def test_readme_oracle_caps_match_constants():
         "ORIENTED_CAP": r"oriented chromatic numbers up to (\d+)",
         "ORIENTED_KMAX_CAP": r"order up to (\d+)",
         "LONGEST_PATH_CAP": r"longest paths up to (\d+)",
+        "LONGEST_LIST_CAP": r"`oracle longest-path --all` lists at most (\d+)",
         "TRACE_VERTEX_CAP": r"`kernel trace` takes inputs of up to (\d+)",
         "TRACE_BRANCH_CAP": r"at most (\d+) of them branch vertices",
         "MAX_LEVEL_CAP": r"`classify` checks levels up to (\d+)",
