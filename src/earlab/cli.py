@@ -29,8 +29,8 @@ from .ears import (EarDecomposition, find_ear_decomposition,
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
                      InvalidInputError, PropertyFailedError)
 from .kernels import extend_kernel, restrict_kernel, trace_kernels
-from .oracles import (CHROMATIC_CAP, LONGEST_LIST_CAP, chromatic_oracles,
-                      kernel_oracle, longest_path_oracle,
+from .oracles import (CHROMATIC_CAP, LONGEST_LIST_CAP, ORIENTED_KMAX_CAP,
+                      chromatic_oracles, kernel_oracle, longest_path_oracle,
                       oriented_chromatic_oracle, quasi_kernel_oracle)
 from .oriented import (build_G, tournament_T, uniqueness_census,
                        validate_reference_walks, verify_walk_property)
@@ -255,6 +255,11 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    # each flag is refused, before the input is read, where no oracle reads it
+    if args.all and args.kind in ("chromatic", "oriented"):
+        raise InvalidInputError(f"oracle {args.kind} takes no --all")
+    if args.kmax is not None and args.kind != "oriented":
+        raise InvalidInputError(f"oracle {args.kind} takes no --kmax")
     d = load_digraph(args.input)
     if args.kind == "kernel":
         report = kernel_oracle(d, enumerate_all=args.all)
@@ -263,7 +268,8 @@ def cmd_oracle(args) -> dict:
     elif args.kind == "chromatic":
         report = chromatic_oracles(d)
     elif args.kind == "oriented":
-        report = oriented_chromatic_oracle(d, k_max=args.kmax)
+        report = oriented_chromatic_oracle(
+            d, k_max=ORIENTED_KMAX_CAP if args.kmax is None else args.kmax)
     else:
         report = longest_path_oracle(d, enumerate_all=args.all)
     return {"quantity": report.quantity, "value": report.value,
@@ -415,12 +421,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["kernel", "quasi-kernel", "chromatic",
                                     "oriented", "longest-path"])
     with_input(p)
-    p.add_argument("--kmax", type=int, default=7,
-                   help="oriented: largest tournament order tried (1-7)")
+    p.add_argument("--kmax", type=int, default=None,
+                   help="oriented only: largest tournament order tried "
+                        f"(1-{ORIENTED_KMAX_CAP}, default {ORIENTED_KMAX_CAP})")
     p.add_argument("--all", action="store_true",
-                   help="kernel, quasi-kernel and longest-path: list every "
-                        "one, not just the witness and the count (longest-path "
-                        f"refuses more than {LONGEST_LIST_CAP} paths)")
+                   help="kernel, quasi-kernel and longest-path only: list "
+                        "every one, not just the witness and the count "
+                        f"(longest-path refuses more than {LONGEST_LIST_CAP} "
+                        "paths)")
     p.set_defaults(handler=cmd_oracle)
 
     return parser

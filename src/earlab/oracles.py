@@ -1,13 +1,14 @@
 """Exhaustive reference checks for small digraphs.
 
 Every oracle searches exhaustively rather than constructs: the kernel,
-quasi-kernel and chromatic oracles enumerate, the oriented oracle tries
-every tournament class in turn, and the longest-path oracle counts paths
-by a subset DP instead of listing them.  Each reports what it searched
-(chromatic_oracles excepted: it reports 0), and refuses inputs past its
-size cap so a silently-slow call cannot pass for a verified answer.
-Witnesses are deterministic: the lexicographically smallest certificate
-under sorted-tuple order.
+quasi-kernel and chromatic oracles enumerate, the oriented oracle rules
+out whole tournament orders by one colouring search each and tries the
+classes of the first order that fits in turn, and the longest-path
+oracle counts paths by a subset DP instead of listing them.  Each reports
+what it searched (chromatic_oracles excepted: it reports 0), and refuses
+inputs past its size cap so a silently-slow call cannot pass for a
+verified answer.  Witnesses are deterministic: the lexicographically
+smallest certificate under sorted-tuple order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 
 from .digraph import Digraph, is_asymmetrical
 from .errors import CapExceededError, InvalidInputError, VerificationError
-from .tournaments import HomomorphismSearch, compose_rows, tournament_reps
+from .tournaments import (_CLASS_COUNTS, HomomorphismSearch, compose_rows,
+                          tournament_reps)
 
 KERNEL_CAP = 20
 QUASI_KERNEL_CAP = 16
@@ -202,8 +204,10 @@ def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> Ora
     in ascending order, for the witness, so the value is exact whenever one
     is found within k_max.  search_space_size counts the classes tried or
     ruled out: every class of each lower order plus the witness's position
-    among its own, or every class up to k_max when none fits.  An accepted
-    order that no class admits raises VerificationError.
+    among its own, or every class up to k_max when none fits.  A ruled-out
+    order adds its known class count (_CLASS_COUNTS): its classes are
+    counted, not enumerated.  An accepted order that no class admits raises
+    VerificationError.
     """
     _check_cap(d, ORIENTED_CAP, "oriented chromatic")
     if k_max > ORIENTED_KMAX_CAP:
@@ -216,11 +220,10 @@ def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> Ora
     search = HomomorphismSearch(d)
     tried = 0
     for k in range(1, k_max + 1):
-        reps = tournament_reps(k)
         if not search.fits_order(k):
-            tried += len(reps)
+            tried += _CLASS_COUNTS[k - 1]
             continue
-        for t in reps:
+        for t in tournament_reps(k):
             tried += 1
             phi = search.into(t)
             if phi is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby, permutations
+from itertools import permutations
 
 from .digraph import Digraph
 from .errors import InvalidInputError
@@ -19,11 +19,6 @@ from .errors import InvalidInputError
 @lru_cache(maxsize=None)
 def _pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(k) for j in range(i + 1, k))
-
-
-@lru_cache(maxsize=None)
-def _pair_index(k: int) -> dict[tuple[int, int], int]:
-    return {p: idx for idx, p in enumerate(_pairs(k))}
 
 
 @dataclass(frozen=True)
@@ -112,12 +107,19 @@ def compose_rows(a, b) -> list[int]:
 def arc_planes(k: int) -> list[list[int]]:
     """Bit-sliced adjacency of every order-k code at once: bit c of entry
     [i][j] is set iff the tournament with code c has the arc (i, j)."""
-    full = (1 << (1 << len(_pairs(k)))) - 1
+    count = 1 << len(_pairs(k))  # the codes, one bit each
+    full = (1 << count) - 1
+    size = max(1, count // 8)  # bytes
     planes = [[0] * k for _ in range(k)]
     for idx, (i, j) in enumerate(_pairs(k)):
-        # codes with pair bit idx clear: the low half of every run of
-        # 2 ** (idx + 1) consecutive codes
-        plane = full ^ full // ((1 << (1 << idx)) + 1)
+        # codes with pair bit idx set: the high half of every run of
+        # 2 ** (idx + 1) consecutive codes, so one repeated byte pattern
+        if idx < 3:  # a run shorter than a byte: bits 0xAA, 0xCC or 0xF0
+            unit = bytes([(0xAA, 0xCC, 0xF0)[idx]])
+        else:
+            run = 1 << idx - 3
+            unit = bytes(run) + b"\xff" * run
+        plane = int.from_bytes(unit * (size // len(unit)), "little") & full
         planes[i][j] = plane
         planes[j][i] = full ^ plane
     return planes
@@ -142,72 +144,89 @@ def canonical_code(k: int, code: int) -> int:
     """Canonical form: minimum code over score-sorted relabelings.
 
     Restricting to orderings with nondecreasing score is isomorphism-safe
-    (scores are invariant).  The relabeling is built from position k-1 down
-    to 0 by branch and bound: placing a vertex at position p fixes the bits
-    of the pairs (p, j > p), the highest bits not fixed yet, so a branch
-    whose fixed bits already exceed those of the best code found is cut.
+    (scores are invariant).  The relabeling is built on the out-mask rows
+    level by level, from position k-1 down to 0: placing vertex v at
+    position p fixes the bits of the pairs (p, j > p), whether v beats each
+    vertex placed above it.  At each position only the branches whose newly
+    fixed bits are smallest are kept: those bits outrank every bit fixed
+    later, so no other branch can reach the minimum.  All kept branches fix
+    the same bits, and these are the code's.
     """
-    rows = Tournament(k, code).out_masks()
+    return _canonical_rows(Tournament(k, code).out_masks())
+
+
+def _canonical_rows(rows) -> int:
+    """canonical_code of the tournament with these out-mask rows."""
+    k = len(rows)
+    full = (1 << k) - 1
     score = [row.bit_count() for row in rows]
-    order = sorted(range(k), key=lambda v: (score[v], v))
+    block: dict[int, int] = {}
+    for v, s in enumerate(score):
+        block[s] = block.get(s, 0) | 1 << v
     # allowed[p]: the vertices whose score puts them at position p
-    allowed: list[int] = []
-    for _, block in groupby(order, key=score.__getitem__):
-        members = list(block)
-        allowed += [sum(1 << v for v in members)] * len(members)
-    # shift[p]: index of the lowest bit that position p fixes, pair (p, p+1)
-    shift = [p * (2 * k - p - 1) // 2 for p in range(k)]
-    perm = [0] * k
-    best = 1 << len(_pairs(k))  # above every code
+    allowed = [block[score[v]] for v in sorted(range(k), key=score.__getitem__)]
+    # beats[v]: the vertices u that beat v, each at bit k * u.  A branch
+    # holds its used vertices and, in the k-bit field of each vertex u, the
+    # bits u would fix if placed next: whether it beats each placed vertex,
+    # the first placed highest.
+    beats = [0] * k
+    for u, row in enumerate(rows):
+        while row:
+            low = row & -row
+            row ^= low
+            beats[low.bit_length() - 1] |= 1 << k * u
+    field = full >> 1
+    code = 0
+    branches = [(0, 0)]
+    for p in range(k - 1, -1, -1):
+        best = full  # above every field
+        kept: list[tuple[int, int]] = []
+        for used, fields in branches:
+            free = allowed[p] & ~used
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                fixed = fields >> k * v & field
+                if fixed < best:
+                    best, kept = fixed, []
+                if fixed == best:
+                    kept.append((used | low, fields << 1 | beats[v]))
+        code = code << k - 1 - p | best
+        branches = kept
+    return code
 
-    def place(p: int, used: int, high: int) -> None:
-        # high: the bits of pairs (i, j) with i > p, shifted down to bit 0
-        nonlocal best
-        if p < 0:
-            best = high
-            return
-        free = allowed[p] & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            fixed = high
-            for j in range(k - 1, p, -1):
-                fixed = fixed << 1 | rows[v] >> perm[j] & 1
-            if fixed > best >> shift[p]:
-                continue
-            perm[p] = v
-            place(p - 1, used | low, fixed)
 
-    place(k - 1, 0, 0)
-    return best
+# the number of isomorphism classes of tournaments of order k = 1..7
+# (Davis 1953; OEIS A000568)
+_CLASS_COUNTS = (1, 1, 2, 4, 12, 56, 456)
 
 
 @lru_cache(maxsize=None)
 def tournament_reps(k: int) -> tuple[Tournament, ...]:
     """One representative per isomorphism class, by vertex augmentation.
 
-    Class counts 1, 1, 2, 4, 12, 56, 456 for k = 1..7.
+    Each candidate extends a class of order k-1 by a vertex k-1 with one of
+    the 2 ** (k-1) out-masks; its rows are the parent's rows plus that
+    mask, and it is kept as its canonical code.  The canonical form follows
+    only minimal branches: at each position the smallest newly fixed bits
+    win, as they outrank every bit fixed later (see canonical_code).
+
+    Class counts for k = 1..7 are _CLASS_COUNTS: 1, 1, 2, 4, 12, 56, 456.
     """
     if k < 1:
         raise InvalidInputError("order must be >= 1")
     if k == 1:
         return (Tournament(1, 0),)
+    top = 1 << k - 1
     seen: set[int] = set()
-    idx_prev = _pair_index(k - 1)
-    idx_new = _pair_index(k)
     for small in tournament_reps(k - 1):
-        base = 0
-        for p, b in idx_prev.items():
-            if small.code >> b & 1:
-                base |= 1 << idx_new[p]
-        new_bits = [idx_new[(i, k - 1)] for i in range(k - 1)]
-        for mask in range(1 << (k - 1)):
-            code = base
-            for i in range(k - 1):
-                if mask >> i & 1:
-                    code |= 1 << new_bits[i]
-            seen.add(canonical_code(k, code))
+        rows = small.out_masks()
+        for mask in range(top):
+            # vertex i beats the new vertex iff bit i of its out-mask is clear
+            cand = [row if mask >> i & 1 else row | top for i, row in enumerate(rows)]
+            cand.append(mask)
+            seen.add(_canonical_rows(cand))
     return tuple(Tournament(k, c) for c in sorted(seen))
 
 

@@ -710,6 +710,20 @@ def longest_path_as_the_reference(payload, size):
      longest_path_counted),
     (["oracle", "longest-path", "{g}"], {"g": tournament(11)}, "ok", 0,
      longest_path_as_the_reference),
+    # a flag that the oracle kind does not read is refused, before the input
+    (["oracle", "chromatic", "{g}", "--all"], {"g": C4}, "invalid_input", 2,
+     "oracle chromatic takes no --all"),
+    (["oracle", "oriented", "{g}", "--all"], {"g": '{"n": 3'}, "invalid_input",
+     2, "oracle oriented takes no --all"),
+    (["oracle", "kernel", "{g}", "--kmax", "7"], {"g": C4}, "invalid_input", 2,
+     "oracle kernel takes no --kmax"),
+    (["oracle", "quasi-kernel", "{g}", "--kmax", "3"], {"g": C4},
+     "invalid_input", 2, "oracle quasi-kernel takes no --kmax"),
+    (["oracle", "chromatic", "-", "--kmax", "7"], {"stdin": C4},
+     "invalid_input", 2, "oracle chromatic takes no --kmax"),
+    (["oracle", "longest-path", "{g}", "--all", "--kmax", "0"],
+     {"g": '{"n": 3'}, "invalid_input", 2,
+     "oracle longest-path takes no --kmax"),
 ], ids=["truncated-json", "blank-input", "kernel-without-ears",
         "extend-obstruction", "restrict-obstruction", "extend-without-set",
         "restrict-bad-set", "edge-list-as-decomposition",
@@ -724,7 +738,10 @@ def longest_path_as_the_reference(payload, size):
         "file-for-input-and-set", "file-for-decomposition-and-set",
         "file-for-all-three", "json-nested-too-deep", "closed-stdin",
         "json-integer-too-long", "longest-path-tournament-15",
-        "longest-path-tournament-11"])
+        "longest-path-tournament-11", "chromatic-takes-no-all",
+        "oriented-takes-no-all", "kernel-takes-no-kmax",
+        "quasi-kernel-takes-no-kmax", "chromatic-takes-no-kmax",
+        "longest-path-takes-no-kmax"])
 def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
                         code, expect):
     monkeypatch.chdir(tmp_path)
@@ -1006,9 +1023,12 @@ def fuzz_calls(draw):
             argv += ["--cycle-ear-prob",
                      draw(st.sampled_from(["0", "0.5", "1", "2", "-0.5", "nan"]))]
     elif argv[0] == "oracle":
-        argv += [draw(st.sampled_from(["kernel", "quasi-kernel", "chromatic",
-                                       "oriented", "longest-path"])), "{g}",
-                 "--kmax", str(draw(st.sampled_from([-1, 0, 3, 4, 8])))]
+        kind = draw(st.sampled_from(["kernel", "quasi-kernel", "chromatic",
+                                     "oriented", "longest-path"]))
+        argv += [kind, "{g}"]
+        # --kmax is read by oriented alone; elsewhere it is refused
+        if kind == "oriented" or draw(st.integers(0, 3)) == 0:
+            argv += ["--kmax", str(draw(st.sampled_from([-1, 0, 3, 4, 8])))]
     elif argv[0] not in ("verify-T", "census"):
         argv += ["--budget", str(draw(st.integers(min_value=1, max_value=40)))]
         if argv[0] == "classify" and draw(st.booleans()):
@@ -1058,6 +1078,8 @@ def test_fuzzed_calls_end_in_one_envelope(fuzz_dir, call):
         level = int(argv[argv.index("--max-level") + 1])
         if level < 1 or level > cli.MAX_LEVEL_CAP:
             assert code == (2 if level < 1 else 3), argv
+    if argv[0] == "oracle" and argv[1] != "oriented" and "--kmax" in argv:
+        assert code == 2, argv
     doc = json.loads(out.getvalue())
     assert doc["status"] == STATUS_OF_CODE[code], (argv, doc)
     if argv.count("-") > 1 and "--set" in argv \

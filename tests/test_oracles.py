@@ -360,6 +360,17 @@ def test_oriented_oracle_counts_every_class_when_none_fits():
     assert report.details == {"exceeds": 7}
 
 
+def test_oriented_oracle_counts_ruled_out_orders_without_enumerating(monkeypatch):
+    # no order up to 7 fits, so no class is listed: the counts are known
+    def refuse(k):
+        raise AssertionError(f"order {k} enumerated")
+
+    monkeypatch.setattr(oracles, "tournament_reps", refuse)
+    report = oriented_chromatic_oracle(rotational_tournament_8())
+    assert (report.value, report.search_space_size, report.details) \
+        == (None, 532, {"exceeds": 7})
+
+
 def test_oriented_oracle_cross_checks_an_accepted_order(monkeypatch):
     # a decision that accepts an order no class admits is caught, not absorbed
     monkeypatch.setattr(HomomorphismSearch, "fits_order", lambda self, k: True)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import chain, combinations, groupby, permutations, product
 
@@ -8,9 +9,10 @@ from earlab.coloring import VertexMapping, verify_homomorphism
 from earlab.digraph import Digraph
 from earlab.errors import InvalidInputError, VerificationError
 from earlab.oriented import walk_survivors
-from earlab.tournaments import (HomomorphismSearch, Tournament,
-                                automorphism_count, canonical_code,
-                                find_homomorphism, tournament_reps)
+from earlab.tournaments import (_CLASS_COUNTS, HomomorphismSearch, Tournament,
+                                _pairs, arc_planes, automorphism_count,
+                                canonical_code, find_homomorphism,
+                                tournament_reps)
 
 
 def cyclic_triangle():
@@ -47,17 +49,47 @@ def test_relabel_keeps_canonical_code():
 
 
 def test_rep_counts_match_known_sequence():
-    # numbers of tournaments up to isomorphism by order
-    assert [len(tournament_reps(k)) for k in range(1, 8)] == [1, 1, 2, 4, 12, 56, 456]
+    # numbers of tournaments up to isomorphism by order, as the oriented
+    # oracle counts the orders it rules out
+    assert _CLASS_COUNTS == (1, 1, 2, 4, 12, 56, 456)
+    assert tuple(len(tournament_reps(k)) for k in range(1, 8)) == _CLASS_COUNTS
 
 
 def test_reps_are_canonical_and_distinct():
-    for k in (3, 4, 5):
+    for k in (3, 4, 5, 6):
         reps = tournament_reps(k)
         codes = {t.code for t in reps}
         assert len(codes) == len(reps)
         for t in reps:
             assert canonical_code(k, t.code) == t.code
+            assert reference_canonical_code(k, t.code) == t.code
+
+
+@pytest.mark.parametrize("k, digest", [
+    (6, "f16d86482915588e28cf503ce5592e29c9ddd2297b0b3e0a425bc56fbc09a8fd"),
+    (7, "2d401497f53dc6237349d2090fcc78048ba0070dfbe3c33b7394e3792497014d")])
+def test_rep_codes_are_pinned(k, digest):
+    # the representatives' codes, in order: any change to the canonical
+    # form or the augmentation must keep every one
+    codes = ",".join(str(t.code) for t in tournament_reps(k))
+    assert hashlib.sha256(codes.encode()).hexdigest() == digest
+
+
+def reference_arc_planes(k):
+    """arc_planes by one big-int division per pair: full // (2 ** 2 ** idx
+    + 1) sets the low half of every run of 2 ** (idx + 1) codes."""
+    full = (1 << (1 << len(_pairs(k)))) - 1
+    planes = [[0] * k for _ in range(k)]
+    for idx, (i, j) in enumerate(_pairs(k)):
+        plane = full ^ full // ((1 << (1 << idx)) + 1)
+        planes[i][j] = plane
+        planes[j][i] = full ^ plane
+    return planes
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_arc_planes_match_division_reference(k):
+    assert arc_planes(k) == reference_arc_planes(k)
 
 
 def test_homomorphism_c3_into_cyclic_triangle():
@@ -111,7 +143,7 @@ def test_found_homomorphisms_verify(k, seed):
         verify_homomorphism(d, VertexMapping(phi, t, "homomorphism"))
 
 
-# Differential checks of the branch-and-bound canonical form against the
+# Differential checks of the minimal-branch canonical form against the
 # definition enumerated outright: every relabeling that keeps scores sorted.
 
 def reference_canonical_code(k, code):
