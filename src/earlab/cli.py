@@ -197,11 +197,17 @@ def cmd_kernel(args) -> dict:
     if args.action != "trace" and not args.set:
         raise InvalidInputError(f"kernel {args.action} needs --set")
     read = _reader(args)
+    # each flag is refused, before the input is read, where the action does
+    # not read it
+    if args.action == "trace" and args.set is not None:
+        raise InvalidInputError("kernel trace takes no --set")
+    if args.action != "trace" and args.direction is not None:
+        raise InvalidInputError(f"kernel {args.action} takes no --direction")
     if args.action != "trace":
         members = load_vertex_set(read(args.set))
     d, e = _input_and_decomposition(args, 2, path_ears_only=True, read=read)
     if args.action == "trace":
-        return trace_kernels(d, e, direction=args.direction)
+        return trace_kernels(d, e, direction=args.direction or "forward")
     op = extend_kernel if args.action == "extend" else restrict_kernel
     result = op(d, e, members)
     if isinstance(result, CertifiedSet):
@@ -381,9 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="kernel propagation across the last ear")
     p.add_argument("action", choices=["extend", "restrict", "trace"])
     with_decomposition(with_input(p))
-    p.add_argument("--set", help="vertex set JSON (kernel to propagate)")
+    p.add_argument("--set", help="extend and restrict only: vertex set JSON "
+                                 "(the kernel to propagate)")
     p.add_argument("--direction", choices=["forward", "backward"],
-                   default="forward")
+                   help="trace only (default forward)")
     p.set_defaults(handler=cmd_kernel)
 
     p = with_decomposition(with_input(sub.add_parser(

@@ -1,13 +1,17 @@
 import argparse
+import functools
 import io
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -17,9 +21,10 @@ from earlab import cli, ears
 from earlab.cli import main
 from earlab.digraph import parse_digraph, serialize_digraph
 from earlab.errors import BudgetExceededError
-from earlab.kernels import trace_kernels
+from earlab.kernels import TRACE_VERTEX_CAP, trace_kernels
 from earlab.oriented import uniqueness_census
-from test_oracles import longest_paths_by_dfs
+from test_kernels import fan
+from test_oracles import longest_paths_by_dfs, rotational_tournament_8
 
 
 def run(capsys, *argv):
@@ -168,16 +173,21 @@ def test_kernel_trace(capsys, c5_file):
     assert doc["payload"]["base_parity"] == "odd"
 
 
-def test_kernel_extend_and_restrict(capsys, tmp_path):
-    graph = tmp_path / "g.txt"
-    graph.write_text("0 1\n1 2\n2 3\n3 0\n1 4\n4 3\n")
-    dec = tmp_path / "d.json"
-    dec.write_text(json.dumps({"base": [0, 1, 2, 3], "ears": [[1, 4, 3]]}))
-    members = tmp_path / "s.json"
-    members.write_text("[1, 3]")
+@pytest.fixture
+def kernel_files(tmp_path):
+    """The input, --decomposition and --set of a kernel command: C4 with the
+    ear 1 4 3, and [1, 3], a kernel of C4 and of the whole."""
+    files = {"g.txt": "0 1\n1 2\n2 3\n3 0\n1 4\n4 3\n", "s.json": "[1, 3]",
+             "d.json": '{"base": [0, 1, 2, 3], "ears": [[1, 4, 3]]}'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / "g.txt"), "--decomposition", str(tmp_path / "d.json"),
+            "--set", str(tmp_path / "s.json")]
+
+
+def test_kernel_extend_and_restrict(capsys, kernel_files):
     for action in ("extend", "restrict"):
-        code, doc = run(capsys, "kernel", action, str(graph),
-                        "--decomposition", str(dec), "--set", str(members))
+        code, doc = run(capsys, "kernel", action, *kernel_files)
         assert code == 0
         assert doc["payload"]["members"] == [1, 3]
         assert doc["payload"]["verified"] is True
@@ -202,17 +212,11 @@ def test_kernel_propagation_validates_the_decomposition(capsys, tmp_path,
 
 @pytest.mark.parametrize("action", ["extend", "restrict"])
 @pytest.mark.parametrize("given", [True, False])
-def test_kernel_propagation_validates_once(capsys, monkeypatch, tmp_path,
+def test_kernel_propagation_validates_once(capsys, monkeypatch, kernel_files,
                                            action, given):
     # the library validates the decomposition once, in path-ears mode; a
     # searched one is validated first by the search's own self-check, as
     # for every other certificate command
-    graph = tmp_path / "g.txt"
-    graph.write_text("0 1\n1 2\n2 3\n3 0\n1 4\n4 3\n")
-    dec = tmp_path / "d.json"
-    dec.write_text(json.dumps({"base": [0, 1, 2, 3], "ears": [[1, 4, 3]]}))
-    members = tmp_path / "s.json"
-    members.write_text("[1, 3]")
     modes = []
     validate = ears.validate_decomposition
 
@@ -221,8 +225,8 @@ def test_kernel_propagation_validates_once(capsys, monkeypatch, tmp_path,
         return validate(d, e, path_ears_only)
 
     monkeypatch.setattr(ears, "validate_decomposition", counting)
-    argv = ["kernel", action, str(graph), "--set", str(members)]
-    code, _ = run(capsys, *argv, *(["--decomposition", str(dec)] if given else []))
+    argv = ["kernel", action, *kernel_files]
+    code, _ = run(capsys, *(argv if given else argv[:3] + argv[5:]))
     assert code == 0
     assert modes == [True] * (1 if given else 2)
 
@@ -250,26 +254,6 @@ def test_seymour_refuses_a_repeated_interior_vertex(capsys, tmp_path,
     code, doc = run(capsys, "seymour", c5_file, "--decomposition", str(dec))
     assert (code, doc["status"], doc["payload"]) == (2, "invalid_input", None)
     assert "repeated internal vertex" in doc["error"]
-
-
-def test_kernel_set_rejects_boolean_ids(capsys, tmp_path):
-    graph = tmp_path / "g.txt"
-    graph.write_text("0 1\n1 2\n2 3\n3 0\n1 4\n4 3\n")
-    dec = tmp_path / "d.json"
-    dec.write_text(json.dumps({"base": [0, 1, 2, 3], "ears": [[1, 4, 3]]}))
-    members = tmp_path / "s.json"
-    members.write_text("[true, 3]")
-    code, doc = run(capsys, "kernel", "extend", str(graph),
-                    "--decomposition", str(dec), "--set", str(members))
-    assert code == 2
-    assert doc["status"] == "invalid_input"
-    assert doc["payload"] is None
-
-
-def test_kernel_extend_requires_set(capsys, c5_file):
-    code, doc = run(capsys, "kernel", "extend", c5_file)
-    assert code == 2
-    assert doc["status"] == "invalid_input"
 
 
 def test_verify_t(capsys):
@@ -352,15 +336,6 @@ def test_oracle_all_flag(capsys, c5_file):
     assert len(doc["payload"]["details"]["all_quasi_kernels"]) > 1
 
 
-def test_invalid_input_exit_code(capsys, tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 2 3\n")
-    code, doc = run(capsys, "oracle", "kernel", str(path))
-    assert code == 2
-    assert doc["status"] == "invalid_input"
-    assert "line 1" in doc["error"]
-
-
 def test_missing_file_exit_code(capsys):
     code, doc = run(capsys, "oracle", "kernel", "/nonexistent/file.txt")
     assert code == 2
@@ -375,7 +350,7 @@ def test_cap_exceeded_exit_code(capsys, tmp_path):
 
 
 def subdivided_symmetric_cycle(k):
-    """The symmetric k-cycle with every arc replaced by a 3-path, and a
+    """The symmetric k-cycle with every arc replaced by a 3-path, with a
     path-ear decomposition of it: 5k vertices, k of them branch vertices.
     It has as many kernels as the k-cycle, exponentially many in k."""
     ears = [(0, 1, 0), tuple(range(1, k)) + (0,)]
@@ -384,44 +359,8 @@ def subdivided_symmetric_cycle(k):
     paths = [[p[0]] + [w for v in p[1:] for w in (next(fresh), next(fresh), v)]
              for p in ears]
     arcs = [arc for path in paths for arc in zip(path, path[1:])]
-    return arcs, {"base": paths[0][:-1], "ears": paths[1:]}
-
-
-def test_kernel_trace_caps_name_the_cap(capsys, tmp_path):
-    def trace(*gen_args):
-        code, doc = run(capsys, "gen", "--le", *gen_args)
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
-        return run(capsys, "kernel", "trace", str(path),
-                   "--decomposition", str(path))
-
-    # 180 vertices, 15 of them branch vertices: inside both caps
-    code, doc = trace("--base", "4", "--ears", "16", "--min-ear-length", "10",
-                      "--max-ear-length", "14", "--seed", "0")
-    assert code == 0 and len(doc["payload"]["stages"]) == 17
-    # 302 vertices, 118 branch vertices
-    code, doc = trace("--base", "4", "--ears", "200", "--min-ear-length", "2",
-                      "--max-ear-length", "3", "--seed", "0")
-    assert code == 3
-    assert doc["status"] == "cap_exceeded"
-    assert "capped at 20 branch vertices (out-degree other than 1), got 118" \
-        in doc["error"]
-    # one ear: 2 branch vertices, 504 vertices
-    code, doc = trace("--base", "4", "--ears", "1", "--min-ear-length", "501",
-                      "--seed", "0")
-    assert code == 3
-    assert "kernel trace capped at 500 vertices, got 504" in doc["error"]
-    # the branch cap bounds the kernels: at k = 80 the last stages would
-    # have about 6e9 of them
-    for k, expected in ((20, 0), (80, 3)):
-        arcs, dec = subdivided_symmetric_cycle(k)
-        graph, dec_path = tmp_path / "g.txt", tmp_path / "dec.json"
-        graph.write_text("".join(f"{u} {v}\n" for u, v in arcs))
-        dec_path.write_text(json.dumps(dec))
-        code, doc = run(capsys, "kernel", "trace", str(graph),
-                        "--decomposition", str(dec_path))
-        assert code == expected
-    assert doc["error"].endswith("(out-degree other than 1), got 80")
+    return {"digraph": {"arcs": arcs},
+            "decomposition": {"base": paths[0][:-1], "ears": paths[1:]}}
 
 
 def test_classify_after_budget_stop_reports_unknown(capsys, tmp_path):
@@ -592,6 +531,14 @@ EAR_D = {"base": [0, 1, 2, 3], "ears": [[0, 4, 5, 2]]}
 EAR_ARCS = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 4], [4, 5], [5, 2]]
 KERNEL_DOC = {"digraph": {"arcs": EAR_ARCS}, "decomposition": EAR_D,
               "members": [0, 2]}
+# C4 with the ear 0 4 5 3: restricting the kernel [1, 3, 4] meets an obstruction
+RESTRICT_G = C4 + "0 4\n4 5\n5 3\n"
+RESTRICT_D = {"base": [0, 1, 2, 3], "ears": [[0, 4, 5, 3]]}
+# C4 with the ear 0 4 5 6 2: the kernel [0, 2] of C4 extends across it
+EAR4_G = C4 + "0 4\n4 5\n5 6\n6 2\n"
+EAR4_D = {"base": [0, 1, 2, 3], "ears": [[0, 4, 5, 6, 2]]}
+# C4 plus the cycle 0 -> 4 -> ... -> 19999 -> 0, which {"base": [0, 1, 2, 3]} leaves out
+AROUND = [0, *range(4, 20_000), 0]
 
 
 def _doc(*keys):
@@ -606,174 +553,361 @@ def tournament(n):
                    for u in range(n) for v in range(u + 1, n))
 
 
-def longest_path_counted(payload, size):
-    # 85,002,437 longest paths: the envelope holds their count alone
-    assert payload["value"] == 14 and "all_longest" not in payload["details"]
-    assert size < 1024
+def has(**want):
+    """A payload check: these keys hold these values."""
+    return lambda payload: {key: payload[key] for key in want} == want
 
 
-def longest_path_as_the_reference(payload, size):
+def longest_path_as_the_reference(payload):
     value, paths, _ = longest_paths_by_dfs(parse_digraph(tournament(11)))
-    assert (payload["value"], payload["witness"], payload["details"]) \
+    return (payload["value"], payload["witness"], payload["details"]) \
         == (value, list(paths[0]), {"maximum_count": len(paths)})
 
 
-@pytest.mark.parametrize("argv, files, status, code, expect", [
-    (["decompose", "{g}"], {"g": '{"n": 3, "arcs": [[0, 1]'},
-     "invalid_input", 2, "bad JSON"),
-    (["decompose", "{g}"], {"g": " \n\n"}, "invalid_input", 2, "empty input"),
-    (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "{s}"],
-     {"g": C4, "d": '{"base": [0, 1, 2, 3]}', "s": "[0, 2]"},
-     "invalid_input", 2, "no ears"),
-    (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "{s}"],
-     {"g": C4 + "0 4\n4 5\n5 2\n", "d": '{"base": [0, 1, 2, 3], '
-      '"ears": [[0, 4, 5, 2]]}', "s": "[0, 2]"}, "ok", 0, "both_in_odd"),
-    (["kernel", "restrict", "{g}", "--decomposition", "{d}", "--set", "{s}"],
-     {"g": C4 + "0 4\n4 5\n5 3\n", "d": '{"base": [0, 1, 2, 3], '
-      '"ears": [[0, 4, 5, 3]]}', "s": "[1, 3, 4]"}, "ok", 0, "x0_out_xr_in_odd"),
-    # --set is checked and read before the input
-    (["kernel", "extend", "{g}"], {"g": '{"n": 3'}, "invalid_input", 2,
-     "kernel extend needs --set"),
-    (["kernel", "restrict", "{g}", "--set", "{s}"], {"g": '{"n": 3', "s": "[1.5]"},
-     "invalid_input", 2, "vertex set must be a JSON list of integers"),
+class Prefix(str):
+    """An error text that the envelope's error starts with."""
+
+
+class Gen(str):
+    """The stdout of `earlab gen` with these arguments, which exits 0."""
+
+
+CLOSED = object()  # a stdin whose fd 0 is closed
+
+
+class Case(NamedTuple):
+    """One CLI call and the envelope it prints.  files and stdin hold text,
+    bytes, JSON values or a Gen, and "{name}" in argv and error is the path
+    of file name; stdin may be CLOSED, or read as under the C locale if
+    c_locale.  error is exact or a Prefix; payload is a predicate on the
+    payload, and max_bytes bounds the envelope."""
+    id: str
+    argv: str
+    code: int = 0
+    error: str = None
+    files: dict = {}
+    stdin: object = b""
+    c_locale: bool = False
+    payload: object = None
+    max_bytes: int = None
+    marks: tuple = ()
+
+
+KERNEL = "kernel extend {g} --decomposition {d} --set {s}"
+RESTRICT = KERNEL.replace("extend", "restrict")
+TRACE = "kernel trace {g} --decomposition {g}"
+BOTH_IN_ODD = has(obstruction=True, pattern="both_in_odd")
+X0_OUT_XR_IN_ODD = has(obstruction=True, pattern="x0_out_xr_in_odd")
+NO_DECOMPOSITION = "an edge list carries no decomposition"
+NOT_JSON = '{"n": 3'  # an input that a refusal before its read never sees
+LE3 = Gen("--le --base 5 --ears 6 --min-ear-length 3 --max-ear-length 8 --seed 2")
+EARS_3200 = Gen("--le --base 5 --ears 3200 --min-ear-length 3 --max-ear-length 4 "
+                "--seed 3")
+ROT8 = serialize_digraph(rotational_tournament_8())
+LEVELS = f"--max-level must lie in 1..{cli.MAX_LEVEL_CAP}, got "
+PAST = str(cli.MAX_LEVEL_CAP + 1)
+FAN = fan(TRACE_VERTEX_CAP - 3)  # C3 and 497 ears: 498 stages at the vertex cap
+BRANCH_CAP = "kernel trace capped at 20 branch vertices (out-degree other than 1), got "
+
+# The CLI's cases: test_envelope_paths runs each in-process, and
+# test_installed_script through the installed earlab.
+CASES = [
+    Case("truncated-json", "decompose {g}", 2, Prefix("bad JSON: "),
+         {"g": '{"n": 3, "arcs": [[0, 1]'}),
+    Case("stdin-truncated-json", "decompose -", 2, Prefix("bad JSON: "), stdin="{"),
+    Case("blank-input", "decompose {g}", 2, "empty input", {"g": " \n\n"}),
+    Case("edge-list-line-of-three", "oracle kernel {g}", 2,
+         "line 1: expected 'u v', got '1 2 3'", {"g": "1 2 3\n"}),
+    Case("kernel-without-ears", KERNEL, 2, "decomposition has no ears to propagate "
+         "across", {"g": C4, "d": '{"base": [0, 1, 2, 3]}', "s": "[0, 2]"}),
+    Case("extend-obstruction", KERNEL, files={"g": EAR_G, "d": EAR_D, "s": "[0, 2]"},
+         payload=BOTH_IN_ODD),
+    Case("restrict-obstruction", RESTRICT, payload=X0_OUT_XR_IN_ODD,
+         files={"g": RESTRICT_G, "d": RESTRICT_D, "s": "[1, 3, 4]"}),
+    Case("extend-across-ear", KERNEL, files={"g": EAR4_G, "d": EAR4_D, "s": "[0, 2]"},
+         payload=has(members=[0, 2, 5])),
+    Case("restrict-across-ear", RESTRICT, payload=has(members=[0, 2]),
+         files={"g": EAR4_G, "d": EAR4_D, "s": "[0, 2, 5]"}),
+    # the same propagation with the decomposition searched for
+    Case("extend-across-searched-ear", "kernel extend {g} --set {s}",
+         files={"g": EAR4_G, "s": "[0, 2]"}, payload=has(members=[0, 2, 5])),
+    Case("restrict-non-kernel", "kernel restrict {g} --set {s}", 1,
+         "[0, 2] is not a kernel of the glued digraph", {"g": EAR4_G, "s": "[0, 2]"}),
+    # a 1,004-vertex path-ears search is decided within its budget
+    Case("extend-empty-set-400-ears", "kernel extend {g} --set {s}", 1,
+         "[] is not a kernel of the stage digraph", {"s": "[]", "g": Gen(
+             "--le --base 5 --ears 400 --min-ear-length 3 --max-ear-length 4 "
+             "--seed 3")}),
+    # --set is checked and read before the input, and so is a flag that the
+    # action does not read
+    Case("extend-without-set", "kernel extend {g}", 2, "kernel extend needs --set",
+         {"g": NOT_JSON}),
+    Case("extend-without-set-or-input", "kernel extend missing.json", 2,
+         "kernel extend needs --set"),
+    Case("restrict-bad-set", "kernel restrict {g} --set {s}", 2,
+         "vertex set must be a JSON list of integers", {"g": NOT_JSON, "s": "[1.5]"}),
+    Case("kernel-set-of-booleans", KERNEL, 2, "vertex set must be a JSON list of "
+         "integers", {"g": EAR_G, "d": EAR_D, "s": "[true, 3]"}),
+    Case("trace-takes-no-set", "kernel trace {g} --set {s}", 2,
+         "kernel trace takes no --set", {"g": NOT_JSON, "s": "[0]"}),
+    Case("extend-takes-no-direction", KERNEL + " --direction backward", 2,
+         "kernel extend takes no --direction", {"g": NOT_JSON, "d": EAR_D, "s": "["}),
+    Case("restrict-takes-no-direction", RESTRICT + " --direction forward", 2,
+         "kernel restrict takes no --direction", {"g": NOT_JSON, "d": EAR_D, "s": "["}),
     # an edge list named as the input and --decomposition, as one file or
     # on stdin, carries no decomposition; stdin serves --set alone
-    (["seymour", "{g}", "--decomposition", "{g}"], {"g": C4}, "invalid_input",
-     2, "an edge list carries no decomposition"),
-    (["seymour", "-", "--decomposition", "-"], {"stdin": C4}, "invalid_input",
-     2, "an edge list carries no decomposition"),
-    (["kernel", "extend", "-", "--set", "-"], {"stdin": "[0]"},
-     "invalid_input", 2, "stdin is named by both the input and --set"),
-    (["kernel", "restrict", "{g}", "--decomposition", "-", "--set", "-"],
-     {"g": C4, "stdin": "[0]"}, "invalid_input", 2,
-     "stdin is named by both --decomposition and --set"),
+    Case("edge-list-as-decomposition", "seymour {g} --decomposition {g}", 2,
+         NO_DECOMPOSITION, {"g": C4}),
+    Case("stdin-edge-list-as-decomposition", "seymour - --decomposition -", 2,
+         NO_DECOMPOSITION, stdin=C4),
+    Case("stdin-for-input-and-set", "kernel extend - --set -", 2,
+         "stdin is named by both the input and --set", stdin="[0]"),
+    Case("stdin-for-decomposition-and-set", "kernel restrict {g} --decomposition - "
+         "--set -", 2, "stdin is named by both --decomposition and --set",
+         {"g": C4}, stdin="[0]"),
     # one file spelled two ways is one source, read once
-    (["seymour", "g", "--decomposition", "./g"], {"g": C4}, "invalid_input",
-     2, "an edge list carries no decomposition"),
-    # bytes that are not UTF-8, from a file or from a strict stdin
-    (["decompose", "{g}"], {"g": b"0 1\n1 \xff\n"}, "invalid_input", 2,
-     "cannot read {g}: not UTF-8 at byte 6"),
-    (["decompose", "-"], {"stdin": b"0 1\n1 \xff\n"}, "invalid_input", 2,
-     "cannot read -: not UTF-8 at byte 6"),
-    # a stdin decoded with surrogateescape, as Python's under the C locale
-    (["decompose", "-"], {"c-stdin": b"0 1\n1 \xff\n"}, "invalid_input", 2,
-     "cannot read -: not UTF-8 at byte 6"),
+    Case("edge-list-spelled-two-ways", "seymour g --decomposition ./g", 2,
+         NO_DECOMPOSITION, {"g": C4}),
+    # bytes that are not UTF-8, from a file or from stdin under any locale
+    Case("file-not-utf8", "decompose {g}", 2, "cannot read {g}: not UTF-8 at byte 6",
+         {"g": b"0 1\n1 \xff\n"}),
+    Case("stdin-not-utf8", "decompose -", 2, "cannot read -: not UTF-8 at byte 6",
+         stdin=b"0 1\n1 \xff\n"),
+    Case("c-locale-stdin-not-utf8", "decompose -", 2,
+         "cannot read -: not UTF-8 at byte 6", stdin=b"0 1\n1 \xff\n", c_locale=True),
     # an edge list named by --decomposition alone carries no decomposition
-    (["seymour", "-", "--decomposition", "{g}"], {"g": C4, "stdin": C4},
-     "invalid_input", 2, "an edge list carries no decomposition"),
-    (["seymour", "{g}", "--decomposition", "{d}"], {"g": C4, "d": C4},
-     "invalid_input", 2, "an edge list carries no decomposition"),
+    Case("stdin-edge-list-as-decomposition-only", "seymour - --decomposition {g}",
+         2, NO_DECOMPOSITION, {"g": C4}, stdin=C4),
+    Case("edge-list-as-decomposition-only", "seymour {g} --decomposition {d}", 2,
+         NO_DECOMPOSITION, {"g": C4, "d": C4}),
     # stdin serves one of the input, --decomposition and --set, and files
     # serve the others
-    (["kernel", "extend", "-", "--decomposition", "{d}", "--set", "{s}"],
-     {"stdin": EAR_G, "d": json.dumps(EAR_D), "s": "[0, 2]"}, "ok", 0,
-     "both_in_odd"),
-    (["kernel", "extend", "{g}", "--decomposition", "-", "--set", "{s}"],
-     {"g": EAR_G, "stdin": json.dumps(EAR_D), "s": "[0, 2]"}, "ok", 0,
-     "both_in_odd"),
-    (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "-"],
-     {"g": EAR_G, "d": json.dumps(EAR_D), "stdin": "[0, 2]"}, "ok", 0,
-     "both_in_odd"),
+    Case("stdin-for-input", KERNEL.replace("{g}", "-"), stdin=EAR_G,
+         files={"d": EAR_D, "s": "[0, 2]"}, payload=BOTH_IN_ODD),
+    Case("stdin-for-decomposition", KERNEL.replace("{d}", "-"), stdin=EAR_D,
+         files={"g": EAR_G, "s": "[0, 2]"}, payload=BOTH_IN_ODD),
+    Case("stdin-for-set", KERNEL.replace("{s}", "-"), stdin="[0, 2]",
+         files={"g": EAR_G, "d": EAR_D}, payload=BOTH_IN_ODD),
     # stdin or one file serves two of them, or all three
-    (["kernel", "extend", "-", "--decomposition", "-", "--set", "{s}"],
-     {"stdin": _doc("digraph", "decomposition"), "s": "[0, 2]"}, "ok", 0,
-     "both_in_odd"),
-    (["kernel", "extend", "-", "--decomposition", "-", "--set", "-"],
-     {"stdin": _doc("digraph", "decomposition", "members")}, "invalid_input",
-     2, "stdin is named by both the input and --set"),
-    (["kernel", "trace", "-", "--set", "-"], {"stdin": C4}, "invalid_input",
-     2, "stdin is named by both the input and --set"),
-    (["kernel", "extend", "g", "--decomposition", "./g", "--set", "{s}"],
-     {"g": _doc("digraph", "decomposition"), "s": "[0, 2]"}, "ok", 0,
-     "both_in_odd"),
-    (["kernel", "extend", "g", "--decomposition", "{d}", "--set", "./g"],
-     {"g": _doc("digraph", "members"), "d": json.dumps(EAR_D)}, "ok", 0,
-     "both_in_odd"),
-    (["kernel", "restrict", "{g}", "--decomposition", "d", "--set", "./d"],
-     {"g": C4 + "0 4\n4 5\n5 3\n", "d": '{"decomposition": {"base": '
-      '[0, 1, 2, 3], "ears": [[0, 4, 5, 3]]}, "members": [1, 3, 4]}'}, "ok",
-     0, "x0_out_xr_in_odd"),
-    (["kernel", "extend", "g", "--decomposition", "./g", "--set", "{g}"],
-     {"g": _doc("digraph", "decomposition", "members")}, "ok", 0,
-     "both_in_odd"),
-    (["decompose", "{g}"], {"g": '{"arcs": ' + "[" * 200_000},
-     "invalid_input", 2, "bad JSON: maximum recursion depth exceeded"),
-    (["decompose", "-"], {"stdin": None}, "invalid_input", 2,
-     "cannot read -: stdin is closed"),
-    pytest.param(["decompose", "{g}"], {"g": '{"n": ' + "9" * 5000 + "}"},
-                 "invalid_input", 2, "bad JSON: Exceeds the limit",
-                 marks=pytest.mark.skipif(
-                     not hasattr(sys, "get_int_max_str_digits"),
-                     reason="no integer digit limit: n hits the vertex cap")),
-    # the paths are counted, not listed, and listed only under --all
-    (["oracle", "longest-path", "-"], {"stdin": tournament(15)}, "ok", 0,
-     longest_path_counted),
-    (["oracle", "longest-path", "{g}"], {"g": tournament(11)}, "ok", 0,
-     longest_path_as_the_reference),
+    Case("stdin-for-input-and-decomposition", "kernel extend - --decomposition - "
+         "--set {s}", files={"s": "[0, 2]"}, stdin=_doc("digraph", "decomposition"),
+         payload=BOTH_IN_ODD),
+    Case("seymour-stdin-for-input-and-decomposition", "seymour - --decomposition -",
+         stdin=LE3),
+    Case("stdin-for-all-three", "kernel extend - --decomposition - --set -", 2,
+         "stdin is named by both the input and --set",
+         stdin=_doc("digraph", "decomposition", "members")),
+    Case("stdin-for-input-and-set-in-trace", "kernel trace - --set -", 2,
+         "stdin is named by both the input and --set", stdin=C4),
+    Case("file-for-input-and-decomposition", "kernel extend g --decomposition ./g "
+         "--set {s}", files={"g": _doc("digraph", "decomposition"), "s": "[0, 2]"},
+         payload=BOTH_IN_ODD),
+    Case("file-for-input-and-set", "kernel extend g --decomposition {d} --set ./g",
+         files={"g": _doc("digraph", "members"), "d": EAR_D}, payload=BOTH_IN_ODD),
+    Case("file-for-decomposition-and-set", "kernel restrict {g} --decomposition d "
+         "--set ./d", files={"g": RESTRICT_G, "d": {"decomposition": RESTRICT_D,
+                                                     "members": [1, 3, 4]}},
+         payload=X0_OUT_XR_IN_ODD),
+    Case("file-for-all-three", "kernel extend g --decomposition ./g --set {g}",
+         files={"g": _doc("digraph", "decomposition", "members")}, payload=BOTH_IN_ODD),
+    Case("json-nested-too-deep", "decompose {g}", 2, Prefix("bad JSON: maximum "
+         "recursion depth exceeded"), {"g": '{"arcs": ' + "[" * 200_000}),
+    Case("closed-stdin", "decompose -", 2, "cannot read -: stdin is closed",
+         stdin=CLOSED),
+    Case("json-integer-too-long", "decompose {g}", 2, Prefix("bad JSON: Exceeds the "
+         "limit"), {"g": '{"n": ' + "9" * 5000 + "}"}, marks=pytest.mark.skipif(
+             not hasattr(sys, "get_int_max_str_digits"),
+             reason="no integer digit limit: n hits the vertex cap")),
+    Case("label-key-not-an-id", "decompose {g}", 2, "label key '00' is not an id as "
+         "str(id) writes it", {"g": {"arcs": [[0, 1], [1, 0]], "labels": {"00": "a"}}}),
+    # each part is checked as the decomposition loads, then against the input
+    Case("ear-repeat-at-load", "color {g} --decomposition {d}", 2,
+         "repeated internal vertex in ear (0, 4, 4, 1)",
+         {"g": EAR4_G, "d": {"base": [0, 1, 2, 3], "ears": [[0, 4, 4, 1]]}}),
+    Case("ear-ending-off-stage", "color {g} --decomposition {d}", 2,
+         "invalid decomposition: stage 0: ear endpoints must lie in the stage digraph",
+         {"g": EAR4_G, "d": {"base": [0, 1, 2, 3], "ears": [[0, 4, 5, 6, 9]]}}),
+    # a refusal names the first ids of a large value; it does not copy it
+    Case("kernel-set-off-stage-20000", KERNEL, 2,
+         "set [7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17 not in digraph",
+         {"g": EAR4_G, "d": EAR4_D, "s": list(range(7, 20_007))}, max_bytes=1024),
+    Case("uncovered-vertices", "color {g} --decomposition {d}", 2,
+         Prefix("invalid decomposition: final: vertices uncovered: [4, 5, "),
+         {"g": {"arcs": [*EAR_ARCS[:4], *zip(AROUND, AROUND[1:])]},
+          "d": {"base": [0, 1, 2, 3]}}, max_bytes=1024),
+    # option values out of range
+    Case("classify-max-level-zero", "classify {g} --max-level 0", 2, LEVELS + "0",
+         {"g": EAR4_G}),
+    Case("classify-max-level-past-cap", "classify {g} --max-level " + PAST, 3,
+         LEVELS + PAST, {"g": EAR4_G}),
+    Case("gen-max-below-min", "gen --le --min-ear-length 2 --max-ear-length 0", 2,
+         "max ear length below min"),
+    Case("gen-past-vertex-cap", "gen --le --ears 1 --min-ear-length 1000001", 3,
+         "1000003 vertices exceed the cap of 1000000 (largest id + 1)"),
+    # commands fed by gen, on stdin or as a file
+    Case("gen-into-decompose", "decompose -", stdin=Gen("--le --seed 1")),
+    Case("gen-into-classify", "classify -", stdin=Gen(
+        "--le --ears 12 --min-ear-length 2 --max-ear-length 4 --seed 1")),
+    Case("gen-into-transversal", "transversal -", stdin=Gen(
+        "--le --ears 6 --min-ear-length 2 --max-ear-length 4 --seed 1")),
+    Case("gen-into-oriented", "oriented -", stdin=Gen(
+        "--le --base 8 --ears 4 --min-ear-length 3 --max-ear-length 5 --seed 7")),
+    Case("oriented-on-base-6", "oriented {g} --decomposition {g}", files={"g": Gen(
+        "--le --base 6 --ears 3 --min-ear-length 3 --max-ear-length 4 --seed 2")}),
+    Case("quasi-kernel-on-le3", "quasi-kernel {g} --decomposition {g}",
+         files={"g": LE3}),
+    # the certificates are checked along the ears: no vertex cap
+    *(Case(f"{command}-3200-ears", command + " {g} --decomposition {g}",
+           files={"g": EARS_3200})
+      for command in ("transversal", "seymour", "quasi-kernel", "color", "oriented")),
+    Case("verify-t", "verify-T"),
+    Case("census", "census", payload=lambda p: p["closed_reading"]["agrees"] is True),
+    # the kernel trace, and its caps: at 80 branch vertices the last stages
+    # of a subdivided symmetric cycle would have about 6e9 kernels
+    Case("gen-into-trace", "kernel trace -", stdin=Gen(
+        "--le --ears 8 --min-ear-length 2 --max-ear-length 4 --seed 1")),
+    Case("trace-backward", TRACE + " --direction backward", files={"g": Gen(
+        "--le --ears 6 --min-ear-length 2 --max-ear-length 4 --seed 3")}),
+    # 180 vertices, 15 of them branch vertices; 302, 118; 504, 2
+    Case("trace-inside-both-caps", TRACE, payload=lambda p: len(p["stages"]) == 17,
+         files={"g": Gen("--le --base 4 --ears 16 --min-ear-length 10 "
+                         "--max-ear-length 14 --seed 0")}),
+    Case("trace-past-branch-cap", TRACE, 3, BRANCH_CAP + "118", {"g": Gen(
+        "--le --base 4 --ears 200 --min-ear-length 2 --max-ear-length 3 --seed 0")}),
+    Case("trace-past-vertex-cap", TRACE, 3, "kernel trace capped at 500 vertices, "
+         "got 504", {"g": Gen("--le --base 4 --ears 1 --min-ear-length 501 --seed 0")}),
+    Case("trace-at-vertex-cap", TRACE, files={"g": {
+        "digraph": serialize_digraph(FAN[0]), "decomposition": FAN[1].to_json()}},
+         payload=lambda p: len(p["stages"]) == TRACE_VERTEX_CAP - 2),
+    Case("trace-subdivided-cycle-20", TRACE,
+         files={"g": subdivided_symmetric_cycle(20)}),
+    Case("trace-subdivided-cycle-80", TRACE, 3, BRANCH_CAP + "80",
+         {"g": subdivided_symmetric_cycle(80)}),
+    # oracles: no tournament class up to order 7 admits ROT8; 85,002,437
+    # longest paths of a 15-tournament are counted, not listed
+    Case("oracle-chromatic-empty-digraph", "oracle chromatic -",
+         stdin='{"n": 0, "arcs": []}', payload=has(witness={})),
+    Case("gen-gi-into-oracle-oriented", "oracle oriented -", stdin=Gen("--gi 2")),
+    Case("oriented-past-order-7", "oracle oriented {g}", files={"g": ROT8},
+         payload=has(value=None, search_space_size=532)),
+    Case("oriented-past-order-7-kmax-0", "oracle oriented {g} --kmax 0", 2,
+         "target order must be >= 1, got 0", {"g": ROT8}),
+    Case("longest-path-tournament-15", "oracle longest-path -", max_bytes=1024,
+         stdin=tournament(15), payload=lambda p: p["value"] == 14
+         and "all_longest" not in p["details"]),
+    Case("longest-path-tournament-11", "oracle longest-path {g}",
+         files={"g": tournament(11)}, payload=longest_path_as_the_reference),
     # a flag that the oracle kind does not read is refused, before the input
-    (["oracle", "chromatic", "{g}", "--all"], {"g": C4}, "invalid_input", 2,
-     "oracle chromatic takes no --all"),
-    (["oracle", "oriented", "{g}", "--all"], {"g": '{"n": 3'}, "invalid_input",
-     2, "oracle oriented takes no --all"),
-    (["oracle", "kernel", "{g}", "--kmax", "7"], {"g": C4}, "invalid_input", 2,
-     "oracle kernel takes no --kmax"),
-    (["oracle", "quasi-kernel", "{g}", "--kmax", "3"], {"g": C4},
-     "invalid_input", 2, "oracle quasi-kernel takes no --kmax"),
-    (["oracle", "chromatic", "-", "--kmax", "7"], {"stdin": C4},
-     "invalid_input", 2, "oracle chromatic takes no --kmax"),
-    (["oracle", "longest-path", "{g}", "--all", "--kmax", "0"],
-     {"g": '{"n": 3'}, "invalid_input", 2,
-     "oracle longest-path takes no --kmax"),
-], ids=["truncated-json", "blank-input", "kernel-without-ears",
-        "extend-obstruction", "restrict-obstruction", "extend-without-set",
-        "restrict-bad-set", "edge-list-as-decomposition",
-        "stdin-edge-list-as-decomposition", "stdin-for-input-and-set",
-        "stdin-for-decomposition-and-set", "edge-list-spelled-two-ways",
-        "file-not-utf8", "stdin-not-utf8", "c-locale-stdin-not-utf8",
-        "stdin-edge-list-as-decomposition-only",
-        "edge-list-as-decomposition-only", "stdin-for-input",
-        "stdin-for-decomposition", "stdin-for-set",
-        "stdin-for-input-and-decomposition", "stdin-for-all-three",
-        "stdin-for-input-and-set-in-trace", "file-for-input-and-decomposition",
-        "file-for-input-and-set", "file-for-decomposition-and-set",
-        "file-for-all-three", "json-nested-too-deep", "closed-stdin",
-        "json-integer-too-long", "longest-path-tournament-15",
-        "longest-path-tournament-11", "chromatic-takes-no-all",
-        "oriented-takes-no-all", "kernel-takes-no-kmax",
-        "quasi-kernel-takes-no-kmax", "chromatic-takes-no-kmax",
-        "longest-path-takes-no-kmax"])
-def test_envelope_paths(capsys, monkeypatch, tmp_path, argv, files, status,
-                        code, expect):
+    Case("chromatic-takes-no-all", "oracle chromatic {g} --all", 2,
+         "oracle chromatic takes no --all", {"g": C4}),
+    Case("oriented-takes-no-all", "oracle oriented {g} --all", 2,
+         "oracle oriented takes no --all", {"g": NOT_JSON}),
+    Case("kernel-takes-no-kmax", "oracle kernel {g} --kmax 7", 2,
+         "oracle kernel takes no --kmax", {"g": C4}),
+    Case("quasi-kernel-takes-no-kmax", "oracle quasi-kernel {g} --kmax 3", 2,
+         "oracle quasi-kernel takes no --kmax", {"g": C4}),
+    Case("chromatic-takes-no-kmax", "oracle chromatic - --kmax 7", 2,
+         "oracle chromatic takes no --kmax", stdin=C4),
+    Case("longest-path-takes-no-kmax", "oracle longest-path {g} --all --kmax 0", 2,
+         "oracle longest-path takes no --kmax", {"g": NOT_JSON}),
+]
+CASE_PARAMS = [pytest.param(case, id=case.id, marks=case.marks) for case in CASES]
+
+
+def envelope(out, code, want) -> dict:
+    """out, checked as the bytes json.dumps writes, with exit code want."""
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert (code, doc["status"]) == (want, STATUS_OF_CODE[want]), doc.get("error")
+    assert ("error" in doc) == (want != 0)
+    return doc
+
+
+@functools.cache
+def gen(call, args: str) -> bytes:
+    code, out = call(["gen", *args.split()])
+    envelope(out, code, 0)
+    return out.encode()
+
+
+def source_bytes(data, call) -> bytes:
+    if isinstance(data, Gen):
+        return gen(call, data)
+    if isinstance(data, str):
+        return data.encode()
+    return data if isinstance(data, bytes) else json.dumps(data).encode()
+
+
+def run_case(case, directory, call):
+    """Writes the files of case into directory, the working directory, and
+    checks the envelope of its call through call(argv, stdin, c_locale)."""
+    for key, data in case.files.items():
+        (directory / key).write_bytes(source_bytes(data, call))
+    paths = {key: str(directory / key) for key in case.files}
+    stdin = case.stdin if case.stdin is CLOSED else source_bytes(case.stdin, call)
+    code, out = call([arg.format(**paths) for arg in case.argv.split()], stdin,
+                     case.c_locale)
+    doc = envelope(out, code, case.code)
+    if case.code:
+        error, want = doc["error"], case.error.format(**paths)
+        assert doc["payload"] is None
+        assert error.startswith(want) if isinstance(case.error, Prefix) \
+            else error == want, error[:200]
+    assert case.payload is None or case.payload(doc["payload"]), \
+        str(doc["payload"])[:200]
+    assert case.max_bytes is None or len(out) < case.max_bytes, len(out)
+
+
+def in_process(argv, stdin=b"", c_locale=False):
+    """main's exit code and stdout.  stdin is decoded strictly, as under
+    PYTHONIOENCODING=utf-8, or as under the C locale; CLOSED leaves
+    sys.stdin None, as Python does when fd 0 is closed."""
+    errors = "surrogateescape" if c_locale else "strict"
+    out = io.StringIO()
+    with mock.patch("sys.stdin", None if stdin is CLOSED
+                    else byte_stdin(stdin, errors)), redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def installed(argv, stdin=b"", c_locale=False):
+    """The installed earlab's exit code and stdout; it writes no stderr."""
+    # an empty PYTHONIOENCODING is unset, so the locale decodes stdin
+    env = {**os.environ, "LC_ALL": "C", "PYTHONIOENCODING": ""} if c_locale else None
+    closed = stdin is CLOSED
+    proc = subprocess.run(
+        [EARLAB, *argv], env=env, capture_output=True, timeout=120,
+        input=None if closed else stdin,
+        stdin=subprocess.DEVNULL if closed else None,
+        preexec_fn=(lambda: os.close(0)) if closed else None)
+    assert proc.stderr == b""
+    return proc.returncode, proc.stdout.decode()
+
+
+# the installed script, unless there is none or it lies under src/
+EARLAB = shutil.which("earlab")
+if EARLAB and Path(EARLAB).resolve().is_relative_to(
+        Path(__file__).resolve().parents[1] / "src"):
+    EARLAB = None
+
+
+@pytest.mark.parametrize("case", CASE_PARAMS)
+def test_envelope_paths(monkeypatch, tmp_path, case):
     monkeypatch.chdir(tmp_path)
-    paths = {}
-    for key, data in files.items():
-        data = data.encode() if isinstance(data, str) else data
-        if key in ("stdin", "c-stdin"):
-            # strict as under PYTHONIOENCODING=utf-8, or as under the C locale;
-            # None, as Python sets it when fd 0 is closed
-            errors = "strict" if key == "stdin" else "surrogateescape"
-            monkeypatch.setattr("sys.stdin", None if data is None
-                                else byte_stdin(data, errors))
-            continue
-        paths[key] = str(tmp_path / key)
-        (tmp_path / key).write_bytes(data)
     reads, read = [], cli._read_document
     monkeypatch.setattr(cli, "_read_document",
                         lambda source: reads.append(source) or read(source))
-    got = main([arg.format(**paths) for arg in argv])
-    out = capsys.readouterr().out
-    doc = json.loads(out)
-    assert (got, doc["status"]) == (code, status)
+    run_case(case, tmp_path, in_process)
     # a source is read once, however often and however spelled it is named
     sources = [os.stat(s)[1:3] if os.path.isfile(s) else s for s in reads]
     assert len(sources) == len(set(sources)), reads
-    if callable(expect):
-        expect(doc["payload"], len(out))
-    elif status == "ok":
-        assert doc["payload"]["obstruction"] is True
-        assert doc["payload"]["pattern"] == expect
-    else:
-        assert expect.format(**paths) in doc["error"]
+
+
+@pytest.mark.skipif(EARLAB is None, reason="no earlab on PATH outside src/")
+@pytest.mark.parametrize("case", CASE_PARAMS)
+def test_installed_script(monkeypatch, tmp_path, case):
+    monkeypatch.chdir(tmp_path)
+    run_case(case, tmp_path, installed)
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
@@ -793,8 +927,6 @@ def test_crlf_edge_list_reads_as_its_lf_form(capsys, monkeypatch, tmp_path,
 
 
 BIG_IDS = list(range(3, 100_003))
-# C4 plus the cycle 0 -> 4 -> ... -> 19999 -> 0, which {"base": [0, 1, 2, 3]} leaves out
-AROUND = [0, *range(4, 20_000), 0]
 
 
 @pytest.mark.parametrize("argv, files, expect", [
@@ -821,13 +953,9 @@ AROUND = [0, *range(4, 20_000), 0]
     (["decompose", "{g}"], {"g": ("x" * 100_000 + " ") * 2}, "loop arc on 'xxx"),
     (["kernel", "extend", "{g}", "--decomposition", "{d}", "--set", "{s}"],
      {"g": EAR_G, "d": EAR_D, "s": BIG_IDS}, "set [4, 5, "),
-    (["color", "{g}", "--decomposition", "{d}"],
-     {"g": {"arcs": [[0, 1], [1, 2], [2, 3], [3, 0], *zip(AROUND, AROUND[1:])]},
-      "d": {"base": [0, 1, 2, 3]}},
-     "invalid decomposition: final: vertices uncovered: [4, 5, "),
 ], ids=["decomposition-base", "arc-entry", "ear-repeat", "n", "label-name",
         "label-key", "labels-past-n", "edge-list-line", "edge-list-loop",
-        "kernel-set-off-stage", "uncovered-vertices"])
+        "kernel-set-off-stage"])
 def test_refusals_echo_a_bounded_value(capsys, tmp_path, argv, files, expect):
     # the message names the offending value; it does not copy the input
     paths = {}
@@ -867,17 +995,17 @@ def test_kernel_refusals_echo_a_bounded_set(capsys, tmp_path, action, members,
 
 def test_closed_pipe_is_silent():
     # about 332 KB of output, far more than a pipe buffers, so the write
-    # that follows the reader's close fails with EPIPE
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "earlab.cli", "gen", "--le", "--ears", "2000",
-         "--seed", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(10) == b'{\n  "statu'
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    # that follows the reader's close fails with EPIPE; through the module,
+    # and through the installed script when there is one
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    for launcher in [[sys.executable, "-m", "earlab.cli"]] + [[EARLAB]] * bool(EARLAB):
+        proc = subprocess.Popen(
+            [*launcher, "gen", "--le", "--ears", "2000", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b'{\n  "statu'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b""), launcher
 
 
 # big ints, all floats (NaN and both infinities too), non-ASCII and control
@@ -912,17 +1040,11 @@ def test_writer_refuses_what_json_refuses():
 
 
 def test_payload_containers_stay_on_the_writers_path(capsys, monkeypatch,
-                                                     tmp_path, le3_instance,
-                                                     c5_file):
+                                                     le3_instance, c5_file,
+                                                     kernel_files):
     # json.dumps(indent=2) writes containers through a Python generator; a
     # payload container that fell back to it would slow every envelope
     inst, _ = le3_instance
-    graph, dec, members = (tmp_path / name
-                           for name in ("g.txt", "d.json", "s.json"))
-    graph.write_text(C4 + "1 4\n4 3\n")
-    dec.write_text('{"base": [0, 1, 2, 3], "ears": [[1, 4, 3]]}')
-    members.write_text("[1, 3]")
-    kernel = [str(graph), "--decomposition", str(dec), "--set", str(members)]
     dumps = json.dumps
 
     def scalars_only(value, *args, **kwargs):
@@ -933,7 +1055,8 @@ def test_payload_containers_stay_on_the_writers_path(capsys, monkeypatch,
     for argv in (["decompose", c5_file], ["classify", inst],
                  ["seymour", inst, "--decomposition", inst],
                  ["transversal", inst], ["quasi-kernel", inst],
-                 ["kernel", "extend", *kernel], ["kernel", "restrict", *kernel],
+                 ["kernel", "extend", *kernel_files],
+                 ["kernel", "restrict", *kernel_files],
                  ["kernel", "trace", c5_file], ["color", c5_file, "--exact"],
                  ["oriented", inst], ["verify-T"], ["census"],
                  ["gen", "--le", "--seed", "1"], ["gen", "--gi", "1"],
@@ -1038,9 +1161,14 @@ def fuzz_calls(draw):
             argv += ["--min-ear-length", str(draw(SMALL_INTS))]
         if argv[0] in TAKES_DECOMPOSITION and draw(st.booleans()):
             argv += ["--decomposition", "{d}"]
-        if argv[:2] in (["kernel", "extend"], ["kernel", "restrict"]) \
-                and draw(st.integers(min_value=0, max_value=3)):
-            argv += ["--set", "{s}"]
+        if argv[0] == "kernel":
+            # --set is read by extend and restrict, --direction by trace:
+            # each is drawn 3 times in 4 where it is read, once where not
+            trace = argv[1] == "trace"
+            if (draw(st.integers(0, 3)) > 0) != trace:
+                argv += ["--set", "{s}"]
+            if (draw(st.integers(0, 3)) > 0) == trace:
+                argv += ["--direction", draw(st.sampled_from(["forward", "backward"]))]
     stdin = ""
     for at, arg in enumerate(argv):
         if arg in ("{g}", "{d}", "{s}") and draw(st.integers(0, 2)) == 0:
@@ -1079,6 +1207,9 @@ def test_fuzzed_calls_end_in_one_envelope(fuzz_dir, call):
         if level < 1 or level > cli.MAX_LEVEL_CAP:
             assert code == (2 if level < 1 else 3), argv
     if argv[0] == "oracle" and argv[1] != "oriented" and "--kmax" in argv:
+        assert code == 2, argv
+    if argv[0] == "kernel" and ("--set" if argv[1] == "trace"
+                                else "--direction") in argv:
         assert code == 2, argv
     doc = json.loads(out.getvalue())
     assert doc["status"] == STATUS_OF_CODE[code], (argv, doc)
