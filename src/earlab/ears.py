@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import attrgetter, eq, itemgetter, lt
+from operator import attrgetter, eq, itemgetter, lt, sub
 from typing import Iterable, Iterator
 
 from .digraph import Arc, Digraph, _check_vertex_count, is_strong, nonseparable
@@ -58,19 +58,25 @@ class EarDecomposition:
     vertices then each ear's interior as the parts add them; ends, stage j
     having the vertices order[:ends[j]]; lengths, each ear's arc count.
     The one way in: the base (x_0, ..., x_0) and each ear, vertex sequences
-    checked by _part in that order, the base's cycle test between."""
+    that C-level passes accept; _part names a failure's first offender."""
 
     def __init__(self, base: Iterable[int], ears: Iterable[Iterable[int]] = ()):
-        cycle = _part(base)
-        if cycle[0] != cycle[-1]:
-            raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
-        parts = tuple(map(_part, ears))
+        cycle, parts = tuple(base), tuple(map(tuple, ears))
+        every = (cycle,) + parts  # each: >= 2 ids, distinct but a closed part's ends
+        sizes, lens = list(map(len, map(set, every))), list(map(len, every))
+        closed = map(eq, map(itemgetter(0), every), map(itemgetter(-1), every))
+        if not (min(sizes) >= 2 and cycle[0] == cycle[-1]
+                and sizes == list(map(sub, lens, closed))):
+            if _part(cycle)[0] != cycle[-1]:
+                raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
+            for part in parts:
+                _part(part)
         self.base = Ear(cycle)
         self.ears = tuple(map(Ear, parts))
-        inner = [p[1:-1] for p in parts]
+        inner = list(map(itemgetter(slice(1, -1)), parts))
         self.order = cycle[:-1] + tuple(chain.from_iterable(inner))
         self.ends = tuple(accumulate(map(len, inner), initial=len(cycle) - 1))
-        self.lengths = tuple(len(p) + 1 for p in inner)
+        self.lengths = tuple(map(sub, lens[1:], repeat(1)))
 
     @property
     def stage_count(self) -> int:
@@ -105,12 +111,16 @@ class EarDecomposition:
             base = base[:-1]  # accept the closed form too
         if len(base) < 2:
             raise InvalidInputError("base cycle needs at least 2 vertices")
-        ears = doc.get("ears", [])
-        if not isinstance(ears, (list, tuple)):
-            _part(base + base[:1])  # a malformed base is named first
-            raise ParseError("'ears' must be a list of vertex lists")
-        # drawn one at a time: each ear's ids are checked before its shape
-        return cls(base + base[:1], map(_ids, ears, repeat("ear")))
+        ears, closed = doc.get("ears", []), base + base[:1]
+        if not (isinstance(ears, (list, tuple))
+                and all(map(isinstance, ears, repeat((list, tuple))))
+                and set(map(type, chain.from_iterable(ears))) <= {int}):
+            _part(closed)  # the first offender: the base, then each ear's ids, shape
+            if not isinstance(ears, (list, tuple)):
+                raise ParseError("'ears' must be a list of vertex lists")
+            for ear in ears:
+                _part(_ids(ear, "ear"))
+        return cls(closed, ears)
 
     def __repr__(self) -> str:
         return (f"EarDecomposition(base={list(self.base.vertices)}, "
@@ -209,7 +219,7 @@ def _self_checked(d: Digraph, e: EarDecomposition, min_len: int = 1,
 
 
 def _require_cycle(d: Digraph) -> None:
-    """Precondition of both searches: d is strong and holds a cycle."""
+    """Precondition of find_le_decomposition: d is strong and holds a cycle."""
     if not is_strong(d):
         raise PropertyFailedError("digraph is not strong")
     if d.n < 2:
@@ -217,11 +227,11 @@ def _require_cycle(d: Digraph) -> None:
             f"no cycle exists: {'single vertex' if d.n else 'no vertices'}")
 
 
-def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...]:
-    """Deterministic shortest directed cycle through v0, as (v0,...,v0),
-    in a strong digraph on two or more vertices: there every in-neighbour
-    of v0 is reached from it, and none is v0, since d has no loop.  The
-    search stops at the first layer reaching one: shortest cycles close there."""
+def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...] | None:
+    """Deterministic shortest directed cycle through v0, as (v0,...,v0), or
+    None when no in-neighbour of v0 is reached from it.  None is v0, since
+    d has no loop.  The search stops at the first layer reaching one:
+    shortest cycles close there."""
     parent = {v0: v0}
     frontier = [v0]
     while frontier and parent.keys().isdisjoint(d.in_neighbors(v0)):
@@ -240,7 +250,7 @@ def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...]:
         return tuple(reversed(path)) + (v0,)
 
     return min(map(closed_at, filter(parent.__contains__, d.in_neighbors(v0))),
-               key=lambda c: (len(c), c))
+               key=lambda c: (len(c), c), default=None)
 
 
 def find_ear_decomposition(d: Digraph) -> EarDecomposition:
@@ -252,33 +262,43 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
     vertices are scanned once each in the order they were covered (base in
     cycle order, then each ear's interior in path order); each uncovered
     out-arc, by increasing head, starts the next ear, which follows parent
-    pointers to the first covered vertex (possibly its own start).
+    pointers to the first covered vertex (possibly its own start).  The one
+    out-arc of u covered before u is scanned goes to its successor in its part.
+
+    The sweeps prove strongness (Bang-Jensen & Gutin, Digraphs, 5.3): d is
+    strong iff the base exists, the reverse BFS reaches all n vertices (each
+    reaches the base) and the scan, which covers exactly what the base
+    reaches, covers all n.  Fewer arcs than vertices refuse d before any.
     """
-    _require_cycle(d)
-    cycle = _shortest_cycle_through(d, min(d.vertices))
-    queue = list(cycle[:-1])
-    covered_v = set(queue)
-    parent: dict[int, int] = {}
-    bfs = list(queue)
+    if d.n < 2:
+        _require_cycle(d)
+    cycle = len(d.arcs) >= d.n and _shortest_cycle_through(d, min(d.vertices))
+    if not cycle:
+        raise PropertyFailedError("digraph is not strong")
+    succ = dict(zip(cycle, cycle[1:]))  # each covered vertex's covered out-arc
+    parent = dict.fromkeys(succ)  # each vertex's step towards the base
+    bfs = list(succ)
     for w in bfs:  # grows while scanned, like the queue below
         for y in d.in_neighbors(w):
-            if y not in covered_v and y not in parent:
+            if y not in parent:
                 parent[y] = w
                 bfs.append(y)
-    covered_a = set(zip(cycle, cycle[1:]))
+    if len(parent) < d.n:
+        raise PropertyFailedError("digraph is not strong")
+    queue = list(succ)
     ears: list[tuple[int, ...]] = []
     for u in queue:  # the queue grows as ears cover new vertices
         for x in d.out_neighbors(u):
-            if (u, x) in covered_a:
+            if x == succ[u]:
                 continue
             path = [u, x]
-            while path[-1] not in covered_v:
+            while path[-1] not in succ:
                 path.append(parent[path[-1]])
             ears.append(tuple(path))
-            inner = path[1:-1]
-            covered_v.update(inner)
-            covered_a.update(zip(path, path[1:]))
-            queue.extend(inner)
+            succ.update(zip(path[1:-1], path[2:]))
+            queue.extend(path[1:-1])
+    if len(queue) < d.n:
+        raise PropertyFailedError("digraph is not strong")
     return _self_checked(d, EarDecomposition(cycle, ears))
 
 

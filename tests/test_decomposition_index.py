@@ -11,11 +11,12 @@ same violations in the same order)."""
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 import pytest
 
 from earlab.digraph import Digraph, is_asymmetrical
-from earlab.ears import (EarDecomposition, generate_random_le,
+from earlab.ears import (EarDecomposition, _ids, _part, generate_random_le,
                          validate_decomposition)
 from earlab.errors import EarlabError, InvalidInputError, ParseError
 
@@ -293,3 +294,132 @@ def test_seeded_corruptions_load_and_validate_as_before():
             ("intact", True, False)} <= verdicts
     for name in names - {"intact", "closed-base", "ears-swapped"}:
         assert (name, False, False) in verdicts, name
+
+
+# --- the constructor's C-level part checks against the per-part loop ---------
+
+def ref_parts(base, ears):
+    """The parts as the per-part loop accepts them: the base's shape, its
+    cycle test, then each ear's shape, drawn one at a time."""
+    cycle = _part(base)
+    if cycle[0] != cycle[-1]:
+        raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
+    return (cycle,) + tuple(map(_part, ears))
+
+
+def ref_parts_from_json(doc):
+    """from_json with each ear's ids checked right before its shape."""
+    if not isinstance(doc, dict) or "base" not in doc:
+        raise InvalidInputError("decomposition JSON needs a 'base' field")
+    base = _ids(doc["base"], "'base'")
+    if len(base) >= 2 and base[0] == base[-1]:
+        base = base[:-1]
+    if len(base) < 2:
+        raise InvalidInputError("base cycle needs at least 2 vertices")
+    ears = doc.get("ears", [])
+    if not isinstance(ears, (list, tuple)):
+        _part(base + base[:1])
+        raise ParseError("'ears' must be a list of vertex lists")
+    return ref_parts(base + base[:1], map(_ids, ears, repeat("ear")))
+
+
+def loaded(make, *args):
+    """The index and parts make builds, or its refusal."""
+    try:
+        got = make(*args)
+    except EarlabError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, EarDecomposition):
+        return (got.order, got.ends, got.lengths,
+                (got.base.vertices,) + tuple(e.vertices for e in got.ears))
+    inner = [p[1:-1] for p in got[1:]]
+    return (got[0][:-1] + tuple(chain.from_iterable(inner)),
+            tuple(accumulate(map(len, inner), initial=len(got[0]) - 1)),
+            tuple(len(p) + 1 for p in inner), got)
+
+
+def mutant(kind, ear, rng):
+    """ear with one offence of the given kind, or None if it has no room."""
+    ear, inner = list(ear), len(ear) - 2
+    if kind == "too-short":
+        return ear[:rng.randint(0, 1)]
+    if kind == "loop":
+        return [ear[0], ear[0]]
+    if kind == "repeat-interior" and inner >= 2:
+        i, j = rng.sample(range(1, inner + 1), 2)
+        ear[i] = ear[j]
+        return ear
+    if kind == "end-inside" and inner >= 1:
+        ear[rng.randint(1, inner)] = rng.choice((ear[0], ear[-1]))
+        return ear
+    if kind in ("bool-id", "float-id", "str-id"):
+        i = rng.randrange(len(ear))
+        ear[i] = {"bool-id": bool, "float-id": float, "str-id": str}[kind](ear[i])
+        return ear
+    if kind == "not-list":
+        return rng.choice((5, "0 1", None, {"0": 1}, (x for x in ear)))
+    return None
+
+
+KINDS = ("too-short", "loop", "repeat-interior", "end-inside", "bool-id",
+         "float-id", "str-id", "not-list")
+
+
+def part_mutants(doc, rng):
+    """(name, document) for each mutant that applies to doc: one offender
+    in an ear or the base, one in each, and two in two ears, in either
+    order."""
+    base, ears = doc["base"], doc["ears"]
+    out = [("intact", doc)]
+    for kind in KINDS:
+        i = rng.randrange(len(ears))
+        bad = mutant(kind, ears[i], rng)
+        if bad is not None:
+            out.append((kind, {"base": base, "ears": ears[:i] + [bad] + ears[i + 1:]}))
+        bad = mutant(kind, base + base[:1], rng)
+        if bad is not None and kind != "not-list":
+            out.append(("base-" + kind, {"base": bad, "ears": ears}))
+    bad = mutant(rng.choice(("repeat-interior", "end-inside")), base + base[:1], rng)
+    if bad is not None:  # a bad base shape beside a bad ear id: the base first
+        i = rng.randrange(len(ears))
+        bad_ids = mutant(rng.choice(("bool-id", "str-id")), ears[i], rng)
+        out.append(("base-and-ear", {"base": bad, "ears": ears[:i] + [bad_ids] + ears[i + 1:]}))
+    if len(ears) >= 2:
+        i, j = sorted(rng.sample(range(len(ears)), 2))
+        one, two = rng.sample(KINDS, 2)
+        for first, second in ((one, two), (two, one)):
+            a, b = mutant(first, ears[i], rng), mutant(second, ears[j], rng)
+            if a is not None and b is not None:
+                twice = ears[:i] + [a] + ears[i + 1:j] + [b] + ears[j + 1:]
+                out.append(("two-offenders", {"base": base, "ears": twice}))
+    return out
+
+
+def test_part_checks_accept_and_refuse_as_the_per_part_loop():
+    rng = random.Random(34)
+    refusals, names = [], set()
+    for seed in range(60):
+        shortest = rng.randint(1, 2)  # short bases leave no room for length 1
+        _, e = generate_random_le(base_length=rng.randint(6 - 2 * shortest, 6),
+                                  ear_count=rng.randint(1, 8),
+                                  min_ear_length=shortest, max_ear_length=5,
+                                  cycle_ear_probability=0.3, seed=seed)
+        for name, doc in part_mutants(e.to_json(), rng):
+            names.add(name)
+            outcomes = [loaded(EarDecomposition.from_json, doc)]
+            assert outcomes[0] == loaded(ref_parts_from_json, doc), (name, doc)
+            # as vertex sequences, past the id checks, with the base open too
+            base, ears = doc["base"], doc["ears"]
+            if all(isinstance(x, list) and set(map(type, x)) <= {int}
+                   for x in [base] + ears):
+                for cycle in (base + base[:1], base):
+                    outcomes.append(loaded(EarDecomposition, cycle, ears))
+                    assert outcomes[-1] == loaded(ref_parts, cycle, ears), \
+                        (name, cycle, ears)
+            refusals += [o[1] for o in outcomes if len(o) == 2]  # (class, text)
+    assert len(names) == 3 + 2 * len(KINDS) - 1, names
+    for text in ("an ear needs at least one arc", "length-1 cycle ear would be a loop",
+                 "repeated internal vertex in ear", "endpoint reused internally in ear",
+                 "bad ear", "bad 'base'", "base must be a cycle ear",
+                 "base cycle needs at least 2 vertices"):
+        assert any(map(str.startswith, refusals, repeat(text))), text

@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 
 from earlab import digraph
 from earlab.cli import load_digraph
-from earlab.digraph import (Digraph, digraph_from_json, is_asymmetrical,
-                            is_kernel, is_nonseparable, is_quasi_kernel,
-                            is_strong, neighborhoods, parse_digraph,
-                            serialize_digraph, set_predicates)
+from earlab.digraph import (Digraph, NeighborhoodReport, digraph_from_json,
+                            is_asymmetrical, is_kernel, is_nonseparable,
+                            is_quasi_kernel, is_strong, neighborhoods,
+                            parse_digraph, serialize_digraph, set_predicates)
 from earlab.errors import CapExceededError, InvalidInputError, ParseError
 
 
@@ -374,6 +374,23 @@ def test_second_neighborhood_of_digon_returns_origin():
     report = neighborhoods(d, 0)
     assert report.second_out == frozenset({0})
 
+
+def test_neighborhoods_match_the_out_index_reading():
+    # neighborhoods reads d.arcs; the reference reads d's sorted out-index.
+    # Without loops, v lies in its own second neighbourhood iff on a digon.
+    rng = random.Random(34)
+    own = 0
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        d = Digraph(range(n), rng.sample(pairs, rng.randint(0, len(pairs))))
+        for v in d.vertices:
+            first = frozenset(d.out_neighbors(v))
+            second = frozenset().union(*map(d.out_neighbors, first)) - first
+            assert neighborhoods(d, v) == NeighborhoodReport(v, first, second)
+            assert (v in second) == any((w, v) in d.arcs for w in first)
+            own += v in second
+    assert own > 50, own
 
 def test_set_predicates_on_c4():
     p = set_predicates(Digraph.cycle(4), {0, 2})
