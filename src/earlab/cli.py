@@ -23,18 +23,17 @@ import time
 from .coloring import dichromatic_bounds
 from .constructions import (CertifiedSet, longest_path_transversal,
                             small_quasi_kernel, seymour_vertex)
-from .digraph import Digraph, digraph_from_json, is_strong, parse_digraph, serialize_digraph
+from .digraph import Digraph, digraph_from_json, parse_digraph, serialize_digraph
 from .ears import (EarDecomposition, find_ear_decomposition,
                    find_le_decomposition, generate_random_le)
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
-                     InvalidInputError, PropertyFailedError)
+                     InvalidInputError, PropertyFailedError, VerificationError)
 from .kernels import extend_kernel, restrict_kernel, trace_kernels
 from .oracles import (CHROMATIC_CAP, LONGEST_LIST_CAP, ORIENTED_KMAX_CAP,
                       chromatic_oracles, kernel_oracle, longest_path_oracle,
                       oriented_chromatic_oracle, quasi_kernel_oracle)
-from .oriented import (build_G, tournament_T, uniqueness_census,
-                       validate_reference_walks, verify_walk_property)
-from .oriented import oriented_coloring_le3
+from .oriented import (build_G, oriented_coloring_le3, tournament_T,
+                       uniqueness_census, validate_reference_walks, verify_walk_property)
 
 DEFAULT_BUDGET = 200_000
 MAX_LEVEL_CAP = 100  # highest classify level: at most one search per level
@@ -136,10 +135,8 @@ def _input_and_decomposition(args, min_len: int, path_ears_only: bool = False,
 
 def cmd_decompose(args) -> dict:
     d = load_digraph(args.input)
-    if args.min_ear_length:
-        e = _search(d, args.min_ear_length, args.budget)
-    else:
-        e = find_ear_decomposition(d)
+    e = (_search(d, args.min_ear_length, args.budget) if args.min_ear_length
+         else find_ear_decomposition(d))
     return {"decomposition": e.to_json(), "ear_count": len(e.ears),
             "min_ear_length": e.min_ear_length}
 
@@ -149,19 +146,23 @@ def cmd_classify(args) -> dict:
         refuse = InvalidInputError if args.max_level < 1 else CapExceededError
         raise refuse(f"--max-level must lie in 1..{MAX_LEVEL_CAP}, got {args.max_level}")
     d = load_digraph(args.input)
-    strong = is_strong(d)
     levels: dict[str, object] = {}
-    # a digraph on fewer than 2 vertices has no cycle, so no level holds;
-    # once a level is decided "none" (or d is not strong) every higher level
-    # is provably none too; after a budget stop every higher one is unknown
-    rest = None if strong and d.n >= 2 else False
-    certified = 0  # every level up to this one holds
+    # fewer than 2 vertices have no cycle, so no level holds; above a level
+    # decided "none" (or a non-strong d) all are none, above a budget stop unknown
+    strong, rest, certified = True, False, 0  # every level up to certified holds
+    if d.n >= 2:
+        try:  # level 1, whose sweeps prove strongness
+            found = find_ear_decomposition(d)
+        except VerificationError:  # a built decomposition failed its check
+            raise
+        except PropertyFailedError:
+            strong = False
+        else:  # up to its shortest ear, every level for a bare cycle
+            rest, certified = None, found.min_ear_length or args.max_level
     for i in range(1, args.max_level + 1):
         if rest is None and i > certified:
             try:
-                # every strong digraph on >= 2 vertices has an ear decomposition
-                found = (find_ear_decomposition(d) if i == 1 else
-                         find_le_decomposition(d, i=i, budget=args.budget))
+                found = find_le_decomposition(d, i=i, budget=args.budget)
             except BudgetExceededError:
                 rest = "unknown"
             else:
@@ -226,8 +227,7 @@ def cmd_color(args) -> dict:
 def cmd_oriented(args) -> dict:
     d, e = _input_and_decomposition(args, 3)
     mapping = oriented_coloring_le3(d, e)
-    return {"mapping": mapping.to_json(),
-            "colors_used": mapping.colors_used(),
+    return {"mapping": mapping.to_json(), "colors_used": mapping.colors_used(),
             "target_order": 6}
 
 

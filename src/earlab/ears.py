@@ -330,8 +330,9 @@ class _Remainder:
     remainder; its threads are kept by first and by last arc, and those
     that may be the last ear (length >= min_len, open in path-ears mode)
     also in a list sorted longest first, then lexicographically.  A thread
-    is (1 - vertex count, vertices, arc mask): the first field orders
-    longest first.
+    is (1 - vertex count, vertices, arc mask); distinct vertices order
+    any two.  Arcs are numbered thread by thread as _scan yields them, so
+    thread masks are disjoint and sum to the remainder's.
     """
 
     def __init__(self, d: Digraph, min_len: int, allow_cycle_ears: bool):
@@ -340,13 +341,14 @@ class _Remainder:
         self.out = {v: set(d.out_neighbors(v)) for v in d.vertices}
         self.inn = {v: set(d.in_neighbors(v)) for v in d.vertices}
         self.n, self.m = d.n, len(d.arcs)
-        bit = {a: 1 << k for k, a in enumerate(d.arcs)}
-        self.mask = (1 << self.m) - 1
         self.first: dict[Arc, tuple] = {}
         self.last: dict[Arc, tuple] = {}
         self.order: list[tuple] = []
+        offset = 0
         for t in self._scan():
-            self._put((1 - len(t), t, sum(bit[a] for a in zip(t, t[1:]))))
+            self._put((1 - len(t), t, ((1 << len(t) - 1) - 1) << offset))
+            offset += len(t) - 1
+        self.mask = (1 << offset) - 1
 
     def _plain(self, v: int) -> bool:
         return len(self.inn[v]) == 1 == len(self.out[v])
@@ -513,7 +515,9 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     known dead; each remainder tried costs one unit of budget.  Returns
     None only when the whole space was exhausted (provably not in LE_i
     under the chosen ear convention); a BudgetExceededError means the
-    verdict is unknown.
+    verdict is unknown.  The dead memo holds exhausted frames only:
+    peeling t from R fails by R - t alone (its counts, strongness, see
+    _Remainder.peel, and nonseparability), so that R - t is never a frame.
 
     One remainder is edited in place and a peel is undone when its frame
     pops, so a try costs the peeled thread, one reachability test and, on
@@ -526,7 +530,7 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     if not rest.may_be_stage():
         return None
     box = [budget]
-    dead: set[int] = set()  # arc masks of remainders not in LE_i
+    dead: set[int] = set()  # arc masks of exhausted frames: not in LE_i
     # one frame per peeled thread: that thread (None at the root), the undo
     # log of the peel, and the index of the next thread of the remainder
     # to try; undoing a peel restores rest.order, so an index stays valid
@@ -543,15 +547,11 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
             thread = order[k]
             k += 1
             _spend(box)
-            sub_mask = rest.mask - thread[2]
-            if sub_mask in dead:
-                continue
-            log = rest.peel(thread)
+            log = None if rest.mask - thread[2] in dead else rest.peel(thread)
             if log is not None:
                 frame[2] = k
                 frames.append([thread, log, 0])
                 break
-            dead.add(sub_mask)
         else:
             dead.add(rest.mask)
             frames.pop()

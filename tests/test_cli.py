@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from earlab import cli, ears
 from earlab.cli import main
-from earlab.digraph import parse_digraph, serialize_digraph
+from earlab.digraph import Digraph, is_strong, parse_digraph, serialize_digraph
 from earlab.errors import BudgetExceededError
 from earlab.kernels import TRACE_VERTEX_CAP, trace_kernels
 from earlab.oriented import uniqueness_census
@@ -403,7 +404,7 @@ def test_classify_answers_every_level_of_a_cycle_without_search(
 
 def per_level_search(d, max_level, budget):
     """Reference for classify: one search per level until one fails."""
-    levels, rest = {}, None
+    levels, rest = {}, None if is_strong(d) else False
     for i in range(1, max_level + 1):
         if rest is None:
             try:
@@ -418,20 +419,49 @@ def per_level_search(d, max_level, budget):
 
 
 def test_classify_matches_one_search_per_level(capsys, tmp_path):
-    seen = set()
+    seen, path = set(), tmp_path / "g.json"
     for seed in range(30):
         d, _ = ears.generate_random_le(
             base_length=3 + seed % 3, ear_count=3 + seed % 5,
             min_ear_length=2, max_ear_length=2 + seed % 4,
             cycle_ear_probability=0.2, seed=seed)
-        path = tmp_path / f"le2-{seed}.json"
-        path.write_text(json.dumps({"n": d.n, "arcs": sorted(d.arcs)}))
-        expected = per_level_search(d, 5, cli.DEFAULT_BUDGET)
-        code, doc = run(capsys, "classify", str(path), "--max-level", "5")
-        assert code == 0
-        assert doc["payload"]["levels"] == expected, seed
-        seen.add(tuple(expected.values()))
-    assert len(seen) > 1
+        # the instance, and it with a new source or a new sink: not strong
+        v = random.Random(seed).randrange(d.n)
+        for arcs in ([], [(d.n, v)], [(v, d.n)]):
+            g = Digraph(range(d.n + bool(arcs)), d.arcs | set(arcs))
+            path.write_text(json.dumps({"n": g.n, "arcs": sorted(g.arcs)}))
+            expected = per_level_search(g, 5, cli.DEFAULT_BUDGET)
+            code, doc = run(capsys, "classify", str(path), "--max-level", "5")
+            assert code == 0
+            assert doc["payload"]["strong"] == is_strong(g), (seed, arcs)
+            assert doc["payload"]["levels"] == expected, (seed, arcs)
+            seen.add(tuple(expected.values()))
+    assert len(seen) > 2
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_classify_reports_a_failed_self_check(capsys, monkeypatch, tmp_path,
+                                              failing_call):
+    # a built decomposition that fails its re-verification is an error at
+    # every level, never a verdict: call 1 is level 1's, call 2 level 2's
+    d, _ = ears.generate_random_le(base_length=3, ear_count=4, min_ear_length=2,
+                                   max_ear_length=3, cycle_ear_probability=0,
+                                   seed=0)
+    path = tmp_path / "le2.json"
+    path.write_text(json.dumps({"n": d.n, "arcs": sorted(d.arcs)}))
+    calls, validate = [], ears.validate_decomposition
+
+    def failing(d, e, path_ears_only=False):
+        calls.append(e)
+        report = validate(d, e, path_ears_only)
+        if len(calls) == failing_call:
+            report = ears.DecompositionReport(ok=False, violations=["planted"])
+        return report
+
+    monkeypatch.setattr(ears, "validate_decomposition", failing)
+    code, doc = run(capsys, "classify", str(path))
+    assert (code, doc["status"], doc["error"]) == (1, "property_failed", "planted")
+    assert len(calls) == failing_call
 
 
 @pytest.mark.parametrize("lengths", [("2", "0"), ("3", "2"), ("1", "-1")])
@@ -994,6 +1024,25 @@ def test_closed_pipe_is_silent():
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (0, b""), launcher
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS acts on Linux")
+def test_search_on_3200_ears_fits_in_100_mb(capsys, tmp_path):
+    # the search keeps a mask per thread and per exhausted frame: about
+    # 40 MB here
+    _, doc = run(capsys, "gen", "--le", "--base", "5", "--ears", "3200",
+                 "--min-ear-length", "3", "--max-ear-length", "4", "--seed", "3")
+    path = tmp_path / "le3.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    limit = 100 * 2**20  # on the child alone
+    proc = subprocess.run(
+        [sys.executable, "-m", "earlab.cli", "decompose", str(path),
+         "--min-ear-length", "2"], capture_output=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stderr[-300:]) == (0, b"")
+    doc = json.loads(proc.stdout)  # one envelope and nothing after it
+    assert doc["status"] == "ok" and doc["payload"]["ear_count"] == 3200
 
 
 # big ints, all floats (NaN and both infinities too), non-ASCII and control

@@ -484,6 +484,48 @@ def test_search_depth_is_not_python_recursion_depth():
     assert found is not None and len(found.ears) == 150
 
 
+def assert_thread_bits(rest):
+    """The masks of rest's threads are disjoint, count their arcs and sum
+    to its mask."""
+    total = 0
+    for _, t, bits in rest.first.values():
+        assert bits & total == 0 and bits.bit_count() == len(t) - 1, t
+        total |= bits
+    assert total == rest.mask
+
+
+def snapshot(rest):
+    return (rest.mask, rest.n, rest.m, dict(rest.first), dict(rest.last),
+            list(rest.order))
+
+
+def test_threads_number_their_arcs_in_runs():
+    # each initial thread's arcs are numbered consecutively, so its mask
+    # is one run; a peel keeps the masks a partition, and unpeel restores it
+    digraphs = [d for n in (2, 3, 4) for d in strong_digraphs(n)]
+    digraphs += [generate_random_le(base_length=4, ear_count=ears,
+                                    min_ear_length=1, max_ear_length=4,
+                                    cycle_ear_probability=0.3, seed=seed)[0]
+                 for ears in (10, 30) for seed in range(5)]
+    peeled = 0
+    for d in digraphs:
+        for cyc in (True, False):
+            rest = ears_mod._Remainder(d, 1, cyc)
+            assert_thread_bits(rest)
+            for _, t, bits in rest.first.values():
+                run = bits // (bits & -bits)
+                assert run == (1 << len(t) - 1) - 1, t
+            before = snapshot(rest)
+            for thread in list(rest.order):
+                log = rest.peel(thread)
+                if log is not None:
+                    peeled += 1
+                    assert_thread_bits(rest)
+                    rest.unpeel(thread, log)
+                assert snapshot(rest) == before
+    assert peeled > 1000
+
+
 # --- reference: thread peeling on rebuilt remainders --------------------------
 #
 # The peeling search as it was before its remainder became incremental: it
