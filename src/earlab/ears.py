@@ -326,13 +326,14 @@ def _grow(frontier: list[int], adj: dict[int, set[int]], mine: set[int],
 class _Remainder:
     """The remainder of the LE_i search, edited in place by each peel.
 
-    Adjacency sets, the vertex and arc counts and the arc mask describe the
-    remainder; its threads are kept by first and by last arc, and those
-    that may be the last ear (length >= min_len, open in path-ears mode)
-    also in a list sorted longest first, then lexicographically.  A thread
-    is (1 - vertex count, vertices, arc mask); distinct vertices order
-    any two.  Arcs are numbered thread by thread as _scan yields them, so
-    thread masks are disjoint and sum to the remainder's.
+    Adjacency sets and the vertex and arc counts describe the remainder;
+    its threads are kept by first and by last arc, and those that may be
+    the last ear (length >= min_len, open in path-ears mode) also in a list
+    sorted longest first, then lexicographically.  A thread is (1 - vertex
+    count, vertices, indices of the initial threads it chains, the k-th
+    that _scan yields on d being (k,)); distinct vertices order any two.
+    A strong remainder keeps both arcs of each vertex with one arc in and
+    one out in d, so it keeps whole initial threads, whose set names it.
     """
 
     def __init__(self, d: Digraph, min_len: int, allow_cycle_ears: bool):
@@ -344,11 +345,8 @@ class _Remainder:
         self.first: dict[Arc, tuple] = {}
         self.last: dict[Arc, tuple] = {}
         self.order: list[tuple] = []
-        offset = 0
-        for t in self._scan():
-            self._put((1 - len(t), t, ((1 << len(t) - 1) - 1) << offset))
-            offset += len(t) - 1
-        self.mask = (1 << offset) - 1
+        for k, t in enumerate(self._scan()):
+            self._put((1 - len(t), t, (k,)))
 
     def _plain(self, v: int) -> bool:
         return len(self.inn[v]) == 1 == len(self.out[v])
@@ -409,16 +407,16 @@ class _Remainder:
         nonseparable: one lowpoint DFS over its own rows, the one step of
         a try that costs O(n + m).
         """
-        t, bits = thread[1], thread[2]
+        t = thread[1]
         r = len(t) - 1
         if not self._room(self.m - r, self.n - r + 1):
             return None
         if t[0] != t[-1] and not self._reaches_around(t):
             return None
-        self._cut(t, bits)
+        self._cut(t)
         if self.allow_cycle_ears or nonseparable(self.out, self.inn):
             return self._relink(thread)
-        self._uncut(t, bits)
+        self._uncut(t)
         return None
 
     def unpeel(self, thread: tuple, log: list) -> None:
@@ -427,18 +425,17 @@ class _Remainder:
                 self._drop(entry)
             else:
                 self._put(entry)
-        self._uncut(thread[1], thread[2])
+        self._uncut(thread[1])
 
-    def _cut(self, t: tuple[int, ...], bits: int) -> None:
+    def _cut(self, t: tuple[int, ...]) -> None:
         self.out[t[0]].remove(t[1])
         self.inn[t[-1]].remove(t[-2])
         for v in t[1:-1]:
             del self.out[v], self.inn[v]
         self.n -= len(t) - 2
         self.m -= len(t) - 1
-        self.mask -= bits
 
-    def _uncut(self, t: tuple[int, ...], bits: int) -> None:
+    def _uncut(self, t: tuple[int, ...]) -> None:
         self.out[t[0]].add(t[1])
         self.inn[t[-1]].add(t[-2])
         for a, v, b in zip(t, t[1:], t[2:]):
@@ -446,7 +443,6 @@ class _Remainder:
             self.inn[v] = {a}
         self.n += len(t) - 2
         self.m += len(t) - 1
-        self.mask += bits
 
     def _reaches_around(self, t: tuple[int, ...]) -> bool:
         """x0 reaches xr in the remainder without thread t.  With the first
@@ -518,6 +514,8 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     verdict is unknown.  The dead memo holds exhausted frames only:
     peeling t from R fails by R - t alone (its counts, strongness, see
     _Remainder.peel, and nonseparability), so that R - t is never a frame.
+    A remainder's memo key is a mask, one bit per initial thread (thread
+    of d) it keeps, exact as _Remainder shows.
 
     One remainder is edited in place and a peel is undone when its frame
     pops, so a try costs the peeled thread, one reachability test and, on
@@ -530,7 +528,11 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
     if not rest.may_be_stage():
         return None
     box = [budget]
-    dead: set[int] = set()  # arc masks of exhausted frames: not in LE_i
+
+    def bits(ids: tuple[int, ...]) -> int:  # the mask of a thread's indices
+        return sum(map((1).__lshift__, ids))
+    mask = (1 << len(rest.first)) - 1  # every initial thread is kept
+    dead: set[int] = set()  # masks of exhausted frames: not in LE_i
     # one frame per peeled thread: that thread (None at the root), the undo
     # log of the peel, and the index of the next thread of the remainder
     # to try; undoing a peel restores rest.order, so an index stays valid
@@ -547,16 +549,18 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
             thread = order[k]
             k += 1
             _spend(box)
-            log = None if rest.mask - thread[2] in dead else rest.peel(thread)
+            log = None if dead and mask - bits(thread[2]) in dead else rest.peel(thread)
             if log is not None:
                 frame[2] = k
+                mask -= bits(thread[2])
                 frames.append([thread, log, 0])
                 break
         else:
-            dead.add(rest.mask)
+            dead.add(mask)
             frames.pop()
             if frame[0] is not None:
                 rest.unpeel(frame[0], frame[1])
+                mask += bits(frame[0][2])
     return None
 
 

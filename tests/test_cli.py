@@ -1028,8 +1028,8 @@ def test_closed_pipe_is_silent():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS acts on Linux")
 def test_search_on_3200_ears_fits_in_100_mb(capsys, tmp_path):
-    # the search keeps a mask per thread and per exhausted frame: about
-    # 40 MB here
+    # only the search's exhausted frames hold a mask, one bit per initial
+    # thread: about 30 MB here
     _, doc = run(capsys, "gen", "--le", "--base", "5", "--ears", "3200",
                  "--min-ear-length", "3", "--max-ear-length", "4", "--seed", "3")
     path = tmp_path / "le3.json"

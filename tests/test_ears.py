@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -484,46 +485,92 @@ def test_search_depth_is_not_python_recursion_depth():
     assert found is not None and len(found.ears) == 150
 
 
-def assert_thread_bits(rest):
-    """The masks of rest's threads are disjoint, count their arcs and sum
-    to its mask."""
-    total = 0
-    for _, t, bits in rest.first.values():
-        assert bits & total == 0 and bits.bit_count() == len(t) - 1, t
-        total |= bits
-    assert total == rest.mask
+def assert_chains(rest, initial, peeled=()):
+    """rest's threads chain whole initial threads, by their indices; with
+    the indices peeled they partition all of them."""
+    threads = list(rest.first.values())
+    joined = [initial[chain[0]] + tuple(v for k in chain[1:] for v in initial[k][1:])
+              for _, _, chain in threads]
+    assert joined == [t for _, t, _ in threads]
+    assert all(first == 1 - len(t) for first, t, _ in threads)
+    held = [k for _, _, chain in threads for k in chain] + list(peeled)
+    assert set(map(type, held)) <= {int} and sorted(held) == list(range(len(initial)))
 
 
 def snapshot(rest):
-    return (rest.mask, rest.n, rest.m, dict(rest.first), dict(rest.last),
-            list(rest.order))
+    return (rest.n, rest.m, {v: frozenset(ws) for v, ws in rest.out.items()},
+            dict(rest.first), dict(rest.last), list(rest.order))
 
 
-def test_threads_number_their_arcs_in_runs():
-    # each initial thread's arcs are numbered consecutively, so its mask
-    # is one run; a peel keeps the masks a partition, and unpeel restores it
-    digraphs = [d for n in (2, 3, 4) for d in strong_digraphs(n)]
-    digraphs += [generate_random_le(base_length=4, ear_count=ears,
-                                    min_ear_length=1, max_ear_length=4,
-                                    cycle_ear_probability=0.3, seed=seed)[0]
-                 for ears in (10, 30) for seed in range(5)]
-    peeled = 0
+def one_per_class(digraphs):
+    """The first of digraphs on 0..n-1 in each isomorphism class."""
+    seen = set()
     for d in digraphs:
+        code = min(tuple(sorted((p[u], p[v]) for u, v in d.arcs))
+                   for p in permutations(range(d.n)))
+        if code not in seen:
+            seen.add(code)
+            yield d
+
+
+def strong_small_digraphs(count, seed=7):
+    """count seeded strong digraphs on 5 to 7 vertices."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        n = rng.choice((5, 6, 7))
+        p = rng.uniform(0.2, 0.5)
+        d = Digraph(range(n), [(u, v) for u in range(n) for v in range(n)
+                               if u != v and rng.random() < p])
+        if is_strong(d):
+            found.append(d)
+    return found
+
+
+def test_threads_chain_whole_initial_threads():
+    # the k-th thread scanned on d is (k,); a peel joins the indices of the
+    # threads it merges in path order, and unpeel restores every thread.
+    # So on every peel sequence walked the remainder is the union of the
+    # initial threads it keeps, and the search's key (all of them minus the
+    # indices peeled) names it: an arc set reached again has the same key.
+    # Small digraphs are walked to depth 3, generator instances to depth 1;
+    # a cycle has no thread, and no peel
+    cases = [(d, 3) for d in one_per_class(
+        d for n in (2, 3, 4) for d in strong_digraphs(n) if len(d.arcs) > d.n)]
+    cases += [(d, 3) for d in strong_small_digraphs(2)]
+    cases += [(generate_random_le(base_length=4, ear_count=ears, min_ear_length=1,
+                                  max_ear_length=4, cycle_ear_probability=0.3,
+                                  seed=seed)[0], 1)
+              for ears in (10, 30) for seed in range(5)]
+    peeled = merged = repeated = 0
+    for d, deepest in cases:
         for cyc in (True, False):
             rest = ears_mod._Remainder(d, 1, cyc)
-            assert_thread_bits(rest)
-            for _, t, bits in rest.first.values():
-                run = bits // (bits & -bits)
-                assert run == (1 << len(t) - 1) - 1, t
-            before = snapshot(rest)
-            for thread in list(rest.order):
-                log = rest.peel(thread)
-                if log is not None:
-                    peeled += 1
-                    assert_thread_bits(rest)
-                    rest.unpeel(thread, log)
-                assert snapshot(rest) == before
-    assert peeled > 1000
+            initial = list(rest._scan())
+            key_of = {}  # arc set -> the kept indices it was reached with
+
+            def walk(gone, depth):
+                nonlocal peeled, merged, repeated
+                assert_chains(rest, initial, gone)
+                arcs = frozenset((v, w) for v, ws in rest.out.items() for w in ws)
+                kept = frozenset(range(len(initial))).difference(gone)
+                assert arcs == {a for k in kept for a in arcs_of(initial[k])}
+                if arcs in key_of:  # the same remainder: the same peels follow
+                    assert key_of[arcs] == kept
+                    repeated += 1
+                    return
+                key_of[arcs] = kept
+                before = snapshot(rest)
+                for thread in list(rest.order) if depth < deepest else ():
+                    log = rest.peel(thread)
+                    if log is not None:
+                        peeled += 1
+                        merged += len(log) > 1
+                        walk(gone + thread[2], depth + 1)
+                        rest.unpeel(thread, log)
+                    assert snapshot(rest) == before
+
+            walk((), 0)
+    assert peeled > 10_000 and merged > 1000 and repeated > 5000
 
 
 # --- reference: thread peeling on rebuilt remainders --------------------------
