@@ -135,8 +135,8 @@ def _input_and_decomposition(args, min_len: int, path_ears_only: bool = False,
 
 def cmd_decompose(args) -> dict:
     d = load_digraph(args.input)
-    e = (_search(d, args.min_ear_length, args.budget) if args.min_ear_length
-         else find_ear_decomposition(d))
+    e = (find_ear_decomposition(d) if args.min_ear_length is None
+         else _search(d, args.min_ear_length, args.budget))
     return {"decomposition": e.to_json(), "ear_count": len(e.ears),
             "min_ear_length": e.min_ear_length}
 

@@ -78,10 +78,9 @@ def proper_3_coloring(d: Digraph, e: EarDecomposition) -> VertexMapping:
     2-color the bipartite interior.
     """
     require_decomposition(d, e, 2, "coloring")
-    cycle = e.base.vertices[:-1]
+    cycle = e.base[:-1]
     colors = dict(zip(cycle, _cycle_colors(len(cycle))))
-    for ear, r in zip(e.ears, e.lengths):
-        xs = ear.vertices
+    for xs, r in zip(e.ears, e.lengths):
         c0, cr = colors[xs[0]], colors[xs[-1]]
         if r == 2:
             colors[xs[1]] = _free_color(c0, cr)

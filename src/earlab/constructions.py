@@ -50,7 +50,7 @@ def seymour_vertex(d: Digraph, e: EarDecomposition) -> tuple[int, NeighborhoodRe
         raise InvalidInputError("Seymour vertex needs an asymmetrical digraph")
     require_decomposition(d, e, 2, "Seymour vertex")
     if e.ears:
-        v = e.ears[-1].vertices[-2]
+        v = e.ears[-1][-2]
     else:
         v = min(d.vertices)
     report = neighborhoods(d, v)
@@ -63,9 +63,8 @@ def seymour_vertex(d: Digraph, e: EarDecomposition) -> tuple[int, NeighborhoodRe
 
 def _transversal_members(e: EarDecomposition) -> set[int]:
     """The set longest_path_transversal builds, before its check."""
-    s = {min(e.base.vertices)}
-    for ear, r in zip(e.ears, e.lengths):
-        xs = ear.vertices
+    s = {min(e.base)}
+    for xs, r in zip(e.ears, e.lengths):
         in0, inr = xs[0] in s, xs[-1] in s
         if in0 and inr:
             continue
@@ -97,7 +96,7 @@ def longest_path_transversal(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     require_decomposition(d, e, 2, "transversal")
     s = _transversal_members(e)
     for j, part in enumerate((e.base,) + e.ears):
-        hits = list(map(s.__contains__, part.vertices))
+        hits = list(map(s.__contains__, part))
         if not any(hits):
             raise VerificationError(f"constructed transversal {sorted(s)} misses part {j}")
         if any(map(and_, hits, hits[1:])):
@@ -176,8 +175,7 @@ def quasi_kernel_failing_stage(e: EarDecomposition,
     with an out-arc into the set among the arcs born so far.
     """
     absorbed: set[int] = set()
-    for j, part in enumerate((e.base,) + e.ears):
-        xs = part.vertices
+    for j, xs in enumerate((e.base,) + e.ears):
         for u, v in zip(xs, xs[1:]):
             if v in members:
                 if u in members:
@@ -200,10 +198,9 @@ def small_quasi_kernel(d: Digraph, e: EarDecomposition) -> CertifiedSet:
     parts cover d's vertices and arcs exactly once (require_decomposition).
     """
     require_decomposition(d, e, 3, "small quasi-kernel")
-    cycle = e.base.vertices[:-1]
+    cycle = e.base[:-1]
     q: set[int] = {cycle[i] for i in cycle_quasi_kernel_indices(len(cycle))}
-    for ear, r in zip(e.ears, e.lengths):
-        xs = ear.vertices
+    for xs, r in zip(e.ears, e.lengths):
         for idx in quasi_kernel_ear_indices(xs[0] in q, xs[-1] in q, r):
             q.add(xs[idx])
     failed = quasi_kernel_failing_stage(e, q)

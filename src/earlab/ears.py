@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import attrgetter, eq, itemgetter, lt, sub
+from operator import eq, itemgetter, lt, sub
 from typing import Iterable, Iterator
 
 from .digraph import Arc, Digraph, _check_vertex_count, is_strong, nonseparable
@@ -22,11 +22,15 @@ from .errors import (BudgetExceededError, InvalidInputError, ParseError,
                      PropertyFailedError, VerificationError)
 
 
-@dataclass(frozen=True)
-class Ear:
-    """A part (x_0, ..., x_r) as EarDecomposition checked it; r arcs."""
+class Ear(tuple):
+    """A part (x_0, ..., x_r) as EarDecomposition checked it; r arcs: that
+    tuple.  Only the benchmark reads vertices; once it calls to_json(), Ear goes."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ()
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return self
 
 
 def _part(vs: Iterable[int]) -> tuple[int, ...]:
@@ -58,7 +62,9 @@ class EarDecomposition:
     vertices then each ear's interior as the parts add them; ends, stage j
     having the vertices order[:ends[j]]; lengths, each ear's arc count.
     The one way in: the base (x_0, ..., x_0) and each ear, vertex sequences
-    that C-level passes accept; _part names a failure's first offender."""
+    that C-level passes accept; _part names a failure's first offender.
+    base and ears are those parts as tuples, typed Ear only while the
+    benchmark reads Ear's vertices alias instead of calling to_json()."""
 
     def __init__(self, base: Iterable[int], ears: Iterable[Iterable[int]] = ()):
         cycle, parts = tuple(base), tuple(map(tuple, ears))
@@ -94,13 +100,12 @@ class EarDecomposition:
         """Stage j: the base cycle plus the first j ears, built on demand."""
         if not 0 <= j < self.stage_count:
             raise IndexError(f"stage {j} out of range 0..{len(self.ears)}")
-        parts = [p.vertices for p in (self.base,) + self.ears[:j]]
+        parts = (self.base,) + self.ears[:j]
         return Digraph(set(chain.from_iterable(parts)),
                        {a for p in parts for a in zip(p, p[1:])})
 
     def to_json(self) -> dict:
-        return {"base": list(self.base.vertices[:-1]),
-                "ears": [list(e.vertices) for e in self.ears]}
+        return {"base": list(self.base[:-1]), "ears": list(map(list, self.ears))}
 
     @classmethod
     def from_json(cls, doc: dict) -> "EarDecomposition":
@@ -123,7 +128,7 @@ class EarDecomposition:
         return cls(closed, ears)
 
     def __repr__(self) -> str:
-        return (f"EarDecomposition(base={list(self.base.vertices)}, "
+        return (f"EarDecomposition(base={list(self.base)}, "
                 f"ears={len(self.ears)})")
 
 
@@ -148,15 +153,14 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
     the constructor refuses.  A text echoes at most 40 characters of a set.
     """
     n, pos = d.n, dict(zip(e.order, range(d.n)))
-    paths = tuple(map(attrgetter("vertices"), e.ears))
-    x0s, xrs = tuple(map(itemgetter(0), paths)), tuple(map(itemgetter(-1), paths))
+    x0s, xrs = tuple(map(itemgetter(0), e.ears)), tuple(map(itemgetter(-1), e.ears))
     # order covers d once, each ear's ends precede its block, d's arc count
     if (len(e.order) == len(pos) == n and d.vertices.issuperset(pos)
             and all(map(lt, map(pos.get, x0s, repeat(n)), e.ends))
             and all(map(lt, map(pos.get, xrs, repeat(n)), e.ends))
             and not (path_ears_only and any(map(eq, x0s, xrs)))
             and len(d.arcs) == e.ends[0] + sum(e.lengths)):
-        parts = paths + (e.base.vertices,)
+        parts = e.ears + (e.base,)
         arcs = chain.from_iterable(
             map(zip, parts, map(itemgetter(slice(1, None)), parts)))
         # each arc of an ear with an interior ends there: only length-1 ears repeat
@@ -164,14 +168,13 @@ def validate_decomposition(d: Digraph, e: EarDecomposition,
                 else all(map(d.arcs.__contains__, arcs))):
             return DecompositionReport(ok=True)
     bad: list[str] = []
-    cycle = e.base.vertices
-    base_arcs = tuple(zip(cycle, cycle[1:]))
+    base_arcs = tuple(zip(e.base, e.base[1:]))
     for a in base_arcs:
         if a not in d.arcs:
             bad.append(f"stage 0: base arc {a} not in host")
-    verts, arcs = set(cycle), set(base_arcs)
+    verts, arcs = set(e.base), set(base_arcs)
     host_arcs = d.arcs
-    for idx, p in enumerate(paths):
+    for idx, p in enumerate(e.ears):
         inner, ear_arcs = p[1:-1], tuple(zip(p, p[1:]))
         if p[0] not in verts or p[-1] not in verts:
             bad.append(f"stage {idx}: ear endpoints must lie in the stage digraph")

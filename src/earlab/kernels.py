@@ -99,7 +99,7 @@ def _last_ear(d: Digraph, e: EarDecomposition) -> tuple[int, ...]:
     require_decomposition(d, e, 2, "kernel propagation", path_ears_only=True)
     if not e.ears:
         raise InvalidInputError("decomposition has no ears to propagate across")
-    return e.ears[-1].vertices
+    return e.ears[-1]
 
 
 def _is_kernel_on(d: Digraph, vertices: frozenset[int], s: frozenset[int]) -> bool:
@@ -374,12 +374,11 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
         transitions: list[str] = []
         if j > 0:
             source = per_stage[j - 1] if direction == "forward" else kernels
-            transitions = _transition_labels(direction, e.ears[j - 1].vertices,
-                                             source)
+            transitions = _transition_labels(direction, e.ears[j - 1], source)
         stages.append({"stage": j, "has_kernel": flags[j], "kernel": kernel,
                        "transitions": transitions})
     flips = [j for j in range(len(flags) - 1) if flags[j] != flags[j + 1]]
-    base_parity = "even" if len(e.base.vertices) % 2 == 1 else "odd"
+    base_parity = "even" if len(e.base) % 2 == 1 else "odd"
     # base ear repeats its anchor, so vertex-list length n+1 drives parity
     pattern_check: dict = {"required": None, "holds": True, "kernels_checked": 0}
     gained = flags[-1]  # a gain is checked after its flip, a loss before it
@@ -389,7 +388,7 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
                      else "all_stages_lack_kernels")
     else:
         flip_stage = max(j for j, flag in enumerate(flags) if flag != gained)
-        p = e.ears[flip_stage].vertices
+        p = e.ears[flip_stage]
         stage, rule, kind = ((flip_stage + 1, restrict_condition, "pull-back")
                              if gained else
                              (flip_stage, extend_case, "push-forward"))

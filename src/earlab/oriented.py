@@ -275,7 +275,7 @@ def extend_homomorphism(d: Digraph, e: EarDecomposition,
     require_decomposition(d, e, 1, "homomorphism extension")
     if not e.ears or e.lengths[-1] < 3:
         raise InvalidInputError("homomorphism extension needs a last ear of length >= 3")
-    p, t = e.ears[-1].vertices, phi.target
+    p, t = e.ears[-1], phi.target
     if not isinstance(t, Tournament):
         raise InvalidInputError("mapping target must be a tournament")
     img = dict(phi.assignment)
@@ -304,7 +304,7 @@ def homomorphism_failing_stage(e: EarDecomposition,
     """
     masks = m.target.out_masks()
     img = m.assignment
-    for j, p in enumerate(part.vertices for part in (e.base,) + e.ears):
+    for j, p in enumerate((e.base,) + e.ears):
         if any(not masks[img[u]] >> img[v] & 1 for u, v in zip(p, p[1:])):
             return j
     return None
@@ -323,9 +323,9 @@ def oriented_coloring_le3(d: Digraph, e: EarDecomposition) -> VertexMapping:
         raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
     require_decomposition(d, e, 3, "oriented coloring")
     t = tournament_T()
-    assignment = {e.base.vertices[0]: 0}
+    assignment = {e.base[0]: 0}
     for part in (e.base,) + e.ears:
-        _map_ear(t, assignment, part.vertices)
+        _map_ear(t, assignment, part)
     mapping = VertexMapping(assignment, t, "oriented")
     failed = homomorphism_failing_stage(e, mapping)
     if failed is not None:

@@ -756,6 +756,8 @@ CASES = [
          {"g": EAR4_G}),
     Case("classify-max-level-past-cap", "classify {g} --max-level " + PAST, 3,
          LEVELS + PAST, {"g": EAR4_G}),
+    Case("decompose-min-ear-length-zero", "decompose {g} --min-ear-length 0", 2,
+         "minimum ear length must be >= 1", {"g": EAR4_G}),
     Case("gen-max-below-min", "gen --le --min-ear-length 2 --max-ear-length 0", 2,
          "max ear length below min"),
     Case("gen-past-vertex-cap", "gen --le --ears 1 --min-ear-length 1000001", 3,

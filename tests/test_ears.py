@@ -26,7 +26,9 @@ def arcs_of(p):
 
 def test_ear_fields():
     (ear,) = EarDecomposition((0, 1, 0), [(0, 5, 6, 1)]).ears
+    assert ear == (0, 5, 6, 1) and isinstance(ear, tuple)
     p = ear.vertices
+    assert p is ear
     assert p[0] == 0 and p[-1] == 1
     assert len(p) - 1 == 3 and p[0] != p[-1]
     assert p[1:-1] == (5, 6)
@@ -35,7 +37,9 @@ def test_ear_fields():
 
 def test_cycle_ear():
     (ear,) = EarDecomposition((2, 3, 2), [(2, 7, 8, 2)]).ears
+    assert ear == (2, 7, 8, 2) and isinstance(ear, tuple)
     p = ear.vertices
+    assert p is ear
     assert p[0] == p[-1] and len(p) - 1 == 3
     assert p[1:-1] == (7, 8)
 
@@ -168,6 +172,7 @@ def test_constructor_refuses_a_malformed_part(parts, refusal):
 
 def test_json_roundtrip():
     e = EarDecomposition((0, 1, 2, 0), [(0, 3, 4, 1)])
+    assert e.base == (0, 1, 2, 0)
     doc = e.to_json()
     assert doc == {"base": [0, 1, 2], "ears": [[0, 3, 4, 1]]}
     again = EarDecomposition.from_json(doc)

@@ -26,10 +26,12 @@ def test_every_export_resolves_once():
         assert not hasattr(earlab, gone)
     # a report is the payload it prints; the tight instance prints nothing
     assert not hasattr(earlab.TightInstance, "to_json")
-    # a part is its vertex tuple, checked by the decomposition's constructor
+    # a part is its vertex tuple and holds nothing else; the decomposition's
+    # constructor checks it
     for gone in ("x0", "xr", "length", "is_cycle", "internal", "arcs",
                  "__post_init__"):
         assert not hasattr(Ear, gone)
+    assert not hasattr(EarDecomposition((0, 1, 0)).base, "__dict__")
     # constructions certify without an oracle: none is bound in the module
     assert not [name for name, value in vars(earlab.constructions).items()
                 if value is earlab.oracles
