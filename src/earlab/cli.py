@@ -24,7 +24,7 @@ from .coloring import dichromatic_bounds
 from .constructions import (CertifiedSet, longest_path_transversal,
                             small_quasi_kernel, seymour_vertex)
 from .digraph import Digraph, digraph_from_json, parse_digraph, serialize_digraph
-from .ears import (EarDecomposition, find_ear_decomposition,
+from .ears import (DEFAULT_BUDGET, EarDecomposition, find_ear_decomposition,
                    find_le_decomposition, generate_random_le)
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
                      InvalidInputError, PropertyFailedError, VerificationError)
@@ -35,7 +35,6 @@ from .oracles import (CHROMATIC_CAP, LONGEST_LIST_CAP, ORIENTED_KMAX_CAP,
 from .oriented import (build_G, oriented_coloring_le3, tournament_T,
                        uniqueness_census, validate_reference_walks, verify_walk_property)
 
-DEFAULT_BUDGET = 200_000
 MAX_LEVEL_CAP = 100  # highest classify level: at most one search per level
 _ESCAPE = json.encoder.encode_basestring_ascii
 

@@ -503,7 +503,10 @@ class _Remainder:
         return tuple(cycle) + (v0,)
 
 
-def find_le_decomposition(d: Digraph, i: int = 1, budget: int = 200_000,
+DEFAULT_BUDGET = 200_000  # remainders the exact search may try
+
+
+def find_le_decomposition(d: Digraph, i: int = 1, budget: int = DEFAULT_BUDGET,
                           allow_cycle_ears: bool = True) -> EarDecomposition | None:
     """Exact search for a decomposition with every ear of length >= i.
 

@@ -7,9 +7,10 @@ lengths 3, 4, and 5.  Homomorphisms into it bound the oriented chromatic
 number of digraphs whose ears all have length at least 3, and the
 quadratic-blowup family shows length-2 ears admit no such bound.
 
-One wrap rule folds every ear and the base cycle alike (see _map_ear), and
-one walk table serves both, since in an oriented graph a closed walk of
-length at most 5 is a cycle (see walk_catalog).
+One wrap rule folds every ear and the base cycle alike (see _map_ear).
+One walk table serves both and is the one answer to walk questions about a
+single tournament: walk_catalog, whose closed entries are cycles.  The
+census asks about all order-6 codes at once instead (walk_survivors).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .ears import EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
 from .oracles import OracleReport, oriented_chromatic_oracle
-from .tournaments import (Tournament, arc_planes, canonical_code, compose_planes,
-                          compose_rows)
+from .tournaments import Tournament, arc_planes, canonical_code, compose_planes
 
 # Walks of lengths 3, 4, 5 for every ordered vertex pair; consecutive pairs
 # of these fix the arc set below.
@@ -84,22 +84,12 @@ def validate_reference_walks() -> bool:
     return True
 
 
-def _walk_gap(rows, include_closed: bool = False) -> tuple[int, int, int] | None:
-    """First (length, source, target) with no walk, over out-mask rows.
-
-    Adjacency powers 3, 4, 5 (the consecutive WALK_LENGTHS) are built one
-    at a time, so most codes are rejected after the first.
-    """
-    full = (1 << len(rows)) - 1
-    table = compose_rows(rows, rows)
-    for length in WALK_LENGTHS:
-        table = compose_rows(table, rows)
-        for i, row in enumerate(table):
-            need = full if include_closed else full ^ (1 << i)
-            gap = need & ~row
-            if gap:
-                return (length, i, (gap & -gap).bit_length() - 1)
-    return None
+def _first_gap(cat: dict, k: int, include_closed: bool) -> tuple[int, int, int] | None:
+    """First (length, source, target) absent from catalog cat of an order-k
+    tournament, by length, source, target; i = j only if include_closed."""
+    return next(((length, i, j) for length in WALK_LENGTHS for i in range(k)
+                 for j in range(k) if (i, j, length) not in cat
+                 and (include_closed or i != j)), None)
 
 
 def verify_walk_property(t: Tournament) -> bool:
@@ -111,7 +101,7 @@ def verify_walk_property(t: Tournament) -> bool:
 
 def missing_walk_witness(t: Tournament) -> tuple[int, int, int] | None:
     """First (length, source, target) with no walk, or None."""
-    return _walk_gap(t.out_masks())
+    return _first_gap(walk_catalog(t), t.k, False)
 
 
 def walk_survivors() -> tuple[list[int], list[int]]:
@@ -189,7 +179,8 @@ def uniqueness_census() -> dict:
 def walk_catalog(t: Tournament) -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Lexicographically smallest walk of each length k in WALK_LENGTHS from
     every vertex i to every vertex j, i = j included, keyed (i, j, k); a key
-    is absent where t has no such walk.  One backward-reach table per j:
+    is absent exactly where t has no such walk, and missing_walk_witness and
+    _catalog_for read their answers here.  One backward-reach table per j:
     reach[r] masks the vertices with a length-r walk to j.
 
     Closed-walk lemma: in an oriented graph a closed walk of length at most
@@ -218,12 +209,11 @@ def walk_catalog(t: Tournament) -> dict[tuple[int, int, int], tuple[int, ...]]:
 @lru_cache(maxsize=8)
 def _catalog_for(code: int, k: int) -> dict:
     """The walk catalog of a tournament that has every entry, else raise."""
-    t = Tournament(k, code)
-    gap = _walk_gap(t.out_masks(), include_closed=True)
+    cat = walk_catalog(Tournament(k, code))
+    gap = _first_gap(cat, k, True)
     if gap is not None:
-        raise PropertyFailedError(
-            "catalog incomplete: no length-%d walk %d to %d" % gap)
-    return walk_catalog(t)
+        raise PropertyFailedError("catalog incomplete: no length-%d walk %d to %d" % gap)
+    return cat
 
 
 def cycle_homomorphism(n: int) -> VertexMapping:

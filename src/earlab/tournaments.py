@@ -27,12 +27,24 @@ class Tournament:
     code: int
 
     def __post_init__(self):
+        if self.k < 0:  # order 0 is the empty tournament
+            raise InvalidInputError("order must be >= 0")
         if self.code < 0 or self.code >= 1 << len(_pairs(self.k)):
             raise InvalidInputError("tournament code out of range")
 
     @classmethod
     def from_arcs(cls, k: int, arcs) -> "Tournament":
-        arcset = {(int(u), int(v)) for u, v in arcs}
+        """The order-k tournament with exactly these arcs.  InvalidInputError
+        names the first entry that is not two distinct ids below k, then
+        the first pair with no arc or two."""
+        arcset = set()
+        for pair in arcs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and pair[0] != pair[1]
+                    and all(type(v) is int and 0 <= v < k for v in pair)):
+                raise InvalidInputError(f"bad arc entry {pair!r:.40}: "
+                                        f"need two distinct ids below {k}")
+            arcset.add(tuple(pair))
         code = 0
         for idx, (i, j) in enumerate(_pairs(k)):
             fwd, back = (i, j) in arcset, (j, i) in arcset

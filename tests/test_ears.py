@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import earlab.ears as ears_mod
 from earlab.digraph import Digraph, is_asymmetrical, is_nonseparable, is_strong
-from earlab.ears import (EarDecomposition, _self_checked,
+from earlab.ears import (DEFAULT_BUDGET, EarDecomposition, _self_checked,
                          _shortest_cycle_through, _spend,
                          find_ear_decomposition, find_le_decomposition,
                          generate_random_le, validate_decomposition)
@@ -622,7 +622,7 @@ def _may_be_stage(d: Digraph, min_len: int, allow_cycle_ears: bool) -> bool:
             and (allow_cycle_ears or is_nonseparable(d)))
 
 
-def rebuilding_le_search(d: Digraph, i: int = 1, budget: int = 200_000,
+def rebuilding_le_search(d: Digraph, i: int = 1, budget: int = DEFAULT_BUDGET,
                          allow_cycle_ears: bool = True) -> EarDecomposition | None:
     """Exact search for a decomposition with every ear of length >= i.
 
@@ -690,7 +690,7 @@ def spent(monkeypatch):
     return units
 
 
-def peel_outcome(search, d, i, allow_cycle_ears, units, budget=200_000):
+def peel_outcome(search, d, i, allow_cycle_ears, units, budget=DEFAULT_BUDGET):
     """(decomposition JSON, None or "budget", units spent) of one search."""
     units[0] = 0
     try:
@@ -700,7 +700,7 @@ def peel_outcome(search, d, i, allow_cycle_ears, units, budget=200_000):
     return (None if found is None else found.to_json()), units[0]
 
 
-def assert_same_peeling(d, i, allow_cycle_ears, units, budget=200_000):
+def assert_same_peeling(d, i, allow_cycle_ears, units, budget=DEFAULT_BUDGET):
     new = peel_outcome(find_le_decomposition, d, i, allow_cycle_ears, units,
                        budget)
     old = peel_outcome(rebuilding_le_search, d, i, allow_cycle_ears, units,

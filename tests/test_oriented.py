@@ -6,7 +6,7 @@ from earlab.digraph import Digraph, is_strong
 from earlab.ears import EarDecomposition, generate_random_le
 from earlab.errors import (CapExceededError, InvalidInputError,
                            PropertyFailedError)
-from earlab.oriented import (REFERENCE_WALKS, _walk_gap, build_G,
+from earlab.oriented import (REFERENCE_WALKS, WALK_LENGTHS, _catalog_for, build_G,
                              cycle_homomorphism, extend_homomorphism,
                              find_tight_le3_instance, gi_lower_bound_check,
                              missing_walk_witness, oriented_coloring_le3,
@@ -14,7 +14,25 @@ from earlab.oriented import (REFERENCE_WALKS, _walk_gap, build_G,
                              validate_reference_walks, verify_walk_property,
                              walk_catalog, walk_survivors)
 from earlab.tournaments import (Tournament, automorphism_count, canonical_code,
-                                mask_rows, tournament_reps)
+                                compose_rows, mask_rows, tournament_reps)
+
+
+def _walk_gap(rows, include_closed: bool = False) -> tuple[int, int, int] | None:
+    """First (length, source, target) with no walk, over out-mask rows.
+
+    Adjacency powers 3, 4, 5 (the consecutive WALK_LENGTHS) are built one
+    at a time, so most codes are rejected after the first.
+    """
+    full = (1 << len(rows)) - 1
+    table = compose_rows(rows, rows)
+    for length in WALK_LENGTHS:
+        table = compose_rows(table, rows)
+        for i, row in enumerate(table):
+            need = full if include_closed else full ^ (1 << i)
+            gap = need & ~row
+            if gap:
+                return (length, i, (gap & -gap).bit_length() - 1)
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +189,28 @@ def test_closed_entries_are_the_smallest_cycles_on_every_class():
                     assert closed is None or len(set(closed[:-1])) == k
                     compared += 1
     assert compared == 10_830
+
+
+def test_catalog_gaps_match_the_adjacency_powers_on_every_class():
+    # missing_walk_witness and _catalog_for read walk_catalog; _walk_gap
+    # finds the first gap by adjacency powers instead.  Orders 1-7, both
+    # readings: at order 1 the open one needs no entry, the closed one lacks
+    # (3, 0, 0)
+    classes = 0
+    for order in range(1, 8):
+        for t in tournament_reps(order):
+            rows = t.out_masks()
+            assert missing_walk_witness(t) == _walk_gap(rows)
+            gap = _walk_gap(rows, include_closed=True)
+            if gap is None:
+                assert _catalog_for(t.code, t.k) == walk_catalog(t)
+            else:
+                with pytest.raises(PropertyFailedError) as caught:
+                    _catalog_for(t.code, t.k)
+                assert str(caught.value) == (
+                    "catalog incomplete: no length-%d walk %d to %d" % gap)
+            classes += 1
+    assert classes == 532
 
 
 @pytest.mark.parametrize("n", list(range(3, 21)))

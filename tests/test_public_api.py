@@ -8,7 +8,7 @@ from earlab.digraph import (Digraph, is_nonseparable, neighborhoods,
 from earlab.ears import Ear, EarDecomposition
 from earlab.errors import InvalidInputError
 from earlab.oriented import extend_homomorphism
-from earlab.tournaments import tournament_reps
+from earlab.tournaments import Tournament, tournament_reps
 
 
 def test_every_export_resolves_once():
@@ -59,6 +59,17 @@ EDGE_CASES = {
                                   InvalidInputError, "cycle length must be >= 2"),
     "reps-of-order-0": (lambda: tournament_reps(0), InvalidInputError,
                         "order must be >= 1"),
+    "tournament-of-order-minus-1": (lambda: Tournament(-1, 0), InvalidInputError,
+                                    "order must be >= 0"),
+    "tournament-arc-off-range": (
+        lambda: Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0), (0, 5), (1, 1)]),
+        InvalidInputError, "bad arc entry (0, 5): need two distinct ids below 3"),
+    "tournament-arc-loop": (
+        lambda: Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0), (1, 1)]),
+        InvalidInputError, "bad arc entry (1, 1): need two distinct ids below 3"),
+    "tournament-arc-not-integer": (
+        lambda: Tournament.from_arcs(2, [("a" * 50, "b")]), InvalidInputError,
+        "bad arc entry ('" + "a" * 38 + ": need two distinct ids below 2"),
     "homomorphism-into-digraph": (_homomorphism_into_a_cycle, InvalidInputError,
                                   "mapping target must be a tournament"),
     "nonseparable-empty": (lambda: is_nonseparable(Digraph((), ())), None, True),

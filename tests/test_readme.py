@@ -7,6 +7,7 @@ from pathlib import Path
 from earlab import cli, digraph, kernels, oracles
 from earlab.coloring import verify_homomorphism
 from earlab.cli import _build_parser
+from earlab.ears import DEFAULT_BUDGET
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -34,6 +35,10 @@ def test_readme_oracle_caps_match_constants():
     found = re.search(r"capped at (\d+) vertices", text)
     assert found, "README states no cap for MAX_VERTICES"
     assert int(found.group(1)) == digraph.MAX_VERTICES
+
+
+def test_readme_budget_default_matches_the_constant():
+    assert f"`--budget` (default {DEFAULT_BUDGET})" in README
 
 
 def test_readme_cli_lines_parse():
