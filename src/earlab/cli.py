@@ -2,12 +2,14 @@
 
 Every command prints a single JSON envelope {status, payload, timing_ms} on
 stdout and exits 0/1/2/3 for ok / property failed / invalid input / cap
-exceeded.  Usage errors are argparse's, not envelopes: an unknown command,
-an option value of the wrong type or --budget below 1 print usage text on
-stderr and exit 2.  "-" reads stdin, and inputs wrapped in an envelope (or
-in a gen payload) are unwrapped, so commands pipe into each other.  Files
-and stdin are strict UTF-8, a decomposition is JSON from any source, a
-source named twice is read once, and --set never shares stdin.
+exceeded.  A plain argv is scanned against the parser's own actions, and
+argparse parses every other argv (see _scan_args).  Usage errors are
+argparse's, not envelopes: an unknown command, an option value of the wrong
+type or --budget below 1 print usage text on stderr and exit 2.  "-" reads
+stdin, and inputs wrapped in an envelope (or in a gen payload) are
+unwrapped, so commands pipe into each other.  Files and stdin are strict
+UTF-8, a decomposition is JSON from any source, a source named twice is
+read once, and --set never shares stdin.
 """
 
 from __future__ import annotations
@@ -440,9 +442,66 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _grammars(parser: argparse.ArgumentParser) -> dict:
+    """Per command: its positionals, its options by exact string and its
+    defaults.  Only one-value store and store_true actions are modelled,
+    positionals required, options not, no str default (argparse types it)
+    and no group, so gen and any other command are left out."""
+    commands, = (a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    grammars = {}
+    for name, sub in commands.choices.items():
+        actions = [a for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        if sub._mutually_exclusive_groups or not all(
+                type(a) in (argparse._StoreAction, argparse._StoreTrueAction)
+                and a.nargs in (None, 0) and not isinstance(a.default, str)
+                and a.required != bool(a.option_strings) for a in actions):
+            continue
+        grammars[name] = ([a for a in actions if not a.option_strings],
+                          {s: a for a in actions for s in a.option_strings},
+                          {commands.dest: name, **sub._defaults,
+                           **{a.dest: a.default for a in actions}})
+    return grammars
+
+
+def _scan_args(argv):
+    """The Namespace parse_args(argv) returns, for a plain argv: a command,
+    then its positionals and the exact strings of its options, each value
+    of its action's type and choices, and no token but "-" starting with
+    "-".  None for any other argv, which argparse parses and reports."""
+    grammars = _grammars(_build_parser())
+    if not argv or argv[0] not in grammars:
+        return None
+    positionals, options, defaults = grammars[argv[0]]
+    values, taken, tokens = dict(defaults), 0, iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:  # the next positional takes the token
+            if taken == len(positionals):
+                return None
+            action, value, taken = positionals[taken], token, taken + 1
+        elif action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            continue
+        else:
+            value = next(tokens, None)
+        if value is None or value.startswith("-") and value != "-":
+            return None  # no value, or one argparse may read as an option
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values) if taken == len(positionals) else None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _scan_args(argv) or _build_parser().parse_args(argv)
     started = time.perf_counter()
     status, payload, error, code = "ok", None, None, 0
     try:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_
 
-from .digraph import Digraph, NeighborhoodReport, is_asymmetrical, neighborhoods
+from .digraph import (Digraph, NeighborhoodReport, _require_asymmetrical,
+                      neighborhoods)
 from .ears import EarDecomposition, require_decomposition
 from .errors import InvalidInputError, VerificationError
 
@@ -46,8 +47,7 @@ def seymour_vertex(d: Digraph, e: EarDecomposition) -> tuple[int, NeighborhoodRe
     single out-arc points at the ear's end, so the second neighborhood is
     that end's out-neighborhood.  A bare cycle qualifies everywhere.
     """
-    if not is_asymmetrical(d):
-        raise InvalidInputError("Seymour vertex needs an asymmetrical digraph")
+    _require_asymmetrical(d, "Seymour vertex")
     require_decomposition(d, e, 2, "Seymour vertex")
     if e.ears:
         v = e.ears[-1][-2]

@@ -342,6 +342,14 @@ def is_asymmetrical(d: Digraph) -> bool:
                                  map(itemgetter(0), d.arcs)))
 
 
+def _require_asymmetrical(d: Digraph, what: str) -> None:
+    """Refuse d if it has a digon, naming the least one as (u, v), u < v."""
+    if not is_asymmetrical(d):
+        pair = min(a for a in d.arcs if a[0] < a[1] and a[::-1] in d.arcs)
+        raise InvalidInputError(
+            f"{what} needs an asymmetrical digraph; digon {pair!s:.40}")
+
+
 def neighborhoods(d: Digraph, v: int) -> NeighborhoodReport:
     """First and second out-neighborhoods of v.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import Digraph, is_asymmetrical
+from .digraph import Digraph, _require_asymmetrical
 from .errors import CapExceededError, InvalidInputError, VerificationError
 from .tournaments import (_CLASS_COUNTS, HomomorphismSearch, compose_rows,
                           tournament_reps)
@@ -215,8 +215,7 @@ def oriented_chromatic_oracle(d: Digraph, k_max: int = ORIENTED_KMAX_CAP) -> Ora
             f"oriented chromatic oracle capped at target order {ORIENTED_KMAX_CAP}")
     if k_max < 1:
         raise InvalidInputError(f"target order must be >= 1, got {k_max}")
-    if not is_asymmetrical(d):
-        raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
+    _require_asymmetrical(d, "oriented coloring")
     search = HomomorphismSearch(d)
     tried = 0
     for k in range(1, k_max + 1):

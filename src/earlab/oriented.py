@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coloring import VertexMapping, verify_homomorphism
-from .digraph import Digraph, is_asymmetrical
+from .digraph import Digraph, _require_asymmetrical
 from .ears import EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
@@ -309,8 +309,7 @@ def oriented_coloring_le3(d: Digraph, e: EarDecomposition) -> VertexMapping:
     One ear-local pass (homomorphism_failing_stage) checks every stage; the
     last is d, as the parts cover d exactly once (require_decomposition).
     """
-    if not is_asymmetrical(d):
-        raise InvalidInputError("oriented coloring needs an asymmetrical digraph")
+    _require_asymmetrical(d, "oriented coloring")
     require_decomposition(d, e, 3, "oriented coloring")
     t = tournament_T()
     assignment = {e.base[0]: 0}

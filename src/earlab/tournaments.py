@@ -27,6 +27,11 @@ class Tournament:
     code: int
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise InvalidInputError(f"order must be an integer, got {self.k!r:.40}")
+        if type(self.code) is not int:
+            raise InvalidInputError(
+                f"tournament code must be an integer, got {self.code!r:.40}")
         if self.k < 0:  # order 0 is the empty tournament
             raise InvalidInputError("order must be >= 0")
         if self.code < 0 or self.code >= 1 << len(_pairs(self.k)):

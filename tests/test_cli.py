@@ -233,6 +233,87 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, c5_file):
     assert built.count("earlab") == 1
 
 
+def _subcommands():
+    commands, = (a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+def test_plain_calls_never_reach_argparse(capsys, monkeypatch, c5_file,
+                                          tmp_path):
+    members = tmp_path / "members.json"
+    members.write_text("[0, 2]")
+    calls = {
+        "decompose": [c5_file, "--min-ear-length", "2", "--budget", "50"],
+        "classify": [c5_file, "--max-level", "2"],
+        "seymour": [c5_file, "--decomposition", c5_file],
+        "transversal": [c5_file],
+        "quasi-kernel": [c5_file],
+        "kernel": ["--set", str(members), "extend", c5_file],
+        "color": [c5_file, "--exact"],
+        "oriented": ["-", "--budget", "7"],
+        "verify-T": [],
+        "census": [],
+        "oracle": ["oriented", c5_file, "--kmax", "3"],
+    }
+    # gen's required group is argparse's to check
+    assert set(calls) == set(_subcommands()) - {"gen"}
+
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr("sys.stdin", byte_stdin(Path(c5_file).read_bytes()))
+    for command, rest in calls.items():
+        code, doc = run(capsys, command, *rest)
+        assert doc["status"] == STATUS_OF_CODE[code], (command, doc)
+
+
+# values of the right and the wrong type, numbers _budget refuses, and
+# tokens that no subparser defines or that argparse reads in its own way
+SCAN_VALUES = ["3", "12", "0", " 4", "1.5", "x", "-5", "-", "", "a b", "g.txt"]
+SCAN_TOKENS = SCAN_VALUES + ["--dec", "--min", "--budget=5", "-h", "--"]
+
+
+@st.composite
+def scan_argvs(draw):
+    """A command, its positionals and some of its options with values, in
+    a drawn order; then up to two tokens of the whole alphabet put in."""
+    subs = _subcommands()
+    actions = [a for sub in subs.values() for a in sub._actions]
+    alphabet = sorted({*subs, *SCAN_TOKENS,
+                       *(s for a in actions for s in a.option_strings),
+                       *(c for a in actions for c in a.choices or ())})
+    command = draw(st.sampled_from(sorted(subs)))
+    chunks = []
+    for action in subs[command]._actions:
+        if isinstance(action, argparse._HelpAction) or (
+                action.option_strings and draw(st.booleans())):
+            continue
+        values = sorted(action.choices) if action.choices else SCAN_VALUES
+        flag = [draw(st.sampled_from(action.option_strings))] \
+            if action.option_strings else []
+        chunks.append(flag + ([] if action.nargs == 0
+                              else [draw(st.sampled_from(values))]))
+    argv = [command, *(t for chunk in draw(st.permutations(chunks)) for t in chunk)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))),
+                    draw(st.sampled_from(alphabet)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scan_argvs())
+def test_scan_gives_argparses_namespace_wherever_it_accepts(argv):
+    scanned = cli._scan_args(argv)
+    if scanned is not None:
+        try:
+            parsed = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which the scan accepts")
+        assert scanned == parsed, argv
+
+
 def test_seymour_refuses_a_repeated_interior_vertex(capsys, tmp_path,
                                                    c5_file):
     dec = tmp_path / "dec.json"

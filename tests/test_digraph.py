@@ -13,7 +13,11 @@ from earlab.digraph import (Digraph, NeighborhoodReport, digraph_from_json,
                             is_asymmetrical, is_kernel, is_nonseparable,
                             is_quasi_kernel, is_strong, neighborhoods,
                             parse_digraph, serialize_digraph, set_predicates)
+from earlab.constructions import seymour_vertex
+from earlab.ears import EarDecomposition
 from earlab.errors import CapExceededError, InvalidInputError, ParseError
+from earlab.oracles import oriented_chromatic_oracle
+from earlab.oriented import oriented_coloring_le3
 
 
 def test_cycle_and_dense_constructors():
@@ -28,6 +32,39 @@ def test_digon_is_a_two_cycle():
     d = Digraph.cycle(2)
     assert d.arcs == frozenset({(0, 1), (1, 0)})
     assert not is_asymmetrical(d)
+
+
+# the refusal's subject, and a call that refuses a digraph with a digon
+# before it reads the decomposition
+DIGON_REFUSALS = {
+    "seymour": ("Seymour vertex", lambda d: seymour_vertex(
+        d, EarDecomposition((0, 1, 0)))),
+    "oriented": ("oriented coloring", lambda d: oriented_coloring_le3(
+        d, EarDecomposition((0, 1, 0)))),
+    "oracle": ("oriented coloring", oriented_chromatic_oracle),
+}
+
+
+@st.composite
+def digraphs_with_a_digon(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    u, v = draw(st.lists(ids, min_size=2, max_size=2, unique=True))
+    arcs = {(a, b) for a, b in draw(st.sets(st.tuples(ids, ids))) if a != b}
+    return Digraph(range(n), arcs | {(u, v), (v, u)})
+
+
+@given(digraphs_with_a_digon(), st.sampled_from(sorted(DIGON_REFUSALS)))
+def test_digon_refusals_name_the_least_digon(d, refusal):
+    subject, refuse = DIGON_REFUSALS[refusal]
+    with pytest.raises(InvalidInputError) as caught:
+        refuse(d)
+    found = re.fullmatch(re.escape(subject) + r" needs an asymmetrical "
+                         r"digraph; digon \((\d+), (\d+)\)", str(caught.value))
+    assert found, str(caught.value)
+    named = (int(found[1]), int(found[2]))
+    digons = [(u, v) for u, v in sorted(d.arcs) if u < v and (v, u) in d.arcs]
+    assert named == digons[0]
 
 
 def test_loops_rejected():

@@ -61,6 +61,14 @@ EDGE_CASES = {
                         "order must be >= 1"),
     "tournament-of-order-minus-1": (lambda: Tournament(-1, 0), InvalidInputError,
                                     "order must be >= 0"),
+    "tournament-code-not-integer": (lambda: Tournament(3, 1.5), InvalidInputError,
+                                    "tournament code must be an integer, got 1.5"),
+    "tournament-order-str": (lambda: Tournament("a", 0), InvalidInputError,
+                             "order must be an integer, got 'a'"),
+    "tournament-order-float": (lambda: Tournament(2.5, 0), InvalidInputError,
+                               "order must be an integer, got 2.5"),
+    "tournament-order-bool": (lambda: Tournament(True, 0), InvalidInputError,
+                              "order must be an integer, got True"),
     "tournament-arc-off-range": (
         lambda: Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0), (0, 5), (1, 1)]),
         InvalidInputError, "bad arc entry (0, 5): need two distinct ids below 3"),

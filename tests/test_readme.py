@@ -48,7 +48,11 @@ def test_readme_cli_lines_parse():
                 if line.startswith("earlab ") and not line.endswith("\\")]
     assert len(commands) >= 12
     for line in commands:
-        parser.parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        expected = parser.parse_args(argv)
+        # every plain line takes the scan; gen's required group is argparse's
+        if argv[0] != "gen":
+            assert cli._scan_args(argv) == expected, line
 
 
 def test_readme_quick_tour_runs():
