@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .digraph import Digraph
 from .ears import EarDecomposition, require_decomposition
 from .errors import InvalidInputError, VerificationError
-from .oracles import CHROMATIC_CAP, chromatic_oracles
+from .oracles import CHROMATIC_CAP, _dichromatic
 
 KINDS = ("proper", "oriented", "homomorphism")
 
@@ -118,11 +118,11 @@ def dichromatic_bounds(d: Digraph, e: EarDecomposition,
 
     The constructed proper coloring gives 3 as an upper bound and is kept
     as its witness; strongness gives 2 as a lower bound since one class
-    cannot swallow a cycle.  The exact value comes from the oracle at desk
-    scale.
+    cannot swallow a cycle.  The exact value comes from the oracle's
+    dichromatic search alone at desk scale.
     """
     coloring = proper_3_coloring(d, e)
     exact = None
     if force_exact or d.n <= CHROMATIC_CAP:
-        exact = chromatic_oracles(d).details["dichromatic"]
+        exact = _dichromatic(d)[0]
     return DichromaticBounds(lower=2, upper=3, exact=exact, coloring=coloring)

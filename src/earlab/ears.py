@@ -385,9 +385,9 @@ class _Remainder:
             del self.order[bisect_left(self.order, thread)]
 
     def may_be_stage(self) -> bool:
-        """Necessary for the remainder to be a stage, strongness aside."""
+        """Necessary for the remainder, strong, to be a stage."""
         return (self._room(self.m, self.n)
-                and (self.allow_cycle_ears or nonseparable(self.out, self.inn)))
+                and (self.allow_cycle_ears or self._nonseparable()))
 
     def _room(self, m: int, n: int) -> bool:
         """Room for m - n ears of length >= min_len beside a base of >= 2
@@ -406,9 +406,23 @@ class _Remainder:
         only out-arc on P.  So an x0-xr path of D - P in place of P turns
         every u-v path of D into a u-v walk of D - P.  A closed thread
         (x0 = xr) needs no such path, so peeling it always leaves a strong
-        remainder.  In path-ears mode the remainder must also be
-        nonseparable: one lowpoint DFS over its own rows, the one step of
-        a try that costs O(n + m).
+        remainder.
+
+        In path-ears mode the remainder must also be nonseparable, which
+        the peel decides once its threads are relinked, undoing the peel
+        if not, on the thread multigraph M: its vertices are the branch
+        vertices (those not plain), with one edge per thread joining its
+        ends.  A strong remainder R other than a cycle is a subdivision of
+        M in which no subdivision vertex is a cut vertex (Whitney 1932).
+        Proof: each arc of R lies on one thread, and each inner vertex of
+        a thread on no other.  Deleting an inner vertex of a thread P from
+        u to w leaves R - P with the two pieces of P hanging from u and w;
+        R - P is connected, since P lies on a cycle of R, whose rest joins
+        w back to u outside P.  So R is nonseparable iff no branch vertex
+        is a cut vertex, and deleting a branch vertex b splits R as it
+        splits M, each thread without b hanging from its other end.  A
+        closed thread at b is cut off by b, so R is then separable; with
+        none, b is a cut vertex of R iff of M.
         """
         t = thread[1]
         r = len(t) - 1
@@ -417,10 +431,28 @@ class _Remainder:
         if t[0] != t[-1] and not self._reaches_around(t):
             return None
         self._cut(t)
-        if self.allow_cycle_ears or nonseparable(self.out, self.inn):
-            return self._relink(thread)
-        self._uncut(t)
+        log = self._relink(thread)
+        if self.allow_cycle_ears or self._nonseparable():
+            return log
+        self.unpeel(thread, log)
         return None
+
+    def _nonseparable(self) -> bool:
+        """The remainder, strong, is nonseparable: one lowpoint DFS over
+        its thread multigraph (see peel).  Every branch vertex is a
+        thread's tail and a thread's head, so both rows cover its vertices.
+        """
+        if self.m == self.n:
+            return True
+        out: dict[int, list[int]] = {}
+        inn: dict[int, list[int]] = {}
+        for _, t, _ in self.first.values():
+            x0, xr = t[0], t[-1]
+            if x0 == xr:
+                return False
+            out.setdefault(x0, []).append(xr)
+            inn.setdefault(xr, []).append(x0)
+        return nonseparable(out, inn)
 
     def unpeel(self, thread: tuple, log: list) -> None:
         for entry, added in reversed(log):
@@ -525,7 +557,8 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = DEFAULT_BUDGET,
 
     One remainder is edited in place and a peel is undone when its frame
     pops, so a try costs the peeled thread, one reachability test and, on
-    success, the threads through its two ends (see _Remainder).
+    success, the threads through its two ends (see _Remainder), plus in
+    path-ears mode one DFS over the threads (_Remainder._nonseparable).
     """
     if i < 1:
         raise InvalidInputError("minimum ear length must be >= 1")

@@ -8,12 +8,14 @@ x0 and p1 are both in; restriction pulls a kernel of the input back unless
 x0 is out and p1 in.  Tracing lists every kernel of every stage and
 classifies the result against the two parity dichotomies.  The input is
 indexed once, in the order the parts add vertices, so each stage is a
-prefix of that index; every stage is scanned whole, with its own rows,
-branching only on the vertices whose out-degree is not 1.
+prefix of that index.  One forward pass over the ears carries the forced
+forest from stage to stage, and each stage's scan branches only on the
+vertices whose out-degree is not 1.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .constructions import CertifiedSet, _stride_back
@@ -102,12 +104,23 @@ def _last_ear(d: Digraph, e: EarDecomposition) -> tuple[int, ...]:
     return e.ears[-1]
 
 
-def _is_kernel_on(d: Digraph, vertices: frozenset[int], s: frozenset[int]) -> bool:
-    """s is a kernel of d on these vertices (InvalidInputError if it leaves
-    them): d's out-neighbourhoods serve, as s holds no other vertex."""
+def _kernel_violation(d: Digraph, vertices: frozenset[int],
+                      s: frozenset[int]) -> str | None:
+    """None if s is a kernel of d on these vertices (InvalidInputError if
+    it leaves them), else what keeps it from being one, at the least
+    vertex that does: a member with an out-neighbour in s (the least one
+    is named) or a non-member with none.  d's out-neighbourhoods serve,
+    as s holds no other vertex."""
     if not s <= vertices:
         raise InvalidInputError(f"set {sorted(s - vertices)!s:.40} not in digraph")
-    return all((v in s) == s.isdisjoint(d.out_neighbors(v)) for v in vertices)
+    v = min((v for v in vertices if (v in s) != s.isdisjoint(d.out_neighbors(v))),
+            default=None)
+    if v is None:
+        return None
+    if v in s:
+        w = min(s.intersection(d.out_neighbors(v)))
+        return f"member {v} has out-neighbour {w} in the set"
+    return f"non-member {v} has no out-neighbour in the set"
 
 
 def restrict_kernel(d: Digraph, e: EarDecomposition,
@@ -116,16 +129,17 @@ def restrict_kernel(d: Digraph, e: EarDecomposition,
     PropertyFailedError if n_prime is no kernel of d."""
     p = _last_ear(d, e)
     n_prime = frozenset(n_prime)
-    if not _is_kernel_on(d, d.vertices, n_prime):
-        raise PropertyFailedError(
-            f"{sorted(n_prime)!s:.40} is not a kernel of the glued digraph")
+    violation = _kernel_violation(d, d.vertices, n_prime)
+    if violation:
+        raise PropertyFailedError(f"{sorted(n_prime)!s:.40} is not a kernel "
+                                  f"of the glued digraph; {violation}")
     x0_in, xr_in, r = p[0] in n_prime, p[-1] in n_prime, len(p) - 1
     condition = restrict_condition(x0_in, xr_in, r)
     if condition is None:
         return KernelObstruction("restrict", x0_in, xr_in, r)
     stage = d.vertices.difference(p[1:-1])
     restricted = n_prime & stage
-    if not _is_kernel_on(d, stage, restricted):
+    if _kernel_violation(d, stage, restricted):
         raise VerificationError(
             f"restriction {sorted(restricted)} under condition {condition} "
             f"is not a kernel of the stage digraph")
@@ -139,15 +153,16 @@ def extend_kernel(d: Digraph, e: EarDecomposition,
     p = _last_ear(d, e)
     stage = d.vertices.difference(p[1:-1])
     n = frozenset(n)
-    if not _is_kernel_on(d, stage, n):
-        raise PropertyFailedError(
-            f"{sorted(n)!s:.40} is not a kernel of the stage digraph")
+    violation = _kernel_violation(d, stage, n)
+    if violation:
+        raise PropertyFailedError(f"{sorted(n)!s:.40} is not a kernel "
+                                  f"of the stage digraph; {violation}")
     x0_in, xr_in, r = p[0] in n, p[-1] in n, len(p) - 1
     case = extend_case(x0_in, xr_in, r)
     if case is None:
         return KernelObstruction("extend", x0_in, xr_in, r)
     extended = n | {p[t] for t in _stride_back(r, xr_in, 2)}
-    if not _is_kernel_on(d, d.vertices, extended):
+    if _kernel_violation(d, d.vertices, extended):
         raise VerificationError(
             f"extension {sorted(extended)} under case {case} "
             f"is not a kernel of the glued digraph")
@@ -180,51 +195,21 @@ def _check_trace_caps(d: Digraph) -> None:
             f"(out-degree other than 1), got {branch}")
 
 
-def _forced_absorbing_sets(verts: list[int], sym: list[int],
-                           rows: list[int]) -> list[tuple[int, ...]]:
-    """The kernels oracles._absorbing_sets finds for these out-rows, as
-    sorted member tuples in lexicographic order, branching only where
-    there is a choice.
+def _branch_kernels(verts: list[int], n: int, out: list[int], branch: list[int],
+                    blocks: dict[int, list[int]], reach: dict[int, list[int]]
+                    ) -> list[tuple[int, ...]]:
+    """The kernels of the digraph on the first n indexed vertices, as
+    sorted member tuples in lexicographic order, given its forced forest:
+    the branch vertices in index order, and per branch vertex r and
+    choice c (1 in, 0 out) the block of vertices that choice puts in the
+    set and the vertices adjacent to them (see trace_kernels).
 
-    A vertex is forced when its out-row is one vertex w: it is in every
-    kernel iff w is not (the second lemma in trace_kernels).  Every other
-    vertex branches, and so does the first vertex met on each closed chain
-    of forced vertices.
-    Following successors, each forced vertex reaches one branch vertex, its
-    root, and is in the set iff the root is, at even distance, or is not,
-    at odd.  So each choice of a branch vertex, in or out, decides a whole
-    block of vertices.  The scan enumerates the choices whose blocks are
-    independent, pairwise and inside, and checks that each branch vertex
-    left out is absorbed as soon as the choices deciding its row are made;
-    a forced vertex left out is absorbed by its successor, which is in.
+    The scan enumerates the choices whose blocks are independent,
+    pairwise and inside, and checks that each branch vertex left out is
+    absorbed as soon as the choices deciding its row are made; a forced
+    vertex left out is absorbed by its successor, which is in.
     """
-    n = len(verts)
-    succ = [row.bit_length() - 1 if row and not row & (row - 1) else -1
-            for row in rows]
-    order: list[int] = []  # forced vertices, each after its successor
-    placed = [s < 0 for s in succ]
-    for v in range(n):
-        path = []
-        while not placed[v]:
-            placed[v] = True
-            path.append(v)
-            v = succ[v]
-        if v in path:  # a closed chain: its first vertex branches instead
-            succ[v] = -1
-            path.remove(v)
-        order.extend(reversed(path))
-    # blocks[r][c] holds what root r's choice c (1 in, 0 out) puts in the
-    # set, and reach[r][c] the vertices adjacent to them
-    root = list(range(n))
-    when = [1] * n
-    blocks = [[0, 1 << i] for i in range(n)]
-    reach = [[0, sym[i]] for i in range(n)]
-    for v in order:
-        r = root[v] = root[succ[v]]
-        c = when[v] = 1 - when[succ[v]]
-        blocks[r][c] |= 1 << v
-        reach[r][c] |= sym[v]
-    branch = [i for i in range(n) if succ[i] < 0]
+    cut = (1 << n) - 1
     options = [[(blk, adj) for blk, adj in zip(blocks[r], reach[r])
                 if not blk & adj] for r in branch]
     # a branch vertex left out is checked once the choices deciding it and
@@ -235,16 +220,17 @@ def _forced_absorbing_sets(verts: list[int], sym: list[int],
         decided |= blocks[r][0] | blocks[r][1]
         prefix.append(decided)
     for k, b in enumerate(branch):
-        last = k
-        while rows[b] & ~prefix[last]:
+        row, last = out[b] & cut, k
+        while row & ~prefix[last]:
             last += 1
-        checks[last].append((1 << b, rows[b]))
+        checks[last].append((1 << b, row))
     found: list[tuple[int, ...]] = []
+    members = verts[:n]
     stack = [(0, 0, 0)]
     while stack:
         idx, mask, blocked = stack.pop()
         if idx == len(branch):
-            found.append(tuple(sorted(v for i, v in enumerate(verts)
+            found.append(tuple(sorted(v for i, v in enumerate(members)
                                       if mask >> i & 1)))
             continue
         for blk, adj in options[idx]:
@@ -263,14 +249,67 @@ def _forced_absorbing_sets(verts: list[int], sym: list[int],
 def _stage_kernels(d: Digraph, e: EarDecomposition):
     """d indexed once in e's vertex order (verts and out-rows), each
     stage's vertex count (e.ends), and each stage's kernels in
-    lexicographic order: stage j is d on the first e.ends[j] vertices (see
-    trace_kernels), scanned with its out-rows cut to them."""
+    lexicographic order: stage j is d on the first e.ends[j] vertices.
+    One forward pass over the ears carries the forced forest from stage
+    to stage (see trace_kernels): each forced vertex's successor, root and
+    parity (when, 1 at a root), the forced vertices that follow each
+    vertex (kids), and each branch vertex's blocks and reach.
+    """
     verts, out, sym = _index_maps(d, list(e.order))
-    lists = []
-    for n in e.ends:  # a set never holds a vertex past n, so sym needs no cut
-        cut = (1 << n) - 1
-        lists.append(_forced_absorbing_sets(verts[:n], sym,
-                                            [row & cut for row in out[:n]]))
+    pos = dict(zip(verts, range(len(verts))))
+    size, n0 = len(verts), e.ends[0]
+    succ, kids = [-1] * size, [[] for _ in range(size)]
+    root, when = [0] * size, [1] * size
+    blocks, reach = {0: [0, 1]}, {0: [0, sym[0]]}
+
+    def hang(v: int, s: int) -> None:  # forced v follows s, from s's root
+        succ[v] = s
+        kids[s].append(v)
+        r = root[v] = root[s]
+        c = when[v] = 1 - when[s]
+        blocks[r][c] |= 1 << v
+        reach[r][c] |= sym[v]
+
+    # stage 0, the base cycle, is one closed chain of forced vertices: it
+    # branches at index 0
+    for i in range(n0 - 1, 0, -1):
+        hang(i, (i + 1) % n0)
+    branch = [0]
+    lists = [_branch_kernels(verts, n0, out, branch, blocks, reach)]
+    for j, (p, n) in enumerate(zip(e.ears, e.ends)):
+        x0 = pos[p[0]]
+        if succ[x0] >= 0:  # x0 stops being forced: its in-tree hangs from it
+            old = root[x0]
+            kids[succ[x0]].remove(x0)
+            succ[x0] = -1
+            if j == 0:  # the base chain dissolves: index 0 follows index 1
+                succ[0] = 1
+                kids[1].append(0)
+                branch.remove(0)
+            insort(branch, x0)
+            root[x0], when[x0] = x0, 1
+            blocks[x0], reach[x0] = [0, 0], [0, 0]
+            tree = [x0]
+            for v in tree:
+                blocks[x0][when[v]] |= 1 << v
+                reach[x0][when[v]] |= sym[v]
+                for u in kids[v]:
+                    root[u], when[u] = x0, 1 - when[v]
+                    tree.append(u)
+            moved = blocks[x0][0] | blocks[x0][1]
+            for c in (0, 1):  # the old root keeps the rest, and their reach
+                rest = blocks[old][c] = blocks[old][c] & ~moved
+                reach[old][c] = 0
+                while rest:
+                    low = rest & -rest
+                    reach[old][c] |= sym[low.bit_length() - 1]
+                    rest ^= low
+        nxt = pos[p[-1]]  # the interior hangs from xr, parity alternating
+        for v in range(n + len(p) - 3, n - 1, -1):
+            hang(v, nxt)
+            nxt = v
+        lists.append(_branch_kernels(verts, n + len(p) - 2, out, branch,
+                                     blocks, reach))
     return verts, out, list(e.ends), lists
 
 
@@ -308,9 +347,8 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     length >= 2, has an end in that ear's interior, which comes after the
     first n_j.  So an arc of D joining two of them is an arc of D_j, and
     D_j's out-rows are D's first n_j out-rows cut to the first n_j
-    vertices.  Every stage, the last included, is scanned whole with
-    those rows, and its reported kernel is re-checked on them
-    (_is_prefix_kernel) before it is returned.
+    vertices.  Every stage's reported kernel, the last stage's included,
+    is re-checked on those rows (_is_prefix_kernel) before it is returned.
 
     The rules read one kernel across one ear by this lemma.  Let
     P = x0 p1 ... p(r-1) xr (r >= 2) be the ear glued onto D_j.  K is a
@@ -338,12 +376,33 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     v be a vertex whose out-row has one vertex w.  Then every kernel holds
     v iff it does not hold w.  Proof: if v is in the kernel, independence
     on the arc v w keeps w out; if v is out, the kernel absorbs v, and
-    only w can.  So the scan (_forced_absorbing_sets) chooses only for the
-    branch vertices, those of out-degree other than 1, in index order, and
-    fills each other vertex from its successor.  A cycle of forced
-    vertices has no arc leaving it, so in a strong stage it is the whole
-    stage: it occurs only in D_0, the base cycle, and the scan then
-    branches on one of its vertices.
+    only w can.  So a scan (_branch_kernels) chooses only for the branch
+    vertices, those of out-degree other than 1, in index order, and fills
+    each other vertex from its successor.  Following successors, each
+    forced vertex reaches one branch vertex, its root, and is in the set
+    iff the root is, at even distance, or is not, at odd: each choice of
+    a root decides a block.  These successors, roots and parities are the
+    forced forest.  A cycle of forced vertices has no arc leaving it, so
+    in a strong stage it is the whole stage: it occurs only in D_0, the
+    base cycle, and the scan then branches at index 0.
+
+    The forest is carried from stage to stage, by a third lemma: D_{j+1}'s
+    out-rows are D_j's except x0's, which gains p1, and the new rows of
+    the interior, p_t's being p_{t+1} alone.  Proof: by the prefix lemma
+    above, each arc of D_{j+1} not in D_j is an arc of P, and the only
+    one of them leaving an old vertex is x0 p1.  So every forced vertex
+    of D_j but x0 keeps its successor, and so its root and parity, unless
+    its path of successors runs through x0.  If x0 was forced it now
+    branches, and only its in-tree, the vertices whose successors lead
+    to it, moves: it hangs from x0, and the old root keeps the rest of its
+    block, whose reach is recomputed from the members left.  At stage 1
+    the base chain opens unless x0 is index 0: index 0, which branched
+    only to break the chain, follows index 1, and the whole base becomes
+    x0's in-tree.  The new interior hangs from xr, p_t in iff p_{t+1} is
+    not.  A move costs the two blocks it touches and happens once per
+    vertex that turns into a branch vertex, so the pass costs the ears'
+    lengths plus the vertices once per branch vertex of D, beside the
+    scans themselves.
 
     Two caps bound the work.  A stage's other branch vertices are among
     the input's: a strong stage on two or more vertices keeps each
@@ -352,9 +411,9 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
     choices, the bound the kernel oracle's 20 vertices give.  The number
     of kernels is not bounded otherwise: a subdivided symmetric cycle has
     as many kernels as the cycle, exponentially many in its length.
-    Every stage is scanned whole, so the rest grows with the number of
-    ears times the vertices, and the input is capped at TRACE_VERTEX_CAP
-    vertices.
+    Every kernel of every stage is listed as a sorted tuple, which grows
+    with the kernels times the vertices, and the input is capped at
+    TRACE_VERTEX_CAP vertices.
     """
     if direction not in ("forward", "backward"):
         raise InvalidInputError("direction must be forward or backward")

@@ -169,6 +169,18 @@ def _class_acyclic(mask: int, out: list[int]) -> bool:
     return True
 
 
+def _dichromatic(d: Digraph):
+    """Exact dichromatic number of d by ascending-k backtracking, each
+    vertex's class (from 0) in a partition into that many acyclic
+    classes, and d's index in sorted order: its vertices and symmetric
+    rows, which the chromatic search reuses."""
+    _check_cap(d, CHROMATIC_CAP, "chromatic")
+    verts, out, sym = _index_maps(d, sorted(d.vertices))
+    k, classes = _fewest_classes(
+        len(verts), lambda v, members: _class_acyclic(members | 1 << v, out))
+    return k, classes, verts, sym
+
+
 def chromatic_oracles(d: Digraph) -> OracleReport:
     """Exact chromatic number of the underlying graph plus exact dichromatic
     number, both by ascending-k backtracking.
@@ -176,12 +188,9 @@ def chromatic_oracles(d: Digraph) -> OracleReport:
     Unlike the other oracles it does not count its search: search_space_size
     is always 0.
     """
-    _check_cap(d, CHROMATIC_CAP, "chromatic")
-    verts, out, sym = _index_maps(d, sorted(d.vertices))
+    dichi, dcol, verts, sym = _dichromatic(d)
     n = len(verts)
     chi, ccol = _fewest_classes(n, lambda v, members: not sym[v] & members)
-    dichi, dcol = _fewest_classes(
-        n, lambda v, members: _class_acyclic(members | 1 << v, out))
     return OracleReport(
         quantity="chromatic_numbers",
         value=chi,

@@ -1,6 +1,7 @@
-"""Print one hash of the benchmark's op payloads per workload.
+"""Print one hash of the benchmark's op payloads per workload, or per op.
 
     python tests/payload_hashes.py
+    python tests/payload_hashes.py --ops
 
 Run from the root of an earlab checkout.  For each workload of
 perfbench/run.py at seed 11, the seeded op list is built and run once
@@ -8,12 +9,17 @@ in-process, as a benchmark pass runs it, and one line is printed: the
 workload, its op count and the first 16 hex digits of a SHA-256 over each
 op's stdout (timing field zeroed by checkers.normalized) followed by its
 exit code as str(code), in op order.  Two checkouts whose lines match
-print the same bytes on every op.  Nothing in the checkout is written: the
-inputs go to a temporary directory that is removed afterwards, and no
-bytecode is cached.
+print the same bytes on every op.  With --ops, one line per op instead:
+the workload, the op id, its argv with each input path cut to its file
+name, and the first 16 hex digits of a SHA-256 over that op's bytes
+alone; diffing two checkouts' listings names the ops whose output
+changed.  Nothing in the checkout is written: the inputs go to a
+temporary directory that is removed afterwards, and no bytecode is cached.
 """
 
+import argparse
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -28,21 +34,33 @@ import run  # noqa: E402  (perfbench/run.py)
 SEED = 11
 
 
-def workload_hash(workload: str, workdir: str) -> tuple[int, str]:
+def op_outputs(workload: str, workdir: str):
+    """Each op of the workload with the bytes it is hashed by: its
+    normalized stdout, then its exit code as str(code)."""
     _, ctx = run.setup(workload, SEED, workdir)
-    digest = hashlib.sha256()
     for op in ctx.plan.ops:
         _, code, text = run.call(ctx.earlab.cli.main, op.argv)
-        digest.update(checkers.normalized(text).encode())
-        digest.update(str(code).encode())
-    return len(ctx.plan.ops), digest.hexdigest()[:16]
+        yield op, (checkers.normalized(text) + str(code)).encode()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ops", action="store_true",
+                        help="print one line per op instead of per workload")
+    args = parser.parse_args(argv)
     for workload in run.workloads.WORKLOADS:
         with tempfile.TemporaryDirectory() as workdir:
-            count, digest = workload_hash(workload, workdir)
-        print(workload, count, digest)
+            digest, count = hashlib.sha256(), 0
+            for op, output in op_outputs(workload, workdir):
+                digest.update(output)
+                count += 1
+                if args.ops:
+                    short = " ".join(os.path.basename(a) if a.startswith(workdir)
+                                     else a for a in op.argv)
+                    print(workload, op.id, short,
+                          hashlib.sha256(output).hexdigest()[:16])
+        if not args.ops:
+            print(workload, count, digest.hexdigest()[:16])
     return 0
 
 

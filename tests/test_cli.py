@@ -729,10 +729,12 @@ CASES = [
     Case("extend-across-searched-ear", "kernel extend {g} --set {s}",
          files={"g": EAR4_G, "s": "[0, 2]"}, payload=has(members=[0, 2, 5])),
     Case("restrict-non-kernel", "kernel restrict {g} --set {s}", 1,
-         "[0, 2] is not a kernel of the glued digraph", {"g": EAR4_G, "s": "[0, 2]"}),
+         "[0, 2] is not a kernel of the glued digraph; non-member 4 has no "
+         "out-neighbour in the set", {"g": EAR4_G, "s": "[0, 2]"}),
     # a 1,004-vertex path-ears search is decided within its budget
     Case("extend-empty-set-400-ears", "kernel extend {g} --set {s}", 1,
-         "[] is not a kernel of the stage digraph", {"s": "[]", "g": Gen(
+         "[] is not a kernel of the stage digraph; non-member 0 has no "
+         "out-neighbour in the set", {"s": "[]", "g": Gen(
              "--le --base 5 --ears 400 --min-ear-length 3 --max-ear-length 4 "
              "--seed 3")}),
     # --set is checked and read before the input, and so is a flag that the
@@ -1090,7 +1092,8 @@ def test_kernel_refusals_echo_a_bounded_set(capsys, tmp_path, action, members,
     error = json.loads(out)["error"]
     assert code == 1
     assert error.startswith("[0, 1, 2, ")
-    assert error.endswith(f" is not a kernel of the {where} digraph")
+    assert error.endswith(f" is not a kernel of the {where} digraph; "
+                          "member 0 has out-neighbour 1 in the set")
     assert len(out) < 1024, error[:100]
 
 

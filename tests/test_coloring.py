@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earlab import oracles
 from earlab.coloring import (VertexMapping, dichromatic_bounds,
                              proper_3_coloring,
                              verify_homomorphism, verify_proper)
@@ -99,6 +100,23 @@ def test_dichromatic_bounds_exact_on_small_instances():
     assert (b.lower, b.upper) == (2, 3)
     assert b.exact == 2
     assert b.to_json() == {"lower": 2, "upper": 3, "exact": 2}
+
+
+def test_dichromatic_bounds_run_only_the_dichromatic_search(monkeypatch):
+    # the oracle's two searches, chromatic and dichromatic, counted
+    searches = []
+    fewest = oracles._fewest_classes
+    monkeypatch.setattr(oracles, "_fewest_classes",
+                        lambda n, fits: searches.append(n) or fewest(n, fits))
+    for seed in range(8):
+        d, e = generate_random_le(base_length=3 + seed % 3, ear_count=2,
+                                  min_ear_length=2, max_ear_length=3,
+                                  seed=seed)
+        searches.clear()
+        exact = dichromatic_bounds(d, e).exact
+        assert searches == [d.n]
+        assert exact == chromatic_oracles(d).details["dichromatic"]
+        assert len(searches) == 3
 
 
 def test_dichromatic_bounds_skip_oracle_when_large():

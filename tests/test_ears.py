@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import earlab.ears as ears_mod
-from earlab.digraph import Digraph, is_asymmetrical, is_nonseparable, is_strong
+from earlab.digraph import (Digraph, is_asymmetrical, is_nonseparable, is_strong,
+                            nonseparable)
 from earlab.ears import (DEFAULT_BUDGET, EarDecomposition, _self_checked,
                          _shortest_cycle_through, _spend,
                          find_ear_decomposition, find_le_decomposition,
@@ -756,6 +757,33 @@ def test_search_work_is_bounded_on_400_ears(monkeypatch):
     found = find_le_decomposition(d, i=3)
     assert found is not None and len(found.ears) == 400
     assert calls == {"is_strong": 1, "Digraph": 0}
+
+
+def test_thread_multigraph_decides_nonseparability_at_every_peel(monkeypatch):
+    # each answer the path-ears search reads, at the root and after each
+    # relinked peel, against the lowpoint DFS over the remainder's own rows
+    real = ears_mod._Remainder._nonseparable
+    answers = []
+
+    def checked(rest):
+        got = real(rest)
+        assert got == nonseparable(rest.out, rest.inn), sorted(rest.first)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(ears_mod._Remainder, "_nonseparable", checked)
+    small = [d for n in (2, 3, 4) for d in strong_digraphs(n)]
+    ladder = [generate_random_le(base_length=4, ear_count=ears,
+                                 min_ear_length=2, max_ear_length=4,
+                                 seed=seed)[0]
+              for ears in (6, 8, 10, 12, 14, 16) for seed in range(3)]
+    for d, i in [(d, i) for d in small for i in (1, 2, 3)] + \
+            [(d, i) for d in ladder for i in (1, 2)]:
+        try:
+            find_le_decomposition(d, i, allow_cycle_ears=False)
+        except BudgetExceededError:
+            pass
+    assert len(answers) > 8_000 and not all(answers)
 
 
 def test_thousand_ear_scaling_instance_is_decided_within_default_budget():

@@ -13,9 +13,8 @@ from earlab.ears import (EarDecomposition, generate_random_le,
                          require_decomposition)
 from earlab.errors import (InvalidInputError, PropertyFailedError,
                            VerificationError)
-from earlab.kernels import (KernelObstruction, _forced_absorbing_sets,
-                            extend_case, extend_kernel, restrict_condition,
-                            restrict_kernel, trace_kernels)
+from earlab.kernels import (KernelObstruction, extend_case, extend_kernel,
+                            restrict_condition, restrict_kernel, trace_kernels)
 from earlab.oracles import _absorbing_sets, _index_maps, kernel_oracle
 
 
@@ -179,13 +178,20 @@ def test_cycle_ears_are_rejected():
 
 
 def test_extend_checks_input_is_kernel():
-    # a caller's set, not a built certificate: PropertyFailedError itself
+    # a caller's set, not a built certificate: PropertyFailedError itself,
+    # naming the first violation in sorted order
     d, e = c4_plus((0, 4, 2))
-    for op, digraph in ((extend_kernel, "stage"), (restrict_kernel, "glued")):
+    for op, digraph, members, violation in (
+            (extend_kernel, "stage", (0, 1), "member 0 has out-neighbour 1"),
+            (restrict_kernel, "glued", (0, 1), "member 0 has out-neighbour 1"),
+            (extend_kernel, "stage", (1,), "non-member 2 has no out-neighbour"),
+            (restrict_kernel, "glued", (1, 3),
+             "non-member 4 has no out-neighbour")):
         with pytest.raises(PropertyFailedError) as info:
-            op(d, e, (0, 1))
+            op(d, e, members)
         assert type(info.value) is PropertyFailedError
-        assert str(info.value) == f"[0, 1] is not a kernel of the {digraph} digraph"
+        assert str(info.value) == (f"{list(members)} is not a kernel of the "
+                                   f"{digraph} digraph; {violation} in the set")
 
 
 def test_extend_refuses_a_set_outside_the_stage():
@@ -361,6 +367,98 @@ def test_trace_matches_the_per_stage_oracle():
                 assert doc == trace_kernels(d, e, direction), e
 
 
+def _forced_absorbing_sets(verts: list[int], sym: list[int],
+                           rows: list[int]) -> list[tuple[int, ...]]:
+    """The kernels oracles._absorbing_sets finds for these out-rows, as
+    sorted member tuples in lexicographic order, branching only where
+    there is a choice.
+
+    A vertex is forced when its out-row is one vertex w: it is in every
+    kernel iff w is not (the second lemma in trace_kernels).  Every other
+    vertex branches, and so does the first vertex met on each closed chain
+    of forced vertices.
+    Following successors, each forced vertex reaches one branch vertex, its
+    root, and is in the set iff the root is, at even distance, or is not,
+    at odd.  So each choice of a branch vertex, in or out, decides a whole
+    block of vertices.  The scan enumerates the choices whose blocks are
+    independent, pairwise and inside, and checks that each branch vertex
+    left out is absorbed as soon as the choices deciding its row are made;
+    a forced vertex left out is absorbed by its successor, which is in.
+    """
+    n = len(verts)
+    succ = [row.bit_length() - 1 if row and not row & (row - 1) else -1
+            for row in rows]
+    order: list[int] = []  # forced vertices, each after its successor
+    placed = [s < 0 for s in succ]
+    for v in range(n):
+        path = []
+        while not placed[v]:
+            placed[v] = True
+            path.append(v)
+            v = succ[v]
+        if v in path:  # a closed chain: its first vertex branches instead
+            succ[v] = -1
+            path.remove(v)
+        order.extend(reversed(path))
+    # blocks[r][c] holds what root r's choice c (1 in, 0 out) puts in the
+    # set, and reach[r][c] the vertices adjacent to them
+    root = list(range(n))
+    when = [1] * n
+    blocks = [[0, 1 << i] for i in range(n)]
+    reach = [[0, sym[i]] for i in range(n)]
+    for v in order:
+        r = root[v] = root[succ[v]]
+        c = when[v] = 1 - when[succ[v]]
+        blocks[r][c] |= 1 << v
+        reach[r][c] |= sym[v]
+    branch = [i for i in range(n) if succ[i] < 0]
+    options = [[(blk, adj) for blk, adj in zip(blocks[r], reach[r])
+                if not blk & adj] for r in branch]
+    # a branch vertex left out is checked once the choices deciding it and
+    # every vertex of its row are made
+    checks: list[list[tuple[int, int]]] = [[] for _ in branch]
+    decided, prefix = 0, []
+    for r in branch:
+        decided |= blocks[r][0] | blocks[r][1]
+        prefix.append(decided)
+    for k, b in enumerate(branch):
+        last = k
+        while rows[b] & ~prefix[last]:
+            last += 1
+        checks[last].append((1 << b, rows[b]))
+    found: list[tuple[int, ...]] = []
+    stack = [(0, 0, 0)]
+    while stack:
+        idx, mask, blocked = stack.pop()
+        if idx == len(branch):
+            found.append(tuple(sorted(v for i, v in enumerate(verts)
+                                      if mask >> i & 1)))
+            continue
+        for blk, adj in options[idx]:
+            if blk & blocked:
+                continue
+            grown = mask | blk
+            for bit, row in checks[idx]:
+                if not (grown & bit or row & grown):
+                    break
+            else:
+                stack.append((idx + 1, grown, blocked | adj))
+    found.sort()
+    return found
+
+
+def rescanned_stage_kernels(d: Digraph, e: EarDecomposition):
+    """Reference for kernels._stage_kernels: every stage scanned whole by
+    _forced_absorbing_sets, with d's out-rows cut to its vertices."""
+    verts, out, sym = _index_maps(d, list(e.order))
+    lists = []
+    for n in e.ends:  # a set never holds a vertex past n, so sym needs no cut
+        cut = (1 << n) - 1
+        lists.append(_forced_absorbing_sets(verts[:n], sym,
+                                            [row & cut for row in out[:n]]))
+    return verts, out, list(e.ends), lists
+
+
 def stage_scans(e):
     """Each stage's own out-rows, on its vertices in sorted order and in
     the order the parts add them."""
@@ -388,6 +486,46 @@ def test_forced_scan_matches_the_oracle_scan():
         expected = sorted(tuple(sorted(s))
                           for s in _absorbing_sets(verts, sym, rows)[0])
         assert _forced_absorbing_sets(verts, sym, rows) == expected, verts
+
+
+def few_branch_instances():
+    """Seeded path-ears LE_2 instances of 30-60 ears whose ears start at
+    20 vertices or fewer, so their traces stay within the branch cap.  A
+    start is often an earlier ear's interior vertex, whose in-tree the
+    forward pass then re-roots."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = 2 + seed % 3
+        base, parts, starts = (*range(n), 0), [], []
+        for _ in range(30 + 6 * seed):
+            if len(starts) < 20 and rng.random() < 0.4:
+                starts.append(rng.randrange(n))
+            x0 = rng.choice(starts or [0])
+            xr = rng.choice([v for v in range(n) if v != x0])
+            length = rng.randint(2, 4)
+            parts.append((x0, *range(n, n + length - 1), xr))
+            n += length - 1
+        yield glue_all(Digraph.cycle(len(base) - 1), parts), \
+            EarDecomposition(base, parts)
+
+
+def glue_all(h, parts):
+    for p in parts:
+        h = glue(h, p)
+    return h
+
+
+def test_forward_pass_matches_per_stage_rescans():
+    cases = [*one_ear_instances(), *seeded_instances(),
+             *few_branch_instances()]
+    assert max(len(e.ears) for _, e in cases) == 60
+    for d, e in cases:
+        assert kernels._stage_kernels(d, e) == rescanned_stage_kernels(d, e), e
+        for direction in ("forward", "backward"):
+            doc = trace_kernels(d, e, direction)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_stage_kernels", rescanned_stage_kernels)
+                assert doc == trace_kernels(d, e, direction), e
 
 
 def test_trace_never_runs_the_oracle_scan(monkeypatch):
@@ -445,7 +583,7 @@ def test_trace_indexes_the_input_once(monkeypatch):
     monkeypatch.setattr(Digraph, "__init__", counted_init)
     monkeypatch.setattr(kernels, "_index_maps",
                         lambda *args: indexed.append(args) or index_maps(*args))
-    monkeypatch.setattr(kernels, "_is_kernel_on", refuse)
+    monkeypatch.setattr(kernels, "_kernel_violation", refuse)
     assert trace_kernels(d, e) == doc
     assert (len(built), len(indexed)) == (0, 1)
 
@@ -483,6 +621,22 @@ def test_extension_soundness_on_cycles(n, r, data):
             assert result.pattern in ("both_in_odd", "x0_in_xr_out_even")
 
 
+def reference_violation(h, s):
+    """The first violation of s in h, in sorted order, as the refusals name
+    it: read off h's arc set, and each witness checked by set_predicates."""
+    for v in sorted(h.vertices):
+        heads = sorted(w for u, w in h.arcs if u == v and w in s)
+        if v in s and heads:
+            assert not set_predicates(h, {v, heads[0]}).independent
+            return f"member {v} has out-neighbour {heads[0]} in the set"
+        if v not in s and not heads:
+            near = s | {v}  # s absorbs v in h iff in h on s and v
+            h_near = Digraph(near, [a for a in h.arcs if set(a) <= near])
+            assert not set_predicates(h_near, s).absorbent
+            return f"non-member {v} has no out-neighbour in the set"
+    raise AssertionError("no violation")
+
+
 def reference_propagation(op, d, e, members):
     """extend_kernel or restrict_kernel the earlier way: the stage built by
     e.stage, the glued digraph by union, both tested by set_predicates."""
@@ -498,7 +652,8 @@ def reference_propagation(op, d, e, members):
     if op is extend_kernel:
         if not set_predicates(stage, members).is_kernel:
             raise PropertyFailedError(
-                f"{sorted(members)} is not a kernel of the stage digraph")
+                f"{sorted(members)} is not a kernel of the stage digraph; "
+                f"{reference_violation(stage, members)}")
         if extend_case(x0_in, xr_in, r) is None:
             return KernelObstruction("extend", x0_in, xr_in, r)
         out = members | {p[t] for t in _stride_back(r, xr_in, 2)}
@@ -506,7 +661,8 @@ def reference_propagation(op, d, e, members):
     else:
         if not set_predicates(glued, members).is_kernel:
             raise PropertyFailedError(
-                f"{sorted(members)} is not a kernel of the glued digraph")
+                f"{sorted(members)} is not a kernel of the glued digraph; "
+                f"{reference_violation(glued, members)}")
         if restrict_condition(x0_in, xr_in, r) is None:
             return KernelObstruction("restrict", x0_in, xr_in, r)
         out = members & stage.vertices
