@@ -30,14 +30,11 @@ from .kernels import (KernelObstruction, extend_case, extend_kernel,
 from .oracles import (OracleReport, chromatic_oracles, kernel_oracle,
                       longest_path_oracle, oriented_chromatic_oracle,
                       quasi_kernel_oracle)
-from .oriented import (TightInstance, build_G, cycle_homomorphism,
-                       extend_homomorphism, find_tight_le3_instance,
-                       gi_lower_bound_check, oriented_coloring_le3,
+from .oriented import (build_G, extend_homomorphism, oriented_coloring_le3,
                        tournament_T, uniqueness_census,
                        validate_reference_walks, verify_walk_property,
                        walk_catalog)
-from .tournaments import (Tournament, automorphism_count, find_homomorphism,
-                          tournament_reps)
+from .tournaments import Tournament, find_homomorphism, tournament_reps
 
 __version__ = "0.1.0"
 
@@ -46,16 +43,14 @@ __all__ = [
     "DecompositionReport", "DichromaticBounds", "Digraph",
     "EarDecomposition", "EarlabError", "InvalidInputError",
     "KernelObstruction", "NeighborhoodReport", "OracleReport", "ParseError",
-    "PropertyFailedError", "SetPredicates", "TightInstance",
-    "Tournament", "VerificationError", "VertexMapping",
-    "automorphism_count", "build_G", "chromatic_oracles",
-    "cycle_homomorphism", "cycle_quasi_kernel_indices",
+    "PropertyFailedError", "SetPredicates", "Tournament",
+    "VerificationError", "VertexMapping", "build_G", "chromatic_oracles",
+    "cycle_quasi_kernel_indices",
     "dichromatic_bounds", "digraph_from_json", "extend_case",
     "extend_homomorphism", "extend_kernel",
     "find_ear_decomposition", "find_homomorphism",
     "find_le_decomposition",
-    "find_tight_le3_instance", "generate_random_le",
-    "gi_lower_bound_check", "is_asymmetrical",
+    "generate_random_le", "is_asymmetrical",
     "is_kernel", "is_nonseparable", "is_quasi_kernel", "is_strong",
     "kernel_oracle",
     "longest_path_oracle", "longest_path_transversal", "neighborhoods",

@@ -58,7 +58,9 @@ def _unwrap(doc, key: str):
 
 
 def _read_document(source: str) -> str | dict:
-    """The stripped text of source as strict UTF-8, parsed if a JSON object."""
+    """The stripped text of source as strict UTF-8, parsed if a JSON object.
+    A leading byte-order mark is dropped after decoding, so byte offsets in
+    errors still count from the start of the source."""
     try:
         if source == "-":
             if sys.stdin is None:  # as Python leaves it when fd 0 is closed
@@ -67,7 +69,7 @@ def _read_document(source: str) -> str | dict:
         else:
             with open(source, "rb") as handle:
                 data = handle.read()
-        text = data.decode("utf-8").strip()
+        text = data.decode("utf-8").removeprefix("\ufeff").strip()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {source}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

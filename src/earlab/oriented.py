@@ -15,15 +15,13 @@ census asks about all order-6 codes at once instead (walk_survivors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .coloring import VertexMapping, verify_homomorphism
+from .coloring import VertexMapping
 from .digraph import Digraph, _require_asymmetrical
 from .ears import EarDecomposition, require_decomposition
 from .errors import (CapExceededError, InvalidInputError, PropertyFailedError,
                      VerificationError)
-from .oracles import OracleReport, oriented_chromatic_oracle
 from .tournaments import Tournament, arc_planes, canonical_code, compose_planes
 
 # Walks of lengths 3, 4, 5 for every ordered vertex pair; consecutive pairs
@@ -216,19 +214,6 @@ def _catalog_for(code: int, k: int) -> dict:
     return cat
 
 
-def cycle_homomorphism(n: int) -> VertexMapping:
-    """Map the directed n-cycle into the pinned tournament: the cycle ear
-    (0, 1, ..., n - 1, 0) anchored 0 -> 0, folded by _map_ear."""
-    if n < 3:
-        raise InvalidInputError("cycle homomorphism needs length >= 3")
-    t = tournament_T()
-    images = {0: 0}
-    _map_ear(t, images, tuple(range(n)) + (0,))
-    mapping = VertexMapping(images, t, "homomorphism")
-    verify_homomorphism(Digraph.cycle(n), mapping)
-    return mapping
-
-
 def _map_ear(t: Tournament, assignment: dict, p: tuple[int, ...]) -> None:
     """Write the images of the interior of ear p into assignment, in place.
 
@@ -344,54 +329,3 @@ def build_G(i: int) -> Digraph:
                     nxt += 1
         d = Digraph(range(nxt), arcs)
     return d
-
-
-def gi_lower_bound_check(i: int) -> bool:
-    """Every ordered pair of previous-generation vertices is joined by a
-    path of length at most 2, which forces all their colors apart."""
-    if i < 2:
-        raise InvalidInputError("lower bound check needs generation >= 2")
-    g = build_G(i)
-    prev_n = build_G(i - 1).n
-    for u in range(prev_n):
-        for v in range(prev_n):
-            if u == v or g.has_arc(u, v):
-                continue
-            if not any(g.has_arc(w, v) for w in g.out_neighbors(u)):
-                return False
-    return True
-
-
-@dataclass
-class TightInstance:
-    digraph: Digraph
-    decomposition: EarDecomposition
-    mapping: VertexMapping
-    below_report: OracleReport
-
-
-# Four length-3 ears, each glued parallel to the middle arc of the one before
-# it (the first parallels the base arc 0 -> 1).
-_TIGHT_EARS = ((0, 3, 4, 1), (3, 5, 6, 4), (5, 7, 8, 6), (7, 9, 10, 8))
-
-
-def find_tight_le3_instance() -> TightInstance:
-    """The triangle 0 -> 1 -> 2 -> 0 plus the chained ears of _TIGHT_EARS:
-    an 11-vertex LE_3 digraph whose oriented chromatic number is 6.
-
-    A length-3 ear parallel to an arc (u, v) forces the image pair of u and
-    v to carry both an arc and a walk of exactly length 3, and each such
-    ear leaves a fresh interior arc the next ear parallels in turn, so the
-    chain piles these constraints onto ever more image pairs.  Tightness is
-    confirmed the hard way: the exhaustive oracle must show that no order-5
-    tournament admits a homomorphism, and the constructive coloring shows
-    that order 6 does.
-    """
-    parts = ((0, 1, 2, 0),) + _TIGHT_EARS
-    host = Digraph(range(11), [a for p in parts for a in zip(p, p[1:])])
-    decomp = EarDecomposition(parts[0], _TIGHT_EARS)
-    report = oriented_chromatic_oracle(host, k_max=5)
-    if report.value is not None:
-        raise VerificationError(
-            f"the chained instance maps into an order-{report.value} tournament")
-    return TightInstance(host, decomp, oriented_coloring_le3(host, decomp), report)

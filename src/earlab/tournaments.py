@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
 
 from .digraph import Digraph
 from .errors import InvalidInputError
@@ -83,14 +82,6 @@ class Tournament:
 
     def out_degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.out_masks())
-
-    def relabel(self, perm) -> "Tournament":
-        """Image under new-label -> old-label map perm."""
-        code = 0
-        for idx, (i, j) in enumerate(_pairs(self.k)):
-            if self.has_arc(perm[i], perm[j]):
-                code |= 1 << idx
-        return Tournament(self.k, code)
 
     def __repr__(self) -> str:
         return f"Tournament(k={self.k}, code={self.code_string()!r})"
@@ -391,6 +382,3 @@ def find_homomorphism(d: Digraph, t: Tournament) -> dict[int, int] | None:
     """An arc-preserving map V(d) -> V(t), or None; see HomomorphismSearch."""
     return HomomorphismSearch(d).into(t)
 
-
-def automorphism_count(t: Tournament) -> int:
-    return sum(1 for p in permutations(range(t.k)) if t.relabel(p).code == t.code)

@@ -20,12 +20,12 @@ from earlab.kernels import (extend_kernel, restrict_condition,
 from earlab.constructions import CertifiedSet
 from earlab.coloring import verify_homomorphism
 from earlab.oracles import (chromatic_oracles, kernel_oracle,
-                            longest_path_oracle, quasi_kernel_oracle)
-from earlab.oriented import (REFERENCE_WALKS, build_G,
-                             find_tight_le3_instance, gi_lower_bound_check,
-                             oriented_coloring_le3, tournament_T,
-                             uniqueness_census, validate_reference_walks)
-from earlab.tournaments import find_homomorphism
+                            longest_path_oracle, oriented_chromatic_oracle,
+                            quasi_kernel_oracle)
+from earlab.oriented import (REFERENCE_WALKS, build_G, oriented_coloring_le3,
+                             tournament_T, uniqueness_census,
+                             validate_reference_walks)
+from earlab.tournaments import find_homomorphism, tournament_reps
 
 
 def _report(num, ok, detail):
@@ -70,17 +70,35 @@ def test_criterion_03_oriented_coloring_le3():
                    f"order-6 tournament, worst {worst * 1000:.0f}ms")
 
 
+# Four length-3 ears, each glued parallel to the middle arc of the one before
+# it (the first parallels the base arc 0 -> 1).
+TIGHT_EARS = ((0, 3, 4, 1), (3, 5, 6, 4), (5, 7, 8, 6), (7, 9, 10, 8))
+
+
 def test_criterion_04_tightness_of_six():
+    # The triangle 0 -> 1 -> 2 -> 0 plus TIGHT_EARS.  A length-3 ear parallel
+    # to an arc (u, v) forces the image pair of u and v to carry both an arc
+    # and a walk of exactly length 3, and each ear leaves a fresh interior
+    # arc the next ear parallels in turn, so the chain piles these
+    # constraints onto ever more image pairs.
     started = time.perf_counter()
-    inst = find_tight_le3_instance()
+    parts = ((0, 1, 2, 0),) + TIGHT_EARS
+    host = Digraph(range(11), [a for p in parts for a in zip(p, p[1:])])
+    decomp = EarDecomposition(parts[0], TIGHT_EARS)
+    below = oriented_chromatic_oracle(host, k_max=5)
     # independent re-verification: all twelve order-5 tournaments fail
-    from earlab.tournaments import tournament_reps
-    below = all(find_homomorphism(inst.digraph, t) is None
-                for t in tournament_reps(5))
-    verify_homomorphism(inst.digraph, inst.mapping)
+    none_of_five = all(find_homomorphism(host, t) is None
+                       for t in tournament_reps(5))
+    mapping = oriented_coloring_le3(host, decomp)
+    verify_homomorphism(host, mapping)
     elapsed = time.perf_counter() - started
-    ok = (inst.digraph.n == 11 and below
-          and inst.below_report.value is None and elapsed < 300.0)
+    ok = (host.n == 11 and none_of_five
+          and decomp.to_json() == {
+              "base": [0, 1, 2],
+              "ears": [[0, 3, 4, 1], [3, 5, 6, 4], [5, 7, 8, 6], [7, 9, 10, 8]]}
+          and (below.value, below.details, below.search_space_size)
+          == (None, {"exceeds": 5}, 20)
+          and mapping.colors_used() == 6 and elapsed < 300.0)
     _report(4, ok, f"11-vertex instance (triangle + four length-3 ears) with "
                    f"no order-5 homomorphism, order-6 verified, {elapsed:.1f}s")
 
@@ -272,7 +290,14 @@ def test_criterion_12_blowup_identity():
     sizes = [(build_G(i).n, len(build_G(i).arcs)) for i in (1, 2, 3)]
     identity = sizes == [(3, 3), (9, 15), (81, 159)]
     identity = identity and all(a == 2 * n - 3 for n, a in sizes)
-    bounds = gi_lower_bound_check(2) and gi_lower_bound_check(3)
+    # every ordered pair of previous-generation vertices is joined by a path
+    # of length at most 2, which forces all their colors apart
+    bounds = True
+    for i in (2, 3):
+        g, prev_n = build_G(i), build_G(i - 1).n
+        bounds = bounds and all(
+            g.has_arc(u, v) or any(g.has_arc(w, v) for w in g.out_neighbors(u))
+            for u in range(prev_n) for v in range(prev_n) if u != v)
     _report(12, identity and bounds,
             f"arc counts {sizes} match 2|V|-3; short-path lower bound holds "
             f"for generations 2 and 3")

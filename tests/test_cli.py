@@ -705,6 +705,10 @@ LEVELS = f"--max-level must lie in 1..{cli.MAX_LEVEL_CAP}, got "
 PAST = str(cli.MAX_LEVEL_CAP + 1)
 FAN = fan(TRACE_VERTEX_CAP - 3)  # C3 and 497 ears: 498 stages at the vertex cap
 BRANCH_CAP = "kernel trace capped at 20 branch vertices (out-degree other than 1), got "
+BOM = "\ufeff"
+# the payload of `decompose` on the triangle 0 -> 1 -> 2 -> 0, in either form
+TRIANGLE_DECOMPOSED = has(decomposition={"base": [0, 1, 2], "ears": []},
+                          ear_count=0, min_ear_length=None)
 
 # The CLI's cases: test_envelope_paths runs each in-process, and
 # test_installed_script through the installed earlab.
@@ -774,6 +778,15 @@ CASES = [
          stdin=b"0 1\n1 \xff\n"),
     Case("c-locale-stdin-not-utf8", "decompose -", 2,
          "cannot read -: not UTF-8 at byte 6", stdin=b"0 1\n1 \xff\n", c_locale=True),
+    # a leading byte-order mark is dropped, and a bad byte's offset counts it
+    *(Case(f"{source}-bom-{kind}", "decompose " + ("{g}" if source == "file" else "-"),
+           files={"g": BOM + text} if source == "file" else {},
+           stdin=BOM + text if source == "stdin" else b"", payload=TRIANGLE_DECOMPOSED)
+      for kind, text in (("edge-list", "0 1\n1 2\n2 0\n"),
+                         ("json", '{"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}'))
+      for source in ("file", "stdin")),
+    Case("file-bom-not-utf8", "decompose {g}", 2, "cannot read {g}: not UTF-8 at byte 9",
+         {"g": BOM.encode() + b"0 1\n1 \xff\n"}),
     # an edge list named by --decomposition alone carries no decomposition
     Case("stdin-edge-list-as-decomposition-only", "seymour - --decomposition {g}",
          2, NO_DECOMPOSITION, {"g": C4}, stdin=C4),

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,14 +9,24 @@ from earlab.ears import EarDecomposition, generate_random_le
 from earlab.errors import (CapExceededError, InvalidInputError,
                            PropertyFailedError)
 from earlab.oriented import (REFERENCE_WALKS, WALK_LENGTHS, _catalog_for, build_G,
-                             cycle_homomorphism, extend_homomorphism,
-                             find_tight_le3_instance, gi_lower_bound_check,
-                             missing_walk_witness, oriented_coloring_le3,
-                             tournament_T, uniqueness_census,
-                             validate_reference_walks, verify_walk_property,
-                             walk_catalog, walk_survivors)
-from earlab.tournaments import (Tournament, automorphism_count, canonical_code,
-                                compose_rows, mask_rows, tournament_reps)
+                             extend_homomorphism, missing_walk_witness,
+                             oriented_coloring_le3, tournament_T,
+                             uniqueness_census, validate_reference_walks,
+                             verify_walk_property, walk_catalog, walk_survivors)
+from earlab.tournaments import (Tournament, canonical_code, compose_rows,
+                                mask_rows, tournament_reps)
+
+
+def automorphism_count(t: Tournament) -> int:
+    """Permutations of t's vertices that map its arc set onto itself."""
+    return sum(1 for p in permutations(range(t.k))
+               if Tournament.from_arcs(t.k, [(p[u], p[v]) for u, v in t.arcs]) == t)
+
+
+def cycle_homomorphism(n: int) -> VertexMapping:
+    """The oriented coloring of the directed n-cycle, decomposed as the one
+    base cycle (0, 1, ..., n - 1, 0)."""
+    return oriented_coloring_le3(Digraph.cycle(n), EarDecomposition((*range(n), 0)))
 
 
 def _walk_gap(rows, include_closed: bool = False) -> tuple[int, int, int] | None:
@@ -376,31 +388,3 @@ def test_blowup_cap():
         build_G(5)
     with pytest.raises(InvalidInputError):
         build_G(0)
-
-
-def test_lower_bound_check():
-    assert gi_lower_bound_check(2)
-    assert gi_lower_bound_check(3)
-    with pytest.raises(InvalidInputError):
-        gi_lower_bound_check(1)
-
-
-def test_tight_instance_is_the_chained_triangle():
-    a = find_tight_le3_instance()
-    b = find_tight_le3_instance()
-    assert a.digraph == b.digraph
-    assert a.decomposition.to_json() == {
-        "base": [0, 1, 2],
-        "ears": [[0, 3, 4, 1], [3, 5, 6, 4], [5, 7, 8, 6], [7, 9, 10, 8]]}
-    assert a.below_report.search_space_size == 20
-    assert a.mapping.colors_used() == 6
-
-
-def test_tight_instance_shape():
-    inst = find_tight_le3_instance()
-    assert inst.digraph.n == 11
-    assert len(inst.decomposition.ears) == 4
-    assert all(len(ear.vertices) - 1 == 3 for ear in inst.decomposition.ears)
-    assert inst.below_report.value is None
-    assert inst.below_report.details == {"exceeds": 5}
-    verify_homomorphism(inst.digraph, inst.mapping)

@@ -21,21 +21,24 @@ def test_every_export_resolves_once():
                  "le2_quasi_kernel_obstruction", "ExtensionCandidate",
                  "find_quasi_kernel_obstruction", "ExtensionReport",
                  "serialize_edge_list", "is_homomorphism", "KernelTrace",
-                 "StageEntry", "CensusResult", "Ear"):
+                 "StageEntry", "CensusResult", "Ear", "TightInstance",
+                 "find_tight_le3_instance", "gi_lower_bound_check",
+                 "cycle_homomorphism", "automorphism_count"):
         assert gone not in names
         assert not hasattr(earlab, gone)
-    # a report is the payload it prints; the tight instance prints nothing
-    assert not hasattr(earlab.TightInstance, "to_json")
+    assert not hasattr(earlab.Tournament, "relabel")
     # a part is its vertex tuple and holds nothing else; the decomposition's
     # constructor checks it
     for gone in ("x0", "xr", "length", "is_cycle", "internal", "arcs",
                  "__post_init__"):
         assert not hasattr(Ear, gone)
     assert not hasattr(EarDecomposition((0, 1, 0)).base, "__dict__")
-    # constructions certify without an oracle: none is bound in the module
-    assert not [name for name, value in vars(earlab.constructions).items()
-                if value is earlab.oracles
-                or getattr(value, "__module__", None) == "earlab.oracles"]
+    # constructions and oriented colorings certify without an oracle: none
+    # is bound in either module
+    for module in (earlab.constructions, earlab.oriented):
+        assert not [name for name, value in vars(module).items()
+                    if value is earlab.oracles
+                    or getattr(value, "__module__", None) == "earlab.oracles"]
 
 
 def _homomorphism_into_a_cycle():
