@@ -8,6 +8,7 @@ from earlab.digraph import Digraph, is_strong
 from earlab.ears import EarDecomposition, generate_random_le
 from earlab.errors import (CapExceededError, InvalidInputError,
                            PropertyFailedError)
+from earlab.oracles import oriented_chromatic_oracle
 from earlab.oriented import (REFERENCE_WALKS, WALK_LENGTHS, _catalog_for, build_G,
                              extend_homomorphism, missing_walk_witness,
                              oriented_coloring_le3, tournament_T,
@@ -27,6 +28,24 @@ def cycle_homomorphism(n: int) -> VertexMapping:
     """The oriented coloring of the directed n-cycle, decomposed as the one
     base cycle (0, 1, ..., n - 1, 0)."""
     return oriented_coloring_le3(Digraph.cycle(n), EarDecomposition((*range(n), 0)))
+
+
+def short_paths_join_previous_generation(i: int) -> bool:
+    """Every ordered pair of G_{i-1}'s vertices is joined in G_i by a path of
+    length at most 2, which forces all their colors apart."""
+    g, prev_n = build_G(i), build_G(i - 1).n
+    return all(g.has_arc(u, v) or any(g.has_arc(w, v) for w in g.out_neighbors(u))
+               for u in range(prev_n) for v in range(prev_n) if u != v)
+
+
+def tight_le3_instance() -> tuple[Digraph, EarDecomposition]:
+    """The triangle 0 -> 1 -> 2 -> 0 plus four length-3 ears, each glued
+    parallel to the middle arc of the one before it (the first parallels
+    the base arc 0 -> 1): an LE_3 digraph of oriented chromatic number 6."""
+    ears = ((0, 3, 4, 1), (3, 5, 6, 4), (5, 7, 8, 6), (7, 9, 10, 8))
+    parts = ((0, 1, 2, 0),) + ears
+    host = Digraph(range(11), [a for p in parts for a in zip(p, p[1:])])
+    return host, EarDecomposition(parts[0], ears)
 
 
 def _walk_gap(rows, include_closed: bool = False) -> tuple[int, int, int] | None:
@@ -388,3 +407,31 @@ def test_blowup_cap():
         build_G(5)
     with pytest.raises(InvalidInputError):
         build_G(0)
+
+
+def test_lower_bound_check():
+    assert short_paths_join_previous_generation(2)
+    assert short_paths_join_previous_generation(3)
+    with pytest.raises(InvalidInputError):
+        short_paths_join_previous_generation(1)
+
+
+def test_tight_instance_is_the_chained_triangle():
+    host, decomp = tight_le3_instance()
+    assert host == tight_le3_instance()[0]
+    assert decomp.to_json() == {
+        "base": [0, 1, 2],
+        "ears": [[0, 3, 4, 1], [3, 5, 6, 4], [5, 7, 8, 6], [7, 9, 10, 8]]}
+    assert oriented_chromatic_oracle(host, k_max=5).search_space_size == 20
+    assert oriented_coloring_le3(host, decomp).colors_used() == 6
+
+
+def test_tight_instance_shape():
+    host, decomp = tight_le3_instance()
+    assert host.n == 11
+    assert len(decomp.ears) == 4
+    assert all(len(ear.vertices) - 1 == 3 for ear in decomp.ears)
+    below = oriented_chromatic_oracle(host, k_max=5)
+    assert below.value is None
+    assert below.details == {"exceeds": 5}
+    verify_homomorphism(host, oriented_coloring_le3(host, decomp))
