@@ -4,7 +4,7 @@ Digraphs are finite and simple: no loops, no parallel arcs.  A digon (arcs
 both ways between two vertices) is allowed; "asymmetrical" rules it out.
 A Digraph is its vertex ids, a frozenset of nonnegative ints, and its arc
 set, a frozenset of (tail, head) pairs; the out- and in-index (each vertex's
-neighbours as a sorted tuple) are built from the arc set on first use.
+neighbours as a sorted tuple) and strongness are found on first use.
 Parsed digraphs always live on the dense id range 0..n-1.  Stage digraphs
 (EarDecomposition.stage) and Digraph.union keep the ids they are given, so
 the vertex set is an arbitrary finite set; the constructor checks every
@@ -81,6 +81,12 @@ class Digraph:
     def _in(self) -> dict[int, tuple[int, ...]]:
         return _index(self.vertices, map(reversed, self.arcs))
 
+    @cached_property
+    def _strong(self) -> bool:  # is_strong's answer: two sweeps, once per digraph
+        root = min(self.vertices, default=None)
+        return self.n < 2 or (len(_reach(self._out, root)) == self.n
+                              == len(_reach(self._in, root)))
+
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
@@ -132,7 +138,6 @@ def _arc_ids(entries: list | tuple, error: type[InvalidInputError]) -> list[int]
 
 @dataclass(frozen=True)
 class NeighborhoodReport:
-    vertex: int
     first_out: frozenset[int]
     second_out: frozenset[int]
 
@@ -267,25 +272,34 @@ def serialize_digraph(d: Digraph) -> dict:
 
 def is_strong(d: Digraph) -> bool:
     """True iff d is strongly connected (single-vertex digraphs are)."""
-    if d.n <= 1:
-        return True
-    root = min(d.vertices)
-    return (_reach(d._out, root) == d.vertices
-            and _reach(d._in, root) == d.vertices)
+    return d._strong
 
 
-def _reach(adj: dict[int, frozenset[int]], root: int) -> frozenset[int]:
-    seen = {root}
-    frontier = [root]
+def _reach(rows: dict, root: int) -> dict[int, int]:
+    """Every vertex that root reaches over rows, each mapped to the vertex
+    whose row first held it (root to itself)."""
+    parent, frontier = {root: root}, [root]
     while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
+        frontier = _grow(frontier, rows, parent)
+    return parent
+
+
+def _grow(frontier: list[int], rows: dict, parent: dict,
+          stop=()) -> list[int] | None:
+    """One breadth-first layer beyond frontier over rows: each vertex of a
+    frontier vertex's row that parent does not hold yet enters parent,
+    mapped to that frontier vertex, and the new layer is returned in that
+    order, which is the order of a FIFO queue.  None, with the layer only
+    partly recorded, as soon as a row holds a new vertex in stop."""
+    grown = []
+    for v in frontier:
+        for w in rows[v]:
+            if w not in parent:
+                if w in stop:
+                    return None
+                parent[w] = v
+                grown.append(w)
+    return grown
 
 
 def is_nonseparable(d: Digraph) -> bool:
@@ -364,7 +378,7 @@ def neighborhoods(d: Digraph, v: int) -> NeighborhoodReport:
     heads = list(map(itemgetter(1), d.arcs))
     first = frozenset(compress(heads, map({v}.__contains__, tails)))
     second = frozenset(compress(heads, map(first.__contains__, tails)))
-    return NeighborhoodReport(vertex=v, first_out=first, second_out=second - first)
+    return NeighborhoodReport(first_out=first, second_out=second - first)
 
 
 def set_predicates(d: Digraph, s: Iterable[int]) -> SetPredicates:

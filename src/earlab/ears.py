@@ -17,7 +17,8 @@ from itertools import accumulate, chain, repeat
 from operator import eq, itemgetter, lt, sub
 from typing import Iterable, Iterator
 
-from .digraph import Arc, Digraph, _check_vertex_count, is_strong, nonseparable
+from .digraph import (Arc, Digraph, _check_vertex_count, _grow, is_strong,
+                      nonseparable)
 from .errors import (BudgetExceededError, InvalidInputError, ParseError,
                      PropertyFailedError, VerificationError)
 
@@ -34,8 +35,11 @@ class Ear(tuple):
 
 
 def _part(vs: Iterable[int]) -> tuple[int, ...]:
-    """vs as a part: >= 1 arc, no interior vertex repeated or an end."""
+    """vs as a part: int ids, >= 1 arc, no interior id repeated or an end."""
     vs = tuple(vs)
+    for v in vs:
+        if type(v) is not int:
+            raise InvalidInputError(f"vertex id {v!r:.40} is not an integer")
     if len(vs) < 2:
         raise InvalidInputError("an ear needs at least one arc")
     if len(vs) == 2 and vs[0] == vs[1]:
@@ -69,9 +73,10 @@ class EarDecomposition:
     def __init__(self, base: Iterable[int], ears: Iterable[Iterable[int]] = ()):
         cycle, parts = tuple(base), tuple(map(tuple, ears))
         every = (cycle,) + parts  # each: >= 2 ids, distinct but a closed part's ends
-        sizes, lens = list(map(len, map(set, every))), list(map(len, every))
+        ints = set(map(type, chain.from_iterable(every))) <= {int}  # before set() hashes
+        sizes, lens = list(map(len, map(set, every if ints else ()))), list(map(len, every))
         closed = map(eq, map(itemgetter(0), every), map(itemgetter(-1), every))
-        if not (min(sizes) >= 2 and cycle[0] == cycle[-1]
+        if not (ints and min(sizes) >= 2 and cycle[0] == cycle[-1]
                 and sizes == list(map(sub, lens, closed))):
             if _part(cycle)[0] != cycle[-1]:
                 raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
@@ -235,16 +240,9 @@ def _shortest_cycle_through(d: Digraph, v0: int) -> tuple[int, ...] | None:
     None when no in-neighbour of v0 is reached from it.  None is v0, since
     d has no loop.  The search stops at the first layer reaching one:
     shortest cycles close there."""
-    parent = {v0: v0}
-    frontier = [v0]
+    parent, frontier = {v0: v0}, [v0]
     while frontier and parent.keys().isdisjoint(d.in_neighbors(v0)):
-        nxt = []
-        for u in frontier:
-            for w in d.out_neighbors(u):
-                if w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
+        frontier = _grow(frontier, d._out, parent)
 
     def closed_at(u: int) -> tuple[int, ...]:
         path = [u]
@@ -280,12 +278,9 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
         raise PropertyFailedError("digraph is not strong")
     succ = dict(zip(cycle, cycle[1:]))  # each covered vertex's covered out-arc
     parent = dict.fromkeys(succ)  # each vertex's step towards the base
-    bfs = list(succ)
-    for w in bfs:  # grows while scanned, like the queue below
-        for y in d.in_neighbors(w):
-            if y not in parent:
-                parent[y] = w
-                bfs.append(y)
+    layer = list(succ)
+    while layer:
+        layer = _grow(layer, d._in, parent)
     if len(parent) < d.n:
         raise PropertyFailedError("digraph is not strong")
     queue = list(succ)
@@ -309,21 +304,6 @@ def _spend(budget_box: list[int]) -> None:
     budget_box[0] -= 1
     if budget_box[0] < 0:
         raise BudgetExceededError("search budget exhausted")
-
-
-def _grow(frontier: list[int], adj: dict[int, set[int]], mine: set[int],
-          theirs: set[int]) -> list[int] | None:
-    """One breadth-first layer beyond frontier, added to mine; None once it
-    reaches a vertex of theirs."""
-    grown = []
-    for v in frontier:
-        for w in adj[v]:
-            if w not in mine:
-                if w in theirs:
-                    return None
-                mine.add(w)
-                grown.append(w)
-    return grown
 
 
 class _Remainder:
@@ -488,15 +468,13 @@ class _Remainder:
         x0, xr = t[0], t[-1]
         self.out[x0].remove(t[1])
         self.inn[xr].remove(t[-2])
-        ahead, behind = {x0}, {xr}
+        ahead, behind = {x0: x0}, {xr: xr}
         fwd, bwd = [x0], [xr]
-        while fwd and bwd:
+        while fwd and bwd:  # None, once the two sides meet, ends it too
             if len(fwd) <= len(bwd):
                 fwd = _grow(fwd, self.out, ahead, behind)
             else:
                 bwd = _grow(bwd, self.inn, behind, ahead)
-            if fwd is None or bwd is None:
-                break
         self.out[x0].add(t[1])
         self.inn[xr].add(t[-2])
         return fwd is None or bwd is None

@@ -36,7 +36,6 @@ class ParseError(InvalidInputError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class CapExceededError(EarlabError):

@@ -16,7 +16,9 @@ vertices whose out-degree is not 1.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
+from operator import countOf, itemgetter
 
 from .constructions import CertifiedSet, _stride_back
 from .digraph import Digraph
@@ -188,7 +190,7 @@ def _check_trace_caps(d: Digraph) -> None:
     if d.n > TRACE_VERTEX_CAP:
         raise CapExceededError(
             f"kernel trace capped at {TRACE_VERTEX_CAP} vertices, got {d.n}")
-    branch = sum(len(d.out_neighbors(v)) != 1 for v in d.vertices)
+    branch = d.n - countOf(Counter(map(itemgetter(0), d.arcs)).values(), 1)
     if branch > TRACE_BRANCH_CAP:
         raise CapExceededError(
             f"kernel trace capped at {TRACE_BRANCH_CAP} branch vertices "

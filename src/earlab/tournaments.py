@@ -62,16 +62,16 @@ class Tournament:
         return "".join("1" if self.code >> i & 1 else "0"
                        for i in range(len(_pairs(self.k))))
 
-    @property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        out = []
-        for idx, (i, j) in enumerate(_pairs(self.k)):
-            out.append((i, j) if self.code >> idx & 1 else (j, i))
-        return frozenset(out)
-
     @cached_property
     def _rows(self) -> tuple[int, ...]:
-        return mask_rows(self.k, self.code)
+        """Out-neighbourhood bitmask of every vertex."""
+        masks = [0] * self.k
+        for idx, (i, j) in enumerate(_pairs(self.k)):
+            if self.code >> idx & 1:
+                masks[i] |= 1 << j
+            else:
+                masks[j] |= 1 << i
+        return tuple(masks)
 
     def has_arc(self, u: int, v: int) -> bool:
         """Whether (u, v) is an arc; False for any id outside 0..k-1."""
@@ -85,17 +85,6 @@ class Tournament:
 
     def __repr__(self) -> str:
         return f"Tournament(k={self.k}, code={self.code_string()!r})"
-
-
-def mask_rows(k: int, code: int) -> tuple[int, ...]:
-    """Out-neighborhood bitmask of every vertex of the order-k code."""
-    masks = [0] * k
-    for idx, (i, j) in enumerate(_pairs(k)):
-        if code >> idx & 1:
-            masks[i] |= 1 << j
-        else:
-            masks[j] |= 1 << i
-    return tuple(masks)
 
 
 def compose_rows(a, b) -> list[int]:

@@ -424,7 +424,7 @@ def test_neighborhoods_match_the_out_index_reading():
         for v in d.vertices:
             first = frozenset(d.out_neighbors(v))
             second = frozenset().union(*map(d.out_neighbors, first)) - first
-            assert neighborhoods(d, v) == NeighborhoodReport(v, first, second)
+            assert neighborhoods(d, v) == NeighborhoodReport(first, second)
             assert (v in second) == any((w, v) in d.arcs for w in first)
             own += v in second
     assert own > 50, own

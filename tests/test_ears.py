@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import earlab.digraph as digraph_mod
 import earlab.ears as ears_mod
 from earlab.digraph import (Digraph, is_asymmetrical, is_nonseparable, is_strong,
                             nonseparable)
@@ -212,6 +213,21 @@ def test_le_search_respects_budget():
                               max_ear_length=3, seed=5)
     with pytest.raises(BudgetExceededError):
         find_le_decomposition(d, i=2, budget=1)
+
+
+def test_strongness_is_proved_once_per_digraph(monkeypatch):
+    # each search starts with is_strong; the second call on the same digraph
+    # reads the first one's answer, so only one forward and one backward
+    # sweep run in all
+    d, _ = generate_random_le(base_length=4, ear_count=4, min_ear_length=2,
+                              max_ear_length=3, seed=5)
+    sweeps, reach = [], digraph_mod._reach
+    monkeypatch.setattr(digraph_mod, "_reach",
+                        lambda rows, root: sweeps.append(rows) or reach(rows, root))
+    assert find_le_decomposition(d, i=2) is not None
+    assert find_le_decomposition(d, i=3) is None
+    assert sweeps == [d._out, d._in]
+    assert is_strong(d) and len(sweeps) == 2
 
 
 def test_le_search_path_ears_only():

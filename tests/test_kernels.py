@@ -570,6 +570,7 @@ def test_trace_indexes_the_input_once(monkeypatch):
         tracemalloc.stop()
     assert len(doc["stages"]) == 201
     assert peak < 4 * 2**20, peak
+    assert "_out" not in vars(d)  # the caps read out-degrees off the arcs
     built, indexed = [], []
     init, index_maps = Digraph.__init__, kernels._index_maps
 

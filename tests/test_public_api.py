@@ -3,10 +3,10 @@ import pytest
 import earlab
 from earlab.coloring import VertexMapping
 from earlab.constructions import cycle_quasi_kernel_indices
-from earlab.digraph import (Digraph, is_nonseparable, neighborhoods,
-                            serialize_digraph)
+from earlab.digraph import (Digraph, NeighborhoodReport, is_nonseparable,
+                            neighborhoods, serialize_digraph)
 from earlab.ears import Ear, EarDecomposition
-from earlab.errors import InvalidInputError
+from earlab.errors import InvalidInputError, ParseError
 from earlab.oriented import extend_homomorphism
 from earlab.tournaments import Tournament, tournament_reps
 
@@ -27,6 +27,12 @@ def test_every_export_resolves_once():
         assert gone not in names
         assert not hasattr(earlab, gone)
     assert not hasattr(earlab.Tournament, "relabel")
+    # members nothing in src, the CLI or the benchmark reads
+    assert not hasattr(earlab.Tournament, "arcs")
+    assert not hasattr(earlab.tournaments, "mask_rows")
+    assert not hasattr(ParseError("bad", line=3), "line")
+    assert str(ParseError("bad", line=3)) == "line 3: bad"
+    assert "vertex" not in NeighborhoodReport.__dataclass_fields__
     # a part is its vertex tuple and holds nothing else; the decomposition's
     # constructor checks it
     for gone in ("x0", "xr", "length", "is_cycle", "internal", "arcs",
@@ -84,6 +90,20 @@ EDGE_CASES = {
     "homomorphism-into-digraph": (_homomorphism_into_a_cycle, InvalidInputError,
                                   "mapping target must be a tournament"),
     "nonseparable-empty": (lambda: is_nonseparable(Digraph((), ())), None, True),
+    "decomposition-base-bool": (lambda: EarDecomposition((0, True, 0)),
+                                InvalidInputError, "vertex id True is not an integer"),
+    "decomposition-base-float": (lambda: EarDecomposition((0, 1.0, 2, 0)),
+                                 InvalidInputError, "vertex id 1.0 is not an integer"),
+    "decomposition-base-str": (lambda: EarDecomposition((0, "a" * 50, 0)),
+                               InvalidInputError,
+                               "vertex id '" + "a" * 39 + " is not an integer"),
+    "decomposition-ear-bool": (lambda: EarDecomposition((0, 1, 2, 0), [(0, True, 2)]),
+                               InvalidInputError, "vertex id True is not an integer"),
+    "decomposition-ear-float": (
+        lambda: EarDecomposition((0, 1, 2, 0), [(0, 3, 4, 2), (3, 5, 2.0)]),
+        InvalidInputError, "vertex id 2.0 is not an integer"),
+    "decomposition-ear-str": (lambda: EarDecomposition((0, 1, 0), [(0, "a", 1)]),
+                              InvalidInputError, "vertex id 'a' is not an integer"),
 }
 
 
