@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import eq, itemgetter, lt, sub
+from operator import contains, eq, itemgetter, lt, sub
 from typing import Iterable, Iterator
 
 from .digraph import (Arc, Digraph, _check_vertex_count, _grow, is_strong,
@@ -35,11 +36,13 @@ class Ear(tuple):
 
 
 def _part(vs: Iterable[int]) -> tuple[int, ...]:
-    """vs as a part: int ids, >= 1 arc, no interior id repeated or an end."""
+    """vs as a part: int ids >= 0, >= 1 arc, no interior id repeated or an end."""
     vs = tuple(vs)
     for v in vs:
         if type(v) is not int:
             raise InvalidInputError(f"vertex id {v!r:.40} is not an integer")
+        if v < 0:
+            raise InvalidInputError(f"negative vertex id {v}")
     if len(vs) < 2:
         raise InvalidInputError("an ear needs at least one arc")
     if len(vs) == 2 and vs[0] == vs[1]:
@@ -73,11 +76,12 @@ class EarDecomposition:
     def __init__(self, base: Iterable[int], ears: Iterable[Iterable[int]] = ()):
         cycle, parts = tuple(base), tuple(map(tuple, ears))
         every = (cycle,) + parts  # each: >= 2 ids, distinct but a closed part's ends
-        ints = set(map(type, chain.from_iterable(every))) <= {int}  # before set() hashes
+        ids = tuple(chain.from_iterable(every))
+        ints = set(map(type, ids)) <= {int}  # before set() hashes
         sizes, lens = list(map(len, map(set, every if ints else ()))), list(map(len, every))
         closed = map(eq, map(itemgetter(0), every), map(itemgetter(-1), every))
-        if not (ints and min(sizes) >= 2 and cycle[0] == cycle[-1]
-                and sizes == list(map(sub, lens, closed))):
+        if not (ints and min(sizes) >= 2 and min(ids) >= 0
+                and cycle[0] == cycle[-1] and sizes == list(map(sub, lens, closed))):
             if _part(cycle)[0] != cycle[-1]:
                 raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
             for part in parts:
@@ -297,6 +301,7 @@ def find_ear_decomposition(d: Digraph) -> EarDecomposition:
             queue.extend(path[1:-1])
     if len(queue) < d.n:
         raise PropertyFailedError("digraph is not strong")
+    d._strong = True  # is_strong reads this, and sweeps d no more
     return _self_checked(d, EarDecomposition(cycle, ears))
 
 
@@ -306,61 +311,82 @@ def _spend(budget_box: list[int]) -> None:
         raise BudgetExceededError("search budget exhausted")
 
 
-class _Remainder:
-    """The remainder of the LE_i search, edited in place by each peel.
+def _threads_of(d: Digraph) -> Iterator[tuple[int, ...]]:
+    """Every thread of d, strong: a maximal path whose inner vertices have
+    in- and out-degree 1.  Every arc lies on exactly one, and the last ear
+    of any decomposition is one of them.  A bare cycle is one closed thread
+    from its smallest vertex."""
+    plain = {v for v in d.vertices if len(d._in[v]) == 1 == len(d._out[v])}
+    for u in d.vertices - plain or [min(d.vertices)]:
+        for w in d._out[u]:
+            path = [u, w]
+            while w != u and w in plain:
+                (w,) = d._out[w]
+                path.append(w)
+            yield tuple(path)
 
-    Adjacency sets and the vertex and arc counts describe the remainder;
-    its threads are kept by first and by last arc, and those that may be
-    the last ear (length >= min_len, open in path-ears mode) also in a list
-    sorted longest first, then lexicographically.  A thread is (1 - vertex
-    count, vertices, indices of the initial threads it chains, the k-th
-    that _scan yields on d being (k,)); distinct vertices order any two.
-    A strong remainder keeps both arcs of each vertex with one arc in and
-    one out in d, so it keeps whole initial threads, whose set names it.
+
+class _Remainder:
+    """The remainder of the LE_i search, edited in place by each peel: its
+    threads, and counts of its vertices and arcs.
+
+    A thread is (1 - vertex count, vertices, indices of the initial
+    threads it chains, the k-th that _threads_of yields on d being (k,));
+    distinct vertices order any two.  The threads are kept by first and by
+    last arc; those that may be the last ear (length >= min_len, open in
+    path-ears mode) also in a list sorted longest first, then
+    lexicographically; and as the thread multigraph's rows, one each way
+    for every branch vertex b: b not plain, or the one end of a remainder
+    that is a cycle.  leaving[b] and entering[b] map the arc at b of each
+    thread that leaves or enters b to its other end, so parallel threads
+    stay apart; out[b] and inn[b] are views of their values, which _grow
+    and nonseparable iterate as they iterate a Digraph's rows.  Only _put
+    and _drop change the rows for good.  A strong remainder keeps both
+    arcs of each vertex with one arc in and one out in d, so it keeps
+    whole initial threads, whose set names it, and its branch vertices
+    are branch vertices of d.
     """
 
     def __init__(self, d: Digraph, min_len: int, allow_cycle_ears: bool):
         self.min_len = min_len
         self.allow_cycle_ears = allow_cycle_ears
-        self.out = {v: set(d.out_neighbors(v)) for v in d.vertices}
-        self.inn = {v: set(d.in_neighbors(v)) for v in d.vertices}
         self.n, self.m = d.n, len(d.arcs)
         self.first: dict[Arc, tuple] = {}
         self.last: dict[Arc, tuple] = {}
+        self.leaving, self.entering = defaultdict(dict), defaultdict(dict)
+        self.out, self.inn = {}, {}
         self.order: list[tuple] = []
-        for k, t in enumerate(self._scan()):
+        for k, t in enumerate(_threads_of(d)):
             self._put((1 - len(t), t, (k,)))
-
-    def _plain(self, v: int) -> bool:
-        return len(self.inn[v]) == 1 == len(self.out[v])
-
-    def _scan(self) -> Iterator[tuple[int, ...]]:
-        """Every thread: a maximal path whose inner vertices have in- and
-        out-degree 1.  In a strong digraph other than a cycle every arc
-        lies on exactly one, and the last ear of any decomposition is one
-        of them."""
-        for u in self.out:
-            if self._plain(u):
-                continue
-            for w in self.out[u]:
-                path = [u, w]
-                while self._plain(w):
-                    (w,) = self.out[w]
-                    path.append(w)
-                yield tuple(path)
 
     def _may_be_last(self, t: tuple[int, ...]) -> bool:
         return len(t) > self.min_len and (self.allow_cycle_ears or t[0] != t[-1])
 
     def _put(self, thread: tuple) -> None:
         t = thread[1]
-        self.first[t[0], t[1]] = self.last[t[-2], t[-1]] = thread
+        x0, xr = t[0], t[-1]
+        a, z = (x0, t[1]), (t[-2], xr)
+        self.first[a] = self.last[z] = thread
+        out, inn = self.leaving[x0], self.entering[xr]
+        if not out:  # a new row, and its view
+            self.out[x0] = out.values()
+        if not inn:
+            self.inn[xr] = inn.values()
+        out[a], inn[z] = xr, x0
         if self._may_be_last(t):
             insort(self.order, thread)
 
     def _drop(self, thread: tuple) -> None:
         t = thread[1]
-        del self.first[t[0], t[1]], self.last[t[-2], t[-1]]
+        x0, xr = t[0], t[-1]
+        a, z = (x0, t[1]), (t[-2], xr)
+        del self.first[a], self.last[z]
+        out, inn = self.leaving[x0], self.entering[xr]
+        del out[a], inn[z]
+        if not out:  # x0 turned plain: nonseparable reads branch vertices only
+            del self.leaving[x0], self.out[x0]
+        if not inn:
+            del self.entering[xr], self.inn[xr]
         if self._may_be_last(t):
             del self.order[bisect_left(self.order, thread)]
 
@@ -386,13 +412,14 @@ class _Remainder:
         only out-arc on P.  So an x0-xr path of D - P in place of P turns
         every u-v path of D into a u-v walk of D - P.  A closed thread
         (x0 = xr) needs no such path, so peeling it always leaves a strong
-        remainder.
+        remainder.  Both tests run on the thread multigraph M, whose
+        vertices are the branch vertices (those not plain), with one edge
+        per thread joining its ends: paths between branch vertices run
+        along whole threads.
 
         In path-ears mode the remainder must also be nonseparable, which
         the peel decides once its threads are relinked, undoing the peel
-        if not, on the thread multigraph M: its vertices are the branch
-        vertices (those not plain), with one edge per thread joining its
-        ends.  A strong remainder R other than a cycle is a subdivision of
+        if not.  A strong remainder R other than a cycle is a subdivision of
         M in which no subdivision vertex is a cut vertex (Whitney 1932).
         Proof: each arc of R lies on one thread, and each inner vertex of
         a thread on no other.  Deleting an inner vertex of a thread P from
@@ -410,7 +437,7 @@ class _Remainder:
             return None
         if t[0] != t[-1] and not self._reaches_around(t):
             return None
-        self._cut(t)
+        self.n, self.m = self.n - r + 1, self.m - r
         log = self._relink(thread)
         if self.allow_cycle_ears or self._nonseparable():
             return log
@@ -418,21 +445,12 @@ class _Remainder:
         return None
 
     def _nonseparable(self) -> bool:
-        """The remainder, strong, is nonseparable: one lowpoint DFS over
-        its thread multigraph (see peel).  Every branch vertex is a
-        thread's tail and a thread's head, so both rows cover its vertices.
-        """
-        if self.m == self.n:
-            return True
-        out: dict[int, list[int]] = {}
-        inn: dict[int, list[int]] = {}
-        for _, t, _ in self.first.values():
-            x0, xr = t[0], t[-1]
-            if x0 == xr:
-                return False
-            out.setdefault(x0, []).append(xr)
-            inn.setdefault(xr, []).append(x0)
-        return nonseparable(out, inn)
+        """The remainder, strong, is nonseparable: no thread is closed (no
+        row holds its own vertex) and one lowpoint DFS over the thread
+        multigraph's rows finds no cut vertex (see peel)."""
+        return self.m == self.n or (
+            not any(map(contains, self.out.values(), self.out))
+            and nonseparable(self.out, self.inn))
 
     def unpeel(self, thread: tuple, log: list) -> None:
         for entry, added in reversed(log):
@@ -440,34 +458,19 @@ class _Remainder:
                 self._drop(entry)
             else:
                 self._put(entry)
-        self._uncut(thread[1])
-
-    def _cut(self, t: tuple[int, ...]) -> None:
-        self.out[t[0]].remove(t[1])
-        self.inn[t[-1]].remove(t[-2])
-        for v in t[1:-1]:
-            del self.out[v], self.inn[v]
-        self.n -= len(t) - 2
-        self.m -= len(t) - 1
-
-    def _uncut(self, t: tuple[int, ...]) -> None:
-        self.out[t[0]].add(t[1])
-        self.inn[t[-1]].add(t[-2])
-        for a, v, b in zip(t, t[1:], t[2:]):
-            self.out[v] = {b}
-            self.inn[v] = {a}
-        self.n += len(t) - 2
-        self.m += len(t) - 1
+        r = len(thread[1]) - 1
+        self.n, self.m = self.n + r - 1, self.m + r
 
     def _reaches_around(self, t: tuple[int, ...]) -> bool:
-        """x0 reaches xr in the remainder without thread t.  With the first
-        and the last arc of t cut, no search enters its interior.  Grow the
-        smaller of the forward frontier from x0 and the backward frontier
-        from xr until they meet or one dies out, so a failed test costs
-        about the smaller side."""
+        """x0 reaches xr in the remainder without thread t, over the rows
+        with t lifted out for the search and set back.  Grow the smaller
+        of the forward frontier from x0 and the backward frontier from xr
+        until they meet or one dies out, so a failed test costs about the
+        smaller side."""
         x0, xr = t[0], t[-1]
-        self.out[x0].remove(t[1])
-        self.inn[xr].remove(t[-2])
+        a, z = (x0, t[1]), (t[-2], xr)
+        out, inn = self.leaving[x0], self.entering[xr]
+        del out[a], inn[z]
         ahead, behind = {x0: x0}, {xr: xr}
         fwd, bwd = [x0], [xr]
         while fwd and bwd:  # None, once the two sides meet, ends it too
@@ -475,8 +478,7 @@ class _Remainder:
                 fwd = _grow(fwd, self.out, ahead, behind)
             else:
                 bwd = _grow(bwd, self.inn, behind, ahead)
-        self.out[x0].add(t[1])
-        self.inn[xr].add(t[-2])
+        out[a], inn[z] = xr, x0
         return fwd is None or bwd is None
 
     def _relink(self, peeled: tuple) -> list:
@@ -487,10 +489,10 @@ class _Remainder:
         log = [(peeled, False)]
         t = peeled[1]
         for x in {t[0], t[-1]}:
-            if not self._plain(x):
+            if len(self.inn[x]) != 1 or len(self.out[x]) != 1:
                 continue
-            (y,), (z,) = self.inn[x], self.out[x]
-            before, after = self.last[y, x], self.first[x, z]
+            (into,), (out_of,) = self.entering[x], self.leaving[x]
+            before, after = self.last[into], self.first[out_of]
             if before is after:  # a closed plain thread: the remainder is a cycle
                 continue
             self._drop(before)
@@ -503,14 +505,10 @@ class _Remainder:
 
     def base(self) -> tuple[int, ...]:
         """The remainder as a cycle ear from its smallest vertex, when it is
-        one directed cycle."""
-        v0 = min(self.out)
-        cycle = [v0]
-        (v,) = self.out[v0]
-        while v != v0:
-            cycle.append(v)
-            (v,) = self.out[v]
-        return tuple(cycle) + (v0,)
+        one directed cycle: its one thread, which is closed."""
+        ((_, t, _),) = self.first.values()
+        k = t.index(min(t))
+        return t[k:-1] + t[:k + 1]
 
 
 DEFAULT_BUDGET = 200_000  # remainders the exact search may try
@@ -533,10 +531,11 @@ def find_le_decomposition(d: Digraph, i: int = 1, budget: int = DEFAULT_BUDGET,
     A remainder's memo key is a mask, one bit per initial thread (thread
     of d) it keeps, exact as _Remainder shows.
 
-    One remainder is edited in place and a peel is undone when its frame
-    pops, so a try costs the peeled thread, one reachability test and, on
-    success, the threads through its two ends (see _Remainder), plus in
-    path-ears mode one DFS over the threads (_Remainder._nonseparable).
+    One remainder, its threads alone, is edited in place and a peel is
+    undone when its frame pops, so a try costs the peeled thread, one
+    reachability test over the thread multigraph's rows and, on success,
+    the threads through its two ends (see _Remainder), plus in path-ears
+    mode one DFS over those rows (_Remainder._nonseparable).
     """
     if i < 1:
         raise InvalidInputError("minimum ear length must be >= 1")

@@ -41,6 +41,9 @@ REFUSED = RECHECKS + "test_a_broken_builder_is_refused"
 FAILS = RECHECKS + "test_a_broken_builder_fails_its_command"
 SWEEPS = "tests/test_ear_sweeps.py::test_find_ear_decomposition_matches_the_strong_first_reference"
 SMALL_SEARCHES = "tests/test_ears.py::test_all_strong_digraphs_up_to_four_vertices_match_reference"
+REBUILDING = "tests/test_ears.py::test_incremental_search_matches_rebuilding_reference_"
+ROWS = "tests/test_ears.py::test_rows_are_kept_for_branch_vertices_of_d_only"
+CATALOG_GAPS = "tests/test_oriented.py::test_catalog_gaps_match_the_adjacency_powers_on_every_class"
 
 MUTANTS = (
     # the breadth-first layer and its four callers
@@ -137,7 +140,8 @@ MUTANTS = (
             "tests/test_kernels.py::test_forward_pass_matches_per_stage_rescans"),
            "a forced x0's in-tree is re-rooted only at the first ear"),
     Mutant("no-closed-thread-rule", "ears.py",
-           "            if x0 == xr:\n                return False\n", "",
+           "            not any(map(contains, self.out.values(), self.out))\n"
+           "            and ", "",
            ("tests/test_ears.py::test_path_ears_search_skips_separable_remainders",),
            "a closed thread does not make the remainder separable"),
     Mutant("relink-keeps-before", "ears.py",
@@ -154,6 +158,29 @@ MUTANTS = (
            "        if t[0] != t[-1] and not self._reaches_around(t):\n",
            "        if False:\n",
            (SMALL_SEARCHES,), "a peel may leave a remainder that is not strong"),
+    Mutant("mask-not-restored", "ears.py",
+           "                mask += bits(frame[0][2])\n", "",
+           (REBUILDING + "on_the_ladder",),
+           "a popped frame leaves its thread out of the memo key"),
+    Mutant("first-gap-always-open", "oriented.py",
+           "and (include_closed or i != j)), None)", "and i != j), None)",
+           (CATALOG_GAPS,), "the closed reading skips i = j too"),
+    Mutant("first-gap-targets-descending", "oriented.py",
+           "for j in range(k) if (i, j, length)",
+           "for j in reversed(range(k)) if (i, j, length)",
+           (CATALOG_GAPS,), "the first gap is looked for from the highest target"),
+    # the thread multigraph's rows
+    Mutant("drop-keeps-start-row", "ears.py",
+           "        del out[a], inn[z]\n        if not out:  # x0 turned plain",
+           "        del inn[z]\n        if not out:  # x0 turned plain",
+           (ROWS, SMALL_SEARCHES), "a dropped thread stays in its start's row"),
+    Mutant("drop-keeps-empty-row", "ears.py",
+           "        if not out:  # x0 turned plain: nonseparable reads branch vertices only\n",
+           "        if False:\n",
+           (ROWS,), "a vertex that turned plain keeps an empty row"),
+    Mutant("reach-keeps-t", "ears.py",
+           "        del out[a], inn[z]\n        ahead", "        ahead",
+           (SMALL_SEARCHES,), "the reach test may go around along t itself"),
 )
 
 

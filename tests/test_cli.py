@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earlab import cli, ears
+from earlab import cli, digraph, ears
 from earlab.cli import main
 from earlab.digraph import Digraph, is_strong, parse_digraph, serialize_digraph
 from earlab.errors import BudgetExceededError
@@ -483,6 +483,21 @@ def test_classify_answers_every_level_of_a_cycle_without_search(
     assert calls == []
 
 
+def test_classify_sweeps_for_strongness_only_at_level_one(
+        capsys, monkeypatch, tmp_path):
+    # level 1's decomposition proves the input strong, and the searches
+    # above it read that answer: is_strong runs no sweep of its own
+    d, _ = ears.generate_random_le(5, 400, 2, 4, seed=3)
+    path = tmp_path / "le2.json"
+    path.write_text(json.dumps(serialize_digraph(d)))
+    sweeps, reach = [], digraph._reach
+    monkeypatch.setattr(digraph, "_reach",
+                        lambda rows, root: sweeps.append(root) or reach(rows, root))
+    code, doc = run(capsys, "classify", str(path), "--max-level", "5")
+    assert code == 0 and doc["payload"]["levels"]["2"] is True
+    assert sweeps == []
+
+
 def per_level_search(d, max_level, budget):
     """Reference for classify: one search per level until one fails."""
     levels, rest = {}, None if is_strong(d) else False
@@ -839,6 +854,9 @@ CASES = [
     Case("ear-ending-off-stage", "color {g} --decomposition {d}", 2,
          "invalid decomposition: stage 0: ear endpoints must lie in the stage digraph",
          {"g": EAR4_G, "d": {"base": [0, 1, 2, 3], "ears": [[0, 4, 5, 6, 9]]}}),
+    Case("negative-id-at-load", "transversal {g} --decomposition {d}", 2,
+         "negative vertex id -1",
+         {"g": EAR4_G, "d": {"base": [0, 1, 2, 3], "ears": [[0, -1, 1]]}}),
     # a refusal names the first ids of a large value; it does not copy it
     Case("kernel-set-off-stage-20000", KERNEL, 2,
          "set [7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17 not in digraph",

@@ -356,13 +356,17 @@ def mutant(kind, ear, rng):
         i = rng.randrange(len(ear))
         ear[i] = {"bool-id": bool, "float-id": float, "str-id": str}[kind](ear[i])
         return ear
+    if kind == "negative-id":
+        i = rng.randrange(len(ear))
+        ear[i] = -1 - ear[i]
+        return ear
     if kind == "not-list":
         return rng.choice((5, "0 1", None, {"0": 1}, (x for x in ear)))
     return None
 
 
 KINDS = ("too-short", "loop", "repeat-interior", "end-inside", "bool-id",
-         "float-id", "str-id", "not-list")
+         "float-id", "str-id", "negative-id", "not-list")
 
 
 def part_mutants(doc, rng):
@@ -421,5 +425,5 @@ def test_part_checks_accept_and_refuse_as_the_per_part_loop():
     for text in ("an ear needs at least one arc", "length-1 cycle ear would be a loop",
                  "repeated internal vertex in ear", "endpoint reused internally in ear",
                  "bad ear", "bad 'base'", "base must be a cycle ear",
-                 "base cycle needs at least 2 vertices"):
+                 "base cycle needs at least 2 vertices", "negative vertex id"):
         assert any(map(str.startswith, refusals, repeat(text))), text

@@ -68,6 +68,8 @@ def test_ear_needs_two_vertices():
      "at least 2 vertices"),
     (lambda: EarDecomposition.from_json({"base": [0, 1, 1], "ears": 5}),
      InvalidInputError, r"repeated internal vertex in ear \(0, 1, 1, 0\)"),
+    (lambda: EarDecomposition.from_json({"base": [0, -1]}), InvalidInputError,
+     "^negative vertex id -1$"),
     (lambda: EarDecomposition((0, 1, 0)).stage(1), IndexError,
      "out of range"),
     (lambda: find_le_decomposition(Digraph.cycle(3), i=0), InvalidInputError,
@@ -85,6 +87,7 @@ def test_ear_needs_two_vertices():
 ], ids=["one-vertex-ear", "length-1-cycle", "repeated-interior",
         "endpoint-inside", "base-not-cycle", "json-no-base",
         "json-one-vertex-base", "json-bad-base-beside-bad-ears",
+        "json-negative-id",
         "stage-out-of-range", "search-level-0", "gen-min-length-0",
         "decompose-one-vertex", "search-one-vertex", "decompose-no-vertex",
         "search-no-vertex"])
@@ -163,8 +166,10 @@ def test_base_is_checked_against_the_host_only():
      "repeated internal vertex in ear (0, 1, 2, 0, 1, 2, 0)"),
     (((3,),), "an ear needs at least one arc"),
     (((3, 3),), "length-1 cycle ear would be a loop"),
+    (((0, -1, 0),), "negative vertex id -1"),
+    (((0, 1, 0), (1, -2, -3, 0)), "negative vertex id -2"),
 ], ids=["no-arc", "repeated-internal-vertex", "repeated-base-vertex",
-        "one-vertex-base", "loop-base"])
+        "one-vertex-base", "loop-base", "negative-base-id", "negative-ear-id"])
 def test_constructor_refuses_a_malformed_part(parts, refusal):
     # each part is checked as it enters, so no decomposition holds one
     with pytest.raises(InvalidInputError) as caught:
@@ -520,8 +525,26 @@ def assert_chains(rest, initial, peeled=()):
 
 
 def snapshot(rest):
-    return (rest.n, rest.m, {v: frozenset(ws) for v, ws in rest.out.items()},
-            dict(rest.first), dict(rest.last), list(rest.order))
+    """rest's state: its counts, its rows (each view with the row it shows)
+    and its thread index."""
+    rows = [{v: dict(row) for v, row in rows.items()}
+            for rows in (rest.leaving, rest.entering)]
+    views = [{v: list(ends) for v, ends in ends.items()}
+             for ends in (rest.out, rest.inn)]
+    assert views == [{v: list(row.values()) for v, row in rows.items()}
+                     for rows in (rest.leaving, rest.entering)]
+    return (rest.n, rest.m, rows, dict(rest.first), dict(rest.last),
+            list(rest.order))
+
+
+def rows_of(threads):
+    """The thread multigraph's rows rebuilt from threads: per end, each
+    thread's other end keyed by its arc there."""
+    out, inn = {}, {}
+    for _, t, _ in threads:
+        out.setdefault(t[0], {})[t[0], t[1]] = t[-1]
+        inn.setdefault(t[-1], {})[t[-2], t[-1]] = t[0]
+    return [out, inn]
 
 
 def one_per_class(digraphs):
@@ -548,14 +571,9 @@ def strong_small_digraphs(count, seed=7):
     return found
 
 
-def test_threads_chain_whole_initial_threads():
-    # the k-th thread scanned on d is (k,); a peel joins the indices of the
-    # threads it merges in path order, and unpeel restores every thread.
-    # So on every peel sequence walked the remainder is the union of the
-    # initial threads it keeps, and the search's key (all of them minus the
-    # indices peeled) names it: an arc set reached again has the same key.
-    # Small digraphs are walked to depth 3, generator instances to depth 1;
-    # a cycle has no thread, and no peel
+def chain_walk_cases():
+    """Small digraphs, walked to depth 3, and generator instances, walked
+    to depth 1; a cycle has no peel."""
     cases = [(d, 3) for d in one_per_class(
         d for n in (2, 3, 4) for d in strong_digraphs(n) if len(d.arcs) > d.n)]
     cases += [(d, 3) for d in strong_small_digraphs(2)]
@@ -563,36 +581,86 @@ def test_threads_chain_whole_initial_threads():
                                   max_ear_length=4, cycle_ear_probability=0.3,
                                   seed=seed)[0], 1)
               for ears in (10, 30) for seed in range(5)]
+    return cases
+
+
+def walk_peels(rest, deepest, visit):
+    """Every peel sequence of rest up to deepest peels, depth first:
+    visit(gone, log) at the root (log None) and after each peel, gone
+    being the initial threads peeled; a false answer goes no deeper.
+    After each unpeel the remainder is as it was, rows included."""
+    def walk(gone, depth):
+        before = snapshot(rest)
+        for thread in list(rest.order) if depth < deepest else ():
+            log = rest.peel(thread)
+            if log is not None:
+                if visit(gone + thread[2], log):
+                    walk(gone + thread[2], depth + 1)
+                rest.unpeel(thread, log)
+            assert snapshot(rest) == before
+
+    if visit((), None):
+        walk((), 0)
+
+
+def test_threads_chain_whole_initial_threads():
+    # the k-th thread scanned on d is (k,); a peel joins the indices of the
+    # threads it merges in path order, and unpeel restores every thread.
+    # So on every peel sequence walked the remainder is the union of the
+    # initial threads it keeps, and the search's key (all of them minus the
+    # indices peeled) names it: an arc set reached again has the same key.
     peeled = merged = repeated = 0
-    for d, deepest in cases:
+    for d, deepest in chain_walk_cases():
         for cyc in (True, False):
             rest = ears_mod._Remainder(d, 1, cyc)
-            initial = list(rest._scan())
+            initial = list(ears_mod._threads_of(d))
             key_of = {}  # arc set -> the kept indices it was reached with
 
-            def walk(gone, depth):
+            def visit(gone, log):
                 nonlocal peeled, merged, repeated
+                peeled += log is not None
+                merged += log is not None and len(log) > 1
                 assert_chains(rest, initial, gone)
-                arcs = frozenset((v, w) for v, ws in rest.out.items() for w in ws)
+                arcs = frozenset(a for _, t, _ in rest.first.values()
+                                 for a in arcs_of(t))
                 kept = frozenset(range(len(initial))).difference(gone)
                 assert arcs == {a for k in kept for a in arcs_of(initial[k])}
                 if arcs in key_of:  # the same remainder: the same peels follow
                     assert key_of[arcs] == kept
                     repeated += 1
-                    return
+                    return False
                 key_of[arcs] = kept
-                before = snapshot(rest)
-                for thread in list(rest.order) if depth < deepest else ():
-                    log = rest.peel(thread)
-                    if log is not None:
-                        peeled += 1
-                        merged += len(log) > 1
-                        walk(gone + thread[2], depth + 1)
-                        rest.unpeel(thread, log)
-                    assert snapshot(rest) == before
+                return True
 
-            walk((), 0)
+            walk_peels(rest, deepest, visit)
     assert peeled > 10_000 and merged > 1000 and repeated > 5000
+
+
+def test_rows_are_kept_for_branch_vertices_of_d_only():
+    # at the root and after each peel (and, by walk_peels, each unpeel) of
+    # the chain walk, the thread multigraph's rows are those rebuilt from
+    # the remainder's threads, and only branch vertices of d have them:
+    # none is kept for a vertex inside a thread
+    states = 0
+    for d, deepest in chain_walk_cases():
+        branch = {v for v in d.vertices
+                  if len(d.in_neighbors(v)) != 1 or len(d.out_neighbors(v)) != 1}
+        for cyc in (True, False):
+            rest = ears_mod._Remainder(d, 1, cyc)
+            seen = set()
+
+            def visit(gone, log):
+                nonlocal states
+                states += 1
+                assert set(rest.leaving) == set(rest.entering) <= branch
+                assert snapshot(rest)[2] == rows_of(rest.first.values())
+                if frozenset(gone) in seen:
+                    return False
+                seen.add(frozenset(gone))
+                return True
+
+            walk_peels(rest, deepest, visit)
+    assert states > 10_000
 
 
 # --- reference: thread peeling on rebuilt remainders --------------------------
@@ -777,13 +845,18 @@ def test_search_work_is_bounded_on_400_ears(monkeypatch):
 
 def test_thread_multigraph_decides_nonseparability_at_every_peel(monkeypatch):
     # each answer the path-ears search reads, at the root and after each
-    # relinked peel, against the lowpoint DFS over the remainder's own rows
+    # relinked peel, against the lowpoint DFS over the remainder's vertices
     real = ears_mod._Remainder._nonseparable
     answers = []
 
     def checked(rest):
         got = real(rest)
-        assert got == nonseparable(rest.out, rest.inn), sorted(rest.first)
+        out, inn = {}, {}  # the remainder's vertex rows, from its threads
+        for _, t, _ in rest.first.values():
+            for u, v in arcs_of(t):
+                out.setdefault(u, []).append(v)
+                inn.setdefault(v, []).append(u)
+        assert got == nonseparable(out, inn), sorted(rest.first)
         answers.append(got)
         return got
 
