@@ -24,11 +24,11 @@ from .errors import CapExceededError, InvalidInputError, ParseError
 
 Arc = tuple[int, int]
 
-# Largest vertex count a parsed digraph may have: numeric ids allocate every
-# id below the largest, so the cap is checked before anything is built.  The
-# cost follows the largest id, not the arc count: the edge list "0 999999"
-# is a 1,000,000-vertex digraph, which `earlab decompose` refuses (too few
-# arcs) in 0.24-0.33 s and 103 MB of peak RSS (CPython 3.11, 2-core Xeon).
+# Largest vertex count n a parsed digraph may have: numeric ids allocate every
+# id below the largest, so the cap is checked before anything sized by n is
+# built.  The cost follows the largest id, not the arc count: the edge list
+# "0 999999" is a 1,000,000-vertex digraph, which `earlab decompose` refuses
+# (too few arcs) in 0.24-0.33 s and 103 MB of peak RSS (CPython 3.11, 2-core Xeon).
 MAX_VERTICES = 1_000_000
 
 # A JSON label key: an id as str(id) writes it, so no two keys name one id.
@@ -40,27 +40,32 @@ class Digraph:
 
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc],
                  labels: dict[int, str] | None = None):
-        self.labels: dict[int, str] = dict(labels) if labels else {}
+        labels = dict(labels) if labels else {}
         arcs = arcs if type(arcs) in (list, tuple) else list(arcs)
-        ids = _arc_ids(arcs, InvalidInputError)
+        self._build(vertices, *_checked_arcs(arcs, InvalidInputError), labels)
+
+    def _build(self, vertices: Iterable[int], arcs: frozenset[Arc],
+               ids: list[int], labels: dict[int, str]) -> Digraph:
+        """__init__ after _checked_arcs: vertex ids, negatives, loops, containment."""
+        self.labels: dict[int, str] = labels
         vertices = list(vertices)
         if not set(map(type, vertices)) <= {int}:
             bad = next(v for v in vertices if type(v) is not int)
             raise InvalidInputError(f"vertex id {bad!r:.40} is not an integer")
         self.vertices: frozenset[int] = frozenset(vertices)
-        self.arcs: frozenset[Arc] = frozenset(map(tuple, arcs))
-        if (min(self.vertices, default=0) >= 0 and self.vertices.issuperset(ids)
+        self.arcs: frozenset[Arc] = arcs
+        if not (min(self.vertices, default=0) >= 0 and self.vertices.issuperset(ids)
                 and not any(map(eq, ids[::2], ids[1::2]))):
-            return
-        # C-level passes found a bad id; these loops name the first one
-        for v in self.vertices:
-            if v < 0:
-                raise InvalidInputError(f"negative vertex id {v}")
-        for u, v in self.arcs:
-            if u == v:
-                raise InvalidInputError(f"loop arc ({u},{u}) is forbidden")
-            if u not in self.vertices or v not in self.vertices:
-                raise InvalidInputError(f"arc ({u},{v}) leaves the vertex set")
+            # C-level passes found a bad id; these loops name the first one
+            for v in self.vertices:
+                if v < 0:
+                    raise InvalidInputError(f"negative vertex id {v}")
+            for u, v in self.arcs:
+                if u == v:
+                    raise InvalidInputError(f"loop arc ({u},{u}) is forbidden")
+                if u not in self.vertices or v not in self.vertices:
+                    raise InvalidInputError(f"arc ({u},{v}) leaves the vertex set")
+        return self
 
     @classmethod
     def cycle(cls, n: int) -> "Digraph":
@@ -79,7 +84,8 @@ class Digraph:
 
     @cached_property
     def _in(self) -> dict[int, tuple[int, ...]]:
-        return _index(self.vertices, map(reversed, self.arcs))
+        return _index(self.vertices, zip(map(itemgetter(1), self.arcs),
+                                         map(itemgetter(0), self.arcs)))
 
     @cached_property
     def _strong(self) -> bool:  # is_strong's answer: two sweeps, once per digraph
@@ -121,10 +127,9 @@ def _index(vertices: frozenset[int], pairs: Iterable) -> dict[int, tuple[int, ..
     return {v: tuple(sorted(partners)) for v, partners in adj.items()}
 
 
-def _arc_ids(entries: list | tuple, error: type[InvalidInputError]) -> list[int]:
-    """The ids of arc entries, each a list or tuple of two ints, flattened
-    tail first.  C-level passes check them; a loop names the first bad
-    entry in an error of the given class."""
+def _checked_arcs(entries: list | tuple, error: type[InvalidInputError]) -> tuple:
+    """The arc set and the ids, tail first, of entries that C-level passes accept
+    as lists or tuples of two ints; a loop names the first bad one in an error."""
     pairs = (all(map(isinstance, entries, repeat((list, tuple))))
              and set(map(len, entries)) <= {2})
     ids = list(chain.from_iterable(entries)) if pairs else []
@@ -133,7 +138,7 @@ def _arc_ids(entries: list | tuple, error: type[InvalidInputError]) -> list[int]
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and type(pair[0]) is int and type(pair[1]) is int):
                 raise error(f"bad arc entry {pair!r:.40}: need two integer ids")
-    return ids
+    return frozenset(map(tuple, entries)), ids
 
 
 @dataclass(frozen=True)
@@ -226,14 +231,16 @@ def digraph_from_json(doc: dict) -> Digraph:
 
     Ids are JSON integers; n defaults to the largest id + 1 and labels is
     an optional object (or null) mapping ids 0..n-1, as str(id) writes
-    them, to string names.
+    them, to string names.  Arc entries are checked once, in the constructor's
+    place, and the cap reads their ids before anything sized by n is built.
     """
     if not isinstance(doc, dict) or "arcs" not in doc:
         raise ParseError("JSON digraph needs an 'arcs' field")
     entries = doc["arcs"]
     if not isinstance(entries, (list, tuple)):
         raise ParseError("'arcs' must be a list of [u, v] pairs")
-    top = max(_arc_ids(entries, ParseError), default=-1) + 1
+    arcs, ids = _checked_arcs(entries, ParseError)
+    top = max(ids, default=-1) + 1
     n = doc.get("n")
     if n is None:
         n = top
@@ -258,7 +265,7 @@ def digraph_from_json(doc: dict) -> Digraph:
     if missing:
         raise ParseError(f"labels name ids {missing!s:.40} that are not vertices "
                          f"(n = {n})")
-    return Digraph(range(n), entries, labels=labels)
+    return Digraph.__new__(Digraph)._build(range(n), arcs, ids, labels)
 
 
 def serialize_digraph(d: Digraph) -> dict:

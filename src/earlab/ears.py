@@ -126,15 +126,18 @@ class EarDecomposition:
         if len(base) < 2:
             raise InvalidInputError("base cycle needs at least 2 vertices")
         ears, closed = doc.get("ears", []), base + base[:1]
-        if not (isinstance(ears, (list, tuple))
-                and all(map(isinstance, ears, repeat((list, tuple))))
-                and set(map(type, chain.from_iterable(ears))) <= {int}):
-            _part(closed)  # the first offender: the base, then each ear's ids, shape
-            if not isinstance(ears, (list, tuple)):
-                raise ParseError("'ears' must be a list of vertex lists")
-            for ear in ears:
-                _part(_ids(ear, "ear"))
-        return cls(closed, ears)
+        if (isinstance(ears, (list, tuple))
+                and all(map(isinstance, ears, repeat((list, tuple))))):
+            try:  # the constructor's passes type-check the ids, once
+                return cls(closed, ears)
+            except InvalidInputError:
+                if set(map(type, chain.from_iterable(ears))) <= {int}:
+                    raise
+        _part(closed)  # these name the first offender: the base, then each ear
+        if not isinstance(ears, (list, tuple)):
+            raise ParseError("'ears' must be a list of vertex lists")
+        for ear in ears:
+            _part(_ids(ear, "ear"))
 
     def __repr__(self) -> str:
         return (f"EarDecomposition(base={list(self.base)}, "

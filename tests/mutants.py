@@ -43,6 +43,7 @@ SWEEPS = "tests/test_ear_sweeps.py::test_find_ear_decomposition_matches_the_stro
 SMALL_SEARCHES = "tests/test_ears.py::test_all_strong_digraphs_up_to_four_vertices_match_reference"
 REBUILDING = "tests/test_ears.py::test_incremental_search_matches_rebuilding_reference_"
 ROWS = "tests/test_ears.py::test_rows_are_kept_for_branch_vertices_of_d_only"
+DIGRAPH = "tests/test_digraph.py::"
 CATALOG_GAPS = "tests/test_oriented.py::test_catalog_gaps_match_the_adjacency_powers_on_every_class"
 
 MUTANTS = (
@@ -169,6 +170,43 @@ MUTANTS = (
            "for j in range(k) if (i, j, length)",
            "for j in reversed(range(k)) if (i, j, length)",
            (CATALOG_GAPS,), "the first gap is looked for from the highest target"),
+    # the one check of each arc entry, and the builds that read it
+    Mutant("arc-entry-type-pass-dropped", "digraph.py",
+           "    pairs = (all(map(isinstance, entries, repeat((list, tuple))))\n"
+           "             and set(map(len, entries)) <= {2})\n",
+           "    pairs = set(map(len, entries)) <= {2}\n",
+           (DIGRAPH + "test_constructor_matches_the_reference_loops[set-entry]",),
+           "a set of two ids is accepted as an arc entry"),
+    Mutant("arc-id-type-pass-dropped", "digraph.py",
+           "    if not (pairs and set(map(type, ids)) <= {int}):\n",
+           "    if not pairs:\n",
+           (DIGRAPH + "test_json_loader_matches_the_reference_loops[unhashable-ids]",),
+           "an unhashable id escapes as a bare TypeError"),
+    Mutant("json-cap-reads-n-alone", "digraph.py",
+           "    _check_vertex_count(max(n, top))\n",
+           "    _check_vertex_count(n)\n",
+           (DIGRAPH + "test_vertex_cap_is_checked_before_allocation",),
+           "an arc id past a given n escapes the vertex cap"),
+    Mutant("in-index-tail-first", "digraph.py",
+           "zip(map(itemgetter(1), self.arcs),\n"
+           "                                         map(itemgetter(0), self.arcs))",
+           "zip(map(itemgetter(0), self.arcs),\n"
+           "                                         map(itemgetter(1), self.arcs))",
+           (DIGRAPH + "test_in_index_reads_the_arcs_head_first",),
+           "the in-index holds out-neighbours"),
+    Mutant("ear-id-refusal-unnamed", "ears.py",
+           "                if set(map(type, chain.from_iterable(ears))) <= {int}:\n"
+           "                    raise\n",
+           "                raise\n",
+           ("tests/test_decomposition_index.py::"
+            "test_existing_cases_load_and_validate_as_before[ear-not-ids]",),
+           "a non-integer ear id gets the constructor's text, not the loader's"),
+    Mutant("canonical-first-branch-only", "tournaments.py",
+           "                if fixed == best:\n",
+           "                if fixed == best and not kept:\n",
+           ("tests/test_tournaments.py::"
+            "test_canonical_code_matches_reference_on_every_small_code",),
+           "the canonical form follows only the first minimal branch"),
     # the thread multigraph's rows
     Mutant("drop-keeps-start-row", "ears.py",
            "        del out[a], inn[z]\n        if not out:  # x0 turned plain",

@@ -845,6 +845,8 @@ CASES = [
          "limit"), {"g": '{"n": ' + "9" * 5000 + "}"}, marks=pytest.mark.skipif(
              not hasattr(sys, "get_int_max_str_digits"),
              reason="no integer digit limit: n hits the vertex cap")),
+    Case("unhashable-arc-ids", "classify {g}", 2,
+         "bad arc entry [[0], [1]]: need two integer ids", {"g": {"arcs": [[[0], [1]]]}}),
     Case("label-key-not-an-id", "decompose {g}", 2, "label key '00' is not an id as "
          "str(id) writes it", {"g": {"arcs": [[0, 1], [1, 0]], "labels": {"00": "a"}}}),
     # each part is checked as the decomposition loads, then against the input

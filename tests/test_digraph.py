@@ -252,6 +252,10 @@ DIGRAPH_CASES = {
     "float-vertex-set": ({0, 1.5, 2}, [(0, 2)]),
     "bool-vertex": ([0, True, 2], [(0, 2)]),
     "int-entry": (range(3), [0]),
+    "set-entry": (range(3), [{0, 1}]),
+    "str-entry": (range(3), ["01"]),
+    "dict-entry": (range(3), [{0: 1, 1: 0}]),
+    "unhashable-ids": (range(3), [([0], [1])]),
     "loop": (range(3), [(0, 1), (1, 1)]),
     "negative-id": (range(3), [(0, -1)]),
     "id-n": (range(3), [(0, 3)]),
@@ -288,6 +292,8 @@ JSON_CASES = {
     "int-entry": {"arcs": [0, [1, 0]]},
     "str-entry": {"arcs": [[0, 1], "ab"]},
     "dict-entry": {"arcs": [{"0": 1, "1": 0}]},
+    "unhashable-ids": {"arcs": [[[0], [1]]]},
+    "unhashable-ids-later": {"arcs": [[0, 1], [[1], 0]]},
     "loop": {"arcs": [[1, 1]]},
     "negative-id": {"arcs": [[0, -1]]},
     "all-negative": {"arcs": [[-3, -1]]},
@@ -316,6 +322,29 @@ def test_loaders_match_the_reference_on_random_digraphs():
         expected = _outcome(lambda: reference_digraph(range(n), arcs))
         assert _outcome(lambda: Digraph(range(n), arcs)) == expected
         assert _outcome(lambda: digraph_from_json(doc)) == expected
+
+
+def test_a_load_checks_each_arc_entry_once(monkeypatch, tmp_path):
+    # the JSON loader checks the entries in the constructor's place
+    errors, check = [], digraph._checked_arcs
+    monkeypatch.setattr(digraph, "_checked_arcs",
+                        lambda entries, error: errors.append(error)
+                        or check(entries, error))
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}))
+    d = load_digraph(str(path))
+    assert errors == [ParseError]
+    assert Digraph(d.vertices, d.arcs) == d
+    assert errors == [ParseError, InvalidInputError]
+
+
+def test_in_index_reads_the_arcs_head_first():
+    rng = random.Random(47)
+    for _ in range(40):
+        ids = rng.sample(range(100), rng.randint(1, 30))
+        d = Digraph(ids, [(u, v) for u in ids for v in ids
+                          if u != v and rng.random() < 0.2])
+        assert d._in == digraph._index(d.vertices, map(reversed, d.arcs))
 
 
 def test_json_roundtrip_preserves_labels():
