@@ -23,8 +23,7 @@ from .ears import (DecompositionReport, EarDecomposition,
                    find_ear_decomposition, find_le_decomposition,
                    generate_random_le, validate_decomposition)
 from .errors import (BudgetExceededError, CapExceededError, EarlabError,
-                     InvalidInputError, ParseError, PropertyFailedError,
-                     VerificationError)
+                     InvalidInputError, PropertyFailedError, VerificationError)
 from .kernels import (KernelObstruction, extend_case, extend_kernel,
                       restrict_condition, restrict_kernel, trace_kernels)
 from .oracles import (OracleReport, chromatic_oracles, kernel_oracle,
@@ -42,7 +41,7 @@ __all__ = [
     "BudgetExceededError", "CapExceededError", "CertifiedSet",
     "DecompositionReport", "DichromaticBounds", "Digraph",
     "EarDecomposition", "EarlabError", "InvalidInputError",
-    "KernelObstruction", "NeighborhoodReport", "OracleReport", "ParseError",
+    "KernelObstruction", "NeighborhoodReport", "OracleReport",
     "PropertyFailedError", "SetPredicates", "Tournament",
     "VerificationError", "VertexMapping", "build_G", "chromatic_oracles",
     "cycle_quasi_kernel_indices",

@@ -20,7 +20,7 @@ from itertools import chain, compress, repeat
 from operator import eq, itemgetter
 from typing import Iterable
 
-from .errors import CapExceededError, InvalidInputError, ParseError
+from .errors import CapExceededError, InvalidInputError
 
 Arc = tuple[int, int]
 
@@ -42,7 +42,7 @@ class Digraph:
                  labels: dict[int, str] | None = None):
         labels = dict(labels) if labels else {}
         arcs = arcs if type(arcs) in (list, tuple) else list(arcs)
-        self._build(vertices, *_checked_arcs(arcs, InvalidInputError), labels)
+        self._build(vertices, *_checked_arcs(arcs), labels)
 
     def _build(self, vertices: Iterable[int], arcs: frozenset[Arc],
                ids: list[int], labels: dict[int, str]) -> Digraph:
@@ -127,9 +127,10 @@ def _index(vertices: frozenset[int], pairs: Iterable) -> dict[int, tuple[int, ..
     return {v: tuple(sorted(partners)) for v, partners in adj.items()}
 
 
-def _checked_arcs(entries: list | tuple, error: type[InvalidInputError]) -> tuple:
+def _checked_arcs(entries: list | tuple) -> tuple:
     """The arc set and the ids, tail first, of entries that C-level passes accept
-    as lists or tuples of two ints; a loop names the first bad one in an error."""
+    as lists or tuples of two ints; a loop names the first bad one in an
+    InvalidInputError, for the constructor and the JSON loader alike."""
     pairs = (all(map(isinstance, entries, repeat((list, tuple))))
              and set(map(len, entries)) <= {2})
     ids = list(chain.from_iterable(entries)) if pairs else []
@@ -137,7 +138,8 @@ def _checked_arcs(entries: list | tuple, error: type[InvalidInputError]) -> tupl
         for pair in entries:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                     and type(pair[0]) is int and type(pair[1]) is int):
-                raise error(f"bad arc entry {pair!r:.40}: need two integer ids")
+                raise InvalidInputError(
+                    f"bad arc entry {pair!r:.40}: need two integer ids")
     return frozenset(map(tuple, entries)), ids
 
 
@@ -179,15 +181,16 @@ def _check_vertex_count(n: int) -> None:
 def parse_digraph(text: str) -> Digraph:
     """Parse an edge-list document.
 
-    Lines are "u v"; "#" starts a comment; blank lines are ignored and
-    repeated arcs are merged.  A document whose tokens are all numerals
-    (ASCII digits, no leading zero) keeps them as ids; otherwise every
-    token is a label, assigned a dense id in order of first appearance and
-    kept in the label table.
+    Lines are "u v"; "#" starts a comment; blank lines are ignored.  Repeated
+    arcs merge here, as keys of one insertion-ordered dict: memory follows the
+    distinct arcs, and each keeps its first place.  A refusal's text starts
+    "line N: ".  A document whose tokens are all numerals (ASCII digits, no
+    leading zero) keeps them as ids; otherwise every token is a label,
+    assigned a dense id in order of first appearance and kept in the label
+    table.
     """
     ids: dict[str, int] = {}
-    arcs: list[Arc] = []
-    seen: set[Arc] = set()
+    arcs: dict[Arc, None] = {}
     numeric = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -195,7 +198,8 @@ def parse_digraph(text: str) -> Digraph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"expected 'u v', got {raw.strip()!r:.40}", line=lineno)
+            raise InvalidInputError(f"line {lineno}: expected 'u v', "
+                                    f"got {raw.strip()!r:.40}")
         tokens = []
         for tok in parts:
             if tok not in ids:
@@ -205,11 +209,8 @@ def parse_digraph(text: str) -> Digraph:
                                    and (tok == "0" or tok[0] != "0"))
         u, v = tokens
         if u == v:
-            raise ParseError(f"loop arc on {parts[0]!r:.40}", line=lineno)
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        arcs.append((u, v))
+            raise InvalidInputError(f"line {lineno}: loop arc on {parts[0]!r:.40}")
+        arcs[u, v] = None
     if numeric:
         # numeric documents keep their own ids; gaps below the max are
         # allowed.  Numerals order by value as (length, text), so the largest
@@ -235,36 +236,37 @@ def digraph_from_json(doc: dict) -> Digraph:
     place, and the cap reads their ids before anything sized by n is built.
     """
     if not isinstance(doc, dict) or "arcs" not in doc:
-        raise ParseError("JSON digraph needs an 'arcs' field")
+        raise InvalidInputError("JSON digraph needs an 'arcs' field")
     entries = doc["arcs"]
     if not isinstance(entries, (list, tuple)):
-        raise ParseError("'arcs' must be a list of [u, v] pairs")
-    arcs, ids = _checked_arcs(entries, ParseError)
+        raise InvalidInputError("'arcs' must be a list of [u, v] pairs")
+    arcs, ids = _checked_arcs(entries)
     top = max(ids, default=-1) + 1
     n = doc.get("n")
     if n is None:
         n = top
     elif type(n) is not int or n < 0:
-        raise ParseError(f"'n' must be a non-negative integer, got {n!r:.40}")
+        raise InvalidInputError(
+            f"'n' must be a non-negative integer, got {n!r:.40}")
     _check_vertex_count(max(n, top))
     labels = doc.get("labels")
     if labels is None:
         labels = {}
     elif not isinstance(labels, dict):
-        raise ParseError(f"'labels' must be an object mapping ids to names, "
-                         f"got {labels!r:.40}")
+        raise InvalidInputError(f"'labels' must be an object mapping ids to "
+                                f"names, got {labels!r:.40}")
     for key, name in labels.items():
         if not (isinstance(key, str) and _DECIMAL_ID.fullmatch(key)):
-            raise ParseError(f"label key {key!r:.40} is not an id as str(id) "
-                             "writes it")
+            raise InvalidInputError(f"label key {key!r:.40} is not an id as "
+                                    "str(id) writes it")
         if not isinstance(name, str):
-            raise ParseError(f"label {key!r:.40} names its vertex {name!r:.40}, "
-                             "not a string")
+            raise InvalidInputError(f"label {key!r:.40} names its vertex "
+                                    f"{name!r:.40}, not a string")
     labels = {int(k): v for k, v in labels.items()}
     missing = sorted(k for k in labels if not 0 <= k < n)
     if missing:
-        raise ParseError(f"labels name ids {missing!s:.40} that are not vertices "
-                         f"(n = {n})")
+        raise InvalidInputError(f"labels name ids {missing!s:.40} that are not "
+                                f"vertices (n = {n})")
     return Digraph.__new__(Digraph)._build(range(n), arcs, ids, labels)
 
 

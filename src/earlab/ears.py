@@ -20,13 +20,14 @@ from typing import Iterable, Iterator
 
 from .digraph import (Arc, Digraph, _check_vertex_count, _grow, is_strong,
                       nonseparable)
-from .errors import (BudgetExceededError, InvalidInputError, ParseError,
+from .errors import (BudgetExceededError, InvalidInputError,
                      PropertyFailedError, VerificationError)
 
 
 class Ear(tuple):
-    """A part (x_0, ..., x_r) as EarDecomposition checked it; r arcs: that
-    tuple.  Only the benchmark reads vertices; once it calls to_json(), Ear goes."""
+    """A part (x_0, ..., x_r), r arcs: that tuple, built once by EarDecomposition
+    and kept as it checked it.  Only the benchmark reads vertices; once it
+    calls to_json(), Ear goes."""
 
     __slots__ = ()
 
@@ -58,7 +59,8 @@ def _part(vs: Iterable[int]) -> tuple[int, ...]:
 def _ids(value, what: str) -> tuple[int, ...]:
     if not (isinstance(value, (list, tuple))
             and set(map(type, value)) <= {int}):
-        raise ParseError(f"bad {what} {value!r:.40}: need a list of integer ids")
+        raise InvalidInputError(
+            f"bad {what} {value!r:.40}: need a list of integer ids")
     return tuple(value)
 
 
@@ -70,11 +72,11 @@ class EarDecomposition:
     having the vertices order[:ends[j]]; lengths, each ear's arc count.
     The one way in: the base (x_0, ..., x_0) and each ear, vertex sequences
     that C-level passes accept; _part names a failure's first offender.
-    base and ears are those parts as tuples, typed Ear only while the
-    benchmark reads Ear's vertices alias instead of calling to_json()."""
+    base and ears are the Ears it built once and checked, typed Ear only
+    while the benchmark reads Ear's vertices alias instead of to_json()."""
 
     def __init__(self, base: Iterable[int], ears: Iterable[Iterable[int]] = ()):
-        cycle, parts = tuple(base), tuple(map(tuple, ears))
+        cycle, parts = Ear(base), tuple(map(Ear, ears))
         every = (cycle,) + parts  # each: >= 2 ids, distinct but a closed part's ends
         ids = tuple(chain.from_iterable(every))
         ints = set(map(type, ids)) <= {int}  # before set() hashes
@@ -86,8 +88,7 @@ class EarDecomposition:
                 raise InvalidInputError("base must be a cycle ear (x_0 = x_r)")
             for part in parts:
                 _part(part)
-        self.base = Ear(cycle)
-        self.ears = tuple(map(Ear, parts))
+        self.base, self.ears = cycle, parts
         inner = list(map(itemgetter(slice(1, -1)), parts))
         self.order = cycle[:-1] + tuple(chain.from_iterable(inner))
         self.ends = tuple(accumulate(map(len, inner), initial=len(cycle) - 1))
@@ -135,7 +136,7 @@ class EarDecomposition:
                     raise
         _part(closed)  # these name the first offender: the base, then each ear
         if not isinstance(ears, (list, tuple)):
-            raise ParseError("'ears' must be a list of vertex lists")
+            raise InvalidInputError("'ears' must be a list of vertex lists")
         for ear in ears:
             _part(_ids(ear, "ear"))
 

@@ -2,6 +2,8 @@
 
 The CLI maps every error to one of four statuses with fixed exit codes:
 ok = 0, property_failed = 1, invalid_input = 2, cap_exceeded = 3.
+Malformed input of every kind (edge-list syntax, JSON shape, bad ids) is one
+class, InvalidInputError; an edge-list refusal's text starts "line N: ".
 """
 
 
@@ -29,13 +31,6 @@ class InvalidInputError(EarlabError):
 
     status = "invalid_input"
     exit_code = 2
-
-
-class ParseError(InvalidInputError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class CapExceededError(EarlabError):

@@ -68,6 +68,9 @@ MUTANTS = (
            "        layer = _grow(layer, d._in, parent)\n",
            "        layer = _grow(layer, d._out, parent)\n",
            (SWEEPS,), "the sweep gives parents one step away from the base"),
+    Mutant("sweep-successor-skip-dropped", "ears.py",
+           "            if x == succ[u]:\n                continue\n", "",
+           (SWEEPS,), "the sweep walks a cycle arc again as an ear"),
     Mutant("reaches-around-never-meets", "ears.py",
            "                fwd = _grow(fwd, self.out, ahead, behind)\n"
            "            else:\n"
@@ -170,6 +173,28 @@ MUTANTS = (
            "for j in range(k) if (i, j, length)",
            "for j in reversed(range(k)) if (i, j, length)",
            (CATALOG_GAPS,), "the first gap is looked for from the highest target"),
+    # each construction's read of the kept parts
+    Mutant("seymour-last-vertex", "constructions.py",
+           "        v = e.ears[-1][-2]\n", "        v = e.ears[-1][-1]\n",
+           ("tests/test_constructions.py::test_seymour_picks_last_interior_vertex",),
+           "the Seymour vertex is the last ear's end, not its last interior vertex"),
+    Mutant("quasi-kernel-closed-base", "constructions.py",
+           "    cycle = e.base[:-1]\n", "    cycle = e.base\n",
+           ("tests/test_constructions.py::test_small_quasi_kernel_fixture",),
+           "the base cycle is read with x_0 twice"),
+    Mutant("coloring-closed-base", "coloring.py",
+           "    cycle = e.base[:-1]\n", "    cycle = e.base\n",
+           ("tests/test_coloring.py::test_even_cycle_uses_two_colors",),
+           "the base cycle is colored with x_0 twice"),
+    Mutant("oriented-anchor-second", "oriented.py",
+           "    assignment = {e.base[0]: 0}\n", "    assignment = {e.base[1]: 0}\n",
+           ("tests/test_oriented.py::test_oriented_coloring_small_fixture",),
+           "the coloring is anchored at the base's second vertex"),
+    # the edge-list parser's refusals
+    Mutant("parse-line-prefix-dropped", "digraph.py",
+           "f\"line {lineno}: expected 'u v', \"", "f\"expected 'u v', \"",
+           (DIGRAPH + "test_parse_errors_carry_line_numbers",),
+           "a malformed line's refusal does not name its line"),
     # the one check of each arc entry, and the builds that read it
     Mutant("arc-entry-type-pass-dropped", "digraph.py",
            "    pairs = (all(map(isinstance, entries, repeat((list, tuple))))\n"

@@ -18,7 +18,7 @@ import pytest
 from earlab.digraph import Digraph, is_asymmetrical
 from earlab.ears import (EarDecomposition, _ids, _part, generate_random_le,
                          validate_decomposition)
-from earlab.errors import EarlabError, InvalidInputError, ParseError
+from earlab.errors import EarlabError, InvalidInputError
 
 
 # --- reference: the checked Ear, from_json and the stage walk ----------------
@@ -59,7 +59,7 @@ class RefEar:
 def ref_ids(value, what):
     if not (isinstance(value, (list, tuple))
             and set(map(type, value)) <= {int}):
-        raise ParseError(f"bad {what} {value!r}: need a list of integer ids")
+        raise InvalidInputError(f"bad {what} {value!r}: need a list of integer ids")
     return tuple(value)
 
 
@@ -74,7 +74,7 @@ def ref_from_json(doc):
     base = RefEar(base_list + (base_list[0],))
     ears = doc.get("ears", [])
     if not isinstance(ears, (list, tuple)):
-        raise ParseError("'ears' must be a list of vertex lists")
+        raise InvalidInputError("'ears' must be a list of vertex lists")
     return base, [RefEar(ref_ids(e, "ear")) for e in ears]
 
 
@@ -319,7 +319,7 @@ def ref_parts_from_json(doc):
     ears = doc.get("ears", [])
     if not isinstance(ears, (list, tuple)):
         _part(base + base[:1])
-        raise ParseError("'ears' must be a list of vertex lists")
+        raise InvalidInputError("'ears' must be a list of vertex lists")
     return ref_parts(base + base[:1], map(_ids, ears, repeat("ear")))
 
 

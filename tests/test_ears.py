@@ -191,6 +191,18 @@ def test_from_json_accepts_closed_base():
     assert e.base.vertices == (0, 1, 2, 0)
 
 
+def test_the_benchmarks_read_of_the_kept_parts_is_to_json():
+    # the benchmark's set-up reads each kept Ear through its vertices alias
+    for seed in range(30):
+        _, e = generate_random_le(base_length=2 + seed % 4, ear_count=seed,
+                                  min_ear_length=1 + seed % 3, max_ear_length=5,
+                                  cycle_ear_probability=0.3, seed=seed)
+        for f in (e, EarDecomposition.from_json(e.to_json())):
+            read = {"base": list(f.base.vertices[:-1]),
+                    "ears": [list(p.vertices) for p in f.ears]}
+            assert read == f.to_json() == e.to_json()
+
+
 def test_find_ear_decomposition_on_strong_digraph():
     d = Digraph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 1)])
     e = find_ear_decomposition(d)
