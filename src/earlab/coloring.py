@@ -73,18 +73,17 @@ def _free_color(*used: int) -> int:
 def proper_3_coloring(d: Digraph, e: EarDecomposition) -> VertexMapping:
     """Proper coloring with colors {1,2,3}, built ear by ear.
 
-    Length-2 ears take any free color for the middle vertex; length-3 ears
-    color greedily; longer ears reuse one color at both ends of the ear and
-    2-color the bipartite interior.
+    Length-3 ears color greedily.  Every other ear gives the first and last
+    interior vertex one color free at both ends of the ear, and 2-colors
+    the bipartite interior between them; a length-2 ear's one interior
+    vertex is both.
     """
     require_decomposition(d, e, 2, "coloring")
     cycle = e.base[:-1]
     colors = dict(zip(cycle, _cycle_colors(len(cycle))))
     for xs, r in zip(e.ears, e.lengths):
         c0, cr = colors[xs[0]], colors[xs[-1]]
-        if r == 2:
-            colors[xs[1]] = _free_color(c0, cr)
-        elif r == 3:
+        if r == 3:
             i = _free_color(c0, cr)
             colors[xs[1]] = i
             colors[xs[2]] = _free_color(i, cr)

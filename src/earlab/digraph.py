@@ -181,17 +181,17 @@ def _check_vertex_count(n: int) -> None:
 def parse_digraph(text: str) -> Digraph:
     """Parse an edge-list document.
 
-    Lines are "u v"; "#" starts a comment; blank lines are ignored.  Repeated
-    arcs merge here, as keys of one insertion-ordered dict: memory follows the
-    distinct arcs, and each keeps its first place.  A refusal's text starts
-    "line N: ".  A document whose tokens are all numerals (ASCII digits, no
-    leading zero) keeps them as ids; otherwise every token is a label,
-    assigned a dense id in order of first appearance and kept in the label
-    table.
+    Lines are "u v"; "#" starts a comment; blank lines are ignored.  A
+    refusal's text starts "line N: ".  The lines are read first: repeated
+    arcs merge as keys of one insertion-ordered dict, so memory follows the
+    distinct arcs and each keeps its first place, and each distinct token is
+    kept once.  Then each token becomes an id once.  A document whose tokens
+    are all numerals (ASCII digits, no leading zero) keeps them as ids;
+    otherwise every token is a label, assigned a dense id in order of first
+    appearance and kept in the label table.
     """
-    ids: dict[str, int] = {}
-    arcs: dict[Arc, None] = {}
-    numeric = True
+    tokens: dict[str, str] = {}
+    arcs: dict[tuple[str, str], None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -200,31 +200,26 @@ def parse_digraph(text: str) -> Digraph:
         if len(parts) != 2:
             raise InvalidInputError(f"line {lineno}: expected 'u v', "
                                     f"got {raw.strip()!r:.40}")
-        tokens = []
-        for tok in parts:
-            if tok not in ids:
-                ids[tok] = len(ids)
-            tokens.append(ids[tok])
-            numeric = numeric and (tok.isascii() and tok.isdigit()
-                                   and (tok == "0" or tok[0] != "0"))
-        u, v = tokens
+        u, v = map(tokens.setdefault, parts, parts)
         if u == v:
-            raise InvalidInputError(f"line {lineno}: loop arc on {parts[0]!r:.40}")
+            raise InvalidInputError(f"line {lineno}: loop arc on {u!r:.40}")
         arcs[u, v] = None
-    if numeric:
+    if all(t.isascii() and t.isdigit() and (t == "0" or t[0] != "0")
+           for t in tokens):
         # numeric documents keep their own ids; gaps below the max are
         # allowed.  Numerals order by value as (length, text), so the largest
         # is checked against the cap before int() reads any of them.
-        top = max(ids, key=lambda t: (len(t), t), default="")
+        top = max(tokens, key=lambda t: (len(t), t), default="")
         if len(top) > len(str(MAX_VERTICES)):
             raise CapExceededError(f"a {len(top)}-digit vertex id exceeds "
                                    f"the cap of {MAX_VERTICES} vertices")
         n = int(top) + 1 if top else 0
         _check_vertex_count(n)
-        remap = {ids[t]: int(t) for t in ids}
-        return Digraph(range(n), [(remap[u], remap[v]) for u, v in arcs])
-    labels = {i: tok for tok, i in ids.items()}
-    return Digraph(range(len(ids)), arcs, labels=labels)
+        ids, labels = dict(zip(tokens, map(int, tokens))), None
+    else:
+        n, labels = len(tokens), dict(enumerate(tokens))
+        ids = dict(zip(tokens, range(n)))
+    return Digraph(range(n), [(ids[u], ids[v]) for u, v in arcs], labels=labels)
 
 
 def digraph_from_json(doc: dict) -> Digraph:

@@ -176,8 +176,7 @@ def _transition_labels(direction: str, p: tuple[int, ...], kernels) -> list[str]
                            else ("restrict", restrict_condition, "condition"))
     labels = set()
     for members in kernels:
-        s = set(members)
-        ends = (p[0] in s, p[-1] in s, len(p) - 1)
+        ends = (p[0] in members, p[-1] in members, len(p) - 1)
         found = rule(*ends)
         if found is None:
             labels.add(f"{op} obstruction {_pattern(*ends)}")
@@ -454,7 +453,7 @@ def trace_kernels(d: Digraph, e: EarDecomposition,
                              if gained else
                              (flip_stage, extend_case, "push-forward"))
         kernels = per_stage[stage]
-        ok = all(rule(p[0] in set(k), p[-1] in set(k), len(p) - 1) is None
+        ok = all(rule(p[0] in k, p[-1] in k, len(p) - 1) is None
                  for k in kernels)
         pattern_check = {"required": f"{kind} obstruction on every kernel "
                                      f"of stage {stage}",

@@ -190,11 +190,15 @@ MUTANTS = (
            "    assignment = {e.base[0]: 0}\n", "    assignment = {e.base[1]: 0}\n",
            ("tests/test_oriented.py::test_oriented_coloring_small_fixture",),
            "the coloring is anchored at the base's second vertex"),
-    # the edge-list parser's refusals
+    # the edge-list parser's refusals and ids
     Mutant("parse-line-prefix-dropped", "digraph.py",
            "f\"line {lineno}: expected 'u v', \"", "f\"expected 'u v', \"",
            (DIGRAPH + "test_parse_errors_carry_line_numbers",),
            "a malformed line's refusal does not name its line"),
+    Mutant("parse-leading-zero-numeral", "digraph.py",
+           " and (t == \"0\" or t[0] != \"0\")", "",
+           (DIGRAPH + "test_parse_non_numerals_are_labels[leading-zero]",),
+           "a numeral with a leading zero is read as a number, not a label"),
     # the one check of each arc entry, and the builds that read it
     Mutant("arc-entry-type-pass-dropped", "digraph.py",
            "    pairs = (all(map(isinstance, entries, repeat((list, tuple))))\n"
@@ -244,6 +248,21 @@ MUTANTS = (
     Mutant("reach-keeps-t", "ears.py",
            "        del out[a], inn[z]\n        ahead", "        ahead",
            (SMALL_SEARCHES,), "the reach test may go around along t itself"),
+    # rules that read an ear's two ends
+    Mutant("coloring-general-rule-ignores-end", "coloring.py",
+           "            i = _free_color(c0, cr)\n"
+           "            colors[xs[1]] = colors[xs[-2]] = i\n",
+           "            i = _free_color(c0)\n"
+           "            colors[xs[1]] = colors[xs[-2]] = i\n",
+           ("tests/test_coloring.py::test_long_ear_alternates_interior",
+            # ears of length 2 and 3 only: a length-2 ear kills it here
+            "tests/test_coloring.py::test_dichromatic_bounds_run_only_the_dichromatic_search"),
+           "an ear's interior ends may take the color of the ear's last vertex"),
+    Mutant("trace-labels-ignore-xr", "kernels.py",
+           "p[-1] in members", "p[0] in members",
+           ("tests/test_kernels.py::"
+            "test_trace_transitions_match_the_rules_on_the_oracle_kernels",),
+           "a transition label reads x0 for both ends of the ear"),
 )
 
 
@@ -287,7 +306,7 @@ def main(ids: list[str]) -> int:
                 code = pytest(path.parent.parent, m.tests)
                 verdict = "killed" if code == 1 else f"survived (pytest exit {code})"
         bad += verdict != "killed"
-        print(f"{m.id:28} {verdict}  {time.perf_counter() - start:.1f} s")
+        print(f"{m.id:34} {verdict}  {time.perf_counter() - start:.1f} s")
     print(f"{len(rows) - bad} of {len(rows)} mutants killed")
     return 1 if bad else 0
 

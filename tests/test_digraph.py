@@ -360,6 +360,150 @@ def test_a_load_checks_each_arc_entry_once(monkeypatch, tmp_path):
     assert len(calls) == 2
 
 
+# --- reference: the edge-list parser's loop -------------------------------------
+#
+# parse_digraph reads the lines first and decides each token's id once, after
+# them.  This loop gives each token a provisional dense id as it reads and
+# remaps a numeric document's ids afterwards.  It stays here as the reference:
+# every document must give the same digraph, arc order and labels, or the same
+# refusal, down to its text and line number.  It reads the cap at call time.
+
+def reference_parse_digraph(text):
+    ids: dict[str, int] = {}
+    arcs: dict[tuple[int, int], None] = {}
+    numeric = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InvalidInputError(f"line {lineno}: expected 'u v', "
+                                    f"got {raw.strip()!r:.40}")
+        tokens = []
+        for tok in parts:
+            if tok not in ids:
+                ids[tok] = len(ids)
+            tokens.append(ids[tok])
+            numeric = numeric and (tok.isascii() and tok.isdigit()
+                                   and (tok == "0" or tok[0] != "0"))
+        u, v = tokens
+        if u == v:
+            raise InvalidInputError(f"line {lineno}: loop arc on {parts[0]!r:.40}")
+        arcs[u, v] = None
+    if numeric:
+        # numeric documents keep their own ids; gaps below the max are
+        # allowed.  Numerals order by value as (length, text), so the largest
+        # is checked against the cap before int() reads any of them.
+        top = max(ids, key=lambda t: (len(t), t), default="")
+        if len(top) > len(str(digraph.MAX_VERTICES)):
+            raise CapExceededError(f"a {len(top)}-digit vertex id exceeds "
+                                   f"the cap of {digraph.MAX_VERTICES} vertices")
+        n = int(top) + 1 if top else 0
+        digraph._check_vertex_count(n)
+        remap = {ids[t]: int(t) for t in ids}
+        return Digraph(range(n), [(remap[u], remap[v]) for u, v in arcs])
+    labels = {i: tok for tok, i in ids.items()}
+    return Digraph(range(len(ids)), arcs, labels=labels)
+
+
+def _parse_outcome(parse, text):
+    try:
+        d = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d, list(d.arcs), d.labels, sorted(d.vertices)
+
+
+# (document, cap); a cap of None leaves MAX_VERTICES as it is
+PARSE_CASES = {
+    "empty": ("", None),
+    "blank-and-comments": ("\n  \t\n# only a comment\n", None),
+    "crlf": ("0 1\r\n1 2\r\n2 0\r\n", None),
+    "crlf-labels": ("a b\r\nb a # back\r\n", None),
+    "lone-cr": ("0 1\r1 0", None),
+    "tabs": ("0\t1\n\t1 \t0\t\n", None),
+    "superscript-digit": ("0 ²\n² 0\n", None),
+    "arabic-indic-digit": ("١ 2\n2 ١\n", None),
+    "fullwidth-digit": ("１ 0\n0 １\n", None),
+    "leading-zero": ("1 01\n01 1\n", None),
+    "double-zero": ("0 00\n00 0\n", None),
+    "signed": ("-1 +1\n+1 -1\n", None),
+    "labels-then-numerals": ("b a\na 0\n0 b\n", None),
+    "numeric-gaps": ("7 3\n3 7\n", None),
+    "repeats": ("2 0\n0 2\n2 0\n0 1\n1 0\n0 2\n", None),
+    "third-token": ("0 1\n1 0 2\n", None),
+    "one-token": ("0 1\n\n1\n", None),
+    "long-line-text": ("0 1\n" + " ".join(["x" * 30] * 3) + "\n", None),
+    "loop-numeric": ("0 1\n1 1\n", None),
+    "loop-label": ("a b\nb b\n", None),
+    "loop-before-bad-line": ("0 0\n1 2 3\n", None),
+    "bad-line-before-cap": ("0 99\n1 2 3\n", 10),
+    "at-cap": ("0 9\n9 0\n", 10),
+    "past-cap": ("0 10\n10 0\n", 10),
+    "past-cap-digits": ("0 100\n100 0\n", 10),
+    "past-cap-labelled": ("0 100\n100 x\n", 10),
+    "past-cap-leading-zero": ("0 0100\n0100 0\n", 10),
+    "past-the-real-cap": ("0 1000000\n1000000 0\n", None),
+    "more-digits-than-the-real-cap": ("0 12345678901234567890\n1 0\n", None),
+}
+
+
+@pytest.mark.parametrize("key", PARSE_CASES)
+def test_parser_matches_the_reference_loop(monkeypatch, key):
+    text, cap = PARSE_CASES[key]
+    if cap is not None:
+        monkeypatch.setattr(digraph, "MAX_VERTICES", cap)
+    assert (_parse_outcome(parse_digraph, text)
+            == _parse_outcome(reference_parse_digraph, text))
+
+
+def _random_edge_list(rng):
+    """A document of numerals, labels, or both with odd numerals among
+    them; some lines are blank, comments, repeats, loops or malformed."""
+    kind = rng.choice(("numeric", "labels", "mixed"))
+    numerals = [str(i) for i in range(rng.randint(1, 30))]
+    names = [f"v{i}" for i in range(rng.randint(1, 8))] + ["a", "é"]
+    odd = ["01", "00", "007", "²", "١", "+1", "-1", "1e3", "100"]
+    pool = {"numeric": numerals, "labels": names,
+            "mixed": numerals + rng.sample(odd, 2)}[kind]
+    lines: list[str] = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(("", " ", " \t ")))
+        elif roll < 0.1:
+            lines.append("# " + rng.choice(pool))
+        elif roll < 0.13:
+            lines.append(" ".join(rng.choices(pool, k=rng.choice((1, 3)))))
+        elif roll < 0.16:
+            lines.append(" ".join([rng.choice(pool)] * 2))
+        elif roll < 0.25 and lines:
+            lines.append(rng.choice(lines))
+        else:
+            sep = rng.choice((" ", "\t", "  ", " \t"))
+            line = sep.join(rng.choices(pool, k=2))
+            lines.append(rng.choice(("", " ", "\t")) + line
+                         + rng.choice(("", " ", "  # note", "#", "\t#x y z")))
+    eol = rng.choice(("\n", "\r\n"))
+    return eol.join(lines) + rng.choice(("", eol))
+
+
+def test_parser_matches_the_reference_loop_on_seeded_documents(monkeypatch):
+    rng = random.Random(50)
+    kinds = set()
+    for trial in range(4000):
+        # every third document runs under a cap that some numerals pass
+        monkeypatch.setattr(digraph, "MAX_VERTICES",
+                            20 if trial % 3 == 0 else 1_000_000)
+        text = _random_edge_list(rng)
+        got = _parse_outcome(parse_digraph, text)
+        assert got == _parse_outcome(reference_parse_digraph, text), text
+        kinds.add(got[0] if isinstance(got[0], type)
+                  else "labels" if got[2] else "numeric")
+    assert kinds == {InvalidInputError, CapExceededError, "labels", "numeric"}
+
+
 def test_in_index_reads_the_arcs_head_first():
     rng = random.Random(47)
     for _ in range(40):

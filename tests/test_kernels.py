@@ -367,6 +367,34 @@ def test_trace_matches_the_per_stage_oracle():
                 assert doc == trace_kernels(d, e, direction), e
 
 
+def pattern_name(x0_in, xr_in, length):
+    ends = {(True, True): "both_in", (True, False): "x0_in_xr_out",
+            (False, True): "x0_out_xr_in", (False, False): "both_out"}
+    return f"{ends[x0_in, xr_in]}_{'odd' if length % 2 else 'even'}"
+
+
+def test_trace_transitions_match_the_rules_on_the_oracle_kernels():
+    # each stage's labels, derived from the oracle's kernels of its source
+    # stage: stage j - 1 going forward across ear j - 1, stage j going back
+    labels = {"forward": ("extend", extend_case, "case"),
+              "backward": ("restrict", restrict_condition, "condition")}
+    for d, e in [*one_ear_instances(), *seeded_instances()]:
+        per_stage = [kernel_oracle(e.stage(j), enumerate_all=True)
+                     .details["all_kernels"] for j in range(e.stage_count)]
+        for direction, (op, rule, rule_name) in labels.items():
+            stages = trace_kernels(d, e, direction)["stages"]
+            assert stages[0]["transitions"] == []
+            for j, ear in enumerate(e.ears, start=1):
+                source = per_stage[j - 1 if direction == "forward" else j]
+                expected = set()
+                for k in source:
+                    ends = (ear[0] in k, ear[-1] in k, len(ear) - 1)
+                    found = rule(*ends)
+                    expected.add(f"{op} obstruction {pattern_name(*ends)}"
+                                 if found is None else f"{op} {rule_name} {found}")
+                assert stages[j]["transitions"] == sorted(expected), (e, j)
+
+
 def _forced_absorbing_sets(verts: list[int], sym: list[int],
                            rows: list[int]) -> list[tuple[int, ...]]:
     """The kernels oracles._absorbing_sets finds for these out-rows, as
